@@ -12,6 +12,7 @@ stderr), 2 internal error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -117,7 +118,16 @@ def load_config(path: str | None) -> dict:
         raise ConfigInvalidError("weights must name exactly the eight operation kinds")
     if any(w <= 0 for w in config["weights"].values()):
         raise ConfigInvalidError("weights must be strictly positive")
+    _check_slice_interval(config["slice_interval_days"], "slice_interval_days")
+    known = {f.name for f in dataclasses.fields(forensics.DetectorConfig)}
+    if not isinstance(config["detectors"], dict) or set(config["detectors"]) - known:
+        raise ConfigInvalidError(f"detectors must be an object with keys among {sorted(known)}")
     return config
+
+
+def _check_slice_interval(value, source: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+        raise ConfigInvalidError(f"{source} must be a positive whole number of days, got {value!r}")
 
 
 def write_canonical_config(config: dict, path) -> None:
@@ -225,6 +235,10 @@ def cmd_ingest(config: dict, out: Path, args) -> None:
 
 
 def cmd_graph(config: dict, out: Path, args) -> None:
+    interval = config["slice_interval_days"]
+    if args.slice_interval is not None:
+        interval = args.slice_interval
+        _check_slice_interval(interval, "--slice-interval")
     store = _load_store_from_ingest(config, out)
     stage = out / "graph"
     stage.mkdir(parents=True, exist_ok=True)
@@ -235,10 +249,8 @@ def cmd_graph(config: dict, out: Path, args) -> None:
     fmt = args.format if args.format in ("graphml", "dot") else "graphml"
     graphs.write_graph(token_graph, stage / f"token_graph.{fmt}", fmt, "token_graph")
     graphs.write_graph(external_graph, stage / f"external_graph.{fmt}", fmt, "external_graph")
-    interval = args.slice_interval or config["slice_interval_days"]
     try:
-        slices = graphs.weekly_slices(store, interval_days=interval)
-        series = graphs.metric_series(slices)
+        series = graphs.metric_series(graphs.iter_slices(store, interval_days=interval))
         graphs.write_metric_series_json(series, stage / "metric_series.json")
     except graphs.WindowEmptyError:
         log.warning("no token events in the study window; metric series skipped")

@@ -129,8 +129,7 @@ def p2p_components(token_graph: CommunityGraph) -> list[ComponentProfile]:
 
     comps.sort(key=lambda c: (-len(c), c[0]))
     profiles = []
-    for i, comp in enumerate(comps, start=1):
-        sub = p2p.subgraph(set(comp))
+    for i, (comp, sub) in enumerate(zip(comps, p2p.subgraphs(comps)), start=1):
         n_initial = sum(1 for a in comp if sub.nodes[a] == NodeClass.INITIAL_MEMBER)
         profiles.append(
             ComponentProfile(

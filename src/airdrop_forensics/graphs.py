@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from enum import Enum
 from math import sqrt
@@ -85,12 +87,9 @@ class CommunityGraph:
             self._in[addr] = set()
 
     def add_edge_event(self, sender: Address, receiver: Address, value: int, ts: int) -> None:
-        key = (sender, receiver)
-        stats = self.edges.get(key)
+        stats = self.edges.get((sender, receiver))
         if stats is None:
-            self.edges[key] = EdgeStats(value, 1, ts, ts)
-            self._out[sender].add(receiver)
-            self._in[receiver].add(sender)
+            self._put_edge(sender, receiver, EdgeStats(value, 1, ts, ts))
         else:
             stats.total_value += value
             stats.tx_count += 1
@@ -109,20 +108,41 @@ class CommunityGraph:
     def in_degree(self, addr: Address) -> int:
         return len(self._in.get(addr, ()))
 
+    def _put_edge(self, u: Address, v: Address, stats: EdgeStats) -> None:
+        self.edges[(u, v)] = stats
+        self._out[u].add(v)
+        self._in[v].add(u)
+
+    def copy(self) -> "CommunityGraph":
+        """Independent copy keeping node and edge insertion order."""
+        dup = CommunityGraph()
+        for addr, node_class in self.nodes.items():
+            dup.add_node(addr, node_class)
+        for (u, v), stats in self.edges.items():
+            dup._put_edge(u, v, replace(stats))
+        return dup
+
     def subgraph(self, keep: set[Address]) -> "CommunityGraph":
         """Induced subgraph on `keep`, preserving node classes."""
-        sub = CommunityGraph()
-        for addr in sorted(keep):
-            if addr in self.nodes:
+        return self.subgraphs([[a for a in sorted(keep) if a in self.nodes]])[0]
+
+    def subgraphs(self, parts: list[list[Address]]) -> list["CommunityGraph"]:
+        """Induced subgraphs on disjoint node lists, in one pass over edges.
+
+        Each subgraph inserts its nodes in the order given and its edges in
+        this graph's edge order.
+        """
+        subs = [CommunityGraph() for _ in parts]
+        part_of: dict[Address, int] = {}
+        for i, (sub, part) in enumerate(zip(subs, parts)):
+            for addr in part:
                 sub.add_node(addr, self.nodes[addr])
+                part_of[addr] = i
         for (u, v), stats in self.edges.items():
-            if u in sub.nodes and v in sub.nodes:
-                sub.edges[(u, v)] = EdgeStats(
-                    stats.total_value, stats.tx_count, stats.first_ts, stats.last_ts
-                )
-                sub._out[u].add(v)
-                sub._in[v].add(u)
-        return sub
+            i = part_of.get(u)
+            if i is not None and part_of.get(v) == i:
+                subs[i]._put_edge(u, v, replace(stats))
+        return subs
 
 
 def _node_class_for(addr: Address, store: EventStore, default: NodeClass) -> NodeClass:
@@ -133,12 +153,16 @@ def _node_class_for(addr: Address, store: EventStore, default: NodeClass) -> Nod
     return default
 
 
-def _build_graph(events, store: EventStore, default_class: NodeClass) -> CommunityGraph:
-    g = CommunityGraph()
+def _add_events(g: CommunityGraph, events, store: EventStore, default_class: NodeClass) -> None:
     for ev in events:
         for addr in (ev.sender, ev.receiver):
             g.add_node(addr, _node_class_for(addr, store, default_class))
         g.add_edge_event(ev.sender, ev.receiver, ev.value, ev.timestamp)
+
+
+def _build_graph(events, store: EventStore, default_class: NodeClass) -> CommunityGraph:
+    g = CommunityGraph()
+    _add_events(g, events, store, default_class)
     return g
 
 
@@ -164,20 +188,22 @@ class GraphSlice:
     graph: CommunityGraph
 
 
-def weekly_slices(
+def iter_slices(
     store: EventStore,
     kind: EventKind = EventKind.TOKEN_TRANSFER,
     start: int | None = None,
     end: int | None = None,
     interval_days: int = 7,
-) -> list[GraphSlice]:
-    """Cumulative snapshots at every interval boundary from the origin.
+) -> Iterator[GraphSlice]:
+    """Grow one graph over the sorted events and yield it at every cutoff.
 
     Cutoffs are start + k * interval for k >= 1, plus a final cutoff at
     `end` when the window does not divide evenly. Each slice contains all
-    events with timestamp <= cutoff, so node and edge sets are monotone
-    across slices. Raises WindowEmptyError when no event falls in
-    [start, end].
+    events with timestamp <= cutoff, added in store order, so node and edge
+    sets are monotone across slices and each graph equals a from-scratch
+    build of its events. The yielded graph is live: the next step extends
+    it in place, so `copy()` it to keep it. Raises WindowEmptyError, when
+    iteration starts, if no event falls in [start, end].
     """
     events = store.events_of_kind(kind)
     bounds = store.config.window_bounds()
@@ -196,12 +222,31 @@ def weekly_slices(
     if not cutoffs or cutoffs[-1] != end:
         cutoffs.append(end)
 
-    slices = []
     default = NodeClass.LATER_MEMBER if kind == EventKind.TOKEN_TRANSFER else NodeClass.PLAIN
+    graph = CommunityGraph()
+    done = 0
     for cutoff in cutoffs:
-        chunk = [e for e in in_window if e.timestamp <= cutoff]
-        slices.append(GraphSlice(cutoff, _build_graph(chunk, store, default)))
-    return slices
+        # the store is time-ordered, so the slice's events are a prefix
+        upto = bisect_right(in_window, cutoff, lo=done, key=lambda e: e.timestamp)
+        _add_events(graph, in_window[done:upto], store, default)
+        done = upto
+        yield GraphSlice(cutoff, graph)
+
+
+def weekly_slices(
+    store: EventStore,
+    kind: EventKind = EventKind.TOKEN_TRANSFER,
+    start: int | None = None,
+    end: int | None = None,
+    interval_days: int = 7,
+) -> list[GraphSlice]:
+    """The slices of `iter_slices`, each materialised as an independent
+    snapshot. Holds every slice graph at once; stream `iter_slices`
+    instead when one slice at a time is enough."""
+    return [
+        GraphSlice(sl.cutoff, sl.graph.copy())
+        for sl in iter_slices(store, kind, start, end, interval_days)
+    ]
 
 
 def reciprocity(graph: CommunityGraph) -> float:
@@ -246,7 +291,8 @@ def degree_assortativity(graph: CommunityGraph, mode: str = "out_in") -> float:
 
 
 def strongly_connected_components(graph: CommunityGraph) -> list[list[Address]]:
-    """Iterative Tarjan over sorted nodes; deterministic output order."""
+    """Iterative Tarjan. Each component comes back sorted and the list is
+    ordered by first member, whatever the set iteration order."""
     index: dict[Address, int] = {}
     low: dict[Address, int] = {}
     on_stack: set[Address] = set()
@@ -254,14 +300,14 @@ def strongly_connected_components(graph: CommunityGraph) -> list[list[Address]]:
     sccs: list[list[Address]] = []
     counter = 0
 
-    for root in sorted(graph.nodes):
+    for root in graph.nodes:
         if root in index:
             continue
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
         on_stack.add(root)
-        work = [(root, iter(sorted(graph.out_neighbors(root))))]
+        work = [(root, iter(graph.out_neighbors(root)))]
         while work:
             node, succs = work[-1]
             advanced = False
@@ -271,7 +317,7 @@ def strongly_connected_components(graph: CommunityGraph) -> list[list[Address]]:
                     counter += 1
                     stack.append(succ)
                     on_stack.add(succ)
-                    work.append((succ, iter(sorted(graph.out_neighbors(succ)))))
+                    work.append((succ, iter(graph.out_neighbors(succ))))
                     advanced = True
                     break
                 if succ in on_stack:
@@ -291,6 +337,7 @@ def strongly_connected_components(graph: CommunityGraph) -> list[list[Address]]:
             if work:
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[node])
+    sccs.sort(key=lambda comp: comp[0])
     return sccs
 
 
@@ -335,8 +382,11 @@ def _iso(ts: int) -> str:
     return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def metric_series(slices: list[GraphSlice], assortativity_mode: str = "out_in") -> MetricSeries:
-    """Evaluate all four panels per slice; undefined metrics become None."""
+def metric_series(slices: Iterable[GraphSlice], assortativity_mode: str = "out_in") -> MetricSeries:
+    """Evaluate all four panels per slice; undefined metrics become None.
+
+    Iterates `slices` once, so it can consume `iter_slices` directly.
+    """
     series = MetricSeries()
     for sl in slices:
         series.cutoffs.append(sl.cutoff)
@@ -440,9 +490,7 @@ def graph_from_json(payload: dict) -> CommunityGraph:
     for addr, cls in payload["nodes"]:
         g.add_node(addr, NodeClass(cls))
     for u, v, total, count, first_ts, last_ts in payload["edges"]:
-        g.edges[(u, v)] = EdgeStats(total, count, first_ts, last_ts)
-        g._out[u].add(v)
-        g._in[v].add(u)
+        g._put_edge(u, v, EdgeStats(total, count, first_ts, last_ts))
     return g
 
 

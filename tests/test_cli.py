@@ -183,3 +183,39 @@ def test_dot_export_format(tmp_path):
     assert run("ingest", config) == 0
     assert run("graph", config, "--format", "dot") == 0
     assert (tmp_path / "out" / "graph" / "token_graph.dot").exists()
+
+
+@pytest.fixture(scope="module")
+def ingested(tmp_path_factory):
+    """An output directory that has been through synth and ingest."""
+    root = tmp_path_factory.mktemp("ingested")
+    config = write_config(root)
+    assert run("synth", config) == 0
+    assert run("ingest", config) == 0
+    return root
+
+
+@pytest.mark.parametrize("interval", [0, -3, True, "7"])
+def test_bad_slice_interval_in_config_rejected(ingested, tmp_path, capsys, interval):
+    config = write_config(tmp_path, output_dir=str(ingested / "out"), slice_interval_days=interval)
+    assert run("graph", config) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["code"] == "config_invalid"
+    assert not (ingested / "out" / "graph").exists()
+
+
+def test_zero_slice_interval_flag_rejected(ingested, capsys):
+    config = ingested / "config_out.json"
+    assert run("graph", config, "--slice-interval", "0") == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["code"] == "config_invalid"
+    assert not (ingested / "out" / "graph").exists()
+
+
+def test_unknown_detector_key_rejected(tmp_path, capsys):
+    config = write_config(tmp_path, detectors={"bogus": 1})
+    with pytest.raises(ConfigInvalidError, match="detectors"):
+        load_config(str(config))
+    assert run("detect", config) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["code"] == "config_invalid"

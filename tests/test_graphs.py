@@ -1,7 +1,9 @@
 import random
 
+import networkx as nx
 import pytest
 
+from airdrop_forensics.forensics import p2p_components
 from airdrop_forensics.graphs import (
     NodeClass,
     UndefinedOnDegenerateError,
@@ -11,15 +13,18 @@ from airdrop_forensics.graphs import (
     build_external_graph,
     build_token_graph,
     degree_assortativity,
+    _build_graph,
     graph_from_json,
     graph_to_json,
+    iter_slices,
     metric_series,
     reciprocity,
+    strongly_connected_components,
     to_dot,
     to_graphml,
     weekly_slices,
 )
-from airdrop_forensics.ingest import EventKind
+from airdrop_forensics.ingest import ContractCategory, EventKind
 
 from conftest import WINDOW_START, addr, claim, contract, digraph, ev, make_store
 from oracles import (
@@ -239,3 +244,117 @@ def test_graph_json_round_trip():
     clone = graph_from_json(graph_to_json(g))
     assert graph_to_json(clone) == graph_to_json(g)
     assert clone.out_neighbors("a" * 40) == {"b" * 40}
+
+
+# Differential tests: the incremental slicer against from-scratch builds,
+# and the metrics against networkx on random loop-free digraphs.
+
+
+def _random_store(rng):
+    day = 86400
+    n = rng.randint(4, 30)
+    token, external = [], []
+    for _ in range(rng.randint(1, 150)):
+        u, v = rng.sample(range(1, n + 1), 2)
+        kind = rng.choice([EventKind.TOKEN_TRANSFER, EventKind.EXTERNAL_TX])
+        # whole days put many events exactly on a cutoff
+        ts = WINDOW_START + rng.randint(0, 40) * day + rng.choice([0, 0, 1, day // 2])
+        event = ev(addr(u), addr(v), rng.randint(1, 9), ts=ts, kind=kind)
+        (token if kind == EventKind.TOKEN_TRANSFER else external).append(event)
+    claims = [claim(addr(i)) for i in range(1, n + 1) if rng.random() < 0.3]
+    contracts = [
+        contract(addr(i), f"c{i}", ContractCategory.TRADING_SWAP)
+        for i in range(1, n + 1)
+        if rng.random() < 0.1 and addr(i) not in {c.address for c in claims}
+    ]
+    return make_store(token, external, contracts, claims)
+
+
+def _same_graph(got, want):
+    assert list(got.nodes.items()) == list(want.nodes.items())
+    assert list(got.edges.items()) == list(want.edges.items())
+    assert got._out == want._out and got._in == want._in
+
+
+def test_slices_equal_from_scratch_builds():
+    rng = random.Random(29)
+    day = 86400
+    for _ in range(40):
+        store = _random_store(rng)
+        kind = rng.choice([EventKind.TOKEN_TRANSFER, EventKind.EXTERNAL_TX])
+        default = NodeClass.LATER_MEMBER if kind == EventKind.TOKEN_TRANSFER else NodeClass.PLAIN
+        start = WINDOW_START + rng.randint(0, 5) * day
+        end = start + rng.randint(1, 45) * day - rng.choice([0, 1])
+        interval = rng.choice([1, 3, 7, 60])
+        events = store.events_of_kind(kind)
+        if not any(start <= e.timestamp <= end for e in events):
+            with pytest.raises(WindowEmptyError):
+                weekly_slices(store, kind, start, end, interval)
+            continue
+
+        def scratch(cutoff):
+            chunk = [e for e in events if start <= e.timestamp <= cutoff]
+            return _build_graph(chunk, store, default)
+
+        live = []
+        for sl in iter_slices(store, kind, start, end, interval):
+            _same_graph(sl.graph, scratch(sl.cutoff))
+            live.append(sl)
+        assert len({id(sl.graph) for sl in live}) == 1  # one graph grows in place
+        snapshots = weekly_slices(store, kind, start, end, interval)
+        assert [sl.cutoff for sl in snapshots] == [sl.cutoff for sl in live]
+        for sl in snapshots:  # checked after all are built: no state is shared
+            _same_graph(sl.graph, scratch(sl.cutoff))
+
+
+def _nx_digraph(nodes, edges):
+    G = nx.DiGraph()
+    G.add_nodes_from(nodes)
+    G.add_edges_from(edges)
+    return G
+
+
+def test_metrics_match_networkx():
+    rng = random.Random(31)
+    defined = 0
+    for _ in range(60):
+        nodes, edges = random_digraph(rng, max_n=40)
+        g, G = digraph(edges, nodes), _nx_digraph(nodes, edges)
+        if edges:
+            assert reciprocity(g) == nx.reciprocity(G)
+        try:
+            value = degree_assortativity(g)
+        except UndefinedOnDegenerateError:
+            pass
+        else:
+            expected = nx.degree_pearson_correlation_coefficient(G, x="out", y="in")
+            assert abs(value - expected) <= 1e-9
+            defined += 1
+        assert attracting_components(g) == nx.number_attracting_components(G)
+        sccs = strongly_connected_components(g)
+        assert {frozenset(c) for c in sccs} == {
+            frozenset(c) for c in nx.strongly_connected_components(G)
+        }
+        assert all(c == sorted(c) for c in sccs)
+        assert [c[0] for c in sccs] == sorted(c[0] for c in sccs)
+    assert defined > 20
+
+
+def test_p2p_components_match_networkx():
+    rng = random.Random(37)
+    for _ in range(30):
+        nodes, edges = random_digraph(rng, max_n=40, p=rng.choice([0.02, 0.05, 0.1]))
+        g = digraph(edges, nodes)
+        for a in nodes:
+            g.nodes[a] = rng.choice(list(NodeClass))
+        wallets = {a for a, cls in g.nodes.items() if cls != NodeClass.CONTRACT}
+        p2p = g.subgraph(wallets)
+        W = _nx_digraph(sorted(wallets), [(u, v) for u, v in edges if {u, v} <= wallets])
+        expected = {frozenset(c) for c in nx.weakly_connected_components(W) if len(c) >= 2}
+        profiles = p2p_components(g)
+        assert {frozenset(p.graph.nodes) for p in profiles} == expected
+        for p in profiles:  # what an induced subgraph of p2p holds, in p2p's order
+            comp = set(p.graph.nodes)
+            assert list(p.graph.nodes) == sorted(comp)
+            assert p.graph.edges == {k: s for k, s in p2p.edges.items() if set(k) <= comp}
+            assert list(p.graph.edges) == [k for k in p2p.edges if set(k) <= comp]
