@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -84,6 +85,16 @@ DEFAULT_CONFIG = {
 }
 
 
+ELIGIBILITY_PRESETS = {
+    "threshold_differential": eligibility.EligibilityRules.threshold_differential,
+    "differential": eligibility.EligibilityRules.differential,
+    "fair": eligibility.EligibilityRules.fair,
+}
+
+# JSON values accepted for a dataclass field, by its annotation
+_FIELD_KINDS = {"int": (int,), "float": (int, float), "int | None": (int, type(None))}
+
+
 def _merge(base: dict, override: dict) -> dict:
     out = dict(base)
     for key, value in override.items():
@@ -110,23 +121,64 @@ def load_config(path: str | None) -> dict:
         if unknown:
             raise ConfigInvalidError(f"unknown config keys: {sorted(unknown)}")
         config = _merge(DEFAULT_CONFIG, user)
+    for key, default in DEFAULT_CONFIG.items():
+        if isinstance(default, dict) and not isinstance(config[key], dict):
+            raise ConfigInvalidError(f"{key} must be a JSON object, got {config[key]!r}")
+    window = config["window"]
+    if not all(isinstance(window[k], (str, type(None))) for k in ("start", "end")):
+        raise ConfigInvalidError(f"window start and end must be ISO dates or null, got {window!r}")
     try:
-        ingest.IngestConfig(config["window"]["start"], config["window"]["end"]).window_bounds()
+        ingest.IngestConfig(window["start"], window["end"]).window_bounds()
     except ValueError as exc:
         raise ConfigInvalidError(f"bad study window: {exc}") from exc
     if set(config["weights"]) != {op.value for op in flows.OPERATION_ORDER}:
         raise ConfigInvalidError("weights must name exactly the eight operation kinds")
-    if any(w <= 0 for w in config["weights"].values()):
-        raise ConfigInvalidError("weights must be strictly positive")
+    for op, w in config["weights"].items():
+        if not _is_kind(w, (int, float)) or not (0 < w < math.inf):
+            raise ConfigInvalidError(f"weights.{op} must be a finite number > 0, got {w!r}")
     _check_slice_interval(config["slice_interval_days"], "slice_interval_days")
-    known = {f.name for f in dataclasses.fields(forensics.DetectorConfig)}
-    if not isinstance(config["detectors"], dict) or set(config["detectors"]) - known:
-        raise ConfigInvalidError(f"detectors must be an object with keys among {sorted(known)}")
+    _check_choice(config["clustering"]["linkage"], [m.value for m in clustering.Linkage],
+                  "clustering.linkage")
+    k_min, k_max = config["clustering"]["k_min"], config["clustering"]["k_max"]
+    if not (_is_kind(k_min, (int,)) and _is_kind(k_max, (int,)) and k_min <= k_max):
+        raise ConfigInvalidError(
+            f"clustering.k_min and k_max must be whole numbers with k_min <= k_max, "
+            f"got {k_min!r} and {k_max!r}"
+        )
+    _check_fields(config["detectors"], forensics.DetectorConfig, "detectors")
+    rules = dict(config["eligibility"])
+    _check_choice(rules.pop("preset"), list(ELIGIBILITY_PRESETS), "eligibility.preset")
+    _check_fields(rules, eligibility.EligibilityRules, "eligibility")
     return config
 
 
+def _is_kind(value, kinds: tuple) -> bool:
+    """isinstance, except that a JSON true/false is never a number"""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _check_choice(value, choices: list, where: str) -> None:
+    if not (isinstance(value, str) and value in choices):
+        raise ConfigInvalidError(f"{where} must be one of {choices}, got {value!r}")
+
+
+def _check_fields(section, cls, where: str) -> None:
+    """The keys of `section` must be fields of `cls`, and a value for a
+    number field a number of that field's kind."""
+    fields = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = set(section) - set(fields)
+    if unknown:
+        raise ConfigInvalidError(
+            f"unknown {where} keys {sorted(unknown)}, not among {sorted(fields)}"
+        )
+    for key, value in section.items():
+        kinds = _FIELD_KINDS.get(fields[key])
+        if kinds is not None and not _is_kind(value, kinds):
+            raise ConfigInvalidError(f"{where}.{key} must be {fields[key]}, got {value!r}")
+
+
 def _check_slice_interval(value, source: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+    if not _is_kind(value, (int,)) or value <= 0:
         raise ConfigInvalidError(f"{source} must be a positive whole number of days, got {value!r}")
 
 
@@ -239,6 +291,9 @@ def cmd_graph(config: dict, out: Path, args) -> None:
     if args.slice_interval is not None:
         interval = args.slice_interval
         _check_slice_interval(interval, "--slice-interval")
+    fmt = args.format or "graphml"
+    if fmt not in ("graphml", "dot"):
+        raise ConfigInvalidError(f"--format must be graphml or dot, got {fmt!r}")
     store = _load_store_from_ingest(config, out)
     stage = out / "graph"
     stage.mkdir(parents=True, exist_ok=True)
@@ -246,7 +301,6 @@ def cmd_graph(config: dict, out: Path, args) -> None:
     external_graph = graphs.build_external_graph(store)
     graphs.write_graph_json(token_graph, stage / "token_graph.json")
     graphs.write_graph_json(external_graph, stage / "external_graph.json")
-    fmt = args.format if args.format in ("graphml", "dot") else "graphml"
     graphs.write_graph(token_graph, stage / f"token_graph.{fmt}", fmt, "token_graph")
     graphs.write_graph(external_graph, stage / f"external_graph.{fmt}", fmt, "external_graph")
     try:
@@ -323,18 +377,9 @@ def cmd_eligibility(config: dict, out: Path, args) -> None:
     stage = out / "eligibility"
     stage.mkdir(parents=True, exist_ok=True)
     section = dict(config["eligibility"])
-    preset = section.pop("preset", "threshold_differential")
-    base = {
-        "threshold_differential": eligibility.EligibilityRules.threshold_differential,
-        "differential": eligibility.EligibilityRules.differential,
-        "fair": eligibility.EligibilityRules.fair,
-    }.get(preset)
-    if base is None:
-        raise ConfigInvalidError(f"unknown eligibility preset {preset!r}")
-    rules = base()
+    preset = section.pop("preset")
+    rules = ELIGIBILITY_PRESETS[preset]()
     for key, value in section.items():
-        if not hasattr(rules, key):
-            raise ConfigInvalidError(f"unknown eligibility rule {key!r}")
         setattr(rules, key, value)
 
     balances: dict = {}
@@ -561,8 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--slice-interval", type=int, default=None, help="slice interval in days (graph stage)"
     )
     parser.add_argument(
-        "--format", choices=["csv", "json", "graphml", "dot"], default=None,
-        help="graph export format (graph stage)",
+        "--format", default=None, help="graph export format, graphml or dot (graph stage)",
     )
     return parser
 

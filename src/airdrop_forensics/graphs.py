@@ -290,17 +290,16 @@ def degree_assortativity(graph: CommunityGraph, mode: str = "out_in") -> float:
     return cov / sqrt(vx * vy)
 
 
-def strongly_connected_components(graph: CommunityGraph) -> list[list[Address]]:
-    """Iterative Tarjan. Each component comes back sorted and the list is
-    ordered by first member, whatever the set iteration order."""
+def _tarjan(graph: CommunityGraph, roots: Iterable[Address]) -> Iterator[list[Address]]:
+    """Iterative Tarjan over the nodes reachable from `roots`. Yields each
+    strongly connected component, unsorted, as it closes."""
     index: dict[Address, int] = {}
     low: dict[Address, int] = {}
     on_stack: set[Address] = set()
     stack: list[Address] = []
-    sccs: list[list[Address]] = []
     counter = 0
 
-    for root in graph.nodes:
+    for root in roots:
         if root in index:
             continue
         index[root] = low[root] = counter
@@ -333,21 +332,38 @@ def strongly_connected_components(graph: CommunityGraph) -> list[list[Address]]:
                     comp.append(w)
                     if w == node:
                         break
-                sccs.append(sorted(comp))
+                yield comp
             if work:
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[node])
-    sccs.sort(key=lambda comp: comp[0])
-    return sccs
+
+
+def strongly_connected_components(graph: CommunityGraph) -> list[list[Address]]:
+    """Each component comes back sorted and the list is ordered by first
+    member, whatever the set iteration order."""
+    return sorted((sorted(comp) for comp in _tarjan(graph, graph.nodes)), key=lambda comp: comp[0])
 
 
 def attracting_components(graph: CommunityGraph) -> int:
     """Count terminal strongly connected components: once a random walker
-    enters one, no out-edge leaves it. An isolated sink node counts."""
-    count = 0
-    for comp in strongly_connected_components(graph):
+    enters one, no out-edge leaves it. An isolated sink node counts.
+
+    Every sink (out-degree 0) is one. A non-sink node that can reach a sink
+    is in none: the sink is a separate component it can reach. The nodes
+    that reach no sink are closed under successors, so Tarjan runs from
+    those alone.
+    """
+    sinks = [u for u, succs in graph._out.items() if not succs]
+    reaches_sink = set(sinks)
+    frontier = reaches_sink
+    while frontier:
+        frontier = set().union(*map(graph._in.__getitem__, frontier)) - reaches_sink
+        reaches_sink |= frontier
+    count = len(sinks)
+    rest = [u for u in graph.nodes if u not in reaches_sink]
+    for comp in _tarjan(graph, rest):
         members = set(comp)
-        if all(graph.out_neighbors(u) <= members for u in comp):
+        if all(graph._out[u] <= members for u in comp):
             count += 1
     return count
 

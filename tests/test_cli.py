@@ -219,3 +219,36 @@ def test_unknown_detector_key_rejected(tmp_path, capsys):
     assert run("detect", config) == 1
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["code"] == "config_invalid"
+
+
+@pytest.mark.parametrize(
+    "stage,override",
+    [
+        ("cluster", {"clustering": {"linkage": "ward"}}),
+        ("cluster", {"weights": {"buy": "x"}}),
+        ("cluster", {"clustering": {"k_min": "2"}}),
+        ("eligibility", {"eligibility": {"min_tx_count": "5"}}),
+        ("ingest", {"window": {"start": 5}}),
+        ("cluster", {"clustering": "single"}),
+        ("cluster", {"clustering": {"k_min": 9, "k_max": 3}}),
+        ("detect", {"detectors": {"min_spokes": "5"}}),
+    ],
+    ids=["linkage_ward", "string_weight", "string_k_min", "string_min_tx_count",
+         "int_window_start", "section_not_object", "k_min_above_k_max", "string_detector_value"],
+)
+def test_config_type_error_rejected(tmp_path, capsys, stage, override):
+    config = write_config(tmp_path, **override)
+    with pytest.raises(ConfigInvalidError):
+        load_config(str(config))
+    assert run(stage, config) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["code"] == "config_invalid"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_unsupported_graph_format_rejected(ingested, capsys, fmt):
+    config = ingested / "config_out.json"
+    assert run("graph", config, "--format", fmt) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["code"] == "config_invalid"
+    assert not (ingested / "out" / "graph").exists()

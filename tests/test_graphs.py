@@ -2,6 +2,7 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from airdrop_forensics.forensics import p2p_components
 from airdrop_forensics.graphs import (
@@ -358,3 +359,65 @@ def test_p2p_components_match_networkx():
             assert list(p.graph.nodes) == sorted(comp)
             assert p.graph.edges == {k: s for k, s in p2p.edges.items() if set(k) <= comp}
             assert list(p.graph.edges) == [k for k in p2p.edges if set(k) <= comp]
+
+
+@st.composite
+def _shaped_digraphs(draw):
+    """Random edges (self-loops allowed) among a base set, plus cycles the
+    base may enter but only a chain can leave, chains ending in a sink that
+    hang off any earlier node, and isolated nodes."""
+    nodes, edges = [], []
+
+    def fresh(k):
+        new = [addr(len(nodes) + i + 1) for i in range(k)]
+        nodes.extend(new)
+        return new
+
+    base = fresh(draw(st.integers(1, 12)))
+    pairs = st.tuples(st.sampled_from(base), st.sampled_from(base))
+    edges += draw(st.lists(pairs, max_size=30))
+    for size in draw(st.lists(st.integers(1, 6), max_size=4)):  # size 1: a lone self-loop
+        cycle = fresh(size)
+        edges += zip(cycle, cycle[1:] + cycle[:1])
+        edges += [(draw(st.sampled_from(base)), cycle[0])] * draw(st.booleans())
+    for length in draw(st.lists(st.integers(1, 30), max_size=3)):
+        feeder = draw(st.sampled_from(nodes))
+        chain = fresh(length)
+        edges += zip([feeder] + chain, chain)
+    fresh(draw(st.integers(0, 3)))
+    return nodes, edges
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_shaped_digraphs())
+def test_attracting_components_match_networkx_on_shaped_digraphs(graph):
+    nodes, edges = graph
+    assert attracting_components(digraph(edges, nodes)) == nx.number_attracting_components(
+        _nx_digraph(nodes, edges)
+    )
+
+
+def test_attracting_components_per_slice_match_networkx():
+    day = 86400
+    a, c, s, d, e, f = (addr(i) for i in range(1, 7))
+    script = [  # (day, sender, receiver)
+        (1, a, s), (1, c, s),  # s starts as a sink fed by two nodes
+        (3, s, d), (3, d, e),  # s gains an out-edge; e is the new sink
+        (5, e, s),  # s -> d -> e -> s closes with no way out
+        (8, e, f),  # the cycle leaks to a new sink
+    ]
+    rng = random.Random(41)
+    for trial in range(20):
+        events = [ev(u, v, 1, ts=WINDOW_START + t * day) for t, u, v in script]
+        for _ in range(trial * 3):  # more and more noise among fresh nodes
+            u, v = rng.sample(range(7, 20), 2)
+            events.append(ev(addr(u), addr(v), 1, ts=WINDOW_START + rng.randint(0, 10) * day))
+        store = make_store(sorted(events, key=lambda x: x.timestamp))
+        sink_at = []
+        for sl in iter_slices(store, start=WINDOW_START, end=WINDOW_START + 10 * day,
+                              interval_days=1):
+            g = sl.graph
+            expected = nx.number_attracting_components(_nx_digraph(g.nodes, g.edges))
+            assert attracting_components(g) == expected, (trial, sl.cutoff)
+            sink_at.append(s in g.nodes and g.out_degree(s) == 0)
+        assert sink_at[:3] == [True, True, False] and not any(sink_at[3:])
