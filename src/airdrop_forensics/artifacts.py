@@ -1,0 +1,51 @@
+"""The byte format of every stage artifact, and nothing else.
+
+JSON files hold keys in sorted order, indented by 2 (compact for the
+graph files, which are large and machine-read only) and end in a newline.
+JSONL files hold one sorted-key object per line. CSV files start with a
+header row and end every line with "\\n". The readers invert the writers.
+"""
+
+import csv
+import json
+from collections.abc import Iterable, Iterator
+
+
+def write_json(payload, path, *, compact: bool = False) -> None:
+    with open(path, "w") as fh:
+        if compact:
+            json.dump(payload, fh, separators=(",", ":"), sort_keys=True)
+        else:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_jsonl(rows: Iterable, path) -> None:
+    with open(path, "w") as fh:
+        for row in rows:
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
+
+
+def write_csv(header: list, rows: Iterable, path) -> None:
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def read_jsonl(path) -> Iterator:
+    with open(path) as fh:
+        for line in fh:
+            if line.strip():
+                yield json.loads(line)
+
+
+def read_csv(path) -> Iterator[dict[str, str]]:
+    """The rows of a CSV with a header, one dict at a time."""
+    with open(path, newline="") as fh:
+        yield from csv.DictReader(fh)

@@ -18,9 +18,10 @@ import logging
 import math
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
-from . import clustering, eligibility, flows, forensics, graphs, ingest, stats, synth
+from . import artifacts, clustering, eligibility, flows, forensics, graphs, ingest, stats, synth
 
 log = logging.getLogger("airdrop_forensics.cli")
 
@@ -46,26 +47,10 @@ DEFAULT_CONFIG = {
     "slice_interval_days": 7,
     "weights": {op.value: 1.0 for op in flows.OPERATION_ORDER},
     "clustering": {"linkage": "single", "k_min": 2, "k_max": 20},
-    "detectors": {
-        "min_chain_len": 3,
-        "max_chain_in": 2,
-        "accumulation_slack": 0,
-        "min_spokes": 5,
-        "forward_frac": 0.9,
-        "min_beneficiaries": 5,
-        "min_sponsors": 2,
-        "min_cautious_size": 6,
-        "max_cautious_density": 0.2,
-        "min_clique": 3,
-        "max_clique": 5,
-    },
-    "eligibility": {
-        "preset": "threshold_differential",
-        "min_tx_count": 50,
-        "min_interactions": 6,
-        "interaction_window_days": 183,
-        "max_clique": 5,
-    },
+    "detectors": dataclasses.asdict(forensics.DetectorConfig()),
+    # Fields left unset take the preset's values; load_config writes the
+    # number fields back, so config.resolved.json shows what ran.
+    "eligibility": {"preset": "threshold_differential"},
     "synth": {
         "seed": 7,
         "population_total": 400,
@@ -91,6 +76,8 @@ ELIGIBILITY_PRESETS = {
     "fair": eligibility.EligibilityRules.fair,
 }
 
+# What each top-level value must be, by the type of its default
+_JSON_KINDS = {dict: "a JSON object", bool: "true or false", int: "a whole number", str: "a string"}
 # JSON values accepted for a dataclass field, by its annotation
 _FIELD_KINDS = {"int": (int,), "float": (int, float), "int | None": (int, type(None))}
 
@@ -106,27 +93,26 @@ def _merge(base: dict, override: dict) -> dict:
 
 
 def load_config(path: str | None) -> dict:
-    config = DEFAULT_CONFIG
+    user = {}
     if path is not None:
         try:
-            with open(path) as fh:
-                user = json.load(fh)
+            user = artifacts.read_json(path)
         except OSError as exc:
             raise ConfigInvalidError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigInvalidError(f"config {path} is not valid JSON: {exc}") from exc
-        if not isinstance(user, dict):
-            raise ConfigInvalidError("config root must be a JSON object")
-        unknown = set(user) - set(DEFAULT_CONFIG)
-        if unknown:
-            raise ConfigInvalidError(f"unknown config keys: {sorted(unknown)}")
-        config = _merge(DEFAULT_CONFIG, user)
+        _expect(isinstance(user, dict), "config root", "a JSON object", user)
+        _check_known(user, DEFAULT_CONFIG, "config")
+    config = _merge(DEFAULT_CONFIG, user)
     for key, default in DEFAULT_CONFIG.items():
-        if isinstance(default, dict) and not isinstance(config[key], dict):
-            raise ConfigInvalidError(f"{key} must be a JSON object, got {config[key]!r}")
+        _expect(isinstance(config[key], type(default)), key, _JSON_KINDS[type(default)],
+                config[key])
+    _check_known(config["inputs"], DEFAULT_CONFIG["inputs"], "inputs")
+    for key, value in config["inputs"].items():
+        _expect(isinstance(value, (str, type(None))), f"inputs.{key}", "a path or null", value)
     window = config["window"]
-    if not all(isinstance(window[k], (str, type(None))) for k in ("start", "end")):
-        raise ConfigInvalidError(f"window start and end must be ISO dates or null, got {window!r}")
+    _expect(all(isinstance(window[k], (str, type(None))) for k in ("start", "end")),
+            "window start and end", "ISO dates or null", window)
     try:
         ingest.IngestConfig(window["start"], window["end"]).window_bounds()
     except ValueError as exc:
@@ -134,22 +120,71 @@ def load_config(path: str | None) -> dict:
     if set(config["weights"]) != {op.value for op in flows.OPERATION_ORDER}:
         raise ConfigInvalidError("weights must name exactly the eight operation kinds")
     for op, w in config["weights"].items():
-        if not _is_kind(w, (int, float)) or not (0 < w < math.inf):
-            raise ConfigInvalidError(f"weights.{op} must be a finite number > 0, got {w!r}")
+        _expect(_is_kind(w, (int, float)) and 0 < w < math.inf, f"weights.{op}",
+                "a finite number > 0", w)
     _check_slice_interval(config["slice_interval_days"], "slice_interval_days")
     _check_choice(config["clustering"]["linkage"], [m.value for m in clustering.Linkage],
                   "clustering.linkage")
-    k_min, k_max = config["clustering"]["k_min"], config["clustering"]["k_max"]
-    if not (_is_kind(k_min, (int,)) and _is_kind(k_max, (int,)) and k_min <= k_max):
-        raise ConfigInvalidError(
-            f"clustering.k_min and k_max must be whole numbers with k_min <= k_max, "
-            f"got {k_min!r} and {k_max!r}"
-        )
+    k_range = [config["clustering"]["k_min"], config["clustering"]["k_max"]]
+    _expect(all(_is_kind(k, (int,)) for k in k_range) and k_range[0] <= k_range[1],
+            "clustering.k_min and k_max", "whole numbers with k_min <= k_max", k_range)
     _check_fields(config["detectors"], forensics.DetectorConfig, "detectors")
-    rules = dict(config["eligibility"])
-    _check_choice(rules.pop("preset"), list(ELIGIBILITY_PRESETS), "eligibility.preset")
-    _check_fields(rules, eligibility.EligibilityRules, "eligibility")
+    rules = _eligibility_rules(config["eligibility"])
+    config["eligibility"] = {
+        **{f.name: getattr(rules, f.name) for f in dataclasses.fields(rules)
+           if f.type in _FIELD_KINDS},
+        **config["eligibility"],
+    }
+    _check_synth(config["synth"])
     return config
+
+
+def _eligibility_rules(section: dict) -> eligibility.EligibilityRules:
+    """The preset's rules with every field the section sets replaced."""
+    fields = dict(section)
+    preset = fields.pop("preset")
+    _check_choice(preset, list(ELIGIBILITY_PRESETS), "eligibility.preset")
+    _check_fields(fields, eligibility.EligibilityRules, "eligibility")
+    if "min_native_balance" in fields:
+        floors = fields["min_native_balance"]
+        _expect(isinstance(floors, dict) and all(_is_amount(v) for v in floors.values()),
+                "eligibility.min_native_balance",
+                "an object of chain names to finite numbers >= 0", floors)
+    if "tier_table" in fields:
+        table = fields["tier_table"]
+        tiers = [t.value for t in ingest.Tier]
+        _expect(isinstance(table, list) and table and all(
+            isinstance(row, list) and len(row) == 2 and _is_kind(row[0], (int,))
+            and _is_kind(row[1], (int,)) and row[1] in tiers for row in table
+        ), "eligibility.tier_table",
+            f"a non-empty list of [min interactions, tier] pairs, tier one of {tiers}", table)
+        fields["tier_table"] = tuple((score, ingest.Tier(tier)) for score, tier in table)
+    try:
+        return dataclasses.replace(ELIGIBILITY_PRESETS[preset](), **fields)
+    except ValueError as exc:
+        raise ConfigInvalidError(f"eligibility: {exc}") from exc
+
+
+def _check_synth(section: dict) -> None:
+    _check_known(section, DEFAULT_CONFIG["synth"], "synth")
+    _expect(_is_kind(section["seed"], (int,)), "synth.seed", "a whole number", section["seed"])
+    total = section["population_total"]
+    _expect(_is_kind(total, (int,)) and total >= 0, "synth.population_total",
+            "a whole number >= 0", total)
+    mix = section["tier_mix"]
+    _expect(isinstance(mix, list) and len(mix) == 3 and all(_is_amount(v) for v in mix),
+            "synth.tier_mix", "three finite numbers >= 0", mix)
+    _expect(_is_amount(section["noise_rate"]), "synth.noise_rate", "a finite number >= 0",
+            section["noise_rate"])
+    patterns = section["patterns"]
+    kinds = [k.value for k in forensics.PatternKind]
+    _expect(isinstance(patterns, list) and all(
+        isinstance(p, dict) and set(p) <= {"kind", "count", "size"} and p.get("kind") in kinds
+        and all(_is_kind(p.get(k, 0), (int,)) and p.get(k, 0) >= 0 for k in ("count", "size"))
+        for p in patterns
+    ), "synth.patterns",
+        f"a list of {{kind, count, size}} objects, kind one of {kinds}, count and size "
+        "whole numbers >= 0", patterns)
 
 
 def _is_kind(value, kinds: tuple) -> bool:
@@ -157,35 +192,41 @@ def _is_kind(value, kinds: tuple) -> bool:
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 
+def _is_amount(value) -> bool:
+    return _is_kind(value, (int, float)) and 0 <= value < math.inf
+
+
+def _expect(ok: bool, where: str, what: str, value) -> None:
+    if not ok:
+        raise ConfigInvalidError(f"{where} must be {what}, got {value!r}")
+
+
 def _check_choice(value, choices: list, where: str) -> None:
-    if not (isinstance(value, str) and value in choices):
-        raise ConfigInvalidError(f"{where} must be one of {choices}, got {value!r}")
+    _expect(isinstance(value, str) and value in choices, where, f"one of {choices}", value)
+
+
+def _check_known(section: dict, known, where: str) -> None:
+    unknown = set(section) - set(known)
+    if unknown:
+        raise ConfigInvalidError(
+            f"unknown {where} keys {sorted(unknown)}, not among {sorted(known)}"
+        )
 
 
 def _check_fields(section, cls, where: str) -> None:
     """The keys of `section` must be fields of `cls`, and a value for a
     number field a number of that field's kind."""
     fields = {f.name: f.type for f in dataclasses.fields(cls)}
-    unknown = set(section) - set(fields)
-    if unknown:
-        raise ConfigInvalidError(
-            f"unknown {where} keys {sorted(unknown)}, not among {sorted(fields)}"
-        )
+    _check_known(section, fields, where)
     for key, value in section.items():
         kinds = _FIELD_KINDS.get(fields[key])
-        if kinds is not None and not _is_kind(value, kinds):
-            raise ConfigInvalidError(f"{where}.{key} must be {fields[key]}, got {value!r}")
+        if kinds is not None:
+            _expect(_is_kind(value, kinds), f"{where}.{key}", fields[key], value)
 
 
 def _check_slice_interval(value, source: str) -> None:
-    if not _is_kind(value, (int,)) or value <= 0:
-        raise ConfigInvalidError(f"{source} must be a positive whole number of days, got {value!r}")
-
-
-def write_canonical_config(config: dict, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(config, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _expect(_is_kind(value, (int,)) and value > 0, source,
+            "a positive whole number of days", value)
 
 
 def _ingest_config(config: dict) -> ingest.IngestConfig:
@@ -281,7 +322,7 @@ def cmd_ingest(config: dict, out: Path, args) -> None:
     ingest.write_transfers_csv(store.events, stage / "events.csv")
     ingest.write_contracts_csv(list(store.contracts.values()), stage / "contracts.csv")
     ingest.write_claims_csv(list(store.claims.values()), stage / "claims.csv")
-    ingest.write_report_json(store.report, stage / "report.json")
+    artifacts.write_json(store.report.to_json(), stage / "report.json")
     log.info("ingest: %d events stored, %d claims, %d contracts",
              store.report.stored, store.report.n_claims, store.report.n_contracts)
 
@@ -305,18 +346,15 @@ def cmd_graph(config: dict, out: Path, args) -> None:
     graphs.write_graph(external_graph, stage / f"external_graph.{fmt}", fmt, "external_graph")
     try:
         series = graphs.metric_series(graphs.iter_slices(store, interval_days=interval))
-        graphs.write_metric_series_json(series, stage / "metric_series.json")
     except graphs.WindowEmptyError:
         log.warning("no token events in the study window; metric series skipped")
-        graphs.write_metric_series_json(graphs.MetricSeries(), stage / "metric_series.json")
-    summary = {
+        series = graphs.MetricSeries()
+    artifacts.write_json(series.to_json_rows(), stage / "metric_series.json")
+    artifacts.write_json({
         "token_graph": {"nodes": token_graph.n_nodes, "edges": token_graph.n_edges},
         "external_graph": {"nodes": external_graph.n_nodes, "edges": external_graph.n_edges},
         "slice_interval_days": interval,
-    }
-    with open(stage / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    }, stage / "summary.json")
     log.info("graph: token %d/%d, external %d/%d (nodes/edges)",
              token_graph.n_nodes, token_graph.n_edges,
              external_graph.n_nodes, external_graph.n_edges)
@@ -342,7 +380,7 @@ def cmd_cluster(config: dict, out: Path, args) -> None:
     mapping = clustering.map_roles(assignment, features)
     clustering.write_assignment_csv(assignment, mapping, stage / "assignment.csv")
     clustering.write_silhouette_json(assignment, stage / "silhouette.json")
-    clustering.write_dendrogram_json(clustering.ahc(vectors, cc), stage / "dendrogram.json")
+    artifacts.write_json(assignment.dendrogram.to_json(), stage / "dendrogram.json")
     log.info("cluster: K=%d over %d members (%d unmapped clusters)",
              assignment.k, len(addresses), len(mapping.unmapped))
 
@@ -357,7 +395,7 @@ def cmd_detect(config: dict, out: Path, args) -> None:
     stage = out / "detect"
     stage.mkdir(parents=True, exist_ok=True)
     result = forensics.run_detectors(token_graph, external_graph, store, _detector_config(config))
-    forensics.write_findings_jsonl(result.findings, stage / "findings.jsonl")
+    artifacts.write_jsonl((f.to_json() for f in result.findings), stage / "findings.jsonl")
     forensics.write_components_csv(result.profiles, stage / "components.csv")
     rows = forensics.voting_power_report(result.findings, store.claims)
     forensics.write_voting_power_json(rows, stage / "voting_power.json")
@@ -376,21 +414,13 @@ def cmd_eligibility(config: dict, out: Path, args) -> None:
     store = _load_store_from_ingest(config, out)
     stage = out / "eligibility"
     stage.mkdir(parents=True, exist_ok=True)
-    section = dict(config["eligibility"])
-    preset = section.pop("preset")
-    rules = ELIGIBILITY_PRESETS[preset]()
-    for key, value in section.items():
-        setattr(rules, key, value)
-
+    rules = _eligibility_rules(config["eligibility"])
     balances: dict = {}
     balances_path = config["inputs"].get("balances")
     if balances_path:
-        import csv as _csv
-
-        with open(balances_path) as fh:
-            for row in _csv.DictReader(fh):
-                addr = ingest.normalize_address(row["address"])
-                balances.setdefault(addr, {})[row["chain"]] = float(row["balance"])
+        for row in artifacts.read_csv(balances_path):
+            addr = ingest.normalize_address(row["address"])
+            balances.setdefault(addr, {})[row["chain"]] = float(row["balance"])
 
     protocol = frozenset(
         a for a, c in store.contracts.items()
@@ -414,9 +444,10 @@ def cmd_eligibility(config: dict, out: Path, args) -> None:
     )
     result = eligibility.run_campaign(population, history, rules, snapshot)
     eligibility.write_verdicts_csv(result, stage / "verdicts.csv")
-    eligibility.write_summary_json(result, stage / "summary.json")
+    artifacts.write_json(result.summary, stage / "summary.json")
     log.info("eligibility: %d of %d addresses pass under preset %s",
-             result.summary["eligible"], result.summary["population"], preset)
+             result.summary["eligible"], result.summary["population"],
+             config["eligibility"]["preset"])
 
 
 def cmd_stats(config: dict, out: Path, args) -> None:
@@ -430,31 +461,24 @@ def cmd_stats(config: dict, out: Path, args) -> None:
     member_flows = flows.build_flows(store, sorted(store.claims))
     table = stats.behavior_table(member_flows, store.claims)
     stats.write_behavior_table_csv(table, stage / "behavior_table.csv")
-    stats.write_behavior_table_json(table, stage / "behavior_table.json")
+    artifacts.write_json({str(t.value): table[t] for t in ingest.Tier},
+                         stage / "behavior_table.json")
     timelines = stats.build_timelines(member_flows, start_ts, end_ts)
-    stats.write_attrition_json(
-        stats.attrition(timelines, store.claims, end_ts), stage / "attrition.json"
-    )
+    artifacts.write_json(stats.attrition(timelines, store.claims, end_ts).to_json(),
+                         stage / "attrition.json")
     stats.write_top_contracts_csv(stats.top_contracts(store), stage / "top_contracts.csv")
 
     groups: dict[str, list[str]] = {"all": sorted(store.claims)}
     cluster_stage = out / "cluster"
     if (cluster_stage / "assignment.csv").exists():
-        import csv as _csv
-
-        labels: dict[str, int] = {}
-        with open(cluster_stage / "assignment.csv") as fh:
-            for row in _csv.DictReader(fh):
-                labels[row["address"]] = int(row["cluster"])
+        labels = {row["address"]: int(row["cluster"])
+                  for row in artifacts.read_csv(cluster_stage / "assignment.csv")}
         assignment = clustering.ClusterAssignment(labels, max(labels.values(), default=1), {})
         stats.write_tier_composition_csv(
             stats.tier_composition(assignment, store.claims), stage / "tier_composition.csv"
         )
-        buyers: set[str] = set()
-        with open(cluster_stage / "features.csv") as fh:
-            for row in _csv.DictReader(fh):
-                if row.get("buy") == "1":
-                    buyers.add(row["address"])
+        buyers = {row["address"] for row in artifacts.read_csv(cluster_stage / "features.csv")
+                  if row.get("buy") == "1"}
         groups = {
             "group1_airdrop_only": sorted(a for a in labels if a not in buyers),
             "group2_buyers": sorted(a for a in labels if a in buyers),
@@ -473,11 +497,6 @@ def cmd_stats(config: dict, out: Path, args) -> None:
     stats.write_kde_json(quantity_estimates, stage / "kde_quantities.json")
     log.info("stats: behavior table, attrition, top contracts, %d densities",
              len(period_estimates) + len(quantity_estimates))
-
-
-def _read_json(path: Path):
-    with open(path) as fh:
-        return json.load(fh)
 
 
 def cmd_report(config: dict, out: Path, args) -> None:
@@ -501,46 +520,31 @@ def cmd_report(config: dict, out: Path, args) -> None:
     for path in required.values():
         _require(path, path.parent.name)
 
-    findings = [json.loads(line) for line in
-                required["findings"].read_text().splitlines() if line]
-    pattern_counts: dict[str, int] = {}
-    for f in findings:
-        pattern_counts[f["pattern"]] = pattern_counts.get(f["pattern"], 0) + 1
-
-    import csv as _csv
-
-    with open(required["assignment"]) as fh:
-        cluster_counts: dict[str, int] = {}
-        role_counts: dict[str, int] = {}
-        for row in _csv.DictReader(fh):
-            cluster_counts[row["cluster"]] = cluster_counts.get(row["cluster"], 0) + 1
-            role_counts[row["role"]] = role_counts.get(row["role"], 0) + 1
-
-    def read_csv_rows(path: Path) -> list[dict]:
-        with open(path) as fh:
-            return list(_csv.DictReader(fh))
+    pattern_counts = Counter(f["pattern"] for f in artifacts.read_jsonl(required["findings"]))
+    rows = list(artifacts.read_csv(required["assignment"]))
+    role_counts = Counter(row["role"] for row in rows)
 
     report = {
-        "ingest": _read_json(required["ingest"]),
-        "graph": _read_json(required["graph_summary"]),
-        "metric_series": _read_json(required["metrics"]),
+        "ingest": artifacts.read_json(required["ingest"]),
+        "graph": artifacts.read_json(required["graph_summary"]),
+        "metric_series": artifacts.read_json(required["metrics"]),
         "clustering": {
-            "silhouette": _read_json(required["silhouette"]),
-            "cluster_counts": dict(sorted(cluster_counts.items())),
-            "role_counts": dict(sorted(role_counts.items())),
+            "silhouette": artifacts.read_json(required["silhouette"]),
+            "cluster_counts": Counter(row["cluster"] for row in rows),
+            "role_counts": role_counts,
         },
-        "behavior_table": _read_json(required["behavior"]),
-        "top_contracts": read_csv_rows(required["top_contracts"]),
-        "attrition": _read_json(required["attrition"]),
-        "findings_by_pattern": dict(sorted(pattern_counts.items())),
-        "voting_power": _read_json(required["voting_power"]),
+        "behavior_table": artifacts.read_json(required["behavior"]),
+        "top_contracts": list(artifacts.read_csv(required["top_contracts"])),
+        "attrition": artifacts.read_json(required["attrition"]),
+        "findings_by_pattern": pattern_counts,
+        "voting_power": artifacts.read_json(required["voting_power"]),
     }
     composition_csv = out / "stats" / "tier_composition.csv"
     if composition_csv.exists():
-        report["tier_composition"] = read_csv_rows(composition_csv)
+        report["tier_composition"] = list(artifacts.read_csv(composition_csv))
     densities = {}
     for name in ("kde_periods", "kde_quantities"):
-        payload = _read_json(required[name])
+        payload = artifacts.read_json(required[name])
         densities[name] = {
             key: {"bandwidth": est["bandwidth"], "integral": est["integral"],
                   "points": len(est["grid"])}
@@ -549,13 +553,11 @@ def cmd_report(config: dict, out: Path, args) -> None:
     report["density_estimates"] = densities
     eligibility_summary = out / "eligibility" / "summary.json"
     if eligibility_summary.exists():
-        report["eligibility"] = _read_json(eligibility_summary)
+        report["eligibility"] = artifacts.read_json(eligibility_summary)
 
     stage = out / "report"
     stage.mkdir(parents=True, exist_ok=True)
-    with open(stage / "report.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    artifacts.write_json(report, stage / "report.json")
 
     lines = ["# Community report", ""]
     lines.append(f"- events stored: {report['ingest']['stored']}")
@@ -576,8 +578,7 @@ def cmd_report(config: dict, out: Path, args) -> None:
     lines.append("## Roles")
     for role, count in sorted(role_counts.items()):
         lines.append(f"- {role}: {count}")
-    with open(stage / "report.md", "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    (stage / "report.md").write_text("\n".join(lines) + "\n")
     log.info("report: assembled into %s", stage)
 
 
@@ -621,7 +622,7 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         out = Path(args.out or config["output_dir"])
         out.mkdir(parents=True, exist_ok=True)
-        write_canonical_config(config, out / "config.resolved.json")
+        artifacts.write_json(config, out / "config.resolved.json")
         COMMANDS[args.command](config, out, args)
         return 0
     except (

@@ -14,13 +14,12 @@ partitions stable under shuffling of the input, not just deterministic.
 
 from __future__ import annotations
 
-import csv
-import json
 import logging
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
 
+from . import artifacts
 from .flows import (
     FeatureVector,
     OperationKind,
@@ -235,6 +234,7 @@ class ClusterAssignment:
     labels: dict[str, int]  # address -> cluster id in 1..k
     k: int
     silhouette_by_k: dict[int, float]
+    dendrogram: Dendrogram | None = None  # the tree select_k cut
 
 
 def select_k(
@@ -244,7 +244,8 @@ def select_k(
 ) -> ClusterAssignment:
     """Silhouette sweep over the configured K range; argmax wins, ties go
     to the larger K (richer taxonomy). A corpus of all-identical vectors
-    short-circuits to a single cluster."""
+    short-circuits to a single cluster. The assignment carries the tree it
+    was cut from."""
     config = config or ClusterConfig()
     n = len(features)
     if n < 2:
@@ -252,7 +253,7 @@ def select_k(
     if addresses is None:
         addresses = [str(i) for i in range(n)]
     if len({f.bits for f in features}) == 1:
-        return ClusterAssignment({a: 1 for a in addresses}, 1, {})
+        return ClusterAssignment({a: 1 for a in addresses}, 1, {}, ahc(features, config))
 
     k_lo = max(2, config.k_min)
     k_hi = min(config.k_max, n - 1)
@@ -275,9 +276,7 @@ def select_k(
     ):
         log.info("silhouette tie at %.6f; keeping larger K=%d", best_score, best_k)
     final = cut(dendro, best_k)
-    return ClusterAssignment(
-        {addresses[i]: final[i] for i in range(n)}, best_k, scores
-    )
+    return ClusterAssignment({addresses[i]: final[i] for i in range(n)}, best_k, scores, dendro)
 
 
 class RoleLabel(str, Enum):
@@ -382,26 +381,16 @@ def role_shares(assignment: ClusterAssignment, mapping: RoleMapping) -> dict[Rol
 
 
 def write_assignment_csv(assignment: ClusterAssignment, mapping: RoleMapping, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["address", "cluster", "role"])
-        for addr in sorted(assignment.labels):
-            cluster = assignment.labels[addr]
-            role = mapping.cluster_roles.get(cluster)
-            w.writerow([addr, cluster, role.value if role else "unmapped"])
+    roles = {c: r.value for c, r in mapping.cluster_roles.items()}
+    artifacts.write_csv(
+        ["address", "cluster", "role"],
+        ([addr, c, roles.get(c, "unmapped")] for addr, c in sorted(assignment.labels.items())),
+        path,
+    )
 
 
 def write_silhouette_json(assignment: ClusterAssignment, path) -> None:
-    payload = {
+    artifacts.write_json({
         "chosen_k": assignment.k,
         "silhouette_by_k": {str(k): v for k, v in sorted(assignment.silhouette_by_k.items())},
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def write_dendrogram_json(dendrogram: Dendrogram, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(dendrogram.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    }, path)

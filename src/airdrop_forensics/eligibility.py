@@ -9,12 +9,11 @@ earlier-generation policies, or re-run as a second allocation pass.
 
 from __future__ import annotations
 
-import csv
-import json
 import logging
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
+from . import artifacts
 from .ingest import Address, Tier
 
 log = logging.getLogger(__name__)
@@ -239,9 +238,6 @@ class CampaignResult:
     verdicts: list[EligibilityVerdict]
     summary: dict
 
-    def eligible_addresses(self) -> list[Address]:
-        return sorted(v.address for v in self.verdicts if v.eligible)
-
 
 def run_campaign(
     population: list[Address],
@@ -270,14 +266,6 @@ def run_campaign(
 
 
 def write_verdicts_csv(result: CampaignResult, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["address", "eligible", "tier", "rule_trace"])
-        for v in result.verdicts:
-            w.writerow(v.to_row())
-
-
-def write_summary_json(result: CampaignResult, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(result.summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    artifacts.write_csv(
+        ["address", "eligible", "tier", "rule_trace"], (v.to_row() for v in result.verdicts), path
+    )

@@ -8,13 +8,13 @@ binary presence vector, and pairwise similarity is a weighted cosine.
 
 from __future__ import annotations
 
-import csv
 import logging
 from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from math import sqrt
 
+from . import artifacts
 from .ingest import Address, ContractCategory, ContractInfo, EventKind, EventStore
 
 log = logging.getLogger(__name__)
@@ -118,9 +118,6 @@ class TransactionFlow:
     lp: int = 0
     notes: list[str] = field(default_factory=list)
     excluded: list[tuple[int, str]] = field(default_factory=list)  # (ts, reason)
-
-    def op_kinds(self) -> set[OperationKind]:
-        return {e.op for e in self.events}
 
 
 def _apply(flow: TransactionFlow, op: OperationKind, amount: int, ts: int) -> bool:
@@ -287,8 +284,8 @@ def weighted_cosine_distance(a: FeatureVector, b: FeatureVector) -> float:
 def write_feature_matrix(entries, path) -> None:
     """CSV export (address + one column per operation slot) for external
     embedding or plotting."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["address"] + [op.value for op in OPERATION_ORDER])
-        for addr, vec in sorted(entries):
-            w.writerow([addr] + list(vec.bits))
+    artifacts.write_csv(
+        ["address"] + [op.value for op in OPERATION_ORDER],
+        ([addr, *vec.bits] for addr, vec in sorted(entries)),
+        path,
+    )

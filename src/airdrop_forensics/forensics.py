@@ -10,13 +10,12 @@ and blatant clique structures.
 
 from __future__ import annotations
 
-import csv
-import json
 import logging
 from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 
+from . import artifacts
 from .graphs import CommunityGraph, NodeClass, reciprocity
 from .ingest import Address, EventStore, format_token_amount
 
@@ -591,28 +590,17 @@ def voting_power_report(findings: list[PatternFinding], claims: dict) -> list[Vo
     return rows
 
 
-def write_findings_jsonl(findings: list[PatternFinding], path) -> None:
-    with open(path, "w") as fh:
-        for f in findings:
-            fh.write(json.dumps(f.to_json(), sort_keys=True))
-            fh.write("\n")
-
-
 def write_components_csv(profiles: list[ComponentProfile], path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(
-            ["id", "nodes", "edges", "n_initial", "n_later", "reciprocity", "total_value"]
-        )
-        for p in profiles:
-            w.writerow(
-                [p.id, p.size, p.graph.n_edges, p.n_initial, p.n_later,
-                 repr(p.reciprocity), p.total_value]
-            )
+    artifacts.write_csv(
+        ["id", "nodes", "edges", "n_initial", "n_later", "reciprocity", "total_value"],
+        ([p.id, p.size, p.graph.n_edges, p.n_initial, p.n_later, repr(p.reciprocity),
+          p.total_value] for p in profiles),
+        path,
+    )
 
 
 def write_voting_power_json(rows: list[VotingPowerRow], path) -> None:
-    payload = [
+    artifacts.write_json([
         {
             "component_id": r.component_id,
             "pattern": r.pattern,
@@ -622,7 +610,4 @@ def write_voting_power_json(rows: list[VotingPowerRow], path) -> None:
             "ratio_to_mean": r.ratio_to_mean,
         }
         for r in rows
-    ]
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    ], path)

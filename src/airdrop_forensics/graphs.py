@@ -8,7 +8,6 @@ edge, so every metric here is defined on the simple digraph.
 
 from __future__ import annotations
 
-import json
 import logging
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator
@@ -18,6 +17,7 @@ from enum import Enum
 from math import sqrt
 from xml.sax.saxutils import escape
 
+from . import artifacts
 from .ingest import (
     Address,
     EventKind,
@@ -420,12 +420,6 @@ def metric_series(slices: Iterable[GraphSlice], assortativity_mode: str = "out_i
     return series
 
 
-def write_metric_series_json(series: MetricSeries, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(series.to_json_rows(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 # Exports. Edge weight is the aggregate value in display token units;
 # node_class rides along as an attribute for coloring.
 
@@ -511,11 +505,8 @@ def graph_from_json(payload: dict) -> CommunityGraph:
 
 
 def write_graph_json(graph: CommunityGraph, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(graph_to_json(graph), fh, separators=(",", ":"), sort_keys=True)
-        fh.write("\n")
+    artifacts.write_json(graph_to_json(graph), path, compact=True)
 
 
 def load_graph_json(path) -> CommunityGraph:
-    with open(path) as fh:
-        return graph_from_json(json.load(fh))
+    return graph_from_json(artifacts.read_json(path))

@@ -19,6 +19,8 @@ from datetime import date, datetime, timezone
 from enum import Enum
 from pathlib import Path
 
+from . import artifacts
+
 log = logging.getLogger(__name__)
 
 TOKEN_DECIMALS = 18
@@ -436,37 +438,31 @@ def load_event_store(
     )
 
 
-# Canonical writers. Output is byte-stable: sorted rows, fixed column
-# order, "\n" line endings. parse(write(parse(x))) round-trips exactly.
+# Canonical writers: sorted rows and a fixed column order in the artifacts
+# module's CSV format. parse(write(parse(x))) round-trips exactly.
 
 def write_transfers_csv(events: list[TransferEvent], path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(list(TRANSFER_COLUMNS) + ["log_index", "kind"])
-        for e in sorted(events, key=lambda e: e.sort_key):
-            w.writerow(
-                [e.tx_hash, e.sender, e.receiver, e.value, e.timestamp, e.block,
-                 e.log_index, e.kind.value]
-            )
+    artifacts.write_csv(
+        [*TRANSFER_COLUMNS, "log_index", "kind"],
+        ([e.tx_hash, e.sender, e.receiver, e.value, e.timestamp, e.block, e.log_index,
+          e.kind.value] for e in sorted(events, key=lambda e: e.sort_key)),
+        path,
+    )
 
 
 def write_contracts_csv(contracts: list[ContractInfo], path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["address", "name", "category"])
-        for c in sorted(contracts, key=lambda c: c.address):
-            w.writerow([c.address, c.name, c.category.value])
+    artifacts.write_csv(
+        ["address", "name", "category"],
+        ([c.address, c.name, c.category.value]
+         for c in sorted(contracts, key=lambda c: c.address)),
+        path,
+    )
 
 
 def write_claims_csv(claims: list[ClaimRecord], path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["address", "tier", "amount", "timestamp"])
-        for c in sorted(claims, key=lambda c: c.address):
-            w.writerow([c.address, c.tier.value, c.amount, c.claim_timestamp])
-
-
-def write_report_json(report: IngestReport, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    artifacts.write_csv(
+        ["address", "tier", "amount", "timestamp"],
+        ([c.address, c.tier.value, c.amount, c.claim_timestamp]
+         for c in sorted(claims, key=lambda c: c.address)),
+        path,
+    )

@@ -7,14 +7,13 @@ KDEs of activity period/quantity samples (plot-ready arrays, no images).
 
 from __future__ import annotations
 
-import csv
-import json
 import logging
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import artifacts
 from .clustering import ClusterAssignment
 from .flows import OperationKind, TransactionFlow
 from .ingest import Address, ClaimRecord, EventStore, Tier, format_token_amount
@@ -85,9 +84,6 @@ class HoldingTimeline:
         if not active:
             return 0.0
         return sum(active) / len(active) / 10**18
-
-    def final_holdings(self) -> int:
-        return self.balance[-1] + self.staked[-1] + self.lp[-1]
 
     def holdings_at(self, day: int) -> int:
         day = max(0, min(day, len(self.balance) - 1))
@@ -336,44 +332,28 @@ def period_quantity_samples(
 
 
 def write_behavior_table_csv(table: dict[Tier, dict[str, float]], path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["tier"] + list(ACTION_OPS))
-        for tier in Tier:
-            w.writerow([tier.value] + [repr(table[tier][a]) for a in ACTION_OPS])
-
-
-def write_behavior_table_json(table: dict[Tier, dict[str, float]], path) -> None:
-    payload = {str(t.value): table[t] for t in Tier}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    artifacts.write_csv(
+        ["tier", *ACTION_OPS],
+        ([t.value] + [repr(table[t][a]) for a in ACTION_OPS] for t in Tier),
+        path,
+    )
 
 
 def write_top_contracts_csv(rows: list[ContractUsage], path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["name", "category", "address", "interactions"])
-        for r in rows:
-            w.writerow([r.name, r.category, r.address, r.interactions])
+    artifacts.write_csv(
+        ["name", "category", "address", "interactions"],
+        ([r.name, r.category, r.address, r.interactions] for r in rows),
+        path,
+    )
 
 
 def write_tier_composition_csv(comp: dict[int, dict[Tier, float]], path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["cluster"] + [str(t.value) for t in Tier])
-        for cluster in sorted(comp):
-            w.writerow([cluster] + [repr(comp[cluster][t]) for t in Tier])
-
-
-def write_attrition_json(report: AttritionReport, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    artifacts.write_csv(
+        ["cluster"] + [str(t.value) for t in Tier],
+        ([c] + [repr(comp[c][t]) for t in Tier] for c in sorted(comp)),
+        path,
+    )
 
 
 def write_kde_json(estimates: dict[str, DensityEstimate], path) -> None:
-    payload = {name: est.to_json() for name, est in sorted(estimates.items())}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    artifacts.write_json({name: est.to_json() for name, est in sorted(estimates.items())}, path)

@@ -14,12 +14,12 @@ any draw that would blur the ground truth.
 
 from __future__ import annotations
 
-import json
 import logging
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import artifacts
 from .clustering import ClusterAssignment, role_for_ops
 from .eligibility import EligibilityHistory
 from .flows import OperationKind
@@ -193,9 +193,7 @@ class Scenario:
         write_transfers_csv(self.external_events, outdir / "external_txs.csv")
         write_contracts_csv(self.contracts, outdir / "contracts.csv")
         write_claims_csv(self.claims, outdir / "claims.csv")
-        with open(outdir / "ground_truth.json", "w") as fh:
-            json.dump(self.truth.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        artifacts.write_json(self.truth.to_json(), outdir / "ground_truth.json")
 
 
 class _Builder:

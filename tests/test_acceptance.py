@@ -300,9 +300,62 @@ def test_criterion_8_kde_soundness():
     report(8, f"integral {integral:.4f}, worst probe delta {worst:.1e}")
 
 
+# sha256 of every artifact of the criterion 9 pipeline (seed 77, 150
+# claimants), config.resolved.json aside because it holds tmp paths. A
+# change that alters any artifact byte must update this table on purpose.
+# Recorded with Python 3.11.7 and numpy 2.4.6; the KDE floats may differ
+# in the last digit on another toolchain.
+GOLDEN_ARTIFACTS = {
+    "cluster/assignment.csv": "90b5b5e18e5db9c9337f42df5e9e2730f4238aa8de07c2581d021db14754bf26",
+    "cluster/dendrogram.json": "a15490ded62365450090dbd6a5d5b77b6bdd1381ff08a0471cd94abc4a7a6e9a",
+    "cluster/features.csv": "9ef392285169e36873a675a55c16a52579e55119c7be7caa9b3bafbe32bbeeeb",
+    "cluster/silhouette.json": "b66704403a3c80c605e88ad4643868576ab4895077ba5eef54868d9d6b652197",
+    "detect/components/component_1.dot": "7a80696bf530396211ef31838048278a1d197c71823d0a6a032d95d8bae1d165",
+    "detect/components/component_10.dot": "f8e5ebd15030481e448a70cfa84ce3492c9b81706dca7c7ac71ad5c07387bede",
+    "detect/components/component_2.dot": "965f1dc4f2b4777702fc1407c83ca2b49cfcc87134fa74670a44cec7549b90f8",
+    "detect/components/component_3.dot": "6ffd2d0d9490d4e3d502cd2c59879ae9ebda8a26ac173cb559112617d4972a78",
+    "detect/components/component_4.dot": "9e98bd044fc89d686188d6dd480122ce2ad569aa592dce284ccbd9b7f54febcf",
+    "detect/components/component_5.dot": "eed25d2a567d5f6d7799b0567954f75373b266b9dfa3ade1986177f81da6579e",
+    "detect/components/component_6.dot": "1571e57280fb676222639e8e1e516a713497bfcc56052ab0b5ec4e200d45e967",
+    "detect/components/component_7.dot": "ed4dd37390bdee3826573b7c15ce9ac91f0635005adca6f0bb9112e84aee5fd9",
+    "detect/components/component_8.dot": "39c6a1473adbd184be92125ad44ee2910975183ab61e871c5e692adea0d2e36d",
+    "detect/components/component_9.dot": "ed05e1e1ee187c474b69de6654602632d1cd967ee7b9a56a993d127699ac24e4",
+    "detect/components.csv": "9b0dac02710e5915015eb825833bce9939ded97808b57901c63b23f7b2e93c49",
+    "detect/findings.jsonl": "608f819a94b9551b8d4de1e6d926e92732dfccae644df2e49011777ff8a77783",
+    "detect/voting_power.json": "9e69c5825c54934d276857ac6d9781e2618b6db40cc9a56807579bd250967497",
+    "eligibility/summary.json": "963636bda31b0c7b4407e85fcbb2cea87b97ad4f775ef901249b660ebf3b34f9",
+    "eligibility/verdicts.csv": "4fe175863f33f41b88e06ee0e79cf269891ac45e3f07b2240adda73634eaed42",
+    "graph/external_graph.graphml": "5ab9aab61b392f646795a7628d6e78f635b92deca81b84b403ad1ff09293814a",
+    "graph/external_graph.json": "c29b7d5cd0bac257a6b89fe44dea98917011e0991658d98e1616e5dae8da59e4",
+    "graph/metric_series.json": "bc8ee34819a46a294a4a8a82424f017f319bf229f0d2968a4c7a555969abceab",
+    "graph/summary.json": "b45b98e5b8773d83f79574657313b7ffd2b450d576a0877e7098dadd497443db",
+    "graph/token_graph.graphml": "1fbb602616f74fa1603dc24de293d8e4bbb182557dcf092bb7144ef11a6dd9a6",
+    "graph/token_graph.json": "486a243f17885d9f41b50f85a1b105951ea2d214e71768761aeaba6c74560520",
+    "ingest/claims.csv": "5c18a4119f66fd938bfe0845970e5f58015c394f547b3f1a1cc73e697c4fc869",
+    "ingest/contracts.csv": "744b1a46b035e21447f7d45838944c412a0dad36ad656849596aaa2e39402c5a",
+    "ingest/events.csv": "cb9b926e47dff7706cf527b1d2fc90291941bf6b0edf52681692601fdef5f455",
+    "ingest/report.json": "d77a500993bb6dbb53d946dfb867be08130a62ac24ebc1b9a322d2f38f3662fe",
+    "report/report.json": "19135f93f0dd0848f3875181ad3acb23b33d53a57ff372510c7b052c37191663",
+    "report/report.md": "98c43dd16c3972607c8a444a108facb9f39481806b3ca31c1bd008a3a609bcf8",
+    "stats/attrition.json": "939501819d3971f95f6c136616180eb40ea8663dca446fba9d892e9239f2ded4",
+    "stats/behavior_table.csv": "c9a017957cd61f2187eca013e99d65c4dcf6364b0a4379e941f52633d7561096",
+    "stats/behavior_table.json": "0ee6e91e4d4cec94b343193af05c999cdb9781c6c45878d99994dfbf9fb5cc27",
+    "stats/kde_periods.json": "7b9a9042196fa640b67ca3160e674d5a8df2dd73d8919cc6a97cca39882b5e31",
+    "stats/kde_quantities.json": "3e4c27c3933dd1e4d3a42c24cdff35ed1463e46f13cf0737d64ba9599eb2d5a8",
+    "stats/tier_composition.csv": "3e138ca4cf011817567084b549da76cadfb738c76b2c075823c067f0f1fb5604",
+    "stats/top_contracts.csv": "5b886ddde4af9fdf9b72583755eac35889afe0e37f10d069b8027f2e3e98b7f2",
+    "synth/claims.csv": "5c18a4119f66fd938bfe0845970e5f58015c394f547b3f1a1cc73e697c4fc869",
+    "synth/contracts.csv": "744b1a46b035e21447f7d45838944c412a0dad36ad656849596aaa2e39402c5a",
+    "synth/external_txs.csv": "7d60d24f404bc2fb12512ba0f7b1583b048f9ee9a34d3c9ef24317d4699d8d45",
+    "synth/ground_truth.json": "3d6ac3e6db42c33261b020233e9227203877b9cb625f7ed6431085111574259c",
+    "synth/token_transfers.csv": "1f8ff2e870fe88cf6494bde31721b61c94087dbc9bacb9deb367f6e563eb05e5",
+}
+
+
 def test_criterion_9_pipeline_determinism(tmp_path):
     """The full pipeline, run twice on the same config and seed, produces
-    byte-identical artifact directories."""
+    byte-identical artifact directories, and those bytes match the golden
+    digests."""
 
     def run_pipeline(out_name: str) -> dict:
         config_path = tmp_path / f"{out_name}.json"
@@ -326,5 +379,5 @@ def test_criterion_9_pipeline_determinism(tmp_path):
     first = run_pipeline("run_a")
     second = run_pipeline("run_b")
     assert first == second
-    assert len(first) > 20
-    report(9, f"{len(first)} artifacts byte-identical across two runs")
+    assert first == GOLDEN_ARTIFACTS
+    report(9, f"{len(first)} artifacts byte-identical across two runs and to the golden digests")

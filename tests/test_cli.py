@@ -1,10 +1,13 @@
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
+from airdrop_forensics import ingest
 from airdrop_forensics.cli import load_config, main, ConfigInvalidError
+from airdrop_forensics.eligibility import EligibilityHistory, EligibilityRules, run_campaign
 
 PIPELINE = ["synth", "ingest", "graph", "cluster", "detect", "eligibility", "stats", "report"]
 
@@ -232,9 +235,22 @@ def test_unknown_detector_key_rejected(tmp_path, capsys):
         ("cluster", {"clustering": "single"}),
         ("cluster", {"clustering": {"k_min": 9, "k_max": 3}}),
         ("detect", {"detectors": {"min_spokes": "5"}}),
+        ("synth", {"synth": {"population_total": "x"}}),
+        ("synth", {"synth": {"tier_mix": [0.5, 0.5]}}),
+        ("synth", {"synth": {"patterns": [{"kind": "bogus"}]}}),
+        ("synth", {"synth": {"seed": 5, "populaton_total": 120}}),
+        ("eligibility", {"eligibility": {"min_native_balance": "x"}}),
+        ("eligibility", {"eligibility": {"tier_table": [[6, 4000]]}}),
+        ("eligibility", {"eligibility": {"min_interactions": 1}}),
+        ("ingest", {"inputs": {"claims": 5}}),
+        ("ingest", {"allow_self_transfers": "yes"}),
+        ("ingest", {"output_dir": 5}),
     ],
     ids=["linkage_ward", "string_weight", "string_k_min", "string_min_tx_count",
-         "int_window_start", "section_not_object", "k_min_above_k_max", "string_detector_value"],
+         "int_window_start", "section_not_object", "k_min_above_k_max", "string_detector_value",
+         "string_population_total", "short_tier_mix", "unknown_pattern_kind",
+         "misspelled_synth_key", "string_min_native_balance", "unknown_tier",
+         "tier_table_gap", "int_input_path", "string_allow_self_transfers", "int_output_dir"],
 )
 def test_config_type_error_rejected(tmp_path, capsys, stage, override):
     config = write_config(tmp_path, **override)
@@ -252,3 +268,39 @@ def test_unsupported_graph_format_rejected(ingested, capsys, fmt):
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["code"] == "config_invalid"
     assert not (ingested / "out" / "graph").exists()
+
+
+def test_preset_fields_left_unset_take_the_preset_values(ingested, tmp_path):
+    out = ingested / "out"
+    config = write_config(tmp_path, output_dir=str(out),
+                          eligibility={"preset": "fair", "interaction_window_days": 2})
+    assert run("eligibility", config) == 0
+    resolved = json.loads((out / "config.resolved.json").read_text())["eligibility"]
+    assert resolved == {"preset": "fair", "min_tx_count": 0, "min_interactions": 1,
+                        "interaction_window_days": 2, "max_clique": None}
+
+    events, _ = ingest.parse_transfers(out / "ingest" / "events.csv")
+    contracts, _ = ingest.parse_contracts(out / "ingest" / "contracts.csv")
+    claims, _ = ingest.parse_claims(out / "ingest" / "claims.csv")
+    store = ingest.build_event_store(events, [], contracts, claims)
+    external = store.events_of_kind(ingest.EventKind.EXTERNAL_TX)
+    protocol = frozenset(a for a, c in store.contracts.items() if c.category in (
+        ingest.ContractCategory.TRADING_SWAP, ingest.ContractCategory.TRADING_OR_LP))
+    history = EligibilityHistory(external, {}, protocol, store.config.window_bounds()[0])
+    expected = run_campaign(
+        sorted({e.sender for e in external if e.sender not in store.contracts}), history,
+        dataclasses.replace(EligibilityRules.fair(), interaction_window_days=2),
+        min(c.claim_timestamp for c in store.claims.values()),
+    )
+    assert json.loads((out / "eligibility" / "summary.json").read_text()) == expected.summary
+
+
+def test_configured_tier_table_runs(ingested, tmp_path):
+    out = ingested / "out"
+    config = write_config(tmp_path, output_dir=str(out), eligibility={
+        "min_tx_count": 5, "interaction_window_days": 2, "tier_table": [[6, 5200]],
+    })
+    assert run("eligibility", config) == 0
+    summary = json.loads((out / "eligibility" / "summary.json").read_text())
+    assert summary["eligible"] > 0
+    assert summary["tier_counts"] == {"5200": summary["eligible"]}

@@ -188,6 +188,18 @@ class TestSelectK:
         assert assignment.k == 3
         assert assignment.silhouette_by_k[3] == 1.0
 
+    @pytest.mark.parametrize("ops", [[{Op.SELL}] * 5 + [{Op.STAKE}, {Op.SEND}] * 4,
+                                     [{Op.SELL}] * 7])
+    def test_carries_the_tree_it_cut(self, ops, monkeypatch):
+        import airdrop_forensics.clustering as clustering
+
+        vectors = by_ops(*ops)
+        calls = []
+        monkeypatch.setattr(clustering, "ahc", lambda *a: calls.append(a) or ahc(*a))
+        assignment = select_k(vectors)
+        assert len(calls) == 1
+        assert assignment.dendrogram == ahc(vectors)
+
 
 class TestRoles:
     def test_rule_table(self):
