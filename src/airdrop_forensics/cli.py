@@ -12,6 +12,7 @@ stderr), 2 internal error.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import logging
@@ -272,16 +273,15 @@ def _input_paths(config: dict, out: Path) -> dict:
 
 
 def _load_store_from_ingest(config: dict, out: Path) -> ingest.EventStore:
-    stage = _require(out / "ingest", "ingest")
-    events, errs = ingest.parse_transfers(
-        _require(stage / "events.csv", "ingest"),
-        allow_self_transfers=config["allow_self_transfers"],
-    )
-    contracts, errs_c = ingest.parse_contracts(_require(stage / "contracts.csv", "ingest"))
-    claims, errs_cl = ingest.parse_claims(_require(stage / "claims.csv", "ingest"))
-    if errs or errs_c or errs_cl:
-        raise MissingArtifactError("ingest artifacts are corrupt; re-run the ingest stage")
-    return ingest.build_event_store(events, [], contracts, claims, _ingest_config(config))
+    stage = out / "ingest"
+    for name in ("events.csv", "contracts.csv", "claims.csv", "report.json"):
+        _require(stage / name, "ingest")
+    try:
+        return ingest.read_store(stage, _ingest_config(config))
+    except ingest.CorruptStoreError as exc:
+        raise MissingArtifactError(
+            f"ingest artifacts are corrupt ({exc}); re-run the ingest stage"
+        ) from exc
 
 
 def cmd_synth(config: dict, out: Path, args) -> None:
@@ -415,12 +415,8 @@ def cmd_eligibility(config: dict, out: Path, args) -> None:
     stage = out / "eligibility"
     stage.mkdir(parents=True, exist_ok=True)
     rules = _eligibility_rules(config["eligibility"])
-    balances: dict = {}
     balances_path = config["inputs"].get("balances")
-    if balances_path:
-        for row in artifacts.read_csv(balances_path):
-            addr = ingest.normalize_address(row["address"])
-            balances.setdefault(addr, {})[row["chain"]] = float(row["balance"])
+    balances = _read_balances(balances_path) if balances_path else {}
 
     protocol = frozenset(
         a for a, c in store.contracts.items()
@@ -448,6 +444,32 @@ def cmd_eligibility(config: dict, out: Path, args) -> None:
     log.info("eligibility: %d of %d addresses pass under preset %s",
              result.summary["eligible"], result.summary["population"],
              config["eligibility"]["preset"])
+
+
+BALANCE_COLUMNS = ("address", "chain", "balance")
+
+
+def _read_balances(path: str) -> dict[str, dict[str, float]]:
+    """address -> chain -> native balance; a bad file or row is an input error."""
+    balances: dict = {}
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            missing = [c for c in BALANCE_COLUMNS if c not in (reader.fieldnames or ())]
+            if missing:
+                raise ingest.IngestError(f"{path}: header missing columns {missing}")
+            for row in reader:
+                try:
+                    address = ingest.normalize_address(row["address"] or "")
+                    balance = float(row["balance"] or "")
+                    if not 0 <= balance < math.inf:
+                        raise ValueError(f"balance {row['balance']!r} is not a finite number >= 0")
+                except ValueError as exc:
+                    raise ingest.IngestError(f"{path} line {reader.line_num}: {exc}") from exc
+                balances.setdefault(address, {})[row["chain"]] = balance
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ingest.IngestError(f"cannot read balances file {path}: {exc}") from exc
+    return balances
 
 
 def cmd_stats(config: dict, out: Path, args) -> None:

@@ -3,7 +3,9 @@
 Four inputs feed the pipeline: token transfer rows, external transaction
 rows, a contract dictionary (address -> name/category), and the airdrop
 claim list. Everything lands in an EventStore: a sorted, deduplicated,
-immutable-by-convention record that all downstream stages consume.
+immutable-by-convention record that all downstream stages consume. The
+ingest stage writes it out once in canonical form; read_store loads that
+form back without repeating the raw-input validation.
 
 Token amounts are integers in the smallest unit (18 decimals); display
 scaling happens only at report boundaries, never inside computations.
@@ -14,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 from enum import Enum
@@ -332,6 +335,11 @@ class IngestReport:
         }
         return out
 
+    @classmethod
+    def from_json(cls, payload: dict) -> IngestReport:
+        """Inverse of to_json; raises TypeError or KeyError on a foreign shape."""
+        return cls(**{**payload, "malformed": [MalformedRow(**m) for m in payload["malformed"]]})
+
 
 @dataclass
 class EventStore:
@@ -439,11 +447,17 @@ def load_event_store(
 
 
 # Canonical writers: sorted rows and a fixed column order in the artifacts
-# module's CSV format. parse(write(parse(x))) round-trips exactly.
+# module's CSV format. parse(write(parse(x))) round-trips exactly, and
+# read_store reads the three files back without re-validating them.
+
+STORE_COLUMNS = [*TRANSFER_COLUMNS, "log_index", "kind"]
+CONTRACT_COLUMNS = ["address", "name", "category"]
+CLAIM_COLUMNS = ["address", "tier", "amount", "timestamp"]
+
 
 def write_transfers_csv(events: list[TransferEvent], path) -> None:
     artifacts.write_csv(
-        [*TRANSFER_COLUMNS, "log_index", "kind"],
+        STORE_COLUMNS,
         ([e.tx_hash, e.sender, e.receiver, e.value, e.timestamp, e.block, e.log_index,
           e.kind.value] for e in sorted(events, key=lambda e: e.sort_key)),
         path,
@@ -452,7 +466,7 @@ def write_transfers_csv(events: list[TransferEvent], path) -> None:
 
 def write_contracts_csv(contracts: list[ContractInfo], path) -> None:
     artifacts.write_csv(
-        ["address", "name", "category"],
+        CONTRACT_COLUMNS,
         ([c.address, c.name, c.category.value]
          for c in sorted(contracts, key=lambda c: c.address)),
         path,
@@ -461,8 +475,100 @@ def write_contracts_csv(contracts: list[ContractInfo], path) -> None:
 
 def write_claims_csv(claims: list[ClaimRecord], path) -> None:
     artifacts.write_csv(
-        ["address", "tier", "amount", "timestamp"],
+        CLAIM_COLUMNS,
         ([c.address, c.tier.value, c.amount, c.claim_timestamp]
          for c in sorted(claims, key=lambda c: c.address)),
         path,
     )
+
+
+class CorruptStoreError(IngestError):
+    """An ingest artifact fails one of read_store's integrity checks."""
+
+
+_KINDS = {k.value: k for k in EventKind}
+
+
+def _event_row(tx_hash, sender, receiver, value, timestamp, block, log_index, kind):
+    return TransferEvent(tx_hash, sender, receiver, int(value), int(timestamp), int(block),
+                         _KINDS[kind], int(log_index))
+
+
+def _contract_row(address, name, category):
+    return ContractInfo(address, name, ContractCategory(category))
+
+
+def _claim_row(address, tier, amount, timestamp):
+    return ClaimRecord(address, Tier(int(tier)), int(amount), int(timestamp))
+
+
+def _read_canonical(path: Path, columns: list[str], build) -> list:
+    """One record per row of a canonical CSV, built by `build(*row)`."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            if next(reader, None) != columns:
+                raise CorruptStoreError(f"{path}: header is not {','.join(columns)}")
+            return [build(*row) for row in reader]
+        except (ValueError, TypeError, KeyError, csv.Error) as exc:
+            raise CorruptStoreError(f"{path} line {reader.line_num}: bad row ({exc})") from exc
+
+
+def _by_address(records: list, expected: int, path: Path) -> dict:
+    out = {r.address: r for r in records}
+    if not len(records) == len(out) == expected:
+        raise CorruptStoreError(
+            f"{path}: {len(records)} rows and {len(out)} addresses, report.json says {expected}"
+        )
+    return out
+
+
+def read_store(stage_dir, config: IngestConfig | None = None) -> EventStore:
+    """Load the store that ingest wrote to `stage_dir`, trusting its files.
+
+    Ingest left events.csv normalized, sorted and deduplicated, so rows
+    become records without re-validation. What is checked is what a
+    damaged file or a later config can break: exact headers, row counts
+    equal to report.json's, no contract or claim address twice, cells that
+    parse, non-decreasing timestamps, and no self-transfer unless the
+    config allows them. The config's study
+    window is applied again, so a window narrowed after ingest drops the
+    events outside it. Any failed check raises CorruptStoreError. The
+    store's report is ingest's own, read from report.json.
+    """
+    config = config or IngestConfig()
+    stage_dir = Path(stage_dir)
+    report_path = stage_dir / "report.json"
+    try:
+        report = IngestReport.from_json(artifacts.read_json(report_path))
+    except (ValueError, TypeError, KeyError) as exc:
+        raise CorruptStoreError(f"{report_path}: not an ingest report ({exc})") from exc
+
+    path = stage_dir / "events.csv"
+    events = _read_canonical(path, STORE_COLUMNS, _event_row)
+    if len(events) != report.stored:
+        raise CorruptStoreError(
+            f"{path}: {len(events)} rows, report.json says {report.stored} stored"
+        )
+    timestamps = [e.timestamp for e in events]
+    unsorted = next((i for i in range(1, len(timestamps))
+                     if timestamps[i] < timestamps[i - 1]), None)
+    if unsorted is not None:
+        raise CorruptStoreError(f"{path} line {unsorted + 2}: timestamp out of order")
+    if not config.allow_self_transfers:
+        selfish = next((i for i, e in enumerate(events) if e.sender == e.receiver), None)
+        if selfish is not None:
+            raise CorruptStoreError(
+                f"{path} line {selfish + 2}: self-transfer not allowed by config"
+            )
+    bounds = config.window_bounds()
+    if bounds:
+        events = events[bisect_left(timestamps, bounds[0]):bisect_right(timestamps, bounds[1])]
+
+    path = stage_dir / "contracts.csv"
+    contracts = _by_address(_read_canonical(path, CONTRACT_COLUMNS, _contract_row),
+                            report.n_contracts, path)
+    path = stage_dir / "claims.csv"
+    claims = _by_address(_read_canonical(path, CLAIM_COLUMNS, _claim_row),
+                         report.n_claims, path)
+    return EventStore(events, contracts, claims, config, report)

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import hashlib
 import json
@@ -304,3 +305,145 @@ def test_configured_tier_table_runs(ingested, tmp_path):
     summary = json.loads((out / "eligibility" / "summary.json").read_text())
     assert summary["eligible"] > 0
     assert summary["tier_counts"] == {"5200": summary["eligible"]}
+
+
+def _validated_load(stage: Path, config: ingest.IngestConfig) -> ingest.EventStore:
+    """The full raw-input validation of the ingest artifacts, as an oracle."""
+    events, errs = ingest.parse_transfers(stage / "events.csv",
+                                          allow_self_transfers=config.allow_self_transfers)
+    contracts, errs_c = ingest.parse_contracts(stage / "contracts.csv")
+    claims, errs_cl = ingest.parse_claims(stage / "claims.csv")
+    assert errs == errs_c == errs_cl == []
+    return ingest.build_event_store(events, [], contracts, claims, config)
+
+
+def _assert_same_store(got: ingest.EventStore, want: ingest.EventStore) -> None:
+    assert got.events == want.events
+    assert got.contracts == want.contracts
+    assert got.claims == want.claims
+    assert got.config == want.config
+
+
+@pytest.mark.parametrize("window", [
+    (ingest.DEFAULT_WINDOW_START, ingest.DEFAULT_WINDOW_END),
+    ("2021-12-01", "2022-03-01"),
+], ids=["ingest_window", "narrower_window"])
+def test_read_store_equals_validated_load(ingested, window):
+    stage = ingested / "out" / "ingest"
+    config = ingest.IngestConfig(*window)
+    store = ingest.read_store(stage, config)
+    oracle = _validated_load(stage, config)
+    _assert_same_store(store, oracle)
+    report = json.loads((stage / "report.json").read_text())
+    assert store.report.to_json() == report
+    if window[0] != ingest.DEFAULT_WINDOW_START:
+        assert 0 < len(store.events) < report["stored"]
+
+
+def test_self_transfers_ingested_then_disallowed_fail(ingested, tmp_path, capsys):
+    synth_dir = ingested / "out" / "synth"
+    token = tmp_path / "token_transfers.csv"
+    self_row = f"0x{'5e' * 32},0x{'77' * 20},0x{'77' * 20},1,1637000000,13604000,0,token_transfer"
+    token.write_text((synth_dir / "token_transfers.csv").read_text() + self_row + "\n")
+    inputs = {"token_transfers": str(token),
+              "external_txs": str(synth_dir / "external_txs.csv"),
+              "contracts": str(synth_dir / "contracts.csv"),
+              "claims": str(synth_dir / "claims.csv")}
+    allowed = write_config(tmp_path, out_name="selfish", inputs=inputs, allow_self_transfers=True)
+    assert run("ingest", allowed) == 0
+    stage = tmp_path / "selfish" / "ingest"
+    config = ingest.IngestConfig(allow_self_transfers=True)
+    _assert_same_store(ingest.read_store(stage, config), _validated_load(stage, config))
+
+    with pytest.raises(ingest.CorruptStoreError, match="self-transfer"):
+        ingest.read_store(stage, ingest.IngestConfig())
+    disallowed = write_config(tmp_path, out_name="selfish", inputs=inputs)
+    capsys.readouterr()
+    assert run("cluster", disallowed) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["code"] == "missing_artifact"
+    assert "re-run the ingest stage" in err["error"]
+
+
+def _swap_first_unequal_timestamps(lines: list[str]) -> list[str]:
+    ts = [line.split(",")[4] for line in lines]
+    i = next(i for i in range(1, len(lines) - 1) if ts[i] != ts[i + 1])
+    lines[i], lines[i + 1] = lines[i + 1], lines[i]
+    return lines
+
+
+def _replace_cell(lines: list[str], column: int, value: str) -> list[str]:
+    cells = lines[1].split(",")
+    cells[column] = value
+    lines[1] = ",".join(cells)
+    return lines
+
+
+CORRUPTIONS = {
+    "wrong_header": ("events.csv", lambda lines: [lines[0].replace("value", "amount")] + lines[1:]),
+    "row_deleted": ("events.csv", lambda lines: lines[:5] + lines[6:]),
+    "non_int_value": ("events.csv", lambda lines: _replace_cell(lines, 3, "12x")),
+    "short_row": ("events.csv", lambda lines: [lines[0], lines[1].rsplit(",", 1)[0]] + lines[2:]),
+    "unknown_kind": ("events.csv", lambda lines: _replace_cell(lines, 7, "bogus_tx")),
+    "unknown_category": ("contracts.csv", lambda lines: _replace_cell(lines, 2, "Casino")),
+    "unknown_tier": ("claims.csv", lambda lines: _replace_cell(lines, 1, "4000")),
+    "duplicate_claim": ("claims.csv", lambda lines: lines[:2] + lines[1:]),
+    "rows_swapped": ("events.csv", _swap_first_unequal_timestamps),
+    "report_not_json": ("report.json", lambda lines: ["{"]),
+    "report_missing": ("report.json", None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+def test_corrupt_ingest_artifact_exits_1(ingested, tmp_path, capsys, case):
+    name, corrupt = CORRUPTIONS[case]
+    out = tmp_path / "out"
+    stage = out / "ingest"
+    stage.mkdir(parents=True)
+    for path in (ingested / "out" / "ingest").iterdir():
+        (stage / path.name).write_bytes(path.read_bytes())
+    target = stage / name
+    if corrupt is None:
+        target.unlink()
+    else:
+        target.write_text("\n".join(corrupt(target.read_text().splitlines())) + "\n")
+    assert run("cluster", write_config(tmp_path)) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["code"] == "missing_artifact"
+    assert "ingest stage" in err["error"]
+    assert not (out / "cluster").exists()
+
+
+@pytest.mark.parametrize("content,needle", [
+    ("address,balance\n{addr},0.5\n", "header missing columns ['chain']"),
+    ("address,chain,balance\n{addr},ethereum,lots\n", "line 2"),
+    ("address,chain,balance\n{addr},ethereum,0.5\n0x1234,ethereum,1\n", "line 3"),
+    ("address,chain,balance\n{addr},ethereum,-1\n", "line 2"),
+    ("address,chain,balance\n{addr},ethereum,nan\n", "line 2"),
+    ("address,chain,balance\n{addr},ethereum\n", "line 2"),
+], ids=["missing_column", "non_number", "bad_address", "negative", "nan", "short_row"])
+def test_bad_balances_file_exits_1(ingested, tmp_path, capsys, content, needle):
+    balances = tmp_path / "balances.csv"
+    balances.write_text(content.format(addr="0x" + "ab" * 20))
+    config = write_config(tmp_path, output_dir=str(ingested / "out"),
+                          inputs={"balances": str(balances)})
+    assert run("eligibility", config) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["code"] == "validation_error"
+    assert str(balances) in err["error"] and needle in err["error"]
+
+
+def test_balances_file_is_read(ingested, tmp_path):
+    store = ingest.read_store(ingested / "out" / "ingest")
+    member = min(e.sender for e in store.events_of_kind(ingest.EventKind.EXTERNAL_TX)
+                 if e.sender not in store.contracts)
+    balances = tmp_path / "balances.csv"
+    balances.write_text(f"address,chain,balance\n{member.upper()},ethereum,2.5\n")
+    config = write_config(tmp_path, output_dir=str(ingested / "out"), inputs={
+        "balances": str(balances)}, eligibility={
+        "min_tx_count": 10**6, "interaction_window_days": 2, "min_native_balance": {"ethereum": 1.0}})
+    assert run("eligibility", config) == 0
+    verdicts = ingested / "out" / "eligibility" / "verdicts.csv"
+    met = [row["address"] for row in csv.DictReader(verdicts.open())
+           if "activity_floor=pass" in row["rule_trace"]]
+    assert met == [member]

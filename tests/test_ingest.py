@@ -1,11 +1,22 @@
+import csv
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from airdrop_forensics import artifacts
 from airdrop_forensics.ingest import (
+    CLAIM_COLUMNS,
+    CONTRACT_COLUMNS,
+    TRANSFER_COLUMNS,
+    ContractCategory,
+    CorruptStoreError,
     DuplicateClaimError,
     EventKind,
+    IngestConfig,
     IngestError,
     Tier,
     build_event_store,
@@ -14,6 +25,7 @@ from airdrop_forensics.ingest import (
     parse_claims,
     parse_contracts,
     parse_transfers,
+    read_store,
     write_claims_csv,
     write_contracts_csv,
     write_transfers_csv,
@@ -209,7 +221,7 @@ def test_round_trip_is_byte_identical(tmp_path):
 def test_claims_and_contracts_round_trip(tmp_path):
     claims = [claim(addr(2), Tier.T10400), claim(addr(1))]
     contracts = [
-        contract(addr(8), "pool", __import__("airdrop_forensics.ingest", fromlist=["ContractCategory"]).ContractCategory.STAKING)
+        contract(addr(8), "pool", ContractCategory.STAKING)
     ]
     p1 = tmp_path / "claims.csv"
     write_claims_csv(claims, p1)
@@ -232,3 +244,127 @@ def test_normalize_address_validation():
     assert normalize_address(A1.upper()) == A1
     with pytest.raises(ValueError):
         normalize_address("0x1234")
+
+
+# Round-trip properties. Raw exports come in any case, with or without the
+# 0x prefix and with stray spaces; parse normalizes them, so writing the
+# parsed records and parsing again must give the same records.
+
+_PROPERTY = settings(max_examples=40, derandomize=True, deadline=None)
+
+
+def _hex(draw, n: int, digits: int) -> str:
+    mask = draw(st.integers(0, 2**digits - 1))  # bit i set: upper-case digit i
+    body = "".join(c.upper() if mask >> i & 1 else c for i, c in enumerate(f"{n:0{digits}x}"))
+    return draw(st.sampled_from(["", " "])) + draw(st.sampled_from(["0x", "0X", ""])) + body
+
+
+@st.composite
+def raw_transfer_rows(draw):
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        rows.append([
+            _hex(draw, draw(st.integers(0, 5)), 64),
+            _hex(draw, draw(st.integers(1, 4)), 40),
+            _hex(draw, draw(st.integers(3, 6)), 40),
+            str(draw(st.integers(0, 10**24))),
+            str(WINDOW_START + draw(st.integers(-10**5, 10**7))),
+            str(draw(st.integers(0, 50))),
+            str(draw(st.integers(0, 3))),
+        ])
+    return rows
+
+
+def _write_raw(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    return path
+
+
+@_PROPERTY
+@given(rows=raw_transfer_rows(), kind=st.sampled_from(list(EventKind)),
+       allow_self=st.booleans())
+def test_parse_write_parse_transfers_round_trips(rows, kind, allow_self):
+    with tempfile.TemporaryDirectory() as tmp:
+        raw = _write_raw(Path(tmp) / "raw.csv", [*TRANSFER_COLUMNS, "log_index"], rows)
+        events, _ = parse_transfers(raw, kind, allow_self)
+        write_transfers_csv(events, Path(tmp) / "canonical.csv")
+        again, errors = parse_transfers(Path(tmp) / "canonical.csv", kind, allow_self)
+    assert errors == [] and again == events
+
+
+@_PROPERTY
+@given(rows=st.lists(st.tuples(
+    st.integers(1, 6),
+    # printable ASCII: raw parsing splits lines at \x0b, \x0c and \x1c-\x1e too
+    st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), max_size=12),
+    st.sampled_from([c.value for c in ContractCategory] + ["staking", " CEX", "Bogus"]),
+), max_size=8))
+def test_parse_write_parse_contracts_round_trips(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        raw = _write_raw(Path(tmp) / "raw.csv", CONTRACT_COLUMNS,
+                         [[addr(a), name, cat] for a, name, cat in rows])
+        contracts, _ = parse_contracts(raw)
+        write_contracts_csv(contracts, Path(tmp) / "canonical.csv")
+        again, errors = parse_contracts(Path(tmp) / "canonical.csv")
+    assert errors == [] and again == contracts
+
+
+@_PROPERTY
+@given(rows=st.lists(st.tuples(
+    st.integers(1, 6), st.sampled_from([5200, 7800, 10400, 4000]), st.booleans(),
+    st.integers(WINDOW_START - 10**5, WINDOW_START + 10**7),
+), max_size=8))
+def test_parse_write_parse_claims_round_trips(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        raw = _write_raw(Path(tmp) / "raw.csv", CLAIM_COLUMNS, [
+            [addr(a).upper(), f" {tier}", tier * 10**18 + (0 if face else 1), ts]
+            for a, tier, face, ts in rows
+        ])
+        claims, _ = parse_claims(raw)
+        write_claims_csv(claims, Path(tmp) / "canonical.csv")
+        again, errors = parse_claims(Path(tmp) / "canonical.csv")
+    assert errors == [] and again == claims
+
+
+@st.composite
+def built_stores(draw):
+    events = [
+        ev(addr(draw(st.integers(1, 4))), addr(draw(st.integers(3, 6))),
+           draw(st.integers(0, 10**24)),
+           ts=WINDOW_START + draw(st.integers(-10**5, 10**7)),
+           kind=draw(st.sampled_from(list(EventKind))),
+           block=draw(st.integers(0, 50)),
+           tx_hash=f"0x{draw(st.integers(0, 5)):064x}",
+           log_index=draw(st.integers(0, 2)))
+        for _ in range(draw(st.integers(0, 12)))
+    ]
+    contracts = [contract(addr(a), draw(st.text(max_size=6)),
+                          draw(st.sampled_from(list(ContractCategory))))
+                 for a in draw(st.sets(st.integers(5, 9), max_size=3))]
+    claims = [claim(addr(a), draw(st.sampled_from(list(Tier))))
+              for a in draw(st.sets(st.integers(1, 8), max_size=5))]
+    config = IngestConfig(allow_self_transfers=draw(st.booleans()))
+    return build_event_store(events, [], contracts, claims, config)
+
+
+@_PROPERTY
+@given(store=built_stores())
+def test_read_store_of_written_store_is_the_store(store):
+    with tempfile.TemporaryDirectory() as tmp:
+        stage = Path(tmp)
+        write_transfers_csv(store.events, stage / "events.csv")
+        write_contracts_csv(list(store.contracts.values()), stage / "contracts.csv")
+        write_claims_csv(list(store.claims.values()), stage / "claims.csv")
+        artifacts.write_json(store.report.to_json(), stage / "report.json")
+        if not store.config.allow_self_transfers and any(
+                e.sender == e.receiver for e in store.events):
+            with pytest.raises(CorruptStoreError, match="self-transfer"):
+                read_store(stage, store.config)
+            return
+        loaded = read_store(stage, store.config)
+    assert loaded.events == store.events
+    assert loaded.contracts == store.contracts
+    assert loaded.claims == store.claims
+    assert loaded.config == store.config
+    assert loaded.report == store.report
