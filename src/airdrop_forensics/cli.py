@@ -23,227 +23,13 @@ from collections import Counter
 from pathlib import Path
 
 from . import artifacts, clustering, eligibility, flows, forensics, graphs, ingest, stats, synth
+from .config import Config, ConfigInvalidError, from_json, load_config, to_json
 
 log = logging.getLogger("airdrop_forensics.cli")
 
 
-class ConfigInvalidError(Exception):
-    code = "config_invalid"
-
-
 class MissingArtifactError(Exception):
     code = "missing_artifact"
-
-
-DEFAULT_CONFIG = {
-    "inputs": {
-        "token_transfers": None,
-        "external_txs": None,
-        "contracts": None,
-        "claims": None,
-        "balances": None,
-    },
-    "window": {"start": ingest.DEFAULT_WINDOW_START, "end": ingest.DEFAULT_WINDOW_END},
-    "allow_self_transfers": False,
-    "slice_interval_days": 7,
-    "weights": {op.value: 1.0 for op in flows.OPERATION_ORDER},
-    "clustering": {"linkage": "single", "k_min": 2, "k_max": 20},
-    "detectors": dataclasses.asdict(forensics.DetectorConfig()),
-    # Fields left unset take the preset's values; load_config writes the
-    # number fields back, so config.resolved.json shows what ran.
-    "eligibility": {"preset": "threshold_differential"},
-    "synth": {
-        "seed": 7,
-        "population_total": 400,
-        "tier_mix": [0.3, 0.5, 0.2],
-        "noise_rate": 0.05,
-        "patterns": [
-            {"kind": "chain", "count": 2, "size": 4},
-            {"kind": "sunflower", "count": 2, "size": 8},
-            {"kind": "sunflower_relay", "count": 1, "size": 8},
-            {"kind": "staging_aggregation", "count": 1, "size": 8},
-            {"kind": "sponsorship_clique", "count": 1, "size": 17},
-            {"kind": "cautious_clique", "count": 1, "size": 19},
-            {"kind": "blatant_clique", "count": 2, "size": 5},
-        ],
-    },
-    "output_dir": "out",
-}
-
-
-ELIGIBILITY_PRESETS = {
-    "threshold_differential": eligibility.EligibilityRules.threshold_differential,
-    "differential": eligibility.EligibilityRules.differential,
-    "fair": eligibility.EligibilityRules.fair,
-}
-
-# What each top-level value must be, by the type of its default
-_JSON_KINDS = {dict: "a JSON object", bool: "true or false", int: "a whole number", str: "a string"}
-# JSON values accepted for a dataclass field, by its annotation
-_FIELD_KINDS = {"int": (int,), "float": (int, float), "int | None": (int, type(None))}
-
-
-def _merge(base: dict, override: dict) -> dict:
-    out = dict(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value)
-        else:
-            out[key] = value
-    return out
-
-
-def load_config(path: str | None) -> dict:
-    user = {}
-    if path is not None:
-        try:
-            user = artifacts.read_json(path)
-        except OSError as exc:
-            raise ConfigInvalidError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigInvalidError(f"config {path} is not valid JSON: {exc}") from exc
-        _expect(isinstance(user, dict), "config root", "a JSON object", user)
-        _check_known(user, DEFAULT_CONFIG, "config")
-    config = _merge(DEFAULT_CONFIG, user)
-    for key, default in DEFAULT_CONFIG.items():
-        _expect(isinstance(config[key], type(default)), key, _JSON_KINDS[type(default)],
-                config[key])
-    _check_known(config["inputs"], DEFAULT_CONFIG["inputs"], "inputs")
-    for key, value in config["inputs"].items():
-        _expect(isinstance(value, (str, type(None))), f"inputs.{key}", "a path or null", value)
-    window = config["window"]
-    _expect(all(isinstance(window[k], (str, type(None))) for k in ("start", "end")),
-            "window start and end", "ISO dates or null", window)
-    try:
-        ingest.IngestConfig(window["start"], window["end"]).window_bounds()
-    except ValueError as exc:
-        raise ConfigInvalidError(f"bad study window: {exc}") from exc
-    if set(config["weights"]) != {op.value for op in flows.OPERATION_ORDER}:
-        raise ConfigInvalidError("weights must name exactly the eight operation kinds")
-    for op, w in config["weights"].items():
-        _expect(_is_kind(w, (int, float)) and 0 < w < math.inf, f"weights.{op}",
-                "a finite number > 0", w)
-    _check_slice_interval(config["slice_interval_days"], "slice_interval_days")
-    _check_choice(config["clustering"]["linkage"], [m.value for m in clustering.Linkage],
-                  "clustering.linkage")
-    k_range = [config["clustering"]["k_min"], config["clustering"]["k_max"]]
-    _expect(all(_is_kind(k, (int,)) for k in k_range) and k_range[0] <= k_range[1],
-            "clustering.k_min and k_max", "whole numbers with k_min <= k_max", k_range)
-    _check_fields(config["detectors"], forensics.DetectorConfig, "detectors")
-    rules = _eligibility_rules(config["eligibility"])
-    config["eligibility"] = {
-        **{f.name: getattr(rules, f.name) for f in dataclasses.fields(rules)
-           if f.type in _FIELD_KINDS},
-        **config["eligibility"],
-    }
-    _check_synth(config["synth"])
-    return config
-
-
-def _eligibility_rules(section: dict) -> eligibility.EligibilityRules:
-    """The preset's rules with every field the section sets replaced."""
-    fields = dict(section)
-    preset = fields.pop("preset")
-    _check_choice(preset, list(ELIGIBILITY_PRESETS), "eligibility.preset")
-    _check_fields(fields, eligibility.EligibilityRules, "eligibility")
-    if "min_native_balance" in fields:
-        floors = fields["min_native_balance"]
-        _expect(isinstance(floors, dict) and all(_is_amount(v) for v in floors.values()),
-                "eligibility.min_native_balance",
-                "an object of chain names to finite numbers >= 0", floors)
-    if "tier_table" in fields:
-        table = fields["tier_table"]
-        tiers = [t.value for t in ingest.Tier]
-        _expect(isinstance(table, list) and table and all(
-            isinstance(row, list) and len(row) == 2 and _is_kind(row[0], (int,))
-            and _is_kind(row[1], (int,)) and row[1] in tiers for row in table
-        ), "eligibility.tier_table",
-            f"a non-empty list of [min interactions, tier] pairs, tier one of {tiers}", table)
-        fields["tier_table"] = tuple((score, ingest.Tier(tier)) for score, tier in table)
-    try:
-        return dataclasses.replace(ELIGIBILITY_PRESETS[preset](), **fields)
-    except ValueError as exc:
-        raise ConfigInvalidError(f"eligibility: {exc}") from exc
-
-
-def _check_synth(section: dict) -> None:
-    _check_known(section, DEFAULT_CONFIG["synth"], "synth")
-    _expect(_is_kind(section["seed"], (int,)), "synth.seed", "a whole number", section["seed"])
-    total = section["population_total"]
-    _expect(_is_kind(total, (int,)) and total >= 0, "synth.population_total",
-            "a whole number >= 0", total)
-    mix = section["tier_mix"]
-    _expect(isinstance(mix, list) and len(mix) == 3 and all(_is_amount(v) for v in mix),
-            "synth.tier_mix", "three finite numbers >= 0", mix)
-    _expect(_is_amount(section["noise_rate"]), "synth.noise_rate", "a finite number >= 0",
-            section["noise_rate"])
-    patterns = section["patterns"]
-    kinds = [k.value for k in forensics.PatternKind]
-    _expect(isinstance(patterns, list) and all(
-        isinstance(p, dict) and set(p) <= {"kind", "count", "size"} and p.get("kind") in kinds
-        and all(_is_kind(p.get(k, 0), (int,)) and p.get(k, 0) >= 0 for k in ("count", "size"))
-        for p in patterns
-    ), "synth.patterns",
-        f"a list of {{kind, count, size}} objects, kind one of {kinds}, count and size "
-        "whole numbers >= 0", patterns)
-
-
-def _is_kind(value, kinds: tuple) -> bool:
-    """isinstance, except that a JSON true/false is never a number"""
-    return isinstance(value, kinds) and not isinstance(value, bool)
-
-
-def _is_amount(value) -> bool:
-    return _is_kind(value, (int, float)) and 0 <= value < math.inf
-
-
-def _expect(ok: bool, where: str, what: str, value) -> None:
-    if not ok:
-        raise ConfigInvalidError(f"{where} must be {what}, got {value!r}")
-
-
-def _check_choice(value, choices: list, where: str) -> None:
-    _expect(isinstance(value, str) and value in choices, where, f"one of {choices}", value)
-
-
-def _check_known(section: dict, known, where: str) -> None:
-    unknown = set(section) - set(known)
-    if unknown:
-        raise ConfigInvalidError(
-            f"unknown {where} keys {sorted(unknown)}, not among {sorted(known)}"
-        )
-
-
-def _check_fields(section, cls, where: str) -> None:
-    """The keys of `section` must be fields of `cls`, and a value for a
-    number field a number of that field's kind."""
-    fields = {f.name: f.type for f in dataclasses.fields(cls)}
-    _check_known(section, fields, where)
-    for key, value in section.items():
-        kinds = _FIELD_KINDS.get(fields[key])
-        if kinds is not None:
-            _expect(_is_kind(value, kinds), f"{where}.{key}", fields[key], value)
-
-
-def _check_slice_interval(value, source: str) -> None:
-    _expect(_is_kind(value, (int,)) and value > 0, source,
-            "a positive whole number of days", value)
-
-
-def _ingest_config(config: dict) -> ingest.IngestConfig:
-    return ingest.IngestConfig(
-        config["window"]["start"],
-        config["window"]["end"],
-        config["allow_self_transfers"],
-    )
-
-
-def _weights(config: dict) -> tuple[float, ...]:
-    return tuple(config["weights"][op.value] for op in flows.OPERATION_ORDER)
-
-
-def _detector_config(config: dict) -> forensics.DetectorConfig:
-    return forensics.DetectorConfig(**config["detectors"])
 
 
 def _require(path: Path, stage: str) -> Path:
@@ -254,50 +40,46 @@ def _require(path: Path, stage: str) -> Path:
     return path
 
 
-def _input_paths(config: dict, out: Path) -> dict:
-    inputs = config["inputs"]
-    if all(inputs.get(k) for k in ("token_transfers", "external_txs", "contracts", "claims")):
-        return {k: Path(inputs[k]) for k in inputs if inputs[k]}
-    synth_dir = out / "synth"
-    if (synth_dir / "token_transfers.csv").exists():
-        return {
-            "token_transfers": synth_dir / "token_transfers.csv",
-            "external_txs": synth_dir / "external_txs.csv",
-            "contracts": synth_dir / "contracts.csv",
-            "claims": synth_dir / "claims.csv",
-        }
+RAW_INPUTS = ("token_transfers", "external_txs", "contracts", "claims")
+
+
+def _input_paths(config: Config, out: Path) -> list[Path]:
+    """The raw exports in RAW_INPUTS order: as configured, else synth's."""
+    configured = [getattr(config.inputs, key) for key in RAW_INPUTS]
+    if all(configured):
+        return [Path(path) for path in configured]
+    if (out / "synth" / "token_transfers.csv").exists():
+        return [out / "synth" / f"{key}.csv" for key in RAW_INPUTS]
     raise MissingArtifactError(
         "no input files configured and no synth artifacts present: "
         "set inputs.* in the config or run the synth stage"
     )
 
 
-def _load_store_from_ingest(config: dict, out: Path) -> ingest.EventStore:
+def _load_store_from_ingest(config: Config, out: Path) -> ingest.EventStore:
     stage = out / "ingest"
     for name in ("events.csv", "contracts.csv", "claims.csv", "report.json"):
         _require(stage / name, "ingest")
     try:
-        return ingest.read_store(stage, _ingest_config(config))
+        return ingest.read_store(stage, config.ingest_config())
     except ingest.CorruptStoreError as exc:
         raise MissingArtifactError(
             f"ingest artifacts are corrupt ({exc}); re-run the ingest stage"
         ) from exc
 
 
-def cmd_synth(config: dict, out: Path, args) -> None:
-    section = config["synth"]
-    seed = args.seed if args.seed is not None else section["seed"]
+def cmd_synth(config: Config, out: Path, args) -> None:
+    section, window = config.synth, config.window
+    if None in (window.start, window.end):
+        raise ConfigInvalidError(f"synth needs window.start and window.end, got {to_json(window)}")
     spec = synth.ScenarioSpec(
-        seed=seed,
-        population=synth.population_from_shares(section["population_total"]),
-        tier_mix=tuple(section["tier_mix"]),
-        patterns=[
-            synth.PatternSpec(forensics.PatternKind(p["kind"]), p.get("count", 1), p.get("size", 0))
-            for p in section["patterns"]
-        ],
-        noise_rate=section["noise_rate"],
-        window_start=config["window"]["start"],
-        window_end=config["window"]["end"],
+        seed=args.seed if args.seed is not None else section.seed,
+        population=synth.population_from_shares(section.population_total),
+        tier_mix=section.tier_mix,
+        patterns=list(section.patterns),
+        noise_rate=section.noise_rate,
+        window_start=window.start,
+        window_end=window.end,
     )
     scenario = synth.generate(spec)
     scenario.write(out / "synth")
@@ -308,15 +90,12 @@ def cmd_synth(config: dict, out: Path, args) -> None:
     )
 
 
-def cmd_ingest(config: dict, out: Path, args) -> None:
+def cmd_ingest(config: Config, out: Path, args) -> None:
     paths = _input_paths(config, out)
-    for key in ("token_transfers", "external_txs", "contracts", "claims"):
-        if not paths[key].exists():
-            raise MissingArtifactError(f"input file {paths[key]} does not exist")
-    store = ingest.load_event_store(
-        paths["token_transfers"], paths["external_txs"],
-        paths["contracts"], paths["claims"], _ingest_config(config),
-    )
+    for path in paths:
+        if not path.exists():
+            raise MissingArtifactError(f"input file {path} does not exist")
+    store = ingest.load_event_store(*paths, config.ingest_config())
     stage = out / "ingest"
     stage.mkdir(parents=True, exist_ok=True)
     ingest.write_transfers_csv(store.events, stage / "events.csv")
@@ -327,11 +106,11 @@ def cmd_ingest(config: dict, out: Path, args) -> None:
              store.report.stored, store.report.n_claims, store.report.n_contracts)
 
 
-def cmd_graph(config: dict, out: Path, args) -> None:
-    interval = config["slice_interval_days"]
+def cmd_graph(config: Config, out: Path, args) -> None:
     if args.slice_interval is not None:
-        interval = args.slice_interval
-        _check_slice_interval(interval, "--slice-interval")
+        config = from_json(Config, {**to_json(config), "slice_interval_days": args.slice_interval},
+                           "--slice-interval")
+    interval = config.slice_interval_days
     fmt = args.format or "graphml"
     if fmt not in ("graphml", "dot"):
         raise ConfigInvalidError(f"--format must be graphml or dot, got {fmt!r}")
@@ -360,23 +139,17 @@ def cmd_graph(config: dict, out: Path, args) -> None:
              external_graph.n_nodes, external_graph.n_edges)
 
 
-def cmd_cluster(config: dict, out: Path, args) -> None:
+def cmd_cluster(config: Config, out: Path, args) -> None:
     store = _load_store_from_ingest(config, out)
     stage = out / "cluster"
     stage.mkdir(parents=True, exist_ok=True)
-    weights = _weights(config)
+    weights = dataclasses.astuple(config.weights)
     member_flows = flows.build_flows(store, sorted(store.claims))
     features = {a: flows.extract_features(f, weights) for a, f in member_flows.items()}
     flows.write_feature_matrix(sorted(features.items()), stage / "features.csv")
     addresses = sorted(features)
     vectors = [features[a] for a in addresses]
-    cc = clustering.ClusterConfig(
-        linkage=clustering.Linkage(config["clustering"]["linkage"]),
-        k_min=config["clustering"]["k_min"],
-        k_max=config["clustering"]["k_max"],
-        weights=weights,
-    )
-    assignment = clustering.select_k(vectors, cc, addresses)
+    assignment = clustering.select_k(vectors, config.clustering, addresses)
     mapping = clustering.map_roles(assignment, features)
     clustering.write_assignment_csv(assignment, mapping, stage / "assignment.csv")
     clustering.write_silhouette_json(assignment, stage / "silhouette.json")
@@ -385,7 +158,7 @@ def cmd_cluster(config: dict, out: Path, args) -> None:
              assignment.k, len(addresses), len(mapping.unmapped))
 
 
-def cmd_detect(config: dict, out: Path, args) -> None:
+def cmd_detect(config: Config, out: Path, args) -> None:
     store = _load_store_from_ingest(config, out)
     graph_stage = _require(out / "graph", "graph")
     token_graph = graphs.load_graph_json(_require(graph_stage / "token_graph.json", "graph"))
@@ -394,7 +167,7 @@ def cmd_detect(config: dict, out: Path, args) -> None:
     )
     stage = out / "detect"
     stage.mkdir(parents=True, exist_ok=True)
-    result = forensics.run_detectors(token_graph, external_graph, store, _detector_config(config))
+    result = forensics.run_detectors(token_graph, external_graph, store, config.detectors)
     artifacts.write_jsonl((f.to_json() for f in result.findings), stage / "findings.jsonl")
     forensics.write_components_csv(result.profiles, stage / "components.csv")
     rows = forensics.voting_power_report(result.findings, store.claims)
@@ -410,12 +183,11 @@ def cmd_detect(config: dict, out: Path, args) -> None:
     log.info("detect: %d components, %d findings", len(result.profiles), len(result.findings))
 
 
-def cmd_eligibility(config: dict, out: Path, args) -> None:
+def cmd_eligibility(config: Config, out: Path, args) -> None:
     store = _load_store_from_ingest(config, out)
     stage = out / "eligibility"
     stage.mkdir(parents=True, exist_ok=True)
-    rules = _eligibility_rules(config["eligibility"])
-    balances_path = config["inputs"].get("balances")
+    balances_path = config.inputs.balances
     balances = _read_balances(balances_path) if balances_path else {}
 
     protocol = frozenset(
@@ -438,12 +210,12 @@ def cmd_eligibility(config: dict, out: Path, args) -> None:
     population = sorted(
         {e.sender for e in external if e.sender not in store.contracts}
     )
-    result = eligibility.run_campaign(population, history, rules, snapshot)
+    result = eligibility.run_campaign(population, history, config.eligibility.rules, snapshot)
     eligibility.write_verdicts_csv(result, stage / "verdicts.csv")
     artifacts.write_json(result.summary, stage / "summary.json")
     log.info("eligibility: %d of %d addresses pass under preset %s",
              result.summary["eligible"], result.summary["population"],
-             config["eligibility"]["preset"])
+             config.eligibility.preset.value)
 
 
 BALANCE_COLUMNS = ("address", "chain", "balance")
@@ -453,7 +225,7 @@ def _read_balances(path: str) -> dict[str, dict[str, float]]:
     """address -> chain -> native balance; a bad file or row is an input error."""
     balances: dict = {}
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.DictReader(fh)
             missing = [c for c in BALANCE_COLUMNS if c not in (reader.fieldnames or ())]
             if missing:
@@ -472,7 +244,7 @@ def _read_balances(path: str) -> dict[str, dict[str, float]]:
     return balances
 
 
-def cmd_stats(config: dict, out: Path, args) -> None:
+def cmd_stats(config: Config, out: Path, args) -> None:
     store = _load_store_from_ingest(config, out)
     stage = out / "stats"
     stage.mkdir(parents=True, exist_ok=True)
@@ -521,7 +293,7 @@ def cmd_stats(config: dict, out: Path, args) -> None:
              len(period_estimates) + len(quantity_estimates))
 
 
-def cmd_report(config: dict, out: Path, args) -> None:
+def cmd_report(config: Config, out: Path, args) -> None:
     """Assemble stage artifacts into one report; formatting only, every
     number is traceable to an artifact file."""
     required = {
@@ -642,9 +414,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
-        out = Path(args.out or config["output_dir"])
+        out = Path(args.out or config.output_dir)
         out.mkdir(parents=True, exist_ok=True)
-        artifacts.write_json(config, out / "config.resolved.json")
+        artifacts.write_json(to_json(config), out / "config.resolved.json")
         COMMANDS[args.command](config, out, args)
         return 0
     except (
@@ -654,6 +426,7 @@ def main(argv=None) -> int:
         eligibility.InsufficientHistoryError,
         synth.InfeasibleSpecError,
         graphs.WindowEmptyError,
+        clustering.TooFewPointsError,
     ) as exc:
         code = getattr(exc, "code", "validation_error")
         print(json.dumps({"code": code, "error": str(exc)}), file=sys.stderr)

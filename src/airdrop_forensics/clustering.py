@@ -48,12 +48,18 @@ class Linkage(str, Enum):
     AVERAGE = "average"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClusterConfig:
+    """Linkage and the K range select_k searches; the distance weights
+    travel with the feature vectors."""
+
     linkage: Linkage = Linkage.SINGLE
     k_min: int = 2
     k_max: int = 20
-    weights: tuple[float, ...] = (1.0,) * 8
+
+    def __post_init__(self):
+        if self.k_min > self.k_max:
+            raise ValueError(f"k_min {self.k_min} > k_max {self.k_max}")
 
 
 @dataclass(frozen=True)

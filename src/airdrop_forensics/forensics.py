@@ -36,7 +36,7 @@ class PatternKind(str, Enum):
     BLATANT_CLIQUE = "blatant_clique"
 
 
-@dataclass
+@dataclass(frozen=True)
 class DetectorConfig:
     min_chain_len: int = 3  # edges along the path
     max_chain_in: int = 2  # interior in-degree bound (allows simple merges)

@@ -180,19 +180,16 @@ def _iter_rows(path) -> tuple[list[tuple[int, dict]], bool]:
     """Read CSV-with-header or JSONL rows as (line_no, dict) pairs."""
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
-        raise IngestError(f"cannot read {path}: {exc}") from exc
-    if path.suffix == ".jsonl":
-        rows = []
-        for i, line in enumerate(text.splitlines(), start=1):
-            if line.strip():
-                rows.append((i, line))
-        return rows, True
-    reader = csv.DictReader(text.splitlines())
-    if reader.fieldnames is None:
-        raise IngestError(f"{path}: empty file, missing header")
-    return [(i, row) for i, row in enumerate(reader, start=2)], False
+        # newline="": a line ends only at \n, \r or \r\n, as in the csv module
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            if path.suffix == ".jsonl":
+                return [(i, line) for i, line in enumerate(fh, start=1) if line.strip()], True
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None:
+                raise IngestError(f"{path}: empty file, missing header")
+            return [(i, row) for i, row in enumerate(reader, start=2)], False
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise IngestError(f"cannot read {path} as UTF-8 CSV or JSONL: {exc}") from exc
 
 
 def _parse_transfer_row(row: dict, kind: EventKind, allow_self: bool) -> TransferEvent:

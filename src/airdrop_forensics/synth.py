@@ -105,7 +105,7 @@ def population_from_shares(total: int, shares: dict[str, float] | None = None) -
     return counts
 
 
-@dataclass
+@dataclass(frozen=True)
 class PatternSpec:
     kind: PatternKind
     count: int = 1

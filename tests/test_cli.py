@@ -2,12 +2,14 @@ import csv
 import dataclasses
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
 from airdrop_forensics import ingest
 from airdrop_forensics.cli import load_config, main, ConfigInvalidError
+from airdrop_forensics.config import to_json
 from airdrop_forensics.eligibility import EligibilityHistory, EligibilityRules, run_campaign
 
 PIPELINE = ["synth", "ingest", "graph", "cluster", "detect", "eligibility", "stats", "report"]
@@ -152,7 +154,7 @@ def test_config_round_trips_through_canonical_writer(tmp_path):
     resolved = tmp_path / "out" / "config.resolved.json"
     first = resolved.read_bytes()
     loaded = load_config(str(resolved))
-    assert loaded == json.loads(first)
+    assert to_json(loaded) == json.loads(first)
     assert run("synth", config_path) == 0
     assert resolved.read_bytes() == first
 
@@ -260,6 +262,19 @@ def test_config_type_error_rejected(tmp_path, capsys, stage, override):
     assert run(stage, config) == 1
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["code"] == "config_invalid"
+
+
+@pytest.mark.parametrize("stage,override,code,needle", [
+    ("cluster", {"clustering": {"k_min": 0, "k_max": 1}}, "validation_error", "k range [0,1]"),
+    ("synth", {"window": {"start": None}}, "config_invalid", "window.start"),
+    ("synth", {"window": {"end": None}}, "config_invalid", "window.end"),
+], ids=["k_range_above_members", "null_window_start", "null_window_end"])
+def test_config_a_stage_cannot_run_exits_1(ingested, tmp_path, capsys, stage, override, code,
+                                          needle):
+    shutil.copytree(ingested / "out" / "ingest", tmp_path / "out" / "ingest")
+    assert run(stage, write_config(tmp_path, **override)) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["code"] == code and needle in err["error"]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -431,6 +446,14 @@ def test_bad_balances_file_exits_1(ingested, tmp_path, capsys, content, needle):
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["code"] == "validation_error"
     assert str(balances) in err["error"] and needle in err["error"]
+
+
+def test_balances_header_after_byte_order_mark_is_read(ingested, tmp_path):
+    balances = tmp_path / "balances.csv"
+    balances.write_text("\ufeffaddress,chain,balance\n")
+    config = write_config(tmp_path, output_dir=str(ingested / "out"),
+                          inputs={"balances": str(balances)})
+    assert run("eligibility", config) == 0
 
 
 def test_balances_file_is_read(ingested, tmp_path):

@@ -1,0 +1,160 @@
+"""No user error exits 2.
+
+Stages run on mutated configs and on mutated raw inputs must exit 0 or 1,
+and on exit 1 the last stderr line is a JSON error with a `code`. Values
+that size the synthetic corpus stay small, because a valid but huge one
+(say `synth.noise_rate: 1e9`) is a long run, not an error.
+"""
+
+import contextlib
+import copy
+import csv
+import io
+import json
+import math
+import shutil
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from airdrop_forensics.cli import main
+
+STAGES = ["synth", "ingest", "graph", "cluster", "detect", "eligibility", "stats", "report"]
+BASE = {"synth": {"seed": 5, "population_total": 120},
+        "eligibility": {"min_tx_count": 5, "interaction_window_days": 2}}
+RAW_INPUTS = ["token_transfers", "external_txs", "contracts", "claims"]
+
+_PROPERTY = settings(derandomize=True, deadline=None, database=None)
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    """Every stage's artifacts for BASE, plus a balances file."""
+    root = tmp_path_factory.mktemp("pipeline")
+    config = root / "config.json"
+    config.write_text(json.dumps(BASE))
+    for stage in STAGES:
+        assert main([stage, "--config", str(config), "--out", str(root / "out")]) == 0, stage
+    claims = (root / "out" / "synth" / "claims.csv").read_text().splitlines()[1:6]
+    (root / "balances.csv").write_text("address,chain,balance\n" + "".join(
+        f"{line.split(',')[0]},ethereum,{i / 10}\n" for i, line in enumerate(claims)))
+    return root
+
+
+def assert_exit_0_or_1(stage: str, config, out: Path) -> None:
+    """Run `stage` with `config` on the artifacts in `out`."""
+    path = out.parent / "config.json"
+    path.write_text(json.dumps(config))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([stage, "--config", str(path), "--out", str(out)])
+    assert code in (0, 1), err.getvalue()
+    if code == 1:
+        assert "code" in json.loads(err.getvalue().splitlines()[-1])
+
+
+# A mutation is (path, value). Each step of the path is a key, or an int
+# that picks the key (in sorted order) or list entry at that depth; the
+# walk stops early at a value that is not a non-empty object or list.
+UNKNOWN_KEY = "<unknown key>"
+# Half the values suit many fields, so that mutated configs also load and
+# run their stage; the other half suit none or few.
+VALUES = st.one_of(st.sampled_from([-1, 0, 1, 2, 0.5, "2021-12-01"]),
+                   st.sampled_from(["x", None, math.nan, True, [], {}, UNKNOWN_KEY]))
+MUTATION = st.tuples(st.lists(st.integers(0, 40), max_size=3).map(tuple), VALUES)
+
+
+def mutate(config, path: tuple, value):
+    """`config` with `value` at `path`, or with an unknown key added to the
+    innermost object on the path."""
+    parent, key, node, section = None, None, config, config
+    for step in path:
+        if isinstance(node, dict) and node:
+            step = step if isinstance(step, str) else sorted(node)[step % len(node)]
+        elif isinstance(node, list) and node:
+            step %= len(node)
+        else:
+            break
+        parent, key = node, step
+        if isinstance(node, dict) and step not in node:
+            break
+        node = node[step]
+        section = node if isinstance(node, dict) else section
+    if value == UNKNOWN_KEY:
+        if isinstance(section, dict):
+            section["bogus"] = 1
+    elif parent is None:
+        return copy.deepcopy(value)
+    else:
+        parent[key] = copy.deepcopy(value)
+    return config
+
+
+@settings(_PROPERTY, max_examples=60)
+@given(stage=st.sampled_from(STAGES), mutations=MUTATION.map(lambda m: [m]))
+@example(stage="cluster", mutations=[(("clustering", "k_min"), 0), (("clustering", "k_max"), 1)])
+@example(stage="synth", mutations=[(("window", "start"), None)])
+@example(stage="synth", mutations=[(("window", "end"), None)])
+def test_mutated_config_never_exits_2(pipeline, stage, mutations):
+    """One mutation per generated config, so that many still load and run;
+    the explicit examples combine more."""
+    config = json.loads((pipeline / "out" / "config.resolved.json").read_text())
+    for path, value in mutations:
+        config = mutate(config, path, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        shutil.copytree(pipeline / "out", out)
+        assert_exit_0_or_1(stage, config, out)
+
+
+def mutate_csv(data: bytes, how: str, row: int, column: int) -> bytes:
+    if how == "empty":
+        return b""
+    if how == "bom":
+        return b"\xef\xbb\xbf" + data
+    if how == "crlf":
+        return data.replace(b"\n", b"\r\n")
+    if how == "non_utf8":
+        lines = data.split(b"\n")
+        lines[row % len(lines)] += b"\xff"
+        return b"\n".join(lines)
+    rows = list(csv.reader(data.decode().splitlines()))
+    r = 1 + row % (len(rows) - 1) if len(rows) > 1 else 0
+    c = column % len(rows[r])
+    if how == "drop_column":
+        rows = [cells[:c] + cells[c + 1:] for cells in rows]
+    elif how == "blank_cell":
+        rows[r][c] = ""
+    elif how == "bad_hex":
+        rows[r][c] = "0xZZ" + rows[r][c][4:]
+    elif how == "duplicate_row":
+        rows.insert(r, rows[r])
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    return text.getvalue().encode()
+
+
+@settings(_PROPERTY, max_examples=40)
+@given(name=st.sampled_from(RAW_INPUTS + ["balances"]),
+       how=st.sampled_from(["empty", "bom", "crlf", "non_utf8", "drop_column", "blank_cell",
+                            "bad_hex", "duplicate_row"]),
+       row=st.integers(0, 300), column=st.integers(0, 7))
+@example(name="claims", how="non_utf8", row=3, column=0)
+@example(name="balances", how="drop_column", row=0, column=1)
+def test_mutated_inputs_never_exit_2(pipeline, name, how, row, column):
+    """Ingest on a mutated raw export, or eligibility on a mutated balances file."""
+    sources = {n: pipeline / "out" / "synth" / f"{n}.csv" for n in RAW_INPUTS}
+    sources["balances"] = pipeline / "balances.csv"
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs = {}
+        for n, source in sources.items():
+            inputs[n] = str(Path(tmp) / source.name)
+            data = source.read_bytes()
+            Path(inputs[n]).write_bytes(mutate_csv(data, how, row, column) if n == name else data)
+        out = Path(tmp) / "out"
+        if name == "balances":
+            shutil.copytree(pipeline / "out" / "ingest", out / "ingest")
+        assert_exit_0_or_1("eligibility" if name == "balances" else "ingest",
+                           {**BASE, "inputs": inputs}, out)
