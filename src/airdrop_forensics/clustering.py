@@ -1,15 +1,18 @@
 """Agglomerative hierarchical clustering of behavior vectors and roles.
 
 AHC runs on the weighted cosine distance. Because the feature space is
-8 binary slots, identical vectors are exactly the zero-distance pairs;
-the implementation merges those first (in index order) and then runs the
-linkage on the distinct patterns, which reproduces the naive
-point-by-point algorithm exactly while staying fast at corpus scale.
+8 binary slots, identical vectors are exactly the zero-distance pairs, so
+the clustering works on the multiset of distinct patterns: one distance
+table between them, and each pattern's leaves in index order. The
+leaf-level tree -- each pattern's leaves chained at height 0 in index
+order, patterns in bit order, then the linkage between patterns -- is
+expanded only to be written or to list its heights; it is exactly the
+naive point-by-point algorithm's tree.
 
 Ties are broken by the smallest lexicographic pair of cluster
-representative patterns (minimum member bit tuple), with member indices
-as the final fallback. Pattern-first ordering makes the produced
-partitions stable under shuffling of the input, not just deterministic.
+representative patterns (minimum member bit tuple). Pattern-first
+ordering makes the produced partitions stable under shuffling of the
+input, not just deterministic.
 """
 
 from __future__ import annotations
@@ -64,8 +67,8 @@ class ClusterConfig:
 
 @dataclass(frozen=True)
 class Merge:
-    """One agglomeration step. Leaves are 0..n-1; the i-th merge creates
-    cluster id n+i."""
+    """One agglomeration step. With s starting clusters (leaves or
+    patterns) numbered 0..s-1, the i-th merge creates cluster id s+i."""
 
     a: int
     b: int
@@ -73,10 +76,41 @@ class Merge:
     size: int
 
 
+# leaves[pattern][lo:hi] of a Dendrogram: one pattern's share of a cluster.
+Piece = tuple[int, int, int]
+
+
 @dataclass
 class Dendrogram:
+    """The merge tree on the g distinct patterns, in bit order.
+
+    `leaves[p]` holds the input indices of pattern p in index order,
+    `dist` the g x g weighted cosine distances between patterns, and
+    `pattern_merges` the g-1 merges between them (pattern p is cluster p).
+    """
+
     n_leaves: int
-    merges: list[Merge]
+    leaves: list[list[int]]
+    dist: list[list[float]]
+    pattern_merges: list[Merge]
+
+    @property
+    def merges(self) -> list[Merge]:
+        """The n-1 leaf-level merges: leaves are 0..n-1, each pattern's
+        leaves chain at height 0, then the pattern merges follow."""
+        n = self.n_leaves
+        out: list[Merge] = []
+        top: list[int] = []  # leaf-level id of each pattern-level cluster
+        for members in self.leaves:
+            cur = members[0]
+            for count, m in enumerate(members[1:], start=2):
+                out.append(Merge(cur, m, 0.0, count))
+                cur = n + len(out) - 1
+            top.append(cur)
+        for m in self.pattern_merges:
+            out.append(Merge(top[m.a], top[m.b], m.height, m.size))
+            top.append(n + len(out) - 1)
+        return out
 
     def heights(self) -> list[float]:
         return [m.height for m in self.merges]
@@ -86,6 +120,15 @@ class Dendrogram:
             "n_leaves": self.n_leaves,
             "merges": [[m.a, m.b, m.height, m.size] for m in self.merges],
         }
+
+    def labels(self, clusters: list[list[Piece]]) -> list[int]:
+        """Cluster label (1..k) of every leaf."""
+        out = [0] * self.n_leaves
+        for label, cluster in enumerate(clusters, start=1):
+            for p, lo, hi in cluster:
+                for leaf in self.leaves[p][lo:hi]:
+                    out[leaf] = label
+        return out
 
 
 def ahc(features: list[FeatureVector], config: ClusterConfig | None = None) -> Dendrogram:
@@ -104,135 +147,98 @@ def ahc(features: list[FeatureVector], config: ClusterConfig | None = None) -> D
         if f.weights != w:
             raise WeightMismatchError("all feature vectors must share one weight vector")
 
-    # Identical bit patterns are exactly the zero-distance pairs.
     groups: dict[tuple, list[int]] = {}
     for i, f in enumerate(features):
         groups.setdefault(f.bits, []).append(i)
+    leaves = [groups[bits] for bits in sorted(groups)]
+    reps = [features[members[0]] for members in leaves]
+    dist = [[weighted_cosine_distance(a, b) for b in reps] for a in reps]
 
+    # A cluster is named by its smallest pattern index, which is also its
+    # smallest bit tuple; d is the Lance-Williams table between clusters.
+    d = [row[:] for row in dist]
+    cluster_id = list(range(len(leaves)))
+    size = [len(members) for members in leaves]
+    active = list(range(len(leaves)))
     merges: list[Merge] = []
-    next_id = n
-    # (cluster_id, min_index, size, representative vector, min bit tuple)
-    active: list[list] = []
-    for bits, members in sorted(groups.items()):
-        cur = members[0]
-        for count, m in enumerate(members[1:], start=2):
-            merges.append(Merge(cur, m, 0.0, count))
-            cur = next_id
-            next_id += 1
-        active.append([cur, members[0], len(members), features[members[0]], bits])
-
-    dist: dict[frozenset, float] = {}
-    for i in range(len(active)):
-        for j in range(i + 1, len(active)):
-            dist[frozenset((active[i][0], active[j][0]))] = weighted_cosine_distance(
-                active[i][3], active[j][3]
-            )
-
     while len(active) > 1:
-        best = None
-        best_pair = None
-        for i in range(len(active)):
-            for j in range(i + 1, len(active)):
-                a, b = active[i], active[j]
-                d = dist[frozenset((a[0], b[0]))]
-                key = (d, *sorted((a[4], b[4])), *sorted((a[1], b[1])))
-                if best is None or key < best:
-                    best = key
-                    best_pair = (i, j)
-        i, j = best_pair
-        a, b = active[i], active[j]
-        first, second = (a, b) if a[4] < b[4] else (b, a)
-        merges.append(Merge(first[0], second[0], best[0], a[2] + b[2]))
-        merged = [next_id, min(a[1], b[1]), a[2] + b[2], a[3], min(a[4], b[4])]
-        next_id += 1
-        for k in range(len(active)):
-            if k in (i, j):
+        h, p, q = min((d[p][q], p, q) for i, p in enumerate(active) for q in active[i + 1:])
+        merges.append(Merge(cluster_id[p], cluster_id[q], h, size[p] + size[q]))
+        active.remove(q)
+        for c in active:
+            if c == p:
                 continue
-            c = active[k]
-            dac = dist.pop(frozenset((a[0], c[0])))
-            dbc = dist.pop(frozenset((b[0], c[0])))
             if config.linkage == Linkage.SINGLE:
-                d = min(dac, dbc)
+                d[p][c] = d[c][p] = min(d[p][c], d[q][c])
             elif config.linkage == Linkage.COMPLETE:
-                d = max(dac, dbc)
+                d[p][c] = d[c][p] = max(d[p][c], d[q][c])
             else:
-                d = (a[2] * dac + b[2] * dbc) / (a[2] + b[2])
-            dist[frozenset((merged[0], c[0]))] = d
-        dist.pop(frozenset((a[0], b[0])))
-        active = [c for k, c in enumerate(active) if k not in (i, j)]
-        active.append(merged)
-
-    return Dendrogram(n, merges)
+                d[p][c] = d[c][p] = (size[p] * d[p][c] + size[q] * d[q][c]) / (size[p] + size[q])
+        cluster_id[p] = len(leaves) + len(merges) - 1
+        size[p] += size[q]
+    return Dendrogram(n, leaves, dist, merges)
 
 
-def cut(dendrogram: Dendrogram, k: int) -> dict[int, int]:
-    """Labels (leaf index -> cluster id in 1..k) after undoing the last
-    k-1 merges. Cluster ids are ordered by smallest member index."""
-    n = dendrogram.n_leaves
+def cut(dendrogram: Dendrogram, k: int) -> list[list[Piece]]:
+    """The k clusters left after undoing the last k-1 leaf-level merges,
+    ordered by smallest leaf; cluster i has label i+1.
+
+    Up to k = g (distinct patterns) that undoes k-1 pattern merges. Beyond
+    it, it undoes the last k-g zero-height chain merges, from the end of
+    the sorted pattern order: each splits the last remaining leaf of its
+    pattern into a singleton.
+    """
+    n, leaves = dendrogram.n_leaves, dendrogram.leaves
+    g = len(leaves)
     if not 1 <= k <= n:
         raise KOutOfRangeError(f"k={k} outside [1, {n}]")
-    members: dict[int, list[int]] = {i: [i] for i in range(n)}
-    alive = set(range(n))
-    for pos, m in enumerate(dendrogram.merges[: n - k]):
-        new_id = n + pos
-        members[new_id] = members.pop(m.a) + members.pop(m.b)
-        alive.discard(m.a)
-        alive.discard(m.b)
-        alive.add(new_id)
-    ordered = sorted(alive, key=lambda c: min(members[c]))
-    labels: dict[int, int] = {}
-    for label, cid in enumerate(ordered, start=1):
-        for leaf in members[cid]:
-            labels[leaf] = label
-    return labels
+    clusters = {p: [(p, 0, len(members))] for p, members in enumerate(leaves)}
+    for i, m in enumerate(dendrogram.pattern_merges[: max(g - k, 0)]):
+        clusters[g + i] = clusters.pop(m.a) + clusters.pop(m.b)
+    out = list(clusters.values())
+    split = k - len(out)  # > 0 only when no pattern merge was replayed
+    for p in reversed(range(g)):
+        if split == 0:
+            break
+        hi = len(leaves[p])
+        lo = max(hi - split, 1)
+        out[p] = [(p, 0, lo)]
+        out += [[(p, j, j + 1)] for j in range(lo, hi)]
+        split -= hi - lo
+    return sorted(out, key=lambda c: min(leaves[p][lo] for p, lo, _ in c))
 
 
-def silhouette_score(features: list[FeatureVector], labels: list[int]) -> float:
-    """Mean silhouette with the standard degenerate conventions: singleton
-    clusters contribute 0, and 0/0 is treated as 0."""
-    n = len(features)
-    if n != len(labels):
-        raise ValueError("features and labels must align")
-    distinct = sorted(set(labels))
-    if len(distinct) < 2:
+def silhouette_score(dendrogram: Dendrogram, clusters: list[list[Piece]]) -> float:
+    """Mean silhouette of a cut with the standard degenerate conventions:
+    singleton clusters contribute 0, and 0/0 is treated as 0.
+
+    Leaves of one piece behave identically, so each piece is scored once
+    and weighted by its size, pieces in order of their smallest leaf.
+    """
+    if len(clusters) < 2:
         raise DegenerateClusteringError("silhouette needs at least two clusters")
-    cluster_sizes = Counter(labels)
-
-    # Points with the same vector and label behave identically; score one
-    # representative per group and weight by multiplicity.
-    group_index: dict[tuple, int] = {}
-    groups: list[list] = []  # [vector, label, count]
-    for f, lab in zip(features, labels):
-        key = (f.bits, lab)
-        gi = group_index.get(key)
-        if gi is None:
-            group_index[key] = len(groups)
-            groups.append([f, lab, 0])
-            gi = group_index[key]
-        groups[gi][2] += 1
-
-    g = len(groups)
-    dist = [[0.0] * g for _ in range(g)]
-    for i in range(g):
-        for j in range(i + 1, g):
-            d = weighted_cosine_distance(groups[i][0], groups[j][0])
-            dist[i][j] = dist[j][i] = d
-
+    leaves, dist = dendrogram.leaves, dendrogram.dist
+    sizes = [sum(hi - lo for _, lo, hi in cluster) for cluster in clusters]
+    pieces = sorted(
+        (leaves[p][lo], p, hi - lo, label)
+        for label, cluster in enumerate(clusters)
+        for p, lo, hi in cluster
+    )
     total = 0.0
-    for i, (_, lab, count) in enumerate(groups):
-        nc = cluster_sizes[lab]
+    for i, (_, p, count, label) in enumerate(pieces):
+        nc = sizes[label]
         if nc == 1:
             continue  # singleton contributes 0
-        sums: dict[int, float] = defaultdict(float)
-        for j, (_, lab_j, count_j) in enumerate(groups):
+        sums = [0.0] * len(clusters)
+        for j, (_, q, count_q, label_q) in enumerate(pieces):
             if i != j:
-                sums[lab_j] += count_j * dist[i][j]
-        a = sums.get(lab, 0.0) / (nc - 1)
-        b = min(sums.get(c, 0.0) / cluster_sizes[c] for c in distinct if c != lab)
+                sums[label_q] += count_q * dist[p][q]
+        a = sums[label] / (nc - 1)
+        b = min(sums[c] / sizes[c] for c in range(len(clusters)) if c != label)
         denom = max(a, b)
         s = 0.0 if denom == 0.0 else (b - a) / denom
         total += count * s
-    return total / n
+    return total / dendrogram.n_leaves
 
 
 @dataclass
@@ -268,21 +274,12 @@ def select_k(
             f"k range [{config.k_min},{config.k_max}] infeasible for n={n}"
         )
     dendro = ahc(features, config)
-    scores: dict[int, float] = {}
-    best_k = None
-    best_score = None
-    for k in range(k_lo, k_hi + 1):
-        labels = cut(dendro, k)
-        score = silhouette_score(features, [labels[i] for i in range(n)])
-        scores[k] = score
-        if best_score is None or score >= best_score:
-            best_k, best_score = k, score
-    if best_score is not None and any(
-        v == best_score and k != best_k for k, v in scores.items()
-    ):
-        log.info("silhouette tie at %.6f; keeping larger K=%d", best_score, best_k)
-    final = cut(dendro, best_k)
-    return ClusterAssignment({addresses[i]: final[i] for i in range(n)}, best_k, scores, dendro)
+    scores = {k: silhouette_score(dendro, cut(dendro, k)) for k in range(k_lo, k_hi + 1)}
+    best_k = max(scores, key=lambda k: (scores[k], k))
+    if list(scores.values()).count(scores[best_k]) > 1:
+        log.info("silhouette tie at %.6f; keeping larger K=%d", scores[best_k], best_k)
+    final = dendro.labels(cut(dendro, best_k))
+    return ClusterAssignment(dict(zip(addresses, final)), best_k, scores, dendro)
 
 
 class RoleLabel(str, Enum):
@@ -342,9 +339,8 @@ def map_roles(
     characteristic operation set. Clusters matching no rule are reported
     for manual triage, not guessed."""
     cluster_ops: dict[int, set] = defaultdict(set)
-    for addr, cluster in assignment.labels.items():
-        ops = features[addr].op_set()
-        cluster_ops[cluster] |= ops & (CONSUMPTION_OPS | {OperationKind.BUY})
+    for cluster, pattern in {(c, features[a]) for a, c in assignment.labels.items()}:
+        cluster_ops[cluster] |= pattern.op_set() & (CONSUMPTION_OPS | {OperationKind.BUY})
 
     cluster_roles: dict[int, RoleLabel] = {}
     unmapped: list[int] = []

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import artifacts
 from .clustering import ClusterAssignment
-from .flows import OperationKind, TransactionFlow
+from .flows import OperationKind, TransactionFlow, extract_features
 from .ingest import Address, ClaimRecord, EventStore, Tier, format_token_amount
 
 log = logging.getLogger(__name__)
@@ -40,7 +40,8 @@ def behavior_table(
     flows: dict[Address, TransactionFlow], claims: dict[Address, ClaimRecord]
 ) -> dict[Tier, dict[str, float]]:
     """Per tier, the fraction of claimants performing each action at least
-    once. Receiving ignores the claim payout itself."""
+    once, read from the feature vector, so receiving ignores the claim
+    payout itself."""
     performed: dict[Tier, Counter] = {t: Counter() for t in Tier}
     claimed: Counter = Counter()
     for addr, rec in claims.items():
@@ -48,7 +49,7 @@ def behavior_table(
         flow = flows.get(addr)
         if flow is None:
             continue
-        ops = {e.op for e in flow.events if not (e.op == OperationKind.RECEIVE and e.is_claim)}
+        ops = extract_features(flow).op_set()
         for action, op in ACTION_OPS.items():
             if op in ops:
                 performed[rec.tier][action] += 1

@@ -123,6 +123,19 @@ def naive_ahc_heights(vectors, linkage="single"):
     return heights
 
 
+def naive_cut(dendrogram_merges, n, k):
+    """Leaf labels (1..k) after replaying the first n-k leaf-level merges
+    over explicit member lists; clusters are numbered by smallest leaf."""
+    members = {i: [i] for i in range(n)}
+    for pos, m in enumerate(dendrogram_merges[: n - k]):
+        members[n + pos] = members.pop(m.a) + members.pop(m.b)
+    labels = [0] * n
+    for label, cluster in enumerate(sorted(members.values(), key=min), start=1):
+        for leaf in cluster:
+            labels[leaf] = label
+    return labels
+
+
 def naive_silhouette(vectors, labels) -> float:
     n = len(vectors)
     total = 0.0

@@ -467,6 +467,7 @@ def test_balances_file_is_read(ingested, tmp_path):
         "min_tx_count": 10**6, "interaction_window_days": 2, "min_native_balance": {"ethereum": 1.0}})
     assert run("eligibility", config) == 0
     verdicts = ingested / "out" / "eligibility" / "verdicts.csv"
-    met = [row["address"] for row in csv.DictReader(verdicts.open())
-           if "activity_floor=pass" in row["rule_trace"]]
+    with verdicts.open() as f:
+        met = [row["address"] for row in csv.DictReader(f)
+               if "activity_floor=pass" in row["rule_trace"]]
     assert met == [member]

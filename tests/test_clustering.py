@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from scipy.cluster import hierarchy
 
 from airdrop_forensics.clustering import (
     ClusterAssignment,
@@ -19,9 +21,15 @@ from airdrop_forensics.clustering import (
     select_k,
     silhouette_score,
 )
-from airdrop_forensics.flows import FeatureVector, OperationKind as Op
+from airdrop_forensics.flows import FeatureVector, OperationKind as Op, weighted_cosine_distance
 
-from oracles import naive_ahc_heights, naive_silhouette
+from oracles import naive_ahc_heights, naive_cut, naive_silhouette
+
+
+def cut_labels(vectors, k):
+    """Leaf index -> label of the k-cut of the vectors' tree."""
+    dendro = ahc(vectors)
+    return dict(enumerate(dendro.labels(cut(dendro, k))))
 
 
 def rand_vectors(rng, n, nonzero=False):
@@ -82,7 +90,7 @@ class TestAhc:
     def test_permutation_invariant_partitions(self):
         rng = random.Random(53)
         vectors = rand_vectors(rng, 12)
-        base = cut(ahc(vectors), 3)
+        base = cut_labels(vectors, 3)
         base_parts = {}
         for i, lab in base.items():
             base_parts.setdefault(lab, set()).add(vectors[i].bits)
@@ -90,7 +98,7 @@ class TestAhc:
             order = list(range(len(vectors)))
             rng.shuffle(order)
             shuffled = [vectors[i] for i in order]
-            labels = cut(ahc(shuffled), 3)
+            labels = cut_labels(shuffled, 3)
             parts = {}
             for i, lab in labels.items():
                 parts.setdefault(lab, set()).add(shuffled[i].bits)
@@ -106,17 +114,17 @@ class TestAhc:
 class TestCut:
     def test_k_equals_n_all_singletons(self):
         vectors = by_ops({Op.SELL}, {Op.STAKE}, {Op.SEND})
-        labels = cut(ahc(vectors), 3)
+        labels = cut_labels(vectors, 3)
         assert sorted(labels.values()) == [1, 2, 3]
 
     def test_k_one_single_cluster(self):
         vectors = by_ops({Op.SELL}, {Op.STAKE}, {Op.SEND})
-        labels = cut(ahc(vectors), 1)
+        labels = cut_labels(vectors, 1)
         assert set(labels.values()) == {1}
 
     def test_two_planted_groups_split_perfectly(self):
         vectors = by_ops(*([{Op.SELL}] * 5 + [{Op.STAKE, Op.LP_ADD}] * 5))
-        labels = cut(ahc(vectors), 2)
+        labels = cut_labels(vectors, 2)
         assert len({labels[i] for i in range(5)}) == 1
         assert len({labels[i] for i in range(5, 10)}) == 1
         assert labels[0] != labels[5]
@@ -132,29 +140,33 @@ class TestCut:
 class TestSilhouette:
     def test_two_separated_duplicate_groups_score_one(self):
         vectors = by_ops(*([{Op.SELL}] * 4 + [{Op.STAKE}] * 4))
-        labels = [1] * 4 + [2] * 4
-        assert silhouette_score(vectors, labels) == 1.0
+        dendro = ahc(vectors)
+        clusters = cut(dendro, 2)
+        assert dendro.labels(clusters) == [1] * 4 + [2] * 4
+        assert silhouette_score(dendro, clusters) == 1.0
 
     def test_identical_points_split_scores_zero(self):
         vectors = by_ops(*([{Op.SELL}] * 6))
-        labels = [1, 1, 1, 2, 2, 2]
-        assert silhouette_score(vectors, labels) == 0.0
+        dendro = ahc(vectors)
+        for k in range(2, 7):
+            assert silhouette_score(dendro, cut(dendro, k)) == 0.0
 
     def test_matches_direct_oracle(self):
         rng = random.Random(59)
         for _ in range(15):
             vectors = rand_vectors(rng, 12)
-            labels = [rng.randint(1, 3) for _ in range(12)]
-            if len(set(labels)) < 2:
-                continue
-            got = silhouette_score(vectors, labels)
-            want = naive_silhouette(vectors, labels)
-            assert abs(got - want) <= 1e-9
+            dendro = ahc(vectors)
+            for k in range(2, 13):
+                clusters = cut(dendro, k)
+                got = silhouette_score(dendro, clusters)
+                want = naive_silhouette(vectors, dendro.labels(clusters))
+                assert abs(got - want) <= 1e-9
 
     def test_single_cluster_degenerate(self):
         vectors = by_ops({Op.SELL}, {Op.STAKE})
+        dendro = ahc(vectors)
         with pytest.raises(DegenerateClusteringError):
-            silhouette_score(vectors, [1, 1])
+            silhouette_score(dendro, cut(dendro, 1))
 
 
 class TestSelectK:
@@ -245,3 +257,45 @@ class TestRoles:
         roles = role_shares(assignment, mapping)
         assert roles[RoleLabel.SPECULATOR] == shares[1] + shares[2]
         assert roles[RoleLabel.DIAMOND_HOLDER_RISK_AVERSE] == shares[3]
+
+
+@st.composite
+def _few_pattern_vectors(draw):
+    """2-30 vectors over at most four distinct patterns, so cuts reach past
+    the number of patterns; half the draws use non-uniform weights."""
+    bits = st.tuples(*[st.integers(0, 1)] * 8)
+    patterns = draw(st.lists(bits, min_size=1, max_size=4, unique=True))
+    weights = draw(st.sampled_from([(1.0,) * 8, (0.5, 2.0, 1.0, 3.7, 1.0, 0.25, 1.5, 1.0)]))
+    picks = draw(st.lists(st.sampled_from(patterns), min_size=2, max_size=30))
+    return [FeatureVector(b, weights) for b in picks]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_few_pattern_vectors(), st.sampled_from(list(Linkage)))
+def test_cut_and_silhouette_match_leaf_level_replay(vectors, linkage):
+    n = len(vectors)
+    dendro = ahc(vectors, ClusterConfig(linkage=linkage))
+    for k in range(1, n + 1):
+        clusters = cut(dendro, k)
+        labels = dendro.labels(clusters)
+        assert labels == naive_cut(dendro.merges, n, k)
+        if k >= 2:
+            want = naive_silhouette(vectors, labels)
+            assert abs(silhouette_score(dendro, clusters) - want) <= 1e-9
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_few_pattern_vectors())
+def test_single_linkage_heights_match_scipy(vectors):
+    """scipy's single linkage on the condensed distance matrix of the
+    distinct patterns merges at exactly the pattern-level heights."""
+    patterns = sorted({v.bits for v in vectors})
+    assume(len(patterns) >= 2)
+    reps = [FeatureVector(b, vectors[0].weights) for b in patterns]
+    condensed = [
+        weighted_cosine_distance(reps[i], reps[j])
+        for i in range(len(reps))
+        for j in range(i + 1, len(reps))
+    ]
+    want = hierarchy.linkage(condensed, method="single")[:, 2].tolist()
+    assert [m.height for m in ahc(vectors).pattern_merges] == want

@@ -1,11 +1,15 @@
 import logging
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from airdrop_forensics.eligibility import EligibilityHistory, clique_sizes
 from airdrop_forensics.forensics import (
     DetectorConfig,
     MissingExternalWindowError,
     PatternKind,
+    _maximal_cliques,
     claimant_clique_graph,
     detect_blatant,
     detect_cautious,
@@ -353,3 +357,55 @@ def test_run_detectors_end_to_end(airdrop_contract):
     replay_spokes = [p for p in g.in_neighbors(sink) if g.out_degree(p) == 1]
     assert len(replay_spokes) >= DetectorConfig().min_spokes
     assert {a for a, r in finding.members.items() if r == "source"} == set(replay_spokes)
+
+
+PROTOCOL = addr(999)
+
+
+@st.composite
+def _undirected_graphs(draw):
+    """Up to 12 nodes with random edges, some isolated nodes, and sometimes
+    two triangles sharing an edge; self-loops are dropped."""
+    nodes = [addr(i) for i in range(1, draw(st.integers(1, 12)) + 1)]
+    pair = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes))
+    edges = draw(st.lists(pair, max_size=30))
+    if len(nodes) >= 4 and draw(st.booleans()):
+        a, b, c, d = draw(st.permutations(nodes))[:4]
+        edges += [(a, b), (b, c), (c, a), (a, d), (b, d)]
+    return nodes, [(u, v) for u, v in edges if u != v]
+
+
+def _nx_graph(nodes, edges):
+    g = nx.Graph()
+    g.add_nodes_from(nodes)
+    g.add_edges_from(edges)
+    return g
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_undirected_graphs())
+def test_maximal_cliques_match_networkx(graph):
+    nodes, edges = graph
+    adj = {n: set() for n in nodes}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    want = sorted(sorted(c) for c in nx.find_cliques(_nx_graph(nodes, edges)))
+    assert _maximal_cliques(adj) == want
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_undirected_graphs(), st.data())
+def test_clique_sizes_match_networkx(graph, data):
+    """Largest clique per address over external transfers, ignoring
+    self-transfers and every edge that touches a protocol address."""
+    nodes, edges = graph
+    spokes = data.draw(st.lists(st.sampled_from(nodes), max_size=6))
+    transfers = edges + [(n, PROTOCOL) for n in spokes] + [(nodes[0], nodes[0])]
+    history = EligibilityHistory(
+        events=[ev(u, v, 1, kind=EventKind.EXTERNAL_TX) for u, v in transfers],
+        protocol_addresses=frozenset({PROTOCOL}),
+    )
+    g = _nx_graph((), edges)
+    want = {n: max(len(c) for c in nx.find_cliques(g) if n in c) for n in g}
+    assert clique_sizes(history) == want
