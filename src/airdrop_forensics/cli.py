@@ -211,6 +211,10 @@ def cmd_eligibility(config: Config, out: Path, args) -> None:
         {e.sender for e in external if e.sender not in store.contracts}
     )
     result = eligibility.run_campaign(population, history, config.eligibility.rules, snapshot)
+    if "recency_window_clipped_to" in result.summary:
+        log.warning("eligibility: the %d-day recency window reaches back before the history; "
+                    "clipped to its start %d", config.eligibility.rules.interaction_window_days,
+                    result.summary["recency_window_clipped_to"])
     eligibility.write_verdicts_csv(result, stage / "verdicts.csv")
     artifacts.write_json(result.summary, stage / "summary.json")
     log.info("eligibility: %d of %d addresses pass under preset %s",
@@ -423,7 +427,6 @@ def main(argv=None) -> int:
         ConfigInvalidError,
         MissingArtifactError,
         ingest.IngestError,
-        eligibility.InsufficientHistoryError,
         synth.InfeasibleSpecError,
         graphs.WindowEmptyError,
         clustering.TooFewPointsError,

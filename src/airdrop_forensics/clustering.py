@@ -24,6 +24,7 @@ from enum import Enum
 
 from . import artifacts
 from .flows import (
+    SPENDING_OPS,
     FeatureVector,
     OperationKind,
     WeightMismatchError,
@@ -291,13 +292,6 @@ class RoleLabel(str, Enum):
     BUYER = "buyer"
 
 
-CONSUMPTION_OPS = {
-    OperationKind.SELL,
-    OperationKind.SEND,
-    OperationKind.STAKE,
-    OperationKind.LP_ADD,
-}
-
 _ROLE_RULES: dict[frozenset, RoleLabel] = {
     frozenset({OperationKind.SELL}): RoleLabel.SPECULATOR,
     frozenset({OperationKind.SELL, OperationKind.SEND}): RoleLabel.SPECULATOR,
@@ -316,13 +310,14 @@ _ROLE_RULES: dict[frozenset, RoleLabel] = {
 def role_for_ops(ops) -> RoleLabel | None:
     """Role implied by an operation set; None when no rule matches.
 
-    Any set containing a buy is a buyer; otherwise the consumption-op
-    subset (sell/send/stake/LP) looks up the fixed rule table.
+    Any set containing a buy is a buyer; otherwise the subset of ops that
+    spend the liquid balance (sell/send/stake/LP add) looks up the fixed
+    rule table.
     """
     ops = {OperationKind(o) for o in ops}
     if OperationKind.BUY in ops:
         return RoleLabel.BUYER
-    return _ROLE_RULES.get(frozenset(ops & CONSUMPTION_OPS))
+    return _ROLE_RULES.get(frozenset(ops & SPENDING_OPS))
 
 
 @dataclass
@@ -340,7 +335,7 @@ def map_roles(
     for manual triage, not guessed."""
     cluster_ops: dict[int, set] = defaultdict(set)
     for cluster, pattern in {(c, features[a]) for a, c in assignment.labels.items()}:
-        cluster_ops[cluster] |= pattern.op_set() & (CONSUMPTION_OPS | {OperationKind.BUY})
+        cluster_ops[cluster] |= pattern.op_set() & (SPENDING_OPS | {OperationKind.BUY})
 
     cluster_roles: dict[int, RoleLabel] = {}
     unmapped: list[int] = []

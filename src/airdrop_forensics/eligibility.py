@@ -19,10 +19,6 @@ from .ingest import Address, Tier
 log = logging.getLogger(__name__)
 
 
-class InsufficientHistoryError(Exception):
-    pass
-
-
 # Native-balance floors per chain, in native units.
 DEFAULT_MIN_BALANCES = {
     "ethereum": 0.028,
@@ -95,13 +91,10 @@ class EligibilityHistory:
     balances: dict[Address, dict[str, float]] = field(default_factory=dict)
     protocol_addresses: frozenset[Address] = frozenset()
     coverage_start: int = 0
-    coverage_end: int = 0
 
     def __post_init__(self):
         if self.events and not self.coverage_start:
             self.coverage_start = min(e.timestamp for e in self.events)
-        if self.events and not self.coverage_end:
-            self.coverage_end = max(e.timestamp for e in self.events)
 
 
 class _HistoryIndex:
@@ -166,6 +159,15 @@ class EligibilityVerdict:
         ]
 
 
+def recency_window(
+    history: EligibilityHistory, rules: EligibilityRules, snapshot_ts: int
+) -> tuple[int, bool]:
+    """Start of the interaction-recency window, clipped at the start of the
+    covered history, and whether it was clipped."""
+    start = snapshot_ts - rules.interaction_window_days * 86400
+    return max(start, history.coverage_start), history.coverage_start > start
+
+
 def evaluate(
     address: Address,
     history: EligibilityHistory,
@@ -178,14 +180,12 @@ def evaluate(
 
     Eligible iff (tx count or native balance clears the floor) AND enough
     protocol interactions land inside the recency window AND the address
-    is not part of an oversized clique. The ordered rule trace is complete:
-    the verdict is exactly `all(check.passed)`.
+    is not part of an oversized clique. A recency window reaching back
+    before the history is clipped at its start, and the detail says so.
+    The ordered rule trace is complete: the verdict is exactly
+    `all(check.passed)`.
     """
-    window_start = snapshot_ts - rules.interaction_window_days * 86400
-    if history.coverage_start > window_start:
-        raise InsufficientHistoryError(
-            f"history starts at {history.coverage_start}, after window start {window_start}"
-        )
+    window_start, clipped = recency_window(history, rules, snapshot_ts)
     idx = index or _HistoryIndex(history)
 
     checks: list[RuleCheck] = []
@@ -211,7 +211,9 @@ def evaluate(
             "interaction_recency",
             interactions >= rules.min_interactions,
             f"{interactions} protocol interactions in the last "
-            f"{rules.interaction_window_days} days (min {rules.min_interactions})",
+            f"{rules.interaction_window_days} days"
+            + (f", clipped to the history start {window_start}" if clipped else "")
+            + f" (min {rules.min_interactions})",
         )
     )
 
@@ -245,7 +247,11 @@ def run_campaign(
     rules: EligibilityRules,
     snapshot_ts: int,
 ) -> CampaignResult:
-    """Evaluate the whole applicant population with shared precomputation."""
+    """Evaluate the whole applicant population with shared precomputation.
+
+    The summary names the clipped recency-window start only when the
+    window was clipped.
+    """
     index = _HistoryIndex(history)
     sizes = clique_sizes(history) if rules.max_clique is not None else {}
     verdicts = [
@@ -262,6 +268,9 @@ def run_campaign(
         "tier_counts": {str(t): tier_counts.get(t, 0) for t in sorted(tier_counts)},
         "exclusion_reasons": dict(sorted(exclusion.items())),
     }
+    window_start, clipped = recency_window(history, rules, snapshot_ts)
+    if clipped:
+        summary["recency_window_clipped_to"] = window_start
     return CampaignResult(verdicts, summary)
 
 

@@ -8,16 +8,12 @@ binary presence vector, and pairwise similarity is a weighted cosine.
 
 from __future__ import annotations
 
-import logging
-from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from math import sqrt
 
 from . import artifacts
 from .ingest import Address, ContractCategory, ContractInfo, EventKind, EventStore
-
-log = logging.getLogger(__name__)
 
 
 class OperationKind(str, Enum):
@@ -45,8 +41,35 @@ OPERATION_ORDER: tuple[OperationKind, ...] = (
 N_FEATURES = len(OPERATION_ORDER)
 _SLOT = {op: i for i, op in enumerate(OPERATION_ORDER)}
 
-# Ops that reduce the liquid balance vs. ops that grow it.
-OUTGOING_OPS = {OperationKind.SELL, OperationKind.LP_ADD, OperationKind.STAKE, OperationKind.SEND}
+# The one accounting rule: how each operation moves a member's tokens, as
+# (source, destination) positions. None is outside the member's books.
+MOVES: dict[OperationKind, tuple[str | None, str | None]] = {
+    OperationKind.BUY: (None, "balance"),
+    OperationKind.SELL: ("balance", None),
+    OperationKind.LP_ADD: ("balance", "lp"),
+    OperationKind.LP_REMOVE: ("lp", "balance"),
+    OperationKind.STAKE: ("balance", "staked"),
+    OperationKind.UNSTAKE: ("staked", "balance"),
+    OperationKind.SEND: ("balance", None),
+    OperationKind.RECEIVE: (None, "balance"),
+}
+# Ops that spend the liquid balance.
+SPENDING_OPS = frozenset(op for op, (source, _) in MOVES.items() if source == "balance")
+# How an exclusion reason names what a source position holds.
+_HOLDS = {"balance": "held", "staked": "staked", "lp": "provided"}
+
+# Contract category -> (op when the member pays the contract, op when it
+# pays the member). CEX deposits and withdrawals count as trading: members
+# cash out through centralized venues just as through swap pools. Ambiguous
+# trading-or-LP pools count as trading too.
+_CATEGORY_OPS = {
+    ContractCategory.TRADING_SWAP: (OperationKind.SELL, OperationKind.BUY),
+    ContractCategory.TRADING_OR_LP: (OperationKind.SELL, OperationKind.BUY),
+    ContractCategory.CEX: (OperationKind.SELL, OperationKind.BUY),
+    ContractCategory.STAKING: (OperationKind.STAKE, OperationKind.UNSTAKE),
+    ContractCategory.LIQUIDITY_POOL: (OperationKind.LP_ADD, OperationKind.LP_REMOVE),
+}
+_TRANSFER_OPS = (OperationKind.SEND, OperationKind.RECEIVE)
 
 
 class WeightMismatchError(ValueError):
@@ -54,57 +77,30 @@ class WeightMismatchError(ValueError):
 
 
 def classify_event(
-    event,
-    subject: Address,
-    contracts: dict[Address, ContractInfo],
-    trading_or_lp: str = "trading",
-) -> tuple[OperationKind, str | None]:
+    event, subject: Address, contracts: dict[Address, ContractInfo]
+) -> OperationKind:
     """Map one token event of `subject` to an operation kind.
 
-    Returns (op, note). The note flags judgment calls: ambiguous
-    trading-or-LP pools resolved by config, and contract-initiated events
-    whose counterparty is missing from the dictionary (classified as a
-    plain transfer by direction).
+    A counterparty missing from the dictionary, an airdrop contract (its
+    payout is flagged as the claim by build_flows) or an Other-category
+    contract is a plain transfer by direction.
     """
     outgoing = event.sender == subject
-    counterparty = event.receiver if outgoing else event.sender
-    info = contracts.get(counterparty)
-    if info is None:
-        if event.kind == EventKind.INTERNAL_TX and not outgoing:
-            # Contract-initiated payout from an address we cannot name.
-            return (
-                OperationKind.RECEIVE,
-                f"unknown_contract:{counterparty}",
-            )
-        return (OperationKind.SEND if outgoing else OperationKind.RECEIVE, None)
-
-    cat = info.category
-    if cat == ContractCategory.TRADING_OR_LP:
-        resolved = ContractCategory.TRADING_SWAP if trading_or_lp == "trading" else ContractCategory.LIQUIDITY_POOL
-        note = f"ambiguous_trading_or_lp:{counterparty}"
-        cat = resolved
-    else:
-        note = None
-
-    if cat in (ContractCategory.TRADING_SWAP, ContractCategory.CEX):
-        # CEX deposits/withdrawals count as trading: members cash out
-        # through centralized venues just as they do through swap pools.
-        return (OperationKind.SELL if outgoing else OperationKind.BUY, note)
-    if cat == ContractCategory.STAKING:
-        return (OperationKind.STAKE if outgoing else OperationKind.UNSTAKE, note)
-    if cat == ContractCategory.LIQUIDITY_POOL:
-        return (OperationKind.LP_ADD if outgoing else OperationKind.LP_REMOVE, note)
-    # Airdrop payouts are receives (flagged as the claim by build_flow);
-    # Other-category contracts behave like plain counterparties.
-    return (OperationKind.SEND if outgoing else OperationKind.RECEIVE, note)
+    info = contracts.get(event.receiver if outgoing else event.sender)
+    pay, paid = _CATEGORY_OPS.get(info.category, _TRANSFER_OPS) if info else _TRANSFER_OPS
+    return pay if outgoing else paid
 
 
 @dataclass(frozen=True, slots=True)
 class FlowEvent:
+    """One applied event, with the member's three positions after it."""
+
     op: OperationKind
     counterparty: Address
     amount: int
     balance_after: int
+    staked_after: int
+    lp_after: int
     timestamp: int
     is_claim: bool = False
 
@@ -116,99 +112,55 @@ class TransactionFlow:
     balance: int = 0
     staked: int = 0
     lp: int = 0
-    notes: list[str] = field(default_factory=list)
     excluded: list[tuple[int, str]] = field(default_factory=list)  # (ts, reason)
 
 
 def _apply(flow: TransactionFlow, op: OperationKind, amount: int, ts: int) -> bool:
-    """Mutate positions for one event; False means the books would go
-    negative and the event must be excluded, not clamped."""
-    if op in (OperationKind.RECEIVE, OperationKind.BUY):
-        flow.balance += amount
-    elif op in (OperationKind.SELL, OperationKind.SEND):
-        if flow.balance < amount:
-            flow.excluded.append((ts, f"negative balance: {op.value} {amount} with {flow.balance} held"))
+    """Move `amount` as MOVES says; False means the source position would
+    go negative and the event must be excluded, not clamped."""
+    source, destination = MOVES[op]
+    if source is not None:
+        have = getattr(flow, source)
+        if have < amount:
+            flow.excluded.append(
+                (ts, f"negative balance: {op.value} {amount} with {have} {_HOLDS[source]}")
+            )
             return False
-        flow.balance -= amount
-    elif op == OperationKind.STAKE:
-        if flow.balance < amount:
-            flow.excluded.append((ts, f"negative balance: stake {amount} with {flow.balance} held"))
-            return False
-        flow.balance -= amount
-        flow.staked += amount
-    elif op == OperationKind.UNSTAKE:
-        if flow.staked < amount:
-            flow.excluded.append((ts, f"negative balance: unstake {amount} with {flow.staked} staked"))
-            return False
-        flow.staked -= amount
-        flow.balance += amount
-    elif op == OperationKind.LP_ADD:
-        if flow.balance < amount:
-            flow.excluded.append((ts, f"negative balance: lp_add {amount} with {flow.balance} held"))
-            return False
-        flow.balance -= amount
-        flow.lp += amount
-    elif op == OperationKind.LP_REMOVE:
-        if flow.lp < amount:
-            flow.excluded.append((ts, f"negative balance: lp_remove {amount} with {flow.lp} provided"))
-            return False
-        flow.lp -= amount
-        flow.balance += amount
+        setattr(flow, source, have - amount)
+    if destination is not None:
+        setattr(flow, destination, getattr(flow, destination) + amount)
     return True
 
 
-def build_flow(
-    address: Address,
-    store: EventStore,
-    events=None,
-    trading_or_lp: str = "trading",
-) -> TransactionFlow:
-    """Reconstruct the ordered operation flow of one address.
+def build_flows(store: EventStore, addresses) -> dict[Address, TransactionFlow]:
+    """Reconstruct the ordered operation flow of each address in one pass
+    over the store's token transfers.
 
-    Balance starts at zero; any event that would push a position negative
-    is excluded and logged (inconsistent input). Receives from
+    Positions start at zero; any event that would push one negative is
+    excluded and logged (inconsistent input). Receives from
     airdrop-category contracts are flagged as claim receipts.
     """
-    if events is None:
-        events = [
-            e
-            for e in store.events_of_kind(EventKind.TOKEN_TRANSFER)
-            if address in (e.sender, e.receiver)
-        ]
-    flow = TransactionFlow(address)
-    for ev in events:
-        op, note = classify_event(ev, address, store.contracts, trading_or_lp)
-        if note:
-            flow.notes.append(note)
-        incoming = ev.receiver == address
-        info = store.contracts.get(ev.sender) if incoming else None
-        is_claim = bool(incoming and info and info.category == ContractCategory.AIRDROP)
-        if not _apply(flow, op, ev.value, ev.timestamp):
-            continue
-        counterparty = ev.sender if incoming else ev.receiver
-        flow.events.append(
-            FlowEvent(op, counterparty, ev.value, flow.balance, ev.timestamp, is_claim)
-        )
-    return flow
-
-
-def build_flows(
-    store: EventStore,
-    addresses=None,
-    trading_or_lp: str = "trading",
-) -> dict[Address, TransactionFlow]:
-    """Flow reconstruction for many addresses in one pass over the store."""
-    by_addr: dict[Address, list] = defaultdict(list)
+    by_addr: dict[Address, list] = {address: [] for address in addresses}
     for ev in store.events_of_kind(EventKind.TOKEN_TRANSFER):
-        by_addr[ev.sender].append(ev)
-        if ev.receiver != ev.sender:
+        if ev.sender in by_addr:
+            by_addr[ev.sender].append(ev)
+        if ev.receiver != ev.sender and ev.receiver in by_addr:
             by_addr[ev.receiver].append(ev)
-    if addresses is None:
-        addresses = sorted(by_addr)
-    return {
-        addr: build_flow(addr, store, by_addr.get(addr, []), trading_or_lp)
-        for addr in addresses
-    }
+    flows: dict[Address, TransactionFlow] = {}
+    for address, events in by_addr.items():
+        flow = flows[address] = TransactionFlow(address)
+        for ev in events:
+            op = classify_event(ev, address, store.contracts)
+            if not _apply(flow, op, ev.value, ev.timestamp):
+                continue
+            incoming = ev.receiver == address
+            info = store.contracts.get(ev.sender) if incoming else None
+            flow.events.append(FlowEvent(
+                op, ev.sender if incoming else ev.receiver, ev.value,
+                flow.balance, flow.staked, flow.lp, ev.timestamp,
+                bool(info and info.category == ContractCategory.AIRDROP),
+            ))
+    return flows
 
 
 UNIFORM_WEIGHTS: tuple[float, ...] = (1.0,) * N_FEATURES

@@ -198,7 +198,8 @@ def iter_slices(
     """Grow one graph over the sorted events and yield it at every cutoff.
 
     Cutoffs are start + k * interval for k >= 1, plus a final cutoff at
-    `end` when the window does not divide evenly. Each slice contains all
+    `end` when the window does not divide evenly, so a one-instant window
+    (start == end) has the one cutoff `end`. Each slice contains all
     events with timestamp <= cutoff, added in store order, so node and edge
     sets are monotone across slices and each graph equals a from-scratch
     build of its events. The yielded graph is live: the next step extends
@@ -211,8 +212,8 @@ def iter_slices(
         start = bounds[0] if bounds else (events[0].timestamp if events else 0)
     if end is None:
         end = bounds[1] if bounds else (events[-1].timestamp if events else 0)
-    if start >= end:
-        raise ValueError("window start must precede end")
+    if start > end:
+        raise ValueError("window start must not follow end")
     in_window = [e for e in events if start <= e.timestamp <= end]
     if not in_window:
         raise WindowEmptyError(f"no {kind.value} events in [{start}, {end}]")

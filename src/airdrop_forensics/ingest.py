@@ -143,7 +143,7 @@ class ClaimRecord:
     claim_timestamp: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, order=True)
 class MalformedRow:
     line: int
     reason: str
@@ -176,18 +176,42 @@ def _date_ts(iso_day: str) -> int:
 TRANSFER_COLUMNS = ("tx_hash", "from", "to", "value", "timestamp", "block")
 
 
-def _iter_rows(path) -> tuple[list[tuple[int, dict]], bool]:
-    """Read CSV-with-header or JSONL rows as (line_no, dict) pairs."""
+def _iter_rows(path, columns=()) -> tuple[list[tuple[int, dict[str, str]]], list[MalformedRow]]:
+    """Read CSV-with-header or JSONL rows as (line_no, row) pairs.
+
+    Every row maps column names to strings, as a CSV row does: a short CSV
+    row's missing cells are empty, and a JSONL value becomes its text. A
+    JSONL line that is not a JSON object is a malformed row. A CSV file
+    with rows must have every one of `columns` in its header.
+    """
     path = Path(path)
+    errors: list[MalformedRow] = []
     try:
         # newline="": a line ends only at \n, \r or \r\n, as in the csv module
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            if path.suffix == ".jsonl":
-                return [(i, line) for i, line in enumerate(fh, start=1) if line.strip()], True
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
-                raise IngestError(f"{path}: empty file, missing header")
-            return [(i, row) for i, row in enumerate(reader, start=2)], False
+            if path.suffix != ".jsonl":
+                reader = csv.DictReader(fh, restval="")
+                if reader.fieldnames is None:
+                    raise IngestError(f"{path}: empty file, missing header")
+                rows = list(enumerate(reader, start=2))
+                missing = [c for c in columns if c not in reader.fieldnames]
+                if rows and missing:
+                    raise IngestError(f"{path}: header missing columns {missing}")
+                return rows, errors
+            rows = []
+            for line_no, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    row = json.loads(line)
+                    if not isinstance(row, dict):
+                        raise ValueError("JSONL row is not an object")
+                except ValueError as exc:
+                    errors.append(MalformedRow(line_no, str(exc)))
+                    continue
+                # the text a CSV cell would hold; null is an empty cell
+                rows.append((line_no, {k: "" if v is None else str(v) for k, v in row.items()}))
+            return rows, errors
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise IngestError(f"cannot read {path} as UTF-8 CSV or JSONL: {exc}") from exc
 
@@ -196,19 +220,19 @@ def _parse_transfer_row(row: dict, kind: EventKind, allow_self: bool) -> Transfe
     tx_hash = normalize_tx_hash(row["tx_hash"])
     sender = normalize_address(row["from"])
     receiver = normalize_address(row["to"])
-    value = int(str(row["value"]).strip())
+    value = int(row["value"].strip())
     if value < 0:
         raise ValueError(f"negative value {value}")
-    timestamp = int(str(row["timestamp"]).strip())
-    block = int(str(row["block"]).strip())
+    timestamp = int(row["timestamp"].strip())
+    block = int(row["block"].strip())
     if block < 0:
         raise ValueError(f"negative block {block}")
     if sender == receiver and not allow_self:
         raise ValueError("self-transfer not allowed by config")
-    log_index = int(str(row.get("log_index") or 0).strip())
+    log_index = int((row.get("log_index") or "0").strip())
     row_kind = row.get("kind")
     if row_kind:
-        kind = EventKind(str(row_kind).strip())
+        kind = EventKind(row_kind.strip())
     return TransferEvent(tx_hash, sender, receiver, value, timestamp, block, kind, log_index)
 
 
@@ -224,43 +248,30 @@ def parse_transfers(
     their line number, never silently dropped. Only an unreadable file or a
     missing header raises.
     """
-    rows, is_jsonl = _iter_rows(path)
-    if not is_jsonl and rows:
-        first = rows[0][1]
-        missing = [c for c in TRANSFER_COLUMNS if c not in first]
-        if missing:
-            raise IngestError(f"{path}: header missing columns {missing}")
+    rows, errors = _iter_rows(path, TRANSFER_COLUMNS)
     events: list[TransferEvent] = []
-    errors: list[MalformedRow] = []
     for line_no, row in rows:
         try:
-            if is_jsonl:
-                row = json.loads(row)
-                if not isinstance(row, dict):
-                    raise ValueError("JSONL row is not an object")
-            missing = [c for c in TRANSFER_COLUMNS if c not in row or row[c] in (None, "")]
+            missing = [c for c in TRANSFER_COLUMNS if not row.get(c)]
             if missing:
                 raise ValueError(f"missing fields {missing}")
             events.append(_parse_transfer_row(row, kind, allow_self_transfers))
         except (ValueError, KeyError) as exc:
             errors.append(MalformedRow(line_no, str(exc)))
     events.sort(key=lambda e: e.sort_key)
-    return events, errors
+    return events, sorted(errors)
 
 
 def parse_contracts(path) -> tuple[list[ContractInfo], list[MalformedRow]]:
     """Parse the contract dictionary CSV (address,name,category)."""
-    rows, is_jsonl = _iter_rows(path)
+    rows, errors = _iter_rows(path)
     contracts: list[ContractInfo] = []
-    errors: list[MalformedRow] = []
     seen: set[Address] = set()
     for line_no, row in rows:
         try:
-            if is_jsonl:
-                row = json.loads(row)
             address = normalize_address(row["address"])
-            name = str(row["name"]).strip()
-            category = _CATEGORY_LOOKUP.get(str(row["category"]).strip().lower())
+            name = row["name"].strip()
+            category = _CATEGORY_LOOKUP.get(row["category"].strip().lower())
             if category is None:
                 raise ValueError(f"unknown category {row['category']!r}")
             if address in seen:
@@ -270,7 +281,7 @@ def parse_contracts(path) -> tuple[list[ContractInfo], list[MalformedRow]]:
         except (ValueError, KeyError) as exc:
             errors.append(MalformedRow(line_no, str(exc)))
     contracts.sort(key=lambda c: c.address)
-    return contracts, errors
+    return contracts, sorted(errors)
 
 
 def parse_claims(path) -> tuple[list[ClaimRecord], list[MalformedRow]]:
@@ -280,26 +291,23 @@ def parse_claims(path) -> tuple[list[ClaimRecord], list[MalformedRow]]:
     are malformed rows. Duplicate addresses surface later, when
     build_event_store assembles the claim map.
     """
-    rows, is_jsonl = _iter_rows(path)
+    rows, errors = _iter_rows(path)
     claims: list[ClaimRecord] = []
-    errors: list[MalformedRow] = []
     for line_no, row in rows:
         try:
-            if is_jsonl:
-                row = json.loads(row)
             address = normalize_address(row["address"])
-            tier = Tier(int(str(row["tier"]).strip()))
-            amount = int(str(row["amount"]).strip())
+            tier = Tier(int(row["tier"].strip()))
+            amount = int(row["amount"].strip())
             if amount != tier.amount:
                 raise ValueError(
                     f"amount {amount} does not match tier face value {tier.amount}"
                 )
-            timestamp = int(str(row["timestamp"]).strip())
+            timestamp = int(row["timestamp"].strip())
             claims.append(ClaimRecord(address, tier, amount, timestamp))
         except (ValueError, KeyError) as exc:
             errors.append(MalformedRow(line_no, str(exc)))
     claims.sort(key=lambda c: c.address)
-    return claims, errors
+    return claims, sorted(errors)
 
 
 @dataclass

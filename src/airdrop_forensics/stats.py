@@ -92,37 +92,22 @@ class HoldingTimeline:
 
 
 def build_timeline(flow: TransactionFlow, start_ts: int, end_ts: int) -> HoldingTimeline:
+    """Each day's positions are those after the last flow event at or
+    before the day's end, all zero before the first event."""
     days = (end_ts - start_ts) // 86400 + 1
     balance = [0] * days
     staked = [0] * days
     lp = [0] * days
-    bal = stk = lpv = 0
-    events = iter(flow.events)
-    ev = next(events, None)
-    for day in range(days):
-        day_end = start_ts + (day + 1) * 86400 - 1
-        while ev is not None and ev.timestamp <= day_end:
-            op = ev.op
-            if op in (OperationKind.RECEIVE, OperationKind.BUY):
-                bal += ev.amount
-            elif op in (OperationKind.SELL, OperationKind.SEND):
-                bal -= ev.amount
-            elif op == OperationKind.STAKE:
-                bal -= ev.amount
-                stk += ev.amount
-            elif op == OperationKind.UNSTAKE:
-                stk -= ev.amount
-                bal += ev.amount
-            elif op == OperationKind.LP_ADD:
-                bal -= ev.amount
-                lpv += ev.amount
-            elif op == OperationKind.LP_REMOVE:
-                lpv -= ev.amount
-                bal += ev.amount
-            ev = next(events, None)
-        balance[day] = bal
-        staked[day] = stk
-        lp[day] = lpv
+    # first[i]: the first day whose end event i precedes; the event's
+    # positions hold from that day until the next event's first day.
+    first = [min(max(0, (ev.timestamp - start_ts) // 86400), days) for ev in flow.events]
+    first.append(days)
+    for i, ev in enumerate(flow.events):
+        lo, hi = first[i], first[i + 1]
+        if lo < hi:
+            balance[lo:hi] = [ev.balance_after] * (hi - lo)
+            staked[lo:hi] = [ev.staked_after] * (hi - lo)
+            lp[lo:hi] = [ev.lp_after] * (hi - lo)
     return HoldingTimeline(flow.address, start_ts, balance, staked, lp)
 
 

@@ -41,6 +41,7 @@ from .ingest import (
     write_transfers_csv,
     _date_ts,
 )
+from .stats import ACTION_OPS
 
 log = logging.getLogger(__name__)
 
@@ -602,15 +603,11 @@ def generate(spec: ScenarioSpec, validate: bool = True) -> Scenario:
     for rec in b.claims:
         tier_counts[str(rec.tier.value)] = tier_counts.get(str(rec.tier.value), 0) + 1
     action_counts: dict[str, dict[str, int]] = {str(t.value): {} for t in Tier}
-    action_ops = {
-        "selling": "sell", "buying": "buy", "staking": "stake",
-        "sending": "send", "receiving": "receive", "lp": "lp_add",
-    }
     for rec in b.claims:
         ops = set(b.truth.ops_of.get(rec.address, ()))
         bucket = action_counts[str(rec.tier.value)]
-        for action, op in action_ops.items():
-            if op in ops:
+        for action, op in ACTION_OPS.items():
+            if op.value in ops:
                 bucket[action] = bucket.get(action, 0) + 1
     signature_counts: dict[str, int] = {}
     for sig in b.truth.signature_of.values():
@@ -869,7 +866,6 @@ def eligibility_scenario(seed: int) -> tuple[EligibilityHistory, list[Address], 
         balances=balances,
         protocol_addresses=frozenset({protocol}),
         coverage_start=coverage_start,
-        coverage_end=snapshot,
     )
     meta = {"snapshot": snapshot, "expectations": expectations,
             "protocol": protocol}
@@ -907,6 +903,5 @@ def tier_quota_history(
         balances=balances,
         protocol_addresses=frozenset({protocol}),
         coverage_start=coverage_start,
-        coverage_end=snapshot,
     )
     return history, sorted(population), {"snapshot": snapshot, "protocol": protocol}

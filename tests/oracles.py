@@ -6,8 +6,9 @@ agreement is meaningful. Big-O does not matter here; clarity does.
 """
 
 import math
+from types import SimpleNamespace
 
-from airdrop_forensics.flows import weighted_cosine_distance
+from airdrop_forensics.flows import OperationKind, weighted_cosine_distance
 
 
 def oracle_reciprocity(edges) -> float:
@@ -176,3 +177,57 @@ def random_digraph(rng, max_n=50, p=None):
             if u != v and rng.random() < p:
                 edges.append((u, v))
     return nodes, edges
+
+
+def naive_apply(flow, op, amount: int, ts: int) -> bool:
+    """One branch per operation over `flow.balance`, `.staked`, `.lp` and
+    `.excluded`; False (and an exclusion reason) when a position would go
+    negative."""
+    if op in (OperationKind.RECEIVE, OperationKind.BUY):
+        flow.balance += amount
+    elif op in (OperationKind.SELL, OperationKind.SEND):
+        if flow.balance < amount:
+            flow.excluded.append((ts, f"negative balance: {op.value} {amount} with {flow.balance} held"))
+            return False
+        flow.balance -= amount
+    elif op == OperationKind.STAKE:
+        if flow.balance < amount:
+            flow.excluded.append((ts, f"negative balance: stake {amount} with {flow.balance} held"))
+            return False
+        flow.balance -= amount
+        flow.staked += amount
+    elif op == OperationKind.UNSTAKE:
+        if flow.staked < amount:
+            flow.excluded.append((ts, f"negative balance: unstake {amount} with {flow.staked} staked"))
+            return False
+        flow.staked -= amount
+        flow.balance += amount
+    elif op == OperationKind.LP_ADD:
+        if flow.balance < amount:
+            flow.excluded.append((ts, f"negative balance: lp_add {amount} with {flow.balance} held"))
+            return False
+        flow.balance -= amount
+        flow.lp += amount
+    elif op == OperationKind.LP_REMOVE:
+        if flow.lp < amount:
+            flow.excluded.append((ts, f"negative balance: lp_remove {amount} with {flow.lp} provided"))
+            return False
+        flow.lp -= amount
+        flow.balance += amount
+    return True
+
+
+def naive_timeline(applied, start_ts: int, end_ts: int):
+    """End-of-day (balance, staked, lp) lists replayed from zero over the
+    applied (op, amount, timestamp) events in order."""
+    days = (end_ts - start_ts) // 86400 + 1
+    state = SimpleNamespace(balance=0, staked=0, lp=0, excluded=[])
+    series = ([], [], [])
+    pending = list(applied)
+    for day in range(days):
+        day_end = start_ts + (day + 1) * 86400 - 1
+        while pending and pending[0][2] <= day_end:
+            assert naive_apply(state, *pending.pop(0))
+        for values, value in zip(series, (state.balance, state.staked, state.lp)):
+            values.append(value)
+    return series

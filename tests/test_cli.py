@@ -183,6 +183,44 @@ def test_seed_override_changes_artifacts(tmp_path):
     assert (tmp_path / "out" / "synth" / "claims.csv").read_bytes() != first
 
 
+def test_empty_config_runs_every_stage(tmp_path, monkeypatch, caplog):
+    """The default config runs all eight stages on its own synth output. Its
+    183-day recency window reaches back before the synth history, so
+    eligibility clips it at the history start, says so in its summary and
+    warns once."""
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text("{}")
+    for command in PIPELINE:
+        assert run(command, config) == 0, command
+    summary = json.loads((tmp_path / "out" / "eligibility" / "summary.json").read_text())
+    assert summary["recency_window_clipped_to"] == ingest.IngestConfig().window_bounds()[0]
+    warnings = [r for r in caplog.records if "recency window" in r.getMessage()]
+    assert len(warnings) == 1 and warnings[0].levelname == "WARNING"
+
+
+def test_graph_on_a_one_instant_history(ingested, tmp_path):
+    """With no study window, token transfers that all share one timestamp
+    give one slice, at that instant."""
+    synth_dir = ingested / "out" / "synth"
+    lines = (synth_dir / "token_transfers.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    for cells in rows:
+        cells[4] = "1637000000"
+    token = tmp_path / "token_transfers.csv"
+    token.write_text("\n".join([lines[0], *(",".join(cells) for cells in rows)]) + "\n")
+    inputs = {"token_transfers": str(token),
+              "external_txs": str(synth_dir / "external_txs.csv"),
+              "contracts": str(synth_dir / "contracts.csv"),
+              "claims": str(synth_dir / "claims.csv")}
+    config = write_config(tmp_path, out_name="instant", inputs=inputs,
+                          window={"start": None, "end": None})
+    assert run("ingest", config) == 0
+    assert run("graph", config) == 0
+    series = json.loads((tmp_path / "instant" / "graph" / "metric_series.json").read_text())
+    assert len(series) == 1 and series[0]["cutoff_ts"] == 1637000000
+
+
 def test_dot_export_format(tmp_path):
     config = write_config(tmp_path)
     assert run("synth", config) == 0

@@ -5,7 +5,6 @@ import pytest
 from airdrop_forensics.eligibility import (
     EligibilityHistory,
     EligibilityRules,
-    InsufficientHistoryError,
     clique_sizes,
     evaluate,
     run_campaign,
@@ -147,11 +146,24 @@ def test_monotonicity_adding_interactions_never_hurts():
     assert v1.eligible  # 46 interactions comfortably clear every gate
 
 
-def test_insufficient_history_raises():
+def test_recency_window_clipped_at_history_start():
     subject = addr(5)
-    h = history(interactions(subject, 8), coverage_start=SNAPSHOT - 10 * DAY)
-    with pytest.raises(InsufficientHistoryError):
-        evaluate(subject, h, EligibilityRules(), SNAPSHOT)
+    start = SNAPSHOT - 10 * DAY
+    h = history(interactions(subject, 8, start=SNAPSHOT - 5 * DAY), coverage_start=start)
+    verdict = evaluate(subject, h, EligibilityRules(min_tx_count=0), SNAPSHOT)
+    assert verdict.eligible
+    recency = verdict.reasons[1]
+    assert recency.rule == "interaction_recency" and recency.passed
+    assert recency.detail == (
+        f"8 protocol interactions in the last 183 days, clipped to the history start {start} "
+        "(min 6)"
+    )
+    summary = run_campaign([subject], h, EligibilityRules(min_tx_count=0), SNAPSHOT).summary
+    assert summary["recency_window_clipped_to"] == start
+    # A window inside the history is not clipped, and the summary has no key for it.
+    inside = EligibilityRules(min_tx_count=0, interaction_window_days=10)
+    assert "clipped" not in evaluate(subject, h, inside, SNAPSHOT).reasons[1].detail
+    assert "recency_window_clipped_to" not in run_campaign([subject], h, inside, SNAPSHOT).summary
 
 
 def test_fair_preset_admits_every_interacting_address():

@@ -109,7 +109,24 @@ def test_mutated_config_never_exits_2(pipeline, stage, mutations):
         assert_exit_0_or_1(stage, config, out)
 
 
+def to_jsonl(data: bytes, how: str, row: int, column: int) -> bytes:
+    """The CSV export as JSONL, with one line replaced by a JSON array
+    (`jsonl_array`) or one cell written as a JSON number (`jsonl_number`):
+    an integer cell as itself, any other as 5."""
+    rows = list(csv.DictReader(io.StringIO(data.decode())))
+    r = row % len(rows)
+    if how == "jsonl_number":
+        key = sorted(rows[r])[column % len(rows[r])]
+        rows[r][key] = int(rows[r][key]) if rows[r][key].isdigit() else 5
+    lines = [json.dumps(cells) for cells in rows]
+    if how == "jsonl_array":
+        lines[r] = "[1, 2]"
+    return ("\n".join(lines) + "\n").encode()
+
+
 def mutate_csv(data: bytes, how: str, row: int, column: int) -> bytes:
+    if how.startswith("jsonl"):
+        return to_jsonl(data, how, row, column)
     if how == "empty":
         return b""
     if how == "bom":
@@ -139,10 +156,12 @@ def mutate_csv(data: bytes, how: str, row: int, column: int) -> bytes:
 @settings(_PROPERTY, max_examples=40)
 @given(name=st.sampled_from(RAW_INPUTS + ["balances"]),
        how=st.sampled_from(["empty", "bom", "crlf", "non_utf8", "drop_column", "blank_cell",
-                            "bad_hex", "duplicate_row"]),
+                            "bad_hex", "duplicate_row", "jsonl_array", "jsonl_number"]),
        row=st.integers(0, 300), column=st.integers(0, 7))
 @example(name="claims", how="non_utf8", row=3, column=0)
 @example(name="balances", how="drop_column", row=0, column=1)
+@example(name="token_transfers", how="jsonl_number", row=0, column=6)  # "tx_hash": 5
+@example(name="contracts", how="jsonl_array", row=0, column=0)
 def test_mutated_inputs_never_exit_2(pipeline, name, how, row, column):
     """Ingest on a mutated raw export, or eligibility on a mutated balances file."""
     sources = {n: pipeline / "out" / "synth" / f"{n}.csv" for n in RAW_INPUTS}
@@ -150,7 +169,8 @@ def test_mutated_inputs_never_exit_2(pipeline, name, how, row, column):
     with tempfile.TemporaryDirectory() as tmp:
         inputs = {}
         for n, source in sources.items():
-            inputs[n] = str(Path(tmp) / source.name)
+            suffix = ".jsonl" if n == name and how.startswith("jsonl") else source.suffix
+            inputs[n] = str(Path(tmp) / source.with_suffix(suffix).name)
             data = source.read_bytes()
             Path(inputs[n]).write_bytes(mutate_csv(data, how, row, column) if n == name else data)
         out = Path(tmp) / "out"

@@ -1,23 +1,26 @@
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from airdrop_forensics.flows import (
     FeatureVector,
     OperationKind,
     UNIFORM_WEIGHTS,
     WeightMismatchError,
-    build_flow,
     build_flows,
     classify_event,
     extract_features,
     weighted_cosine_distance,
     write_feature_matrix,
 )
-from airdrop_forensics.ingest import ContractCategory, EventKind, Tier
+from airdrop_forensics.ingest import ContractCategory, EventKind, IngestConfig, Tier
+from airdrop_forensics.stats import build_timeline
 
 from conftest import WINDOW_START, addr, claim, contract, ev, make_store
+from oracles import naive_apply, naive_timeline
 
 T = WINDOW_START + 86400
 
@@ -29,46 +32,39 @@ def vec(*ops, weights=UNIFORM_WEIGHTS):
 class TestClassify:
     def test_staking_pool_transfer_is_stake(self, staking_contract):
         subject = addr(1)
-        op, note = classify_event(
+        op = classify_event(
             ev(subject, staking_contract.address, 10),
             subject,
             {staking_contract.address: staking_contract},
         )
-        assert op == OperationKind.STAKE and note is None
+        assert op == OperationKind.STAKE
 
     def test_plain_counterparty_is_send(self):
         subject = addr(1)
-        op, _ = classify_event(ev(subject, addr(2), 10), subject, {})
+        op = classify_event(ev(subject, addr(2), 10), subject, {})
         assert op == OperationKind.SEND
-        op, _ = classify_event(ev(addr(2), subject, 10), subject, {})
+        op = classify_event(ev(addr(2), subject, 10), subject, {})
         assert op == OperationKind.RECEIVE
 
-    def test_trading_or_lp_outgoing_defaults_to_sell_and_is_flagged(self):
+    def test_trading_or_lp_outgoing_counts_as_sell(self):
         pool = contract(addr(9), "amm pool v3", ContractCategory.TRADING_OR_LP)
         subject = addr(1)
-        op, note = classify_event(
+        op = classify_event(
             ev(subject, pool.address, 10), subject, {pool.address: pool}
         )
         assert op == OperationKind.SELL
-        assert note and note.startswith("ambiguous_trading_or_lp")
-        op, _ = classify_event(
-            ev(subject, pool.address, 10), subject, {pool.address: pool},
-            trading_or_lp="lp",
-        )
-        assert op == OperationKind.LP_ADD
 
     def test_unknown_contract_falls_back_to_transfer(self):
         subject = addr(1)
-        op, note = classify_event(
+        op = classify_event(
             ev(addr(7), subject, 10, kind=EventKind.INTERNAL_TX), subject, {}
         )
         assert op == OperationKind.RECEIVE
-        assert note and note.startswith("unknown_contract")
 
     def test_cex_counts_as_trading(self):
         cex = contract(addr(8), "cex hot wallet", ContractCategory.CEX)
         subject = addr(1)
-        op, _ = classify_event(ev(subject, cex.address, 10), subject, {cex.address: cex})
+        op = classify_event(ev(subject, cex.address, 10), subject, {cex.address: cex})
         assert op == OperationKind.SELL
 
 
@@ -85,7 +81,7 @@ class TestBuildFlow:
             contracts=[airdrop_contract, router_contract],
             claims=[claim(member, ts=T)],
         )
-        flow = build_flow(member, store)
+        flow = build_flows(store, [member])[member]
         assert [e.op for e in flow.events] == [OperationKind.RECEIVE, OperationKind.SELL]
         assert [e.balance_after for e in flow.events] == [amount, 0]
         assert flow.events[0].is_claim
@@ -103,7 +99,7 @@ class TestBuildFlow:
             contracts=[airdrop_contract, staking_contract],
             claims=[claim(member, Tier.T7800, ts=T)],
         )
-        flow = build_flow(member, store)
+        flow = build_flows(store, [member])[member]
         assert flow.balance == 0
         assert flow.staked == amount
 
@@ -111,7 +107,7 @@ class TestBuildFlow:
         member = addr(1)
         events = [ev(member, router_contract.address, 99, ts=T)]
         store = make_store(events, contracts=[router_contract])
-        flow = build_flow(member, store)
+        flow = build_flows(store, [member])[member]
         assert flow.events == []
         assert len(flow.excluded) == 1
         assert flow.excluded[0][0] == T and "negative balance" in flow.excluded[0][1]
@@ -126,9 +122,81 @@ class TestBuildFlow:
             events, contracts=[airdrop_contract, staking_contract],
             claims=[claim(member, ts=T)],
         )
-        flow = build_flow(member, store)
+        flow = build_flows(store, [member])[member]
         assert [e.op for e in flow.events] == [OperationKind.RECEIVE]
         assert flow.excluded
+
+
+DAY = 86400
+MEMBER = addr(1)
+# Per operation, (counterparties that yield it, whether the member pays).
+_OP_ROUTES = {
+    OperationKind.BUY: ([addr(9002), addr(9005), addr(9006)], False),
+    OperationKind.SELL: ([addr(9002), addr(9005), addr(9006)], True),
+    OperationKind.STAKE: ([addr(9003)], True),
+    OperationKind.UNSTAKE: ([addr(9003)], False),
+    OperationKind.LP_ADD: ([addr(9004)], True),
+    OperationKind.LP_REMOVE: ([addr(9004)], False),
+    OperationKind.SEND: ([addr(2), addr(3)], True),
+    OperationKind.RECEIVE: ([addr(2), addr(9001)], False),
+}
+_LEDGER_CONTRACTS = [
+    contract(addr(9001), "airdrop distributor", ContractCategory.AIRDROP),
+    contract(addr(9002), "dex router", ContractCategory.TRADING_SWAP),
+    contract(addr(9003), "staking pool", ContractCategory.STAKING),
+    contract(addr(9004), "lp pool", ContractCategory.LIQUIDITY_POOL),
+    contract(addr(9005), "amm pool", ContractCategory.TRADING_OR_LP),
+    contract(addr(9006), "cex hot wallet", ContractCategory.CEX),
+]
+
+
+# Seconds into a day, often its first or last second.
+_SECOND = st.one_of(st.sampled_from([0, DAY - 1]), st.integers(0, DAY - 1))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(
+    steps=st.lists(
+        st.tuples(st.sampled_from(list(OperationKind)), st.integers(0, 40),
+                  st.builds(lambda d, s: d * DAY + s, st.integers(-2, 8), _SECOND),
+                  st.integers(0, 2)),
+        max_size=40,
+    ),
+    span=st.builds(lambda d, s: d * DAY + s, st.integers(0, 5), _SECOND),
+)
+def test_ledger_matches_six_branch_oracle(steps, span):
+    """Random operation sequences, with overdraws of every position, several
+    events a day and events before `start_ts` and after `end_ts`: the move
+    table's positions, exclusions, per-event positions and timeline equal a
+    one-branch-per-operation replay."""
+    start_ts = WINDOW_START + 3 * DAY
+    end_ts = start_ts + span
+    events, op_of = [], {}
+    for i, (op, amount, offset, pick) in enumerate(steps):
+        counterparties, pays = _OP_ROUTES[op]
+        other = counterparties[pick % len(counterparties)]
+        e = ev(MEMBER, other, amount, ts=start_ts + offset, block=i) if pays else ev(
+            other, MEMBER, amount, ts=start_ts + offset, block=i)
+        events.append(e)
+        op_of[e.tx_hash] = op
+    store = make_store(events, contracts=_LEDGER_CONTRACTS,
+                       config=IngestConfig(window_start=None, window_end=None))
+    flow = build_flows(store, [MEMBER])[MEMBER]
+
+    naive = SimpleNamespace(balance=0, staked=0, lp=0, excluded=[])
+    applied, positions = [], []
+    for e in store.events:
+        op = op_of[e.tx_hash]
+        if naive_apply(naive, op, e.value, e.timestamp):
+            applied.append((op, e.value, e.timestamp))
+            positions.append((naive.balance, naive.staked, naive.lp))
+    assert (flow.balance, flow.staked, flow.lp) == (naive.balance, naive.staked, naive.lp)
+    assert flow.excluded == naive.excluded
+    assert [(e.op, e.amount, e.timestamp) for e in flow.events] == applied
+    assert [(e.balance_after, e.staked_after, e.lp_after) for e in flow.events] == positions
+    timeline = build_timeline(flow, start_ts, end_ts)
+    assert (timeline.balance, timeline.staked, timeline.lp) == naive_timeline(
+        applied, start_ts, end_ts)
 
 
 class TestFeatures:
@@ -139,7 +207,7 @@ class TestFeatures:
             contracts=[airdrop_contract],
             claims=[claim(member, ts=T)],
         )
-        features = extract_features(build_flow(member, store))
+        features = extract_features(build_flows(store, [member])[member])
         assert features.bits == (0,) * 8
 
     def test_post_claim_receive_sets_bit(self, airdrop_contract):
@@ -152,7 +220,7 @@ class TestFeatures:
             contracts=[airdrop_contract],
             claims=[claim(member, ts=T)],
         )
-        features = extract_features(build_flow(member, store))
+        features = extract_features(build_flows(store, [member])[member])
         assert features.op_set() == {OperationKind.RECEIVE}
 
     def test_claim_stake_sell_bits(self, airdrop_contract, staking_contract, router_contract):
@@ -167,7 +235,7 @@ class TestFeatures:
             contracts=[airdrop_contract, staking_contract, router_contract],
             claims=[claim(member, Tier.T10400, ts=T)],
         )
-        features = extract_features(build_flow(member, store))
+        features = extract_features(build_flows(store, [member])[member])
         assert features.op_set() == {OperationKind.STAKE, OperationKind.SELL}
 
     def test_build_flows_covers_every_address(self, airdrop_contract):

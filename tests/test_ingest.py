@@ -96,6 +96,39 @@ def test_jsonl_input_parses_like_csv(tmp_path):
     assert errors == [] and events[0].value == 7
 
 
+def test_jsonl_values_read_as_csv_cells(tmp_path):
+    """A JSONL value is read as the text its CSV cell would hold, null as an
+    empty cell; a line that is not an object is a malformed row, reported
+    in line order with the other malformed rows."""
+    transfers = tmp_path / "transfers.jsonl"
+    transfers.write_text("\n".join([
+        json.dumps({"tx_hash": 5, "from": A1, "to": B2, "value": 1, "timestamp": 1, "block": 1}),
+        "[1, 2]",
+        json.dumps({"tx_hash": HASH, "from": A1, "to": B2, "value": 7,
+                    "timestamp": 1637000000, "block": 1, "log_index": None, "kind": None}),
+        "not json",
+    ]) + "\n")
+    events, errors = parse_transfers(transfers)
+    assert [(e.value, e.log_index, e.kind) for e in events] == [(7, 0, EventKind.TOKEN_TRANSFER)]
+    assert [e.line for e in errors] == [1, 2, 4]
+    assert errors[1].reason == "JSONL row is not an object"
+    contracts = tmp_path / "contracts.jsonl"
+    contracts.write_text("\n".join([
+        "[1, 2]",
+        json.dumps({"address": A1, "name": None, "category": "Staking"}),
+        json.dumps({"address": 7, "name": "x", "category": "Staking"}),
+    ]) + "\n")
+    parsed, errors = parse_contracts(contracts)
+    assert [(c.address, c.name) for c in parsed] == [(A1, "")]
+    assert [e.line for e in errors] == [1, 3]
+    claims = tmp_path / "claims.jsonl"
+    claims.write_text("5\n" + json.dumps(
+        {"address": A1, "tier": 5200, "amount": Tier.T5200.amount, "timestamp": 1}) + "\n")
+    parsed, errors = parse_claims(claims)
+    assert [(c.tier, c.amount) for c in parsed] == [(Tier.T5200, Tier.T5200.amount)]
+    assert [e.line for e in errors] == [1]
+
+
 def test_output_sorted_regardless_of_row_order(tmp_path):
     rows = [
         f"0x{'0' * 63}2,{A1},{B2},1,1637000300,3",
