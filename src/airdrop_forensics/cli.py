@@ -202,7 +202,7 @@ def cmd_eligibility(config: Config, out: Path, args) -> None:
         events=external,
         balances=balances,
         protocol_addresses=protocol,
-        coverage_start=bounds[0] if bounds else 0,
+        coverage_start=bounds[0] if bounds else external[0].timestamp,
     )
     snapshot = min((c.claim_timestamp for c in store.claims.values()), default=None)
     if snapshot is None:
@@ -262,7 +262,7 @@ def cmd_stats(config: Config, out: Path, args) -> None:
     artifacts.write_json({str(t.value): table[t] for t in ingest.Tier},
                          stage / "behavior_table.json")
     timelines = stats.build_timelines(member_flows, start_ts, end_ts)
-    artifacts.write_json(stats.attrition(timelines, store.claims, end_ts).to_json(),
+    artifacts.write_json(stats.attrition(timelines, store.claims).to_json(),
                          stage / "attrition.json")
     stats.write_top_contracts_csv(stats.top_contracts(store), stage / "top_contracts.csv")
 
@@ -271,9 +271,8 @@ def cmd_stats(config: Config, out: Path, args) -> None:
     if (cluster_stage / "assignment.csv").exists():
         labels = {row["address"]: int(row["cluster"])
                   for row in artifacts.read_csv(cluster_stage / "assignment.csv")}
-        assignment = clustering.ClusterAssignment(labels, max(labels.values(), default=1), {})
         stats.write_tier_composition_csv(
-            stats.tier_composition(assignment, store.claims), stage / "tier_composition.csv"
+            stats.tier_composition(labels, store.claims), stage / "tier_composition.csv"
         )
         buyers = {row["address"] for row in artifacts.read_csv(cluster_stage / "features.csv")
                   if row.get("buy") == "1"}

@@ -88,13 +88,9 @@ class EligibilityHistory:
     input because multi-chain reconstruction is out of scope."""
 
     events: list  # TransferEvent, kind external
-    balances: dict[Address, dict[str, float]] = field(default_factory=dict)
-    protocol_addresses: frozenset[Address] = frozenset()
-    coverage_start: int = 0
-
-    def __post_init__(self):
-        if self.events and not self.coverage_start:
-            self.coverage_start = min(e.timestamp for e in self.events)
+    balances: dict[Address, dict[str, float]]
+    protocol_addresses: frozenset[Address]
+    coverage_start: int
 
 
 class _HistoryIndex:

@@ -422,20 +422,22 @@ def detect_cautious(
 def _maximal_cliques(adj: dict[Address, set[Address]]) -> list[list[Address]]:
     """Bron-Kerbosch with pivoting; deterministic via sorted iteration."""
     cliques: list[list[Address]] = []
-
-    def expand(r: set, p: set, x: set) -> None:
-        if not p and not x:
-            cliques.append(sorted(r))
-            return
-        candidates = sorted(p | x)
-        pivot = max(candidates, key=lambda u: (len(adj[u] & p), u))
-        for v in sorted(p - adj[pivot]):
-            expand(r | {v}, p & adj[v], x & adj[v])
-            p = p - {v}
-            x = x | {v}
-
-    expand(set(), set(adj), set())
+    _expand(adj, set(), set(adj), set(), cliques)
     return sorted(cliques)
+
+
+def _expand(adj: dict[Address, set[Address]], r: set, p: set, x: set, cliques: list) -> None:
+    """Report every maximal clique that extends `r` with members of `p` and
+    none of `x`. Each call owns its `p` and `x`; the pivot is unique because
+    its key ends with the address."""
+    if not p and not x:
+        cliques.append(sorted(r))
+        return
+    pivot = max(p | x, key=lambda u: (len(adj[u] & p), u))
+    for v in sorted(p - adj[pivot]):
+        _expand(adj, r | {v}, p & adj[v], x & adj[v], cliques)
+        p.discard(v)
+        x.add(v)
 
 
 def claimant_clique_graph(

@@ -1,8 +1,9 @@
 """Descriptive tables and distributions over the reconstructed community.
 
 Covers the per-tier behavior table, attrition, contract popularity, tier
-composition per cluster, day-resolution holding timelines, and Gaussian
-KDEs of activity period/quantity samples (plot-ready arrays, no images).
+composition per cluster, holding timelines as runs of days between flow
+events, and Gaussian KDEs of activity period/quantity samples (plot-ready
+arrays, no images).
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import artifacts
-from .clustering import ClusterAssignment
 from .flows import OperationKind, TransactionFlow, extract_features
 from .ingest import Address, ClaimRecord, EventStore, Tier, format_token_amount
 
@@ -62,58 +62,28 @@ def behavior_table(
     return table
 
 
-@dataclass
-class HoldingTimeline:
-    """End-of-day balance/staked/LP positions across the study window."""
-
-    address: Address
-    start_ts: int
-    balance: list[int]
-    staked: list[int]
-    lp: list[int]
-
-    @staticmethod
-    def period_days(series: list[int]) -> int:
-        """Days with a nonzero end-of-day position: how long the activity
-        was actually carried."""
-        return sum(1 for v in series if v > 0)
-
-    @staticmethod
-    def quantity(series: list[int]) -> float:
-        """Time-weighted mean position over the active days, display units."""
-        active = [v for v in series if v > 0]
-        if not active:
-            return 0.0
-        return sum(active) / len(active) / 10**18
-
-    def holdings_at(self, day: int) -> int:
-        day = max(0, min(day, len(self.balance) - 1))
-        return self.balance[day] + self.staked[day] + self.lp[day]
+# One run of days with the same end-of-day positions: (days, balance,
+# staked, lp).
+Run = tuple[int, int, int, int]
 
 
-def build_timeline(flow: TransactionFlow, start_ts: int, end_ts: int) -> HoldingTimeline:
-    """Each day's positions are those after the last flow event at or
-    before the day's end, all zero before the first event."""
+def build_timeline(flow: TransactionFlow, start_ts: int, end_ts: int) -> list[Run]:
+    """The member's holding runs in day order. Each flow event that is the
+    last event of at least one day opens a run with its positions, lasting
+    until the next event's first day or through the window's last day.
+    Days before the first event hold nothing and get no run."""
     days = (end_ts - start_ts) // 86400 + 1
-    balance = [0] * days
-    staked = [0] * days
-    lp = [0] * days
-    # first[i]: the first day whose end event i precedes; the event's
-    # positions hold from that day until the next event's first day.
     first = [min(max(0, (ev.timestamp - start_ts) // 86400), days) for ev in flow.events]
-    first.append(days)
-    for i, ev in enumerate(flow.events):
-        lo, hi = first[i], first[i + 1]
-        if lo < hi:
-            balance[lo:hi] = [ev.balance_after] * (hi - lo)
-            staked[lo:hi] = [ev.staked_after] * (hi - lo)
-            lp[lo:hi] = [ev.lp_after] * (hi - lo)
-    return HoldingTimeline(flow.address, start_ts, balance, staked, lp)
+    return [
+        (hi - lo, ev.balance_after, ev.staked_after, ev.lp_after)
+        for ev, lo, hi in zip(flow.events, first, first[1:] + [days])
+        if lo < hi
+    ]
 
 
 def build_timelines(
     flows: dict[Address, TransactionFlow], start_ts: int, end_ts: int
-) -> dict[Address, HoldingTimeline]:
+) -> dict[Address, list[Run]]:
     return {a: build_timeline(f, start_ts, end_ts) for a, f in sorted(flows.items())}
 
 
@@ -145,15 +115,13 @@ def claimed_total_for_counts(counts: dict[Tier, int]) -> int:
 
 
 def attrition(
-    timelines: dict[Address, HoldingTimeline],
-    claims: dict[Address, ClaimRecord],
-    cutoff_ts: int,
+    timelines: dict[Address, list[Run]], claims: dict[Address, ClaimRecord]
 ) -> AttritionReport:
     """Who gave away everything. An initial member has left when balance,
-    staked, and LP positions are all zero at the cutoff; staked/LP tokens
-    count as still in the community (the value stays locked). Outflow is
-    exactly claimed minus what initial members still hold, in integer
-    units."""
+    staked, and LP positions are all zero on the window's last day, which
+    is the last run's; staked/LP tokens count as still in the community
+    (the value stays locked). Outflow is exactly claimed minus what initial
+    members still hold, in integer units."""
     left = 0
     left_by_tier: Counter = Counter()
     claimed_by_tier: Counter = Counter()
@@ -162,13 +130,8 @@ def attrition(
     for addr, rec in claims.items():
         claimed_by_tier[rec.tier] += 1
         claimed_total += rec.amount
-        tl = timelines.get(addr)
-        if tl is None:
-            left += 1
-            left_by_tier[rec.tier] += 1
-            continue
-        day = (cutoff_ts - tl.start_ts) // 86400
-        holdings = tl.holdings_at(day)
+        runs = timelines.get(addr)
+        holdings = sum(runs[-1][1:]) if runs else 0
         held += holdings
         if holdings == 0:
             left += 1
@@ -220,11 +183,11 @@ def top_contracts(store: EventStore, k: int = 10) -> list[ContractUsage]:
 
 
 def tier_composition(
-    assignment: ClusterAssignment, claims: dict[Address, ClaimRecord]
+    labels: dict[Address, int], claims: dict[Address, ClaimRecord]
 ) -> dict[int, dict[Tier, float]]:
-    """Stacked tier fractions per cluster, each summing to 1."""
+    """Stacked tier fractions per cluster label, each summing to 1."""
     counts: dict[int, Counter] = defaultdict(Counter)
-    for addr, cluster in assignment.labels.items():
+    for addr, cluster in labels.items():
         rec = claims.get(addr)
         if rec is not None:
             counts[cluster][rec.tier] += 1
@@ -291,29 +254,24 @@ def kde(samples, bandwidth: float | None = None, grid_size: int = 512) -> Densit
 
 
 def period_quantity_samples(
-    timelines: dict[Address, HoldingTimeline], addresses
+    timelines: dict[Address, list[Run]], addresses
 ) -> dict[str, list[float]]:
-    """Period (days) and quantity (mean tokens held) samples per activity
-    for a member group; addresses with no activity in a series contribute
-    nothing to it."""
+    """Period (days with a position > 0) and quantity (its mean over those
+    days, in display units) samples per activity for a member group;
+    addresses with no activity in a series contribute nothing to it."""
     out: dict[str, list[float]] = {
         f"{series}_{measure}": []
         for series in ("balance", "staking", "lp")
         for measure in ("period", "quantity")
     }
     for addr in sorted(addresses):
-        tl = timelines.get(addr)
-        if tl is None:
-            continue
-        for series_name, series in (
-            ("balance", tl.balance),
-            ("staking", tl.staked),
-            ("lp", tl.lp),
-        ):
-            period = HoldingTimeline.period_days(series)
+        runs = timelines.get(addr, ())
+        for j, series in enumerate(("balance", "staking", "lp"), start=1):
+            period = sum(run[0] for run in runs if run[j] > 0)
             if period > 0:
-                out[f"{series_name}_period"].append(float(period))
-                out[f"{series_name}_quantity"].append(HoldingTimeline.quantity(series))
+                out[f"{series}_period"].append(float(period))
+                total = sum(run[0] * run[j] for run in runs if run[j] > 0)
+                out[f"{series}_quantity"].append(total / period / 10**18)
     return out
 
 

@@ -231,3 +231,17 @@ def naive_timeline(applied, start_ts: int, end_ts: int):
         for values, value in zip(series, (state.balance, state.staked, state.lp)):
             values.append(value)
     return series
+
+
+def period_days(series) -> int:
+    """Days with a nonzero end-of-day position: how long the activity was
+    actually carried."""
+    return sum(1 for v in series if v > 0)
+
+
+def quantity(series) -> float:
+    """Mean position over the active days, display units."""
+    active = [v for v in series if v > 0]
+    if not active:
+        return 0.0
+    return sum(active) / len(active) / 10**18

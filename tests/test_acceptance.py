@@ -204,7 +204,7 @@ def test_criterion_5_arithmetic_identities():
     flows = build_flows(store, sorted(store.claims))
     bounds = store.config.window_bounds()
     timelines = build_timelines(flows, bounds[0], bounds[1])
-    result = attrition(timelines, store.claims, bounds[1])
+    result = attrition(timelines, store.claims)
     expected = {Tier.T5200: 76.49, Tier.T7800: 71.46, Tier.T10400: 48.20}
     for tier, pct in expected.items():
         assert abs(result.per_tier_pct[tier] * 100 - pct) < 0.01, tier

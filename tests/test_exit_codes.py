@@ -14,12 +14,17 @@ import json
 import math
 import shutil
 import tempfile
+from dataclasses import dataclass
+from datetime import date, timedelta
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from airdrop_forensics.cli import main
+from airdrop_forensics.clustering import Linkage
+from airdrop_forensics.config import Preset
+from airdrop_forensics.forensics import PatternKind
 
 STAGES = ["synth", "ingest", "graph", "cluster", "detect", "eligibility", "stats", "report"]
 BASE = {"synth": {"seed": 5, "population_total": 120},
@@ -59,16 +64,55 @@ def assert_exit_0_or_1(stage: str, config, out: Path) -> None:
 # that picks the key (in sorted order) or list entry at that depth; the
 # walk stops early at a value that is not a non-empty object or list.
 UNKNOWN_KEY = "<unknown key>"
-# Half the values suit many fields, so that mutated configs also load and
-# run their stage; the other half suit none or few.
-VALUES = st.one_of(st.sampled_from([-1, 0, 1, 2, 0.5, "2021-12-01"]),
+
+
+@dataclass(frozen=True)
+class Near:
+    """Stands for a value of the same JSON type as the one it replaces,
+    `step` (±1 or ±2) away from it; see `near`."""
+
+    step: int
+
+
+# Half the values are drawn from the type of the value they replace, so
+# that mutated configs also load and run their stage; the other half suit
+# none or few fields.
+VALUES = st.one_of(st.sampled_from([-2, -1, 1, 2]).map(Near),
                    st.sampled_from(["x", None, math.nan, True, [], {}, UNKNOWN_KEY]))
 MUTATION = st.tuples(st.lists(st.integers(0, 40), max_size=3).map(tuple), VALUES)
+ENUMS = [[m.value for m in enum] for enum in (Linkage, PatternKind, Preset)]
+
+
+def near(old, step: int):
+    """A value of the type of `old`: the other bool, an int `step` away, a
+    float scaled by 2**step, a date `step` months away, another member of
+    the same enum, a rotated list, an object without one key, or a path
+    for an unset input. Synth sizes stay small: a few units from BASE's,
+    or the defaults when their key is dropped."""
+    if isinstance(old, bool):
+        return not old
+    if isinstance(old, int):
+        return old + step
+    if isinstance(old, float):
+        return old * 2.0**step
+    if isinstance(old, str):
+        for choices in ENUMS:
+            if old in choices:
+                return choices[(choices.index(old) + step) % len(choices)]
+        with contextlib.suppress(ValueError):
+            return (date.fromisoformat(old) + timedelta(days=30 * step)).isoformat()
+        return old + str(step)
+    if isinstance(old, list):
+        return old[step:] + old[:step]
+    if isinstance(old, dict):
+        return {key: v for i, (key, v) in enumerate(sorted(old.items())) if i != step % len(old)}
+    return "missing.csv"  # null: an input path left unset
 
 
 def mutate(config, path: tuple, value):
     """`config` with `value` at `path`, or with an unknown key added to the
-    innermost object on the path."""
+    innermost object on the path; a `Near` value is made from the value it
+    replaces."""
     parent, key, node, section = None, None, config, config
     for step in path:
         if isinstance(node, dict) and node:
@@ -82,6 +126,8 @@ def mutate(config, path: tuple, value):
             break
         node = node[step]
         section = node if isinstance(node, dict) else section
+    if isinstance(value, Near):
+        value = near(node, value.step)
     if value == UNKNOWN_KEY:
         if isinstance(section, dict):
             section["bogus"] = 1

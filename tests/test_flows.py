@@ -17,10 +17,10 @@ from airdrop_forensics.flows import (
     write_feature_matrix,
 )
 from airdrop_forensics.ingest import ContractCategory, EventKind, IngestConfig, Tier
-from airdrop_forensics.stats import build_timeline
+from airdrop_forensics.stats import attrition, build_timeline, period_quantity_samples
 
 from conftest import WINDOW_START, addr, claim, contract, ev, make_store
-from oracles import naive_apply, naive_timeline
+from oracles import naive_apply, naive_timeline, period_days, quantity
 
 T = WINDOW_START + 86400
 
@@ -167,8 +167,10 @@ _SECOND = st.one_of(st.sampled_from([0, DAY - 1]), st.integers(0, DAY - 1))
 def test_ledger_matches_six_branch_oracle(steps, span):
     """Random operation sequences, with overdraws of every position, several
     events a day and events before `start_ts` and after `end_ts`: the move
-    table's positions, exclusions, per-event positions and timeline equal a
-    one-branch-per-operation replay."""
+    table's positions, exclusions and per-event positions equal a
+    one-branch-per-operation replay; the holding runs expand to its
+    end-of-day positions, and the period, quantity and attrition read from
+    the runs equal the reference formulas on those days."""
     start_ts = WINDOW_START + 3 * DAY
     end_ts = start_ts + span
     events, op_of = [], {}
@@ -194,9 +196,24 @@ def test_ledger_matches_six_branch_oracle(steps, span):
     assert flow.excluded == naive.excluded
     assert [(e.op, e.amount, e.timestamp) for e in flow.events] == applied
     assert [(e.balance_after, e.staked_after, e.lp_after) for e in flow.events] == positions
-    timeline = build_timeline(flow, start_ts, end_ts)
-    assert (timeline.balance, timeline.staked, timeline.lp) == naive_timeline(
-        applied, start_ts, end_ts)
+    days = naive_timeline(applied, start_ts, end_ts)
+    runs = build_timeline(flow, start_ts, end_ts)
+    assert all(run[0] > 0 for run in runs)
+    lead = len(days[0]) - sum(run[0] for run in runs)
+    assert lead >= 0
+    assert tuple([0] * lead + [run[j] for run in runs for _ in range(run[0])]
+                 for j in (1, 2, 3)) == days
+
+    samples = period_quantity_samples({MEMBER: runs}, [MEMBER])
+    for name, series in zip(("balance", "staking", "lp"), days):
+        period = period_days(series)
+        assert samples[f"{name}_period"] == ([float(period)] if period else [])
+        assert samples[f"{name}_quantity"] == ([quantity(series)] if period else [])
+    member_claim = claim(MEMBER)
+    held = sum(series[-1] for series in days)
+    report = attrition({MEMBER: runs}, {MEMBER: member_claim})
+    assert report.outflow_tokens == member_claim.amount - held
+    assert report.left_count == (held == 0)
 
 
 class TestFeatures:

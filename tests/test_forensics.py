@@ -1,3 +1,4 @@
+import gc
 import logging
 
 import networkx as nx
@@ -403,9 +404,27 @@ def test_clique_sizes_match_networkx(graph, data):
     spokes = data.draw(st.lists(st.sampled_from(nodes), max_size=6))
     transfers = edges + [(n, PROTOCOL) for n in spokes] + [(nodes[0], nodes[0])]
     history = EligibilityHistory(
-        events=[ev(u, v, 1, kind=EventKind.EXTERNAL_TX) for u, v in transfers],
+        events=[ev(u, v, 1, kind=EventKind.EXTERNAL_TX, ts=T0) for u, v in transfers],
+        balances={},
         protocol_addresses=frozenset({PROTOCOL}),
+        coverage_start=T0,
     )
     g = _nx_graph((), edges)
     want = {n: max(len(c) for c in nx.find_cliques(g) if n in c) for n in g}
     assert clique_sizes(history) == want
+
+
+def test_maximal_cliques_leave_no_cyclic_garbage():
+    """The recursion holds no reference back to itself, so the cliques and
+    the adjacency are freed by reference counting alone."""
+    nodes = [addr(i) for i in range(1, 9)]
+    adj = {n: {m for m in nodes if m != n and (int(m, 16) + int(n, 16)) % 3} for n in nodes}
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert _maximal_cliques(adj)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

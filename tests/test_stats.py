@@ -4,7 +4,6 @@ import random
 import numpy as np
 import pytest
 
-from airdrop_forensics.clustering import ClusterAssignment
 from airdrop_forensics.flows import build_flows
 from airdrop_forensics.ingest import Tier
 from airdrop_forensics.stats import (
@@ -83,7 +82,7 @@ class TestAttrition:
         store = make_store(events, contracts=[airdrop_contract], claims=claims)
         flows = build_flows(store, members)
         timelines = build_timelines(flows, WINDOW_START, WINDOW_END)
-        report = attrition(timelines, store.claims, WINDOW_END)
+        report = attrition(timelines, store.claims)
         assert report.left_count == 0 and report.left_pct == 0.0
         assert report.outflow_tokens == 0
 
@@ -93,7 +92,7 @@ class TestAttrition:
         scenario = attrition_scenario(seed=33, bases=bases, departures=departures)
         store, flows = flows_for(scenario)
         timelines = build_timelines(flows, WINDOW_START, WINDOW_END)
-        report = attrition(timelines, store.claims, WINDOW_END)
+        report = attrition(timelines, store.claims)
         assert report.left_count == sum(departures.values())
         assert abs(report.per_tier_pct[Tier.T5200] * 100 - 76.49) < 0.01
         assert abs(report.per_tier_pct[Tier.T7800] * 100 - 71.46) < 0.01
@@ -112,7 +111,7 @@ class TestAttrition:
         store = make_store(events, contracts=[airdrop_contract, router_contract],
                            claims=[c])
         timelines = build_timelines(build_flows(store, [member]), WINDOW_START, WINDOW_END)
-        report = attrition(timelines, store.claims, WINDOW_END)
+        report = attrition(timelines, store.claims)
         assert report.outflow_tokens == sold
         assert report.claimed_total - report.outflow_tokens == c.amount - sold
 
@@ -137,8 +136,7 @@ class TestTopContracts:
 class TestTierComposition:
     def test_single_tier_cluster(self):
         claims = {addr(1): claim(addr(1), Tier.T7800), addr(2): claim(addr(2), Tier.T7800)}
-        assignment = ClusterAssignment({addr(1): 1, addr(2): 1}, 1, {})
-        comp = tier_composition(assignment, claims)
+        comp = tier_composition({addr(1): 1, addr(2): 1}, claims)
         assert comp[1] == {Tier.T5200: 0.0, Tier.T7800: 1.0, Tier.T10400: 0.0}
 
     def test_fractions_sum_to_one_and_mix_is_three_five_two(self):
@@ -146,7 +144,7 @@ class TestTierComposition:
         scenario = generate(ScenarioSpec(seed=29, population=population_from_shares(400)))
         store, _ = flows_for(scenario)
         labels = {a: rng.randint(1, 4) for a in store.claims}
-        comp = tier_composition(ClusterAssignment(labels, 4, {}), store.claims)
+        comp = tier_composition(labels, store.claims)
         for cluster, fractions in comp.items():
             assert math.isclose(sum(fractions.values()), 1.0)
         counts = scenario.truth.planted_stats["claims_per_tier"]
@@ -221,14 +219,12 @@ def test_timeline_periods_and_quantities(airdrop_contract, router_contract):
     store = make_store(events, contracts=[airdrop_contract, router_contract], claims=[c])
     flows = build_flows(store, [member])
     timelines = build_timelines(flows, WINDOW_START, WINDOW_END)
-    tl = timelines[member]
-    # held from day 0 (end-of-day) through day 9; sold during day 10
-    assert tl.balance[0] == c.amount
-    assert tl.balance[10] == 0
-    assert tl.period_days(tl.balance) == 10
-    assert tl.quantity(tl.balance) == 5200.0
+    # held from day 0 (end-of-day) through day 9; sold during day 10, and
+    # nothing held through the window's 150th and last day
+    assert timelines[member] == [(10, c.amount, 0, 0), (140, 0, 0, 0)]
     samples = period_quantity_samples(timelines, [member])
     assert samples["balance_period"] == [10.0]
+    assert samples["balance_quantity"] == [5200.0]
     assert samples["staking_period"] == []
 
 
@@ -241,4 +237,5 @@ def test_same_day_exit_has_zero_period(airdrop_contract, router_contract):
     ]
     store = make_store(events, contracts=[airdrop_contract, router_contract], claims=[c])
     timelines = build_timelines(build_flows(store, [member]), WINDOW_START, WINDOW_END)
-    assert timelines[member].period_days(timelines[member].balance) == 0
+    assert timelines[member] == [(150, 0, 0, 0)]
+    assert period_quantity_samples(timelines, [member])["balance_period"] == []
