@@ -14,7 +14,8 @@ from collections.abc import Iterable, Iterator
 def write_json(payload, path, *, compact: bool = False) -> None:
     with open(path, "w") as fh:
         if compact:
-            json.dump(payload, fh, separators=(",", ":"), sort_keys=True)
+            # json.dumps without indent takes the C encoder; json.dump never does
+            fh.write(json.dumps(payload, separators=(",", ":"), sort_keys=True))
         else:
             json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

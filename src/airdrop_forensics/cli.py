@@ -117,17 +117,28 @@ def cmd_graph(config: Config, out: Path, args) -> None:
     store = _load_store_from_ingest(config, out)
     stage = out / "graph"
     stage.mkdir(parents=True, exist_ok=True)
-    token_graph = graphs.build_token_graph(store)
+    # The last slice holds every token event of the store (read_store
+    # applied the window, and iter_slices' default bounds cover the rest),
+    # so it is the token graph. Each slice is measured at its own cutoff
+    # before the next one grows the graph; only the last is kept.
+    token_graph = graphs.CommunityGraph()
+
+    def keep_last(slices):
+        nonlocal token_graph
+        for sl in slices:
+            token_graph = sl.graph
+            yield sl
+
+    try:
+        series = graphs.metric_series(keep_last(graphs.iter_slices(store, interval_days=interval)))
+    except graphs.WindowEmptyError:
+        log.warning("no token events in the study window; metric series skipped")
+        series = graphs.MetricSeries()
     external_graph = graphs.build_external_graph(store)
     graphs.write_graph_json(token_graph, stage / "token_graph.json")
     graphs.write_graph_json(external_graph, stage / "external_graph.json")
     graphs.write_graph(token_graph, stage / f"token_graph.{fmt}", fmt, "token_graph")
     graphs.write_graph(external_graph, stage / f"external_graph.{fmt}", fmt, "external_graph")
-    try:
-        series = graphs.metric_series(graphs.iter_slices(store, interval_days=interval))
-    except graphs.WindowEmptyError:
-        log.warning("no token events in the study window; metric series skipped")
-        series = graphs.MetricSeries()
     artifacts.write_json(series.to_json_rows(), stage / "metric_series.json")
     artifacts.write_json({
         "token_graph": {"nodes": token_graph.n_nodes, "edges": token_graph.n_edges},

@@ -10,6 +10,7 @@ earlier-generation policies, or re-run as a second allocation pass.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
@@ -94,7 +95,8 @@ class EligibilityHistory:
 
 
 class _HistoryIndex:
-    """Per-address counters assembled in one pass; shared read-only."""
+    """Per-address sorted timestamps assembled in one pass; shared
+    read-only. Counts in a time range are two bisections."""
 
     def __init__(self, history: EligibilityHistory):
         self.sent_ts: dict[Address, list[int]] = defaultdict(list)
@@ -103,12 +105,17 @@ class _HistoryIndex:
             self.sent_ts[e.sender].append(e.timestamp)
             if e.receiver in history.protocol_addresses:
                 self.interaction_ts[e.sender].append(e.timestamp)
+        # linear on a time-ordered history; keeps any other caller correct
+        for per_address in (self.sent_ts, self.interaction_ts):
+            for ts in per_address.values():
+                ts.sort()
 
     def tx_count(self, addr: Address, until: int) -> int:
-        return sum(1 for t in self.sent_ts.get(addr, ()) if t <= until)
+        return bisect_right(self.sent_ts.get(addr, ()), until)
 
     def interactions(self, addr: Address, start: int, until: int) -> int:
-        return sum(1 for t in self.interaction_ts.get(addr, ()) if start <= t <= until)
+        ts = self.interaction_ts.get(addr, ())
+        return max(0, bisect_right(ts, until) - bisect_left(ts, start))
 
 
 def clique_sizes(history: EligibilityHistory) -> dict[Address, int]:

@@ -14,7 +14,9 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from enum import Enum
+from functools import reduce
 from math import sqrt
+from operator import add, itemgetter, mul
 from xml.sax.saxutils import escape
 
 from . import artifacts
@@ -63,7 +65,9 @@ class CommunityGraph:
     """Aggregated directed graph with classed nodes.
 
     nodes: address -> NodeClass. edges: (from, to) -> EdgeStats, with
-    parallel events folded into one edge.
+    parallel events folded into one edge. Two counters kept as edges land
+    give reciprocity without a scan: `_loops` self-loops, and `_mutual`
+    non-loop edges whose reverse edge also exists.
     """
 
     def __init__(self):
@@ -71,6 +75,8 @@ class CommunityGraph:
         self.edges: dict[tuple[Address, Address], EdgeStats] = {}
         self._out: dict[Address, set[Address]] = {}
         self._in: dict[Address, set[Address]] = {}
+        self._loops = 0
+        self._mutual = 0
 
     @property
     def n_nodes(self) -> int:
@@ -109,6 +115,12 @@ class CommunityGraph:
         return len(self._in.get(addr, ()))
 
     def _put_edge(self, u: Address, v: Address, stats: EdgeStats) -> None:
+        """Insert the edge (u, v), which must not be present yet. Every
+        edge insertion goes through here, so the counters stay exact."""
+        if u == v:
+            self._loops += 1
+        elif (v, u) in self.edges:
+            self._mutual += 2  # (u, v) and its reverse both become mutual
         self.edges[(u, v)] = stats
         self._out[u].add(v)
         self._in[v].add(u)
@@ -253,13 +265,17 @@ def weekly_slices(
 def reciprocity(graph: CommunityGraph) -> float:
     """Fraction of directed edges whose reverse edge also exists.
 
-    Self-loops are excluded from both counts.
+    Self-loops are excluded from both counts, which the graph keeps as
+    edges are inserted, so this costs O(1).
     """
-    edges = [(u, v) for (u, v) in graph.edges if u != v]
-    if not edges:
+    non_loops = graph.n_edges - graph._loops
+    if not non_loops:
         raise UndefinedOnEmptyError("reciprocity needs at least one non-loop edge")
-    mutual = sum(1 for (u, v) in edges if (v, u) in graph.edges)
-    return mutual / len(edges)
+    return graph._mutual / non_loops
+
+
+def _degrees(adjacency: dict[Address, set[Address]], nodes: Iterable[Address]) -> Iterator[int]:
+    return map(len, map(adjacency.__getitem__, nodes))
 
 
 def degree_assortativity(graph: CommunityGraph, mode: str = "out_in") -> float:
@@ -269,25 +285,36 @@ def degree_assortativity(graph: CommunityGraph, mode: str = "out_in") -> float:
     "total_total" uses total degree on both ends for sensitivity checks.
     Degrees come from the aggregated simple digraph. Raises
     UndefinedOnDegenerateError when either marginal has zero variance.
+
+    The sums run over the edges in insertion order as explicit left folds:
+    builtin `sum` compensates float additions from Python 3.12 on, which
+    would make the bits depend on the interpreter. Deviations and their
+    squares are computed once per distinct degree; each is the same float
+    whichever edge it belongs to.
     """
     if graph.n_edges < 2:
         raise UndefinedOnDegenerateError("assortativity needs at least two edges")
+    sources = list(map(itemgetter(0), graph.edges))
+    targets = list(map(itemgetter(1), graph.edges))
     if mode == "out_in":
-        xs = [graph.out_degree(u) for (u, v) in graph.edges]
-        ys = [graph.in_degree(v) for (u, v) in graph.edges]
+        xs = list(_degrees(graph._out, sources))
+        ys = list(_degrees(graph._in, targets))
     elif mode == "total_total":
-        xs = [graph.out_degree(u) + graph.in_degree(u) for (u, v) in graph.edges]
-        ys = [graph.out_degree(v) + graph.in_degree(v) for (u, v) in graph.edges]
+        xs = list(map(add, _degrees(graph._out, sources), _degrees(graph._in, sources)))
+        ys = list(map(add, _degrees(graph._out, targets), _degrees(graph._in, targets)))
     else:
         raise ValueError(f"unknown assortativity mode {mode!r}")
-    if len(set(xs)) == 1 or len(set(ys)) == 1:
+    distinct_x, distinct_y = set(xs), set(ys)
+    if len(distinct_x) == 1 or len(distinct_y) == 1:
         raise UndefinedOnDegenerateError("zero variance in a degree marginal")
     n = len(xs)
-    mx = sum(xs) / n
+    mx = sum(xs) / n  # integer sums: exact on every interpreter
     my = sum(ys) / n
-    cov = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    vx = sum((x - mx) ** 2 for x in xs)
-    vy = sum((y - my) ** 2 for y in ys)
+    dx = {x: x - mx for x in distinct_x}
+    dy = {y: y - my for y in distinct_y}
+    cov = reduce(add, map(mul, map(dx.__getitem__, xs), map(dy.__getitem__, ys)), 0.0)
+    vx = reduce(add, map({x: d ** 2 for x, d in dx.items()}.__getitem__, xs), 0.0)
+    vy = reduce(add, map({y: d ** 2 for y, d in dy.items()}.__getitem__, ys), 0.0)
     return cov / sqrt(vx * vy)
 
 

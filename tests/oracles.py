@@ -47,6 +47,42 @@ def oracle_assortativity(nodes, edges, mode="out_in"):
     return num / den
 
 
+def scan_reciprocity(graph):
+    """Reciprocity by a scan over every edge; None when undefined."""
+    edges = [(u, v) for (u, v) in graph.edges if u != v]
+    if not edges:
+        return None
+    mutual = sum(1 for (u, v) in edges if (v, u) in graph.edges)
+    return mutual / len(edges)
+
+
+def scan_assortativity(graph, mode="out_in"):
+    """Degree assortativity with per-edge degree lookups and the float sums
+    as plain left-to-right loops in edge order, whose bits do not depend on
+    the interpreter's builtin `sum`. None when undefined."""
+    if graph.n_edges < 2:
+        return None
+    if mode == "out_in":
+        xs = [graph.out_degree(u) for (u, v) in graph.edges]
+        ys = [graph.in_degree(v) for (u, v) in graph.edges]
+    else:
+        xs = [graph.out_degree(u) + graph.in_degree(u) for (u, v) in graph.edges]
+        ys = [graph.out_degree(v) + graph.in_degree(v) for (u, v) in graph.edges]
+    if len(set(xs)) == 1 or len(set(ys)) == 1:
+        return None
+    n = len(xs)
+    mx = sum(xs) / n
+    my = sum(ys) / n
+    cov = vx = vy = 0.0
+    for x, y in zip(xs, ys):
+        cov += (x - mx) * (y - my)
+    for x in xs:
+        vx += (x - mx) ** 2
+    for y in ys:
+        vy += (y - my) ** 2
+    return cov / math.sqrt(vx * vy)
+
+
 def oracle_attracting(nodes, edges) -> int:
     """SCCs from a full reachability closure, then an exhaustive check
     that no edge leaves the component."""

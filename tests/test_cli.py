@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from airdrop_forensics import ingest
+from airdrop_forensics import graphs, ingest
 from airdrop_forensics.cli import load_config, main, ConfigInvalidError
 from airdrop_forensics.config import to_json
 from airdrop_forensics.eligibility import EligibilityHistory, EligibilityRules, run_campaign
@@ -237,6 +237,51 @@ def ingested(tmp_path_factory):
     assert run("synth", config) == 0
     assert run("ingest", config) == 0
     return root
+
+
+@pytest.mark.parametrize("narrowed_at", ["ingest", "graph"])
+def test_token_graph_is_the_last_slice(ingested, tmp_path, narrowed_at):
+    """The graph stage writes the last slice as the token graph: the same
+    bytes as a full build from the store, with a study window narrower
+    than the synth corpus applied at ingest or only afterwards."""
+    out = tmp_path / "narrow"
+    shutil.copytree(ingested / "out" / "synth", out / "synth")
+    narrow = write_config(tmp_path, out_name="narrow",
+                          window={"start": "2021-12-01", "end": "2022-03-01"})
+    wide = write_config(tmp_path, out_name="wide", output_dir=str(out))
+    at_ingest = narrow if narrowed_at == "ingest" else wide
+    assert run("ingest", at_ingest) == 0
+    assert run("graph", narrow) == 0
+    store = ingest.read_store(out / "ingest", load_config(narrow).ingest_config())
+    token_graph = graphs.build_token_graph(store)
+    graphs.write_graph_json(token_graph, tmp_path / "token_graph.json")
+    graphs.write_graph(token_graph, tmp_path / "token_graph.graphml", "graphml", "token_graph")
+    for name in ("token_graph.json", "token_graph.graphml"):
+        assert (out / "graph" / name).read_bytes() == (tmp_path / name).read_bytes(), name
+    series = json.loads((out / "graph" / "metric_series.json").read_text())
+    assert len(series) > 1 and series[-1]["edges"] == token_graph.n_edges
+    assert 0 < token_graph.n_edges < graphs.build_token_graph(
+        ingest.read_store(ingested / "out" / "ingest")).n_edges
+
+
+def test_graph_without_token_events_writes_empty_token_graph(ingested, tmp_path, caplog):
+    synth_dir = ingested / "out" / "synth"
+    token = tmp_path / "token_transfers.csv"
+    token.write_text((synth_dir / "token_transfers.csv").read_text().splitlines()[0] + "\n")
+    inputs = {"token_transfers": str(token),
+              "external_txs": str(synth_dir / "external_txs.csv"),
+              "contracts": str(synth_dir / "contracts.csv"),
+              "claims": str(synth_dir / "claims.csv")}
+    config = write_config(tmp_path, out_name="tokenless", inputs=inputs)
+    assert run("ingest", config) == 0
+    assert run("graph", config) == 0
+    stage = tmp_path / "tokenless" / "graph"
+    assert json.loads((stage / "token_graph.json").read_text()) == {"edges": [], "nodes": []}
+    assert json.loads((stage / "metric_series.json").read_text()) == []
+    assert json.loads((stage / "summary.json").read_text())["token_graph"] == {
+        "nodes": 0, "edges": 0}
+    assert any(r.levelname == "WARNING" and "no token events in the study window"
+               in r.getMessage() for r in caplog.records)
 
 
 @pytest.mark.parametrize("interval", [0, -3, True, "7"])

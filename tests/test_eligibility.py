@@ -5,6 +5,7 @@ import pytest
 from airdrop_forensics.eligibility import (
     EligibilityHistory,
     EligibilityRules,
+    _HistoryIndex,
     clique_sizes,
     evaluate,
     run_campaign,
@@ -41,6 +42,31 @@ def filler_txs(subject, count):
            kind=EventKind.EXTERNAL_TX)
         for i in range(count)
     ]
+
+
+def test_history_index_counts_match_linear_scan():
+    # timestamps drawn from a few values land exactly on start and until;
+    # the events stay unsorted, which the index must tolerate
+    rng = random.Random(41)
+    wallets = [addr(i) for i in range(1, 6)]
+    for _ in range(200):
+        instants = [SNAPSHOT + k * DAY for k in range(-4, 5)]
+        events = [
+            ev(rng.choice(wallets), rng.choice(wallets + [PROTOCOL]), 1,
+               ts=rng.choice(instants), kind=EventKind.EXTERNAL_TX)
+            for _ in range(rng.randint(0, 30))
+        ]
+        h = EligibilityHistory(events, {}, frozenset({PROTOCOL}), WINDOW_START)
+        index = _HistoryIndex(h)
+        for wallet in wallets + [PROTOCOL]:
+            start, until = rng.choice(instants), rng.choice(instants)
+            sent = [e.timestamp for e in events if e.sender == wallet]
+            touched = [e.timestamp for e in events
+                       if e.sender == wallet and e.receiver == PROTOCOL]
+            assert index.tx_count(wallet, until) == sum(1 for t in sent if t <= until)
+            assert index.interactions(wallet, start, until) == sum(
+                1 for t in touched if start <= t <= until
+            )
 
 
 def test_active_address_is_eligible():

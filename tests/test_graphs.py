@@ -33,6 +33,8 @@ from oracles import (
     oracle_attracting,
     oracle_reciprocity,
     random_digraph,
+    scan_assortativity,
+    scan_reciprocity,
 )
 
 
@@ -251,12 +253,15 @@ def test_graph_json_round_trip():
 # and the metrics against networkx on random loop-free digraphs.
 
 
-def _random_store(rng):
+def _random_store(rng, self_transfers=False):
     day = 86400
     n = rng.randint(4, 30)
     token, external = [], []
     for _ in range(rng.randint(1, 150)):
-        u, v = rng.sample(range(1, n + 1), 2)
+        if self_transfers:
+            u, v = rng.randint(1, n), rng.randint(1, n)
+        else:
+            u, v = rng.sample(range(1, n + 1), 2)
         kind = rng.choice([EventKind.TOKEN_TRANSFER, EventKind.EXTERNAL_TX])
         # whole days put many events exactly on a cutoff
         ts = WINDOW_START + rng.randint(0, 40) * day + rng.choice([0, 0, 1, day // 2])
@@ -306,6 +311,42 @@ def test_slices_equal_from_scratch_builds():
         assert [sl.cutoff for sl in snapshots] == [sl.cutoff for sl in live]
         for sl in snapshots:  # checked after all are built: no state is shared
             _same_graph(sl.graph, scratch(sl.cutoff))
+
+
+def _reciprocity_or_none(g):
+    try:
+        return reciprocity(g)
+    except UndefinedOnEmptyError:
+        return None
+
+
+def test_slice_metrics_equal_scans_bit_for_bit():
+    # the counters and the folds against today's formulas on from-scratch
+    # builds, compared with ==: the float sums must keep their order
+    rng = random.Random(43)
+    checked = 0
+    for _ in range(40):
+        store = _random_store(rng, self_transfers=True)
+        kind = rng.choice([EventKind.TOKEN_TRANSFER, EventKind.EXTERNAL_TX])
+        default = NodeClass.LATER_MEMBER if kind == EventKind.TOKEN_TRANSFER else NodeClass.PLAIN
+        events = store.events_of_kind(kind)
+        if not events:
+            continue
+        interval = rng.choice([1, 3, 7])
+        for mode in ("out_in", "total_total"):
+            series = metric_series(iter_slices(store, kind, interval_days=interval), mode)
+            for i, cutoff in enumerate(series.cutoffs):
+                g = _build_graph([e for e in events if e.timestamp <= cutoff], store, default)
+                assert series.reciprocity[i] == scan_reciprocity(g)
+                assert series.assortativity[i] == scan_assortativity(g, mode)
+                checked += series.assortativity[i] is not None
+        g = _build_graph(events, store, default)
+        nodes = sorted(g.nodes)
+        cut = rng.randint(0, len(nodes))
+        for h in (g.copy(), graph_from_json(graph_to_json(g)),
+                  *g.subgraphs([nodes[:cut], nodes[cut:]])):
+            assert _reciprocity_or_none(h) == scan_reciprocity(h)
+    assert checked > 100
 
 
 def _nx_digraph(nodes, edges):
