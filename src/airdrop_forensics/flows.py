@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import reduce
 from math import sqrt
+from operator import add, mul
 
 from . import artifacts
 from .ingest import Address, ContractCategory, ContractInfo, EventKind, EventStore
@@ -223,9 +225,10 @@ def weighted_cosine_distance(a: FeatureVector, b: FeatureVector) -> float:
         return 0.0
     wa = [w * c for w, c in zip(a.weights, a.bits)]
     wb = [w * c for w, c in zip(b.weights, b.bits)]
-    num = sum(x * y for x, y in zip(wa, wb))
-    na = sqrt(sum(x * x for x in wa))
-    nb = sqrt(sum(y * y for y in wb))
+    # Left folds: builtin sum rounds differently from Python 3.12 on.
+    num = reduce(add, map(mul, wa, wb), 0.0)
+    na = sqrt(reduce(add, map(mul, wa, wa), 0.0))
+    nb = sqrt(reduce(add, map(mul, wb, wb), 0.0))
     if na == 0.0 and nb == 0.0:
         return 0.0
     if na == 0.0 or nb == 0.0:

@@ -166,10 +166,15 @@ def _node_class_for(addr: Address, store: EventStore, default: NodeClass) -> Nod
 
 
 def _add_events(g: CommunityGraph, events, store: EventStore, default_class: NodeClass) -> None:
+    nodes = g.nodes
     for ev in events:
-        for addr in (ev.sender, ev.receiver):
-            g.add_node(addr, _node_class_for(addr, store, default_class))
-        g.add_edge_event(ev.sender, ev.receiver, ev.value, ev.timestamp)
+        sender, receiver = ev.sender, ev.receiver
+        # add_node keeps a node's first class, so only a new address is classed
+        if sender not in nodes:
+            g.add_node(sender, _node_class_for(sender, store, default_class))
+        if receiver not in nodes:
+            g.add_node(receiver, _node_class_for(receiver, store, default_class))
+        g.add_edge_event(sender, receiver, ev.value, ev.timestamp)
 
 
 def _build_graph(events, store: EventStore, default_class: NodeClass) -> CommunityGraph:

@@ -7,6 +7,14 @@ immutable-by-convention record that all downstream stages consume. The
 ingest stage writes it out once in canonical form; read_store loads that
 form back without repeating the raw-input validation.
 
+Each event is a TransferEvent, an immutable named tuple, so it costs one
+tuple to build and EVENT_ORDER sorts by position in C. Raw rows are read
+positionally, one pass per file, and every address text is normalized
+once: events that name the same address share one string, both when
+parsing raw exports and when read_store loads the store. Each raw file is
+sorted once, the merge of the two is sorted once more (two sorted runs,
+so linear), and write_transfers_csv trusts its input to be in that order.
+
 Token amounts are integers in the smallest unit (18 decimals); display
 scaling happens only at report boundaries, never inside computations.
 """
@@ -16,11 +24,16 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import re
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 from enum import Enum
+from itertools import compress, count, islice
+from operator import attrgetter, eq, gt, itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from . import artifacts
 
@@ -35,7 +48,9 @@ DEFAULT_WINDOW_END = "2022-04-13"
 
 Address = str  # "0x" + 40 lowercase hex digits
 
-_HEX = set("0123456789abcdef")
+# Lowercased text of an address or tx hash, with or without the 0x prefix.
+_ADDRESS = re.compile("(?:0x)?[0-9a-f]{40}").fullmatch
+_TX_HASH = re.compile("(?:0x)?[0-9a-f]{64}").fullmatch
 
 
 class IngestError(Exception):
@@ -51,20 +66,16 @@ class DuplicateClaimError(IngestError):
 def normalize_address(raw: str) -> Address:
     """Lowercase, 0x-prefix, and validate a 20-byte hex address."""
     s = raw.strip().lower()
-    if s.startswith("0x"):
-        s = s[2:]
-    if len(s) != 40 or not set(s) <= _HEX:
+    if not _ADDRESS(s):
         raise ValueError(f"not a 20-byte hex address: {raw!r}")
-    return "0x" + s
+    return s if len(s) == 42 else "0x" + s
 
 
 def normalize_tx_hash(raw: str) -> str:
     s = raw.strip().lower()
-    if s.startswith("0x"):
-        s = s[2:]
-    if len(s) != 64 or not set(s) <= _HEX:
+    if not _TX_HASH(s):
         raise ValueError(f"not a 32-byte tx hash: {raw!r}")
-    return "0x" + s
+    return s if len(s) == 66 else "0x" + s
 
 
 def format_token_amount(value: int) -> str:
@@ -106,8 +117,7 @@ class Tier(int, Enum):
         return self.value * TOKEN_SCALE
 
 
-@dataclass(frozen=True, slots=True)
-class TransferEvent:
+class TransferEvent(NamedTuple):
     tx_hash: str
     sender: Address
     receiver: Address
@@ -126,6 +136,11 @@ class TransferEvent:
         # kind qualifies the key so a token transfer is never collapsed
         # with the external transaction that carried it.
         return (self.tx_hash, self.log_index, self.kind)
+
+
+# sort_key as a C-level key: (timestamp, block, tx_hash, log_index).
+EVENT_ORDER = itemgetter(4, 5, 0, 7)
+_KINDS = {k.value: k for k in EventKind}
 
 
 @dataclass(frozen=True, slots=True)
@@ -174,66 +189,97 @@ def _date_ts(iso_day: str) -> int:
 
 
 TRANSFER_COLUMNS = ("tx_hash", "from", "to", "value", "timestamp", "block")
+STORE_COLUMNS = [*TRANSFER_COLUMNS, "log_index", "kind"]
+CONTRACT_COLUMNS = ["address", "name", "category"]
+CLAIM_COLUMNS = ["address", "tier", "amount", "timestamp"]
 
 
-def _iter_rows(path, columns=()) -> tuple[list[tuple[int, dict[str, str]]], list[MalformedRow]]:
-    """Read CSV-with-header or JSONL rows as (line_no, row) pairs.
+def _iter_rows(path, columns, errors: list[MalformedRow], required=()):
+    """Yield (line_no, cells) for each row of a CSV-with-header or JSONL file.
 
-    Every row maps column names to strings, as a CSV row does: a short CSV
-    row's missing cells are empty, and a JSONL value becomes its text. A
-    JSONL line that is not a JSON object is a malformed row. A CSV file
-    with rows must have every one of `columns` in its header.
+    cells holds the text of each of `columns`, as csv.DictReader's
+    row.get(column) reads it: a short CSV row's missing cells are empty,
+    a header naming a column twice gives its last cell, extra cells are
+    ignored, and a column the header lacks is None. CSV line numbers count
+    the header as line 1 and skip blank lines, as enumerate(DictReader,
+    start=2) does. A JSONL value becomes its text (null an empty cell), a
+    key the object lacks is None, and a line that is not a JSON object is
+    appended to `errors`. A CSV file with rows must have every one of
+    `required` in its header.
     """
     path = Path(path)
-    errors: list[MalformedRow] = []
     try:
         # newline="": a line ends only at \n, \r or \r\n, as in the csv module
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            if path.suffix != ".jsonl":
-                reader = csv.DictReader(fh, restval="")
-                if reader.fieldnames is None:
-                    raise IngestError(f"{path}: empty file, missing header")
-                rows = list(enumerate(reader, start=2))
-                missing = [c for c in columns if c not in reader.fieldnames]
-                if rows and missing:
+            if path.suffix == ".jsonl":
+                yield from _jsonl_rows(fh, columns, errors)
+                return
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise IngestError(f"{path}: empty file, missing header")
+            n = len(header)
+            position = {name: i for i, name in enumerate(header)}  # the last of a repeated name
+            missing = [c for c in required if c not in position]
+            absent = any(c not in position for c in columns)
+            # a column the header lacks reads the None appended after the n cells
+            pick = itemgetter(*[position.get(c, n) for c in columns])
+            pad = [""] * n
+            line_no = 1
+            for row in reader:
+                if not row:
+                    continue
+                if missing:
+                    for _ in reader:  # a read error anywhere in the file comes first
+                        pass
                     raise IngestError(f"{path}: header missing columns {missing}")
-                return rows, errors
-            rows = []
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    row = json.loads(line)
-                    if not isinstance(row, dict):
-                        raise ValueError("JSONL row is not an object")
-                except ValueError as exc:
-                    errors.append(MalformedRow(line_no, str(exc)))
-                    continue
-                # the text a CSV cell would hold; null is an empty cell
-                rows.append((line_no, {k: "" if v is None else str(v) for k, v in row.items()}))
-            return rows, errors
+                line_no += 1
+                if len(row) != n:
+                    row = (row + pad)[:n]
+                if absent:
+                    row.append(None)
+                yield line_no, pick(row)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise IngestError(f"cannot read {path} as UTF-8 CSV or JSONL: {exc}") from exc
 
 
-def _parse_transfer_row(row: dict, kind: EventKind, allow_self: bool) -> TransferEvent:
-    tx_hash = normalize_tx_hash(row["tx_hash"])
-    sender = normalize_address(row["from"])
-    receiver = normalize_address(row["to"])
-    value = int(row["value"].strip())
-    if value < 0:
-        raise ValueError(f"negative value {value}")
-    timestamp = int(row["timestamp"].strip())
-    block = int(row["block"].strip())
-    if block < 0:
-        raise ValueError(f"negative block {block}")
-    if sender == receiver and not allow_self:
-        raise ValueError("self-transfer not allowed by config")
-    log_index = int((row.get("log_index") or "0").strip())
-    row_kind = row.get("kind")
-    if row_kind:
-        kind = EventKind(row_kind.strip())
-    return TransferEvent(tx_hash, sender, receiver, value, timestamp, block, kind, log_index)
+def _jsonl_rows(fh, columns, errors: list[MalformedRow]):
+    for line_no, line in enumerate(fh, start=1):
+        if not line.strip():
+            continue
+        try:
+            row = json.loads(line)
+            if not isinstance(row, dict):
+                raise ValueError("JSONL row is not an object")
+        except ValueError as exc:
+            errors.append(MalformedRow(line_no, str(exc)))
+            continue
+        # the text a CSV cell would hold; null is an empty cell
+        yield line_no, tuple(None if c not in row else "" if row[c] is None else str(row[c])
+                             for c in columns)
+
+
+def _cell(text: str | None, column: str) -> str:
+    """The cell of `column`; KeyError when the row has no such column,
+    as DictReader's row[column] raises."""
+    if text is None:
+        raise KeyError(column)
+    return text
+
+
+def _address_memo():
+    """normalize_address that runs once per distinct text. A normalized
+    address maps to itself, so every text of one address gives one string."""
+    memo: dict[str, Address] = {}
+
+    def address(raw: str) -> Address:
+        a = memo.get(raw)
+        if a is None:
+            a = normalize_address(raw)
+            memo[raw] = a = memo.setdefault(a, a)
+        return a
+
+    return address
 
 
 def parse_transfers(
@@ -248,32 +294,55 @@ def parse_transfers(
     their line number, never silently dropped. Only an unreadable file or a
     missing header raises.
     """
-    rows, errors = _iter_rows(path, TRANSFER_COLUMNS)
+    errors: list[MalformedRow] = []
     events: list[TransferEvent] = []
-    for line_no, row in rows:
+    address = _address_memo()
+    for line_no, cells in _iter_rows(path, STORE_COLUMNS, errors, TRANSFER_COLUMNS):
+        tx_hash, sender, receiver, value, timestamp, block, log_index, row_kind = cells
         try:
-            missing = [c for c in TRANSFER_COLUMNS if not row.get(c)]
-            if missing:
+            if not (tx_hash and sender and receiver and value and timestamp and block):
+                missing = [c for c, text in zip(TRANSFER_COLUMNS, cells) if not text]
                 raise ValueError(f"missing fields {missing}")
-            events.append(_parse_transfer_row(row, kind, allow_self_transfers))
-        except (ValueError, KeyError) as exc:
+            tx_hash = normalize_tx_hash(tx_hash)
+            sender = address(sender)
+            receiver = address(receiver)
+            value = int(value.strip())
+            if value < 0:
+                raise ValueError(f"negative value {value}")
+            timestamp = int(timestamp.strip())
+            block = int(block.strip())
+            if block < 0:
+                raise ValueError(f"negative block {block}")
+            if sender == receiver and not allow_self_transfers:
+                raise ValueError("self-transfer not allowed by config")
+            log_index = int((log_index or "0").strip())
+            if row_kind:
+                row_kind = row_kind.strip()
+                row_kind = _KINDS.get(row_kind) or EventKind(row_kind)
+            else:
+                row_kind = kind
+        except ValueError as exc:
             errors.append(MalformedRow(line_no, str(exc)))
-    events.sort(key=lambda e: e.sort_key)
+            continue
+        events.append(TransferEvent(tx_hash, sender, receiver, value, timestamp, block,
+                                    row_kind, log_index))
+    events.sort(key=EVENT_ORDER)
     return events, sorted(errors)
 
 
 def parse_contracts(path) -> tuple[list[ContractInfo], list[MalformedRow]]:
     """Parse the contract dictionary CSV (address,name,category)."""
-    rows, errors = _iter_rows(path)
+    errors: list[MalformedRow] = []
     contracts: list[ContractInfo] = []
     seen: set[Address] = set()
-    for line_no, row in rows:
+    for line_no, (address, name, category) in _iter_rows(path, CONTRACT_COLUMNS, errors):
         try:
-            address = normalize_address(row["address"])
-            name = row["name"].strip()
-            category = _CATEGORY_LOOKUP.get(row["category"].strip().lower())
+            address = normalize_address(_cell(address, "address"))
+            name = _cell(name, "name").strip()
+            category_text = _cell(category, "category")
+            category = _CATEGORY_LOOKUP.get(category_text.strip().lower())
             if category is None:
-                raise ValueError(f"unknown category {row['category']!r}")
+                raise ValueError(f"unknown category {category_text!r}")
             if address in seen:
                 raise ValueError(f"duplicate contract entry for {address}")
             seen.add(address)
@@ -291,18 +360,18 @@ def parse_claims(path) -> tuple[list[ClaimRecord], list[MalformedRow]]:
     are malformed rows. Duplicate addresses surface later, when
     build_event_store assembles the claim map.
     """
-    rows, errors = _iter_rows(path)
+    errors: list[MalformedRow] = []
     claims: list[ClaimRecord] = []
-    for line_no, row in rows:
+    for line_no, (address, tier, amount, timestamp) in _iter_rows(path, CLAIM_COLUMNS, errors):
         try:
-            address = normalize_address(row["address"])
-            tier = Tier(int(row["tier"].strip()))
-            amount = int(row["amount"].strip())
+            address = normalize_address(_cell(address, "address"))
+            tier = Tier(int(_cell(tier, "tier").strip()))
+            amount = int(_cell(amount, "amount").strip())
             if amount != tier.amount:
                 raise ValueError(
                     f"amount {amount} does not match tier face value {tier.amount}"
                 )
-            timestamp = int(row["timestamp"].strip())
+            timestamp = int(_cell(timestamp, "timestamp").strip())
             claims.append(ClaimRecord(address, tier, amount, timestamp))
         except (ValueError, KeyError) as exc:
             errors.append(MalformedRow(line_no, str(exc)))
@@ -360,11 +429,8 @@ class EventStore:
         return [e for e in self.events if e.kind == kind]
 
     def participants(self) -> set[Address]:
-        out = set()
-        for e in self.events:
-            out.add(e.sender)
-            out.add(e.receiver)
-        return out
+        return set(map(attrgetter("sender"), self.events)).union(
+            map(attrgetter("receiver"), self.events))
 
 
 def build_event_store(
@@ -384,7 +450,7 @@ def build_event_store(
     """
     config = config or IngestConfig()
     report = IngestReport(malformed=list(parse_errors or []))
-    merged = sorted(token_events + external_events, key=lambda e: e.sort_key)
+    merged = sorted(token_events + external_events, key=EVENT_ORDER)
     report.input_rows = len(merged) + len(report.malformed)
 
     bounds = config.window_bounds()
@@ -415,9 +481,10 @@ def build_event_store(
     participants = store.participants()
     report.claims_without_events = sorted(a for a in claim_map if a not in participants)
     report.stored = len(kept)
-    report.token_events = sum(1 for e in kept if e.kind == EventKind.TOKEN_TRANSFER)
-    report.external_events = sum(1 for e in kept if e.kind == EventKind.EXTERNAL_TX)
-    report.internal_events = sum(1 for e in kept if e.kind == EventKind.INTERNAL_TX)
+    kinds = Counter(map(attrgetter("kind"), kept))
+    report.token_events = kinds[EventKind.TOKEN_TRANSFER]
+    report.external_events = kinds[EventKind.EXTERNAL_TX]
+    report.internal_events = kinds[EventKind.INTERNAL_TX]
     report.n_contracts = len(contract_map)
     report.n_claims = len(claim_map)
     if report.claims_without_events:
@@ -455,18 +522,15 @@ def load_event_store(
 # module's CSV format. parse(write(parse(x))) round-trips exactly, and
 # read_store reads the three files back without re-validating them.
 
-STORE_COLUMNS = [*TRANSFER_COLUMNS, "log_index", "kind"]
-CONTRACT_COLUMNS = ["address", "name", "category"]
-CLAIM_COLUMNS = ["address", "tier", "amount", "timestamp"]
+# An event's cells in STORE_COLUMNS order. csv writes the str-valued
+# EventKind as its value, since csv takes any str as its text.
+_STORE_ROW = itemgetter(0, 1, 2, 3, 4, 5, 7, 6)
 
 
 def write_transfers_csv(events: list[TransferEvent], path) -> None:
-    artifacts.write_csv(
-        STORE_COLUMNS,
-        ([e.tx_hash, e.sender, e.receiver, e.value, e.timestamp, e.block, e.log_index,
-          e.kind.value] for e in sorted(events, key=lambda e: e.sort_key)),
-        path,
-    )
+    """Write `events`, which must already be in EVENT_ORDER, as parse_transfers
+    and build_event_store return them."""
+    artifacts.write_csv(STORE_COLUMNS, map(_STORE_ROW, events), path)
 
 
 def write_contracts_csv(contracts: list[ContractInfo], path) -> None:
@@ -491,32 +555,34 @@ class CorruptStoreError(IngestError):
     """An ingest artifact fails one of read_store's integrity checks."""
 
 
-_KINDS = {k.value: k for k in EventKind}
-
-
-def _event_row(tx_hash, sender, receiver, value, timestamp, block, log_index, kind):
-    return TransferEvent(tx_hash, sender, receiver, int(value), int(timestamp), int(block),
-                         _KINDS[kind], int(log_index))
-
-
-def _contract_row(address, name, category):
-    return ContractInfo(address, name, ContractCategory(category))
-
-
-def _claim_row(address, tier, amount, timestamp):
-    return ClaimRecord(address, Tier(int(tier)), int(amount), int(timestamp))
-
-
 def _read_canonical(path: Path, columns: list[str], build) -> list:
-    """One record per row of a canonical CSV, built by `build(*row)`."""
+    """The records `build(reader)` makes of a canonical CSV's rows. A bad
+    row stops `build` while the reader is on its line, so the error names it."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             if next(reader, None) != columns:
                 raise CorruptStoreError(f"{path}: header is not {','.join(columns)}")
-            return [build(*row) for row in reader]
-        except (ValueError, TypeError, KeyError, csv.Error) as exc:
+            return build(reader)
+        except (ValueError, KeyError, csv.Error) as exc:
             raise CorruptStoreError(f"{path} line {reader.line_num}: bad row ({exc})") from exc
+
+
+def _events(reader) -> list[TransferEvent]:
+    share = {}.setdefault  # one string per address, shared by its events
+    return [TransferEvent(tx_hash, share(sender, sender), share(receiver, receiver), int(value),
+                          int(timestamp), int(block), _KINDS[kind], int(log_index))
+            for tx_hash, sender, receiver, value, timestamp, block, log_index, kind in reader]
+
+
+def _contracts(reader) -> list[ContractInfo]:
+    return [ContractInfo(address, name, ContractCategory(category))
+            for address, name, category in reader]
+
+
+def _claims(reader) -> list[ClaimRecord]:
+    return [ClaimRecord(address, Tier(int(tier)), int(amount), int(timestamp))
+            for address, tier, amount, timestamp in reader]
 
 
 def _by_address(records: list, expected: int, path: Path) -> dict:
@@ -550,30 +616,29 @@ def read_store(stage_dir, config: IngestConfig | None = None) -> EventStore:
         raise CorruptStoreError(f"{report_path}: not an ingest report ({exc})") from exc
 
     path = stage_dir / "events.csv"
-    events = _read_canonical(path, STORE_COLUMNS, _event_row)
+    events = _read_canonical(path, STORE_COLUMNS, _events)
     if len(events) != report.stored:
         raise CorruptStoreError(
             f"{path}: {len(events)} rows, report.json says {report.stored} stored"
         )
-    timestamps = [e.timestamp for e in events]
-    unsorted = next((i for i in range(1, len(timestamps))
-                     if timestamps[i] < timestamps[i - 1]), None)
+    # Event i is on line i + 2. Both scans run in C and stop at the first hit.
+    timestamps = list(map(attrgetter("timestamp"), events))
+    unsorted = next(compress(count(3), map(gt, timestamps, islice(timestamps, 1, None))), None)
     if unsorted is not None:
-        raise CorruptStoreError(f"{path} line {unsorted + 2}: timestamp out of order")
+        raise CorruptStoreError(f"{path} line {unsorted}: timestamp out of order")
     if not config.allow_self_transfers:
-        selfish = next((i for i, e in enumerate(events) if e.sender == e.receiver), None)
+        selfish = next(compress(count(2), map(eq, map(attrgetter("sender"), events),
+                                              map(attrgetter("receiver"), events))), None)
         if selfish is not None:
-            raise CorruptStoreError(
-                f"{path} line {selfish + 2}: self-transfer not allowed by config"
-            )
+            raise CorruptStoreError(f"{path} line {selfish}: self-transfer not allowed by config")
     bounds = config.window_bounds()
     if bounds:
         events = events[bisect_left(timestamps, bounds[0]):bisect_right(timestamps, bounds[1])]
 
     path = stage_dir / "contracts.csv"
-    contracts = _by_address(_read_canonical(path, CONTRACT_COLUMNS, _contract_row),
+    contracts = _by_address(_read_canonical(path, CONTRACT_COLUMNS, _contracts),
                             report.n_contracts, path)
     path = stage_dir / "claims.csv"
-    claims = _by_address(_read_canonical(path, CLAIM_COLUMNS, _claim_row),
+    claims = _by_address(_read_canonical(path, CLAIM_COLUMNS, _claims),
                          report.n_claims, path)
     return EventStore(events, contracts, claims, config, report)

@@ -30,6 +30,7 @@ from .ingest import (
     ClaimRecord,
     ContractCategory,
     ContractInfo,
+    EVENT_ORDER,
     EventKind,
     EventStore,
     IngestConfig,
@@ -595,8 +596,8 @@ def generate(spec: ScenarioSpec, validate: bool = True) -> Scenario:
     _plant_noise(b, int(spec.noise_rate * max(len(b.claims), 1)))
     _plant_distractor_funding(b, role_claimants)
 
-    b.token_events.sort(key=lambda e: e.sort_key)
-    b.external_events.sort(key=lambda e: e.sort_key)
+    b.token_events.sort(key=EVENT_ORDER)
+    b.external_events.sort(key=EVENT_ORDER)
     b.claims.sort(key=lambda c: c.address)
 
     tier_counts: dict[str, int] = {}
@@ -774,7 +775,7 @@ def airdrop_star_churn(seed: int, claimants: int = 40, weeks: int = 8) -> Scenar
         amount = 100 * 10**18
         b.token(a, c, amount, ts)
         b.token(c, a, amount // 2, ts + 3600)
-    b.token_events.sort(key=lambda e: e.sort_key)
+    b.token_events.sort(key=EVENT_ORDER)
     b.claims.sort(key=lambda c: c.address)
     return Scenario(spec, b.token_events, b.external_events, b.contracts,
                     b.claims, b.truth, b.airdrop_ts)
@@ -802,7 +803,7 @@ def attrition_scenario(
                 b.record_truth(addr, {OperationKind.SELL}, "selling")
             else:
                 b.record_truth(addr, set(), "holding")
-    b.token_events.sort(key=lambda e: e.sort_key)
+    b.token_events.sort(key=EVENT_ORDER)
     b.claims.sort(key=lambda c: c.address)
     return Scenario(spec, b.token_events, b.external_events, b.contracts,
                     b.claims, b.truth, b.airdrop_ts)
@@ -860,7 +861,7 @@ def eligibility_scenario(seed: int) -> tuple[EligibilityHistory, list[Address], 
             population.append(wallets[i])
             expectations[label].append(wallets[i])
 
-    b.external_events.sort(key=lambda e: e.sort_key)
+    b.external_events.sort(key=EVENT_ORDER)
     history = EligibilityHistory(
         events=b.external_events,
         balances=balances,
@@ -897,7 +898,7 @@ def tier_quota_history(
             for k in range(count):
                 b.external(addr, protocol, min(base + k * 900, snapshot - 60))
             population.append(addr)
-    b.external_events.sort(key=lambda e: e.sort_key)
+    b.external_events.sort(key=EVENT_ORDER)
     history = EligibilityHistory(
         events=b.external_events,
         balances=balances,

@@ -5,10 +5,22 @@ algorithms and different float arrangements than the library code, so an
 agreement is meaningful. Big-O does not matter here; clarity does.
 """
 
+import csv
 import math
 from types import SimpleNamespace
 
 from airdrop_forensics.flows import OperationKind, weighted_cosine_distance
+from airdrop_forensics.ingest import (
+    TRANSFER_COLUMNS,
+    ClaimRecord,
+    ContractCategory,
+    ContractInfo,
+    EventKind,
+    IngestError,
+    MalformedRow,
+    Tier,
+    TransferEvent,
+)
 
 
 def oracle_reciprocity(edges) -> float:
@@ -281,3 +293,98 @@ def quantity(series) -> float:
     if not active:
         return 0.0
     return sum(active) / len(active) / 10**18
+
+
+# The raw-export parsers as they read rows through csv.DictReader: the
+# reference for ingest's positional reader. Same results and the same
+# malformed-row text, line numbers and order.
+
+def _dict_rows(path, columns=()):
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.DictReader(fh, restval="")
+        if reader.fieldnames is None:
+            raise IngestError(f"{path}: empty file, missing header")
+        rows = list(enumerate(reader, start=2))
+        missing = [c for c in columns if c not in reader.fieldnames]
+        if rows and missing:
+            raise IngestError(f"{path}: header missing columns {missing}")
+        return rows
+
+
+def _hex(raw: str, digits: int, what: str) -> str:
+    s = raw.strip().lower()
+    if s.startswith("0x"):
+        s = s[2:]
+    if len(s) != digits or not set(s) <= set("0123456789abcdef"):
+        raise ValueError(f"not a {what}: {raw!r}")
+    return "0x" + s
+
+
+def _address(raw: str) -> str:
+    return _hex(raw, 40, "20-byte hex address")
+
+
+def dictreader_parse_transfers(path, kind=EventKind.TOKEN_TRANSFER, allow_self_transfers=False):
+    events, errors = [], []
+    for line_no, row in _dict_rows(path, TRANSFER_COLUMNS):
+        try:
+            missing = [c for c in TRANSFER_COLUMNS if not row.get(c)]
+            if missing:
+                raise ValueError(f"missing fields {missing}")
+            tx_hash = _hex(row["tx_hash"], 64, "32-byte tx hash")
+            sender = _address(row["from"])
+            receiver = _address(row["to"])
+            value = int(row["value"].strip())
+            if value < 0:
+                raise ValueError(f"negative value {value}")
+            timestamp = int(row["timestamp"].strip())
+            block = int(row["block"].strip())
+            if block < 0:
+                raise ValueError(f"negative block {block}")
+            if sender == receiver and not allow_self_transfers:
+                raise ValueError("self-transfer not allowed by config")
+            log_index = int((row.get("log_index") or "0").strip())
+            row_kind = EventKind(row["kind"].strip()) if row.get("kind") else kind
+            events.append(TransferEvent(tx_hash, sender, receiver, value, timestamp, block,
+                                        row_kind, log_index))
+        except (ValueError, KeyError) as exc:
+            errors.append(MalformedRow(line_no, str(exc)))
+    events.sort(key=lambda e: e.sort_key)
+    return events, sorted(errors)
+
+
+def dictreader_parse_contracts(path):
+    contracts, errors, seen = [], [], set()
+    categories = {c.value.lower(): c for c in ContractCategory}
+    for line_no, row in _dict_rows(path):
+        try:
+            address = _address(row["address"])
+            name = row["name"].strip()
+            category = categories.get(row["category"].strip().lower())
+            if category is None:
+                raise ValueError(f"unknown category {row['category']!r}")
+            if address in seen:
+                raise ValueError(f"duplicate contract entry for {address}")
+            seen.add(address)
+            contracts.append(ContractInfo(address, name, category))
+        except (ValueError, KeyError) as exc:
+            errors.append(MalformedRow(line_no, str(exc)))
+    contracts.sort(key=lambda c: c.address)
+    return contracts, sorted(errors)
+
+
+def dictreader_parse_claims(path):
+    claims, errors = [], []
+    for line_no, row in _dict_rows(path):
+        try:
+            address = _address(row["address"])
+            tier = Tier(int(row["tier"].strip()))
+            amount = int(row["amount"].strip())
+            if amount != tier.amount:
+                raise ValueError(f"amount {amount} does not match tier face value {tier.amount}")
+            timestamp = int(row["timestamp"].strip())
+            claims.append(ClaimRecord(address, tier, amount, timestamp))
+        except (ValueError, KeyError) as exc:
+            errors.append(MalformedRow(line_no, str(exc)))
+    claims.sort(key=lambda c: c.address)
+    return claims, sorted(errors)

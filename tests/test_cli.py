@@ -470,11 +470,15 @@ def _swap_first_unequal_timestamps(lines: list[str]) -> list[str]:
     return lines
 
 
-def _replace_cell(lines: list[str], column: int, value: str) -> list[str]:
-    cells = lines[1].split(",")
+def _replace_cell(lines: list[str], column: int, value: str, line: int = 2) -> list[str]:
+    cells = lines[line - 1].split(",")
     cells[column] = value
-    lines[1] = ",".join(cells)
+    lines[line - 1] = ",".join(cells)
     return lines
+
+
+# Corruptions deep in events.csv, and the line the error must name.
+BAD_ROW_LINE = {"nine_cells": 800, "bad_cell_deep": 1500}
 
 
 CORRUPTIONS = {
@@ -487,6 +491,8 @@ CORRUPTIONS = {
     "unknown_tier": ("claims.csv", lambda lines: _replace_cell(lines, 1, "4000")),
     "duplicate_claim": ("claims.csv", lambda lines: lines[:2] + lines[1:]),
     "rows_swapped": ("events.csv", _swap_first_unequal_timestamps),
+    "nine_cells": ("events.csv", lambda lines: _replace_cell(lines, 7, "token_transfer,0", 800)),
+    "bad_cell_deep": ("events.csv", lambda lines: _replace_cell(lines, 5, "13x", 1500)),
     "report_not_json": ("report.json", lambda lines: ["{"]),
     "report_missing": ("report.json", None),
 }
@@ -509,6 +515,8 @@ def test_corrupt_ingest_artifact_exits_1(ingested, tmp_path, capsys, case):
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["code"] == "missing_artifact"
     assert "ingest stage" in err["error"]
+    if case in BAD_ROW_LINE:  # the loader stops at the first bad row and names its line
+        assert f"{name} line {BAD_ROW_LINE[case]}: bad row" in err["error"]
     assert not (out / "cluster").exists()
 
 

@@ -1,5 +1,8 @@
+import hashlib
+import itertools
 import math
 import random
+import struct
 from types import SimpleNamespace
 
 import pytest
@@ -318,6 +321,19 @@ class TestWeightedCosine:
                 FeatureVector(bits_a, scaled), FeatureVector(bits_b, scaled)
             )
             assert abs(base - moved) < 1e-12
+
+    @pytest.mark.parametrize("weights,digest", [
+        ((0.5, 1.0, 1.5, 2.0, 0.3, 0.7, 1.1, 2.5),
+         "e1258511e1fd6d8011d264a674f2ea234fd3312859dd463b8e5290cfc3358918"),
+        (UNIFORM_WEIGHTS, "948bcd7191f40782d2718eb2d52d38968465a8c04929648207dc7ffa9ed5546b"),
+    ], ids=["weighted", "uniform"])
+    def test_all_pattern_distances_have_pinned_bits(self, weights, digest):
+        """The sums fold left to right, so every distance has the same bits
+        on every interpreter; builtin sum rounds differently from 3.12 on."""
+        vectors = [FeatureVector(bits, weights) for bits in itertools.product((0, 1), repeat=8)]
+        packed = b"".join(struct.pack("<d", weighted_cosine_distance(a, b))
+                          for a in vectors for b in vectors)
+        assert hashlib.sha256(packed).hexdigest() == digest
 
 
 def test_feature_matrix_export(tmp_path):

@@ -1,7 +1,9 @@
 import csv
+import io
 import json
 import random
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,8 @@ from airdrop_forensics import artifacts
 from airdrop_forensics.ingest import (
     CLAIM_COLUMNS,
     CONTRACT_COLUMNS,
+    EVENT_ORDER,
+    STORE_COLUMNS,
     TRANSFER_COLUMNS,
     ContractCategory,
     CorruptStoreError,
@@ -19,6 +23,7 @@ from airdrop_forensics.ingest import (
     IngestConfig,
     IngestError,
     Tier,
+    TransferEvent,
     build_event_store,
     format_token_amount,
     normalize_address,
@@ -32,6 +37,7 @@ from airdrop_forensics.ingest import (
 )
 
 from conftest import WINDOW_START, addr, claim, contract, ev
+from oracles import dictreader_parse_claims, dictreader_parse_contracts, dictreader_parse_transfers
 
 A1 = "0x" + "a1" * 20
 B2 = "0x" + "b2" * 20
@@ -428,3 +434,119 @@ def test_read_store_of_written_store_is_the_store(store):
     assert loaded.claims == store.claims
     assert loaded.config == store.config
     assert loaded.report == store.report
+
+
+def test_transfer_event_is_an_immutable_set_member():
+    event = ev(addr(1), addr(2), 5)
+    with pytest.raises(AttributeError):
+        event.value = 6
+    twin = TransferEvent(*event)
+    assert twin == event and twin is not event
+    assert len({event, twin}) == 1 and twin in {event}
+
+
+@_PROPERTY
+@given(keys=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2),
+                               st.integers(0, 2), st.sampled_from(list(EventKind))), max_size=20))
+def test_event_order_sorts_as_sort_key(keys):
+    events = [TransferEvent(f"0x{tx:064x}", addr(1), addr(2), 1, ts, block, kind, log_index)
+              for ts, block, tx, log_index, kind in keys]
+    assert [EVENT_ORDER(e) for e in events] == [e.sort_key for e in events]
+    assert sorted(events, key=EVENT_ORDER) == sorted(events, key=lambda e: e.sort_key)
+
+
+# Differential: the positional raw-row reader against csv.DictReader
+# (tests/oracles.py). Raw files with short and long rows, blank lines,
+# repeated, unknown and missing header names, a byte order mark, and
+# \n, \r\n or lone \r line ends.
+
+def _cells(valid, *bad):
+    """Mostly valid cells, one of `bad` a fifth of the time."""
+    return st.integers(0, 4).flatmap(lambda i: st.sampled_from(bad) if i == 0 else valid)
+
+
+def _int_cells(lo, hi):
+    return _cells(st.one_of(st.integers(lo, hi).map(str), st.integers(lo, hi).map(" {} ".format)),
+                  "", "x", "1.5", str(lo - 1))
+
+
+_ADDRESS_CELLS = _cells(
+    st.one_of(st.integers(1, 3).map(addr),
+              st.integers(1, 3).map(lambda i: " 0X" + addr(i)[2:].upper()),
+              st.integers(1, 3).map(lambda i: addr(i)[2:])),
+    "", " ", "0x1234", "0x" + "zz" * 20,
+)
+_CELLS = {
+    "tx_hash": _cells(st.one_of(st.integers(0, 3).map("0x{:064x}".format),
+                                st.integers(0, 3).map("{:064X} ".format)),
+                      "", "0xab", "0x" + "g" * 64),
+    "from": _ADDRESS_CELLS,
+    "to": _ADDRESS_CELLS,
+    "address": _ADDRESS_CELLS,
+    "value": _int_cells(0, 10**21),
+    "timestamp": _int_cells(WINDOW_START - 10, WINDOW_START + 10),
+    "block": _int_cells(0, 3),
+    "log_index": _int_cells(0, 2),
+    "kind": _cells(st.sampled_from(["", *[k.value for k in EventKind], " external_tx"]), "bogus"),
+    "name": st.text(max_size=5),
+    "category": _cells(st.sampled_from([*[c.value for c in ContractCategory], "staking", " CEX"]),
+                       "", "x"),
+    "tier": _cells(st.sampled_from(["5200", " 7800", "10400"]), "4000", "", "x"),
+    "amount": _cells(st.sampled_from([str(t.amount) for t in Tier]), "1", "", "x"),
+    "extra": st.text(max_size=4),
+}
+
+
+@st.composite
+def raw_csv_files(draw, columns):
+    header = list(draw(st.permutations(columns)))
+    if draw(st.integers(0, 3)) == 0:
+        del header[draw(st.integers(0, len(header) - 1))]
+    for _ in range(draw(st.integers(0, 2))):
+        header.insert(draw(st.integers(0, len(header))), draw(st.sampled_from([*columns, "extra"])))
+    if draw(st.integers(0, 9)) == 0:
+        header = []
+    lines = [header]
+    for _ in range(draw(st.integers(0, 10))):
+        shape = draw(st.sampled_from(["full", "full", "short", "long", "blank"]))
+        cells = [] if shape == "blank" else [draw(_CELLS[name]) for name in header]
+        if shape == "short":
+            cells = cells[:draw(st.integers(0, len(cells)))]
+        elif shape == "long":
+            cells += draw(st.lists(_CELLS["extra"], min_size=1, max_size=2))
+        lines.append(cells)
+    text = io.StringIO()
+    csv.writer(text, lineterminator=draw(st.sampled_from(["\n", "\r\n", "\r"]))).writerows(lines)
+    return draw(st.sampled_from(["", "\ufeff"])) + text.getvalue()
+
+
+def _outcome(parse, path):
+    try:
+        records, errors = parse(path)
+    except IngestError as exc:
+        return "IngestError", str(exc)
+    return records, [(m.line, m.reason) for m in errors]
+
+
+_PARSERS = {
+    "transfers": (STORE_COLUMNS, parse_transfers, dictreader_parse_transfers),
+    "transfers_external_self": (STORE_COLUMNS,
+                                partial(parse_transfers, kind=EventKind.EXTERNAL_TX,
+                                        allow_self_transfers=True),
+                                partial(dictreader_parse_transfers, kind=EventKind.EXTERNAL_TX,
+                                        allow_self_transfers=True)),
+    "contracts": (CONTRACT_COLUMNS, parse_contracts, dictreader_parse_contracts),
+    "claims": (CLAIM_COLUMNS, parse_claims, dictreader_parse_claims),
+}
+
+
+@pytest.mark.parametrize("which", sorted(_PARSERS))
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_positional_reader_matches_dictreader(which, data):
+    columns, parse, reference = _PARSERS[which]
+    raw = data.draw(raw_csv_files(columns))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "raw.csv"
+        path.write_bytes(raw.encode())
+        assert _outcome(parse, path) == _outcome(reference, path)
