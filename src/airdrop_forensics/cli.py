@@ -99,6 +99,7 @@ def cmd_ingest(config: Config, out: Path, args) -> None:
     stage = out / "ingest"
     stage.mkdir(parents=True, exist_ok=True)
     ingest.write_transfers_csv(store.events, stage / "events.csv")
+    ingest.write_column_cache(store.events, stage / "events.csv", stage / ingest.COLUMN_CACHE)
     ingest.write_contracts_csv(list(store.contracts.values()), stage / "contracts.csv")
     ingest.write_claims_csv(list(store.claims.values()), stage / "claims.csv")
     artifacts.write_json(store.report.to_json(), stage / "report.json")
@@ -261,12 +262,12 @@ def _read_balances(path: str) -> dict[str, dict[str, float]]:
 
 def cmd_stats(config: Config, out: Path, args) -> None:
     store = _load_store_from_ingest(config, out)
+    bounds = store.config.window_bounds()
+    if not (bounds or store.events):
+        raise MissingArtifactError("no events ingested and no study window; no period to describe")
+    start_ts, end_ts = bounds or (store.events[0].timestamp, store.events[-1].timestamp)
     stage = out / "stats"
     stage.mkdir(parents=True, exist_ok=True)
-    bounds = store.config.window_bounds()
-    start_ts, end_ts = bounds if bounds else (
-        store.events[0].timestamp, store.events[-1].timestamp
-    )
     member_flows = flows.build_flows(store, sorted(store.claims))
     table = stats.behavior_table(member_flows, store.claims)
     stats.write_behavior_table_csv(table, stage / "behavior_table.csv")

@@ -7,11 +7,12 @@ from functools import partial
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from airdrop_forensics import artifacts
 from airdrop_forensics.ingest import (
     CLAIM_COLUMNS,
+    COLUMN_CACHE,
     CONTRACT_COLUMNS,
     EVENT_ORDER,
     STORE_COLUMNS,
@@ -24,6 +25,7 @@ from airdrop_forensics.ingest import (
     IngestError,
     Tier,
     TransferEvent,
+    _read_column_cache,
     build_event_store,
     format_token_amount,
     normalize_address,
@@ -32,6 +34,7 @@ from airdrop_forensics.ingest import (
     parse_transfers,
     read_store,
     write_claims_csv,
+    write_column_cache,
     write_contracts_csv,
     write_transfers_csv,
 )
@@ -414,15 +417,20 @@ def built_stores(draw):
     return build_event_store(events, [], contracts, claims, config)
 
 
+def _write_stage(stage: Path, store) -> Path:
+    """The four files ingest writes for `store`, without the column cache."""
+    write_transfers_csv(store.events, stage / "events.csv")
+    write_contracts_csv(list(store.contracts.values()), stage / "contracts.csv")
+    write_claims_csv(list(store.claims.values()), stage / "claims.csv")
+    artifacts.write_json(store.report.to_json(), stage / "report.json")
+    return stage
+
+
 @_PROPERTY
 @given(store=built_stores())
 def test_read_store_of_written_store_is_the_store(store):
     with tempfile.TemporaryDirectory() as tmp:
-        stage = Path(tmp)
-        write_transfers_csv(store.events, stage / "events.csv")
-        write_contracts_csv(list(store.contracts.values()), stage / "contracts.csv")
-        write_claims_csv(list(store.claims.values()), stage / "claims.csv")
-        artifacts.write_json(store.report.to_json(), stage / "report.json")
+        stage = _write_stage(Path(tmp), store)
         if not store.config.allow_self_transfers and any(
                 e.sender == e.receiver for e in store.events):
             with pytest.raises(CorruptStoreError, match="self-transfer"):
@@ -434,6 +442,65 @@ def test_read_store_of_written_store_is_the_store(store):
     assert loaded.claims == store.claims
     assert loaded.config == store.config
     assert loaded.report == store.report
+
+
+def _load(stage: Path, config: IngestConfig):
+    """read_store's store, or the message of its CorruptStoreError."""
+    try:
+        return read_store(stage, config)
+    except CorruptStoreError as exc:
+        return str(exc)
+
+
+# Every kind, values of 2**64 and more, log indexes above 0 and a self-transfer.
+_CACHE_EDGES = build_event_store(
+    [ev(addr(1), addr(2), 2**64 + i, kind=kind, log_index=i + 1)
+     for i, kind in enumerate(EventKind)] + [ev(addr(3), addr(3), 10**30, log_index=7)],
+    [], [], [claim(addr(2))], IngestConfig(allow_self_transfers=True))
+
+
+@_PROPERTY
+@example(store=build_event_store([], [], [], [], IngestConfig()))
+@example(store=_CACHE_EDGES)
+@given(store=built_stores())
+def test_column_cache_loads_as_events_csv(store):
+    """The column cache ingest writes beside events.csv holds its events,
+    with one string per address, and read_store gives the same store or the
+    same CorruptStoreError with or without it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        stage = _write_stage(Path(tmp), store)
+        write_column_cache(store.events, stage / "events.csv", stage / COLUMN_CACHE)
+        cached = _read_column_cache(stage / COLUMN_CACHE, stage / "events.csv")
+        from_cache = _load(stage, store.config)
+        (stage / COLUMN_CACHE).unlink()
+        from_csv = _load(stage, store.config)
+    assert cached == store.events
+    names = [a for e in cached for a in (e.sender, e.receiver)]
+    assert len({id(a) for a in names}) == len(set(names))
+    assert from_cache == from_csv
+
+
+@pytest.mark.parametrize("field", ["timestamp", "block", "log_index"])
+def test_no_column_cache_for_an_int_beyond_int64(tmp_path, field):
+    event = ev(addr(1), addr(2), 5)._replace(**{field: 2**63})
+    store = build_event_store([event], [], [], [], IngestConfig(None, None))
+    stage = _write_stage(tmp_path, store)
+    (stage / COLUMN_CACHE).write_bytes(b"from an earlier run")
+    write_column_cache(store.events, stage / "events.csv", stage / COLUMN_CACHE)
+    assert not (stage / COLUMN_CACHE).exists()
+    assert read_store(stage, store.config) == store
+
+
+@pytest.mark.parametrize("field", ["tx_hash", "sender"])
+def test_column_cache_of_a_text_holding_a_newline_is_not_used(tmp_path, field):
+    """A text with "\\n" in it would shift its column's lines; the line
+    counts reject such a cache and the store loads from events.csv."""
+    event = ev(addr(1), addr(2), 5)._replace(**{field: "0x\n" + "ab" * 20})
+    store = build_event_store([event], [], [], [], IngestConfig())
+    stage = _write_stage(tmp_path, store)
+    write_column_cache(store.events, stage / "events.csv", stage / COLUMN_CACHE)
+    assert _read_column_cache(stage / COLUMN_CACHE, stage / "events.csv") is None
+    assert read_store(stage, store.config) == store
 
 
 def test_transfer_event_is_an_immutable_set_member():
