@@ -11,14 +11,17 @@ import json
 from collections.abc import Iterable, Iterator
 
 
+def render_json(payload, *, compact: bool = False) -> str:
+    """The text `write_json` writes for `payload`."""
+    if compact:
+        # json.dumps without indent takes the C encoder; json.dump never does
+        return json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def write_json(payload, path, *, compact: bool = False) -> None:
     with open(path, "w") as fh:
-        if compact:
-            # json.dumps without indent takes the C encoder; json.dump never does
-            fh.write(json.dumps(payload, separators=(",", ":"), sort_keys=True))
-        else:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(render_json(payload, compact=compact))
 
 
 def write_jsonl(rows: Iterable, path) -> None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import gc
 import json
 import logging
 import math
@@ -30,6 +31,10 @@ log = logging.getLogger("airdrop_forensics.cli")
 
 class MissingArtifactError(Exception):
     code = "missing_artifact"
+
+
+class UnusableOutputError(Exception):
+    """The output directory or the run record in it cannot be written."""
 
 
 def _require(path: Path, stage: str) -> Path:
@@ -421,22 +426,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_run_record(config: Config, out: Path) -> None:
+    """Create `out` and write the resolved config to config.resolved.json,
+    unless the file already holds those bytes. Rewriting a file in place
+    can stall for tens of milliseconds on some file systems, and most
+    runs reuse the config of the run before."""
+    record = out / "config.resolved.json"
+    text = artifacts.render_json(to_json(config))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        if not record.exists() or record.read_bytes() != text.encode():
+            record.write_text(text)
+    except OSError as exc:
+        raise UnusableOutputError(f"cannot write the run record {record}: {exc}") from exc
+
+
 def main(argv=None) -> int:
     logging.basicConfig(
         level=os.environ.get("AIRDROP_FORENSICS_LOG", "WARNING").upper(),
         format="%(levelname)s %(name)s: %(message)s",
     )
     args = build_parser().parse_args(argv)
+    # A stage leaves a fixed amount of cyclic garbage whatever the corpus
+    # size (tests/test_cli.py checks that), while each full collection
+    # re-walks the whole event store: TransferEvent is a NamedTuple, and
+    # the collector untracks only exact tuples. So the command runs with
+    # the collector off, and the caller's setting comes back afterwards.
+    collector_was_on = gc.isenabled()
+    gc.disable()
     try:
         config = load_config(args.config)
         out = Path(args.out or config.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        artifacts.write_json(to_json(config), out / "config.resolved.json")
+        _write_run_record(config, out)
         COMMANDS[args.command](config, out, args)
         return 0
     except (
         ConfigInvalidError,
         MissingArtifactError,
+        UnusableOutputError,
         ingest.IngestError,
         synth.InfeasibleSpecError,
         graphs.WindowEmptyError,
@@ -449,6 +476,9 @@ def main(argv=None) -> int:
         log.exception("internal error")
         print(json.dumps({"code": "internal_error", "error": str(exc)}), file=sys.stderr)
         return 2
+    finally:
+        if collector_was_on:
+            gc.enable()
 
 
 if __name__ == "__main__":

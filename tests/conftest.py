@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import pytest
@@ -73,6 +74,18 @@ def digraph(edges, nodes=(), node_class=NodeClass.LATER_MEMBER) -> CommunityGrap
         g.add_node(v, node_class)
         g.add_edge_event(u, v, w, WINDOW_START + 86400)
     return g
+
+
+@pytest.fixture(autouse=True)
+def collector_left_as_found():
+    """Fail a test that leaves the cyclic collector off or objects frozen,
+    and undo it, so that no stage's collector state reaches later tests."""
+    yield
+    enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    gc.enable()
+    gc.unfreeze()
+    assert enabled, "the test left the cyclic garbage collector disabled"
+    assert frozen == 0, f"the test left {frozen} objects frozen (gc.freeze)"
 
 
 @pytest.fixture

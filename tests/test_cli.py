@@ -1,13 +1,15 @@
 import csv
 import dataclasses
+import gc
 import hashlib
 import json
+import os
 import shutil
 from pathlib import Path
 
 import pytest
 
-from airdrop_forensics import graphs, ingest
+from airdrop_forensics import artifacts, cli, graphs, ingest
 from airdrop_forensics.cli import load_config, main, ConfigInvalidError
 from airdrop_forensics.config import to_json
 from airdrop_forensics.eligibility import EligibilityHistory, EligibilityRules, run_campaign
@@ -149,14 +151,92 @@ def test_bad_weights_rejected(tmp_path):
 
 
 def test_config_round_trips_through_canonical_writer(tmp_path):
+    """The run record holds the canonical bytes of the resolved config and
+    is rewritten only when they change."""
     config_path = write_config(tmp_path)
     assert run("synth", config_path) == 0
     resolved = tmp_path / "out" / "config.resolved.json"
     first = resolved.read_bytes()
     loaded = load_config(str(resolved))
     assert to_json(loaded) == json.loads(first)
+    # An mtime in the past shows any rewrite, however soon it follows.
+    os.utime(resolved, ns=(0, 0))
+    before = resolved.stat()
     assert run("synth", config_path) == 0
+    after = resolved.stat()
     assert resolved.read_bytes() == first
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+    changed = write_config(tmp_path, eligibility={"preset": "fair", "interaction_window_days": 2})
+    assert run("synth", changed) == 0
+    assert resolved.read_bytes() == artifacts.render_json(to_json(load_config(str(changed)))).encode()
+    assert load_config(str(resolved)).eligibility.preset.value == "fair"
+
+
+@pytest.mark.parametrize("layout", ["out_is_a_file", "record_is_a_directory"])
+def test_unusable_output_path_exits_1(tmp_path, capsys, layout):
+    out = tmp_path / "out"
+    if layout == "out_is_a_file":
+        out.write_text("")
+        named = out
+    else:
+        named = out / "config.resolved.json"
+        named.mkdir(parents=True)
+    assert run("synth", write_config(tmp_path)) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["code"] == "validation_error"
+    assert repr(str(named)) in err["error"]
+
+
+def test_main_restores_the_collector_state(tmp_path, monkeypatch):
+    """Each command runs with the cyclic collector off; main then leaves
+    it as it found it, whatever the exit code."""
+    seen = []
+
+    def passes(config, out, args):
+        seen.append(gc.isenabled())
+
+    def crashes(config, out, args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli.COMMANDS, "synth", passes)
+    monkeypatch.setitem(cli.COMMANDS, "ingest", crashes)
+    config = write_config(tmp_path)
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            for command, code in (("synth", 0), ("report", 1), ("ingest", 2)):
+                assert run(command, config) == code, command
+                assert gc.isenabled() is enabled, (command, enabled)
+    finally:
+        gc.enable()
+    assert seen == [False] * 4
+
+
+def test_stages_leave_no_garbage_per_event_or_member(tmp_path):
+    """What each stage leaves for the cyclic collector is the same at 120
+    and at 480 claimants, so running stages with it off costs memory
+    that does not grow with the corpus."""
+
+    def garbage_after_each_stage(out_name, population):
+        config = write_config(tmp_path, out_name=out_name,
+                              synth={"seed": 5, "population_total": population})
+        counts = {}
+        for command in PIPELINE:
+            gc.collect()
+            assert run(command, config) == 0, command
+            counts[command] = gc.collect()
+        return counts
+
+    gc.disable()
+    try:
+        garbage_after_each_stage("warm_up", 120)  # first imports and caches leave their own
+        small = garbage_after_each_stage("small", 120)
+        large = garbage_after_each_stage("large", 480)
+    finally:
+        gc.enable()
+    assert small == large
 
 
 def test_pipeline_is_deterministic_and_idempotent(tmp_path):
