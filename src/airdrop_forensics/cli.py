@@ -37,6 +37,16 @@ class UnusableOutputError(Exception):
     """The output directory or the run record in it cannot be written."""
 
 
+def _make_dir(path: Path) -> Path:
+    """Create the directory `path` and its parents unless it exists; a
+    path in the way is a user error that names it."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UnusableOutputError(f"cannot create the output directory {path}: {exc}") from exc
+    return path
+
+
 def _require(path: Path, stage: str) -> Path:
     if not path.exists():
         raise MissingArtifactError(
@@ -87,7 +97,7 @@ def cmd_synth(config: Config, out: Path, args) -> None:
         window_end=window.end,
     )
     scenario = synth.generate(spec)
-    scenario.write(out / "synth")
+    scenario.write(_make_dir(out / "synth"))
     log.info(
         "synth: %d claimants, %d token events, %d external events, %d planted instances",
         len(scenario.claims), len(scenario.token_events),
@@ -101,10 +111,9 @@ def cmd_ingest(config: Config, out: Path, args) -> None:
         if not path.exists():
             raise MissingArtifactError(f"input file {path} does not exist")
     store = ingest.load_event_store(*paths, config.ingest_config())
-    stage = out / "ingest"
-    stage.mkdir(parents=True, exist_ok=True)
-    ingest.write_transfers_csv(store.events, stage / "events.csv")
-    ingest.write_column_cache(store.events, stage / "events.csv", stage / ingest.COLUMN_CACHE)
+    stage = _make_dir(out / "ingest")
+    events_sha256 = ingest.write_transfers_csv(store.events, stage / "events.csv")
+    ingest.write_column_cache(store.events, events_sha256, stage / ingest.COLUMN_CACHE)
     ingest.write_contracts_csv(list(store.contracts.values()), stage / "contracts.csv")
     ingest.write_claims_csv(list(store.claims.values()), stage / "claims.csv")
     artifacts.write_json(store.report.to_json(), stage / "report.json")
@@ -121,8 +130,7 @@ def cmd_graph(config: Config, out: Path, args) -> None:
     if fmt not in ("graphml", "dot"):
         raise ConfigInvalidError(f"--format must be graphml or dot, got {fmt!r}")
     store = _load_store_from_ingest(config, out)
-    stage = out / "graph"
-    stage.mkdir(parents=True, exist_ok=True)
+    stage = _make_dir(out / "graph")
     # The last slice holds every token event of the store (read_store
     # applied the window, and iter_slices' default bounds cover the rest),
     # so it is the token graph. Each slice is measured at its own cutoff
@@ -158,8 +166,7 @@ def cmd_graph(config: Config, out: Path, args) -> None:
 
 def cmd_cluster(config: Config, out: Path, args) -> None:
     store = _load_store_from_ingest(config, out)
-    stage = out / "cluster"
-    stage.mkdir(parents=True, exist_ok=True)
+    stage = _make_dir(out / "cluster")
     weights = dataclasses.astuple(config.weights)
     member_flows = flows.build_flows(store, sorted(store.claims))
     features = {a: flows.extract_features(f, weights) for a, f in member_flows.items()}
@@ -182,15 +189,13 @@ def cmd_detect(config: Config, out: Path, args) -> None:
     external_graph = graphs.load_graph_json(
         _require(graph_stage / "external_graph.json", "graph")
     )
-    stage = out / "detect"
-    stage.mkdir(parents=True, exist_ok=True)
+    stage = _make_dir(out / "detect")
     result = forensics.run_detectors(token_graph, external_graph, store, config.detectors)
     artifacts.write_jsonl((f.to_json() for f in result.findings), stage / "findings.jsonl")
     forensics.write_components_csv(result.profiles, stage / "components.csv")
     rows = forensics.voting_power_report(result.findings, store.claims)
     forensics.write_voting_power_json(rows, stage / "voting_power.json")
-    comp_dir = stage / "components"
-    comp_dir.mkdir(exist_ok=True)
+    comp_dir = _make_dir(stage / "components")
     flagged = {f.component_id for f in result.findings if f.component_id > 0}
     by_id = {p.id: p for p in result.profiles}
     for cid in sorted(flagged):
@@ -202,8 +207,7 @@ def cmd_detect(config: Config, out: Path, args) -> None:
 
 def cmd_eligibility(config: Config, out: Path, args) -> None:
     store = _load_store_from_ingest(config, out)
-    stage = out / "eligibility"
-    stage.mkdir(parents=True, exist_ok=True)
+    stage = _make_dir(out / "eligibility")
     balances_path = config.inputs.balances
     balances = _read_balances(balances_path) if balances_path else {}
 
@@ -271,8 +275,7 @@ def cmd_stats(config: Config, out: Path, args) -> None:
     if not (bounds or store.events):
         raise MissingArtifactError("no events ingested and no study window; no period to describe")
     start_ts, end_ts = bounds or (store.events[0].timestamp, store.events[-1].timestamp)
-    stage = out / "stats"
-    stage.mkdir(parents=True, exist_ok=True)
+    stage = _make_dir(out / "stats")
     member_flows = flows.build_flows(store, sorted(store.claims))
     table = stats.behavior_table(member_flows, store.claims)
     stats.write_behavior_table_csv(table, stage / "behavior_table.csv")
@@ -369,8 +372,7 @@ def cmd_report(config: Config, out: Path, args) -> None:
     if eligibility_summary.exists():
         report["eligibility"] = artifacts.read_json(eligibility_summary)
 
-    stage = out / "report"
-    stage.mkdir(parents=True, exist_ok=True)
+    stage = _make_dir(out / "report")
     artifacts.write_json(report, stage / "report.json")
 
     lines = ["# Community report", ""]

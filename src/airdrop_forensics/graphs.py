@@ -4,20 +4,28 @@ Two graphs matter: the token graph (who moved the governance token to
 whom) and the external graph (plain value transfers, mostly pre-airdrop).
 Parallel transfers between the same pair aggregate into a single weighted
 edge, so every metric here is defined on the simple digraph.
+
+Each slice's metrics cost no per-edge Python code. Reciprocity reads two
+counters kept as edges land. Degree assortativity reads two integer
+columns of edge endpoints kept the same way, and computes it with numpy:
+degrees by `bincount`, and each float sum as a strict left-to-right fold
+(`np.add.accumulate`) in edge order, so its bits equal a plain Python
+loop's on every interpreter.
 """
 
 from __future__ import annotations
 
 import logging
+from array import array
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from enum import Enum
-from functools import reduce
 from math import sqrt
-from operator import add, itemgetter, mul
 from xml.sax.saxutils import escape
+
+import numpy as np
 
 from . import artifacts
 from .ingest import (
@@ -67,7 +75,9 @@ class CommunityGraph:
     nodes: address -> NodeClass. edges: (from, to) -> EdgeStats, with
     parallel events folded into one edge. Two counters kept as edges land
     give reciprocity without a scan: `_loops` self-loops, and `_mutual`
-    non-loop edges whose reverse edge also exists.
+    non-loop edges whose reverse edge also exists. Each node gets the next
+    integer id when it is inserted, and `_src`/`_dst` hold the ids of every
+    edge's endpoints in edge insertion order, for the numpy metrics.
     """
 
     def __init__(self):
@@ -75,6 +85,9 @@ class CommunityGraph:
         self.edges: dict[tuple[Address, Address], EdgeStats] = {}
         self._out: dict[Address, set[Address]] = {}
         self._in: dict[Address, set[Address]] = {}
+        self._id: dict[Address, int] = {}
+        self._src = array("q")
+        self._dst = array("q")
         self._loops = 0
         self._mutual = 0
 
@@ -88,6 +101,7 @@ class CommunityGraph:
 
     def add_node(self, addr: Address, node_class: NodeClass) -> None:
         if addr not in self.nodes:
+            self._id[addr] = len(self.nodes)
             self.nodes[addr] = node_class
             self._out[addr] = set()
             self._in[addr] = set()
@@ -116,7 +130,8 @@ class CommunityGraph:
 
     def _put_edge(self, u: Address, v: Address, stats: EdgeStats) -> None:
         """Insert the edge (u, v), which must not be present yet. Every
-        edge insertion goes through here, so the counters stay exact."""
+        edge insertion goes through here, so the counters and the endpoint
+        columns stay exact."""
         if u == v:
             self._loops += 1
         elif (v, u) in self.edges:
@@ -124,6 +139,8 @@ class CommunityGraph:
         self.edges[(u, v)] = stats
         self._out[u].add(v)
         self._in[v].add(u)
+        self._src.append(self._id[u])
+        self._dst.append(self._id[v])
 
     def copy(self) -> "CommunityGraph":
         """Independent copy keeping node and edge insertion order."""
@@ -279,8 +296,30 @@ def reciprocity(graph: CommunityGraph) -> float:
     return graph._mutual / non_loops
 
 
-def _degrees(adjacency: dict[Address, set[Address]], nodes: Iterable[Address]) -> Iterator[int]:
-    return map(len, map(adjacency.__getitem__, nodes))
+def _left_fold(terms: np.ndarray) -> float:
+    """0.0 + terms[0] + terms[1] + ..., added strictly left to right:
+    `np.add.accumulate` never reorders, unlike `np.sum`'s pairwise sum."""
+    return float(np.add.accumulate(np.concatenate(([0.0], terms)))[-1])
+
+
+def _deviations(degrees: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-edge deviations from the mean degree, and their squares.
+
+    Each is computed once per distinct degree in Python, as `x - mean` and
+    `d ** 2` (whose bits can differ from `d * d`), then looked up per edge.
+    Raises UndefinedOnDegenerateError when every degree is the same.
+    """
+    distinct = np.flatnonzero(np.bincount(degrees)).tolist()
+    if len(distinct) == 1:
+        raise UndefinedOnDegenerateError("zero variance in a degree marginal")
+    mean = int(degrees.sum()) / len(degrees)  # integer sum: exact
+    deviation = np.zeros(distinct[-1] + 1)
+    square = np.zeros(distinct[-1] + 1)
+    for x in distinct:
+        d = x - mean
+        deviation[x] = d
+        square[x] = d ** 2
+    return deviation[degrees], square[degrees]
 
 
 def degree_assortativity(graph: CommunityGraph, mode: str = "out_in") -> float:
@@ -291,36 +330,29 @@ def degree_assortativity(graph: CommunityGraph, mode: str = "out_in") -> float:
     Degrees come from the aggregated simple digraph. Raises
     UndefinedOnDegenerateError when either marginal has zero variance.
 
-    The sums run over the edges in insertion order as explicit left folds:
-    builtin `sum` compensates float additions from Python 3.12 on, which
-    would make the bits depend on the interpreter. Deviations and their
-    squares are computed once per distinct degree; each is the same float
-    whichever edge it belongs to.
+    The degrees are counted from the graph's endpoint columns, and the
+    sums run over the edges in insertion order as strict left folds, so
+    the value has the same bits as plain Python loops over the edges on
+    every interpreter (builtin `sum` compensates from Python 3.12 on).
     """
     if graph.n_edges < 2:
         raise UndefinedOnDegenerateError("assortativity needs at least two edges")
-    sources = list(map(itemgetter(0), graph.edges))
-    targets = list(map(itemgetter(1), graph.edges))
+    # np.array copies: a view would pin the arrays' buffers, and the next
+    # edge appended to the live slice graph would raise BufferError
+    src, dst = np.array(graph._src), np.array(graph._dst)
+    n = graph.n_nodes
+    out_deg, in_deg = np.bincount(src, minlength=n), np.bincount(dst, minlength=n)
     if mode == "out_in":
-        xs = list(_degrees(graph._out, sources))
-        ys = list(_degrees(graph._in, targets))
+        xs, ys = out_deg[src], in_deg[dst]
     elif mode == "total_total":
-        xs = list(map(add, _degrees(graph._out, sources), _degrees(graph._in, sources)))
-        ys = list(map(add, _degrees(graph._out, targets), _degrees(graph._in, targets)))
+        total = out_deg + in_deg
+        xs, ys = total[src], total[dst]
     else:
         raise ValueError(f"unknown assortativity mode {mode!r}")
-    distinct_x, distinct_y = set(xs), set(ys)
-    if len(distinct_x) == 1 or len(distinct_y) == 1:
-        raise UndefinedOnDegenerateError("zero variance in a degree marginal")
-    n = len(xs)
-    mx = sum(xs) / n  # integer sums: exact on every interpreter
-    my = sum(ys) / n
-    dx = {x: x - mx for x in distinct_x}
-    dy = {y: y - my for y in distinct_y}
-    cov = reduce(add, map(mul, map(dx.__getitem__, xs), map(dy.__getitem__, ys)), 0.0)
-    vx = reduce(add, map({x: d ** 2 for x, d in dx.items()}.__getitem__, xs), 0.0)
-    vy = reduce(add, map({y: d ** 2 for y, d in dy.items()}.__getitem__, ys), 0.0)
-    return cov / sqrt(vx * vy)
+    dx, sx = _deviations(xs)
+    dy, sy = _deviations(ys)
+    cov = _left_fold(dx * dy)
+    return cov / sqrt(_left_fold(sx) * _left_fold(sy))
 
 
 def _tarjan(graph: CommunityGraph, roots: Iterable[Address]) -> Iterator[list[Address]]:

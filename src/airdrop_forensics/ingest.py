@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import logging
 import os
@@ -533,15 +534,46 @@ def load_event_store(
 # module's CSV format. parse(write(parse(x))) round-trips exactly, and
 # read_store reads the three files back without re-validating them.
 
-# An event's cells in STORE_COLUMNS order. csv writes the str-valued
-# EventKind as its value, since csv takes any str as its text.
+# An event's cells in STORE_COLUMNS order. csv and str.join write the
+# str-valued EventKind as its value, since both take any str as its text.
 _STORE_ROW = itemgetter(0, 1, 2, 3, 4, 5, 7, 6)
+# Rows per write: about 100 KB of text, under glibc's mmap threshold (see
+# _CHUNK).
+_ROWS = 1 << 9
 
 
-def write_transfers_csv(events: list[TransferEvent], path) -> None:
+def _store_rows(events: list[TransferEvent]) -> str:
+    """The CSV lines of `events`, a non-empty batch, as csv.writer writes
+    them in the artifacts module's format.
+
+    A stored event's cells are hex, decimal integers and EventKind values,
+    which csv.writer never quotes, so each line is its cells joined by ",".
+    A batch where some text holds a character csv.writer quotes, or that
+    an interpreter's csv handles its own way, goes through csv.writer."""
+    tx_hash, sender, receiver, value, timestamp, block, kind, log_index = zip(*events)
+    text = "\n".join(map(",".join, zip(
+        tx_hash, sender, receiver, map(str, value), map(str, timestamp), map(str, block),
+        map(str, log_index), kind))) + "\n"
+    if (text.count(",") == 7 * len(events) and text.count("\n") == len(events)
+            and '"' not in text and "\r" not in text and "\0" not in text):
+        return text
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(map(_STORE_ROW, events))
+    return buffer.getvalue()
+
+
+def write_transfers_csv(events: list[TransferEvent], path) -> str:
     """Write `events`, which must already be in EVENT_ORDER, as parse_transfers
-    and build_event_store return them."""
-    artifacts.write_csv(STORE_COLUMNS, map(_STORE_ROW, events), path)
+    and build_event_store return them, with the bytes artifacts.write_csv
+    writes, and return the sha256 of those bytes."""
+    digest = hashlib.sha256()
+    batches = (events[i:i + _ROWS] for i in range(0, len(events), _ROWS))
+    with open(path, "wb") as fh:
+        for text in chain([",".join(STORE_COLUMNS) + "\n"], map(_store_rows, batches)):
+            data = text.encode()
+            digest.update(data)
+            fh.write(data)
+    return digest.hexdigest()
 
 
 def write_contracts_csv(contracts: list[ContractInfo], path) -> None:
@@ -656,11 +688,12 @@ def _encode(name: str, values):
             separator = "\n"
 
 
-def write_column_cache(events: list[TransferEvent], csv_path, path) -> None:
+def write_column_cache(events: list[TransferEvent], events_sha256: str, path) -> None:
     """Write the column cache of `events`, which write_transfers_csv has just
-    written to `csv_path`, streaming one column at a time. Events with an
-    integer that int64 cannot hold get no cache (read_store then reads
-    csv_path), and an older one is removed."""
+    written to events.csv and whose sha256 it returned as `events_sha256`,
+    streaming one column at a time. Events with an integer that int64
+    cannot hold get no cache (read_store then reads events.csv), and an
+    older one is removed."""
     addresses = sorted(set(map(itemgetter(1), events)).union(map(itemgetter(2), events)))
     index = {a: i for i, a in enumerate(addresses)}.__getitem__
     columns = {
@@ -684,7 +717,7 @@ def write_column_cache(events: list[TransferEvent], csv_path, path) -> None:
                     digest.update(piece)
                     sizes[name] += fh.write(piece)
             header = {"addresses": len(addresses), "body_sha256": digest.hexdigest(),
-                      "events_sha256": _sha256(csv_path), "rows": len(events), "sizes": sizes}
+                      "events_sha256": events_sha256, "rows": len(events), "sizes": sizes}
             fh.seek(0)
             fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
                      .ljust(_HEADER - 1) + b"\n")

@@ -188,6 +188,26 @@ def test_unusable_output_path_exits_1(tmp_path, capsys, layout):
     assert repr(str(named)) in err["error"]
 
 
+def test_stage_directory_that_is_a_file_exits_1(tmp_path, capsys):
+    """A regular file where a stage writes its directory, or where detect
+    writes components/, is a user error that names it."""
+    config = write_config(tmp_path)
+    for command in PIPELINE:
+        assert run(command, config) == 0, command
+    out = tmp_path / "out"
+    for command, named in [*((c, out / c) for c in PIPELINE),
+                           ("detect", out / "detect" / "components")]:
+        aside = named.with_name(named.name + ".aside")
+        named.rename(aside)
+        named.write_text("")
+        assert run(command, config) == 1, command
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["code"] == "validation_error"
+        assert repr(str(named)) in err["error"]
+        named.unlink()
+        aside.rename(named)
+
+
 def test_main_restores_the_collector_state(tmp_path, monkeypatch):
     """Each command runs with the cyclic collector off; main then leaves
     it as it found it, whatever the exit code."""
@@ -631,8 +651,7 @@ def _cache_of_another_run(cache: Path, csv_path: Path) -> None:
     other = cache.parent / "other_run.csv"
     events = [ingest.TransferEvent("0x" + "ab" * 32, "0x" + "01" * 20, "0x" + "02" * 20, 5,
                                    1637000000, 1, ingest.EventKind.TOKEN_TRANSFER)]
-    ingest.write_transfers_csv(events, other)
-    ingest.write_column_cache(events, other, cache)
+    ingest.write_column_cache(events, ingest.write_transfers_csv(events, other), cache)
     other.unlink()
 
 

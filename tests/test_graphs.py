@@ -280,6 +280,7 @@ def _same_graph(got, want):
     assert list(got.nodes.items()) == list(want.nodes.items())
     assert list(got.edges.items()) == list(want.edges.items())
     assert got._out == want._out and got._in == want._in
+    assert got._src == want._src and got._dst == want._dst
 
 
 def test_slices_equal_from_scratch_builds():
@@ -320,6 +321,13 @@ def _reciprocity_or_none(g):
         return None
 
 
+def _assortativity_or_none(g, mode):
+    try:
+        return degree_assortativity(g, mode)
+    except UndefinedOnDegenerateError:
+        return None
+
+
 def test_slice_metrics_equal_scans_bit_for_bit():
     # the counters and the folds against today's formulas on from-scratch
     # builds, compared with ==: the float sums must keep their order
@@ -346,6 +354,8 @@ def test_slice_metrics_equal_scans_bit_for_bit():
         for h in (g.copy(), graph_from_json(graph_to_json(g)),
                   *g.subgraphs([nodes[:cut], nodes[cut:]])):
             assert _reciprocity_or_none(h) == scan_reciprocity(h)
+            for mode in ("out_in", "total_total"):
+                assert _assortativity_or_none(h, mode) == scan_assortativity(h, mode)
     assert checked > 100
 
 

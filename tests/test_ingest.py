@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import random
@@ -426,6 +427,46 @@ def _write_stage(stage: Path, store) -> Path:
     return stage
 
 
+def _write_cache(stage: Path, store) -> None:
+    """The column cache of `store` beside its events.csv in `stage`."""
+    digest = hashlib.sha256((stage / "events.csv").read_bytes()).hexdigest()
+    write_column_cache(store.events, digest, stage / COLUMN_CACHE)
+
+
+def _one_odd_text(text: str):
+    """A store whose tx_hash `text` sits mid-file among 1,100 plain events."""
+    return build_event_store(
+        [ev(addr(1), addr(2), i, ts=WINDOW_START + i) for i in range(1100)]
+        + [ev(addr(1), addr(2), 5, ts=WINDOW_START + 700, tx_hash=text)],
+        [], [], [], IngestConfig(None, None))
+
+
+# Texts that csv.writer quotes, or that some interpreter's csv quotes or refuses.
+@_PROPERTY
+@example(store=_one_odd_text("0x,1"))
+@example(store=_one_odd_text('0x"1'))
+@example(store=_one_odd_text("0x\n1"))
+@example(store=_one_odd_text("0x\r1"))
+@example(store=_one_odd_text("0x\x001"))
+@given(store=built_stores())
+def test_events_csv_bytes_are_csv_writers(store):
+    """write_transfers_csv writes what csv.writer writes for the stored
+    events, and returns the sha256 of it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        fast, reference = Path(tmp) / "fast.csv", Path(tmp) / "reference.csv"
+        rows = (e[:6] + (e.log_index, e.kind) for e in store.events)
+        try:
+            artifacts.write_csv(STORE_COLUMNS, rows, reference)
+        except csv.Error:  # csv before Python 3.11 refuses a NUL
+            with pytest.raises(csv.Error):
+                write_transfers_csv(store.events, fast)
+            return
+        digest = write_transfers_csv(store.events, fast)
+        written = fast.read_bytes()
+        assert written == reference.read_bytes()
+    assert digest == hashlib.sha256(written).hexdigest()
+
+
 @_PROPERTY
 @given(store=built_stores())
 def test_read_store_of_written_store_is_the_store(store):
@@ -469,7 +510,7 @@ def test_column_cache_loads_as_events_csv(store):
     same CorruptStoreError with or without it."""
     with tempfile.TemporaryDirectory() as tmp:
         stage = _write_stage(Path(tmp), store)
-        write_column_cache(store.events, stage / "events.csv", stage / COLUMN_CACHE)
+        _write_cache(stage, store)
         cached = _read_column_cache(stage / COLUMN_CACHE, stage / "events.csv")
         from_cache = _load(stage, store.config)
         (stage / COLUMN_CACHE).unlink()
@@ -486,7 +527,7 @@ def test_no_column_cache_for_an_int_beyond_int64(tmp_path, field):
     store = build_event_store([event], [], [], [], IngestConfig(None, None))
     stage = _write_stage(tmp_path, store)
     (stage / COLUMN_CACHE).write_bytes(b"from an earlier run")
-    write_column_cache(store.events, stage / "events.csv", stage / COLUMN_CACHE)
+    _write_cache(stage, store)
     assert not (stage / COLUMN_CACHE).exists()
     assert read_store(stage, store.config) == store
 
@@ -498,7 +539,7 @@ def test_column_cache_of_a_text_holding_a_newline_is_not_used(tmp_path, field):
     event = ev(addr(1), addr(2), 5)._replace(**{field: "0x\n" + "ab" * 20})
     store = build_event_store([event], [], [], [], IngestConfig())
     stage = _write_stage(tmp_path, store)
-    write_column_cache(store.events, stage / "events.csv", stage / COLUMN_CACHE)
+    _write_cache(stage, store)
     assert _read_column_cache(stage / COLUMN_CACHE, stage / "events.csv") is None
     assert read_store(stage, store.config) == store
 
