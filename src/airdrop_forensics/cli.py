@@ -24,6 +24,7 @@ from collections import Counter
 from pathlib import Path
 
 from . import artifacts, clustering, eligibility, flows, forensics, graphs, ingest, stats, synth
+from .artifacts import UnusableOutputError
 from .config import Config, ConfigInvalidError, from_json, load_config, to_json
 
 log = logging.getLogger("airdrop_forensics.cli")
@@ -31,10 +32,6 @@ log = logging.getLogger("airdrop_forensics.cli")
 
 class MissingArtifactError(Exception):
     code = "missing_artifact"
-
-
-class UnusableOutputError(Exception):
-    """The output directory or the run record in it cannot be written."""
 
 
 def _make_dir(path: Path) -> Path:
@@ -394,7 +391,8 @@ def cmd_report(config: Config, out: Path, args) -> None:
     lines.append("## Roles")
     for role, count in sorted(role_counts.items()):
         lines.append(f"- {role}: {count}")
-    (stage / "report.md").write_text("\n".join(lines) + "\n")
+    with artifacts.open_for_write(stage / "report.md") as fh:
+        fh.write("\n".join(lines) + "\n")
     log.info("report: assembled into %s", stage)
 
 

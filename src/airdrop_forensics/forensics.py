@@ -106,11 +106,12 @@ def p2p_components(token_graph: CommunityGraph) -> list[ComponentProfile]:
     node count, ties by smallest member address.
     """
     wallets = {a for a, cls in token_graph.nodes.items() if cls in WALLET_CLASSES}
-    p2p = token_graph.subgraph(wallets)
-
+    # The walk stays on wallets, so each component's subgraph induced in
+    # token_graph is the one induced in the wallet-only graph, which is
+    # never built.
     seen: set[Address] = set()
     comps: list[list[Address]] = []
-    for start in sorted(p2p.nodes):
+    for start in sorted(wallets):
         if start in seen:
             continue
         stack = [start]
@@ -119,7 +120,8 @@ def p2p_components(token_graph: CommunityGraph) -> list[ComponentProfile]:
         while stack:
             node = stack.pop()
             comp.append(node)
-            for nbr in sorted(p2p.out_neighbors(node) | p2p.in_neighbors(node)):
+            nbrs = token_graph.out_neighbors(node) | token_graph.in_neighbors(node)
+            for nbr in sorted(nbrs & wallets):
                 if nbr not in seen:
                     seen.add(nbr)
                     stack.append(nbr)
@@ -128,7 +130,7 @@ def p2p_components(token_graph: CommunityGraph) -> list[ComponentProfile]:
 
     comps.sort(key=lambda c: (-len(c), c[0]))
     profiles = []
-    for i, (comp, sub) in enumerate(zip(comps, p2p.subgraphs(comps)), start=1):
+    for i, (comp, sub) in enumerate(zip(comps, token_graph.subgraphs(comps)), start=1):
         n_initial = sum(1 for a in comp if sub.nodes[a] == NodeClass.INITIAL_MEMBER)
         profiles.append(
             ComponentProfile(

@@ -544,7 +544,7 @@ def write_graph(graph: CommunityGraph, path, fmt: str = "graphml", name: str = "
         text = to_dot(graph, name)
     else:
         raise ValueError(f"unsupported graph format {fmt!r}")
-    with open(path, "w") as fh:
+    with artifacts.open_for_write(path) as fh:
         fh.write(text)
 
 

@@ -568,7 +568,7 @@ def write_transfers_csv(events: list[TransferEvent], path) -> str:
     writes, and return the sha256 of those bytes."""
     digest = hashlib.sha256()
     batches = (events[i:i + _ROWS] for i in range(0, len(events), _ROWS))
-    with open(path, "wb") as fh:
+    with artifacts.open_for_write(path, "wb") as fh:
         for text in chain([",".join(STORE_COLUMNS) + "\n"], map(_store_rows, batches)):
             data = text.encode()
             digest.update(data)
@@ -710,7 +710,7 @@ def write_column_cache(events: list[TransferEvent], events_sha256: str, path) ->
     digest = hashlib.sha256()
     sizes = dict.fromkeys(CACHE_COLUMNS, 0)
     try:
-        with open(path, "wb") as fh:
+        with artifacts.open_for_write(path, "wb") as fh:
             fh.seek(_HEADER)
             for name in CACHE_COLUMNS:
                 for piece in _encode(name, columns[name]):

@@ -248,8 +248,14 @@ def kde(samples, bandwidth: float | None = None, grid_size: int = 512) -> Densit
     if h <= 0:
         raise ValueError("bandwidth must be positive")
     grid = np.linspace(x.min() - 3 * h, x.max() + 3 * h, grid_size)
-    z = (grid[:, None] - x[None, :]) / h
-    dens = np.exp(-0.5 * z * z).sum(axis=1) / (len(x) * h * np.sqrt(2 * np.pi))
+    # 16 grid rows at a time, so no temporary exceeds 16 x n floats. Each
+    # row is still summed on its own over all samples in order, so every
+    # bit matches the one-matrix form; blocking the samples would not.
+    sums = np.empty(grid_size)
+    for i in range(0, grid_size, 16):
+        z = (grid[i:i + 16, None] - x[None, :]) / h
+        sums[i:i + 16] = np.exp(-0.5 * z * z).sum(axis=1)
+    dens = sums / (len(x) * h * np.sqrt(2 * np.pi))
     return DensityEstimate(grid.tolist(), dens.tolist(), float(h))
 
 

@@ -188,23 +188,40 @@ def test_unusable_output_path_exits_1(tmp_path, capsys, layout):
     assert repr(str(named)) in err["error"]
 
 
+ARTIFACT_PER_STAGE = {
+    "synth": "token_transfers.csv",
+    "ingest": "events.cols",
+    "graph": "token_graph.graphml",
+    "cluster": "assignment.csv",
+    "detect": "findings.jsonl",
+    "eligibility": "summary.json",
+    "stats": "behavior_table.csv",
+    "report": "report.md",
+}
+
+
 def test_stage_directory_that_is_a_file_exits_1(tmp_path, capsys):
     """A regular file where a stage writes its directory, or where detect
-    writes components/, is a user error that names it."""
+    writes components/, and a directory where a stage writes an artifact,
+    are user errors that name the path."""
     config = write_config(tmp_path)
     for command in PIPELINE:
         assert run(command, config) == 0, command
     out = tmp_path / "out"
     for command, named in [*((c, out / c) for c in PIPELINE),
-                           ("detect", out / "detect" / "components")]:
+                           ("detect", out / "detect" / "components"),
+                           *((c, out / c / name) for c, name in ARTIFACT_PER_STAGE.items())]:
         aside = named.with_name(named.name + ".aside")
         named.rename(aside)
-        named.write_text("")
-        assert run(command, config) == 1, command
+        if aside.is_dir():
+            named.write_text("")
+        else:
+            named.mkdir()
+        assert run(command, config) == 1, named
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["code"] == "validation_error"
         assert repr(str(named)) in err["error"]
-        named.unlink()
+        (named.rmdir if named.is_dir() else named.unlink)()
         aside.rename(named)
 
 

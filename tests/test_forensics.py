@@ -62,6 +62,17 @@ class TestComponents:
         g.nodes["c"] = NodeClass.CONTRACT
         assert p2p_components(g) == []
 
+    def test_contract_does_not_join_wallet_groups(self):
+        """The walk crosses only wallet-to-wallet edges, so two groups that
+        meet only at a contract stay apart and neither holds it."""
+        g = digraph([("a1", "a2", 3), ("a2", "c", 4), ("c", "b1", 5),
+                     ("b1", "b2", 6), ("b2", "c", 7), ("c", "a1", 8)])
+        g.nodes["c"] = NodeClass.CONTRACT
+        profiles = p2p_components(g)
+        assert [p.nodes for p in profiles] == [["a1", "a2"], ["b1", "b2"]]
+        assert [list(p.graph.edges) for p in profiles] == [[("a1", "a2")], [("b1", "b2")]]
+        assert [p.total_value for p in profiles] == [3, 6]
+
     def test_partition_covers_every_p2p_node(self):
         g = digraph([("a", "b", 1), ("c", "d", 1), ("d", "e", 1), ("f", "c", 1)])
         profiles = p2p_components(g)

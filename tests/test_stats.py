@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -194,6 +195,36 @@ class TestKde:
         for idx in probes:
             want = kernel_sum_density(est.grid[idx], samples, est.bandwidth)
             assert abs(est.density[idx] - want) <= 1e-9
+
+    @pytest.mark.parametrize("grid_size", [37, 512])
+    @pytest.mark.parametrize("shape", ["spread", "ties", "all_equal"])
+    def test_blocked_grid_matches_one_matrix_bit_for_bit(self, grid_size, shape):
+        rng = random.Random(89)
+        samples = {
+            "spread": [rng.lognormvariate(3, 1.5) for _ in range(700)],
+            "ties": [float(rng.randrange(9)) for _ in range(700)],
+            "all_equal": [7.25] * 700,
+        }[shape]
+        est = kde(samples, grid_size=grid_size)
+        x, h = np.asarray(samples), est.bandwidth
+        grid = np.linspace(x.min() - 3 * h, x.max() + 3 * h, grid_size)
+        z = (grid[:, None] - x[None, :]) / h
+        dens = np.exp(-0.5 * z * z).sum(axis=1) / (len(x) * h * np.sqrt(2 * np.pi))
+        assert est.grid == grid.tolist()
+        assert est.density == dens.tolist()
+
+    def test_peak_memory_is_bounded_by_the_block(self):
+        """numpy reports its buffers to tracemalloc; one 512 x 20,000
+        matrix alone would be 82 MB."""
+        rng = random.Random(97)
+        samples = [rng.random() for _ in range(20_000)]
+        tracemalloc.start()
+        try:
+            kde(samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_empty_sample_raises(self):
         with pytest.raises(EmptySampleError):
