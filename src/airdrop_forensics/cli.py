@@ -109,8 +109,7 @@ def cmd_ingest(config: Config, out: Path, args) -> None:
             raise MissingArtifactError(f"input file {path} does not exist")
     store = ingest.load_event_store(*paths, config.ingest_config())
     stage = _make_dir(out / "ingest")
-    events_sha256 = ingest.write_transfers_csv(store.events, stage / "events.csv")
-    ingest.write_column_cache(store.events, events_sha256, stage / ingest.COLUMN_CACHE)
+    ingest.write_transfers_csv(store.events, stage / "events.csv")
     ingest.write_contracts_csv(list(store.contracts.values()), stage / "contracts.csv")
     ingest.write_claims_csv(list(store.claims.values()), stage / "claims.csv")
     artifacts.write_json(store.report.to_json(), stage / "report.json")

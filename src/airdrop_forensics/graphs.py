@@ -23,7 +23,6 @@ from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from enum import Enum
 from math import sqrt
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -150,10 +149,6 @@ class CommunityGraph:
         for (u, v), stats in self.edges.items():
             dup._put_edge(u, v, replace(stats))
         return dup
-
-    def subgraph(self, keep: set[Address]) -> "CommunityGraph":
-        """Induced subgraph on `keep`, preserving node classes."""
-        return self.subgraphs([[a for a in sorted(keep) if a in self.nodes]])[0]
 
     def subgraphs(self, parts: list[list[Address]]) -> list["CommunityGraph"]:
         """Induced subgraphs on disjoint node lists, in one pass over edges.
@@ -496,6 +491,12 @@ _DOT_COLORS = {
 }
 
 
+def _xml_escape(text: str) -> str:
+    """xml.sax.saxutils.escape, whose module imports urllib. On an address,
+    three replaces take less than half the time of one str.translate."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def to_graphml(graph: CommunityGraph) -> str:
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -506,12 +507,12 @@ def to_graphml(graph: CommunityGraph) -> str:
         '  <graph edgedefault="directed">',
     ]
     for addr in sorted(graph.nodes):
-        lines.append(f'    <node id="{escape(addr)}">')
+        lines.append(f'    <node id="{_xml_escape(addr)}">')
         lines.append(f'      <data key="d0">{graph.nodes[addr].value}</data>')
         lines.append("    </node>")
     for (u, v) in sorted(graph.edges):
         stats = graph.edges[(u, v)]
-        lines.append(f'    <edge source="{escape(u)}" target="{escape(v)}">')
+        lines.append(f'    <edge source="{_xml_escape(u)}" target="{_xml_escape(v)}">')
         lines.append(f'      <data key="d1">{format_token_amount(stats.total_value)}</data>')
         lines.append(f'      <data key="d2">{stats.tx_count}</data>')
         lines.append("    </edge>")

@@ -7,12 +7,6 @@ immutable-by-convention record that all downstream stages consume. The
 ingest stage writes it out once in canonical form; read_store loads that
 form back without repeating the raw-input validation.
 
-events.csv is the canonical, hashed form of the events. Beside it ingest
-writes events.cols, a column cache of the same events that names the
-sha256 of events.csv; read_store builds the events from the cache with
-no per-row Python code when both of its hashes match and its sizes add
-up, and from events.csv in every other case.
-
 Each event is a TransferEvent, an immutable named tuple, so it costs one
 tuple to build and EVENT_ORDER sorts by position in C. Raw rows are read
 positionally, one pass per file, and every address text is normalized
@@ -32,10 +26,7 @@ import hashlib
 import io
 import json
 import logging
-import os
 import re
-import sys
-from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
@@ -594,185 +585,6 @@ def write_claims_csv(claims: list[ClaimRecord], path) -> None:
     )
 
 
-# The column cache, events.cols: the events of events.csv column by column,
-# so read_store can build them without splitting CSV rows. One line of JSON
-# (sha256 of events.csv and of the body, row count, byte size of each
-# column, number of addresses), padded with spaces to _HEADER bytes so the
-# body can be written before its hash is known, then the columns in
-# CACHE_COLUMNS order: the distinct addresses, sorted and "\n"-joined;
-# sender and receiver as little-endian uint32 indexes into that table;
-# tx_hash and the decimal text of value "\n"-joined; timestamp, block and
-# log_index as little-endian int64; kind as one byte, its position in
-# EventKind.
-COLUMN_CACHE = "events.cols"
-CACHE_COLUMNS = ("addresses", "sender", "receiver", "tx_hash", "value",
-                 "timestamp", "block", "log_index", "kind")
-# The fixed-width columns and the array type code of each.
-_FIXED = {"sender": "I", "receiver": "I", "timestamp": "q", "block": "q", "log_index": "q",
-          "kind": "B"}
-_WIDTH = {name: array(code).itemsize for name, code in _FIXED.items()}
-_KIND_TABLE = tuple(EventKind)
-_KIND_CODE = {k: i for i, k in enumerate(_KIND_TABLE)}
-_new_event = partial(tuple.__new__, TransferEvent)  # a TransferEvent from a tuple of its fields
-# The header line's length: its JSON holds two hex digests and ten
-# integers below 2**63, under 500 bytes.
-_HEADER = 512
-# Bytes per read, a multiple of every column width, and rows per batch the
-# writer encodes. Every buffer stays under glibc's 128 KiB mmap threshold:
-# freeing a larger one raises that threshold, and the heap of every later
-# stage in the process then grows by more than the cache's own work.
-_CHUNK = 1 << 16
-_BATCH = 1 << 10
-
-
-def _chunks(fh, offset: int, size: int):
-    """The `size` bytes of `fh` from `offset` on, _CHUNK at a time. Each read
-    seeks first, so several of these can read one file in turn."""
-    end = offset + size
-    while offset < end:
-        fh.seek(offset)
-        chunk = fh.read(min(end - offset, _CHUNK))
-        if not chunk:
-            raise ValueError("file ends early")
-        offset += len(chunk)
-        yield chunk
-
-
-def _lines(fh, offset: int, size: int):
-    """The "\\n"-separated texts of a text column, read a chunk at a time.
-    A "\\n" byte is never part of a longer UTF-8 sequence, so each run of
-    whole lines decodes on its own."""
-    def runs():
-        tail = b""
-        for chunk in _chunks(fh, offset, size):
-            tail += chunk
-            cut = tail.rfind(b"\n")
-            if cut >= 0:
-                yield tail[:cut].decode().split("\n")
-                tail = tail[cut + 1:]
-        if size:
-            yield [tail.decode()]
-
-    return chain.from_iterable(runs())
-
-
-def _ints(fh, offset: int, size: int, code: str):
-    """The ints of a fixed-width column, read a chunk at a time."""
-    return chain.from_iterable(map(_little_endian, map(partial(array, code),
-                                                       _chunks(fh, offset, size))))
-
-
-def _sha256(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        while chunk := fh.read(_CHUNK):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def _little_endian(column: array) -> array:
-    if sys.byteorder == "big":
-        column.byteswap()
-    return column
-
-
-def _encode(name: str, values):
-    """The bytes of a column holding `values`, _BATCH values at a time."""
-    values = iter(values)
-    separator = ""
-    while batch := list(islice(values, _BATCH)):
-        if name in _FIXED:
-            yield _little_endian(array(_FIXED[name], batch)).tobytes()
-        else:
-            yield (separator + "\n".join(batch)).encode()
-            separator = "\n"
-
-
-def write_column_cache(events: list[TransferEvent], events_sha256: str, path) -> None:
-    """Write the column cache of `events`, which write_transfers_csv has just
-    written to events.csv and whose sha256 it returned as `events_sha256`,
-    streaming one column at a time. Events with an integer that int64
-    cannot hold get no cache (read_store then reads events.csv), and an
-    older one is removed."""
-    addresses = sorted(set(map(itemgetter(1), events)).union(map(itemgetter(2), events)))
-    index = {a: i for i, a in enumerate(addresses)}.__getitem__
-    columns = {
-        "addresses": addresses,
-        "sender": map(index, map(itemgetter(1), events)),
-        "receiver": map(index, map(itemgetter(2), events)),
-        "tx_hash": map(itemgetter(0), events),
-        "value": map(str, map(itemgetter(3), events)),
-        "timestamp": map(itemgetter(4), events),
-        "block": map(itemgetter(5), events),
-        "log_index": map(itemgetter(7), events),
-        "kind": map(_KIND_CODE.__getitem__, map(itemgetter(6), events)),
-    }
-    digest = hashlib.sha256()
-    sizes = dict.fromkeys(CACHE_COLUMNS, 0)
-    try:
-        with artifacts.open_for_write(path, "wb") as fh:
-            fh.seek(_HEADER)
-            for name in CACHE_COLUMNS:
-                for piece in _encode(name, columns[name]):
-                    digest.update(piece)
-                    sizes[name] += fh.write(piece)
-            header = {"addresses": len(addresses), "body_sha256": digest.hexdigest(),
-                      "events_sha256": events_sha256, "rows": len(events), "sizes": sizes}
-            fh.seek(0)
-            fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-                     .ljust(_HEADER - 1) + b"\n")
-    except OverflowError:
-        Path(path).unlink()
-
-
-def _read_column_cache(path: Path, csv_path: Path) -> list[TransferEvent] | None:
-    """The events of the column cache at `path`, or None unless it exists,
-    its header parses, it holds the sha256 of `csv_path` as that file is now
-    and of its own body, and its sizes add up.
-
-    A first pass hashes the body and counts the lines of its text columns;
-    the events are then built from one lazy reader per column, so no
-    buffer is large and no column is held whole but the address table.
-    """
-    try:
-        with open(path, "rb") as fh:
-            header = json.loads(fh.readline(4096))
-            rows, sizes = header["rows"], header["sizes"]
-            if not (type(rows) is int and rows >= 0
-                    and all(type(sizes[name]) is int and sizes[name] >= 0 for name in CACHE_COLUMNS)
-                    and all(sizes[name] == rows * width for name, width in _WIDTH.items())
-                    and sum(sizes[name] for name in CACHE_COLUMNS)
-                    == os.fstat(fh.fileno()).st_size - fh.tell()
-                    and header["events_sha256"] == _sha256(csv_path)):
-                return None
-            digest = hashlib.sha256()
-            offset, lines = {}, {}
-            position = fh.tell()
-            for name in CACHE_COLUMNS:
-                offset[name] = position
-                position += sizes[name]
-                newlines = 0
-                for chunk in _chunks(fh, offset[name], sizes[name]):
-                    digest.update(chunk)
-                    newlines += chunk.count(b"\n")
-                lines[name] = newlines + 1 if sizes[name] else 0
-            if not (digest.hexdigest() == header["body_sha256"]
-                    and lines["addresses"] == header["addresses"]
-                    and lines["tx_hash"] == lines["value"] == rows):
-                return None
-            address = list(_lines(fh, offset["addresses"], sizes["addresses"])).__getitem__
-            column = {name: _ints(fh, offset[name], sizes[name], code)
-                      for name, code in _FIXED.items()}
-            return list(map(_new_event, zip(
-                _lines(fh, offset["tx_hash"], sizes["tx_hash"]),
-                map(address, column["sender"]), map(address, column["receiver"]),
-                map(int, _lines(fh, offset["value"], sizes["value"])), column["timestamp"],
-                column["block"], map(_KIND_TABLE.__getitem__, column["kind"]),
-                column["log_index"])))
-    except (OSError, ValueError, KeyError, TypeError, IndexError):
-        return None
-
-
 class CorruptStoreError(IngestError):
     """An ingest artifact fails one of read_store's integrity checks."""
 
@@ -788,6 +600,56 @@ def _read_canonical(path: Path, columns: list[str], build) -> list:
             return build(reader)
         except (ValueError, KeyError, csv.Error) as exc:
             raise CorruptStoreError(f"{path} line {reader.line_num}: bad row ({exc})") from exc
+
+
+# Characters per read of events.csv. Every buffer stays under glibc's 128 KiB
+# mmap threshold: freeing a larger one raises that threshold, and the heap of
+# every later stage in the process then grows by more than the load's own work.
+_CHUNK = 1 << 16
+# A row's last cell with the "\n" that ends it, as _split_events cuts it.
+_LINE_KINDS = {f"{k.value}\n": k for k in EventKind}
+_new_event = partial(tuple.__new__, TransferEvent)  # a TransferEvent from a tuple of its fields
+
+
+def _split_events(path: Path) -> list[TransferEvent] | None:
+    """The events of events.csv, split at commas and newlines a chunk of
+    whole lines at a time with no per-row Python code. A list it returns is
+    the one _events builds from the same file.
+
+    None, and read_store reads the file with csv, when csv would read some
+    text its own way (a quote, "\\r", NUL, or a cell over its field size
+    limit), the header is not STORE_COLUMNS, a row has not 8 cells, a cell
+    does not parse, or the file does not end in "\\n". Each "\\n" stays at
+    the end of the kind cell it closes, so a kind parses only as the last
+    cell of its line and no row can borrow cells from another.
+    """
+    share = {}.setdefault  # one string per address, shared by its events
+    events: list[TransferEvent] = []
+    with open(path, newline="") as fh:
+        if fh.readline() != ",".join(STORE_COLUMNS) + "\n":
+            return None
+        tail = ""
+        try:
+            while chunk := fh.read(_CHUNK):
+                text = tail + chunk
+                cut = text.rfind("\n") + 1
+                text, tail = text[:cut], text[cut:]
+                # Only the first line, carried over, can be longer than a
+                # chunk; csv's field size limit is 2 * _CHUNK by default.
+                if ('"' in text or "\r" in text or "\0" in text
+                        or text.find("\n") > csv.field_size_limit()):
+                    return None
+                cells = text.replace("\n", "\n,").split(",")
+                if len(cells) != 8 * text.count("\n") + 1:
+                    return None
+                senders, receivers = cells[1:-1:8], cells[2:-1:8]
+                events += map(_new_event, zip(
+                    cells[0:-1:8], map(share, senders, senders), map(share, receivers, receivers),
+                    map(int, cells[3:-1:8]), map(int, cells[4:-1:8]), map(int, cells[5:-1:8]),
+                    map(_LINE_KINDS.__getitem__, cells[7:-1:8]), map(int, cells[6:-1:8])))
+        except (ValueError, KeyError):  # UnicodeDecodeError is a ValueError
+            return None
+    return None if tail else events
 
 
 def _events(reader) -> list[TransferEvent]:
@@ -820,16 +682,16 @@ def read_store(stage_dir, config: IngestConfig | None = None) -> EventStore:
     """Load the store that ingest wrote to `stage_dir`, trusting its files.
 
     Ingest left events.csv normalized, sorted and deduplicated, so rows
-    become records without re-validation. The events come from the column
-    cache beside events.csv when it is the cache of events.csv as it is
-    now, else from events.csv. What is checked is what a damaged file or
-    a later config can break: exact headers, row counts equal to
-    report.json's, no contract or claim address twice, cells that parse,
-    non-decreasing timestamps, and no self-transfer unless the config
-    allows them. The config's study window is applied again, so a window
-    narrowed after ingest drops the events outside it. Any failed check
-    raises CorruptStoreError. The store's report is ingest's own, read
-    from report.json.
+    become records without re-validation. events.csv is split at commas
+    and newlines, and read with csv when it holds a text that csv reads its
+    own way or a row that fails, so a bad row is named by its line. What is
+    checked is what a damaged file or a later config can break: exact
+    headers, row counts equal to report.json's, no contract or claim
+    address twice, cells that parse, non-decreasing timestamps, and no
+    self-transfer unless the config allows them. The config's study window
+    is applied again, so a window narrowed after ingest drops the events
+    outside it. Any failed check raises CorruptStoreError. The store's
+    report is ingest's own, read from report.json.
     """
     config = config or IngestConfig()
     stage_dir = Path(stage_dir)
@@ -840,7 +702,7 @@ def read_store(stage_dir, config: IngestConfig | None = None) -> EventStore:
         raise CorruptStoreError(f"{report_path}: not an ingest report ({exc})") from exc
 
     path = stage_dir / "events.csv"
-    events = _read_column_cache(stage_dir / COLUMN_CACHE, path)
+    events = _split_events(path)
     if events is None:
         events = _read_canonical(path, STORE_COLUMNS, _events)
     if len(events) != report.stored:

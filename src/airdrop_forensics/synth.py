@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import artifacts
-from .clustering import ClusterAssignment, role_for_ops
+from .clustering import role_for_ops
 from .eligibility import EligibilityHistory
 from .flows import OperationKind
 from .forensics import PatternKind, run_detectors
@@ -627,9 +627,8 @@ def generate(spec: ScenarioSpec, validate: bool = True) -> Scenario:
         b.truth, b.airdrop_ts,
     )
     if validate and spec.patterns:
-        report = validate_scenario(scenario)
         bad = {
-            kind: s for kind, s in report.pattern_scores.items()
+            kind: s for kind, s in validate_scenario(scenario).items()
             if s.precision < 1.0 or s.recall < 1.0
         }
         if bad:
@@ -652,13 +651,6 @@ class PatternScore:
     @property
     def recall(self) -> float:
         return self.tp / (self.tp + self.fn) if (self.tp + self.fn) else 1.0
-
-
-@dataclass
-class ComparisonReport:
-    pattern_scores: dict[str, PatternScore] = field(default_factory=dict)
-    purity: float | None = None
-    purity_by_cluster: dict[int, float] = field(default_factory=dict)
 
 
 def score_findings(truth: GroundTruth, findings) -> dict[str, PatternScore]:
@@ -695,48 +687,14 @@ def score_findings(truth: GroundTruth, findings) -> dict[str, PatternScore]:
     return scores
 
 
-def cluster_purity(
-    truth: GroundTruth, assignment: ClusterAssignment
-) -> tuple[float, dict[int, float]]:
-    """Fraction of members whose cluster's dominant planted signature is
-    their own."""
-    clusters: dict[int, dict[str, int]] = {}
-    for addr, cluster in assignment.labels.items():
-        sig = truth.signature_of.get(addr, "?")
-        clusters.setdefault(cluster, {}).setdefault(sig, 0)
-        clusters[cluster][sig] += 1
-    per_cluster = {}
-    agreeing = 0
-    total = 0
-    for cluster, counts in sorted(clusters.items()):
-        size = sum(counts.values())
-        top = max(counts.values())
-        per_cluster[cluster] = top / size
-        agreeing += top
-        total += size
-    return (agreeing / total if total else 1.0), per_cluster
-
-
-def oracle_compare(
-    truth: GroundTruth,
-    findings=None,
-    assignment: ClusterAssignment | None = None,
-) -> ComparisonReport:
-    report = ComparisonReport()
-    if findings is not None:
-        report.pattern_scores = score_findings(truth, findings)
-    if assignment is not None:
-        report.purity, report.purity_by_cluster = cluster_purity(truth, assignment)
-    return report
-
-
-def validate_scenario(scenario: Scenario) -> ComparisonReport:
-    """Run the real detector stack against the planted truth."""
+def validate_scenario(scenario: Scenario) -> dict[str, PatternScore]:
+    """Run the real detector stack against the planted truth and score its
+    findings per pattern kind."""
     store = scenario.build_store()
     token_graph = build_token_graph(store)
     external_graph = build_external_graph(store)
     result = run_detectors(token_graph, external_graph, store)
-    return oracle_compare(scenario.truth, findings=result.findings)
+    return score_findings(scenario.truth, result.findings)
 
 
 def detector_benchmark_spec(seed: int, instances_per_pattern: int = 10,

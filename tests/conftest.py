@@ -54,6 +54,12 @@ def make_store(token_events=(), external_events=(), contracts=(), claims=(), con
     )
 
 
+def assert_addresses_shared(events) -> None:
+    """Events that name one address hold one string for it."""
+    names = [a for e in events for a in (e.sender, e.receiver)]
+    assert len({id(a) for a in names}) == len(set(names))
+
+
 def claim(address: str, tier: Tier = Tier.T5200, ts: int = WINDOW_START + 86400):
     return ClaimRecord(address, tier, tier.amount, ts)
 

@@ -205,6 +205,26 @@ def naive_silhouette(vectors, labels) -> float:
     return total / n
 
 
+def cluster_purity(truth, assignment) -> tuple[float, dict[int, float]]:
+    """Fraction of members whose cluster's dominant planted signature is
+    their own, overall and per cluster."""
+    clusters: dict[int, dict[str, int]] = {}
+    for addr, cluster in assignment.labels.items():
+        sig = truth.signature_of.get(addr, "?")
+        clusters.setdefault(cluster, {}).setdefault(sig, 0)
+        clusters[cluster][sig] += 1
+    per_cluster = {}
+    agreeing = 0
+    total = 0
+    for cluster, counts in sorted(clusters.items()):
+        size = sum(counts.values())
+        top = max(counts.values())
+        per_cluster[cluster] = top / size
+        agreeing += top
+        total += size
+    return (agreeing / total if total else 1.0), per_cluster
+
+
 def kernel_sum_density(x: float, samples, h: float) -> float:
     """Direct Gaussian kernel summation at one point."""
     acc = 0.0

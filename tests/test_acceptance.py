@@ -52,12 +52,13 @@ from airdrop_forensics.synth import (
     detector_benchmark_spec,
     eligibility_scenario,
     generate,
-    oracle_compare,
     population_from_shares,
+    score_findings,
 )
 
 from conftest import digraph
 from oracles import (
+    cluster_purity,
     kernel_sum_density,
     naive_ahc_heights,
     oracle_assortativity,
@@ -151,8 +152,7 @@ def test_criterion_3_clustering_recovery():
     best = max(assignment.silhouette_by_k.values())
     assert assignment.silhouette_by_k[14] == best
 
-    comparison = oracle_compare(scenario.truth, assignment=assignment)
-    assert comparison.purity == 1.0
+    assert cluster_purity(scenario.truth, assignment)[0] == 1.0
 
     mapping = map_roles(assignment, features)
     assert mapping.unmapped == []
@@ -231,8 +231,7 @@ def test_criterion_6_detector_ground_truth():
         result = run_detectors(
             build_token_graph(store), build_external_graph(store), store
         )
-        comparison = oracle_compare(scenario.truth, findings=result.findings)
-        for kind, score in comparison.pattern_scores.items():
+        for kind, score in score_findings(scenario.truth, result.findings).items():
             floor[kind][0] = min(floor[kind][0], score.precision)
             floor[kind][1] = min(floor[kind][1], score.recall)
     for kind, (precision, recall) in floor.items():
@@ -333,7 +332,6 @@ GOLDEN_ARTIFACTS = {
     "graph/token_graph.json": "486a243f17885d9f41b50f85a1b105951ea2d214e71768761aeaba6c74560520",
     "ingest/claims.csv": "5c18a4119f66fd938bfe0845970e5f58015c394f547b3f1a1cc73e697c4fc869",
     "ingest/contracts.csv": "744b1a46b035e21447f7d45838944c412a0dad36ad656849596aaa2e39402c5a",
-    "ingest/events.cols": "93a60ad597b6c5ec661115249d526d239b383ba9bd34f234777cf7b329f82a20",
     "ingest/events.csv": "cb9b926e47dff7706cf527b1d2fc90291941bf6b0edf52681692601fdef5f455",
     "ingest/report.json": "d77a500993bb6dbb53d946dfb867be08130a62ac24ebc1b9a322d2f38f3662fe",
     "report/report.json": "19135f93f0dd0848f3875181ad3acb23b33d53a57ff372510c7b052c37191663",

@@ -6,6 +6,7 @@ import json
 import os
 import shutil
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -13,6 +14,8 @@ from airdrop_forensics import artifacts, cli, graphs, ingest
 from airdrop_forensics.cli import load_config, main, ConfigInvalidError
 from airdrop_forensics.config import to_json
 from airdrop_forensics.eligibility import EligibilityHistory, EligibilityRules, run_campaign
+
+from conftest import assert_addresses_shared
 
 PIPELINE = ["synth", "ingest", "graph", "cluster", "detect", "eligibility", "stats", "report"]
 
@@ -190,7 +193,7 @@ def test_unusable_output_path_exits_1(tmp_path, capsys, layout):
 
 ARTIFACT_PER_STAGE = {
     "synth": "token_transfers.csv",
-    "ingest": "events.cols",
+    "ingest": "events.csv",
     "graph": "token_graph.graphml",
     "cluster": "assignment.csv",
     "detect": "findings.jsonl",
@@ -354,7 +357,7 @@ def test_every_stage_on_an_empty_store_exits_0_or_1(tmp_path, capsys, window):
     config = write_config(tmp_path, inputs=inputs, window=window)
     assert run("ingest", config) == 0
     stage = tmp_path / "out" / "ingest"
-    assert ingest._read_column_cache(stage / ingest.COLUMN_CACHE, stage / "events.csv") == []
+    assert ingest._split_events(stage / "events.csv") == []
     codes = {}
     for command in PIPELINE[2:]:
         capsys.readouterr()
@@ -567,36 +570,29 @@ def _assert_same_store(got: ingest.EventStore, want: ingest.EventStore) -> None:
     assert got.config == want.config
 
 
-def _cached_and_csv_loads(stage: Path, config: ingest.IngestConfig, tmp_path: Path):
-    """read_store of `stage`, which must load from its column cache, and of a
-    copy without the cache, which loads from events.csv."""
-    assert ingest._read_column_cache(stage / ingest.COLUMN_CACHE, stage / "events.csv")
-    cached = ingest.read_store(stage, config)
-    copy = tmp_path / "no_cache"
-    shutil.copytree(stage, copy)
-    (copy / ingest.COLUMN_CACHE).unlink()
-    return cached, ingest.read_store(copy, config)
-
-
-def _assert_addresses_shared(events) -> None:
-    """Events that name one address hold one string for it."""
-    names = [a for e in events for a in (e.sender, e.receiver)]
-    assert len({id(a) for a in names}) == len(set(names))
+def _split_and_csv_loads(stage: Path, config: ingest.IngestConfig):
+    """read_store of `stage`, whose events.csv must split without csv, and
+    read_store of it with events.csv read by csv."""
+    assert ingest._split_events(stage / "events.csv")
+    split = ingest.read_store(stage, config)
+    with mock.patch.object(ingest, "_split_events", return_value=None):
+        return split, ingest.read_store(stage, config)
 
 
 @pytest.mark.parametrize("window", [
     (ingest.DEFAULT_WINDOW_START, ingest.DEFAULT_WINDOW_END),
     ("2021-12-01", "2022-03-01"),
 ], ids=["ingest_window", "narrower_window"])
-def test_read_store_equals_validated_load(ingested, tmp_path, window):
+def test_read_store_equals_validated_load(ingested, window):
     stage = ingested / "out" / "ingest"
     config = ingest.IngestConfig(*window)
-    store, from_csv = _cached_and_csv_loads(stage, config, tmp_path)
+    store, from_csv = _split_and_csv_loads(stage, config)
     oracle = _validated_load(stage, config)
     _assert_same_store(store, oracle)
     _assert_same_store(from_csv, oracle)
     assert store.report == from_csv.report
-    _assert_addresses_shared(store.events)
+    assert_addresses_shared(store.events)
+    assert_addresses_shared(from_csv.events)
     report = json.loads((stage / "report.json").read_text())
     assert store.report.to_json() == report
     if window[0] != ingest.DEFAULT_WINDOW_START:
@@ -616,11 +612,12 @@ def test_self_transfers_ingested_then_disallowed_fail(ingested, tmp_path, capsys
     assert run("ingest", allowed) == 0
     stage = tmp_path / "selfish" / "ingest"
     config = ingest.IngestConfig(allow_self_transfers=True)
-    store, from_csv = _cached_and_csv_loads(stage, config, tmp_path)
+    store, from_csv = _split_and_csv_loads(stage, config)
     _assert_same_store(store, _validated_load(stage, config))
     _assert_same_store(from_csv, _validated_load(stage, config))
     assert any(e.sender == e.receiver for e in store.events)
-    _assert_addresses_shared(store.events)
+    assert_addresses_shared(store.events)
+    assert_addresses_shared(from_csv.events)
 
     with pytest.raises(ingest.CorruptStoreError, match="self-transfer"):
         ingest.read_store(stage, ingest.IngestConfig())
@@ -646,55 +643,8 @@ def _replace_cell(lines: list[str], column: int, value: str, line: int = 2) -> l
     return lines
 
 
-def _cache_claiming(cache: Path, csv_path: Path) -> bytearray:
-    """The column cache's bytes with its header naming the sha256 of
-    `csv_path` as it is now, so only a check of the cache itself rejects it."""
-    header, body = cache.read_bytes().split(b"\n", 1)
-    fields = json.loads(header)
-    fields["events_sha256"] = hashlib.sha256(csv_path.read_bytes()).hexdigest()
-    return bytearray(json.dumps(fields, sort_keys=True, separators=(",", ":")).encode()
-                     .ljust(len(header)) + b"\n" + body)
-
-
-def _cache_flip_body_byte(cache: Path, csv_path: Path) -> None:
-    data = _cache_claiming(cache, csv_path)
-    body_start = data.index(b"\n") + 1
-    data[(body_start + len(data)) // 2] ^= 1
-    cache.write_bytes(data)
-
-
-def _cache_of_another_run(cache: Path, csv_path: Path) -> None:
-    """A cache that is whole, but of another run's events.csv."""
-    other = cache.parent / "other_run.csv"
-    events = [ingest.TransferEvent("0x" + "ab" * 32, "0x" + "01" * 20, "0x" + "02" * 20, 5,
-                                   1637000000, 1, ingest.EventKind.TOKEN_TRANSFER)]
-    ingest.write_column_cache(events, ingest.write_transfers_csv(events, other), cache)
-    other.unlink()
-
-
-# Ways the column cache can be unfit to use; each takes the cache and
-# events.csv. Where it matters the damaged cache names events.csv's sha256
-# as it is, so only the cache's own checks can reject it.
-CACHE_DAMAGE = {
-    "missing": lambda cache, csv_path: cache.unlink(),
-    "from_other_run": _cache_of_another_run,
-    "truncated": lambda cache, csv_path: cache.write_bytes(
-        _cache_claiming(cache, csv_path)[:-1]),
-    "flipped_body_byte": _cache_flip_body_byte,
-    "trailing_byte": lambda cache, csv_path: cache.write_bytes(
-        _cache_claiming(cache, csv_path) + b"\0"),
-    "malformed_header": lambda cache, csv_path: cache.write_bytes(
-        b'{"rows":' + cache.read_bytes().split(b"\n", 1)[1]),
-}
-
-
-def _bad_cell_deep(lines: list[str]) -> list[str]:
-    return _replace_cell(lines, 5, "13x", 1500)
-
-
 # Corruptions deep in events.csv, and the line the error must name.
-BAD_ROW_LINE = {"nine_cells": 800, "bad_cell_deep": 1500,
-                **{f"cache_{damage}": 1500 for damage in CACHE_DAMAGE}}
+BAD_ROW_LINE = {"nine_cells": 800, "bad_cell_deep": 1500}
 
 
 CORRUPTIONS = {
@@ -708,18 +658,15 @@ CORRUPTIONS = {
     "duplicate_claim": ("claims.csv", lambda lines: lines[:2] + lines[1:]),
     "rows_swapped": ("events.csv", _swap_first_unequal_timestamps),
     "nine_cells": ("events.csv", lambda lines: _replace_cell(lines, 7, "token_transfer,0", 800)),
-    "bad_cell_deep": ("events.csv", _bad_cell_deep),
+    "bad_cell_deep": ("events.csv", lambda lines: _replace_cell(lines, 5, "13x", 1500)),
     "report_not_json": ("report.json", lambda lines: ["{"]),
     "report_missing": ("report.json", None),
-    # events.csv corrupt and the column cache beside it unfit: the error is events.csv's
-    **{f"cache_{damage}": ("events.csv", _bad_cell_deep, CACHE_DAMAGE[damage])
-       for damage in CACHE_DAMAGE},
 }
 
 
 @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
 def test_corrupt_ingest_artifact_exits_1(ingested, tmp_path, capsys, case):
-    name, corrupt, *damage_cache = CORRUPTIONS[case]
+    name, corrupt = CORRUPTIONS[case]
     out = tmp_path / "out"
     stage = out / "ingest"
     stage.mkdir(parents=True)
@@ -730,8 +677,6 @@ def test_corrupt_ingest_artifact_exits_1(ingested, tmp_path, capsys, case):
         target.unlink()
     else:
         target.write_text("\n".join(corrupt(target.read_text().splitlines())) + "\n")
-    for damage in damage_cache:
-        damage(stage / ingest.COLUMN_CACHE, stage / "events.csv")
     assert run("cluster", write_config(tmp_path)) == 1
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["code"] == "missing_artifact"
@@ -739,48 +684,6 @@ def test_corrupt_ingest_artifact_exits_1(ingested, tmp_path, capsys, case):
     if case in BAD_ROW_LINE:  # the loader stops at the first bad row and names its line
         assert f"{name} line {BAD_ROW_LINE[case]}: bad row" in err["error"]
     assert not (out / "cluster").exists()
-
-
-DOWNSTREAM = ("graph", "cluster", "detect", "eligibility", "stats", "report")
-
-
-def _downstream_digests(ingested: Path, root: Path, damage=None) -> dict:
-    """Digests of what the downstream stages write from a copy of the
-    ingested store whose column cache suffered `damage`."""
-    out = root / "out"
-    shutil.copytree(ingested / "out" / "ingest", out / "ingest")
-    if damage is not None:
-        damage(out / "ingest" / ingest.COLUMN_CACHE, out / "ingest" / "events.csv")
-    config = write_config(root)
-    for stage in DOWNSTREAM:
-        assert run(stage, config) == 0, stage
-    return {path: digest for path, digest in tree_digest(out).items()
-            if not path.startswith("ingest/")}
-
-
-@pytest.fixture(scope="module")
-def downstream_from_csv(ingested, tmp_path_factory):
-    return _downstream_digests(ingested, tmp_path_factory.mktemp("from_csv"),
-                               CACHE_DAMAGE["missing"])
-
-
-@pytest.mark.parametrize("damage", ["intact", *sorted(CACHE_DAMAGE)])
-def test_stages_write_the_same_bytes_whatever_the_cache(ingested, downstream_from_csv, tmp_path,
-                                                       damage):
-    """With the column cache intact, the store loads from it; with it
-    missing, stale or damaged, from events.csv. Either way every stage
-    writes the same bytes."""
-    got = _downstream_digests(ingested, tmp_path, CACHE_DAMAGE.get(damage))
-    assert got == downstream_from_csv and len(got) > 20
-    stage = tmp_path / "out" / "ingest"
-    cache, csv_path = stage / ingest.COLUMN_CACHE, stage / "events.csv"
-    store = ingest.read_store(stage)
-    if damage == "intact":
-        assert _cache_claiming(cache, csv_path) == cache.read_bytes()
-        assert ingest._read_column_cache(cache, csv_path) == store.events
-    else:
-        assert ingest._read_column_cache(cache, csv_path) is None
-        _assert_same_store(store, ingest.read_store(ingested / "out" / "ingest"))
 
 
 @pytest.mark.parametrize("content,needle", [

@@ -1,4 +1,9 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
+from xml.sax.saxutils import escape
 
 import networkx as nx
 import pytest
@@ -242,6 +247,26 @@ def test_graph_exports_deterministic():
     assert 'weight="5"' in dot
 
 
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(u=st.text(), v=st.text())
+def test_graphml_escapes_ids_as_saxutils(u, v):
+    xml = to_graphml(digraph([(u, v)]))
+    assert f'<node id="{escape(u)}">' in xml
+    assert f'<edge source="{escape(u)}" target="{escape(v)}">' in xml
+
+
+def test_cli_import_loads_no_xml_or_network_module():
+    """xml.sax.saxutils pulls in urllib.request, http.client and email,
+    which no stage needs."""
+    code = ("import sys, airdrop_forensics.cli; "
+            "print(sorted(m for m in ('xml.sax', 'urllib.request', 'email') if m in sys.modules))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_graph_json_round_trip():
     g = digraph([("a" * 40, "b" * 40, 3), ("b" * 40, "a" * 40, 4)])
     clone = graph_from_json(graph_to_json(g))
@@ -400,7 +425,7 @@ def test_p2p_components_match_networkx():
         for a in nodes:
             g.nodes[a] = rng.choice(list(NodeClass))
         wallets = {a for a, cls in g.nodes.items() if cls != NodeClass.CONTRACT}
-        p2p = g.subgraph(wallets)
+        p2p = g.subgraphs([sorted(wallets)])[0]
         W = _nx_digraph(sorted(wallets), [(u, v) for u, v in edges if {u, v} <= wallets])
         expected = {frozenset(c) for c in nx.weakly_connected_components(W) if len(c) >= 2}
         profiles = p2p_components(g)

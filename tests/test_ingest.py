@@ -3,9 +3,11 @@ import hashlib
 import io
 import json
 import random
+import re
 import tempfile
 from functools import partial
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,7 +15,6 @@ from hypothesis import example, given, settings, strategies as st
 from airdrop_forensics import artifacts
 from airdrop_forensics.ingest import (
     CLAIM_COLUMNS,
-    COLUMN_CACHE,
     CONTRACT_COLUMNS,
     EVENT_ORDER,
     STORE_COLUMNS,
@@ -26,7 +27,8 @@ from airdrop_forensics.ingest import (
     IngestError,
     Tier,
     TransferEvent,
-    _read_column_cache,
+    _CHUNK,
+    _split_events,
     build_event_store,
     format_token_amount,
     normalize_address,
@@ -35,12 +37,11 @@ from airdrop_forensics.ingest import (
     parse_transfers,
     read_store,
     write_claims_csv,
-    write_column_cache,
     write_contracts_csv,
     write_transfers_csv,
 )
 
-from conftest import WINDOW_START, addr, claim, contract, ev
+from conftest import WINDOW_START, addr, assert_addresses_shared, claim, contract, ev
 from oracles import dictreader_parse_claims, dictreader_parse_contracts, dictreader_parse_transfers
 
 A1 = "0x" + "a1" * 20
@@ -419,18 +420,12 @@ def built_stores(draw):
 
 
 def _write_stage(stage: Path, store) -> Path:
-    """The four files ingest writes for `store`, without the column cache."""
+    """The four files ingest writes for `store`."""
     write_transfers_csv(store.events, stage / "events.csv")
     write_contracts_csv(list(store.contracts.values()), stage / "contracts.csv")
     write_claims_csv(list(store.claims.values()), stage / "claims.csv")
     artifacts.write_json(store.report.to_json(), stage / "report.json")
     return stage
-
-
-def _write_cache(stage: Path, store) -> None:
-    """The column cache of `store` beside its events.csv in `stage`."""
-    digest = hashlib.sha256((stage / "events.csv").read_bytes()).hexdigest()
-    write_column_cache(store.events, digest, stage / COLUMN_CACHE)
 
 
 def _one_odd_text(text: str):
@@ -493,55 +488,100 @@ def _load(stage: Path, config: IngestConfig):
         return str(exc)
 
 
+def _load_with_csv(stage: Path, config: IngestConfig):
+    """_load with events.csv read by csv alone."""
+    with mock.patch("airdrop_forensics.ingest._split_events", return_value=None):
+        return _load(stage, config)
+
+
 # Every kind, values of 2**64 and more, log indexes above 0 and a self-transfer.
-_CACHE_EDGES = build_event_store(
+_EDGES = build_event_store(
     [ev(addr(1), addr(2), 2**64 + i, kind=kind, log_index=i + 1)
      for i, kind in enumerate(EventKind)] + [ev(addr(3), addr(3), 10**30, log_index=7)],
     [], [], [claim(addr(2))], IngestConfig(allow_self_transfers=True))
 
 
+@st.composite
+def damage(draw):
+    """An edit of events.csv: None, or (where, how many characters it
+    removes, the text it puts in their place)."""
+    if draw(st.booleans()):
+        return None
+    return (draw(st.floats(0, 1)), draw(st.integers(0, 3)),
+            draw(st.text(alphabet=',\n\r"x5\0', max_size=3)))
+
+
 @_PROPERTY
-@example(store=build_event_store([], [], [], [], IngestConfig()))
-@example(store=_CACHE_EDGES)
-@given(store=built_stores())
-def test_column_cache_loads_as_events_csv(store):
-    """The column cache ingest writes beside events.csv holds its events,
-    with one string per address, and read_store gives the same store or the
-    same CorruptStoreError with or without it."""
+@example(store=build_event_store([], [], [], [], IngestConfig()), edit=None)
+@example(store=_EDGES, edit=None)
+@example(store=_one_odd_text("0x" + "ab" * 32), edit=None)  # rows straddle chunk boundaries
+@example(store=_one_odd_text("0x" + "ab" * 70000), edit=None)  # a cell over csv's size limit
+@example(store=_one_odd_text("0x,1"), edit=None)
+@example(store=_one_odd_text('0x"1'), edit=None)
+@example(store=_one_odd_text("0x\n1"), edit=None)
+@example(store=_one_odd_text("0x\r1"), edit=None)
+@example(store=_one_odd_text("0x\x001"), edit=None)
+@example(store=_one_odd_text("0x" + "ab" * 32), edit=(1.0, 1, ""))  # no "\n" at the end
+@given(store=built_stores(), edit=damage())
+def test_split_events_reads_as_csv_reader(store, edit):
+    """read_store gives the store, or the CorruptStoreError, that it gives
+    with events.csv read by csv, whole or damaged; and it splits every
+    stored events.csv of hex texts without csv."""
     with tempfile.TemporaryDirectory() as tmp:
-        stage = _write_stage(Path(tmp), store)
-        _write_cache(stage, store)
-        cached = _read_column_cache(stage / COLUMN_CACHE, stage / "events.csv")
-        from_cache = _load(stage, store.config)
-        (stage / COLUMN_CACHE).unlink()
-        from_csv = _load(stage, store.config)
-    assert cached == store.events
-    names = [a for e in cached for a in (e.sender, e.receiver)]
-    assert len({id(a) for a in names}) == len(set(names))
-    assert from_cache == from_csv
+        try:
+            stage = _write_stage(Path(tmp), store)
+        except csv.Error:  # csv before Python 3.11 refuses a NUL
+            return
+        path = stage / "events.csv"
+        with open(path, newline="") as fh:
+            text = fh.read()
+        if edit is None:
+            hex_texts = all(re.fullmatch("0x[0-9a-f]{64}", e.tx_hash) for e in store.events)
+            assert (_split_events(path) is not None) == hex_texts
+            if len(text) > 2 * _CHUNK:  # the first chunk ends mid-row
+                assert text[len(",".join(STORE_COLUMNS)) + _CHUNK] != "\n"
+        else:
+            where, cut, put = edit
+            at = int(where * (len(text) - 1))
+            path.write_text(text[:at] + put + text[at + cut:], newline="")
+        got = _load(stage, store.config)
+        want = _load_with_csv(stage, store.config)
+    assert got == want
+    if not isinstance(got, str):
+        assert_addresses_shared(got.events)
+
+
+def test_no_row_takes_cells_of_another(tmp_path):
+    """Two damages that leave events.csv 8 cells a row on average with every
+    cell in order: the "\\n" ending line 2 moved past the next tx hash (9
+    cells, then 7), and line 2 cut in two after its value (4 and 4). The
+    load fails on line 2, as with csv."""
+    store = build_event_store([ev(addr(1), addr(2), 5, tx_hash="1"),
+                               ev(addr(1), addr(2), 6, tx_hash="2")], [], [], [], IngestConfig())
+    stage = _write_stage(tmp_path, store)
+    path = stage / "events.csv"
+    whole = path.read_text()
+    line = whole.splitlines()[1]
+    cells = line.split(",")
+    cut = ",".join(cells[:4]) + "\n" + ",".join(cells[4:])
+    for damaged in (whole.replace("\n2,", ",2\n"), whole.replace(line, cut)):
+        path.write_text(damaged)
+        assert _load(stage, store.config) == _load_with_csv(stage, store.config)
+        assert "events.csv line 2: bad row" in _load(stage, store.config)
 
 
 @pytest.mark.parametrize("field", ["timestamp", "block", "log_index"])
-def test_no_column_cache_for_an_int_beyond_int64(tmp_path, field):
+def test_read_store_round_trips_an_int_beyond_int64(tmp_path, field):
     event = ev(addr(1), addr(2), 5)._replace(**{field: 2**63})
     store = build_event_store([event], [], [], [], IngestConfig(None, None))
-    stage = _write_stage(tmp_path, store)
-    (stage / COLUMN_CACHE).write_bytes(b"from an earlier run")
-    _write_cache(stage, store)
-    assert not (stage / COLUMN_CACHE).exists()
-    assert read_store(stage, store.config) == store
+    assert read_store(_write_stage(tmp_path, store), store.config) == store
 
 
 @pytest.mark.parametrize("field", ["tx_hash", "sender"])
-def test_column_cache_of_a_text_holding_a_newline_is_not_used(tmp_path, field):
-    """A text with "\\n" in it would shift its column's lines; the line
-    counts reject such a cache and the store loads from events.csv."""
+def test_read_store_of_a_text_holding_a_newline_is_the_store(tmp_path, field):
     event = ev(addr(1), addr(2), 5)._replace(**{field: "0x\n" + "ab" * 20})
     store = build_event_store([event], [], [], [], IngestConfig())
-    stage = _write_stage(tmp_path, store)
-    _write_cache(stage, store)
-    assert _read_column_cache(stage / COLUMN_CACHE, stage / "events.csv") is None
-    assert read_store(stage, store.config) == store
+    assert read_store(_write_stage(tmp_path, store), store.config) == store
 
 
 def test_transfer_event_is_an_immutable_set_member():

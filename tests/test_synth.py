@@ -19,10 +19,12 @@ from airdrop_forensics.synth import (
     airdrop_star_churn,
     detector_benchmark_spec,
     generate,
-    oracle_compare,
     population_from_shares,
+    score_findings,
     validate_scenario,
 )
+
+from oracles import cluster_purity
 
 
 def test_population_from_shares_sums_and_is_deterministic():
@@ -104,8 +106,7 @@ def test_single_sunflower_detector_round_trip():
 def test_validation_sweep_scores_every_kind():
     scenario = generate(detector_benchmark_spec(seed=13, instances_per_pattern=2,
                                                 distractors=200))
-    report = validate_scenario(scenario)
-    for kind, score in report.pattern_scores.items():
+    for kind, score in validate_scenario(scenario).items():
         assert score.precision == 1.0 and score.recall == 1.0, kind
 
 
@@ -136,13 +137,11 @@ class TestOracleCompare:
     def test_perfect_detection(self):
         truth = self.make_truth()
         findings = [self.fake_finding(i) for i in truth.pattern_instances]
-        report = oracle_compare(truth, findings=findings)
-        score = report.pattern_scores["chain"]
+        score = score_findings(truth, findings)["chain"]
         assert score.precision == 1.0 and score.recall == 1.0
 
     def test_no_findings_zero_recall(self):
-        report = oracle_compare(self.make_truth(), findings=[])
-        score = report.pattern_scores["chain"]
+        score = score_findings(self.make_truth(), [])["chain"]
         assert score.recall == 0.0 and score.precision == 1.0
 
     def test_nine_found_one_false(self):
@@ -152,16 +151,14 @@ class TestOracleCompare:
             PatternFinding(99, PatternKind.CHAIN, {"zz1": "source", "zz2": "sink"},
                            ["bogus"], 0)
         )
-        score = oracle_compare(truth, findings=findings).pattern_scores["chain"]
+        score = score_findings(truth, findings)["chain"]
         assert score.precision == 0.9 and score.recall == 0.9
 
     def test_purity_of_mixed_cluster(self):
         truth = GroundTruth()
         truth.signature_of = {"a": "selling", "b": "selling", "c": "staking", "d": "staking"}
         assignment = ClusterAssignment({"a": 1, "b": 1, "c": 1, "d": 2}, 2, {})
-        report = oracle_compare(truth, assignment=assignment)
-        assert report.purity == 0.75
-        assert report.purity_by_cluster == {1: 2 / 3, 2: 1.0}
+        assert cluster_purity(truth, assignment) == (0.75, {1: 2 / 3, 2: 1.0})
 
 
 def test_star_churn_reciprocity_strictly_increases():
