@@ -109,6 +109,11 @@ def cmd_ingest(config: Config, out: Path, args) -> None:
             raise MissingArtifactError(f"input file {path} does not exist")
     store = ingest.load_event_store(*paths, config.ingest_config())
     stage = _make_dir(out / "ingest")
+    # Earlier versions also wrote a column cache here, which nothing reads
+    # now; left in place it would stay in every digest of a reused tree.
+    stale_cache = stage / "events.cols"
+    if stale_cache.is_file():
+        stale_cache.unlink()
     ingest.write_transfers_csv(store.events, stage / "events.csv")
     ingest.write_contracts_csv(list(store.contracts.values()), stage / "contracts.csv")
     ingest.write_claims_csv(list(store.claims.values()), stage / "claims.csv")

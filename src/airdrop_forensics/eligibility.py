@@ -176,8 +176,8 @@ def evaluate(
     history: EligibilityHistory,
     rules: EligibilityRules,
     snapshot_ts: int,
-    clique_size: int | None = None,
-    index: _HistoryIndex | None = None,
+    clique_size: int,
+    index: _HistoryIndex,
 ) -> EligibilityVerdict:
     """Screen one address at the snapshot instant.
 
@@ -186,13 +186,13 @@ def evaluate(
     is not part of an oversized clique. A recency window reaching back
     before the history is clipped at its start, and the detail says so.
     The ordered rule trace is complete: the verdict is exactly
-    `all(check.passed)`.
+    `all(check.passed)`. `run_campaign` computes `clique_size` and `index`
+    once for the whole population.
     """
     window_start, clipped = recency_window(history, rules, snapshot_ts)
-    idx = index or _HistoryIndex(history)
 
     checks: list[RuleCheck] = []
-    tx_count = idx.tx_count(address, snapshot_ts)
+    tx_count = index.tx_count(address, snapshot_ts)
     balances = history.balances.get(address, {})
     balance_ok = any(
         balances.get(chain, 0.0) >= floor
@@ -208,7 +208,7 @@ def evaluate(
         )
     )
 
-    interactions = idx.interactions(address, window_start, snapshot_ts)
+    interactions = index.interactions(address, window_start, snapshot_ts)
     checks.append(
         RuleCheck(
             "interaction_recency",
@@ -223,12 +223,11 @@ def evaluate(
     if rules.max_clique is None:
         checks.append(RuleCheck("clique_exclusion", True, "clique rule disabled"))
     else:
-        size = clique_size if clique_size is not None else clique_sizes(history).get(address, 1)
         checks.append(
             RuleCheck(
                 "clique_exclusion",
-                size <= rules.max_clique,
-                f"largest clique containing address has size {size} "
+                clique_size <= rules.max_clique,
+                f"largest clique containing address has size {clique_size} "
                 f"(max {rules.max_clique})",
             )
         )

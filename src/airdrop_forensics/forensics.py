@@ -22,10 +22,6 @@ from .ingest import Address, EventStore, format_token_amount
 log = logging.getLogger(__name__)
 
 
-class MissingExternalWindowError(Exception):
-    pass
-
-
 class PatternKind(str, Enum):
     CHAIN = "chain"
     SUNFLOWER = "sunflower"
@@ -55,22 +51,15 @@ class DetectorConfig:
 class ComponentProfile:
     id: int
     graph: CommunityGraph
+    nodes: list[Address]  # sorted
     n_initial: int
     n_later: int
     reciprocity: float
     total_value: int
 
     @property
-    def nodes(self) -> list[Address]:
-        return sorted(self.graph.nodes)
-
-    @property
     def size(self) -> int:
         return self.graph.n_nodes
-
-    @property
-    def edges(self):
-        return [(u, v, self.graph.edges[(u, v)]) for (u, v) in sorted(self.graph.edges)]
 
 
 @dataclass
@@ -136,6 +125,7 @@ def p2p_components(token_graph: CommunityGraph) -> list[ComponentProfile]:
             ComponentProfile(
                 id=i,
                 graph=sub,
+                nodes=comp,
                 n_initial=n_initial,
                 n_later=len(comp) - n_initial,
                 reciprocity=reciprocity(sub),
@@ -283,18 +273,14 @@ def detect_sunflower(
 def detect_sponsorship(
     profile: ComponentProfile,
     external_graph: CommunityGraph,
-    claims: dict,
     airdrop_ts: int,
     cfg: DetectorConfig,
 ) -> PatternFinding | None:
     """Sponsor-funded claim farming: enough of the component's initial
     members share pre-airdrop funding from a common set of non-claimant
     plain addresses, and the claimed tokens flow back toward those
-    sponsors (directly or through one linked sink)."""
-    if not any(s.first_ts < airdrop_ts for s in external_graph.edges.values()):
-        raise MissingExternalWindowError(
-            "external data does not cover the pre-airdrop period"
-        )
+    sponsors (directly or through one linked sink). `run_detectors` calls
+    it only when the external graph has an edge from before `airdrop_ts`."""
     g = profile.graph
     initial = [a for a in profile.nodes if g.nodes[a] == NodeClass.INITIAL_MEMBER]
     funders: dict[Address, set[Address]] = {}
@@ -548,7 +534,7 @@ def run_detectors(
             if f is not None:
                 findings.append(f)
         if has_pre_window:
-            f = detect_sponsorship(profile, external_graph, store.claims, airdrop_ts, cfg)
+            f = detect_sponsorship(profile, external_graph, airdrop_ts, cfg)
             if f is not None:
                 findings.append(f)
 

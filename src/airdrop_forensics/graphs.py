@@ -398,12 +398,6 @@ def _tarjan(graph: CommunityGraph, roots: Iterable[Address]) -> Iterator[list[Ad
                 low[parent] = min(low[parent], low[node])
 
 
-def strongly_connected_components(graph: CommunityGraph) -> list[list[Address]]:
-    """Each component comes back sorted and the list is ordered by first
-    member, whatever the set iteration order."""
-    return sorted((sorted(comp) for comp in _tarjan(graph, graph.nodes)), key=lambda comp: comp[0])
-
-
 def attracting_components(graph: CommunityGraph) -> int:
     """Count terminal strongly connected components: once a random walker
     enters one, no out-edge leaves it. An isolated sink node counts.

@@ -131,17 +131,13 @@ class TransferEvent(NamedTuple):
     log_index: int = 0
 
     @property
-    def sort_key(self):
-        return (self.timestamp, self.block, self.tx_hash, self.log_index)
-
-    @property
     def dedup_key(self):
         # kind qualifies the key so a token transfer is never collapsed
         # with the external transaction that carried it.
         return (self.tx_hash, self.log_index, self.kind)
 
 
-# sort_key as a C-level key: (timestamp, block, tx_hash, log_index).
+# The store's event order: (timestamp, block, tx_hash, log_index).
 EVENT_ORDER = itemgetter(4, 5, 0, 7)
 _KINDS = {k.value: k for k in EventKind}
 

@@ -10,6 +10,7 @@ import math
 from types import SimpleNamespace
 
 from airdrop_forensics.flows import OperationKind, weighted_cosine_distance
+from airdrop_forensics.graphs import _tarjan
 from airdrop_forensics.ingest import (
     TRANSFER_COLUMNS,
     ClaimRecord,
@@ -132,6 +133,13 @@ def oracle_attracting(nodes, edges) -> int:
         if not leaving:
             count += 1
     return count
+
+
+def strongly_connected_components(graph):
+    """The library's `_tarjan` over every node, each component sorted and
+    the list ordered by first member, whatever the set iteration order;
+    tests/test_graphs.py checks it against networkx."""
+    return sorted((sorted(comp) for comp in _tarjan(graph, graph.nodes)), key=lambda comp: comp[0])
 
 
 def naive_ahc_heights(vectors, linkage="single"):
@@ -369,7 +377,7 @@ def dictreader_parse_transfers(path, kind=EventKind.TOKEN_TRANSFER, allow_self_t
                                         row_kind, log_index))
         except (ValueError, KeyError) as exc:
             errors.append(MalformedRow(line_no, str(exc)))
-    events.sort(key=lambda e: e.sort_key)
+    events.sort(key=lambda e: (e.timestamp, e.block, e.tx_hash, e.log_index))
     return events, sorted(errors)
 
 

@@ -47,10 +47,6 @@ from airdrop_forensics.stats import (
 )
 from airdrop_forensics.synth import (
     ScenarioSpec,
-    airdrop_star_churn,
-    attrition_scenario,
-    detector_benchmark_spec,
-    eligibility_scenario,
     generate,
     population_from_shares,
     score_findings,
@@ -65,6 +61,12 @@ from oracles import (
     oracle_attracting,
     oracle_reciprocity,
     random_digraph,
+)
+from scenarios import (
+    airdrop_star_churn,
+    attrition_scenario,
+    detector_benchmark_spec,
+    eligibility_scenario,
 )
 
 TOKEN = 10**18

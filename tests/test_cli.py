@@ -387,6 +387,16 @@ def ingested(tmp_path_factory):
     return root
 
 
+def test_ingest_removes_a_column_cache_left_by_an_earlier_version(ingested, tmp_path):
+    out = tmp_path / "out"
+    shutil.copytree(ingested / "out", out)
+    stale = out / "ingest" / "events.cols"
+    stale.write_bytes(b"column cache of an earlier version")
+    assert run("ingest", write_config(tmp_path)) == 0
+    assert not stale.exists()
+    assert tree_digest(out) == tree_digest(ingested / "out")
+
+
 @pytest.mark.parametrize("narrowed_at", ["ingest", "graph"])
 def test_token_graph_is_the_last_slice(ingested, tmp_path, narrowed_at):
     """The graph stage writes the last slice as the token graph: the same

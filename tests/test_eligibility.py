@@ -7,13 +7,12 @@ from airdrop_forensics.eligibility import (
     EligibilityRules,
     _HistoryIndex,
     clique_sizes,
-    evaluate,
     run_campaign,
 )
 from airdrop_forensics.ingest import EventKind, Tier
-from airdrop_forensics.synth import eligibility_scenario, tier_quota_history
 
 from conftest import WINDOW_START, addr, ev
+from scenarios import eligibility_scenario, tier_quota_history
 
 DAY = 86400
 SNAPSHOT = WINDOW_START + 200 * DAY
@@ -22,11 +21,16 @@ PROTOCOL = addr(900)
 
 def history(events, balances=None, coverage_start=WINDOW_START):
     return EligibilityHistory(
-        events=sorted(events, key=lambda e: e.sort_key),
+        events=sorted(events, key=lambda e: (e.timestamp, e.block, e.tx_hash, e.log_index)),
         balances=balances or {},
         protocol_addresses=frozenset({PROTOCOL}),
         coverage_start=coverage_start,
     )
+
+
+def screen(subject, h, rules):
+    """One address's verdict, through the campaign the eligibility stage runs."""
+    return run_campaign([subject], h, rules, SNAPSHOT).verdicts[0]
 
 
 def interactions(subject, count, start=SNAPSHOT - 100 * DAY):
@@ -72,7 +76,7 @@ def test_history_index_counts_match_linear_scan():
 def test_active_address_is_eligible():
     subject = addr(1)
     h = history(interactions(subject, 7) + filler_txs(subject, 53))
-    verdict = evaluate(subject, h, EligibilityRules(), SNAPSHOT)
+    verdict = screen(subject, h, EligibilityRules())
     assert verdict.eligible
     assert verdict.tier == Tier.T5200
     assert all(c.passed for c in verdict.reasons)
@@ -84,14 +88,14 @@ def test_balance_branch_replaces_tx_floor():
         interactions(subject, 6) + filler_txs(subject, 4),
         balances={subject: {"ethereum": 0.030}},
     )
-    verdict = evaluate(subject, h, EligibilityRules(), SNAPSHOT)
+    verdict = screen(subject, h, EligibilityRules())
     assert verdict.eligible  # 10 txs < 50, but 0.030 ETH >= 0.028
 
 
 def test_balance_below_floor_fails_without_txs():
     subject = addr(3)
     h = history(interactions(subject, 6), balances={subject: {"ethereum": 0.01}})
-    verdict = evaluate(subject, h, EligibilityRules(), SNAPSHOT)
+    verdict = screen(subject, h, EligibilityRules())
     assert not verdict.eligible
     assert [c.rule for c in verdict.reasons if not c.passed] == ["activity_floor"]
 
@@ -101,7 +105,7 @@ def test_stale_interactions_fail_recency():
     old = interactions(subject, 9, start=SNAPSHOT - 250 * DAY)
     h = history(old, balances={subject: {"ethereum": 1.0}},
                 coverage_start=SNAPSHOT - 300 * DAY)
-    verdict = evaluate(subject, h, EligibilityRules(), SNAPSHOT)
+    verdict = screen(subject, h, EligibilityRules())
     assert not verdict.eligible
     assert [c.rule for c in verdict.reasons if not c.passed] == ["interaction_recency"]
 
@@ -161,11 +165,11 @@ def test_monotonicity_adding_interactions_never_hurts():
     subject = addr(200)
     base_events = interactions(subject, 3)
     h1 = history(base_events, {subject: {"ethereum": 1.0}})
-    v1 = evaluate(subject, h1, EligibilityRules(), SNAPSHOT)
+    v1 = screen(subject, h1, EligibilityRules())
     for extra in (3, 10, 30):
         h2 = history(base_events + interactions(subject, extra, start=SNAPSHOT - 90 * DAY),
                      {subject: {"ethereum": 1.0}})
-        v2 = evaluate(subject, h2, EligibilityRules(), SNAPSHOT)
+        v2 = screen(subject, h2, EligibilityRules())
         if v1.eligible:
             assert v2.eligible
         v1 = v2
@@ -176,7 +180,7 @@ def test_recency_window_clipped_at_history_start():
     subject = addr(5)
     start = SNAPSHOT - 10 * DAY
     h = history(interactions(subject, 8, start=SNAPSHOT - 5 * DAY), coverage_start=start)
-    verdict = evaluate(subject, h, EligibilityRules(min_tx_count=0), SNAPSHOT)
+    verdict = screen(subject, h, EligibilityRules(min_tx_count=0))
     assert verdict.eligible
     recency = verdict.reasons[1]
     assert recency.rule == "interaction_recency" and recency.passed
@@ -188,7 +192,7 @@ def test_recency_window_clipped_at_history_start():
     assert summary["recency_window_clipped_to"] == start
     # A window inside the history is not clipped, and the summary has no key for it.
     inside = EligibilityRules(min_tx_count=0, interaction_window_days=10)
-    assert "clipped" not in evaluate(subject, h, inside, SNAPSHOT).reasons[1].detail
+    assert "clipped" not in screen(subject, h, inside).reasons[1].detail
     assert "recency_window_clipped_to" not in run_campaign([subject], h, inside, SNAPSHOT).summary
 
 

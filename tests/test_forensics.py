@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from airdrop_forensics.eligibility import EligibilityHistory, clique_sizes
 from airdrop_forensics.forensics import (
     DetectorConfig,
-    MissingExternalWindowError,
     PatternKind,
     _maximal_cliques,
     claimant_clique_graph,
@@ -204,38 +203,32 @@ def sponsorship_setup(n_benes=6, n_sponsors=2, return_flow=True, funder_class=No
     ext = digraph(ext_edges, node_class=funder_class)
     for b in benes:
         ext.nodes[b] = NodeClass.INITIAL_MEMBER
-    claims = {b: claim(b, ts=T0 + 10**6) for b in benes}
-    return profile, ext, claims
+    return profile, ext
 
 
 class TestSponsorship:
     def test_planted_clique_detected(self):
-        profile, ext, claims = sponsorship_setup()
-        finding = detect_sponsorship(profile, ext, claims, T0 + 10**6, CFG)
+        profile, ext = sponsorship_setup()
+        finding = detect_sponsorship(profile, ext, T0 + 10**6, CFG)
         assert finding is not None and finding.pattern == PatternKind.SPONSORSHIP_CLIQUE
         sponsors = [a for a, r in finding.members.items() if r == "sponsor"]
         assert sorted(sponsors) == ["p00", "p01"]
         assert finding.aggregate_value == 6 * 2 * (650 * TOKEN // 2)
 
     def test_cex_only_funding_is_clean(self):
-        profile, ext, claims = sponsorship_setup(funder_class=NodeClass.CONTRACT)
-        assert detect_sponsorship(profile, ext, claims, T0 + 10**6, CFG) is None
+        profile, ext = sponsorship_setup(funder_class=NodeClass.CONTRACT)
+        assert detect_sponsorship(profile, ext, T0 + 10**6, CFG) is None
 
     def test_no_return_flow_is_weak_signal_only(self, caplog):
-        profile, ext, claims = sponsorship_setup(return_flow=False)
+        profile, ext = sponsorship_setup(return_flow=False)
         with caplog.at_level(logging.INFO):
-            finding = detect_sponsorship(profile, ext, claims, T0 + 10**6, CFG)
+            finding = detect_sponsorship(profile, ext, T0 + 10**6, CFG)
         assert finding is None
         assert any("weak sponsorship" in r.message for r in caplog.records)
 
-    def test_missing_pre_airdrop_window(self):
-        profile, ext, claims = sponsorship_setup()
-        with pytest.raises(MissingExternalWindowError):
-            detect_sponsorship(profile, ext, claims, WINDOW_START, CFG)
-
     def test_single_sponsor_not_enough(self):
-        profile, ext, claims = sponsorship_setup(n_sponsors=1)
-        assert detect_sponsorship(profile, ext, claims, T0 + 10**6, CFG) is None
+        profile, ext = sponsorship_setup(n_sponsors=1)
+        assert detect_sponsorship(profile, ext, T0 + 10**6, CFG) is None
 
 
 class TestCautious:
@@ -369,6 +362,36 @@ def test_run_detectors_end_to_end(airdrop_contract):
     replay_spokes = [p for p in g.in_neighbors(sink) if g.out_degree(p) == 1]
     assert len(replay_spokes) >= DetectorConfig().min_spokes
     assert {a for a, r in finding.members.items() if r == "source"} == set(replay_spokes)
+
+
+@pytest.mark.parametrize("pre_airdrop", [True, False])
+def test_run_detectors_skips_sponsorship_without_pre_airdrop_edges(
+    airdrop_contract, caplog, pre_airdrop
+):
+    """Six claimants funded by two sponsors send their rewards back. With
+    the funding after the airdrop, the external graph has no pre-airdrop
+    edge: the pass is skipped, with a warning, and nothing is found."""
+    airdrop_ts = T0 + 10**6
+    funded_at = airdrop_ts - 3600 if pre_airdrop else airdrop_ts + 3600
+    benes = [addr(i) for i in range(60, 66)]
+    sponsors = [addr(70), addr(71)]
+    claims = [claim(b, ts=airdrop_ts) for b in benes]
+    token_events = [
+        ev(airdrop_contract.address, c.address, c.amount, ts=airdrop_ts) for c in claims
+    ]
+    token_events += [
+        ev(b, s, Tier.T5200.amount // 2, ts=airdrop_ts + 7200) for b in benes for s in sponsors
+    ]
+    external_events = [
+        ev(s, b, 1, ts=funded_at, kind=EventKind.EXTERNAL_TX) for b in benes for s in sponsors
+    ]
+    store = make_store(token_events, external_events, [airdrop_contract], claims)
+    with caplog.at_level(logging.WARNING):
+        result = run_detectors(build_token_graph(store), build_external_graph(store), store)
+    skipped = any("sponsorship pass skipped" in r.message for r in caplog.records)
+    patterns = [f.pattern for f in result.findings]
+    assert skipped == (not pre_airdrop)
+    assert patterns == ([PatternKind.SPONSORSHIP_CLIQUE] if pre_airdrop else [])
 
 
 PROTOCOL = addr(999)

@@ -25,7 +25,6 @@ from airdrop_forensics.graphs import (
     iter_slices,
     metric_series,
     reciprocity,
-    strongly_connected_components,
     to_dot,
     to_graphml,
     weekly_slices,
@@ -40,6 +39,7 @@ from oracles import (
     random_digraph,
     scan_assortativity,
     scan_reciprocity,
+    strongly_connected_components,
 )
 
 

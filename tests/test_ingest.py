@@ -596,11 +596,15 @@ def test_transfer_event_is_an_immutable_set_member():
 @_PROPERTY
 @given(keys=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2),
                                st.integers(0, 2), st.sampled_from(list(EventKind))), max_size=20))
-def test_event_order_sorts_as_sort_key(keys):
+def test_event_order_sorts_by_timestamp_block_tx_hash_log_index(keys):
     events = [TransferEvent(f"0x{tx:064x}", addr(1), addr(2), 1, ts, block, kind, log_index)
               for ts, block, tx, log_index, kind in keys]
-    assert [EVENT_ORDER(e) for e in events] == [e.sort_key for e in events]
-    assert sorted(events, key=EVENT_ORDER) == sorted(events, key=lambda e: e.sort_key)
+
+    def by_name(e):
+        return (e.timestamp, e.block, e.tx_hash, e.log_index)
+
+    assert [EVENT_ORDER(e) for e in events] == [by_name(e) for e in events]
+    assert sorted(events, key=EVENT_ORDER) == sorted(events, key=by_name)
 
 
 # Differential: the positional raw-row reader against csv.DictReader

@@ -1,0 +1,52 @@
+"""Static check that the package holds only code that the stages or the
+benchmark use: a builder or helper that only tests call belongs in tests/."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "airdrop_forensics"
+
+# Each of these computes a published identity that tests/ asserts as an
+# acceptance criterion; moved into tests/, the criterion would check test
+# code. They stay until the report states those identities (ROADMAP item 4).
+ALLOWED = {
+    "clustering.role_shares": "criterion 3: role percentages as sums of cluster shares",
+    "stats.aggregate_shares": "the published group sums of the role-share table",
+    "stats.claimed_total_for_counts": "criterion 5: total claimed from per-tier claim counts",
+}
+
+
+def _names(node) -> Counter:
+    """Every name an AST mentions: names, attributes, and string constants,
+    as perfbench/tracer.py looks functions up by their names."""
+    found = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            found[sub.attr] += 1
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            found[sub.value] += 1
+    return found
+
+
+def test_every_top_level_name_in_src_has_a_caller_outside_tests():
+    trees = {
+        path: ast.parse(path.read_text(), str(path))
+        for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    }
+    mentioned = sum((_names(tree) for tree in trees.values()), Counter())
+    unused = [
+        f"{path.stem}.{node.name}"
+        for path, tree in trees.items() if path.parent == PACKAGE
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and mentioned[node.name] == _names(node)[node.name]
+    ]
+    assert sorted(unused) == sorted(ALLOWED), (
+        "defined in src/ but used nowhere in src/ or perfbench/: "
+        f"{sorted(set(unused) - set(ALLOWED))}; allowed but now used: "
+        f"{sorted(set(ALLOWED) - set(unused))}"
+    )

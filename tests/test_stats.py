@@ -20,10 +20,11 @@ from airdrop_forensics.stats import (
     tier_composition,
     top_contracts,
 )
-from airdrop_forensics.synth import ScenarioSpec, attrition_scenario, generate, population_from_shares
+from airdrop_forensics.synth import ScenarioSpec, generate, population_from_shares
 
 from conftest import WINDOW_END, WINDOW_START, addr, claim, ev, make_store
 from oracles import kernel_sum_density
+from scenarios import attrition_scenario
 
 TOKEN = 10**18
 

@@ -1,3 +1,7 @@
+import dataclasses
+import hashlib
+import json
+
 import pytest
 
 from airdrop_forensics.clustering import ClusterAssignment, RoleLabel, select_k
@@ -16,8 +20,6 @@ from airdrop_forensics.synth import (
     PlantedPattern,
     ScenarioSpec,
     Scenario,
-    airdrop_star_churn,
-    detector_benchmark_spec,
     generate,
     population_from_shares,
     score_findings,
@@ -25,6 +27,15 @@ from airdrop_forensics.synth import (
 )
 
 from oracles import cluster_purity
+from airdrop_forensics.ingest import Tier
+from scenarios import (
+    airdrop_star_churn,
+    attrition_scenario,
+    detector_benchmark_spec,
+    eligibility_scenario,
+    pattern_membership,
+    tier_quota_history,
+)
 
 
 def test_population_from_shares_sums_and_is_deterministic():
@@ -181,6 +192,68 @@ def test_ground_truth_round_trips_to_json():
     )
     payload = scenario.truth.to_json()
     assert payload["pattern_instances"][0]["kind"] == "blatant_clique"
-    membership = scenario.truth.pattern_membership()
+    membership = pattern_membership(scenario.truth)
     sink = payload["pattern_instances"][0]["sink"]
     assert ("blatant_clique", 1, "sink") in membership[sink]
+
+
+def _digest(*parts) -> str:
+    def plain(o):
+        return sorted(o) if isinstance(o, frozenset) else dataclasses.astuple(o)
+
+    return hashlib.sha256(json.dumps(parts, default=plain).encode()).hexdigest()
+
+
+def _scenario_digest(scenario) -> str:
+    return _digest(scenario.token_events, scenario.external_events, scenario.claims,
+                   scenario.truth.to_json())
+
+
+def _history_digest(drawn) -> str:
+    history, population, meta = drawn
+    return _digest(history.events, history.balances, population, meta)
+
+
+def _benchmark_draw():
+    return generate(detector_benchmark_spec(seed=13, instances_per_pattern=2, distractors=200),
+                    validate=False)
+
+
+# Digests of each builder's output as drawn when the builders lived in
+# synth.py: an RNG call added, dropped or reordered changes them.
+BUILDER_DIGESTS = {
+    "detector_benchmark_spec": (
+        lambda: _scenario_digest(_benchmark_draw()),
+        "ae588b6ac68135717ab73c6f9ee5eb0ff440be100544f3b683df7470c1668c20",
+    ),
+    "pattern_membership": (
+        lambda: _digest(sorted(pattern_membership(_benchmark_draw().truth).items())),
+        "5b69db2062b80a3bcb1c8e5dffc67e055cd1601c055cc22fcf393ba7f9d9c610",
+    ),
+    "airdrop_star_churn": (
+        lambda: _scenario_digest(airdrop_star_churn(seed=17, claimants=40, weeks=8)),
+        "9b9be40da13c9ae8cda80fee34ebca118eaf537511e384ba3f432e9e02a92b2a",
+    ),
+    "attrition_scenario": (
+        lambda: _scenario_digest(attrition_scenario(
+            seed=33,
+            bases={Tier.T5200: 40, Tier.T7800: 30, Tier.T10400: 20},
+            departures={Tier.T5200: 10, Tier.T7800: 20, Tier.T10400: 5},
+        )),
+        "697af5df71d9f5a9958215f3f418341529ac33429e69313e0ffe311e8c256ef9",
+    ),
+    "eligibility_scenario": (
+        lambda: _history_digest(eligibility_scenario(seed=5)),
+        "e7e61d40784e0f514d9a77385954ff05454f7e281a071e024eb8d5eafaa3ace9",
+    ),
+    "tier_quota_history": (
+        lambda: _history_digest(tier_quota_history(seed=9, quotas=(30, 20, 10))),
+        "e2d49e2c6ec36bbe3c753853c7dc8c04d33a269178cf95e8570a3d5bec3a016f",
+    ),
+}
+
+
+@pytest.mark.parametrize("builder", sorted(BUILDER_DIGESTS))
+def test_scenario_builder_draws_as_pinned(builder):
+    draw, want = BUILDER_DIGESTS[builder]
+    assert draw() == want
