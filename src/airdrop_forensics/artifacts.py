@@ -1,20 +1,38 @@
-"""The byte format of every stage artifact, and nothing else.
+"""The byte format of every stage artifact, and its file errors.
 
 JSON files hold keys in sorted order, indented by 2 (compact for the
 graph files, which are large and machine-read only) and end in a newline.
 JSONL files hold one sorted-key object per line. CSV files start with a
 header row and end every line with "\\n". The readers invert the writers.
-Every artifact is opened for writing through `open_for_write`, so a path
-that cannot be written is a user error that names it.
+
+Every artifact is opened through `open_for_write` or `open_for_read`, so
+a file error is a `UserError` (exit 1) raised where the file is opened:
+UnusableOutputError for a path that cannot be written, MissingArtifactError
+naming the stage that writes it (the artifact's directory) for an input
+that is missing, not a file, or does not decode or parse.
 """
 
 import csv
 import json
 from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
+from pathlib import Path
 
 
-class UnusableOutputError(Exception):
+class UserError(Exception):
+    """A user error: the CLI prints `code` and the message and exits 1."""
+
+    code = "validation_error"
+
+
+class UnusableOutputError(UserError):
     """An output directory, run record or artifact path cannot be written."""
+
+
+class MissingArtifactError(UserError):
+    """An upstream artifact is missing or unreadable: its stage must run first."""
+
+    code = "missing_artifact"
 
 
 def open_for_write(path, mode: str = "w", **kw):
@@ -24,6 +42,21 @@ def open_for_write(path, mode: str = "w", **kw):
         return open(path, mode, **kw)
     except (IsADirectoryError, NotADirectoryError, PermissionError) as exc:
         raise UnusableOutputError(f"cannot write {path}: {exc}") from exc
+
+
+@contextmanager
+def open_for_read(path, **kw):
+    """`open(path, **kw)` for reading. An OSError on open, or a ValueError
+    (bad encoding or JSON) or csv.Error while the body parses, raises
+    MissingArtifactError naming `path` and the stage that writes it."""
+    path = Path(path)
+    try:
+        with open(path, **kw) as fh:
+            yield fh
+    except (OSError, ValueError, csv.Error) as exc:
+        raise MissingArtifactError(
+            f"cannot read {path} ({exc}): run the {path.parent.name} stage first"
+        ) from exc
 
 
 def render_json(payload, *, compact: bool = False) -> str:
@@ -53,18 +86,23 @@ def write_csv(header: list, rows: Iterable, path) -> None:
 
 
 def read_json(path):
-    with open(path) as fh:
+    with open_for_read(path) as fh:
         return json.load(fh)
 
 
 def read_jsonl(path) -> Iterator:
-    with open(path) as fh:
+    with open_for_read(path) as fh:
         for line in fh:
             if line.strip():
                 yield json.loads(line)
 
 
 def read_csv(path) -> Iterator[dict[str, str]]:
-    """The rows of a CSV with a header, one dict at a time."""
-    with open(path, newline="") as fh:
-        yield from csv.DictReader(fh)
+    """The rows of a CSV with a header, one dict at a time; a row whose
+    cells do not match the header is a parse error."""
+    with open_for_read(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        for row in reader:
+            if None in row or None in row.values():
+                raise csv.Error(f"line {reader.line_num}: cells do not match the header")
+            yield row

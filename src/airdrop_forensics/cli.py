@@ -5,8 +5,8 @@ directory and writes its own; nothing is held in memory between commands,
 so each intermediate is reproducible and diffable. Outputs are
 byte-deterministic for a fixed config and seed.
 
-Exit codes: 0 success, 1 validation failure (machine-readable JSON on
-stderr), 2 internal error.
+Exit codes: 0 success, 1 user error (an `artifacts.UserError`, printed as
+one JSON line on stderr), 2 internal error.
 """
 
 from __future__ import annotations
@@ -24,14 +24,10 @@ from collections import Counter
 from pathlib import Path
 
 from . import artifacts, clustering, eligibility, flows, forensics, graphs, ingest, stats, synth
-from .artifacts import UnusableOutputError
+from .artifacts import MissingArtifactError, UnusableOutputError
 from .config import Config, ConfigInvalidError, from_json, load_config, to_json
 
 log = logging.getLogger("airdrop_forensics.cli")
-
-
-class MissingArtifactError(Exception):
-    code = "missing_artifact"
 
 
 def _make_dir(path: Path) -> Path:
@@ -41,14 +37,6 @@ def _make_dir(path: Path) -> Path:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise UnusableOutputError(f"cannot create the output directory {path}: {exc}") from exc
-    return path
-
-
-def _require(path: Path, stage: str) -> Path:
-    if not path.exists():
-        raise MissingArtifactError(
-            f"{path} not found: run the {stage} stage first"
-        )
     return path
 
 
@@ -69,11 +57,8 @@ def _input_paths(config: Config, out: Path) -> list[Path]:
 
 
 def _load_store_from_ingest(config: Config, out: Path) -> ingest.EventStore:
-    stage = out / "ingest"
-    for name in ("events.csv", "contracts.csv", "claims.csv", "report.json"):
-        _require(stage / name, "ingest")
     try:
-        return ingest.read_store(stage, config.ingest_config())
+        return ingest.read_store(out / "ingest", config.ingest_config())
     except ingest.CorruptStoreError as exc:
         raise MissingArtifactError(
             f"ingest artifacts are corrupt ({exc}); re-run the ingest stage"
@@ -185,11 +170,8 @@ def cmd_cluster(config: Config, out: Path, args) -> None:
 
 def cmd_detect(config: Config, out: Path, args) -> None:
     store = _load_store_from_ingest(config, out)
-    graph_stage = _require(out / "graph", "graph")
-    token_graph = graphs.load_graph_json(_require(graph_stage / "token_graph.json", "graph"))
-    external_graph = graphs.load_graph_json(
-        _require(graph_stage / "external_graph.json", "graph")
-    )
+    token_graph = graphs.load_graph_json(out / "graph" / "token_graph.json")
+    external_graph = graphs.load_graph_json(out / "graph" / "external_graph.json")
     stage = _make_dir(out / "detect")
     result = forensics.run_detectors(token_graph, external_graph, store, config.detectors)
     artifacts.write_jsonl((f.to_json() for f in result.findings), stage / "findings.jsonl")
@@ -320,49 +302,32 @@ def cmd_stats(config: Config, out: Path, args) -> None:
 def cmd_report(config: Config, out: Path, args) -> None:
     """Assemble stage artifacts into one report; formatting only, every
     number is traceable to an artifact file."""
-    required = {
-        "ingest": out / "ingest" / "report.json",
-        "graph_summary": out / "graph" / "summary.json",
-        "metrics": out / "graph" / "metric_series.json",
-        "silhouette": out / "cluster" / "silhouette.json",
-        "assignment": out / "cluster" / "assignment.csv",
-        "components": out / "detect" / "components.csv",
-        "findings": out / "detect" / "findings.jsonl",
-        "voting_power": out / "detect" / "voting_power.json",
-        "attrition": out / "stats" / "attrition.json",
-        "behavior": out / "stats" / "behavior_table.json",
-        "top_contracts": out / "stats" / "top_contracts.csv",
-        "kde_periods": out / "stats" / "kde_periods.json",
-        "kde_quantities": out / "stats" / "kde_quantities.json",
-    }
-    for path in required.values():
-        _require(path, path.parent.name)
-
-    pattern_counts = Counter(f["pattern"] for f in artifacts.read_jsonl(required["findings"]))
-    rows = list(artifacts.read_csv(required["assignment"]))
+    pattern_counts = Counter(f["pattern"]
+                             for f in artifacts.read_jsonl(out / "detect" / "findings.jsonl"))
+    rows = list(artifacts.read_csv(out / "cluster" / "assignment.csv"))
     role_counts = Counter(row["role"] for row in rows)
 
     report = {
-        "ingest": artifacts.read_json(required["ingest"]),
-        "graph": artifacts.read_json(required["graph_summary"]),
-        "metric_series": artifacts.read_json(required["metrics"]),
+        "ingest": artifacts.read_json(out / "ingest" / "report.json"),
+        "graph": artifacts.read_json(out / "graph" / "summary.json"),
+        "metric_series": artifacts.read_json(out / "graph" / "metric_series.json"),
         "clustering": {
-            "silhouette": artifacts.read_json(required["silhouette"]),
+            "silhouette": artifacts.read_json(out / "cluster" / "silhouette.json"),
             "cluster_counts": Counter(row["cluster"] for row in rows),
             "role_counts": role_counts,
         },
-        "behavior_table": artifacts.read_json(required["behavior"]),
-        "top_contracts": list(artifacts.read_csv(required["top_contracts"])),
-        "attrition": artifacts.read_json(required["attrition"]),
+        "behavior_table": artifacts.read_json(out / "stats" / "behavior_table.json"),
+        "top_contracts": list(artifacts.read_csv(out / "stats" / "top_contracts.csv")),
+        "attrition": artifacts.read_json(out / "stats" / "attrition.json"),
         "findings_by_pattern": pattern_counts,
-        "voting_power": artifacts.read_json(required["voting_power"]),
+        "voting_power": artifacts.read_json(out / "detect" / "voting_power.json"),
     }
     composition_csv = out / "stats" / "tier_composition.csv"
     if composition_csv.exists():
         report["tier_composition"] = list(artifacts.read_csv(composition_csv))
     densities = {}
     for name in ("kde_periods", "kde_quantities"):
-        payload = artifacts.read_json(required[name])
+        payload = artifacts.read_json(out / "stats" / f"{name}.json")
         densities[name] = {
             key: {"bandwidth": est["bandwidth"], "integral": est["integral"],
                   "points": len(est["grid"])}
@@ -435,14 +400,11 @@ def _write_run_record(config: Config, out: Path) -> None:
     unless the file already holds those bytes. Rewriting a file in place
     can stall for tens of milliseconds on some file systems, and most
     runs reuse the config of the run before."""
-    record = out / "config.resolved.json"
-    text = artifacts.render_json(to_json(config))
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        if not record.exists() or record.read_bytes() != text.encode():
-            record.write_text(text)
-    except OSError as exc:
-        raise UnusableOutputError(f"cannot write the run record {record}: {exc}") from exc
+    record = _make_dir(out) / "config.resolved.json"
+    payload = to_json(config)
+    readable = record.is_file() and os.access(record, os.R_OK)
+    if not readable or record.read_bytes() != artifacts.render_json(payload).encode():
+        artifacts.write_json(payload, record)
 
 
 def main(argv=None) -> int:
@@ -464,17 +426,8 @@ def main(argv=None) -> int:
         _write_run_record(config, out)
         COMMANDS[args.command](config, out, args)
         return 0
-    except (
-        ConfigInvalidError,
-        MissingArtifactError,
-        UnusableOutputError,
-        ingest.IngestError,
-        synth.InfeasibleSpecError,
-        graphs.WindowEmptyError,
-        clustering.TooFewPointsError,
-    ) as exc:
-        code = getattr(exc, "code", "validation_error")
-        print(json.dumps({"code": code, "error": str(exc)}), file=sys.stderr)
+    except artifacts.UserError as exc:
+        print(json.dumps({"code": exc.code, "error": str(exc)}), file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive
         log.exception("internal error")

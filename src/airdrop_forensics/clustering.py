@@ -34,7 +34,7 @@ from .flows import (
 log = logging.getLogger(__name__)
 
 
-class TooFewPointsError(ValueError):
+class TooFewPointsError(artifacts.UserError, ValueError):
     pass
 
 

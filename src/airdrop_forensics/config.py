@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import json
 import math
 import typing
 from dataclasses import dataclass, field
@@ -20,7 +21,7 @@ from .forensics import PatternKind
 from .synth import PatternSpec
 
 
-class ConfigInvalidError(ValueError):
+class ConfigInvalidError(artifacts.UserError, ValueError):
     code = "config_invalid"
 
 
@@ -157,7 +158,8 @@ def load_config(path: str | None) -> Config:
     if path is None:
         return Config()
     try:
-        data = artifacts.read_json(path)
+        with open(path) as fh:
+            data = json.load(fh)
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
         raise ConfigInvalidError(f"cannot read config {path} as JSON: {exc}") from exc
     return from_json(Config, data, "config")

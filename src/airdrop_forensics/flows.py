@@ -8,6 +8,7 @@ binary presence vector, and pairwise similarity is a weighted cosine.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import reduce
@@ -16,6 +17,8 @@ from operator import add, mul
 
 from . import artifacts
 from .ingest import Address, ContractCategory, ContractInfo, EventKind, EventStore
+
+log = logging.getLogger(__name__)
 
 
 class OperationKind(str, Enum):
@@ -139,8 +142,8 @@ def build_flows(store: EventStore, addresses) -> dict[Address, TransactionFlow]:
     over the store's token transfers.
 
     Positions start at zero; any event that would push one negative is
-    excluded and logged (inconsistent input). Receives from
-    airdrop-category contracts are flagged as claim receipts.
+    excluded and logged, one warning per call (inconsistent input).
+    Receives from airdrop-category contracts are flagged as claim receipts.
     """
     by_addr: dict[Address, list] = {address: [] for address in addresses}
     for ev in store.events_of_kind(EventKind.TOKEN_TRANSFER):
@@ -162,6 +165,9 @@ def build_flows(store: EventStore, addresses) -> dict[Address, TransactionFlow]:
                 flow.balance, flow.staked, flow.lp, ev.timestamp,
                 bool(info and info.category == ContractCategory.AIRDROP),
             ))
+    if excluded := [(address, why) for address, flow in flows.items() for _, why in flow.excluded]:
+        log.warning("%d token events excluded from the flows; the first, of %s: %s",
+                    len(excluded), *excluded[0])
     return flows
 
 

@@ -49,7 +49,7 @@ class UndefinedOnDegenerateError(MetricUndefinedError):
     pass
 
 
-class WindowEmptyError(Exception):
+class WindowEmptyError(artifacts.UserError):
     pass
 
 

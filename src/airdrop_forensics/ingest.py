@@ -56,7 +56,7 @@ _ADDRESS = re.compile("(?:0x)?[0-9a-f]{40}").fullmatch
 _TX_HASH = re.compile("(?:0x)?[0-9a-f]{64}").fullmatch
 
 
-class IngestError(Exception):
+class IngestError(artifacts.UserError):
     """File-level ingestion failure: unreadable file or missing header."""
 
 
@@ -588,7 +588,7 @@ class CorruptStoreError(IngestError):
 def _read_canonical(path: Path, columns: list[str], build) -> list:
     """The records `build(reader)` makes of a canonical CSV's rows. A bad
     row stops `build` while the reader is on its line, so the error names it."""
-    with open(path, newline="") as fh:
+    with artifacts.open_for_read(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             if next(reader, None) != columns:
@@ -621,7 +621,7 @@ def _split_events(path: Path) -> list[TransferEvent] | None:
     """
     share = {}.setdefault  # one string per address, shared by its events
     events: list[TransferEvent] = []
-    with open(path, newline="") as fh:
+    with artifacts.open_for_read(path, newline="") as fh:
         if fh.readline() != ",".join(STORE_COLUMNS) + "\n":
             return None
         tail = ""
@@ -686,8 +686,9 @@ def read_store(stage_dir, config: IngestConfig | None = None) -> EventStore:
     address twice, cells that parse, non-decreasing timestamps, and no
     self-transfer unless the config allows them. The config's study window
     is applied again, so a window narrowed after ingest drops the events
-    outside it. Any failed check raises CorruptStoreError. The store's
-    report is ingest's own, read from report.json.
+    outside it. Any failed check raises CorruptStoreError, and a file that
+    cannot be opened or decoded MissingArtifactError. The store's report is
+    ingest's own, read from report.json.
     """
     config = config or IngestConfig()
     stage_dir = Path(stage_dir)

@@ -48,7 +48,7 @@ log = logging.getLogger(__name__)
 DAY = 86400
 
 
-class InfeasibleSpecError(ValueError):
+class InfeasibleSpecError(artifacts.UserError, ValueError):
     pass
 
 

@@ -106,8 +106,9 @@ def test_report_without_upstream_fails_cleanly(tmp_path, capsys):
 
 
 def test_report_with_missing_stats_artifact_fails_cleanly(tmp_path, capsys):
-    # every file report reads is checked up front, so a stats stage that
-    # failed half way is a validation failure (exit 1), not an internal error
+    # every file report reads is opened through artifacts.open_for_read, so
+    # a stats stage that failed half way is a missing artifact (exit 1), not
+    # an internal error
     config = write_config(tmp_path)
     for command in ("synth", "ingest", "graph", "cluster", "detect", "stats"):
         assert run(command, config) == 0, command

@@ -48,16 +48,20 @@ def pipeline(tmp_path_factory):
     return root
 
 
-def assert_exit_0_or_1(stage: str, config, out: Path) -> None:
-    """Run `stage` with `config` on the artifacts in `out`."""
+def assert_exit_0_or_1(stage: str, config, out: Path):
+    """Run `stage` with `config` on the artifacts in `out`; the exit code,
+    and on exit 1 the JSON error."""
     path = out.parent / "config.json"
     path.write_text(json.dumps(config))
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = main([stage, "--config", str(path), "--out", str(out)])
     assert code in (0, 1), err.getvalue()
-    if code == 1:
-        assert "code" in json.loads(err.getvalue().splitlines()[-1])
+    if code == 0:
+        return code, None
+    error = json.loads(err.getvalue().splitlines()[-1])
+    assert "code" in error
+    return code, error
 
 
 # A mutation is (path, value). Each step of the path is a key, or an int
@@ -224,3 +228,59 @@ def test_mutated_inputs_never_exit_2(pipeline, name, how, row, column):
             shutil.copytree(pipeline / "out" / "ingest", out / "ingest")
         assert_exit_0_or_1("eligibility" if name == "balances" else "ingest",
                            {**BASE, "inputs": inputs}, out)
+
+
+# Each artifact a later stage reads, and the stage that reads it here.
+READERS = {
+    "ingest/events.csv": "graph",
+    "ingest/contracts.csv": "eligibility",
+    "ingest/claims.csv": "stats",
+    "ingest/report.json": "cluster",
+    "graph/token_graph.json": "detect",
+    "graph/external_graph.json": "detect",
+    "graph/summary.json": "report",
+    "graph/metric_series.json": "report",
+    "cluster/assignment.csv": "stats",
+    "cluster/features.csv": "stats",
+    "cluster/silhouette.json": "report",
+    "detect/findings.jsonl": "report",
+    "detect/voting_power.json": "report",
+    "eligibility/summary.json": "report",
+    "stats/attrition.json": "report",
+    "stats/behavior_table.json": "report",
+    "stats/top_contracts.csv": "report",
+    "stats/kde_periods.json": "report",
+    "stats/kde_quantities.json": "report",
+    "stats/tier_composition.csv": "report",
+}
+# Read only when present: without them the reader leaves a part out.
+OPTIONAL = {"cluster/assignment.csv", "eligibility/summary.json", "stats/tier_composition.csv"}
+
+
+def damage(path: Path, how: str) -> None:
+    data = path.read_bytes()
+    path.unlink()
+    if how == "directory":
+        path.mkdir()
+    elif how == "half":
+        path.write_bytes(data[:len(data) // 2])
+    elif how == "0xff":
+        path.write_bytes(b"\xff" + data)
+
+
+@pytest.mark.parametrize("how", ["deleted", "directory", "half", "0xff"])
+@pytest.mark.parametrize("artifact", sorted(READERS))
+def test_damaged_upstream_artifact_never_exits_2(pipeline, tmp_path, artifact, how):
+    """An upstream artifact deleted, replaced by a directory, cut to its
+    first half or given a leading byte that is not UTF-8. An unreadable one
+    exits 1 with `missing_artifact`, naming the stage that writes it; a
+    file cut in half may still parse."""
+    out = tmp_path / "out"
+    shutil.copytree(pipeline / "out", out)
+    damage(out / artifact, how)
+    code, error = assert_exit_0_or_1(READERS[artifact], BASE, out)
+    if how == "deleted" and artifact in OPTIONAL:
+        assert code == 0
+    elif how != "half":
+        assert code == 1 and error["code"] == "missing_artifact"
+        assert f"{Path(artifact).parent.name} stage" in error["error"]

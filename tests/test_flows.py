@@ -106,14 +106,29 @@ class TestBuildFlow:
         assert flow.balance == 0
         assert flow.staked == amount
 
-    def test_sell_before_receive_excluded_and_logged(self, router_contract):
-        member = addr(1)
-        events = [ev(member, router_contract.address, 99, ts=T)]
+    def test_sell_before_receive_excluded_and_logged(self, router_contract, caplog):
+        member, other = addr(1), addr(2)
+        events = [ev(member, router_contract.address, 99, ts=T),
+                  ev(other, router_contract.address, 7, ts=T + 1)]
         store = make_store(events, contracts=[router_contract])
-        flow = build_flows(store, [member])[member]
+        with caplog.at_level("WARNING", logger="airdrop_forensics.flows"):
+            flow = build_flows(store, [member, other])[member]
         assert flow.events == []
         assert len(flow.excluded) == 1
         assert flow.excluded[0][0] == T and "negative balance" in flow.excluded[0][1]
+        # one warning per call, with the count and the first reason
+        [record] = caplog.records
+        assert record.levelname == "WARNING"
+        assert record.getMessage() == (f"2 token events excluded from the flows; the first, of "
+                                       f"{member}: {flow.excluded[0][1]}")
+
+    def test_flows_without_exclusions_log_nothing(self, airdrop_contract, caplog):
+        member = addr(1)
+        store = make_store([ev(airdrop_contract.address, member, 5, ts=T)],
+                           contracts=[airdrop_contract])
+        with caplog.at_level("DEBUG", logger="airdrop_forensics.flows"):
+            build_flows(store, [member])
+        assert caplog.records == []
 
     def test_unstake_beyond_position_excluded(self, airdrop_contract, staking_contract):
         member = addr(1)

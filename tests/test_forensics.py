@@ -24,7 +24,7 @@ from airdrop_forensics.forensics import (
 from airdrop_forensics.graphs import NodeClass, build_external_graph, build_token_graph
 from airdrop_forensics.ingest import EventKind, Tier
 
-from conftest import WINDOW_START, addr, claim, contract, digraph, ev, make_store
+from conftest import WINDOW_START, addr, claim, digraph, ev, make_store
 
 CFG = DetectorConfig()
 T0 = WINDOW_START + 86400

@@ -50,3 +50,22 @@ def test_every_top_level_name_in_src_has_a_caller_outside_tests():
         f"{sorted(set(unused) - set(ALLOWED))}; allowed but now used: "
         f"{sorted(set(ALLOWED) - set(unused))}"
     )
+
+
+def test_every_module_level_import_is_read():
+    """A module-level import whose name the module never reads is dead
+    code; `from __future__` imports are directives, not names."""
+    unused = []
+    paths = [*PACKAGE.glob("*.py"), *ROOT.glob("tests/*.py"), *ROOT.glob("perfbench/*.py")]
+    for path in sorted(paths):
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.relative_to(ROOT)}: {alias.asname or alias.name}"
+            for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+            for alias in node.names
+            if (alias.asname or alias.name.split(".")[0]) not in read
+        ]
+    assert unused == []

@@ -19,7 +19,6 @@ from airdrop_forensics.synth import (
     PatternSpec,
     PlantedPattern,
     ScenarioSpec,
-    Scenario,
     generate,
     population_from_shares,
     score_findings,
