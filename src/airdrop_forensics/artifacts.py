@@ -44,19 +44,25 @@ def open_for_write(path, mode: str = "w", **kw):
         raise UnusableOutputError(f"cannot write {path}: {exc}") from exc
 
 
+def unreadable(path, reason) -> MissingArtifactError:
+    """The error for the artifact at `path`, which `reason` kept from being
+    read; it names the stage that writes the artifact (its directory)."""
+    path = Path(path)
+    return MissingArtifactError(
+        f"cannot read {path} ({reason}): run the {path.parent.name} stage first"
+    )
+
+
 @contextmanager
 def open_for_read(path, **kw):
     """`open(path, **kw)` for reading. An OSError on open, or a ValueError
     (bad encoding or JSON) or csv.Error while the body parses, raises
-    MissingArtifactError naming `path` and the stage that writes it."""
-    path = Path(path)
+    `unreadable(path, ...)`."""
     try:
         with open(path, **kw) as fh:
             yield fh
     except (OSError, ValueError, csv.Error) as exc:
-        raise MissingArtifactError(
-            f"cannot read {path} ({exc}): run the {path.parent.name} stage first"
-        ) from exc
+        raise unreadable(path, exc) from exc
 
 
 def render_json(payload, *, compact: bool = False) -> str:
@@ -97,11 +103,15 @@ def read_jsonl(path) -> Iterator:
                 yield json.loads(line)
 
 
-def read_csv(path) -> Iterator[dict[str, str]]:
-    """The rows of a CSV with a header, one dict at a time; a row whose
-    cells do not match the header is a parse error."""
+def read_csv(path, columns: Iterable[str] = ()) -> Iterator[dict[str, str]]:
+    """The rows of a CSV with a header, one dict at a time. A header that
+    lacks one of `columns` (those the caller indexes), or a row whose cells
+    do not match the header, is a parse error."""
     with open_for_read(path, newline="") as fh:
         reader = csv.DictReader(fh)
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise csv.Error(f"the header lacks the columns {missing}")
         for row in reader:
             if None in row or None in row.values():
                 raise csv.Error(f"line {reader.line_num}: cells do not match the header")

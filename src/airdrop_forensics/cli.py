@@ -135,10 +135,10 @@ def cmd_graph(config: Config, out: Path, args) -> None:
         log.warning("no token events in the study window; metric series skipped")
         series = graphs.MetricSeries()
     external_graph = graphs.build_external_graph(store)
-    graphs.write_graph_json(token_graph, stage / "token_graph.json")
-    graphs.write_graph_json(external_graph, stage / "external_graph.json")
-    graphs.write_graph(token_graph, stage / f"token_graph.{fmt}", fmt, "token_graph")
-    graphs.write_graph(external_graph, stage / f"external_graph.{fmt}", fmt, "external_graph")
+    for name, graph in (("token_graph", token_graph), ("external_graph", external_graph)):
+        order = graphs.sorted_order(graph)
+        graphs.write_graph_json(graph, stage / f"{name}.json", order)
+        graphs.write_graph(graph, stage / f"{name}.{fmt}", fmt, name, order)
     artifacts.write_json(series.to_json_rows(), stage / "metric_series.json")
     artifacts.write_json({
         "token_graph": {"nodes": token_graph.n_nodes, "edges": token_graph.n_edges},
@@ -272,13 +272,14 @@ def cmd_stats(config: Config, out: Path, args) -> None:
     groups: dict[str, list[str]] = {"all": sorted(store.claims)}
     cluster_stage = out / "cluster"
     if (cluster_stage / "assignment.csv").exists():
-        labels = {row["address"]: int(row["cluster"])
-                  for row in artifacts.read_csv(cluster_stage / "assignment.csv")}
+        labels = {row["address"]: int(row["cluster"]) for row in
+                  artifacts.read_csv(cluster_stage / "assignment.csv", ("address", "cluster"))}
         stats.write_tier_composition_csv(
             stats.tier_composition(labels, store.claims), stage / "tier_composition.csv"
         )
-        buyers = {row["address"] for row in artifacts.read_csv(cluster_stage / "features.csv")
-                  if row.get("buy") == "1"}
+        buyers = {row["address"] for row in
+                  artifacts.read_csv(cluster_stage / "features.csv", ("address", "buy"))
+                  if row["buy"] == "1"}
         groups = {
             "group1_airdrop_only": sorted(a for a in labels if a not in buyers),
             "group2_buyers": sorted(a for a in labels if a in buyers),
@@ -304,7 +305,7 @@ def cmd_report(config: Config, out: Path, args) -> None:
     number is traceable to an artifact file."""
     pattern_counts = Counter(f["pattern"]
                              for f in artifacts.read_jsonl(out / "detect" / "findings.jsonl"))
-    rows = list(artifacts.read_csv(out / "cluster" / "assignment.csv"))
+    rows = list(artifacts.read_csv(out / "cluster" / "assignment.csv", ("cluster", "role")))
     role_counts = Counter(row["role"] for row in rows)
 
     report = {

@@ -5,12 +5,16 @@ whom) and the external graph (plain value transfers, mostly pre-airdrop).
 Parallel transfers between the same pair aggregate into a single weighted
 edge, so every metric here is defined on the simple digraph.
 
-Each slice's metrics cost no per-edge Python code. Reciprocity reads two
-counters kept as edges land. Degree assortativity reads two integer
-columns of edge endpoints kept the same way, and computes it with numpy:
-degrees by `bincount`, and each float sum as a strict left-to-right fold
-(`np.add.accumulate`) in edge order, so its bits equal a plain Python
-loop's on every interpreter.
+Reciprocity and assortativity cost no per-edge Python code per slice.
+Reciprocity reads two counters kept as edges land. Degree assortativity
+reads two integer columns of edge endpoints kept the same way, and
+computes it with numpy: degrees by `bincount`, and each float sum as a
+strict left-to-right fold (`np.add.accumulate`) in edge order, so its
+bits equal a plain Python loop's on every interpreter. Attracting
+components are counted for all slices at once from the last slice's
+graph, as each slice is a prefix of it in node and edge insertion order
+(`attracting_counts`): O(V + E), plus Tarjan reruns inside the last
+graph's nontrivial strongly connected components that changed.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 import logging
 from array import array
 from bisect import bisect_right
-from collections.abc import Iterable, Iterator
+from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from enum import Enum
@@ -350,13 +354,16 @@ def degree_assortativity(graph: CommunityGraph, mode: str = "out_in") -> float:
     return cov / sqrt(_left_fold(sx) * _left_fold(sy))
 
 
-def _tarjan(graph: CommunityGraph, roots: Iterable[Address]) -> Iterator[list[Address]]:
-    """Iterative Tarjan over the nodes reachable from `roots`. Yields each
-    strongly connected component, unsorted, as it closes."""
-    index: dict[Address, int] = {}
-    low: dict[Address, int] = {}
-    on_stack: set[Address] = set()
-    stack: list[Address] = []
+def _tarjan(
+    successors: Mapping[Hashable, Iterable[Hashable]], roots: Iterable[Hashable]
+) -> Iterator[list[Hashable]]:
+    """Iterative Tarjan over the nodes reachable from `roots`, where
+    `successors` maps a node to its out-neighbours (a node it lacks has
+    none). Yields each strongly connected component, unsorted, as it closes."""
+    index: dict[Hashable, int] = {}
+    low: dict[Hashable, int] = {}
+    on_stack: set[Hashable] = set()
+    stack: list[Hashable] = []
     counter = 0
 
     for root in roots:
@@ -366,7 +373,7 @@ def _tarjan(graph: CommunityGraph, roots: Iterable[Address]) -> Iterator[list[Ad
         counter += 1
         stack.append(root)
         on_stack.add(root)
-        work = [(root, iter(graph.out_neighbors(root)))]
+        work = [(root, iter(successors.get(root, ())))]
         while work:
             node, succs = work[-1]
             advanced = False
@@ -376,7 +383,7 @@ def _tarjan(graph: CommunityGraph, roots: Iterable[Address]) -> Iterator[list[Ad
                     counter += 1
                     stack.append(succ)
                     on_stack.add(succ)
-                    work.append((succ, iter(graph.out_neighbors(succ))))
+                    work.append((succ, iter(successors.get(succ, ()))))
                     advanced = True
                     break
                 if succ in on_stack:
@@ -398,28 +405,81 @@ def _tarjan(graph: CommunityGraph, roots: Iterable[Address]) -> Iterator[list[Ad
                 low[parent] = min(low[parent], low[node])
 
 
-def attracting_components(graph: CommunityGraph) -> int:
-    """Count terminal strongly connected components: once a random walker
-    enters one, no out-edge leaves it. An isolated sink node counts.
-
-    Every sink (out-degree 0) is one. A non-sink node that can reach a sink
-    is in none: the sink is a separate component it can reach. The nodes
-    that reach no sink are closed under successors, so Tarjan runs from
-    those alone.
-    """
-    sinks = [u for u, succs in graph._out.items() if not succs]
-    reaches_sink = set(sinks)
-    frontier = reaches_sink
-    while frontier:
-        frontier = set().union(*map(graph._in.__getitem__, frontier)) - reaches_sink
-        reaches_sink |= frontier
-    count = len(sinks)
-    rest = [u for u in graph.nodes if u not in reaches_sink]
-    for comp in _tarjan(graph, rest):
-        members = set(comp)
-        if all(graph._out[u] <= members for u in comp):
-            count += 1
+def _closed_components(edges: Iterable[tuple[int, int]], members: set[int]) -> int:
+    """Components of two or more nodes that no edge leaves, in the graph of
+    `edges`, whose sources all lie in `members`."""
+    inner: dict[int, list[int]] = {}
+    leaks = set()
+    for u, v in edges:
+        if v in members:
+            inner.setdefault(u, []).append(v)
+        else:
+            leaks.add(u)
+    count = 0
+    for comp in _tarjan(inner, inner):
+        if len(comp) > 1 and leaks.isdisjoint(comp):
+            closed = set(comp)
+            count += all(closed.issuperset(inner[u]) for u in comp)
     return count
+
+
+def attracting_counts(
+    graph: CommunityGraph, nodes: Sequence[int], edges: Sequence[int]
+) -> list[int]:
+    """Attracting components (terminal strongly connected components: once
+    a random walker enters one, no out-edge leaves it) of each prefix of
+    `graph`. Prefix k holds the first `nodes[k]` nodes and the first
+    `edges[k]` edges in insertion order; neither may decrease with k, and
+    every edge of a prefix must join nodes of that prefix.
+
+    A single node is attracting while it has no out-edge other than a
+    self-loop, so one pass over the edges, finding each node's first other
+    out-edge, counts those nodes in every prefix. A component of two or
+    more nodes is strongly connected in the whole graph too, so it lies
+    inside one of the whole graph's components of two or more nodes. At
+    each prefix, Tarjan reruns only inside those of them that gained an
+    out-edge since the prefix before, on their edges so far. The cost is
+    O(V + E) plus that rerun work.
+    """
+    n = np.asarray(nodes, dtype=np.int64)
+    e = np.asarray(edges, dtype=np.int64)
+    if (np.diff(n) < 0).any() or (np.diff(e) < 0).any() or (n > graph.n_nodes).any() \
+            or (e > graph.n_edges).any():
+        raise ValueError("prefixes must not shrink and must lie within the graph")
+    src, dst = np.array(graph._src, dtype=np.int64), np.array(graph._dst, dtype=np.int64)
+    moves = np.flatnonzero(src != dst)
+    _, first = np.unique(src[moves], return_index=True)
+    leaves_at = np.sort(moves[first])  # each node's first non-loop out-edge
+    counts = n - np.searchsorted(leaves_at, e)
+
+    comp_of = np.full(graph.n_nodes, -1, dtype=np.int64)
+    members: list[set[int]] = []
+    for comp in _tarjan(graph._out, graph.nodes):
+        if len(comp) > 1:
+            ids = {graph._id[a] for a in comp}
+            comp_of[list(ids)] = len(members)
+            members.append(ids)
+    if not members:
+        return counts.tolist()
+
+    # the edges out of each such component, with their positions, in edge order
+    owner_of = comp_of[src]
+    owned = np.flatnonzero(owner_of >= 0)
+    owner = owner_of[owned]
+    by_owner = np.argsort(owner, kind="stable")
+    splits = np.searchsorted(owner[by_owner], np.arange(1, len(members)))
+    positions = np.split(owned[by_owner], splits)
+    pairs = [list(zip(src[at].tolist(), dst[at].tolist())) for at in positions]
+    closed = [0] * len(members)
+    total = 0
+    for k, (lo, hi) in enumerate(zip([0, *e[:-1].tolist()], e.tolist())):
+        a, b = np.searchsorted(owned, [lo, hi])
+        for c in set(owner[a:b].tolist()):
+            count = _closed_components(pairs[c][: np.searchsorted(positions[c], hi)], members[c])
+            total += count - closed[c]
+            closed[c] = count
+        counts[k] += total
+    return counts.tolist()
 
 
 @dataclass
@@ -456,21 +516,29 @@ def metric_series(slices: Iterable[GraphSlice], assortativity_mode: str = "out_i
     """Evaluate all four panels per slice; undefined metrics become None.
 
     Iterates `slices` once, so it can consume `iter_slices` directly.
+    Attracting components are counted after the last slice, from its graph
+    (`attracting_counts`), so every slice's graph must hold a prefix of the
+    last slice's nodes and edges in insertion order. The slices of
+    `iter_slices` (one growing graph) and of `weekly_slices` (copies in
+    that order) do.
     """
     series = MetricSeries()
+    graph = None
     for sl in slices:
+        graph = sl.graph
         series.cutoffs.append(sl.cutoff)
         try:
-            series.reciprocity.append(reciprocity(sl.graph))
+            series.reciprocity.append(reciprocity(graph))
         except MetricUndefinedError:
             series.reciprocity.append(None)
         try:
-            series.assortativity.append(degree_assortativity(sl.graph, assortativity_mode))
+            series.assortativity.append(degree_assortativity(graph, assortativity_mode))
         except MetricUndefinedError:
             series.assortativity.append(None)
-        series.attracting.append(attracting_components(sl.graph))
-        series.nodes.append(sl.graph.n_nodes)
-        series.edges.append(sl.graph.n_edges)
+        series.nodes.append(graph.n_nodes)
+        series.edges.append(graph.n_edges)
+    if graph is not None:
+        series.attracting = attracting_counts(graph, series.nodes, series.edges)
     return series
 
 
@@ -491,7 +559,18 @@ def _xml_escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def to_graphml(graph: CommunityGraph) -> str:
+GraphOrder = tuple[list[Address], list[tuple[Address, Address]]]
+
+
+def sorted_order(graph: CommunityGraph) -> GraphOrder:
+    """The nodes and the edges of `graph` in the sorted order every writer
+    lists them in. A caller that writes one graph in two formats sorts it
+    once and passes the order to both writers."""
+    return sorted(graph.nodes), sorted(graph.edges)
+
+
+def to_graphml(graph: CommunityGraph, order: GraphOrder | None = None) -> str:
+    nodes, edges = order or sorted_order(graph)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
@@ -500,29 +579,36 @@ def to_graphml(graph: CommunityGraph) -> str:
         '  <key id="d2" for="edge" attr.name="tx_count" attr.type="int"/>',
         '  <graph edgedefault="directed">',
     ]
-    for addr in sorted(graph.nodes):
-        lines.append(f'    <node id="{_xml_escape(addr)}">')
-        lines.append(f'      <data key="d0">{graph.nodes[addr].value}</data>')
-        lines.append("    </node>")
-    for (u, v) in sorted(graph.edges):
+    # one string per node and per edge: a string per line would hold four
+    # times as many objects while the text is joined
+    for addr in nodes:
+        lines.append(
+            f'    <node id="{_xml_escape(addr)}">\n'
+            f'      <data key="d0">{graph.nodes[addr].value}</data>\n'
+            "    </node>"
+        )
+    for (u, v) in edges:
         stats = graph.edges[(u, v)]
-        lines.append(f'    <edge source="{_xml_escape(u)}" target="{_xml_escape(v)}">')
-        lines.append(f'      <data key="d1">{format_token_amount(stats.total_value)}</data>')
-        lines.append(f'      <data key="d2">{stats.tx_count}</data>')
-        lines.append("    </edge>")
+        lines.append(
+            f'    <edge source="{_xml_escape(u)}" target="{_xml_escape(v)}">\n'
+            f'      <data key="d1">{format_token_amount(stats.total_value)}</data>\n'
+            f'      <data key="d2">{stats.tx_count}</data>\n'
+            "    </edge>"
+        )
     lines.append("  </graph>")
     lines.append("</graphml>")
     return "\n".join(lines) + "\n"
 
 
-def to_dot(graph: CommunityGraph, name: str = "community") -> str:
+def to_dot(graph: CommunityGraph, name: str = "community", order: GraphOrder | None = None) -> str:
+    nodes, edges = order or sorted_order(graph)
     lines = [f"digraph {name} {{", "  node [style=filled];"]
-    for addr in sorted(graph.nodes):
+    for addr in nodes:
         cls = graph.nodes[addr]
         lines.append(
             f'  "{addr}" [node_class="{cls.value}", fillcolor="{_DOT_COLORS[cls]}"];'
         )
-    for (u, v) in sorted(graph.edges):
+    for (u, v) in edges:
         stats = graph.edges[(u, v)]
         lines.append(
             f'  "{u}" -> "{v}" [weight="{format_token_amount(stats.total_value)}", '
@@ -532,11 +618,12 @@ def to_dot(graph: CommunityGraph, name: str = "community") -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_graph(graph: CommunityGraph, path, fmt: str = "graphml", name: str = "community") -> None:
+def write_graph(graph: CommunityGraph, path, fmt: str = "graphml", name: str = "community",
+                order: GraphOrder | None = None) -> None:
     if fmt == "graphml":
-        text = to_graphml(graph)
+        text = to_graphml(graph, order)
     elif fmt == "dot":
-        text = to_dot(graph, name)
+        text = to_dot(graph, name, order)
     else:
         raise ValueError(f"unsupported graph format {fmt!r}")
     with artifacts.open_for_write(path) as fh:
@@ -545,12 +632,13 @@ def write_graph(graph: CommunityGraph, path, fmt: str = "graphml", name: str = "
 
 # Canonical JSON round-trip used for stage artifacts between CLI commands.
 
-def graph_to_json(graph: CommunityGraph) -> dict:
+def graph_to_json(graph: CommunityGraph, order: GraphOrder | None = None) -> dict:
+    nodes, edges = order or sorted_order(graph)
     return {
-        "nodes": [[a, graph.nodes[a].value] for a in sorted(graph.nodes)],
+        "nodes": [[a, graph.nodes[a].value] for a in nodes],
         "edges": [
             [u, v, s.total_value, s.tx_count, s.first_ts, s.last_ts]
-            for (u, v), s in sorted(graph.edges.items())
+            for (u, v), s in zip(edges, map(graph.edges.__getitem__, edges))
         ],
     }
 
@@ -564,9 +652,15 @@ def graph_from_json(payload: dict) -> CommunityGraph:
     return g
 
 
-def write_graph_json(graph: CommunityGraph, path) -> None:
-    artifacts.write_json(graph_to_json(graph), path, compact=True)
+def write_graph_json(graph: CommunityGraph, path, order: GraphOrder | None = None) -> None:
+    artifacts.write_json(graph_to_json(graph, order), path, compact=True)
 
 
 def load_graph_json(path) -> CommunityGraph:
-    return graph_from_json(artifacts.read_json(path))
+    """The graph a graph JSON file holds; JSON of another shape is an
+    unreadable artifact, like one that does not parse."""
+    payload = artifacts.read_json(path)
+    try:
+        return graph_from_json(payload)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise artifacts.unreadable(path, f"not a graph: {exc!r}") from exc

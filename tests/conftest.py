@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from airdrop_forensics.graphs import CommunityGraph, NodeClass
+from airdrop_forensics.graphs import CommunityGraph, NodeClass, attracting_counts
 from airdrop_forensics.ingest import (
     ClaimRecord,
     ContractCategory,
@@ -80,6 +80,11 @@ def digraph(edges, nodes=(), node_class=NodeClass.LATER_MEMBER) -> CommunityGrap
         g.add_node(v, node_class)
         g.add_edge_event(u, v, w, WINDOW_START + 86400)
     return g
+
+
+def attracting_components(graph: CommunityGraph) -> int:
+    """`attracting_counts` of the whole graph, its one-prefix case."""
+    return attracting_counts(graph, [graph.n_nodes], [graph.n_edges])[0]
 
 
 @pytest.fixture(autouse=True)

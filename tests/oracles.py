@@ -139,7 +139,8 @@ def strongly_connected_components(graph):
     """The library's `_tarjan` over every node, each component sorted and
     the list ordered by first member, whatever the set iteration order;
     tests/test_graphs.py checks it against networkx."""
-    return sorted((sorted(comp) for comp in _tarjan(graph, graph.nodes)), key=lambda comp: comp[0])
+    comps = _tarjan(graph._out, graph.nodes)
+    return sorted((sorted(comp) for comp in comps), key=lambda comp: comp[0])
 
 
 def naive_ahc_heights(vectors, linkage="single"):

@@ -30,7 +30,6 @@ from airdrop_forensics.flows import (
 from airdrop_forensics.forensics import PatternKind, run_detectors
 from airdrop_forensics.graphs import (
     UndefinedOnDegenerateError,
-    attracting_components,
     build_external_graph,
     build_token_graph,
     degree_assortativity,
@@ -52,7 +51,7 @@ from airdrop_forensics.synth import (
     score_findings,
 )
 
-from conftest import digraph
+from conftest import attracting_components, digraph
 from oracles import (
     cluster_purity,
     kernel_sum_density,

@@ -284,3 +284,52 @@ def test_damaged_upstream_artifact_never_exits_2(pipeline, tmp_path, artifact, h
     elif how != "half":
         assert code == 1 and error["code"] == "missing_artifact"
         assert f"{Path(artifact).parent.name} stage" in error["error"]
+
+
+def rename_column(path: Path, old: str, new: str) -> None:
+    header, body = path.read_text().split("\n", 1)
+    cells = header.split(",")
+    assert old in cells
+    path.write_text(",".join(new if cell == old else cell for cell in cells) + "\n" + body)
+
+
+GRAPH_SHAPES = {
+    "edge_key": {"nodes": [], "edge": []},
+    "empty_object": {},
+    "list": [],
+    "node_class": {"nodes": [["0x1", "hunter"]], "edges": []},
+    "edge_arity": {"nodes": [["0x1", "plain"]], "edges": [["0x1", "0x1", 1]]},
+    "unknown_endpoint": {"nodes": [["0x1", "plain"]], "edges": [["0x1", "0x2", 1, 1, 0, 0]]},
+}
+
+
+@pytest.mark.parametrize("graph", ["token_graph", "external_graph"])
+@pytest.mark.parametrize("shape", sorted(GRAPH_SHAPES))
+def test_wrong_shaped_graph_json_exits_1(pipeline, tmp_path, graph, shape):
+    """Well-formed JSON that is not a graph names the file and the graph stage."""
+    out = tmp_path / "out"
+    shutil.copytree(pipeline / "out", out)
+    (out / "graph" / f"{graph}.json").write_text(json.dumps(GRAPH_SHAPES[shape]))
+    code, error = assert_exit_0_or_1("detect", BASE, out)
+    assert code == 1 and error["code"] == "missing_artifact"
+    assert f"{graph}.json" in error["error"] and "graph stage" in error["error"]
+
+
+@pytest.mark.parametrize("artifact, column, stage", [
+    ("cluster/assignment.csv", "cluster", "stats"),
+    ("cluster/assignment.csv", "address", "stats"),
+    ("cluster/features.csv", "buy", "stats"),
+    ("cluster/assignment.csv", "cluster", "report"),
+    ("cluster/assignment.csv", "role", "report"),
+])
+def test_csv_header_without_a_read_column_exits_1(pipeline, tmp_path, artifact, column, stage):
+    """A stage artifact whose header misnames a column its reader indexes
+    (`klass` for `cluster`, say) is unreadable, not an internal error; a
+    features file without `buy` is no longer read as one without buyers."""
+    out = tmp_path / "out"
+    shutil.copytree(pipeline / "out", out)
+    rename_column(out / artifact, column, "klass")
+    code, error = assert_exit_0_or_1(stage, BASE, out)
+    assert code == 1 and error["code"] == "missing_artifact"
+    assert Path(artifact).name in error["error"] and "cluster stage" in error["error"]
+    assert repr([column]) in error["error"]

@@ -15,7 +15,7 @@ from airdrop_forensics.graphs import (
     UndefinedOnDegenerateError,
     UndefinedOnEmptyError,
     WindowEmptyError,
-    attracting_components,
+    attracting_counts,
     build_external_graph,
     build_token_graph,
     degree_assortativity,
@@ -31,7 +31,9 @@ from airdrop_forensics.graphs import (
 )
 from airdrop_forensics.ingest import ContractCategory, EventKind
 
-from conftest import WINDOW_START, addr, claim, contract, digraph, ev, make_store
+from conftest import (
+    WINDOW_START, addr, attracting_components, claim, contract, digraph, ev, make_store,
+)
 from oracles import (
     oracle_assortativity,
     oracle_attracting,
@@ -210,6 +212,23 @@ def test_attracting_components_random_matches_oracle():
     for _ in range(30):
         nodes, edges = random_digraph(rng, max_n=40)
         assert attracting_components(digraph(edges, nodes)) == oracle_attracting(nodes, edges)
+
+
+def test_attracting_counts_need_growing_prefixes():
+    g = digraph([("a", "b"), ("b", "a"), ("b", "c")])
+    # the sink b; then the closed pair {a, b} and the lone c; then the sink c
+    assert attracting_counts(g, [2, 3, 3], [1, 2, 3]) == [1, 2, 1]
+    with pytest.raises(ValueError):
+        attracting_counts(g, [3, 2], [3, 3])
+    with pytest.raises(ValueError):
+        attracting_counts(g, [3], [4])
+    day = 86400
+    store = make_store([ev(addr(1), addr(2), 1, ts=WINDOW_START + day),
+                        ev(addr(2), addr(3), 1, ts=WINDOW_START + 3 * day)])
+    slices = weekly_slices(store, start=WINDOW_START, end=WINDOW_START + 4 * day, interval_days=1)
+    assert metric_series(slices).attracting == [1, 1, 1, 1]
+    with pytest.raises(ValueError):  # the last slice must be the largest
+        metric_series(slices[::-1])
 
 
 def test_metric_series_single_mutual_pair(airdrop_contract):
@@ -497,3 +516,48 @@ def test_attracting_components_per_slice_match_networkx():
             assert attracting_components(g) == expected, (trial, sl.cutoff)
             sink_at.append(s in g.nodes and g.out_degree(s) == 0)
         assert sink_at[:3] == [True, True, False] and not any(sink_at[3:])
+
+
+@st.composite
+def _growing_stores(draw):
+    """Token transfers over 12 days: random ones among a base set
+    (self-loops allowed), a node whose only edge is a self-loop, a cycle
+    whose closing edge comes late, and a cycle that is terminal for a while
+    and then leaks to a new sink. Returns the store and the last day."""
+    days = 12
+    when = st.integers(0, days)
+    base = [addr(i) for i in range(1, draw(st.integers(1, 10)) + 1)]
+    pair = st.tuples(when, st.sampled_from(base), st.sampled_from(base))
+    script = draw(st.lists(pair, max_size=40))
+    loner, sink = addr(90), addr(91)
+    script.append((draw(when), loner, loner))
+    late = [addr(100 + i) for i in range(draw(st.integers(2, 5)))]
+    opened = draw(st.integers(0, days - 1))
+    script += [(opened, u, v) for u, v in zip(late, late[1:])]
+    script.append((draw(st.integers(opened, days)), late[-1], late[0]))
+    leaky = [addr(200 + i) for i in range(draw(st.integers(2, 4)))]
+    closed = draw(st.integers(0, days - 1))
+    script += [(closed, u, v) for u, v in zip(leaky, leaky[1:] + leaky[:1])]
+    script.append((draw(st.integers(closed + 1, days)), leaky[0], sink))
+    script += [(draw(when), draw(st.sampled_from(base)), x) for x in (late[0], leaky[0])]
+    events = [ev(u, v, 1, ts=WINDOW_START + t * 86400) for t, u, v in script]
+    store = make_store(sorted(events, key=lambda e: e.timestamp))
+    return store, WINDOW_START + days * 86400
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_growing_stores(), st.sampled_from([1, 2, 5]))
+def test_attracting_series_match_networkx_on_every_slice(grown, interval):
+    store, end = grown
+    expected = []
+
+    def measured(slices):
+        for sl in slices:
+            g = sl.graph
+            expected.append(nx.number_attracting_components(_nx_digraph(g.nodes, g.edges)))
+            yield sl
+
+    slices = iter_slices(store, start=WINDOW_START, end=end, interval_days=interval)
+    assert metric_series(measured(slices)).attracting == expected
+    snapshots = weekly_slices(store, start=WINDOW_START, end=end, interval_days=interval)
+    assert metric_series(snapshots).attracting == expected
