@@ -3,7 +3,8 @@
 JSON files hold keys in sorted order, indented by 2 (compact for the
 graph files, which are large and machine-read only) and end in a newline.
 JSONL files hold one sorted-key object per line. CSV files start with a
-header row and end every line with "\\n". The readers invert the writers.
+header row and end every line with "\\n". Text is UTF-8 whatever the
+locale. The readers invert the writers.
 
 Every artifact is opened through `open_for_write` or `open_for_read`, so
 a file error is a `UserError` (exit 1) raised where the file is opened:
@@ -36,8 +37,11 @@ class MissingArtifactError(UserError):
 
 
 def open_for_write(path, mode: str = "w", **kw):
-    """`open(path, mode, **kw)`, raising UnusableOutputError naming `path`
-    when a directory or a file is in the way or permission is denied."""
+    """`open(path, mode, **kw)`, UTF-8 in text mode, raising
+    UnusableOutputError naming `path` when a directory or a file is in the
+    way or permission is denied."""
+    if "b" not in mode:
+        kw.setdefault("encoding", "utf-8")
     try:
         return open(path, mode, **kw)
     except (IsADirectoryError, NotADirectoryError, PermissionError) as exc:
@@ -55,9 +59,11 @@ def unreadable(path, reason) -> MissingArtifactError:
 
 @contextmanager
 def open_for_read(path, **kw):
-    """`open(path, **kw)` for reading. An OSError on open, or a ValueError
-    (bad encoding or JSON) or csv.Error while the body parses, raises
-    `unreadable(path, ...)`."""
+    """`open(path, **kw)` for reading, UTF-8 in text mode. An OSError on
+    open, or a ValueError (bad encoding or JSON) or csv.Error while the
+    body parses, raises `unreadable(path, ...)`."""
+    if "b" not in kw.get("mode", "r"):
+        kw.setdefault("encoding", "utf-8")
     try:
         with open(path, **kw) as fh:
             yield fh

@@ -21,6 +21,7 @@ import math
 import os
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import artifacts, clustering, eligibility, flows, forensics, graphs, ingest, stats, synth
@@ -300,26 +301,46 @@ def cmd_stats(config: Config, out: Path, args) -> None:
              len(period_estimates) + len(quantity_estimates))
 
 
+# What JSON of the wrong shape raises where report indexes or formats it.
+_WRONG_SHAPE = (AttributeError, KeyError, TypeError, ValueError)
+
+
+@contextmanager
+def _shaped(path):
+    """Index the JSON of the artifact at `path` inside; an error that JSON
+    of another shape raises there makes it an unreadable artifact, as in
+    graphs.load_graph_json."""
+    try:
+        yield
+    except _WRONG_SHAPE as exc:
+        raise artifacts.unreadable(path, f"wrong shape: {exc!r}") from exc
+
+
 def cmd_report(config: Config, out: Path, args) -> None:
     """Assemble stage artifacts into one report; formatting only, every
     number is traceable to an artifact file."""
-    pattern_counts = Counter(f["pattern"]
-                             for f in artifacts.read_jsonl(out / "detect" / "findings.jsonl"))
+    findings = out / "detect" / "findings.jsonl"
+    with _shaped(findings):
+        pattern_counts = Counter(f["pattern"] for f in artifacts.read_jsonl(findings))
     rows = list(artifacts.read_csv(out / "cluster" / "assignment.csv", ("cluster", "role")))
     role_counts = Counter(row["role"] for row in rows)
 
+    ingested = out / "ingest" / "report.json"
+    summary = out / "graph" / "summary.json"
+    silhouette = out / "cluster" / "silhouette.json"
+    attrition = out / "stats" / "attrition.json"
     report = {
-        "ingest": artifacts.read_json(out / "ingest" / "report.json"),
-        "graph": artifacts.read_json(out / "graph" / "summary.json"),
+        "ingest": artifacts.read_json(ingested),
+        "graph": artifacts.read_json(summary),
         "metric_series": artifacts.read_json(out / "graph" / "metric_series.json"),
         "clustering": {
-            "silhouette": artifacts.read_json(out / "cluster" / "silhouette.json"),
+            "silhouette": artifacts.read_json(silhouette),
             "cluster_counts": Counter(row["cluster"] for row in rows),
             "role_counts": role_counts,
         },
         "behavior_table": artifacts.read_json(out / "stats" / "behavior_table.json"),
         "top_contracts": list(artifacts.read_csv(out / "stats" / "top_contracts.csv")),
-        "attrition": artifacts.read_json(out / "stats" / "attrition.json"),
+        "attrition": artifacts.read_json(attrition),
         "findings_by_pattern": pattern_counts,
         "voting_power": artifacts.read_json(out / "detect" / "voting_power.json"),
     }
@@ -328,29 +349,30 @@ def cmd_report(config: Config, out: Path, args) -> None:
         report["tier_composition"] = list(artifacts.read_csv(composition_csv))
     densities = {}
     for name in ("kde_periods", "kde_quantities"):
-        payload = artifacts.read_json(out / "stats" / f"{name}.json")
-        densities[name] = {
-            key: {"bandwidth": est["bandwidth"], "integral": est["integral"],
-                  "points": len(est["grid"])}
-            for key, est in payload.items()
-        }
+        path = out / "stats" / f"{name}.json"
+        payload = artifacts.read_json(path)
+        with _shaped(path):
+            densities[name] = {
+                key: {"bandwidth": est["bandwidth"], "integral": est["integral"],
+                      "points": len(est["grid"])}
+                for key, est in payload.items()
+            }
     report["density_estimates"] = densities
     eligibility_summary = out / "eligibility" / "summary.json"
     if eligibility_summary.exists():
         report["eligibility"] = artifacts.read_json(eligibility_summary)
 
-    stage = _make_dir(out / "report")
-    artifacts.write_json(report, stage / "report.json")
-
     lines = ["# Community report", ""]
-    lines.append(f"- events stored: {report['ingest']['stored']}")
-    lines.append(f"- initial members: {report['ingest']['n_claims']}")
-    lines.append(
-        f"- token graph: {report['graph']['token_graph']['nodes']} nodes / "
-        f"{report['graph']['token_graph']['edges']} edges"
-    )
-    lines.append(f"- chosen K: {report['clustering']['silhouette']['chosen_k']}")
-    lines.append(f"- attrition: {report['attrition']['left_pct']:.2%}")
+    with _shaped(ingested):
+        lines.append(f"- events stored: {report['ingest']['stored']}")
+        lines.append(f"- initial members: {report['ingest']['n_claims']}")
+    with _shaped(summary):
+        token_graph = report["graph"]["token_graph"]
+        lines.append(f"- token graph: {token_graph['nodes']} nodes / {token_graph['edges']} edges")
+    with _shaped(silhouette):
+        lines.append(f"- chosen K: {report['clustering']['silhouette']['chosen_k']}")
+    with _shaped(attrition):
+        lines.append(f"- attrition: {report['attrition']['left_pct']:.2%}")
     lines.append("")
     lines.append("## Findings")
     for pattern, count in sorted(pattern_counts.items()):
@@ -361,6 +383,9 @@ def cmd_report(config: Config, out: Path, args) -> None:
     lines.append("## Roles")
     for role, count in sorted(role_counts.items()):
         lines.append(f"- {role}: {count}")
+
+    stage = _make_dir(out / "report")
+    artifacts.write_json(report, stage / "report.json")
     with artifacts.open_for_write(stage / "report.md") as fh:
         fh.write("\n".join(lines) + "\n")
     log.info("report: assembled into %s", stage)

@@ -158,7 +158,7 @@ def load_config(path: str | None) -> Config:
     if path is None:
         return Config()
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
         raise ConfigInvalidError(f"cannot read config {path} as JSON: {exc}") from exc

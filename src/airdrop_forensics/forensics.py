@@ -362,18 +362,13 @@ def detect_sponsorship(
 
 def external_density(profile: ComponentProfile, external_graph: CommunityGraph) -> float:
     """Fraction of member pairs linked (either direction) in the external
-    graph."""
-    nodes = profile.nodes
-    n = len(nodes)
+    graph, counted from each member's out-neighbours among the members."""
+    members = set(profile.nodes)
+    n = len(members)
     pairs = n * (n - 1) // 2
-    linked = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (nodes[i], nodes[j]) in external_graph.edges or (
-                nodes[j], nodes[i]
-            ) in external_graph.edges:
-                linked += 1
-    return linked / pairs if pairs else 0.0
+    linked = {(u, v) if u < v else (v, u)
+              for u in profile.nodes for v in external_graph.out_neighbors(u) & members if u != v}
+    return len(linked) / pairs if pairs else 0.0
 
 
 def detect_cautious(

@@ -8,12 +8,13 @@ ingest stage writes it out once in canonical form; read_store loads that
 form back without repeating the raw-input validation.
 
 Each event is a TransferEvent, an immutable named tuple, so it costs one
-tuple to build and EVENT_ORDER sorts by position in C. Raw rows are read
-positionally, one pass per file, and every address text is normalized
-once: events that name the same address share one string, both when
-parsing raw exports and when read_store loads the store. Each raw file is
-sorted once, the merge of the two is sorted once more (two sorted runs,
-so linear), and write_transfers_csv trusts its input to be in that order.
+tuple to build and EVENT_ORDER sorts by position in C. A raw export
+already in the store's form is split by read_store's loader with no
+per-row Python code; any other is read positionally, one pass per file,
+and every address text is normalized once. Either way, events that name
+the same address share one string. Each raw file is sorted once, the
+merge of the two is sorted once more (two sorted runs, so linear), and
+write_transfers_csv trusts its input to be in that order.
 
 Token amounts are integers in the smallest unit (18 decimals); display
 scaling happens only at report boundaries, never inside computations.
@@ -28,7 +29,7 @@ import json
 import logging
 import re
 from bisect import bisect_left, bisect_right
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 from enum import Enum
@@ -139,6 +140,8 @@ class TransferEvent(NamedTuple):
 
 # The store's event order: (timestamp, block, tx_hash, log_index).
 EVENT_ORDER = itemgetter(4, 5, 0, 7)
+_DEDUP_KEY = itemgetter(0, 7, 6)  # TransferEvent.dedup_key
+_TIMESTAMP = itemgetter(4)
 _KINDS = {k.value: k for k in EventKind}
 
 
@@ -292,7 +295,21 @@ def parse_transfers(
     by (timestamp, block, tx_hash, log_index); bad rows are reported with
     their line number, never silently dropped. Only an unreadable file or a
     missing header raises.
+
+    A CSV file in the form write_transfers_csv writes, where every row
+    would come through the row loop below unchanged, is split by
+    _split_events instead; any other file, and one that cannot be opened
+    or decoded, takes the row loop whole.
     """
+    path = Path(path)
+    if path.suffix != ".jsonl":
+        try:
+            events = _split_events(path, raw=True, allow_self_transfers=allow_self_transfers)
+        except artifacts.MissingArtifactError:  # the row loop names what is wrong
+            events = None
+        if events is not None:
+            events.sort(key=EVENT_ORDER)
+            return events, []
     errors: list[MalformedRow] = []
     events: list[TransferEvent] = []
     address = _address_memo()
@@ -453,21 +470,20 @@ def build_event_store(
     report.input_rows = len(merged) + len(report.malformed)
 
     bounds = config.window_bounds()
-    kept: list[TransferEvent] = []
-    seen: set = set()
-    for ev in merged:
-        if bounds and not (bounds[0] <= ev.timestamp <= bounds[1]):
-            report.window_excluded += 1
-            report.malformed.append(
-                MalformedRow(0, f"timestamp {ev.timestamp} outside study window ({ev.tx_hash})")
-            )
-            continue
-        key = ev.dedup_key
-        if key in seen:
-            report.deduplicated += 1
-            continue
-        seen.add(key)
-        kept.append(ev)
+    lo, hi = 0, len(merged)
+    if bounds:  # merged is in timestamp order, so the window is one run of it
+        lo = bisect_left(merged, bounds[0], key=_TIMESTAMP)
+        hi = bisect_right(merged, bounds[1], lo, key=_TIMESTAMP)
+    excluded = merged[:lo] + merged[hi:]
+    del merged[hi:], merged[:lo]
+    report.window_excluded = len(excluded)
+    report.malformed += (
+        MalformedRow(0, f"timestamp {ev.timestamp} outside study window ({ev.tx_hash})")
+        for ev in excluded)
+    first: dict = {}  # each dedup key's first event, in merged's order
+    deque(map(first.setdefault, map(_DEDUP_KEY, merged), merged), maxlen=0)  # in C
+    kept = list(first.values())
+    report.deduplicated = len(merged) - len(kept)
 
     claim_map: dict[Address, ClaimRecord] = {}
     for rec in claims:
@@ -607,7 +623,8 @@ _LINE_KINDS = {f"{k.value}\n": k for k in EventKind}
 _new_event = partial(tuple.__new__, TransferEvent)  # a TransferEvent from a tuple of its fields
 
 
-def _split_events(path: Path) -> list[TransferEvent] | None:
+def _split_events(path: Path, raw: bool = False,
+                  allow_self_transfers: bool = True) -> list[TransferEvent] | None:
     """The events of events.csv, split at commas and newlines a chunk of
     whole lines at a time with no per-row Python code. A list it returns is
     the one _events builds from the same file.
@@ -618,8 +635,14 @@ def _split_events(path: Path) -> list[TransferEvent] | None:
     does not parse, or the file does not end in "\\n". Each "\\n" stays at
     the end of the kind cell it closes, so a kind parses only as the last
     cell of its line and no row can borrow cells from another.
+
+    With `raw`, for parse_transfers, also None unless every row is in the
+    form that parse_transfers' row loop keeps unchanged (_canonical_rows),
+    and every address is "0x" and 40 lowercase hex digits, checked once,
+    with the chunk that names it first.
     """
-    share = {}.setdefault  # one string per address, shared by its events
+    addresses: dict[str, str] = {}
+    share = addresses.setdefault  # one string per address, shared by its events
     events: list[TransferEvent] = []
     with artifacts.open_for_read(path, newline="") as fh:
         if fh.readline() != ",".join(STORE_COLUMNS) + "\n":
@@ -638,14 +661,56 @@ def _split_events(path: Path) -> list[TransferEvent] | None:
                 cells = text.replace("\n", "\n,").split(",")
                 if len(cells) != 8 * text.count("\n") + 1:
                     return None
-                senders, receivers = cells[1:-1:8], cells[2:-1:8]
+                columns = [cells[i:-1:8] for i in range(8)]
+                if raw and not _canonical_rows(columns, allow_self_transfers):
+                    return None
+                tx_hash, sender, receiver, value, timestamp, block, log_index, kind = columns
+                known = len(addresses)
                 events += map(_new_event, zip(
-                    cells[0:-1:8], map(share, senders, senders), map(share, receivers, receivers),
-                    map(int, cells[3:-1:8]), map(int, cells[4:-1:8]), map(int, cells[5:-1:8]),
-                    map(_LINE_KINDS.__getitem__, cells[7:-1:8]), map(int, cells[6:-1:8])))
+                    tx_hash, map(share, sender, sender), map(share, receiver, receiver),
+                    map(int, value), map(int, timestamp), map(int, block),
+                    map(_LINE_KINDS.__getitem__, kind), map(int, log_index)))
+                # the addresses this chunk named first, the newest keys
+                if raw and not _hex_cells(
+                        list(islice(reversed(addresses), len(addresses) - known)), 40):
+                    return None
         except (ValueError, KeyError):  # UnicodeDecodeError is a ValueError
             return None
     return None if tail else events
+
+
+# str.translate tables that delete the characters of canonical cells and
+# the "," that joins them: of hex cells only the "x" of each "0x" is left,
+# of number cells nothing.
+_HEX_DIGITS = str.maketrans("", "", "0123456789abcdef,")
+_DIGITS = str.maketrans("", "", "0123456789,")
+
+
+def _hex_cells(cells: list[str], digits: int) -> bool:
+    """Whether every one of `cells`, none of which holds a ",", is "0x"
+    and `digits` lowercase hex digits. Joined by ",", cells are all that
+    long exactly when the commas fall every `digits` + 3 characters. The
+    cells come from one chunk, so the joined text is no longer than the
+    chunk's and stays under glibc's mmap threshold (see _CHUNK)."""
+    width, n = digits + 3, len(cells)
+    text = ",".join(cells)
+    return not n or (len(text) == width * n - 1 and text[width - 1::width] == "," * (n - 1)
+                     and text[::width] == "0" * n and text[1::width] == "x" * n
+                     and text.translate(_HEX_DIGITS) == "x" * n)
+
+
+def _canonical_rows(columns: list[list[str]], allow_self_transfers: bool) -> bool:
+    """Whether the rows whose STORE_COLUMNS cells are `columns` are as
+    write_transfers_csv writes them, so that parse_transfers' row loop
+    would keep every one unchanged: a tx hash of "0x" and 64 lowercase hex
+    digits; value, timestamp, block and log index in ASCII digits alone (so
+    none is negative); and no self-transfer unless they are allowed.
+    Addresses are checked once each, by _split_events; a kind is checked
+    as it parses, and an empty number fails to parse."""
+    tx_hash, sender, receiver, *numbers, _ = columns
+    return (_hex_cells(tx_hash, 64)
+            and not ",".join(chain(*numbers)).translate(_DIGITS)
+            and (allow_self_transfers or not any(map(eq, sender, receiver))))
 
 
 def _events(reader) -> list[TransferEvent]:

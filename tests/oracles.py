@@ -256,6 +256,19 @@ def random_digraph(rng, max_n=50, p=None):
     return nodes, edges
 
 
+def oracle_external_density(nodes, edges) -> float:
+    """Fraction of the pairs of `nodes` linked (either direction) by one of
+    `edges`, a set of (u, v): every pair looked up."""
+    n = len(nodes)
+    pairs = n * (n - 1) // 2
+    linked = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (nodes[i], nodes[j]) in edges or (nodes[j], nodes[i]) in edges:
+                linked += 1
+    return linked / pairs if pairs else 0.0
+
+
 def naive_apply(flow, op, amount: int, ts: int) -> bool:
     """One branch per operation over `flow.balance`, `.staked`, `.lp` and
     `.excluded`; False (and an exclusion reason) when a position would go

@@ -5,6 +5,8 @@ import hashlib
 import json
 import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -370,6 +372,34 @@ def test_every_stage_on_an_empty_store_exits_0_or_1(tmp_path, capsys, window):
     assert codes["stats"] == (1 if window else 0)
 
 
+def test_artifacts_are_utf8_whatever_the_locale(tmp_path):
+    """A contract name outside ASCII, ingested in a process whose locale
+    encoding is ASCII (the C locale, with UTF-8 mode and locale coercion
+    off), gives the bytes that a UTF-8 process gives."""
+    config = write_config(tmp_path)
+    assert run("synth", config) == 0
+    contracts = tmp_path / "out" / "synth" / "contracts.csv"
+    header, first, rest = contracts.read_text(encoding="utf-8").split("\n", 2)
+    address, _, category = first.split(",")
+    contracts.write_text(f"{header}\n{address},dex routeur café,{category}\n{rest}",
+                         encoding="utf-8")
+    src = str(Path(cli.__file__).parents[1])
+    trees = {}
+    for name, env in [("ascii", {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}),
+                      ("utf8", {"PYTHONUTF8": "1"})]:
+        out = tmp_path / name
+        shutil.copytree(tmp_path / "out" / "synth", out / "synth")
+        proc = subprocess.run(
+            [sys.executable, "-m", "airdrop_forensics.cli", "ingest", "--config", str(config),
+             "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": src, **env}, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        trees[name] = tree_digest(out / "ingest")
+    assert trees["ascii"] == trees["utf8"]
+    assert "dex routeur café" in (tmp_path / "ascii" / "ingest" / "contracts.csv").read_text(
+        encoding="utf-8")
+
+
 def test_dot_export_format(tmp_path):
     config = write_config(tmp_path)
     assert run("synth", config) == 0
@@ -565,9 +595,11 @@ def test_configured_tier_table_runs(ingested, tmp_path):
 
 
 def _validated_load(stage: Path, config: ingest.IngestConfig) -> ingest.EventStore:
-    """The full raw-input validation of the ingest artifacts, as an oracle."""
-    events, errs = ingest.parse_transfers(stage / "events.csv",
-                                          allow_self_transfers=config.allow_self_transfers)
+    """The full raw-input validation of the ingest artifacts, row by row,
+    as an oracle."""
+    with mock.patch.object(ingest, "_split_events", return_value=None):
+        events, errs = ingest.parse_transfers(stage / "events.csv",
+                                              allow_self_transfers=config.allow_self_transfers)
     contracts, errs_c = ingest.parse_contracts(stage / "contracts.csv")
     claims, errs_cl = ingest.parse_claims(stage / "claims.csv")
     assert errs == errs_c == errs_cl == []

@@ -333,3 +333,41 @@ def test_csv_header_without_a_read_column_exits_1(pipeline, tmp_path, artifact, 
     assert code == 1 and error["code"] == "missing_artifact"
     assert Path(artifact).name in error["error"] and "cluster stage" in error["error"]
     assert repr([column]) in error["error"]
+
+
+@pytest.mark.parametrize("artifact, text", [
+    ("detect/findings.jsonl", "{}"),
+    ("detect/findings.jsonl", "[]"),
+    ("stats/attrition.json", "{}"),
+    ("stats/attrition.json", '{"left_pct": "12%"}'),
+    ("ingest/report.json", "{}"),
+    ("graph/summary.json", "{}"),
+    ("graph/summary.json", '{"token_graph": []}'),
+    ("cluster/silhouette.json", "{}"),
+    ("stats/kde_periods.json", '{"all.balance_period": {}}'),
+    ("stats/kde_quantities.json", '{"all.balance_quantity": {"bandwidth": 1, "integral": 1}}'),
+    ("stats/kde_quantities.json", "[]"),
+    ("stats/kde_periods.json", '{"all.balance_period": {"bandwidth": 1, "integral": 1, "grid": 5}}'),
+])
+def test_wrong_shaped_report_input_exits_1(pipeline, tmp_path, artifact, text):
+    """Well-formed JSON of the wrong shape in a file `report` indexes is
+    unreadable, naming the file and the stage that writes it."""
+    out = tmp_path / "out"
+    shutil.copytree(pipeline / "out", out)
+    (out / artifact).write_text(text + "\n")
+    code, error = assert_exit_0_or_1("report", BASE, out)
+    assert code == 1 and error["code"] == "missing_artifact"
+    assert Path(artifact).name in error["error"]
+    assert f"{Path(artifact).parent.name} stage" in error["error"]
+
+
+@pytest.mark.parametrize("artifact", ["stats/kde_periods.json", "stats/kde_quantities.json"])
+def test_report_reads_an_empty_density_file(pipeline, tmp_path, artifact):
+    """stats writes {} when no group has a sample to estimate; report
+    lists no densities for it."""
+    out = tmp_path / "out"
+    shutil.copytree(pipeline / "out", out)
+    (out / artifact).write_text("{}\n")
+    assert assert_exit_0_or_1("report", BASE, out) == (0, None)
+    report = json.loads((out / "report" / "report.json").read_text())
+    assert report["density_estimates"][Path(artifact).stem] == {}

@@ -1,5 +1,6 @@
 import gc
 import logging
+from types import SimpleNamespace
 
 import networkx as nx
 import pytest
@@ -25,6 +26,7 @@ from airdrop_forensics.graphs import NodeClass, build_external_graph, build_toke
 from airdrop_forensics.ingest import EventKind, Tier
 
 from conftest import WINDOW_START, addr, claim, digraph, ev, make_store
+from oracles import oracle_external_density
 
 CFG = DetectorConfig()
 T0 = WINDOW_START + 86400
@@ -268,6 +270,18 @@ class TestCautious:
     def test_small_component_ignored(self):
         profile, ext = self.make(n=5, external_pairs=0)
         assert detect_cautious(profile, ext, CFG) is None
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(edges=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=40),
+       members=st.sets(st.integers(0, 11), max_size=10))
+def test_external_density_matches_the_pair_loop(edges, members):
+    """Self-loops, edges both ways and members outside the graph; the
+    density is the pair loop's float exactly."""
+    ext = digraph([(addr(u), addr(v)) for u, v in edges])
+    nodes = sorted(map(addr, members))
+    assert (external_density(SimpleNamespace(nodes=nodes), ext)
+            == oracle_external_density(nodes, set(ext.edges)))
 
 
 class TestBlatant:

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import random
 import re
 import tempfile
@@ -12,7 +13,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from airdrop_forensics import artifacts
+from airdrop_forensics import artifacts, ingest
 from airdrop_forensics.ingest import (
     CLAIM_COLUMNS,
     CONTRACT_COLUMNS,
@@ -41,7 +42,7 @@ from airdrop_forensics.ingest import (
     write_transfers_csv,
 )
 
-from conftest import WINDOW_START, addr, assert_addresses_shared, claim, contract, ev
+from conftest import WINDOW_END, WINDOW_START, addr, assert_addresses_shared, claim, contract, ev
 from oracles import dictreader_parse_claims, dictreader_parse_contracts, dictreader_parse_transfers
 
 A1 = "0x" + "a1" * 20
@@ -692,6 +693,17 @@ _PARSERS = {
 }
 
 
+def _store_text(*rows) -> str:
+    """A raw export in the form write_transfers_csv writes, one row per
+    (sender, receiver, kind) of `rows`."""
+    return "".join(f"{line}\n" for line in [",".join(STORE_COLUMNS), *(
+        f"0x{i:064x},{addr(a)},{addr(b)},{10**20 + i},{WINDOW_START + i},{i},{i % 2},{kind}"
+        for i, (a, b, kind) in enumerate(rows))])
+
+
+_CANONICAL = _store_text((1, 2, "token_transfer"), (2, 3, "external_tx"), (3, 1, "internal_tx"))
+
+
 @pytest.mark.parametrize("which", sorted(_PARSERS))
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(data=st.data())
@@ -702,3 +714,172 @@ def test_positional_reader_matches_dictreader(which, data):
         path = Path(tmp) / "raw.csv"
         path.write_bytes(raw.encode())
         assert _outcome(parse, path) == _outcome(reference, path)
+
+
+@pytest.mark.parametrize("raw", [
+    _CANONICAL,
+    _store_text(),
+    _store_text((1, 2, "token_transfer"), (4, 4, "external_tx")),  # a self-transfer
+    _CANONICAL.replace("0x0000", "0X0000", 1),
+    _CANONICAL.replace("\n0x0000", "\n00x000", 1),
+    _CANONICAL.replace(f"\n0x{0:064x}", f"\n0x{0:063x}")  # 65 characters
+    .replace(f"\n0x{1:064x}", f"\n00x{1:064x}"),  # and 67
+    _CANONICAL.replace(",1,internal_tx", ",-1,internal_tx"),
+])
+def test_store_form_transfers_match_dictreader(tmp_path, raw):
+    """Files in the store's form, which parse_transfers splits without the
+    row loop when it may, parse as the DictReader oracle parses them."""
+    path = tmp_path / "raw.csv"
+    path.write_bytes(raw.encode())
+    assert _outcome(parse_transfers, path) == _outcome(dictreader_parse_transfers, path)
+
+
+# Differential: parse_transfers with and without the splitter, on raw
+# exports in the store's form with at most one defect, each of which sends
+# the whole file through the row loop.
+
+DEFECTS = ["upper", "no_0x", "bad_prefix", "short", "space", "empty_log_index", "empty_kind",
+           "negative_value", "negative_block", "self_transfer", "bom", "crlf", "blank", "quote"]
+
+
+@st.composite
+def normalized_exports(draw):
+    """(text of a raw export in the form write_transfers_csv writes, the
+    defect injected into it or None)."""
+    hexes = st.integers(0, 16**40 - 1).map("0x{:040x}".format)
+    pool = draw(st.lists(hexes, min_size=2, max_size=6, unique=True))
+    cut = draw(st.integers(1, len(pool) - 1))  # senders and receivers are apart
+    rows = [[f"0x{draw(st.integers(0, 16**64 - 1)):064x}", draw(st.sampled_from(pool[:cut])),
+             draw(st.sampled_from(pool[cut:])), str(draw(st.integers(0, 10**24))),
+             str(WINDOW_START + draw(st.integers(0, 10**6))), str(draw(st.integers(0, 50))),
+             str(draw(st.integers(0, 3))), draw(st.sampled_from(list(EventKind))).value]
+            for _ in range(draw(st.integers(1, 8)))]
+    defect = draw(st.one_of(st.none(), st.sampled_from(DEFECTS)))
+    row = rows[draw(st.integers(0, len(rows) - 1))]
+    column = draw(st.integers(0, 7))
+    hex_cell = row[column % 3]  # a tx hash or an address
+    if defect == "upper":  # a hex digit, else the x of its 0x
+        at = next((i for i, c in enumerate(hex_cell) if c in "abcdef"), 1)
+        row[column % 3] = hex_cell[:at] + hex_cell[at].upper() + hex_cell[at + 1:]
+    elif defect == "no_0x":
+        row[column % 3] = hex_cell[2:]
+    elif defect == "bad_prefix":
+        row[column % 3] = "1" + hex_cell[1:]
+    elif defect == "short":
+        row[column % 3] = hex_cell[:-1]
+    elif defect == "space":
+        row[column] = " " + row[column]
+    elif defect in ("empty_log_index", "empty_kind"):
+        row[6 if defect == "empty_log_index" else 7] = ""
+    elif defect in ("negative_value", "negative_block"):
+        at = 3 if defect == "negative_value" else 5
+        row[at] = "-" + row[at]
+    elif defect == "self_transfer":
+        row[2] = row[1]
+    elif defect == "quote":
+        row[column] = f'"{row[column]}"'
+    lines = [",".join(STORE_COLUMNS)] + [",".join(r) for r in rows]
+    if defect == "blank":
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    text = "".join(line + ("\r\n" if defect == "crlf" else "\n") for line in lines)
+    return ("\ufeff" if defect == "bom" else "") + text, defect
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(export=normalized_exports(), kind=st.sampled_from(list(EventKind)),
+       allow_self=st.booleans())
+def test_splitter_parses_raw_exports_as_the_row_loop(export, kind, allow_self):
+    text, defect = export
+    parse = partial(parse_transfers, kind=kind, allow_self_transfers=allow_self)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "raw.csv"
+        path.write_bytes(text.encode())
+        split = _split_events(path, raw=True, allow_self_transfers=allow_self)
+        got = _outcome(parse, path)
+        with mock.patch.object(ingest, "_split_events", return_value=None):
+            want = _outcome(parse, path)
+    assert got == want
+    assert (split is not None) == (defect is None or defect == "self_transfer" and allow_self)
+    assert_addresses_shared(got[0])
+
+
+@pytest.mark.parametrize("at", [None, 0, 500, 999])
+def test_every_address_is_checked_in_its_first_chunk(tmp_path, at):
+    """1,000 addresses over three chunks, the last of which names none
+    first. One in upper case at `at` sends the file through the row loop,
+    which gives the same events; it stops the split in the chunk that
+    names it first."""
+    rows = [(2 * (i % 500) + 1, 2 * (i % 500) + 2, "token_transfer") for i in range(700)]
+    text = _store_text(*rows)
+    if at is not None:
+        text = text.replace(f",{addr(at + 1)},", f",0X{addr(at + 1)[2:]},")
+    path = tmp_path / "raw.csv"
+    path.write_text(text)
+    assert len(text) > 2 * ingest._CHUNK
+    with mock.patch.object(ingest, "_hex_cells", wraps=ingest._hex_cells) as checks:
+        assert (_split_events(path, raw=True) is None) == (at is not None)
+    if at is None:  # the last chunk's new addresses
+        assert checks.call_args_list[-1].args == ([], 40)
+    if at == 0:  # one chunk's tx hashes and addresses
+        assert checks.call_count == 2
+    events, errors = parse_transfers(path)
+    assert len(events) == 700 and errors == []
+    with mock.patch.object(ingest, "_split_events", return_value=None):
+        assert parse_transfers(path) == (events, errors)
+
+
+def test_raw_jsonl_and_unreadable_files_take_the_row_loop(tmp_path):
+    """A .jsonl file is JSONL whatever it holds, and a file that cannot be
+    read raises the row loop's IngestError."""
+    path = tmp_path / "raw.jsonl"
+    path.write_text(_CANONICAL)
+    events, errors = parse_transfers(path)
+    assert events == [] and [e.line for e in errors] == [1, 2, 3, 4]
+    path = tmp_path / "raw.csv"
+    path.write_bytes(_CANONICAL.encode() + b"\xff\n")
+    with pytest.raises(IngestError, match="UTF-8"):
+        parse_transfers(path)
+    with pytest.raises(IngestError, match="cannot read"):
+        parse_transfers(tmp_path / "absent.csv")
+
+
+@st.composite
+def raw_event_lists(draw):
+    """Two lists of events, as parse_transfers returns them, with repeated
+    dedup keys and events outside the default window unless `clean`."""
+    clean = draw(st.booleans())
+    events = [ev(addr(draw(st.integers(1, 3))), addr(draw(st.integers(4, 6))),
+                 draw(st.integers(0, 10**20)),
+                 ts=draw(st.one_of(  # the window's first and last seconds, and around them
+                     st.integers(WINDOW_START, WINDOW_START + 10**6),
+                     st.sampled_from([WINDOW_START, WINDOW_END] + ([] if clean else [
+                         WINDOW_START - 1, WINDOW_END + 1, WINDOW_START - 2 * 10**6,
+                         WINDOW_END + 10**6])))),
+                 kind=draw(st.sampled_from(list(EventKind))), block=draw(st.integers(0, 5)),
+                 tx_hash=f"0x{draw(st.integers(0, 3)):064x}", log_index=draw(st.integers(0, 2)))
+              for _ in range(draw(st.integers(0, 10)))]
+    if clean:
+        events = list({e.dedup_key: e for e in events}.values())
+    cut = draw(st.integers(0, len(events)))
+    return (sorted(events[:cut], key=EVENT_ORDER), sorted(events[cut:], key=EVENT_ORDER),
+            IngestConfig() if draw(st.booleans()) else IngestConfig(None, None))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(inputs=raw_event_lists())
+def test_build_event_store_keeps_the_first_of_each_key_in_the_window(inputs):
+    token, external, config = inputs
+    store = build_event_store(token, external, [], [], config)
+    lo, hi = config.window_bounds() or (-math.inf, math.inf)
+    kept, excluded, seen = [], [], set()
+    for e in sorted(token + external, key=lambda e: (e.timestamp, e.block, e.tx_hash, e.log_index)):
+        if not lo <= e.timestamp <= hi:
+            excluded.append(e)
+        elif (e.tx_hash, e.log_index, e.kind) not in seen:
+            seen.add((e.tx_hash, e.log_index, e.kind))
+            kept.append(e)
+    assert store.events == kept
+    assert store.report.window_excluded == len(excluded)
+    assert [m.reason for m in store.report.malformed] == [
+        f"timestamp {e.timestamp} outside study window ({e.tx_hash})" for e in excluded]
+    assert store.report.deduplicated == len(token) + len(external) - len(kept) - len(excluded)
