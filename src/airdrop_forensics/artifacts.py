@@ -6,6 +6,13 @@ JSONL files hold one sorted-key object per line. CSV files start with a
 header row and end every line with "\\n". Text is UTF-8 whatever the
 locale. The readers invert the writers.
 
+Every artifact is written by one rule, `open_for_write`: the writer makes
+the file's directories and rewrites the file in place, opened without
+O_TRUNC and cut where the writes end. On ext4 mounted with `discard`, a
+write after a truncation stalls (about 0.2 s for a 4 MB file) from the third
+rewrite of a path on; an in-place rewrite does not. An interrupted write
+leaves the new bytes followed by the old file's tail.
+
 Every artifact is opened through `open_for_write` or `open_for_read`, so
 a file error is a `UserError` (exit 1) raised where the file is opened:
 UnusableOutputError for a path that cannot be written, MissingArtifactError
@@ -15,6 +22,7 @@ that is missing, not a file, or does not decode or parse.
 
 import csv
 import json
+import os
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from pathlib import Path
@@ -27,7 +35,7 @@ class UserError(Exception):
 
 
 class UnusableOutputError(UserError):
-    """An output directory, run record or artifact path cannot be written."""
+    """An artifact path, or a directory on it, cannot be written."""
 
 
 class MissingArtifactError(UserError):
@@ -36,16 +44,26 @@ class MissingArtifactError(UserError):
     code = "missing_artifact"
 
 
+@contextmanager
 def open_for_write(path, mode: str = "w", **kw):
-    """`open(path, mode, **kw)`, UTF-8 in text mode, raising
-    UnusableOutputError naming `path` when a directory or a file is in the
-    way or permission is denied."""
+    """`open(path, mode, **kw)` under the write rule above, UTF-8 in text
+    mode. A directory or a file in the way, or a denied permission, raises
+    UnusableOutputError naming the path."""
+    path = Path(path)
     if "b" not in mode:
         kw.setdefault("encoding", "utf-8")
     try:
-        return open(path, mode, **kw)
-    except (IsADirectoryError, NotADirectoryError, PermissionError) as exc:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        # the opener drops open()'s own flags, which for "w" hold O_TRUNC
+        fh = open(path, mode, **kw,
+                  opener=lambda p, _flags: os.open(p, os.O_WRONLY | os.O_CREAT, 0o666))
+    except (FileExistsError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
         raise UnusableOutputError(f"cannot write {path}: {exc}") from exc
+    with fh:
+        try:
+            yield fh
+        finally:
+            fh.truncate()
 
 
 def unreadable(path, reason) -> MissingArtifactError:

@@ -19,26 +19,17 @@ import json
 import logging
 import math
 import os
+import re
 import sys
 from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
 from . import artifacts, clustering, eligibility, flows, forensics, graphs, ingest, stats, synth
-from .artifacts import MissingArtifactError, UnusableOutputError
+from .artifacts import MissingArtifactError
 from .config import Config, ConfigInvalidError, from_json, load_config, to_json
 
 log = logging.getLogger("airdrop_forensics.cli")
-
-
-def _make_dir(path: Path) -> Path:
-    """Create the directory `path` and its parents unless it exists; a
-    path in the way is a user error that names it."""
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise UnusableOutputError(f"cannot create the output directory {path}: {exc}") from exc
-    return path
 
 
 RAW_INPUTS = ("token_transfers", "external_txs", "contracts", "claims")
@@ -57,15 +48,6 @@ def _input_paths(config: Config, out: Path) -> list[Path]:
     )
 
 
-def _load_store_from_ingest(config: Config, out: Path) -> ingest.EventStore:
-    try:
-        return ingest.read_store(out / "ingest", config.ingest_config())
-    except ingest.CorruptStoreError as exc:
-        raise MissingArtifactError(
-            f"ingest artifacts are corrupt ({exc}); re-run the ingest stage"
-        ) from exc
-
-
 def cmd_synth(config: Config, out: Path, args) -> None:
     section, window = config.synth, config.window
     if None in (window.start, window.end):
@@ -80,7 +62,7 @@ def cmd_synth(config: Config, out: Path, args) -> None:
         window_end=window.end,
     )
     scenario = synth.generate(spec)
-    scenario.write(_make_dir(out / "synth"))
+    scenario.write(out / "synth")
     log.info(
         "synth: %d claimants, %d token events, %d external events, %d planted instances",
         len(scenario.claims), len(scenario.token_events),
@@ -94,7 +76,7 @@ def cmd_ingest(config: Config, out: Path, args) -> None:
         if not path.exists():
             raise MissingArtifactError(f"input file {path} does not exist")
     store = ingest.load_event_store(*paths, config.ingest_config())
-    stage = _make_dir(out / "ingest")
+    stage = out / "ingest"
     # Earlier versions also wrote a column cache here, which nothing reads
     # now; left in place it would stay in every digest of a reused tree.
     stale_cache = stage / "events.cols"
@@ -116,8 +98,8 @@ def cmd_graph(config: Config, out: Path, args) -> None:
     fmt = args.format or "graphml"
     if fmt not in ("graphml", "dot"):
         raise ConfigInvalidError(f"--format must be graphml or dot, got {fmt!r}")
-    store = _load_store_from_ingest(config, out)
-    stage = _make_dir(out / "graph")
+    store = ingest.read_store(out / "ingest", config.ingest_config())
+    stage = out / "graph"
     # The last slice holds every token event of the store (read_store
     # applied the window, and iter_slices' default bounds cover the rest),
     # so it is the token graph. Each slice is measured at its own cutoff
@@ -152,8 +134,8 @@ def cmd_graph(config: Config, out: Path, args) -> None:
 
 
 def cmd_cluster(config: Config, out: Path, args) -> None:
-    store = _load_store_from_ingest(config, out)
-    stage = _make_dir(out / "cluster")
+    store = ingest.read_store(out / "ingest", config.ingest_config())
+    stage = out / "cluster"
     weights = dataclasses.astuple(config.weights)
     member_flows = flows.build_flows(store, sorted(store.claims))
     features = {a: flows.extract_features(f, weights) for a, f in member_flows.items()}
@@ -170,28 +152,33 @@ def cmd_cluster(config: Config, out: Path, args) -> None:
 
 
 def cmd_detect(config: Config, out: Path, args) -> None:
-    store = _load_store_from_ingest(config, out)
+    store = ingest.read_store(out / "ingest", config.ingest_config())
     token_graph = graphs.load_graph_json(out / "graph" / "token_graph.json")
     external_graph = graphs.load_graph_json(out / "graph" / "external_graph.json")
-    stage = _make_dir(out / "detect")
+    stage = out / "detect"
     result = forensics.run_detectors(token_graph, external_graph, store, config.detectors)
     artifacts.write_jsonl((f.to_json() for f in result.findings), stage / "findings.jsonl")
     forensics.write_components_csv(result.profiles, stage / "components.csv")
     rows = forensics.voting_power_report(result.findings, store.claims)
     forensics.write_voting_power_json(rows, stage / "voting_power.json")
-    comp_dir = _make_dir(stage / "components")
+    comp_dir = stage / "components"
     flagged = {f.component_id for f in result.findings if f.component_id > 0}
     by_id = {p.id: p for p in result.profiles}
     for cid in sorted(flagged):
         graphs.write_graph(
             by_id[cid].graph, comp_dir / f"component_{cid}.dot", "dot", f"component_{cid}"
         )
+    # A component file this run did not write is left from an earlier one.
+    written = {f"component_{cid}.dot" for cid in flagged}
+    for path in comp_dir.glob("component_*.dot"):
+        if path.name not in written and re.fullmatch(r"component_[0-9]+\.dot", path.name):
+            path.unlink()
     log.info("detect: %d components, %d findings", len(result.profiles), len(result.findings))
 
 
 def cmd_eligibility(config: Config, out: Path, args) -> None:
-    store = _load_store_from_ingest(config, out)
-    stage = _make_dir(out / "eligibility")
+    store = ingest.read_store(out / "ingest", config.ingest_config())
+    stage = out / "eligibility"
     balances_path = config.inputs.balances
     balances = _read_balances(balances_path) if balances_path else {}
 
@@ -254,12 +241,12 @@ def _read_balances(path: str) -> dict[str, dict[str, float]]:
 
 
 def cmd_stats(config: Config, out: Path, args) -> None:
-    store = _load_store_from_ingest(config, out)
+    store = ingest.read_store(out / "ingest", config.ingest_config())
     bounds = store.config.window_bounds()
     if not (bounds or store.events):
         raise MissingArtifactError("no events ingested and no study window; no period to describe")
     start_ts, end_ts = bounds or (store.events[0].timestamp, store.events[-1].timestamp)
-    stage = _make_dir(out / "stats")
+    stage = out / "stats"
     member_flows = flows.build_flows(store, sorted(store.claims))
     table = stats.behavior_table(member_flows, store.claims)
     stats.write_behavior_table_csv(table, stage / "behavior_table.csv")
@@ -384,7 +371,7 @@ def cmd_report(config: Config, out: Path, args) -> None:
     for role, count in sorted(role_counts.items()):
         lines.append(f"- {role}: {count}")
 
-    stage = _make_dir(out / "report")
+    stage = out / "report"
     artifacts.write_json(report, stage / "report.json")
     with artifacts.open_for_write(stage / "report.md") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -421,18 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_run_record(config: Config, out: Path) -> None:
-    """Create `out` and write the resolved config to config.resolved.json,
-    unless the file already holds those bytes. Rewriting a file in place
-    can stall for tens of milliseconds on some file systems, and most
-    runs reuse the config of the run before."""
-    record = _make_dir(out) / "config.resolved.json"
-    payload = to_json(config)
-    readable = record.is_file() and os.access(record, os.R_OK)
-    if not readable or record.read_bytes() != artifacts.render_json(payload).encode():
-        artifacts.write_json(payload, record)
-
-
 def main(argv=None) -> int:
     logging.basicConfig(
         level=os.environ.get("AIRDROP_FORENSICS_LOG", "WARNING").upper(),
@@ -449,7 +424,7 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         out = Path(args.out or config.output_dir)
-        _write_run_record(config, out)
+        artifacts.write_json(to_json(config), out / "config.resolved.json")
         COMMANDS[args.command](config, out, args)
         return 0
     except artifacts.UserError as exc:

@@ -113,9 +113,6 @@ class Dendrogram:
             top.append(n + len(out) - 1)
         return out
 
-    def heights(self) -> list[float]:
-        return [m.height for m in self.merges]
-
     def to_json(self) -> dict:
         return {
             "n_leaves": self.n_leaves,

@@ -192,13 +192,6 @@ class FeatureVector:
     def op_set(self) -> set[OperationKind]:
         return {OPERATION_ORDER[i] for i, b in enumerate(self.bits) if b}
 
-    @classmethod
-    def from_ops(cls, ops, weights: tuple[float, ...] = UNIFORM_WEIGHTS) -> "FeatureVector":
-        bits = [0] * N_FEATURES
-        for op in ops:
-            bits[_SLOT[OperationKind(op)]] = 1
-        return cls(tuple(bits), weights)
-
 
 def extract_features(
     flow: TransactionFlow, weights: tuple[float, ...] = UNIFORM_WEIGHTS

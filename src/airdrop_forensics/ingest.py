@@ -131,16 +131,13 @@ class TransferEvent(NamedTuple):
     kind: EventKind
     log_index: int = 0
 
-    @property
-    def dedup_key(self):
-        # kind qualifies the key so a token transfer is never collapsed
-        # with the external transaction that carried it.
-        return (self.tx_hash, self.log_index, self.kind)
-
 
 # The store's event order: (timestamp, block, tx_hash, log_index).
 EVENT_ORDER = itemgetter(4, 5, 0, 7)
-_DEDUP_KEY = itemgetter(0, 7, 6)  # TransferEvent.dedup_key
+# The dedup key: (tx_hash, log_index, kind). kind qualifies the key so a
+# token transfer is never collapsed with the external transaction that
+# carried it.
+_DEDUP_KEY = itemgetter(0, 7, 6)
 _TIMESTAMP = itemgetter(4)
 _KINDS = {k.value: k for k in EventKind}
 
@@ -597,8 +594,11 @@ def write_claims_csv(claims: list[ClaimRecord], path) -> None:
     )
 
 
-class CorruptStoreError(IngestError):
+class CorruptStoreError(artifacts.MissingArtifactError):
     """An ingest artifact fails one of read_store's integrity checks."""
+
+    def __init__(self, detail: str):
+        super().__init__(f"ingest artifacts are corrupt ({detail}); re-run the ingest stage")
 
 
 def _read_canonical(path: Path, columns: list[str], build) -> list:

@@ -182,7 +182,6 @@ class Scenario:
 
     def write(self, outdir) -> None:
         outdir = Path(outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
         write_transfers_csv(self.token_events, outdir / "token_transfers.csv")
         write_transfers_csv(self.external_events, outdir / "external_txs.csv")
         write_contracts_csv(self.contracts, outdir / "contracts.csv")

@@ -3,6 +3,7 @@ import itertools
 
 import pytest
 
+from airdrop_forensics.flows import OPERATION_ORDER, UNIFORM_WEIGHTS, FeatureVector, OperationKind
 from airdrop_forensics.graphs import CommunityGraph, NodeClass, attracting_counts
 from airdrop_forensics.ingest import (
     ClaimRecord,
@@ -85,6 +86,22 @@ def digraph(edges, nodes=(), node_class=NodeClass.LATER_MEMBER) -> CommunityGrap
 def attracting_components(graph: CommunityGraph) -> int:
     """`attracting_counts` of the whole graph, its one-prefix case."""
     return attracting_counts(graph, [graph.n_nodes], [graph.n_edges])[0]
+
+
+def merge_heights(dendrogram) -> list[float]:
+    """The merge heights of `dendrogram`, in merge order."""
+    return [m.height for m in dendrogram.merges]
+
+
+def from_ops(ops, weights: tuple[float, ...] = UNIFORM_WEIGHTS) -> FeatureVector:
+    """The feature vector with the bit of each operation in `ops` set."""
+    kinds = {OperationKind(op) for op in ops}
+    return FeatureVector(tuple(int(op in kinds) for op in OPERATION_ORDER), weights)
+
+
+def dedup_key(event: TransferEvent) -> tuple:
+    """The key build_event_store deduplicates events by (ingest._DEDUP_KEY)."""
+    return (event.tx_hash, event.log_index, event.kind)
 
 
 @pytest.fixture(autouse=True)

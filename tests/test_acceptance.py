@@ -51,7 +51,7 @@ from airdrop_forensics.synth import (
     score_findings,
 )
 
-from conftest import attracting_components, digraph
+from conftest import attracting_components, digraph, from_ops, merge_heights
 from oracles import (
     cluster_purity,
     kernel_sum_density,
@@ -110,10 +110,10 @@ def test_criterion_2_weighted_cosine():
     """Eq-1 distance behavior: fixed points exact, the {sell} vs
     {sell,stake} value within 1e-12, and invariance under global weight
     scaling across 100 random weight vectors."""
-    sell = FeatureVector.from_ops({"sell"})
-    sell_stake = FeatureVector.from_ops({"sell", "stake"})
+    sell = from_ops({"sell"})
+    sell_stake = from_ops({"sell", "stake"})
     assert weighted_cosine_distance(sell, sell) == 0.0
-    assert weighted_cosine_distance(sell, FeatureVector.from_ops({"stake"})) == 1.0
+    assert weighted_cosine_distance(sell, from_ops({"stake"})) == 1.0
     expected = 1.0 - 1.0 / math.sqrt(2.0)
     assert abs(weighted_cosine_distance(sell, sell_stake) - expected) <= 1e-12
 
@@ -184,7 +184,7 @@ def test_criterion_4_ahc_oracle():
             FeatureVector(tuple(rng.randint(0, 1) for _ in range(8)))
             for _ in range(20)
         ]
-        got = ahc(vectors, ClusterConfig()).heights()
+        got = merge_heights(ahc(vectors, ClusterConfig()))
         want = naive_ahc_heights(vectors, "single")
         assert got == want, f"trial {trial}"
     report(4, "50 random 20-point sets, merge heights exactly equal")

@@ -158,7 +158,7 @@ def test_bad_weights_rejected(tmp_path):
 
 def test_config_round_trips_through_canonical_writer(tmp_path):
     """The run record holds the canonical bytes of the resolved config and
-    is rewritten only when they change."""
+    is rewritten in place."""
     config_path = write_config(tmp_path)
     assert run("synth", config_path) == 0
     resolved = tmp_path / "out" / "config.resolved.json"
@@ -171,7 +171,7 @@ def test_config_round_trips_through_canonical_writer(tmp_path):
     assert run("synth", config_path) == 0
     after = resolved.stat()
     assert resolved.read_bytes() == first
-    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    assert after.st_ino == before.st_ino
 
     changed = write_config(tmp_path, eligibility={"preset": "fair", "interaction_window_days": 2})
     assert run("synth", changed) == 0
@@ -229,6 +229,71 @@ def test_stage_directory_that_is_a_file_exits_1(tmp_path, capsys):
         assert repr(str(named)) in err["error"]
         (named.rmdir if named.is_dir() else named.unlink)()
         aside.rename(named)
+
+
+# Detector thresholds under which nothing is flagged, and monthly slices.
+FLAG_NOTHING = {
+    "detectors": {"min_spokes": 50, "min_chain_len": 50, "min_beneficiaries": 500,
+                  "min_cautious_size": 500, "min_clique": 6, "max_clique": 6},
+    "slice_interval_days": 30,
+}
+
+
+def files_of(root: Path) -> dict:
+    """Each file under `root` with its bytes; an empty directory is not an artifact."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file()}
+
+
+def test_rerun_under_a_new_config_leaves_what_a_fresh_run_writes(tmp_path):
+    """Passes over one tree rewrite its files in place: three passes under
+    one config leave the first pass's bytes, and a fourth under another
+    config leaves the files and bytes of a fresh tree under it, with no
+    component file or file tail left from before. A file in components/
+    that detect does not name is left alone."""
+    first, second = write_config(tmp_path, "a"), write_config(tmp_path, "b", **FLAG_NOTHING)
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    for n in range(3):
+        for command in PIPELINE:
+            assert run(command, first, "--out", str(reused)) == 0, command
+        if n == 0:
+            after_first = files_of(reused)
+            assert any(name.startswith("detect/components/component_") for name in after_first)
+    assert files_of(reused) == after_first
+    notes = reused / "detect" / "components" / "notes.txt"
+    notes.write_text("kept")
+    for command in PIPELINE:
+        assert run(command, second, "--out", str(reused)) == 0, command
+        assert run(command, second, "--out", str(fresh)) == 0, command
+    assert notes.read_text() == "kept"
+    notes.unlink()
+    assert files_of(reused) == files_of(fresh)
+
+
+def test_no_stage_opens_a_file_to_write_but_in_place(tmp_path):
+    """Every stage, writing a new tree and then rewriting it, opens each
+    file it writes through artifacts.open_for_write, whose opener calls
+    os.open without O_TRUNC: open() in a writing mode always has one."""
+    config = write_config(tmp_path)
+    flags, bare_writes = [], []
+    real_os_open, real_open = os.open, open
+
+    def os_open(path, flag, *args, **kw):
+        flags.append(flag)
+        return real_os_open(path, flag, *args, **kw)
+
+    def spy_open(file, mode="r", *args, **kw):
+        if set(mode) & set("wax+") and kw.get("opener") is None:
+            bare_writes.append((file, mode))
+        return real_open(file, mode, *args, **kw)
+
+    with mock.patch.object(os, "open", os_open), mock.patch("builtins.open", spy_open), \
+            mock.patch("io.open", spy_open):
+        for _ in range(2):
+            for command in PIPELINE:
+                assert run(command, config) == 0, command
+    assert flags and not any(flag & os.O_TRUNC for flag in flags)
+    assert bare_writes == []
 
 
 def test_main_restores_the_collector_state(tmp_path, monkeypatch):

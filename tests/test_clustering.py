@@ -23,6 +23,7 @@ from airdrop_forensics.clustering import (
 )
 from airdrop_forensics.flows import FeatureVector, OperationKind as Op, weighted_cosine_distance
 
+from conftest import from_ops, merge_heights
 from oracles import naive_ahc_heights, naive_cut, naive_silhouette
 
 
@@ -43,19 +44,19 @@ def rand_vectors(rng, n, nonzero=False):
 
 
 def by_ops(*op_sets):
-    return [FeatureVector.from_ops(ops) for ops in op_sets]
+    return [from_ops(ops) for ops in op_sets]
 
 
 class TestAhc:
     def test_three_identical_vectors_merge_at_zero(self):
         vectors = by_ops({Op.SELL}, {Op.SELL}, {Op.SELL})
         dendro = ahc(vectors)
-        assert dendro.heights() == [0.0, 0.0]
+        assert merge_heights(dendro) == [0.0, 0.0]
 
     def test_duplicated_archetypes_merge_within_group_first(self):
         vectors = by_ops({Op.SELL}, {Op.STAKE}, {Op.SELL}, {Op.STAKE})
         dendro = ahc(vectors)
-        heights = dendro.heights()
+        heights = merge_heights(dendro)
         assert heights[0] == heights[1] == 0.0
         assert heights[2] > 0.0
         # the zero merges pair the duplicates, not cross-archetype points
@@ -67,7 +68,7 @@ class TestAhc:
         rng = random.Random(41)
         for _ in range(20):
             vectors = rand_vectors(rng, 10)
-            got = ahc(vectors, ClusterConfig(linkage=linkage)).heights()
+            got = merge_heights(ahc(vectors, ClusterConfig(linkage=linkage)))
             want = naive_ahc_heights(vectors, linkage.value)
             assert got == want
 
@@ -75,7 +76,7 @@ class TestAhc:
         rng = random.Random(43)
         for _ in range(10):
             vectors = rand_vectors(rng, 12)
-            got = ahc(vectors, ClusterConfig(linkage=Linkage.AVERAGE)).heights()
+            got = merge_heights(ahc(vectors, ClusterConfig(linkage=Linkage.AVERAGE)))
             want = naive_ahc_heights(vectors, "average")
             assert len(got) == len(want)
             assert all(abs(a - b) < 1e-12 for a, b in zip(got, want))
@@ -84,7 +85,7 @@ class TestAhc:
         rng = random.Random(47)
         for _ in range(10):
             vectors = rand_vectors(rng, 15)
-            heights = ahc(vectors).heights()
+            heights = merge_heights(ahc(vectors))
             assert heights == sorted(heights)
 
     def test_permutation_invariant_partitions(self):
@@ -176,7 +177,7 @@ class TestSelectK:
         rng = random.Random(61)
         vectors = []
         for ops in SIGNATURES.values():
-            vectors += [FeatureVector.from_ops(ops)] * rng.randint(15, 25)
+            vectors += [from_ops(ops)] * rng.randint(15, 25)
         assignment = select_k(vectors)
         assert assignment.k == 14
         assert assignment.silhouette_by_k[14] == 1.0
@@ -228,10 +229,10 @@ class TestRoles:
 
     def test_map_roles_reports_unmapped(self):
         features = {
-            "a": FeatureVector.from_ops({Op.SELL}),
-            "b": FeatureVector.from_ops({Op.SELL}),
-            "c": FeatureVector.from_ops({Op.STAKE, Op.SELL, Op.SEND}),
-            "d": FeatureVector.from_ops({Op.STAKE, Op.SELL, Op.SEND}),
+            "a": from_ops({Op.SELL}),
+            "b": from_ops({Op.SELL}),
+            "c": from_ops({Op.STAKE, Op.SELL, Op.SEND}),
+            "d": from_ops({Op.STAKE, Op.SELL, Op.SEND}),
         }
         assignment = ClusterAssignment({"a": 1, "b": 1, "c": 2, "d": 2}, 2, {})
         mapping = map_roles(assignment, features)
@@ -244,13 +245,13 @@ class TestRoles:
         features = {}
         for i in range(40):
             labels[f"s{i}"] = 1
-            features[f"s{i}"] = FeatureVector.from_ops({Op.SELL})
+            features[f"s{i}"] = from_ops({Op.SELL})
         for i in range(10):
             labels[f"t{i}"] = 2
-            features[f"t{i}"] = FeatureVector.from_ops({Op.SELL, Op.SEND})
+            features[f"t{i}"] = from_ops({Op.SELL, Op.SEND})
         for i in range(50):
             labels[f"h{i}"] = 3
-            features[f"h{i}"] = FeatureVector.from_ops(set())
+            features[f"h{i}"] = from_ops(set())
         assignment = ClusterAssignment(labels, 3, {})
         mapping = map_roles(assignment, features)
         shares = cluster_shares(assignment)

@@ -22,14 +22,14 @@ from airdrop_forensics.flows import (
 from airdrop_forensics.ingest import ContractCategory, EventKind, IngestConfig, Tier
 from airdrop_forensics.stats import attrition, build_timeline, period_quantity_samples
 
-from conftest import WINDOW_START, addr, claim, contract, ev, make_store
+from conftest import WINDOW_START, addr, claim, contract, ev, from_ops, make_store
 from oracles import naive_apply, naive_timeline, period_days, quantity
 
 T = WINDOW_START + 86400
 
 
 def vec(*ops, weights=UNIFORM_WEIGHTS):
-    return FeatureVector.from_ops(ops, weights)
+    return from_ops(ops, weights)
 
 
 class TestClassify:

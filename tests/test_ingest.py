@@ -42,7 +42,9 @@ from airdrop_forensics.ingest import (
     write_transfers_csv,
 )
 
-from conftest import WINDOW_END, WINDOW_START, addr, assert_addresses_shared, claim, contract, ev
+from conftest import (
+    WINDOW_END, WINDOW_START, addr, assert_addresses_shared, claim, contract, dedup_key, ev,
+)
 from oracles import dictreader_parse_claims, dictreader_parse_contracts, dictreader_parse_transfers
 
 A1 = "0x" + "a1" * 20
@@ -859,7 +861,7 @@ def raw_event_lists(draw):
                  tx_hash=f"0x{draw(st.integers(0, 3)):064x}", log_index=draw(st.integers(0, 2)))
               for _ in range(draw(st.integers(0, 10)))]
     if clean:
-        events = list({e.dedup_key: e for e in events}.values())
+        events = list({dedup_key(e): e for e in events}.values())
     cut = draw(st.integers(0, len(events)))
     return (sorted(events[:cut], key=EVENT_ORDER), sorted(events[cut:], key=EVENT_ORDER),
             IngestConfig() if draw(st.booleans()) else IngestConfig(None, None))

@@ -33,6 +33,8 @@ def _names(node) -> Counter:
 
 
 def test_every_top_level_name_in_src_has_a_caller_outside_tests():
+    """Every function, class and method (dunders aside) that src/ defines
+    is named in src/ or perfbench/ outside its own body."""
     trees = {
         path: ast.parse(path.read_text(), str(path))
         for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
@@ -43,6 +45,14 @@ def test_every_top_level_name_in_src_has_a_caller_outside_tests():
         for path, tree in trees.items() if path.parent == PACKAGE
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and mentioned[node.name] == _names(node)[node.name]
+    ] + [
+        f"{path.stem}.{cls.name}.{node.name}"
+        for path, tree in trees.items() if path.parent == PACKAGE
+        for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        # a dunder method is called by the interpreter, not by name
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")
         and mentioned[node.name] == _names(node)[node.name]
     ]
     assert sorted(unused) == sorted(ALLOWED), (

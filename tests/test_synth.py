@@ -5,7 +5,7 @@ import json
 import pytest
 
 from airdrop_forensics.clustering import ClusterAssignment, RoleLabel, select_k
-from airdrop_forensics.flows import FeatureVector, build_flows, extract_features
+from airdrop_forensics.flows import build_flows, extract_features
 from airdrop_forensics.forensics import PatternFinding, PatternKind, run_detectors
 from airdrop_forensics.graphs import (
     build_external_graph,
@@ -25,6 +25,7 @@ from airdrop_forensics.synth import (
     validate_scenario,
 )
 
+from conftest import from_ops
 from oracles import cluster_purity
 from airdrop_forensics.ingest import Tier
 from scenarios import (
@@ -85,7 +86,7 @@ def test_planted_signature_fidelity():
     flows = build_flows(store, sorted(scenario.truth.ops_of))
     for address, ops in scenario.truth.ops_of.items():
         features = extract_features(flows[address])
-        assert features == FeatureVector.from_ops(ops), address
+        assert features == from_ops(ops), address
 
 
 def test_speculator_only_population_recovers_one_cluster():
