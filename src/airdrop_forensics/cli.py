@@ -202,10 +202,10 @@ def cmd_eligibility(config: Config, out: Path, args) -> None:
     population = sorted(
         {e.sender for e in external if e.sender not in store.contracts}
     )
-    result = eligibility.run_campaign(population, history, config.eligibility.rules, snapshot)
+    result = eligibility.run_campaign(population, history, config.eligibility, snapshot)
     if "recency_window_clipped_to" in result.summary:
         log.warning("eligibility: the %d-day recency window reaches back before the history; "
-                    "clipped to its start %d", config.eligibility.rules.interaction_window_days,
+                    "clipped to its start %d", config.eligibility.interaction_window_days,
                     result.summary["recency_window_clipped_to"])
     eligibility.write_verdicts_csv(result, stage / "verdicts.csv")
     artifacts.write_json(result.summary, stage / "summary.json")
@@ -258,16 +258,17 @@ def cmd_stats(config: Config, out: Path, args) -> None:
     stats.write_top_contracts_csv(stats.top_contracts(store), stage / "top_contracts.csv")
 
     groups: dict[str, list[str]] = {"all": sorted(store.claims)}
-    cluster_stage = out / "cluster"
-    if (cluster_stage / "assignment.csv").exists():
+    assignment = out / "cluster" / "assignment.csv"
+    if assignment.exists():
         labels = {row["address"]: int(row["cluster"]) for row in
-                  artifacts.read_csv(cluster_stage / "assignment.csv", ("address", "cluster"))}
+                  artifacts.read_csv(assignment, ("address", "cluster"))}
+        if labels.keys() != store.claims.keys():
+            raise artifacts.unreadable(assignment, "its addresses are not the ingested claimants")
         stats.write_tier_composition_csv(
             stats.tier_composition(labels, store.claims), stage / "tier_composition.csv"
         )
-        buyers = {row["address"] for row in
-                  artifacts.read_csv(cluster_stage / "features.csv", ("address", "buy"))
-                  if row["buy"] == "1"}
+        buyers = {a for a, f in member_flows.items()
+                  if flows.OperationKind.BUY in flows.extract_features(f).op_set()}
         groups = {
             "group1_airdrop_only": sorted(a for a in labels if a not in buyers),
             "group2_buyers": sorted(a for a in labels if a in buyers),
@@ -309,7 +310,8 @@ def cmd_report(config: Config, out: Path, args) -> None:
     findings = out / "detect" / "findings.jsonl"
     with _shaped(findings):
         pattern_counts = Counter(f["pattern"] for f in artifacts.read_jsonl(findings))
-    rows = list(artifacts.read_csv(out / "cluster" / "assignment.csv", ("cluster", "role")))
+    assignment = out / "cluster" / "assignment.csv"
+    rows = list(artifacts.read_csv(assignment, ("cluster", "role")))
     role_counts = Counter(row["role"] for row in rows)
 
     ingested = out / "ingest" / "report.json"
@@ -353,6 +355,9 @@ def cmd_report(config: Config, out: Path, args) -> None:
     with _shaped(ingested):
         lines.append(f"- events stored: {report['ingest']['stored']}")
         lines.append(f"- initial members: {report['ingest']['n_claims']}")
+        if len(rows) != report["ingest"]["n_claims"]:
+            raise artifacts.unreadable(assignment, f"{len(rows)} rows for "
+                                       f"{report['ingest']['n_claims']} ingested claims")
     with _shaped(summary):
         token_graph = report["graph"]["token_graph"]
         lines.append(f"- token graph: {token_graph['nodes']} nodes / {token_graph['edges']} edges")

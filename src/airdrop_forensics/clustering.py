@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import artifacts
+from .config import ClusterConfig, Linkage
 from .flows import (
     SPENDING_OPS,
     FeatureVector,
@@ -44,26 +45,6 @@ class KOutOfRangeError(ValueError):
 
 class DegenerateClusteringError(ValueError):
     pass
-
-
-class Linkage(str, Enum):
-    SINGLE = "single"
-    COMPLETE = "complete"
-    AVERAGE = "average"
-
-
-@dataclass(frozen=True)
-class ClusterConfig:
-    """Linkage and the K range select_k searches; the distance weights
-    travel with the feature vectors."""
-
-    linkage: Linkage = Linkage.SINGLE
-    k_min: int = 2
-    k_max: int = 20
-
-    def __post_init__(self):
-        if self.k_min > self.k_max:
-            raise ValueError(f"k_min {self.k_min} > k_max {self.k_max}")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """The pipeline config: one tree of frozen dataclasses.
 
+Every section is declared here, so loading a config loads no stage module.
 Field defaults are the config's defaults and field annotations its schema:
 `from_json` checks parsed JSON against the annotations (JSON types, unknown
 keys, enum values, nested sections), and each section's `__post_init__`
@@ -16,9 +17,8 @@ import typing
 from dataclasses import dataclass, field
 from enum import Enum
 
-from . import artifacts, clustering, eligibility, flows, forensics, ingest
-from .forensics import PatternKind
-from .synth import PatternSpec
+from . import artifacts, flows, ingest
+from .ingest import Tier
 
 
 class ConfigInvalidError(artifacts.UserError, ValueError):
@@ -61,24 +61,106 @@ Weights = dataclasses.make_dataclass(
 )
 
 
+class Linkage(str, Enum):
+    SINGLE = "single"
+    COMPLETE = "complete"
+    AVERAGE = "average"
+
+
+@dataclass(frozen=True)
+class ClusterConfig:
+    """Linkage and the K range select_k searches; the distance weights
+    travel with the feature vectors."""
+
+    linkage: Linkage = Linkage.SINGLE
+    k_min: int = 2
+    k_max: int = 20
+
+    def __post_init__(self):
+        if self.k_min > self.k_max:
+            raise ValueError(f"k_min {self.k_min} > k_max {self.k_max}")
+
+
+class PatternKind(str, Enum):
+    CHAIN = "chain"
+    SUNFLOWER = "sunflower"
+    SUNFLOWER_RELAY = "sunflower_relay"
+    STAGING_AGGREGATION = "staging_aggregation"
+    SPONSORSHIP_CLIQUE = "sponsorship_clique"
+    CAUTIOUS_CLIQUE = "cautious_clique"
+    BLATANT_CLIQUE = "blatant_clique"
+
+
+@dataclass(frozen=True)
+class DetectorConfig:
+    min_chain_len: int = 3  # edges along the path
+    max_chain_in: int = 2  # interior in-degree bound (allows simple merges)
+    accumulation_slack: int = 0  # absolute weight slack; 0 = non-decreasing
+    min_spokes: int = 5
+    forward_frac: float = 0.9
+    min_beneficiaries: int = 5
+    min_sponsors: int = 2
+    min_cautious_size: int = 6
+    max_cautious_density: float = 0.2
+    min_clique: int = 3
+    max_clique: int = 5
+
+    def __post_init__(self):
+        for name, value in dataclasses.asdict(self).items():
+            if name in ("forward_frac", "max_cautious_density"):
+                _ensure(0 <= value <= 1, name, "a number in [0, 1]", value)
+            else:
+                least = 0 if name == "accumulation_slack" else 1
+                _ensure(value >= least, name, f"a whole number >= {least}", value)
+        _ensure(self.min_clique <= self.max_clique, "max_clique",
+                f"at least min_clique {self.min_clique}", self.max_clique)
+
+
 class Preset(str, Enum):
-    """An eligibility preset, named after its EligibilityRules constructor."""
+    """An eligibility preset: a row of PRESETS."""
 
     THRESHOLD_DIFFERENTIAL = "threshold_differential"
     DIFFERENTIAL = "differential"
     FAIR = "fair"
 
 
-# The default of an eligibility field: the preset's value
+# Native-balance floors per chain, in native units.
+DEFAULT_MIN_BALANCES = {"ethereum": 0.028, "bsc": 0.25, "polygon": 20.0, "avalanche": 0.9}
+
+# Each preset's rules. Tier tables are (min interactions, tier), highest
+# first; the threshold-differential one is a non-canonical stand-in whose
+# lowest breakpoint matches the recency threshold, so the table has no gaps
+# for eligible addresses.
+PRESETS: dict[Preset, dict[str, typing.Any]] = {
+    Preset.THRESHOLD_DIFFERENTIAL: {
+        "min_tx_count": 50, "min_native_balance": DEFAULT_MIN_BALANCES, "min_interactions": 6,
+        "interaction_window_days": 183,  # "last six months"
+        "max_clique": 5, "tier_table": ((26, Tier.T10400), (11, Tier.T7800), (6, Tier.T5200)),
+    },
+    # Tiered rewards without the strict filters.
+    Preset.DIFFERENTIAL: {
+        "min_tx_count": 1, "min_native_balance": {}, "min_interactions": 1,
+        "interaction_window_days": 183, "max_clique": None,
+        "tier_table": ((26, Tier.T10400), (11, Tier.T7800), (1, Tier.T5200)),
+    },
+    # Single tier, no thresholds: every interacting address gets in.
+    Preset.FAIR: {
+        "min_tx_count": 0, "min_native_balance": {}, "min_interactions": 1,
+        "interaction_window_days": 183, "max_clique": None, "tier_table": ((1, Tier.T5200),),
+    },
+}
+
+# The default of a rule field: the preset's value
 _PRESET: typing.Any = object()
 
 
 @dataclass(frozen=True)
-class Eligibility:
+class EligibilityRules:
     """The preset's rules with every field the config sets replaced.
 
     The number fields are written back, so config.resolved.json shows what
-    ran; `min_native_balance` and `tier_table` appear there only when set.
+    ran; `min_native_balance` and `tier_table` appear there only when set,
+    and what applies for them is in `floors` and `tiers`.
     """
 
     preset: Preset = Preset.THRESHOLD_DIFFERENTIAL
@@ -86,24 +168,40 @@ class Eligibility:
     min_native_balance: dict[str, float] = _PRESET
     min_interactions: int = _PRESET
     interaction_window_days: int = _PRESET
-    max_clique: int | None = _PRESET
-    tier_table: tuple[tuple[int, ingest.Tier], ...] = _PRESET
-    rules: eligibility.EligibilityRules = field(init=False, repr=False, compare=False)
+    max_clique: int | None = _PRESET  # None disables the clique rule
+    tier_table: tuple[tuple[int, Tier], ...] = _PRESET
+    floors: dict[str, float] = field(init=False, repr=False, compare=False)
+    tiers: tuple[tuple[int, Tier], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        floors = {} if self.min_native_balance is _PRESET else self.min_native_balance
-        _ensure(all(0 <= v < math.inf for v in floors.values()), "min_native_balance",
-                "an object of chain names to finite numbers >= 0", floors)
-        _ensure(self.tier_table != (), "tier_table",
-                "a non-empty list of [min interactions, tier] pairs", [])
-        preset = getattr(eligibility.EligibilityRules, self.preset.value)()
-        rules = dataclasses.replace(preset, **{
-            f.name: getattr(self, f.name) for f in dataclasses.fields(preset)
-            if getattr(self, f.name) is not _PRESET
-        })
-        object.__setattr__(self, "rules", rules)
+        preset = PRESETS[self.preset]
+        rules = {name: preset[name] if getattr(self, name) is _PRESET else getattr(self, name)
+                 for name in preset}
         for name in ("min_tx_count", "min_interactions", "interaction_window_days", "max_clique"):
-            object.__setattr__(self, name, getattr(rules, name))
+            object.__setattr__(self, name, rules[name])
+        object.__setattr__(self, "floors", rules["min_native_balance"])
+        object.__setattr__(self, "tiers", rules["tier_table"])
+        _ensure(all(0 <= v < math.inf for v in self.floors.values()), "min_native_balance",
+                "an object of chain names to finite numbers >= 0", self.floors)
+        _ensure(self.tiers != (), "tier_table",
+                "a non-empty list of [min interactions, tier] pairs", [])
+        lowest = min(self.tiers)[0]
+        if self.min_interactions < lowest:
+            raise ValueError(f"tier table leaves a gap: breakpoints must cover every eligible "
+                             f"score (lowest {lowest} > min_interactions {self.min_interactions})")
+
+    def tier_for(self, score: int) -> Tier:
+        for threshold, tier in sorted(self.tiers, reverse=True):
+            if score >= threshold:
+                return tier
+        return min(self.tiers)[1]
+
+
+@dataclass(frozen=True)
+class PatternSpec:
+    kind: PatternKind
+    count: int = 1
+    size: int = 0  # pattern-specific; 0 picks the default
 
 
 @dataclass(frozen=True)
@@ -140,9 +238,9 @@ class Config:
     allow_self_transfers: bool = False
     slice_interval_days: int = 7
     weights: Weights = Weights()
-    clustering: clustering.ClusterConfig = clustering.ClusterConfig()
-    detectors: forensics.DetectorConfig = forensics.DetectorConfig()
-    eligibility: Eligibility = Eligibility()
+    clustering: ClusterConfig = ClusterConfig()
+    detectors: DetectorConfig = DetectorConfig()
+    eligibility: EligibilityRules = EligibilityRules()
     synth: Synth = Synth()
     output_dir: str = "out"
 

@@ -12,75 +12,13 @@ from __future__ import annotations
 import logging
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import artifacts
+from .config import EligibilityRules
 from .ingest import Address, Tier
 
 log = logging.getLogger(__name__)
-
-
-# Native-balance floors per chain, in native units.
-DEFAULT_MIN_BALANCES = {
-    "ethereum": 0.028,
-    "bsc": 0.25,
-    "polygon": 20.0,
-    "avalanche": 0.9,
-}
-
-# Non-canonical stand-in: reward tier by protocol interaction count.
-# (min interactions, tier), highest first; the lowest breakpoint matches
-# the recency threshold so the table has no gaps for eligible addresses.
-DEFAULT_TIER_TABLE: tuple[tuple[int, Tier], ...] = (
-    (26, Tier.T10400),
-    (11, Tier.T7800),
-    (6, Tier.T5200),
-)
-
-
-@dataclass
-class EligibilityRules:
-    min_tx_count: int = 50
-    min_native_balance: dict[str, float] = field(
-        default_factory=lambda: dict(DEFAULT_MIN_BALANCES)
-    )
-    min_interactions: int = 6
-    interaction_window_days: int = 183  # "last six months"
-    max_clique: int | None = 5  # None disables the clique rule
-    tier_table: tuple[tuple[int, Tier], ...] = DEFAULT_TIER_TABLE
-
-    def __post_init__(self):
-        if self.tier_table:
-            lowest = min(score for score, _ in self.tier_table)
-            if self.min_interactions < lowest:
-                raise ValueError(
-                    "tier table leaves a gap: breakpoints must cover every "
-                    f"eligible score (lowest {lowest} > min_interactions "
-                    f"{self.min_interactions})"
-                )
-
-    def tier_for(self, score: int) -> Tier:
-        for threshold, tier in sorted(self.tier_table, reverse=True):
-            if score >= threshold:
-                return tier
-        return min(self.tier_table)[1]
-
-    @classmethod
-    def threshold_differential(cls) -> "EligibilityRules":
-        return cls()
-
-    @classmethod
-    def differential(cls) -> "EligibilityRules":
-        """Tiered rewards without the strict filters."""
-        return cls(min_tx_count=1, min_interactions=1, max_clique=None,
-                   min_native_balance={},
-                   tier_table=((26, Tier.T10400), (11, Tier.T7800), (1, Tier.T5200)))
-
-    @classmethod
-    def fair(cls) -> "EligibilityRules":
-        """Single tier, no thresholds: every interacting address gets in."""
-        return cls(min_tx_count=0, min_interactions=1, max_clique=None,
-                   min_native_balance={}, tier_table=((1, Tier.T5200),))
 
 
 @dataclass
@@ -196,7 +134,7 @@ def evaluate(
     balances = history.balances.get(address, {})
     balance_ok = any(
         balances.get(chain, 0.0) >= floor
-        for chain, floor in sorted(rules.min_native_balance.items())
+        for chain, floor in sorted(rules.floors.items())
     )
     floor_ok = tx_count >= rules.min_tx_count or balance_ok
     checks.append(

@@ -13,38 +13,13 @@ from __future__ import annotations
 import logging
 from collections import defaultdict
 from dataclasses import dataclass, field
-from enum import Enum
 
 from . import artifacts
+from .config import DetectorConfig, PatternKind
 from .graphs import CommunityGraph, NodeClass, reciprocity
 from .ingest import Address, EventStore, format_token_amount
 
 log = logging.getLogger(__name__)
-
-
-class PatternKind(str, Enum):
-    CHAIN = "chain"
-    SUNFLOWER = "sunflower"
-    SUNFLOWER_RELAY = "sunflower_relay"
-    STAGING_AGGREGATION = "staging_aggregation"
-    SPONSORSHIP_CLIQUE = "sponsorship_clique"
-    CAUTIOUS_CLIQUE = "cautious_clique"
-    BLATANT_CLIQUE = "blatant_clique"
-
-
-@dataclass(frozen=True)
-class DetectorConfig:
-    min_chain_len: int = 3  # edges along the path
-    max_chain_in: int = 2  # interior in-degree bound (allows simple merges)
-    accumulation_slack: int = 0  # absolute weight slack; 0 = non-decreasing
-    min_spokes: int = 5
-    forward_frac: float = 0.9
-    min_beneficiaries: int = 5
-    min_sponsors: int = 2
-    min_cautious_size: int = 6
-    max_cautious_density: float = 0.2
-    min_clique: int = 3
-    max_clique: int = 5
 
 
 @dataclass

@@ -21,14 +21,17 @@ from pathlib import Path
 
 from . import artifacts
 from .clustering import role_for_ops
+from .config import PatternKind, PatternSpec, Synth
 from .flows import OperationKind
-from .forensics import PatternKind, run_detectors
+from .forensics import run_detectors
 from .graphs import build_external_graph, build_token_graph
 from .ingest import (
     Address,
     ClaimRecord,
     ContractCategory,
     ContractInfo,
+    DEFAULT_WINDOW_END,
+    DEFAULT_WINDOW_START,
     EVENT_ORDER,
     EventKind,
     EventStore,
@@ -106,22 +109,15 @@ def population_from_shares(total: int, shares: dict[str, float] | None = None) -
     return counts
 
 
-@dataclass(frozen=True)
-class PatternSpec:
-    kind: PatternKind
-    count: int = 1
-    size: int = 0  # pattern-specific; 0 picks the default
-
-
 @dataclass
 class ScenarioSpec:
     seed: int
     population: dict[str, int] = field(default_factory=dict)  # signature -> count
-    tier_mix: tuple[float, float, float] = (0.3, 0.5, 0.2)
+    tier_mix: tuple[float, float, float] = Synth.tier_mix
     patterns: list[PatternSpec] = field(default_factory=list)
-    noise_rate: float = 0.05  # distractor p2p components per claimant
-    window_start: str = "2021-11-15"
-    window_end: str = "2022-04-13"
+    noise_rate: float = Synth.noise_rate  # distractor p2p components per claimant
+    window_start: str = DEFAULT_WINDOW_START
+    window_end: str = DEFAULT_WINDOW_END
 
 
 @dataclass

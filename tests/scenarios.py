@@ -7,6 +7,7 @@ fixes every draw.
 
 import random
 
+from airdrop_forensics.config import PatternSpec
 from airdrop_forensics.eligibility import EligibilityHistory
 from airdrop_forensics.forensics import PatternKind
 from airdrop_forensics.flows import OperationKind
@@ -15,7 +16,6 @@ from airdrop_forensics.synth import (
     DAY,
     GroundTruth,
     InfeasibleSpecError,
-    PatternSpec,
     Scenario,
     ScenarioSpec,
     _Builder,

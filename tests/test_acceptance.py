@@ -20,7 +20,8 @@ from airdrop_forensics.clustering import (
     role_shares,
     select_k,
 )
-from airdrop_forensics.eligibility import EligibilityRules, run_campaign
+from airdrop_forensics.config import EligibilityRules
+from airdrop_forensics.eligibility import run_campaign
 from airdrop_forensics.flows import (
     FeatureVector,
     build_flows,

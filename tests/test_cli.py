@@ -14,8 +14,8 @@ import pytest
 
 from airdrop_forensics import artifacts, cli, graphs, ingest
 from airdrop_forensics.cli import load_config, main, ConfigInvalidError
-from airdrop_forensics.config import to_json
-from airdrop_forensics.eligibility import EligibilityHistory, EligibilityRules, run_campaign
+from airdrop_forensics.config import EligibilityRules, Preset, to_json
+from airdrop_forensics.eligibility import EligibilityHistory, run_campaign
 
 from conftest import assert_addresses_shared
 
@@ -585,12 +585,22 @@ def test_unknown_detector_key_rejected(tmp_path, capsys):
         ("ingest", {"inputs": {"claims": 5}}),
         ("ingest", {"allow_self_transfers": "yes"}),
         ("ingest", {"output_dir": 5}),
+        ("detect", {"detectors": {"min_clique": 6, "max_clique": 5}}),
+        ("detect", {"detectors": {"min_chain_len": 0}}),
+        ("detect", {"detectors": {"max_chain_in": 0}}),
+        ("detect", {"detectors": {"min_sponsors": -1}}),
+        ("detect", {"detectors": {"accumulation_slack": -1}}),
+        ("detect", {"detectors": {"forward_frac": 1.5}}),
+        ("detect", {"detectors": {"max_cautious_density": -0.1}}),
     ],
     ids=["linkage_ward", "string_weight", "string_k_min", "string_min_tx_count",
          "int_window_start", "section_not_object", "k_min_above_k_max", "string_detector_value",
          "string_population_total", "short_tier_mix", "unknown_pattern_kind",
          "misspelled_synth_key", "string_min_native_balance", "unknown_tier",
-         "tier_table_gap", "int_input_path", "string_allow_self_transfers", "int_output_dir"],
+         "tier_table_gap", "int_input_path", "string_allow_self_transfers", "int_output_dir",
+         "min_clique_above_max_clique", "zero_min_chain_len", "zero_max_chain_in",
+         "negative_min_sponsors", "negative_accumulation_slack", "forward_frac_above_1",
+         "negative_max_cautious_density"],
 )
 def test_config_type_error_rejected(tmp_path, capsys, stage, override):
     config = write_config(tmp_path, **override)
@@ -642,7 +652,7 @@ def test_preset_fields_left_unset_take_the_preset_values(ingested, tmp_path):
     history = EligibilityHistory(external, {}, protocol, store.config.window_bounds()[0])
     expected = run_campaign(
         sorted({e.sender for e in external if e.sender not in store.contracts}), history,
-        dataclasses.replace(EligibilityRules.fair(), interaction_window_days=2),
+        dataclasses.replace(EligibilityRules(Preset.FAIR), interaction_window_days=2),
         min(c.claim_timestamp for c in store.claims.values()),
     )
     assert json.loads((out / "eligibility" / "summary.json").read_text()) == expected.summary

@@ -1,13 +1,19 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from airdrop_forensics.cli import load_config, main
+from airdrop_forensics.config import Config, ConfigInvalidError, Preset, from_json, to_json
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 # sha256 of config.resolved.json for each config, recorded before the typed
 # config replaced the dict config; `output_dir` is fixed, so the bytes are too.
@@ -79,3 +85,72 @@ def test_readme_config_example_loads(tmp_path):
     for key, value in example.items():
         shown = {k: resolved[key][k] for k in value} if isinstance(value, dict) else resolved[key]
         assert shown == value, key
+
+
+# Each preset's rules as the per-preset constructors gave them before the
+# presets became rows of one table.
+PRESET_RULES = {
+    "threshold_differential": {
+        "min_tx_count": 50,
+        "min_native_balance": {"ethereum": 0.028, "bsc": 0.25, "polygon": 20.0, "avalanche": 0.9},
+        "min_interactions": 6, "interaction_window_days": 183, "max_clique": 5,
+        "tier_table": [[26, 10400], [11, 7800], [6, 5200]],
+    },
+    "differential": {
+        "min_tx_count": 1, "min_native_balance": {}, "min_interactions": 1,
+        "interaction_window_days": 183, "max_clique": None,
+        "tier_table": [[26, 10400], [11, 7800], [1, 5200]],
+    },
+    "fair": {
+        "min_tx_count": 0, "min_native_balance": {}, "min_interactions": 1,
+        "interaction_window_days": 183, "max_clique": None, "tier_table": [[1, 5200]],
+    },
+}
+RULE_OVERRIDES = {
+    "min_tx_count": st.integers(0, 100),
+    "min_native_balance": st.dictionaries(st.sampled_from(["ethereum", "bsc", "polygon"]),
+                                          st.floats(0, 10)),
+    "min_interactions": st.integers(0, 30),
+    "interaction_window_days": st.integers(1, 400),
+    "max_clique": st.none() | st.integers(1, 10),
+    "tier_table": st.lists(st.tuples(st.integers(0, 30), st.sampled_from([5200, 7800, 10400]))
+                           .map(list), min_size=1, max_size=3),
+}
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(preset=st.sampled_from(sorted(PRESET_RULES)),
+       overrides=st.fixed_dictionaries({}, optional=RULE_OVERRIDES))
+def test_rules_are_the_preset_with_the_set_fields_replaced(preset, overrides):
+    expected = {**PRESET_RULES[preset], **overrides}
+    data = {"eligibility": {"preset": preset, **overrides}}
+    if expected["min_interactions"] < min(score for score, _ in expected["tier_table"]):
+        with pytest.raises(ConfigInvalidError, match="tier table leaves a gap"):
+            from_json(Config, data, "config")
+        return
+    config = from_json(Config, data, "config")
+    rules = config.eligibility
+    assert rules.preset == Preset(preset)
+    resolved = {name: getattr(rules, name) for name in expected}
+    resolved["min_native_balance"] = rules.floors
+    resolved["tier_table"] = [[score, tier.value] for score, tier in rules.tiers]
+    assert resolved == expected
+    # the number fields always, the other two only when set
+    shown = {"min_tx_count", "min_interactions", "interaction_window_days", "max_clique"}
+    assert to_json(config)["eligibility"] == {
+        "preset": preset, **{name: expected[name] for name in shown | set(overrides)}}
+
+
+def test_loading_a_config_loads_no_stage_module():
+    """The config schema lives in config.py, so loading one imports neither
+    a stage module nor numpy."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    loaded = json.loads(subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys, airdrop_forensics.config; print(json.dumps(sorted(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout)
+    stages = {"numpy", *(f"airdrop_forensics.{name}" for name in (
+        "graphs", "forensics", "synth", "stats", "clustering", "eligibility"))}
+    assert not stages & set(loaded)

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
+from airdrop_forensics.config import EligibilityRules, Preset
 from airdrop_forensics.eligibility import (
     EligibilityHistory,
-    EligibilityRules,
     _HistoryIndex,
     clique_sizes,
     run_campaign,
@@ -201,7 +201,7 @@ def test_fair_preset_admits_every_interacting_address():
     events = []
     for i, subject in enumerate(population):
         events += interactions(subject, 1 + i % 4)
-    result = run_campaign(population, history(events), EligibilityRules.fair(), SNAPSHOT)
+    result = run_campaign(population, history(events), EligibilityRules(Preset.FAIR), SNAPSHOT)
     assert all(v.eligible for v in result.verdicts)
     assert {v.tier for v in result.verdicts} == {Tier.T5200}
 

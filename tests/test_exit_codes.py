@@ -241,7 +241,6 @@ READERS = {
     "graph/summary.json": "report",
     "graph/metric_series.json": "report",
     "cluster/assignment.csv": "stats",
-    "cluster/features.csv": "stats",
     "cluster/silhouette.json": "report",
     "detect/findings.jsonl": "report",
     "detect/voting_power.json": "report",
@@ -286,6 +285,41 @@ def test_damaged_upstream_artifact_never_exits_2(pipeline, tmp_path, artifact, h
         assert f"{Path(artifact).parent.name} stage" in error["error"]
 
 
+def test_stats_splits_buyers_without_features_csv(pipeline, tmp_path):
+    """stats takes the buy bit from its own flows, so its artifacts are the
+    same bytes with cluster/features.csv gone."""
+    out = tmp_path / "out"
+    shutil.copytree(pipeline / "out", out)
+    (out / "cluster" / "features.csv").unlink()
+    shutil.rmtree(out / "stats")
+    assert assert_exit_0_or_1("stats", BASE, out) == (0, None)
+    expected = sorted((pipeline / "out" / "stats").iterdir())
+    assert sorted(path.name for path in (out / "stats").iterdir()) == [p.name for p in expected]
+    for path in expected:
+        assert (out / "stats" / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+@pytest.mark.parametrize("stage, how", [
+    ("stats", "cut"), ("stats", "duplicated"), ("report", "cut"),
+])
+def test_assignment_of_other_claimants_exits_1(pipeline, tmp_path, stage, how):
+    """An assignment.csv cut at a row boundary parses, but holds fewer rows
+    than there are claimants; one with a row in place of the next holds as
+    many, but not every claimant."""
+    out = tmp_path / "out"
+    shutil.copytree(pipeline / "out", out)
+    path = out / "cluster" / "assignment.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    if how == "cut":
+        lines = lines[:len(lines) // 2]
+    else:
+        lines[2] = lines[1]
+    path.write_text("".join(lines))
+    code, error = assert_exit_0_or_1(stage, BASE, out)
+    assert code == 1 and error["code"] == "missing_artifact"
+    assert "assignment.csv" in error["error"] and "cluster stage" in error["error"]
+
+
 def rename_column(path: Path, old: str, new: str) -> None:
     header, body = path.read_text().split("\n", 1)
     cells = header.split(",")
@@ -318,14 +352,12 @@ def test_wrong_shaped_graph_json_exits_1(pipeline, tmp_path, graph, shape):
 @pytest.mark.parametrize("artifact, column, stage", [
     ("cluster/assignment.csv", "cluster", "stats"),
     ("cluster/assignment.csv", "address", "stats"),
-    ("cluster/features.csv", "buy", "stats"),
     ("cluster/assignment.csv", "cluster", "report"),
     ("cluster/assignment.csv", "role", "report"),
 ])
 def test_csv_header_without_a_read_column_exits_1(pipeline, tmp_path, artifact, column, stage):
     """A stage artifact whose header misnames a column its reader indexes
-    (`klass` for `cluster`, say) is unreadable, not an internal error; a
-    features file without `buy` is no longer read as one without buyers."""
+    (`klass` for `cluster`, say) is unreadable, not an internal error."""
     out = tmp_path / "out"
     shutil.copytree(pipeline / "out", out)
     rename_column(out / artifact, column, "klass")

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from airdrop_forensics.clustering import ClusterAssignment, RoleLabel, select_k
+from airdrop_forensics.config import PatternSpec
 from airdrop_forensics.flows import build_flows, extract_features
 from airdrop_forensics.forensics import PatternFinding, PatternKind, run_detectors
 from airdrop_forensics.graphs import (
@@ -16,7 +17,6 @@ from airdrop_forensics.graphs import (
 from airdrop_forensics.synth import (
     GroundTruth,
     InfeasibleSpecError,
-    PatternSpec,
     PlantedPattern,
     ScenarioSpec,
     generate,
