@@ -117,20 +117,24 @@ def cmd_graph(config: Config, out: Path, args) -> None:
     except graphs.WindowEmptyError:
         log.warning("no token events in the study window; metric series skipped")
         series = graphs.MetricSeries()
-    external_graph = graphs.build_external_graph(store)
-    for name, graph in (("token_graph", token_graph), ("external_graph", external_graph)):
-        order = graphs.sorted_order(graph)
-        graphs.write_graph_json(graph, stage / f"{name}.json", order)
-        graphs.write_graph(graph, stage / f"{name}.{fmt}", fmt, name, order)
+    # The token graph's files are written, and the graph dropped, before
+    # the external graph is built, so the two are never held at once.
+    sizes = {"token_graph": _write_graph_files(token_graph, stage, "token_graph", fmt)}
+    token_graph = None
+    sizes["external_graph"] = _write_graph_files(
+        graphs.build_external_graph(store), stage, "external_graph", fmt)
     artifacts.write_json(series.to_json_rows(), stage / "metric_series.json")
-    artifacts.write_json({
-        "token_graph": {"nodes": token_graph.n_nodes, "edges": token_graph.n_edges},
-        "external_graph": {"nodes": external_graph.n_nodes, "edges": external_graph.n_edges},
-        "slice_interval_days": interval,
-    }, stage / "summary.json")
+    artifacts.write_json({**sizes, "slice_interval_days": interval}, stage / "summary.json")
     log.info("graph: token %d/%d, external %d/%d (nodes/edges)",
-             token_graph.n_nodes, token_graph.n_edges,
-             external_graph.n_nodes, external_graph.n_edges)
+             *sizes["token_graph"].values(), *sizes["external_graph"].values())
+
+
+def _write_graph_files(graph: graphs.CommunityGraph, stage: Path, name: str, fmt: str) -> dict:
+    """Write `graph` as `name`.json and `name`.`fmt`; its node and edge counts."""
+    order = graphs.sorted_order(graph)
+    graphs.write_graph_json(graph, stage / f"{name}.json", order)
+    graphs.write_graph(graph, stage / f"{name}.{fmt}", fmt, name, order)
+    return {"nodes": graph.n_nodes, "edges": graph.n_edges}
 
 
 def cmd_cluster(config: Config, out: Path, args) -> None:
@@ -248,7 +252,8 @@ def cmd_stats(config: Config, out: Path, args) -> None:
     start_ts, end_ts = bounds or (store.events[0].timestamp, store.events[-1].timestamp)
     stage = out / "stats"
     member_flows = flows.build_flows(store, sorted(store.claims))
-    table = stats.behavior_table(member_flows, store.claims)
+    ops = {a: flows.extract_features(f).op_set() for a, f in member_flows.items()}
+    table = stats.behavior_table(ops, store.claims)
     stats.write_behavior_table_csv(table, stage / "behavior_table.csv")
     artifacts.write_json({str(t.value): table[t] for t in ingest.Tier},
                          stage / "behavior_table.json")
@@ -260,15 +265,15 @@ def cmd_stats(config: Config, out: Path, args) -> None:
     groups: dict[str, list[str]] = {"all": sorted(store.claims)}
     assignment = out / "cluster" / "assignment.csv"
     if assignment.exists():
-        labels = {row["address"]: int(row["cluster"]) for row in
-                  artifacts.read_csv(assignment, ("address", "cluster"))}
+        with _shaped(assignment):
+            labels = {row["address"]: int(row["cluster"]) for row in
+                      artifacts.read_csv(assignment, ("address", "cluster"))}
         if labels.keys() != store.claims.keys():
             raise artifacts.unreadable(assignment, "its addresses are not the ingested claimants")
         stats.write_tier_composition_csv(
             stats.tier_composition(labels, store.claims), stage / "tier_composition.csv"
         )
-        buyers = {a for a, f in member_flows.items()
-                  if flows.OperationKind.BUY in flows.extract_features(f).op_set()}
+        buyers = {a for a, kinds in ops.items() if flows.OperationKind.BUY in kinds}
         groups = {
             "group1_airdrop_only": sorted(a for a in labels if a not in buyers),
             "group2_buyers": sorted(a for a in labels if a in buyers),

@@ -19,6 +19,7 @@ graph's nontrivial strongly connected components that changed.
 
 from __future__ import annotations
 
+import json
 import logging
 from array import array
 from bisect import bisect_right
@@ -64,7 +65,7 @@ class NodeClass(str, Enum):
     PLAIN = "plain"
 
 
-@dataclass
+@dataclass(slots=True)
 class EdgeStats:
     total_value: int
     tx_count: int
@@ -569,91 +570,114 @@ def sorted_order(graph: CommunityGraph) -> GraphOrder:
     return sorted(graph.nodes), sorted(graph.edges)
 
 
-def to_graphml(graph: CommunityGraph, order: GraphOrder | None = None) -> str:
-    nodes, edges = order or sorted_order(graph)
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
-        '  <key id="d0" for="node" attr.name="node_class" attr.type="string"/>',
-        '  <key id="d1" for="edge" attr.name="weight" attr.type="double"/>',
-        '  <key id="d2" for="edge" attr.name="tx_count" attr.type="int"/>',
-        '  <graph edgedefault="directed">',
-    ]
-    # one string per node and per edge: a string per line would hold four
-    # times as many objects while the text is joined
-    for addr in nodes:
-        lines.append(
+# Rows per chunk of text the graph writers render and write at a time. A
+# graphml edge is about 230 characters, so each chunk stays under glibc's
+# 128 KiB mmap threshold (see ingest._CHUNK), and a writer holds one chunk,
+# not the whole file.
+_BATCH = 256
+
+
+def _batches(rows: list) -> Iterator[list]:
+    return (rows[i:i + _BATCH] for i in range(0, len(rows), _BATCH))
+
+
+_GRAPHML_HEAD = """\
+<?xml version="1.0" encoding="UTF-8"?>
+<graphml xmlns="http://graphml.graphdrawing.org/xmlns">
+  <key id="d0" for="node" attr.name="node_class" attr.type="string"/>
+  <key id="d1" for="edge" attr.name="weight" attr.type="double"/>
+  <key id="d2" for="edge" attr.name="tx_count" attr.type="int"/>
+  <graph edgedefault="directed">
+"""
+
+
+def _graphml_chunks(graph: CommunityGraph, nodes: list, edges: list) -> Iterator[str]:
+    yield _GRAPHML_HEAD
+    for batch in _batches(nodes):
+        yield "".join(
             f'    <node id="{_xml_escape(addr)}">\n'
             f'      <data key="d0">{graph.nodes[addr].value}</data>\n'
-            "    </node>"
+            "    </node>\n"
+            for addr in batch
         )
-    for (u, v) in edges:
-        stats = graph.edges[(u, v)]
-        lines.append(
+    for batch in _batches(edges):
+        yield "".join(
             f'    <edge source="{_xml_escape(u)}" target="{_xml_escape(v)}">\n'
             f'      <data key="d1">{format_token_amount(stats.total_value)}</data>\n'
             f'      <data key="d2">{stats.tx_count}</data>\n'
-            "    </edge>"
+            "    </edge>\n"
+            for (u, v), stats in zip(batch, map(graph.edges.__getitem__, batch))
         )
-    lines.append("  </graph>")
-    lines.append("</graphml>")
-    return "\n".join(lines) + "\n"
+    yield "  </graph>\n</graphml>\n"
 
 
-def to_dot(graph: CommunityGraph, name: str = "community", order: GraphOrder | None = None) -> str:
-    nodes, edges = order or sorted_order(graph)
-    lines = [f"digraph {name} {{", "  node [style=filled];"]
-    for addr in nodes:
-        cls = graph.nodes[addr]
-        lines.append(
-            f'  "{addr}" [node_class="{cls.value}", fillcolor="{_DOT_COLORS[cls]}"];'
+def _dot_chunks(graph: CommunityGraph, name: str, nodes: list, edges: list) -> Iterator[str]:
+    yield f"digraph {name} {{\n  node [style=filled];\n"
+    for batch in _batches(nodes):
+        yield "".join(
+            f'  "{addr}" [node_class="{cls.value}", fillcolor="{_DOT_COLORS[cls]}"];\n'
+            for addr, cls in zip(batch, map(graph.nodes.__getitem__, batch))
         )
-    for (u, v) in edges:
-        stats = graph.edges[(u, v)]
-        lines.append(
+    for batch in _batches(edges):
+        yield "".join(
             f'  "{u}" -> "{v}" [weight="{format_token_amount(stats.total_value)}", '
-            f'tx_count="{stats.tx_count}"];'
+            f'tx_count="{stats.tx_count}"];\n'
+            for (u, v), stats in zip(batch, map(graph.edges.__getitem__, batch))
         )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    yield "}\n"
 
 
 def write_graph(graph: CommunityGraph, path, fmt: str = "graphml", name: str = "community",
                 order: GraphOrder | None = None) -> None:
-    if fmt == "graphml":
-        text = to_graphml(graph, order)
-    elif fmt == "dot":
-        text = to_dot(graph, name, order)
-    else:
+    """Write `graph` as graphml or dot, in sorted order, a batch of rows at a time."""
+    if fmt not in ("graphml", "dot"):
         raise ValueError(f"unsupported graph format {fmt!r}")
-    with artifacts.open_for_write(path) as fh:
-        fh.write(text)
-
-
-# Canonical JSON round-trip used for stage artifacts between CLI commands.
-
-def graph_to_json(graph: CommunityGraph, order: GraphOrder | None = None) -> dict:
     nodes, edges = order or sorted_order(graph)
-    return {
-        "nodes": [[a, graph.nodes[a].value] for a in nodes],
-        "edges": [
-            [u, v, s.total_value, s.tx_count, s.first_ts, s.last_ts]
-            for (u, v), s in zip(edges, map(graph.edges.__getitem__, edges))
-        ],
-    }
+    chunks = (_graphml_chunks(graph, nodes, edges) if fmt == "graphml"
+              else _dot_chunks(graph, name, nodes, edges))
+    with artifacts.open_for_write(path) as fh:
+        fh.writelines(chunks)
 
 
-def graph_from_json(payload: dict) -> CommunityGraph:
-    g = CommunityGraph()
-    for addr, cls in payload["nodes"]:
-        g.add_node(addr, NodeClass(cls))
-    for u, v, total, count, first_ts, last_ts in payload["edges"]:
-        g._put_edge(u, v, EdgeStats(total, count, first_ts, last_ts))
-    return g
+# Canonical JSON round-trip used for stage artifacts between CLI commands:
+# {"edges": [[u, v, total_value, tx_count, first_ts, last_ts], ...],
+#  "nodes": [[address, node_class], ...]}, each list in sorted order.
+
+def _json_rows(batches: Iterator[list]) -> Iterator[str]:
+    """The JSON text of the rows of `batches`, comma-separated, without the
+    list's brackets."""
+    for i, batch in enumerate(batches):
+        yield ("," if i else "") + json.dumps(batch, separators=(",", ":"))[1:-1]
 
 
 def write_graph_json(graph: CommunityGraph, path, order: GraphOrder | None = None) -> None:
-    artifacts.write_json(graph_to_json(graph, order), path, compact=True)
+    """Write the graph JSON of `graph` a batch of rows at a time: the bytes
+    `artifacts.write_json(payload, path, compact=True)` writes for it."""
+    nodes, edges = order or sorted_order(graph)
+    edge_rows = (
+        [[u, v, s.total_value, s.tx_count, s.first_ts, s.last_ts]
+         for (u, v), s in zip(batch, map(graph.edges.__getitem__, batch))]
+        for batch in _batches(edges)
+    )
+    node_rows = ([[a, graph.nodes[a].value] for a in batch] for batch in _batches(nodes))
+    with artifacts.open_for_write(path) as fh:
+        fh.write('{"edges":[')
+        fh.writelines(_json_rows(edge_rows))
+        fh.write('],"nodes":[')
+        fh.writelines(_json_rows(node_rows))
+        fh.write("]}\n")
+
+
+def graph_from_json(payload: dict) -> CommunityGraph:
+    """The graph of a graph JSON payload. Each edge endpoint is the node's
+    own key string, not the equal copy json made for every occurrence."""
+    g = CommunityGraph()
+    for addr, cls in payload["nodes"]:
+        g.add_node(addr, NodeClass(cls))
+    key = {addr: addr for addr in g.nodes}
+    for u, v, total, count, first_ts, last_ts in payload["edges"]:
+        g._put_edge(key[u], key[v], EdgeStats(total, count, first_ts, last_ts))
+    return g
 
 
 def load_graph_json(path) -> CommunityGraph:

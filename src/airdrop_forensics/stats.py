@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import artifacts
-from .flows import OperationKind, TransactionFlow, extract_features
+from .flows import OperationKind, TransactionFlow
 from .ingest import Address, ClaimRecord, EventStore, Tier, format_token_amount
 
 log = logging.getLogger(__name__)
@@ -37,21 +37,18 @@ ACTION_OPS = {
 
 
 def behavior_table(
-    flows: dict[Address, TransactionFlow], claims: dict[Address, ClaimRecord]
+    ops: dict[Address, set[OperationKind]], claims: dict[Address, ClaimRecord]
 ) -> dict[Tier, dict[str, float]]:
     """Per tier, the fraction of claimants performing each action at least
-    once, read from the feature vector, so receiving ignores the claim
-    payout itself."""
+    once, read from each member's feature-vector op set (`op_set()` of
+    `flows.extract_features`), so receiving ignores the claim payout itself."""
     performed: dict[Tier, Counter] = {t: Counter() for t in Tier}
     claimed: Counter = Counter()
     for addr, rec in claims.items():
         claimed[rec.tier] += 1
-        flow = flows.get(addr)
-        if flow is None:
-            continue
-        ops = extract_features(flow).op_set()
+        kinds = ops.get(addr, ())
         for action, op in ACTION_OPS.items():
-            if op in ops:
+            if op in kinds:
                 performed[rec.tier][action] += 1
     table: dict[Tier, dict[str, float]] = {}
     for tier in Tier:

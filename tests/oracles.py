@@ -8,6 +8,7 @@ agreement is meaningful. Big-O does not matter here; clarity does.
 import csv
 import math
 from types import SimpleNamespace
+from xml.sax.saxutils import escape
 
 from airdrop_forensics.flows import OperationKind, weighted_cosine_distance
 from airdrop_forensics.graphs import _tarjan
@@ -21,6 +22,7 @@ from airdrop_forensics.ingest import (
     MalformedRow,
     Tier,
     TransferEvent,
+    format_token_amount,
 )
 
 
@@ -241,6 +243,60 @@ def kernel_sum_density(x: float, samples, h: float) -> float:
         z = (x - s) / h
         acc += math.exp(-0.5 * z * z)
     return acc / (len(samples) * h * math.sqrt(2.0 * math.pi))
+
+
+# Whole-text graph exports, each built as one list of lines and joined: the
+# references the batched writers in graphs.py must match byte for byte.
+
+DOT_COLORS = {"initial_member": "orange", "later_member": "skyblue",
+              "contract": "gray", "plain": "white"}
+
+
+def to_graphml(graph) -> str:
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
+        '  <key id="d0" for="node" attr.name="node_class" attr.type="string"/>',
+        '  <key id="d1" for="edge" attr.name="weight" attr.type="double"/>',
+        '  <key id="d2" for="edge" attr.name="tx_count" attr.type="int"/>',
+        '  <graph edgedefault="directed">',
+    ]
+    for addr in sorted(graph.nodes):
+        lines.append(f'    <node id="{escape(addr)}">')
+        lines.append(f'      <data key="d0">{graph.nodes[addr].value}</data>')
+        lines.append("    </node>")
+    for (u, v) in sorted(graph.edges):
+        stats = graph.edges[(u, v)]
+        lines.append(f'    <edge source="{escape(u)}" target="{escape(v)}">')
+        lines.append(f'      <data key="d1">{format_token_amount(stats.total_value)}</data>')
+        lines.append(f'      <data key="d2">{stats.tx_count}</data>')
+        lines.append("    </edge>")
+    lines.append("  </graph>")
+    lines.append("</graphml>")
+    return "\n".join(lines) + "\n"
+
+
+def to_dot(graph, name="community") -> str:
+    lines = [f"digraph {name} {{", "  node [style=filled];"]
+    for addr in sorted(graph.nodes):
+        cls = graph.nodes[addr].value
+        lines.append(f'  "{addr}" [node_class="{cls}", fillcolor="{DOT_COLORS[cls]}"];')
+    for (u, v) in sorted(graph.edges):
+        stats = graph.edges[(u, v)]
+        lines.append(f'  "{u}" -> "{v}" [weight="{format_token_amount(stats.total_value)}", '
+                     f'tx_count="{stats.tx_count}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def graph_to_json(graph) -> dict:
+    """The payload of a graph JSON file; artifacts.render_json(...,
+    compact=True) gives its text."""
+    return {
+        "nodes": [[a, graph.nodes[a].value] for a in sorted(graph.nodes)],
+        "edges": [[u, v, s.total_value, s.tx_count, s.first_ts, s.last_ts]
+                  for (u, v), s in sorted(graph.edges.items())],
+    }
 
 
 def random_digraph(rng, max_n=50, p=None):

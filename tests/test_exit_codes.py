@@ -300,20 +300,25 @@ def test_stats_splits_buyers_without_features_csv(pipeline, tmp_path):
 
 
 @pytest.mark.parametrize("stage, how", [
-    ("stats", "cut"), ("stats", "duplicated"), ("report", "cut"),
+    ("stats", "cut"), ("stats", "duplicated"), ("report", "cut"), ("stats", "non_integer"),
 ])
 def test_assignment_of_other_claimants_exits_1(pipeline, tmp_path, stage, how):
     """An assignment.csv cut at a row boundary parses, but holds fewer rows
     than there are claimants; one with a row in place of the next holds as
-    many, but not every claimant."""
+    many, but not every claimant; one with a cluster cell that is not an
+    integer holds no cluster for that claimant."""
     out = tmp_path / "out"
     shutil.copytree(pipeline / "out", out)
     path = out / "cluster" / "assignment.csv"
     lines = path.read_text().splitlines(keepends=True)
     if how == "cut":
         lines = lines[:len(lines) // 2]
-    else:
+    elif how == "duplicated":
         lines[2] = lines[1]
+    else:
+        cells = lines[1].split(",")
+        cells[lines[0].split(",").index("cluster")] = "x"
+        lines[1] = ",".join(cells)
     path.write_text("".join(lines))
     code, error = assert_exit_0_or_1(stage, BASE, out)
     assert code == 1 and error["code"] == "missing_artifact"

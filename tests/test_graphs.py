@@ -2,6 +2,8 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 from pathlib import Path
 from xml.sax.saxutils import escape
 
@@ -9,8 +11,12 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from airdrop_forensics.artifacts import render_json
 from airdrop_forensics.forensics import p2p_components
 from airdrop_forensics.graphs import (
+    _BATCH,
+    CommunityGraph,
+    EdgeStats,
     NodeClass,
     UndefinedOnDegenerateError,
     UndefinedOnEmptyError,
@@ -21,20 +27,21 @@ from airdrop_forensics.graphs import (
     degree_assortativity,
     _build_graph,
     graph_from_json,
-    graph_to_json,
     iter_slices,
+    load_graph_json,
     metric_series,
     reciprocity,
-    to_dot,
-    to_graphml,
     weekly_slices,
+    write_graph,
+    write_graph_json,
 )
-from airdrop_forensics.ingest import ContractCategory, EventKind
+from airdrop_forensics.ingest import ContractCategory, EventKind, format_token_amount
 
 from conftest import (
     WINDOW_START, addr, attracting_components, claim, contract, digraph, ev, make_store,
 )
 from oracles import (
+    graph_to_json,
     oracle_assortativity,
     oracle_attracting,
     oracle_reciprocity,
@@ -42,6 +49,8 @@ from oracles import (
     scan_assortativity,
     scan_reciprocity,
     strongly_connected_components,
+    to_dot,
+    to_graphml,
 )
 
 
@@ -255,13 +264,21 @@ def test_metric_series_counts_non_decreasing():
     assert series.edges == sorted(series.edges)
 
 
+def written(write, graph, *args) -> str:
+    """The text `write(graph, path, *args)` writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "graph"
+        write(graph, path, *args)
+        return path.read_bytes().decode("utf-8")
+
+
 def test_graph_exports_deterministic():
     g = digraph([("0x" + "a" * 40, "0x" + "b" * 40, 5 * 10**18)])
     g.nodes["0x" + "a" * 40] = NodeClass.INITIAL_MEMBER
-    xml = to_graphml(g)
-    assert xml == to_graphml(g)
+    xml = written(write_graph, g, "graphml")
+    assert xml == written(write_graph, g, "graphml")
     assert 'attr.name="node_class"' in xml and "initial_member" in xml
-    dot = to_dot(g)
+    dot = written(write_graph, g, "dot")
     assert '"0x' + "a" * 40 + '" -> "0x' + "b" * 40 + '"' in dot
     assert 'weight="5"' in dot
 
@@ -269,9 +286,94 @@ def test_graph_exports_deterministic():
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(u=st.text(), v=st.text())
 def test_graphml_escapes_ids_as_saxutils(u, v):
-    xml = to_graphml(digraph([(u, v)]))
+    xml = written(write_graph, digraph([(u, v)]), "graphml")
     assert f'<node id="{escape(u)}">' in xml
     assert f'<edge source="{escape(u)}" target="{escape(v)}">' in xml
+
+
+# Differential tests of the batched writers: node and edge counts on both
+# sides of a batch boundary, against the whole-text exports in oracles.py.
+SIZES = [0, 1, _BATCH - 1, _BATCH, _BATCH + 1]
+
+
+@st.composite
+def export_graphs(draw, stems=st.text(max_size=3)):
+    """A graph of SIZES[i] nodes, named `stem` + a number, and of SIZES[j]
+    edges (as many as fit), with random classes and edge stats."""
+    n = draw(st.sampled_from(SIZES))
+    m = min(draw(st.sampled_from(SIZES)), n * n)
+    stem = draw(stems)
+    rng = draw(st.randoms(use_true_random=False))
+    g = CommunityGraph()
+    nodes = [f"{stem}{i}" for i in range(n)]
+    for addr in nodes:
+        g.add_node(addr, rng.choice(list(NodeClass)))
+    for k in rng.sample(range(n * n), m):
+        first = rng.randrange(2**31)
+        stats = EdgeStats(rng.randrange(10**30), rng.randint(1, 10**4), first,
+                          first + rng.randrange(10**6))
+        g._put_edge(nodes[k // n], nodes[k % n], stats)
+    return g
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(g=export_graphs())
+def test_batched_writers_equal_whole_text_exports(g):
+    assert written(write_graph_json, g) == render_json(graph_to_json(g), compact=True)
+    assert written(write_graph, g, "graphml") == to_graphml(g)
+    assert written(write_graph, g, "dot", "g") == to_dot(g, "g")
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(g=export_graphs(st.text("ab&<>'\u00e9", max_size=3)))
+def test_written_graphml_reads_back_in_networkx(g):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.graphml"
+        write_graph(g, path, "graphml")
+        G = nx.read_graphml(path)
+    assert G.is_directed()
+    assert dict(G.nodes(data="node_class")) == {a: cls.value for a, cls in g.nodes.items()}
+    assert {(u, v): (data["weight"], data["tx_count"]) for u, v, data in G.edges(data=True)} \
+        == {e: (float(format_token_amount(s.total_value)), s.tx_count) for e, s in g.edges.items()}
+
+
+def _wide_graph(n_nodes=2_000, n_edges=20_000):
+    rng = random.Random(41)
+    nodes = [f"0x{rng.getrandbits(160):040x}" for _ in range(n_nodes)]
+    g = CommunityGraph()
+    for addr in nodes:
+        g.add_node(addr, NodeClass.LATER_MEMBER)
+    for k in rng.sample(range(n_nodes * n_nodes), n_edges):
+        g._put_edge(nodes[k // n_nodes], nodes[k % n_nodes],
+                    EdgeStats(rng.randrange(10**24), 1, WINDOW_START, WINDOW_START))
+    return g
+
+
+@pytest.mark.parametrize("write, args", [
+    (write_graph_json, ()), (write_graph, ("graphml",)), (write_graph, ("dot",)),
+])
+def test_writers_hold_a_batch_not_the_file(tmp_path, write, args):
+    """Writing a graph of 20k edges peaks at under a quarter of the bytes
+    written: the writer holds the sorted order and one batch's text."""
+    g, path = _wide_graph(), tmp_path / "graph"
+    tracemalloc.start()
+    try:
+        write(g, path, *args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 4
+
+
+def test_loaded_edge_endpoints_are_the_node_keys(tmp_path):
+    """json makes a new string for every occurrence of an address; the
+    loader keeps one per node."""
+    path = tmp_path / "graph.json"
+    write_graph_json(_wide_graph(n_nodes=300, n_edges=3_000), path)
+    g = load_graph_json(path)
+    key = {a: a for a in g.nodes}
+    assert g.n_edges == 3_000
+    assert all(u is key[u] and v is key[v] for u, v in g.edges)
 
 
 def test_cli_import_loads_no_xml_or_network_module():

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from airdrop_forensics.flows import build_flows
+from airdrop_forensics.flows import build_flows, extract_features
 from airdrop_forensics.ingest import Tier
 from airdrop_forensics.stats import (
     EmptySampleError,
@@ -34,6 +34,10 @@ def flows_for(scenario):
     return store, build_flows(store, sorted(store.claims))
 
 
+def op_sets(flows):
+    return {a: extract_features(f).op_set() for a, f in flows.items()}
+
+
 class TestBehaviorTable:
     def test_everyone_stakes(self, airdrop_contract, staking_contract):
         members = [addr(i) for i in range(1, 6)]
@@ -48,7 +52,7 @@ class TestBehaviorTable:
         ]
         store = make_store(events, contracts=[airdrop_contract, staking_contract],
                            claims=claims)
-        table = behavior_table(build_flows(store, members), store.claims)
+        table = behavior_table(op_sets(build_flows(store, members)), store.claims)
         assert table[Tier.T5200]["staking"] == 1.0
         assert table[Tier.T5200]["selling"] == 0.0
         assert table[Tier.T5200]["receiving"] == 0.0  # the claim itself never counts
@@ -56,7 +60,7 @@ class TestBehaviorTable:
     def test_synth_planted_rates_match_exactly(self):
         scenario = generate(ScenarioSpec(seed=21, population=population_from_shares(300)))
         store, flows = flows_for(scenario)
-        table = behavior_table(flows, store.claims)
+        table = behavior_table(op_sets(flows), store.claims)
         planted = scenario.truth.planted_stats
         for tier in Tier:
             claimed = planted["claims_per_tier"].get(str(tier.value), 0)
