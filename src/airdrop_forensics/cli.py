@@ -156,14 +156,16 @@ def cmd_cluster(config: Config, out: Path, args) -> None:
 
 
 def cmd_detect(config: Config, out: Path, args) -> None:
-    store = ingest.read_store(out / "ingest", config.ingest_config())
+    # The graphs hold every event detect looks at, so events.csv is not read.
+    _, contracts, claims = ingest.read_records(out / "ingest")
     token_graph = graphs.load_graph_json(out / "graph" / "token_graph.json")
     external_graph = graphs.load_graph_json(out / "graph" / "external_graph.json")
     stage = out / "detect"
-    result = forensics.run_detectors(token_graph, external_graph, store, config.detectors)
+    result = forensics.run_detectors(token_graph, external_graph, claims, contracts,
+                                     config.detectors)
     artifacts.write_jsonl((f.to_json() for f in result.findings), stage / "findings.jsonl")
     forensics.write_components_csv(result.profiles, stage / "components.csv")
-    rows = forensics.voting_power_report(result.findings, store.claims)
+    rows = forensics.voting_power_report(result.findings, claims)
     forensics.write_voting_power_json(rows, stage / "voting_power.json")
     comp_dir = stage / "components"
     flagged = {f.component_id for f in result.findings if f.component_id > 0}

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from . import artifacts
 from .config import DetectorConfig, PatternKind
 from .graphs import CommunityGraph, NodeClass, reciprocity
-from .ingest import Address, EventStore, format_token_amount
+from .ingest import Address, ClaimRecord, ContractInfo, format_token_amount
 
 log = logging.getLogger(__name__)
 
@@ -464,30 +464,28 @@ class DetectionResult:
     findings: list[PatternFinding] = field(default_factory=list)
 
 
-def contract_user_set(store: EventStore) -> frozenset[Address]:
-    """Addresses with any on-record interaction with a dictionary
-    contract, in either the token or the external history."""
-    users = set()
-    for ev in store.events:
-        if ev.sender in store.contracts:
-            users.add(ev.receiver)
-        if ev.receiver in store.contracts:
-            users.add(ev.sender)
-    return frozenset(users)
+def contract_users(graphs, contracts) -> frozenset[Address]:
+    """Addresses that share an edge in any of `graphs` with an address in
+    `contracts`; a contract with a self-loop is one. Given the token and
+    the external graph, which hold every event of those two kinds, these
+    are the addresses with an interaction with a contract on record."""
+    return frozenset().union(*(g.out_neighbors(c) | g.in_neighbors(c)
+                               for g in graphs for c in contracts))
 
 
 def run_detectors(
     token_graph: CommunityGraph,
     external_graph: CommunityGraph,
-    store: EventStore,
+    claims: dict[Address, ClaimRecord],
+    contracts: dict[Address, ContractInfo],
     cfg: DetectorConfig | None = None,
 ) -> DetectionResult:
     """End-to-end detection pass over all p2p components plus the
     cross-graph clique detectors."""
     cfg = cfg or DetectorConfig()
     profiles = p2p_components(token_graph)
-    contract_users = contract_user_set(store)
-    airdrop_ts = min((c.claim_timestamp for c in store.claims.values()), default=None)
+    users = contract_users((token_graph, external_graph), contracts)
+    airdrop_ts = min((c.claim_timestamp for c in claims.values()), default=None)
     has_pre_window = airdrop_ts is not None and any(
         s.first_ts < airdrop_ts for s in external_graph.edges.values()
     )
@@ -498,7 +496,7 @@ def run_detectors(
     for profile in profiles:
         for f in (
             detect_chain(profile, cfg),
-            detect_sunflower(profile, cfg, contract_users),
+            detect_sunflower(profile, cfg, users),
             detect_cautious(profile, external_graph, cfg),
         ):
             if f is not None:
@@ -512,7 +510,7 @@ def run_detectors(
         a: profile.id for profile in profiles for a in profile.nodes
     }
     findings.extend(
-        detect_blatant(external_graph, store.claims, token_graph, cfg, component_of)
+        detect_blatant(external_graph, claims, token_graph, cfg, component_of)
     )
     findings.sort(key=lambda f: (f.component_id, f.pattern.value, min(f.members)))
     return DetectionResult(profiles, findings)

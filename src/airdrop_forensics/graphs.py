@@ -555,9 +555,18 @@ _DOT_COLORS = {
 
 
 def _xml_escape(text: str) -> str:
-    """xml.sax.saxutils.escape, whose module imports urllib. On an address,
-    three replaces take less than half the time of one str.translate."""
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    """`text` as a double-quoted XML attribute value holds it:
+    xml.sax.saxutils.escape(text, {'"': "&quot;"}), whose module imports
+    urllib. On an address, four replaces take less than half the time of
+    one str.translate."""
+    return (text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+            .replace('"', "&quot;"))
+
+
+def _dot_escape(text: str) -> str:
+    """`text` as a double-quoted DOT id holds it: each "\\" and '"' escaped,
+    so no id ends its quotes early."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
 GraphOrder = tuple[list[Address], list[tuple[Address, Address]]]
@@ -615,12 +624,14 @@ def _dot_chunks(graph: CommunityGraph, name: str, nodes: list, edges: list) -> I
     yield f"digraph {name} {{\n  node [style=filled];\n"
     for batch in _batches(nodes):
         yield "".join(
-            f'  "{addr}" [node_class="{cls.value}", fillcolor="{_DOT_COLORS[cls]}"];\n'
+            f'  "{_dot_escape(addr)}" [node_class="{cls.value}", '
+            f'fillcolor="{_DOT_COLORS[cls]}"];\n'
             for addr, cls in zip(batch, map(graph.nodes.__getitem__, batch))
         )
     for batch in _batches(edges):
         yield "".join(
-            f'  "{u}" -> "{v}" [weight="{format_token_amount(stats.total_value)}", '
+            f'  "{_dot_escape(u)}" -> "{_dot_escape(v)}" '
+            f'[weight="{format_token_amount(stats.total_value)}", '
             f'tx_count="{stats.tx_count}"];\n'
             for (u, v), stats in zip(batch, map(graph.edges.__getitem__, batch))
         )

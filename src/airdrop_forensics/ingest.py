@@ -739,29 +739,48 @@ def _by_address(records: list, expected: int, path: Path) -> dict:
     return out
 
 
-def read_store(stage_dir, config: IngestConfig | None = None) -> EventStore:
-    """Load the store that ingest wrote to `stage_dir`, trusting its files.
-
-    Ingest left events.csv normalized, sorted and deduplicated, so rows
-    become records without re-validation. events.csv is split at commas
-    and newlines, and read with csv when it holds a text that csv reads its
-    own way or a row that fails, so a bad row is named by its line. What is
-    checked is what a damaged file or a later config can break: exact
-    headers, row counts equal to report.json's, no contract or claim
-    address twice, cells that parse, non-decreasing timestamps, and no
-    self-transfer unless the config allows them. The config's study window
-    is applied again, so a window narrowed after ingest drops the events
-    outside it. Any failed check raises CorruptStoreError, and a file that
-    cannot be opened or decoded MissingArtifactError. The store's report is
-    ingest's own, read from report.json.
-    """
-    config = config or IngestConfig()
+def read_records(stage_dir) -> tuple[IngestReport, dict[Address, ContractInfo],
+                                     dict[Address, ClaimRecord]]:
+    """Ingest's report, contracts and claims, read from `stage_dir` and
+    trusted as read_store trusts them: exact headers, cells that parse, no
+    address twice, and row counts equal to report.json's. A failed check
+    raises CorruptStoreError, and a file that cannot be opened or decoded
+    MissingArtifactError. events.csv is not opened."""
     stage_dir = Path(stage_dir)
     report_path = stage_dir / "report.json"
     try:
         report = IngestReport.from_json(artifacts.read_json(report_path))
     except (ValueError, TypeError, KeyError) as exc:
         raise CorruptStoreError(f"{report_path}: not an ingest report ({exc})") from exc
+    path = stage_dir / "contracts.csv"
+    contracts = _by_address(_read_canonical(path, CONTRACT_COLUMNS, _contracts),
+                            report.n_contracts, path)
+    path = stage_dir / "claims.csv"
+    claims = _by_address(_read_canonical(path, CLAIM_COLUMNS, _claims),
+                         report.n_claims, path)
+    return report, contracts, claims
+
+
+def read_store(stage_dir, config: IngestConfig | None = None) -> EventStore:
+    """Load the store that ingest wrote to `stage_dir`, trusting its files.
+
+    The report, contracts and claims are read_records'. Ingest left
+    events.csv normalized, sorted and deduplicated, so rows become records
+    without re-validation. events.csv is split at commas and newlines, and
+    read with csv when it holds a text that csv reads its own way or a row
+    that fails, so a bad row is named by its line. What is checked of it is
+    what a damaged file or a later config can break: its exact header, a
+    row count equal to report.json's, cells that parse, non-decreasing
+    timestamps, and no self-transfer unless the config allows them. The
+    config's study window is applied again, so a window narrowed after
+    ingest drops the events outside it. Any failed check raises
+    CorruptStoreError, and a file that cannot be opened or decoded
+    MissingArtifactError. The store's report is ingest's own, read from
+    report.json.
+    """
+    config = config or IngestConfig()
+    stage_dir = Path(stage_dir)
+    report, contracts, claims = read_records(stage_dir)
 
     path = stage_dir / "events.csv"
     events = _split_events(path)
@@ -784,11 +803,4 @@ def read_store(stage_dir, config: IngestConfig | None = None) -> EventStore:
     bounds = config.window_bounds()
     if bounds:
         events = events[bisect_left(timestamps, bounds[0]):bisect_right(timestamps, bounds[1])]
-
-    path = stage_dir / "contracts.csv"
-    contracts = _by_address(_read_canonical(path, CONTRACT_COLUMNS, _contracts),
-                            report.n_contracts, path)
-    path = stage_dir / "claims.csv"
-    claims = _by_address(_read_canonical(path, CLAIM_COLUMNS, _claims),
-                         report.n_claims, path)
     return EventStore(events, contracts, claims, config, report)

@@ -680,5 +680,5 @@ def validate_scenario(scenario: Scenario) -> dict[str, PatternScore]:
     store = scenario.build_store()
     token_graph = build_token_graph(store)
     external_graph = build_external_graph(store)
-    result = run_detectors(token_graph, external_graph, store)
+    result = run_detectors(token_graph, external_graph, store.claims, store.contracts)
     return score_findings(scenario.truth, result.findings)

@@ -252,6 +252,16 @@ DOT_COLORS = {"initial_member": "orange", "later_member": "skyblue",
               "contract": "gray", "plain": "white"}
 
 
+def _attribute(text: str) -> str:
+    """`text` escaped for a double-quoted XML attribute value."""
+    return escape(text, {'"': "&quot;"})
+
+
+def _dot_id(text: str) -> str:
+    """`text` as a double-quoted DOT id, each backslash and quote escaped."""
+    return '"' + "".join("\\" + ch if ch in '\\"' else ch for ch in text) + '"'
+
+
 def to_graphml(graph) -> str:
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -262,12 +272,12 @@ def to_graphml(graph) -> str:
         '  <graph edgedefault="directed">',
     ]
     for addr in sorted(graph.nodes):
-        lines.append(f'    <node id="{escape(addr)}">')
+        lines.append(f'    <node id="{_attribute(addr)}">')
         lines.append(f'      <data key="d0">{graph.nodes[addr].value}</data>')
         lines.append("    </node>")
     for (u, v) in sorted(graph.edges):
         stats = graph.edges[(u, v)]
-        lines.append(f'    <edge source="{escape(u)}" target="{escape(v)}">')
+        lines.append(f'    <edge source="{_attribute(u)}" target="{_attribute(v)}">')
         lines.append(f'      <data key="d1">{format_token_amount(stats.total_value)}</data>')
         lines.append(f'      <data key="d2">{stats.tx_count}</data>')
         lines.append("    </edge>")
@@ -280,10 +290,11 @@ def to_dot(graph, name="community") -> str:
     lines = [f"digraph {name} {{", "  node [style=filled];"]
     for addr in sorted(graph.nodes):
         cls = graph.nodes[addr].value
-        lines.append(f'  "{addr}" [node_class="{cls}", fillcolor="{DOT_COLORS[cls]}"];')
+        lines.append(f'  {_dot_id(addr)} [node_class="{cls}", fillcolor="{DOT_COLORS[cls]}"];')
     for (u, v) in sorted(graph.edges):
         stats = graph.edges[(u, v)]
-        lines.append(f'  "{u}" -> "{v}" [weight="{format_token_amount(stats.total_value)}", '
+        lines.append(f'  {_dot_id(u)} -> {_dot_id(v)} '
+                     f'[weight="{format_token_amount(stats.total_value)}", '
                      f'tx_count="{stats.tx_count}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -486,3 +497,16 @@ def dictreader_parse_claims(path):
             errors.append(MalformedRow(line_no, str(exc)))
     claims.sort(key=lambda c: c.address)
     return claims, sorted(errors)
+
+
+def contract_user_set(store) -> frozenset:
+    """Addresses with any on-record interaction with a dictionary
+    contract, in either the token or the external history: a scan of the
+    store's events, where forensics.contract_users reads the graphs."""
+    users = set()
+    for ev in store.events:
+        if ev.sender in store.contracts:
+            users.add(ev.receiver)
+        if ev.receiver in store.contracts:
+            users.add(ev.sender)
+    return frozenset(users)

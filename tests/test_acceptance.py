@@ -230,9 +230,8 @@ def test_criterion_6_detector_ground_truth():
                                        distractors=2000)
         scenario = generate(spec, validate=False)
         store = scenario.build_store()
-        result = run_detectors(
-            build_token_graph(store), build_external_graph(store), store
-        )
+        result = run_detectors(build_token_graph(store), build_external_graph(store),
+                               store.claims, store.contracts)
         for kind, score in score_findings(scenario.truth, result.findings).items():
             floor[kind][0] = min(floor[kind][0], score.precision)
             floor[kind][1] = min(floor[kind][1], score.recall)

@@ -299,6 +299,33 @@ def test_stats_splits_buyers_without_features_csv(pipeline, tmp_path):
         assert (out / "stats" / path.name).read_bytes() == path.read_bytes(), path.name
 
 
+def _files(root: Path) -> dict[str, bytes]:
+    return {str(path.relative_to(root)): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+@pytest.mark.parametrize("how", ["deleted", "directory"])
+def test_detect_reads_no_events_csv(pipeline, tmp_path, how):
+    """detect takes its events from the graphs, so it writes the same
+    files, byte for byte, with ingest/events.csv gone or a directory."""
+    out = tmp_path / "out"
+    shutil.copytree(pipeline / "out", out)
+    damage(out / "ingest" / "events.csv", how)
+    shutil.rmtree(out / "detect")
+    assert assert_exit_0_or_1("detect", BASE, out) == (0, None)
+    assert _files(out / "detect") == _files(pipeline / "out" / "detect")
+
+
+@pytest.mark.parametrize("artifact", ["report.json", "contracts.csv", "claims.csv"])
+def test_detect_without_an_ingest_record_exits_1(pipeline, tmp_path, artifact):
+    out = tmp_path / "out"
+    shutil.copytree(pipeline / "out", out)
+    (out / "ingest" / artifact).unlink()
+    code, error = assert_exit_0_or_1("detect", BASE, out)
+    assert code == 1 and error["code"] == "missing_artifact"
+    assert artifact in error["error"] and "ingest stage" in error["error"]
+
+
 @pytest.mark.parametrize("stage, how", [
     ("stats", "cut"), ("stats", "duplicated"), ("report", "cut"), ("stats", "non_integer"),
 ])

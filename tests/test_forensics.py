@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from airdrop_forensics.eligibility import EligibilityHistory, clique_sizes
 from airdrop_forensics.forensics import (
@@ -12,6 +12,7 @@ from airdrop_forensics.forensics import (
     PatternKind,
     _maximal_cliques,
     claimant_clique_graph,
+    contract_users,
     detect_blatant,
     detect_cautious,
     detect_chain,
@@ -23,10 +24,10 @@ from airdrop_forensics.forensics import (
     voting_power_report,
 )
 from airdrop_forensics.graphs import NodeClass, build_external_graph, build_token_graph
-from airdrop_forensics.ingest import EventKind, Tier
+from airdrop_forensics.ingest import ContractCategory, EventKind, IngestConfig, Tier
 
-from conftest import WINDOW_START, addr, claim, digraph, ev, make_store
-from oracles import oracle_external_density
+from conftest import WINDOW_START, addr, claim, contract, digraph, ev, make_store
+from oracles import contract_user_set, oracle_external_density
 
 CFG = DetectorConfig()
 T0 = WINDOW_START + 86400
@@ -363,9 +364,8 @@ def test_run_detectors_end_to_end(airdrop_contract):
         for i in range(len(spokes))
     ]
     store = make_store(token_events, external_events, [airdrop_contract], claims)
-    result = run_detectors(
-        build_token_graph(store), build_external_graph(store), store
-    )
+    result = run_detectors(build_token_graph(store), build_external_graph(store),
+                           store.claims, store.contracts)
     assert len(result.profiles) == 1
     patterns = {f.pattern for f in result.findings}
     assert patterns == {PatternKind.SUNFLOWER}
@@ -401,11 +401,42 @@ def test_run_detectors_skips_sponsorship_without_pre_airdrop_edges(
     ]
     store = make_store(token_events, external_events, [airdrop_contract], claims)
     with caplog.at_level(logging.WARNING):
-        result = run_detectors(build_token_graph(store), build_external_graph(store), store)
+        result = run_detectors(build_token_graph(store), build_external_graph(store),
+                               store.claims, store.contracts)
     skipped = any("sponsorship pass skipped" in r.message for r in caplog.records)
     patterns = [f.pattern for f in result.findings]
     assert skipped == (not pre_airdrop)
     assert patterns == ([PatternKind.SPONSORSHIP_CLIQUE] if pre_airdrop else [])
+
+
+def _contract_store(events, contracts, claims):
+    """A store of (sender, receiver, kind) events among addr(0)..addr(5),
+    with the addresses numbered in `contracts` and `claims` as contracts
+    and claimants; self-transfers are kept."""
+    return make_store(
+        [ev(addr(u), addr(v), 1, kind=kind) for u, v, kind in events], [],
+        [contract(addr(a), f"c{a}", ContractCategory.TRADING_SWAP) for a in contracts],
+        [claim(addr(a)) for a in claims], IngestConfig(allow_self_transfers=True))
+
+
+_ADDRESS_NUMBERS = st.integers(0, 5)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@example(store=_contract_store(  # a contract's self-transfer, contract to contract,
+    [(0, 0, EventKind.TOKEN_TRANSFER), (0, 1, EventKind.EXTERNAL_TX),  # a claimant contract
+     (2, 1, EventKind.TOKEN_TRANSFER), (3, 4, EventKind.EXTERNAL_TX)], [0, 1], [1, 2]))
+@given(store=st.builds(
+    _contract_store,
+    st.lists(st.tuples(_ADDRESS_NUMBERS, _ADDRESS_NUMBERS,
+                       st.sampled_from([EventKind.TOKEN_TRANSFER, EventKind.EXTERNAL_TX])),
+             max_size=15),
+    st.sets(_ADDRESS_NUMBERS, max_size=4), st.sets(_ADDRESS_NUMBERS, max_size=4)))
+def test_contract_users_of_the_graphs_are_the_event_scans(store):
+    """The contract users read off the token and external graphs are the
+    ones a scan of the store's events finds."""
+    graphs = (build_token_graph(store), build_external_graph(store))
+    assert contract_users(graphs, store.contracts) == contract_user_set(store)
 
 
 PROTOCOL = addr(999)

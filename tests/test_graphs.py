@@ -286,9 +286,26 @@ def test_graph_exports_deterministic():
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(u=st.text(), v=st.text())
 def test_graphml_escapes_ids_as_saxutils(u, v):
+    def quoted(text):
+        return escape(text, {'"': "&quot;"})
+
     xml = written(write_graph, digraph([(u, v)]), "graphml")
-    assert f'<node id="{escape(u)}">' in xml
-    assert f'<edge source="{escape(u)}" target="{escape(v)}">' in xml
+    assert f'<node id="{quoted(u)}">' in xml
+    assert f'<edge source="{quoted(u)}" target="{quoted(v)}">' in xml
+
+
+def test_graphml_of_an_id_holding_markup_reads_back_in_networkx(tmp_path):
+    odd, plain = 'a"b&<c>', "0x" + "a" * 40
+    path = tmp_path / "g.graphml"
+    write_graph(digraph([(odd, plain)]), path, "graphml")
+    G = nx.read_graphml(path)
+    assert set(G.nodes) == {odd, plain} and list(G.edges) == [(odd, plain)]
+
+
+def test_dot_escapes_quotes_and_backslashes_in_ids():
+    dot = written(write_graph, digraph([('a"b', "c\\")]), "dot", "g")
+    assert '  "a\\"b" -> "c\\\\" [' in dot
+    assert '  "c\\\\" [node_class=' in dot
 
 
 # Differential tests of the batched writers: node and edge counts on both

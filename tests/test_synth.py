@@ -108,7 +108,8 @@ def test_single_sunflower_detector_round_trip():
                      patterns=[PatternSpec(PatternKind.SUNFLOWER, 1, 8)])
     )
     store = scenario.build_store()
-    result = run_detectors(build_token_graph(store), build_external_graph(store), store)
+    result = run_detectors(build_token_graph(store), build_external_graph(store),
+                           store.claims, store.contracts)
     sunflowers = [f for f in result.findings if f.pattern == PatternKind.SUNFLOWER]
     assert len(sunflowers) == 1
     assert sum(1 for r in sunflowers[0].members.values() if r == "source") == 8
