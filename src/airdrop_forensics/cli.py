@@ -156,13 +156,18 @@ def cmd_cluster(config: Config, out: Path, args) -> None:
 
 
 def cmd_detect(config: Config, out: Path, args) -> None:
-    # The graphs hold every event detect looks at, so events.csv is not read.
-    _, contracts, claims = ingest.read_records(out / "ingest")
+    # The graphs hold every token and external event, so events.csv is read
+    # only when ingest stored internal events, which no graph holds.
+    report, contracts, claims = ingest.read_records(out / "ingest")
+    internal = []
+    if report.internal_events:
+        internal = ingest.read_store(out / "ingest", config.ingest_config()).events_of_kind(
+            ingest.EventKind.INTERNAL_TX)
     token_graph = graphs.load_graph_json(out / "graph" / "token_graph.json")
     external_graph = graphs.load_graph_json(out / "graph" / "external_graph.json")
     stage = out / "detect"
     result = forensics.run_detectors(token_graph, external_graph, claims, contracts,
-                                     config.detectors)
+                                     config.detectors, internal)
     artifacts.write_jsonl((f.to_json() for f in result.findings), stage / "findings.jsonl")
     forensics.write_components_csv(result.profiles, stage / "components.csv")
     rows = forensics.voting_power_report(result.findings, claims)

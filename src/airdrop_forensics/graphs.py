@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 from array import array
 from bisect import bisect_right
 from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
@@ -563,10 +564,25 @@ def _xml_escape(text: str) -> str:
             .replace('"', "&quot;"))
 
 
+_DOT_UNSAFE_RUN = re.compile(r'(\\*)("|\n|\Z)')
+
+
+def _dot_run(m: re.Match) -> str:
+    run = m[1] + "\\" * (len(m[1]) % 2)
+    return run + "\\" + m[2] if m[2] == '"' else run + m[2]
+
+
 def _dot_escape(text: str) -> str:
-    """`text` as a double-quoted DOT id holds it: each "\\" and '"' escaped,
-    so no id ends its quotes early."""
-    return text.replace("\\", "\\\\").replace('"', '\\"')
+    """`text` as a double-quoted DOT id holds it. DOT escapes only '"'
+    inside quotes, as '\\"'; a backslash stands for itself, but Graphviz
+    reads two backslashes as one unit and drops a backslash before a
+    newline, so an odd run of backslashes before a '"', a newline or the
+    end of the id would swallow what follows. Such a run gets one more
+    backslash: the id reads back one longer there, but the file stays
+    well-formed. Every other id reads back unchanged."""
+    if '"' not in text and "\\\n" not in text and text[-1:] != "\\":
+        return text
+    return _DOT_UNSAFE_RUN.sub(_dot_run, text)
 
 
 GraphOrder = tuple[list[Address], list[tuple[Address, Address]]]

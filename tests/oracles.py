@@ -258,8 +258,40 @@ def _attribute(text: str) -> str:
 
 
 def _dot_id(text: str) -> str:
-    """`text` as a double-quoted DOT id, each backslash and quote escaped."""
-    return '"' + "".join("\\" + ch if ch in '\\"' else ch for ch in text) + '"'
+    """`text` as a double-quoted DOT id: each quote escaped, and a run of
+    an odd number of backslashes before a quote, a newline or the end made
+    even."""
+    out, run = [], 0
+    for ch in text + '"':
+        if ch == "\\":
+            run += 1
+            continue
+        out.append("\\" * (run + run % 2 if ch in '"\n' else run))
+        out.append(ch if ch != '"' else '\\"')
+        run = 0
+    return '"' + "".join(out)[:-2] + '"'
+
+
+def read_dot_id(text: str, start: int = 0) -> tuple[str, int]:
+    """The double-quoted DOT id that opens at text[start], and the index
+    after its closing quote, as Graphviz's lexer reads it: '\\"' is a
+    quote, a pair of backslashes stands for itself, a backslash before a
+    newline is dropped with it, and any other character is itself.
+    ValueError when the quotes never close."""
+    if text[start:start + 1] != '"':
+        raise ValueError(f"no quoted id at {start}")
+    out, i = [], start + 1
+    while i < len(text):
+        ch, nxt = text[i], text[i + 1:i + 2]
+        if ch == '"':
+            return "".join(out), i + 1
+        if ch == "\\" and nxt in ('"', "\\", "\n"):
+            out.append({'"': '"', "\\": "\\\\", "\n": ""}[nxt])
+            i += 2
+        else:
+            out.append(ch)
+            i += 1
+    raise ValueError("unterminated quoted id")
 
 
 def to_graphml(graph) -> str:

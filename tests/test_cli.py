@@ -17,7 +17,7 @@ from airdrop_forensics.cli import load_config, main, ConfigInvalidError
 from airdrop_forensics.config import EligibilityRules, Preset, to_json
 from airdrop_forensics.eligibility import EligibilityHistory, run_campaign
 
-from conftest import assert_addresses_shared
+from conftest import WINDOW_START, addr, assert_addresses_shared, claim, contract, ev
 
 PIPELINE = ["synth", "ingest", "graph", "cluster", "detect", "eligibility", "stats", "report"]
 
@@ -471,6 +471,37 @@ def test_dot_export_format(tmp_path):
     assert run("ingest", config) == 0
     assert run("graph", config, "--format", "dot") == 0
     assert (tmp_path / "out" / "graph" / "token_graph.dot").exists()
+
+
+@pytest.mark.parametrize("internal", [True, False], ids=["internal_contact", "none"])
+def test_internal_event_makes_a_sunflower_center_a_contract_user(tmp_path, internal):
+    """A later member that five claimants' tokens converge on is a staging
+    area unless it touched a contract; an internal_tx row of a raw export
+    with a kind column is such a touch, though no graph holds it."""
+    center, swap = addr(50), addr(100)
+    spokes = [addr(i) for i in range(1, 6)]
+    events = [ev(s, center, 10**21, ts=WINDOW_START + 86400 * (2 + i))
+              for i, s in enumerate(spokes)]
+    if internal:
+        events.append(ev(center, swap, 1, ts=WINDOW_START + 86400 * 9,
+                         kind=ingest.EventKind.INTERNAL_TX))
+    raw = tmp_path / "raw"
+    ingest.write_transfers_csv(events, raw / "token_transfers.csv")
+    ingest.write_transfers_csv([], raw / "external_txs.csv")
+    ingest.write_contracts_csv([contract(swap, "swap", ingest.ContractCategory.TRADING_SWAP)],
+                               raw / "contracts.csv")
+    ingest.write_claims_csv([claim(s) for s in spokes], raw / "claims.csv")
+    config = write_config(tmp_path, inputs={key: str(raw / f"{key}.csv") for key in cli.RAW_INPUTS})
+    for command in ("ingest", "graph", "detect"):
+        assert run(command, config) == 0, command
+    out = tmp_path / "out"
+    report = json.loads((out / "ingest" / "report.json").read_text())
+    assert report["internal_events"] == (1 if internal else 0)
+    lines = (out / "detect" / "findings.jsonl").read_text().splitlines()
+    stars = [f for f in map(json.loads, lines)
+             if f["pattern"] in ("sunflower", "staging_aggregation")]
+    assert [f["pattern"] for f in stars] == ["sunflower" if internal else "staging_aggregation"]
+    assert center in stars[0]["members"]
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,7 @@
 import gc
 import logging
+import tempfile
+from pathlib import Path
 from types import SimpleNamespace
 
 import networkx as nx
@@ -23,7 +25,16 @@ from airdrop_forensics.forensics import (
     run_detectors,
     voting_power_report,
 )
-from airdrop_forensics.graphs import NodeClass, build_external_graph, build_token_graph
+from airdrop_forensics.graphs import (
+    CommunityGraph,
+    NodeClass,
+    WindowEmptyError,
+    build_external_graph,
+    build_token_graph,
+    iter_slices,
+    load_graph_json,
+    write_graph_json,
+)
 from airdrop_forensics.ingest import ContractCategory, EventKind, IngestConfig, Tier
 
 from conftest import WINDOW_START, addr, claim, contract, digraph, ev, make_store
@@ -411,10 +422,11 @@ def test_run_detectors_skips_sponsorship_without_pre_airdrop_edges(
 
 def _contract_store(events, contracts, claims):
     """A store of (sender, receiver, kind) events among addr(0)..addr(5),
-    with the addresses numbered in `contracts` and `claims` as contracts
-    and claimants; self-transfers are kept."""
+    five days apart, with the addresses numbered in `contracts` and
+    `claims` as contracts and claimants; self-transfers are kept."""
     return make_store(
-        [ev(addr(u), addr(v), 1, kind=kind) for u, v, kind in events], [],
+        [ev(addr(u), addr(v), 1, ts=WINDOW_START + 86400 * (1 + 5 * i), kind=kind)
+         for i, (u, v, kind) in enumerate(events)], [],
         [contract(addr(a), f"c{a}", ContractCategory.TRADING_SWAP) for a in contracts],
         [claim(addr(a)) for a in claims], IngestConfig(allow_self_transfers=True))
 
@@ -422,21 +434,42 @@ def _contract_store(events, contracts, claims):
 _ADDRESS_NUMBERS = st.integers(0, 5)
 
 
+def _detect_graphs(store):
+    """The token and the external graph as detect reads them: the graph
+    stage's last token slice (an empty graph when there is none) and the
+    external graph, each written as JSON and loaded back."""
+    token_graph = CommunityGraph()
+    try:
+        for sl in iter_slices(store):
+            token_graph = sl.graph
+    except WindowEmptyError:
+        pass
+    with tempfile.TemporaryDirectory() as tmp:
+        loaded = []
+        for name, graph in (("token", token_graph), ("external", build_external_graph(store))):
+            path = Path(tmp) / f"{name}.json"
+            write_graph_json(graph, path)
+            loaded.append(load_graph_json(path))
+    return tuple(loaded)
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
 @example(store=_contract_store(  # a contract's self-transfer, contract to contract,
-    [(0, 0, EventKind.TOKEN_TRANSFER), (0, 1, EventKind.EXTERNAL_TX),  # a claimant contract
-     (2, 1, EventKind.TOKEN_TRANSFER), (3, 4, EventKind.EXTERNAL_TX)], [0, 1], [1, 2]))
+    [(0, 0, EventKind.TOKEN_TRANSFER), (0, 1, EventKind.EXTERNAL_TX),  # a claimant contract,
+     (2, 1, EventKind.TOKEN_TRANSFER), (3, 4, EventKind.EXTERNAL_TX),
+     (5, 0, EventKind.INTERNAL_TX)], [0, 1], [1, 2]))  # a user by an internal event alone
 @given(store=st.builds(
     _contract_store,
-    st.lists(st.tuples(_ADDRESS_NUMBERS, _ADDRESS_NUMBERS,
-                       st.sampled_from([EventKind.TOKEN_TRANSFER, EventKind.EXTERNAL_TX])),
+    st.lists(st.tuples(_ADDRESS_NUMBERS, _ADDRESS_NUMBERS, st.sampled_from(EventKind)),
              max_size=15),
     st.sets(_ADDRESS_NUMBERS, max_size=4), st.sets(_ADDRESS_NUMBERS, max_size=4)))
 def test_contract_users_of_the_graphs_are_the_event_scans(store):
-    """The contract users read off the token and external graphs are the
-    ones a scan of the store's events finds."""
-    graphs = (build_token_graph(store), build_external_graph(store))
-    assert contract_users(graphs, store.contracts) == contract_user_set(store)
+    """The contract users read off the graphs detect loads, plus the
+    internal events, which no graph holds, are the ones a scan of the
+    store's events finds."""
+    internal = store.events_of_kind(EventKind.INTERNAL_TX)
+    assert contract_users(_detect_graphs(store), store.contracts, internal) == (
+        contract_user_set(store))
 
 
 PROTOCOL = addr(999)

@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -46,6 +47,7 @@ from oracles import (
     oracle_attracting,
     oracle_reciprocity,
     random_digraph,
+    read_dot_id,
     scan_assortativity,
     scan_reciprocity,
     strongly_connected_components,
@@ -302,10 +304,49 @@ def test_graphml_of_an_id_holding_markup_reads_back_in_networkx(tmp_path):
     assert set(G.nodes) == {odd, plain} and list(G.edges) == [(odd, plain)]
 
 
-def test_dot_escapes_quotes_and_backslashes_in_ids():
-    dot = written(write_graph, digraph([('a"b', "c\\")]), "dot", "g")
-    assert '  "a\\"b" -> "c\\\\" [' in dot
-    assert '  "c\\\\" [node_class=' in dot
+def dot_edge_ids(dot: str) -> list[tuple[str, str]]:
+    """The (source, target) ids of each edge line of a written dot file,
+    read as Graphviz's lexer reads quoted ids."""
+    pairs, pos = [], 0
+    while (pos := dot.find('\n  "', pos)) >= 0:
+        u, pos = read_dot_id(dot, pos + 3)
+        if not dot.startswith(" -> ", pos):
+            continue  # a node line
+        v, pos = read_dot_id(dot, pos + 4)
+        assert dot.startswith(" [weight=", pos)
+        pairs.append((u, v))
+    return pairs
+
+
+@pytest.mark.parametrize("odd, read_back", [
+    ("a\\b", "a\\b"),  # a lone backslash stands for itself
+    ('a"b', 'a"b'),
+    ('a\\\\"b', 'a\\\\"b'),  # an even run before a quote
+    ("c\\\\", "c\\\\"),  # and at the end
+    ("a\\\\\nb", "a\\\\\nb"),  # and before a newline
+    ('a\\"b', 'a\\\\"b'),  # an odd run there reads back one longer
+    ("c\\", "c\\\\"),
+    ("a\\\nb", "a\\\\\nb"),
+])
+def test_dot_ids_read_back_as_graphviz_reads_them(odd, read_back):
+    plain = "0x" + "a" * 40
+    dot = written(write_graph, digraph([(odd, plain), (plain, odd)]), "dot", "g")
+    assert dot_edge_ids(dot) == sorted([(read_back, plain), (plain, read_back)])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(ids=st.lists(st.text(alphabet='ab\\"\n', max_size=8), min_size=1, max_size=4,
+                    unique=True))
+def test_dot_ids_read_back_whole(ids):
+    """Every written id closes where it should, and reads back as itself
+    but for one backslash added to each odd run before a quote, a newline
+    or the end."""
+    def read_back(text):
+        return re.sub(r'(\\*)(?=["\n]|\Z)', lambda m: m[1] + "\\" * (len(m[1]) % 2), text)
+
+    edges = [(u, v) for u in ids for v in ids]
+    dot = written(write_graph, digraph(edges), "dot", "g")
+    assert dot_edge_ids(dot) == [(read_back(u), read_back(v)) for u, v in sorted(edges)]
 
 
 # Differential tests of the batched writers: node and edge counts on both
