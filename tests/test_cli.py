@@ -156,6 +156,28 @@ def test_bad_weights_rejected(tmp_path):
         load_config(str(path))
 
 
+def test_cluster_uses_the_configured_weights(tmp_path):
+    """Non-uniform weights change the distances and so the chosen K: 10
+    here where uniform weights choose 15. The artifacts are pinned."""
+    synth = {"seed": 5, "population_total": 400}
+    weighted = write_config(tmp_path, "weighted", synth=synth,
+                            weights={"buy": 8, "sell": 0.25, "send": 4, "stake": 0.5})
+    uniform = write_config(tmp_path, "uniform", synth=synth)
+    for config in (weighted, uniform):
+        for command in ("synth", "ingest", "cluster"):
+            assert run(command, config) == 0, command
+    chosen = {name: json.loads((tmp_path / name / "cluster" / "silhouette.json").read_text())
+              ["chosen_k"] for name in ("weighted", "uniform")}
+    assert chosen == {"weighted": 10, "uniform": 15}
+    digests = tree_digest(tmp_path / "weighted" / "cluster")
+    assert {name: digests[name][:16] for name in
+            ("assignment.csv", "silhouette.json", "dendrogram.json")} == {
+        "assignment.csv": "44f96dbf683add2f",
+        "silhouette.json": "2a7df85f48f63413",
+        "dendrogram.json": "0039751a4352065d",
+    }
+
+
 def test_config_round_trips_through_canonical_writer(tmp_path):
     """The run record holds the canonical bytes of the resolved config and
     is rewritten in place."""
