@@ -1,7 +1,8 @@
 """The byte format of every stage artifact, and its file errors.
 
-JSON files hold keys in sorted order, indented by 2 (compact for the
-graph files, which are large and machine-read only) and end in a newline.
+JSON files hold keys in sorted order, indented by 2, and end in a newline;
+the graph files, which are large and machine-read only, are compact
+(graphs.write_graph_json).
 JSONL files hold one sorted-key object per line. CSV files start with a
 header row and end every line with "\\n". Text is UTF-8 whatever the
 locale. The readers invert the writers.
@@ -89,17 +90,14 @@ def open_for_read(path, **kw):
         raise unreadable(path, exc) from exc
 
 
-def render_json(payload, *, compact: bool = False) -> str:
+def render_json(payload) -> str:
     """The text `write_json` writes for `payload`."""
-    if compact:
-        # json.dumps without indent takes the C encoder; json.dump never does
-        return json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n"
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def write_json(payload, path, *, compact: bool = False) -> None:
+def write_json(payload, path) -> None:
     with open_for_write(path) as fh:
-        fh.write(render_json(payload, compact=compact))
+        fh.write(render_json(payload))
 
 
 def write_jsonl(rows: Iterable, path) -> None:

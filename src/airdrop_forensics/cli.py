@@ -140,13 +140,13 @@ def _write_graph_files(graph: graphs.CommunityGraph, stage: Path, name: str, fmt
 def cmd_cluster(config: Config, out: Path, args) -> None:
     store = ingest.read_store(out / "ingest", config.ingest_config())
     stage = out / "cluster"
-    weights = dataclasses.astuple(config.weights)
     member_flows = flows.build_flows(store, sorted(store.claims))
-    features = {a: flows.extract_features(f, weights) for a, f in member_flows.items()}
+    features = {a: flows.extract_features(f) for a, f in member_flows.items()}
     flows.write_feature_matrix(sorted(features.items()), stage / "features.csv")
     addresses = sorted(features)
     vectors = [features[a] for a in addresses]
-    assignment = clustering.select_k(vectors, config.clustering, addresses)
+    assignment = clustering.select_k(vectors, config.clustering, addresses,
+                                     dataclasses.astuple(config.weights))
     mapping = clustering.map_roles(assignment, features)
     clustering.write_assignment_csv(assignment, mapping, stage / "assignment.csv")
     clustering.write_silhouette_json(assignment, stage / "silhouette.json")

@@ -26,9 +26,9 @@ from . import artifacts
 from .config import ClusterConfig, Linkage
 from .flows import (
     SPENDING_OPS,
+    UNIFORM_WEIGHTS,
     FeatureVector,
     OperationKind,
-    WeightMismatchError,
     weighted_cosine_distance,
 )
 
@@ -110,8 +110,13 @@ class Dendrogram:
         return out
 
 
-def ahc(features: list[FeatureVector], config: ClusterConfig | None = None) -> Dendrogram:
-    """Full merge tree under the configured linkage.
+def ahc(
+    features: list[FeatureVector],
+    config: ClusterConfig | None = None,
+    weights: tuple[float, ...] = UNIFORM_WEIGHTS,
+) -> Dendrogram:
+    """Full merge tree under the configured linkage, on the weighted cosine
+    distance with the slot weights `weights`.
 
     Exactly equivalent to the naive algorithm that recomputes all
     cluster-pair distances from the point matrix at every step, including
@@ -121,17 +126,13 @@ def ahc(features: list[FeatureVector], config: ClusterConfig | None = None) -> D
     n = len(features)
     if n < 2:
         raise TooFewPointsError("clustering needs at least two vectors")
-    w = features[0].weights
-    for f in features[1:]:
-        if f.weights != w:
-            raise WeightMismatchError("all feature vectors must share one weight vector")
 
     groups: dict[tuple, list[int]] = {}
     for i, f in enumerate(features):
         groups.setdefault(f.bits, []).append(i)
     leaves = [groups[bits] for bits in sorted(groups)]
     reps = [features[members[0]] for members in leaves]
-    dist = [[weighted_cosine_distance(a, b) for b in reps] for a in reps]
+    dist = [[weighted_cosine_distance(a, b, weights) for b in reps] for a in reps]
 
     # A cluster is named by its smallest pattern index, which is also its
     # smallest bit tuple; d is the Lance-Williams table between clusters.
@@ -232,11 +233,12 @@ def select_k(
     features: list[FeatureVector],
     config: ClusterConfig | None = None,
     addresses: list[str] | None = None,
+    weights: tuple[float, ...] = UNIFORM_WEIGHTS,
 ) -> ClusterAssignment:
-    """Silhouette sweep over the configured K range; argmax wins, ties go
-    to the larger K (richer taxonomy). A corpus of all-identical vectors
-    short-circuits to a single cluster. The assignment carries the tree it
-    was cut from."""
+    """Silhouette sweep over the configured K range of the tree `ahc` builds
+    under `weights`; argmax wins, ties go to the larger K (richer taxonomy).
+    A corpus of all-identical vectors short-circuits to a single cluster.
+    The assignment carries the tree it was cut from."""
     config = config or ClusterConfig()
     n = len(features)
     if n < 2:
@@ -244,7 +246,7 @@ def select_k(
     if addresses is None:
         addresses = [str(i) for i in range(n)]
     if len({f.bits for f in features}) == 1:
-        return ClusterAssignment({a: 1 for a in addresses}, 1, {}, ahc(features, config))
+        return ClusterAssignment({a: 1 for a in addresses}, 1, {}, ahc(features, config, weights))
 
     k_lo = max(2, config.k_min)
     k_hi = min(config.k_max, n - 1)
@@ -252,7 +254,7 @@ def select_k(
         raise TooFewPointsError(
             f"k range [{config.k_min},{config.k_max}] infeasible for n={n}"
         )
-    dendro = ahc(features, config)
+    dendro = ahc(features, config, weights)
     scores = {k: silhouette_score(dendro, cut(dendro, k)) for k in range(k_lo, k_hi + 1)}
     best_k = max(scores, key=lambda k: (scores[k], k))
     if list(scores.values()).count(scores[best_k]) > 1:

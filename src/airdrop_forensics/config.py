@@ -70,7 +70,8 @@ class Linkage(str, Enum):
 @dataclass(frozen=True)
 class ClusterConfig:
     """Linkage and the K range select_k searches; the distance weights
-    travel with the feature vectors."""
+    are the config's `weights` section, which cli.cmd_cluster passes to
+    select_k."""
 
     linkage: Linkage = Linkage.SINGLE
     k_min: int = 2

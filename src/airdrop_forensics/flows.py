@@ -77,10 +77,6 @@ _CATEGORY_OPS = {
 _TRANSFER_OPS = (OperationKind.SEND, OperationKind.RECEIVE)
 
 
-class WeightMismatchError(ValueError):
-    pass
-
-
 def classify_event(
     event, subject: Address, contracts: dict[Address, ContractInfo]
 ) -> OperationKind:
@@ -101,7 +97,6 @@ class FlowEvent:
     """One applied event, with the member's three positions after it."""
 
     op: OperationKind
-    counterparty: Address
     amount: int
     balance_after: int
     staked_after: int
@@ -161,8 +156,7 @@ def build_flows(store: EventStore, addresses) -> dict[Address, TransactionFlow]:
             incoming = ev.receiver == address
             info = store.contracts.get(ev.sender) if incoming else None
             flow.events.append(FlowEvent(
-                op, ev.sender if incoming else ev.receiver, ev.value,
-                flow.balance, flow.staked, flow.lp, ev.timestamp,
+                op, ev.value, flow.balance, flow.staked, flow.lp, ev.timestamp,
                 bool(info and info.category == ContractCategory.AIRDROP),
             ))
     if excluded := [(address, why) for address, flow in flows.items() for _, why in flow.excluded]:
@@ -171,31 +165,28 @@ def build_flows(store: EventStore, addresses) -> dict[Address, TransactionFlow]:
     return flows
 
 
+# The distance weights of the feature slots when none are configured; a
+# clustering run weighs every vector by one such tuple (config.Weights).
 UNIFORM_WEIGHTS: tuple[float, ...] = (1.0,) * N_FEATURES
 
 
 @dataclass(frozen=True)
 class FeatureVector:
-    """8-slot binary operation presence with per-slot positive weights."""
+    """8-slot binary operation presence."""
 
     bits: tuple[int, ...]
-    weights: tuple[float, ...] = UNIFORM_WEIGHTS
 
     def __post_init__(self):
-        if len(self.bits) != N_FEATURES or len(self.weights) != N_FEATURES:
+        if len(self.bits) != N_FEATURES:
             raise ValueError(f"feature vectors have exactly {N_FEATURES} slots")
         if any(b not in (0, 1) for b in self.bits):
             raise ValueError("bits must be 0 or 1")
-        if any(w <= 0 for w in self.weights):
-            raise ValueError("weights must be strictly positive")
 
     def op_set(self) -> set[OperationKind]:
         return {OPERATION_ORDER[i] for i, b in enumerate(self.bits) if b}
 
 
-def extract_features(
-    flow: TransactionFlow, weights: tuple[float, ...] = UNIFORM_WEIGHTS
-) -> FeatureVector:
+def extract_features(flow: TransactionFlow) -> FeatureVector:
     """Bit j set iff the flow contains operation j at least once.
 
     The claim receipt itself does not set the receive bit -- every initial
@@ -207,23 +198,24 @@ def extract_features(
         if ev.op == OperationKind.RECEIVE and ev.is_claim:
             continue
         bits[_SLOT[ev.op]] = 1
-    return FeatureVector(tuple(bits), tuple(weights))
+    return FeatureVector(tuple(bits))
 
 
-def weighted_cosine_distance(a: FeatureVector, b: FeatureVector) -> float:
-    """1 - weighted cosine similarity of the two presence vectors.
+def weighted_cosine_distance(
+    a: FeatureVector, b: FeatureVector, weights: tuple[float, ...] = UNIFORM_WEIGHTS
+) -> float:
+    """1 - cosine similarity of the two presence vectors, slot j weighted
+    by weights[j] (positive, as config.Weights holds them).
 
     Conventions: two all-zero vectors are at distance 0 (holding-only
     addresses form one behavior), a zero vector is at distance 1 from any
     non-zero vector. The result is clamped into [0, 1] against float noise
     so identical vectors always land exactly at 0.
     """
-    if a.weights != b.weights:
-        raise WeightMismatchError("feature vectors carry different weights")
     if a.bits == b.bits:
         return 0.0
-    wa = [w * c for w, c in zip(a.weights, a.bits)]
-    wb = [w * c for w, c in zip(b.weights, b.bits)]
+    wa = [w * c for w, c in zip(weights, a.bits)]
+    wb = [w * c for w, c in zip(weights, b.bits)]
     # Left folds: builtin sum rounds differently from Python 3.12 on.
     num = reduce(add, map(mul, wa, wb), 0.0)
     na = sqrt(reduce(add, map(mul, wa, wa), 0.0))

@@ -323,11 +323,10 @@ def _deviations(degrees: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return deviation[degrees], square[degrees]
 
 
-def degree_assortativity(graph: CommunityGraph, mode: str = "out_in") -> float:
-    """Pearson correlation of endpoint degrees over directed edges.
+def degree_assortativity(graph: CommunityGraph) -> float:
+    """Pearson correlation of out-degree(source) with in-degree(target)
+    over directed edges.
 
-    Default pairs out-degree(source) with in-degree(target); mode
-    "total_total" uses total degree on both ends for sensitivity checks.
     Degrees come from the aggregated simple digraph. Raises
     UndefinedOnDegenerateError when either marginal has zero variance.
 
@@ -342,16 +341,8 @@ def degree_assortativity(graph: CommunityGraph, mode: str = "out_in") -> float:
     # edge appended to the live slice graph would raise BufferError
     src, dst = np.array(graph._src), np.array(graph._dst)
     n = graph.n_nodes
-    out_deg, in_deg = np.bincount(src, minlength=n), np.bincount(dst, minlength=n)
-    if mode == "out_in":
-        xs, ys = out_deg[src], in_deg[dst]
-    elif mode == "total_total":
-        total = out_deg + in_deg
-        xs, ys = total[src], total[dst]
-    else:
-        raise ValueError(f"unknown assortativity mode {mode!r}")
-    dx, sx = _deviations(xs)
-    dy, sy = _deviations(ys)
+    dx, sx = _deviations(np.bincount(src, minlength=n)[src])
+    dy, sy = _deviations(np.bincount(dst, minlength=n)[dst])
     cov = _left_fold(dx * dy)
     return cov / sqrt(_left_fold(sx) * _left_fold(sy))
 
@@ -514,7 +505,7 @@ def _iso(ts: int) -> str:
     return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def metric_series(slices: Iterable[GraphSlice], assortativity_mode: str = "out_in") -> MetricSeries:
+def metric_series(slices: Iterable[GraphSlice]) -> MetricSeries:
     """Evaluate all four panels per slice; undefined metrics become None.
 
     Iterates `slices` once, so it can consume `iter_slices` directly.
@@ -534,7 +525,7 @@ def metric_series(slices: Iterable[GraphSlice], assortativity_mode: str = "out_i
         except MetricUndefinedError:
             series.reciprocity.append(None)
         try:
-            series.assortativity.append(degree_assortativity(graph, assortativity_mode))
+            series.assortativity.append(degree_assortativity(graph))
         except MetricUndefinedError:
             series.assortativity.append(None)
         series.nodes.append(graph.n_nodes)
@@ -678,8 +669,8 @@ def _json_rows(batches: Iterator[list]) -> Iterator[str]:
 
 
 def write_graph_json(graph: CommunityGraph, path, order: GraphOrder | None = None) -> None:
-    """Write the graph JSON of `graph` a batch of rows at a time: the bytes
-    `artifacts.write_json(payload, path, compact=True)` writes for it."""
+    """Write the graph JSON of `graph` a batch of rows at a time: sorted
+    keys, no whitespace, and a final newline."""
     nodes, edges = order or sorted_order(graph)
     edge_rows = (
         [[u, v, s.total_value, s.tx_count, s.first_ts, s.last_ts]

@@ -30,7 +30,7 @@ import logging
 import re
 from bisect import bisect_left, bisect_right
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import date, datetime, timezone
 from enum import Enum
 from functools import partial
@@ -407,20 +407,7 @@ class IngestReport:
     claims_without_events: list[Address] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        out = {
-            "input_rows": self.input_rows,
-            "stored": self.stored,
-            "deduplicated": self.deduplicated,
-            "malformed": [{"line": m.line, "reason": m.reason} for m in self.malformed],
-            "window_excluded": self.window_excluded,
-            "token_events": self.token_events,
-            "external_events": self.external_events,
-            "internal_events": self.internal_events,
-            "n_contracts": self.n_contracts,
-            "n_claims": self.n_claims,
-            "claims_without_events": sorted(self.claims_without_events),
-        }
-        return out
+        return asdict(self)
 
     @classmethod
     def from_json(cls, payload: dict) -> IngestReport:

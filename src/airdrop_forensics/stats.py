@@ -157,9 +157,9 @@ class ContractUsage:
     interactions: int
 
 
-def top_contracts(store: EventStore, k: int = 10) -> list[ContractUsage]:
-    """Contracts ranked by how many distinct initial members interacted
-    with them, over the full event history."""
+def top_contracts(store: EventStore) -> list[ContractUsage]:
+    """The ten contracts that the most distinct initial members interacted
+    with, over the full event history."""
     users: dict[Address, set[Address]] = defaultdict(set)
     for ev in store.events:
         if ev.sender in store.contracts and ev.receiver in store.claims:
@@ -176,7 +176,7 @@ def top_contracts(store: EventStore, k: int = 10) -> list[ContractUsage]:
         for addr, members in users.items()
     ]
     rows.sort(key=lambda r: (-r.interactions, r.address))
-    return rows[:k]
+    return rows[:10]
 
 
 def tier_composition(
@@ -235,21 +235,23 @@ def silverman_bandwidth(samples) -> float:
     return 0.9 * spread * n ** (-0.2)
 
 
-def kde(samples, bandwidth: float | None = None, grid_size: int = 512) -> DensityEstimate:
-    """Gaussian kernel density on a fixed grid spanning the samples plus
-    three bandwidths either side, so the curve integrates to ~1."""
+KDE_GRID_SIZE = 512
+
+
+def kde(samples) -> DensityEstimate:
+    """Gaussian kernel density, at Silverman's bandwidth, on a grid of
+    KDE_GRID_SIZE points spanning the samples plus three bandwidths either
+    side, so the curve integrates to ~1."""
     if len(samples) == 0:
         raise EmptySampleError("cannot estimate a density from an empty sample")
     x = np.asarray(samples, dtype=float)
-    h = bandwidth if bandwidth is not None else silverman_bandwidth(x)
-    if h <= 0:
-        raise ValueError("bandwidth must be positive")
-    grid = np.linspace(x.min() - 3 * h, x.max() + 3 * h, grid_size)
+    h = silverman_bandwidth(x)
+    grid = np.linspace(x.min() - 3 * h, x.max() + 3 * h, KDE_GRID_SIZE)
     # 16 grid rows at a time, so no temporary exceeds 16 x n floats. Each
     # row is still summed on its own over all samples in order, so every
     # bit matches the one-matrix form; blocking the samples would not.
-    sums = np.empty(grid_size)
-    for i in range(0, grid_size, 16):
+    sums = np.empty(KDE_GRID_SIZE)
+    for i in range(0, KDE_GRID_SIZE, 16):
         z = (grid[i:i + 16, None] - x[None, :]) / h
         sums[i:i + 16] = np.exp(-0.5 * z * z).sum(axis=1)
     dens = sums / (len(x) * h * np.sqrt(2 * np.pi))

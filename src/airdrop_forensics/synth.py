@@ -97,13 +97,13 @@ TABLE_SHARES: dict[str, float] = {
 }
 
 
-def population_from_shares(total: int, shares: dict[str, float] | None = None) -> dict[str, int]:
-    """Integer counts per signature by largest remainder, summing to total."""
-    shares = shares or TABLE_SHARES
-    raw = {name: total * pct / 100.0 for name, pct in shares.items()}
+def population_from_shares(total: int) -> dict[str, int]:
+    """Integer counts per signature of TABLE_SHARES by largest remainder,
+    summing to total."""
+    raw = {name: total * pct / 100.0 for name, pct in TABLE_SHARES.items()}
     counts = {name: int(v) for name, v in raw.items()}
     short = total - sum(counts.values())
-    order = sorted(shares, key=lambda n: (-(raw[n] - counts[n]), n))
+    order = sorted(TABLE_SHARES, key=lambda n: (-(raw[n] - counts[n]), n))
     for name in order[:short]:
         counts[name] += 1
     return counts
@@ -229,9 +229,8 @@ class _Builder:
                           EventKind.TOKEN_TRANSFER)
         )
 
-    def external(self, sender: Address, receiver: Address, ts: int, value: int | None = None) -> None:
-        if value is None:
-            value = self.rng.randint(10**16, 10**18)
+    def external(self, sender: Address, receiver: Address, ts: int) -> None:
+        value = self.rng.randint(10**16, 10**18)
         self.external_events.append(
             TransferEvent(self.txid(), sender, receiver, value, ts, self._block(ts),
                           EventKind.EXTERNAL_TX)
@@ -397,21 +396,22 @@ def _plant_sunflower(
     return PlantedPattern(variant, inst_id, members, sink)
 
 
-def _plant_sponsorship(
-    b: _Builder, inst_id: int, n_beneficiaries: int, n_sponsors: int = 4
-) -> PlantedPattern:
-    if n_beneficiaries < 5 or n_sponsors < 2:
-        raise InfeasibleSpecError("sponsorship needs >= 5 beneficiaries and >= 2 sponsors")
-    sponsors = [b.address() for _ in range(n_sponsors)]
+N_SPONSORS = 4
+
+
+def _plant_sponsorship(b: _Builder, inst_id: int, n_beneficiaries: int) -> PlantedPattern:
+    if n_beneficiaries < 5:
+        raise InfeasibleSpecError("sponsorship needs >= 5 beneficiaries")
+    sponsors = [b.address() for _ in range(N_SPONSORS)]
     beneficiaries = [b.address() for _ in range(n_beneficiaries)]
     # sponsors know each other pre-airdrop
-    for i in range(n_sponsors):
-        for j in range(i + 1, n_sponsors):
+    for i in range(N_SPONSORS):
+        for j in range(i + 1, N_SPONSORS):
             ts = b.rng.randint(b.start_ts, b.airdrop_ts - 3600)
             b.external(sponsors[i], sponsors[j], ts)
     members: dict[Address, str] = {s: "sponsor" for s in sponsors}
     for i, ben in enumerate(beneficiaries):
-        backers = [sponsors[(i + j) % n_sponsors] for j in range(3)]
+        backers = [sponsors[(i + j) % N_SPONSORS] for j in range(3)]
         for s in backers:
             ts = b.rng.randint(b.start_ts, b.airdrop_ts - 3600)
             b.external(s, ben, ts)

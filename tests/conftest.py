@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from airdrop_forensics.flows import OPERATION_ORDER, UNIFORM_WEIGHTS, FeatureVector, OperationKind
+from airdrop_forensics.flows import OPERATION_ORDER, FeatureVector, OperationKind
 from airdrop_forensics.graphs import CommunityGraph, NodeClass, attracting_counts
 from airdrop_forensics.ingest import (
     ClaimRecord,
@@ -93,10 +93,10 @@ def merge_heights(dendrogram) -> list[float]:
     return [m.height for m in dendrogram.merges]
 
 
-def from_ops(ops, weights: tuple[float, ...] = UNIFORM_WEIGHTS) -> FeatureVector:
+def from_ops(ops) -> FeatureVector:
     """The feature vector with the bit of each operation in `ops` set."""
     kinds = {OperationKind(op) for op in ops}
-    return FeatureVector(tuple(int(op in kinds) for op in OPERATION_ORDER), weights)
+    return FeatureVector(tuple(int(op in kinds) for op in OPERATION_ORDER))
 
 
 def dedup_key(event: TransferEvent) -> tuple:

@@ -6,11 +6,12 @@ agreement is meaningful. Big-O does not matter here; clarity does.
 """
 
 import csv
+import json
 import math
 from types import SimpleNamespace
 from xml.sax.saxutils import escape
 
-from airdrop_forensics.flows import OperationKind, weighted_cosine_distance
+from airdrop_forensics.flows import UNIFORM_WEIGHTS, OperationKind, weighted_cosine_distance
 from airdrop_forensics.graphs import _tarjan
 from airdrop_forensics.ingest import (
     TRANSFER_COLUMNS,
@@ -196,19 +197,19 @@ def naive_cut(dendrogram_merges, n, k):
     return labels
 
 
-def naive_silhouette(vectors, labels) -> float:
+def naive_silhouette(vectors, labels, weights=UNIFORM_WEIGHTS) -> float:
     n = len(vectors)
     total = 0.0
     for i in range(n):
         mine = [j for j in range(n) if labels[j] == labels[i] and j != i]
         if not mine:
             continue  # singleton: contributes 0
-        a = sum(weighted_cosine_distance(vectors[i], vectors[j]) for j in mine) / len(mine)
+        a = sum(weighted_cosine_distance(vectors[i], vectors[j], weights) for j in mine) / len(mine)
         b = math.inf
         for lab in set(labels) - {labels[i]}:
             others = [j for j in range(n) if labels[j] == lab]
             mean = sum(
-                weighted_cosine_distance(vectors[i], vectors[j]) for j in others
+                weighted_cosine_distance(vectors[i], vectors[j], weights) for j in others
             ) / len(others)
             b = min(b, mean)
         denom = max(a, b)
@@ -333,13 +334,18 @@ def to_dot(graph, name="community") -> str:
 
 
 def graph_to_json(graph) -> dict:
-    """The payload of a graph JSON file; artifacts.render_json(...,
-    compact=True) gives its text."""
+    """The payload of a graph JSON file; `compact_json` gives its text."""
     return {
         "nodes": [[a, graph.nodes[a].value] for a in sorted(graph.nodes)],
         "edges": [[u, v, s.total_value, s.tx_count, s.first_ts, s.last_ts]
                   for (u, v), s in sorted(graph.edges.items())],
     }
+
+
+def compact_json(payload) -> str:
+    """The text of a compact JSON file: sorted keys, no whitespace, and a
+    final newline."""
+    return json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n"
 
 
 def random_digraph(rng, max_n=50, p=None):

@@ -126,12 +126,9 @@ def test_criterion_2_weighted_cosine():
         scaled = tuple(scale * w for w in weights)
         bits_a = tuple(rng.randint(0, 1) for _ in range(8))
         bits_b = tuple(rng.randint(0, 1) for _ in range(8))
-        base = weighted_cosine_distance(
-            FeatureVector(bits_a, weights), FeatureVector(bits_b, weights)
-        )
-        moved = weighted_cosine_distance(
-            FeatureVector(bits_a, scaled), FeatureVector(bits_b, scaled)
-        )
+        a, b = FeatureVector(bits_a), FeatureVector(bits_b)
+        base = weighted_cosine_distance(a, b, weights)
+        moved = weighted_cosine_distance(a, b, scaled)
         worst = max(worst, abs(base - moved))
         assert abs(base - moved) <= 1e-12
     report(2, f"1 - 1/sqrt(2) matched; worst scaling drift {worst:.2e}")

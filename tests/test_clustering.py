@@ -263,40 +263,43 @@ class TestRoles:
 @st.composite
 def _few_pattern_vectors(draw):
     """2-30 vectors over at most four distinct patterns, so cuts reach past
-    the number of patterns; half the draws use non-uniform weights."""
+    the number of patterns, and their weights: half the draws use
+    non-uniform weights."""
     bits = st.tuples(*[st.integers(0, 1)] * 8)
     patterns = draw(st.lists(bits, min_size=1, max_size=4, unique=True))
     weights = draw(st.sampled_from([(1.0,) * 8, (0.5, 2.0, 1.0, 3.7, 1.0, 0.25, 1.5, 1.0)]))
     picks = draw(st.lists(st.sampled_from(patterns), min_size=2, max_size=30))
-    return [FeatureVector(b, weights) for b in picks]
+    return [FeatureVector(b) for b in picks], weights
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(_few_pattern_vectors(), st.sampled_from(list(Linkage)))
-def test_cut_and_silhouette_match_leaf_level_replay(vectors, linkage):
+def test_cut_and_silhouette_match_leaf_level_replay(drawn, linkage):
+    vectors, weights = drawn
     n = len(vectors)
-    dendro = ahc(vectors, ClusterConfig(linkage=linkage))
+    dendro = ahc(vectors, ClusterConfig(linkage=linkage), weights)
     for k in range(1, n + 1):
         clusters = cut(dendro, k)
         labels = dendro.labels(clusters)
         assert labels == naive_cut(dendro.merges, n, k)
         if k >= 2:
-            want = naive_silhouette(vectors, labels)
+            want = naive_silhouette(vectors, labels, weights)
             assert abs(silhouette_score(dendro, clusters) - want) <= 1e-9
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(_few_pattern_vectors())
-def test_single_linkage_heights_match_scipy(vectors):
+def test_single_linkage_heights_match_scipy(drawn):
     """scipy's single linkage on the condensed distance matrix of the
     distinct patterns merges at exactly the pattern-level heights."""
+    vectors, weights = drawn
     patterns = sorted({v.bits for v in vectors})
     assume(len(patterns) >= 2)
-    reps = [FeatureVector(b, vectors[0].weights) for b in patterns]
+    reps = [FeatureVector(b) for b in patterns]
     condensed = [
-        weighted_cosine_distance(reps[i], reps[j])
+        weighted_cosine_distance(reps[i], reps[j], weights)
         for i in range(len(reps))
         for j in range(i + 1, len(reps))
     ]
     want = hierarchy.linkage(condensed, method="single")[:, 2].tolist()
-    assert [m.height for m in ahc(vectors).pattern_merges] == want
+    assert [m.height for m in ahc(vectors, weights=weights).pattern_merges] == want

@@ -12,7 +12,6 @@ from airdrop_forensics.flows import (
     FeatureVector,
     OperationKind,
     UNIFORM_WEIGHTS,
-    WeightMismatchError,
     build_flows,
     classify_event,
     extract_features,
@@ -28,8 +27,8 @@ from oracles import naive_apply, naive_timeline, period_days, quantity
 T = WINDOW_START + 86400
 
 
-def vec(*ops, weights=UNIFORM_WEIGHTS):
-    return from_ops(ops, weights)
+def vec(*ops):
+    return from_ops(ops)
 
 
 class TestClassify:
@@ -306,21 +305,15 @@ class TestWeightedCosine:
         assert weighted_cosine_distance(zero, zero) == 0.0
         assert weighted_cosine_distance(zero, vec(OperationKind.SELL)) == 1.0
 
-    def test_weight_mismatch_raises(self):
-        a = vec(OperationKind.SELL)
-        b = vec(OperationKind.SELL, weights=(2.0,) * 8)
-        with pytest.raises(WeightMismatchError):
-            weighted_cosine_distance(a, b)
-
     def test_symmetric_and_bounded(self):
         rng = random.Random(31)
         for _ in range(200):
             bits_a = tuple(rng.randint(0, 1) for _ in range(8))
             bits_b = tuple(rng.randint(0, 1) for _ in range(8))
             w = tuple(rng.uniform(0.1, 5.0) for _ in range(8))
-            a, b = FeatureVector(bits_a, w), FeatureVector(bits_b, w)
-            d_ab = weighted_cosine_distance(a, b)
-            assert d_ab == weighted_cosine_distance(b, a)
+            a, b = FeatureVector(bits_a), FeatureVector(bits_b)
+            d_ab = weighted_cosine_distance(a, b, w)
+            assert d_ab == weighted_cosine_distance(b, a, w)
             assert 0.0 <= d_ab <= 1.0
 
     def test_global_weight_scaling_invariance(self):
@@ -331,10 +324,9 @@ class TestWeightedCosine:
             scaled = tuple(scale * x for x in w)
             bits_a = tuple(rng.randint(0, 1) for _ in range(8))
             bits_b = tuple(rng.randint(0, 1) for _ in range(8))
-            base = weighted_cosine_distance(FeatureVector(bits_a, w), FeatureVector(bits_b, w))
-            moved = weighted_cosine_distance(
-                FeatureVector(bits_a, scaled), FeatureVector(bits_b, scaled)
-            )
+            a, b = FeatureVector(bits_a), FeatureVector(bits_b)
+            base = weighted_cosine_distance(a, b, w)
+            moved = weighted_cosine_distance(a, b, scaled)
             assert abs(base - moved) < 1e-12
 
     @pytest.mark.parametrize("weights,digest", [
@@ -345,8 +337,8 @@ class TestWeightedCosine:
     def test_all_pattern_distances_have_pinned_bits(self, weights, digest):
         """The sums fold left to right, so every distance has the same bits
         on every interpreter; builtin sum rounds differently from 3.12 on."""
-        vectors = [FeatureVector(bits, weights) for bits in itertools.product((0, 1), repeat=8)]
-        packed = b"".join(struct.pack("<d", weighted_cosine_distance(a, b))
+        vectors = [FeatureVector(bits) for bits in itertools.product((0, 1), repeat=8)]
+        packed = b"".join(struct.pack("<d", weighted_cosine_distance(a, b, weights))
                           for a in vectors for b in vectors)
         assert hashlib.sha256(packed).hexdigest() == digest
 

@@ -12,7 +12,6 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from airdrop_forensics.artifacts import render_json
 from airdrop_forensics.forensics import p2p_components
 from airdrop_forensics.graphs import (
     _BATCH,
@@ -42,6 +41,7 @@ from conftest import (
     WINDOW_START, addr, attracting_components, claim, contract, digraph, ev, make_store,
 )
 from oracles import (
+    compact_json,
     graph_to_json,
     oracle_assortativity,
     oracle_attracting,
@@ -195,16 +195,6 @@ def test_assortativity_random_matches_oracle():
             assert abs(degree_assortativity(g) - expected) <= 1e-9
             checked += 1
     assert checked > 10
-
-
-def test_assortativity_total_total_variant():
-    rng = random.Random(17)
-    for _ in range(10):
-        nodes, edges = random_digraph(rng, max_n=20, p=0.3)
-        expected = oracle_assortativity(nodes, edges, mode="total_total")
-        if expected is not None:
-            got = degree_assortativity(digraph(edges, nodes), mode="total_total")
-            assert abs(got - expected) <= 1e-9
 
 
 def test_attracting_components_trivials():
@@ -377,7 +367,7 @@ def export_graphs(draw, stems=st.text(max_size=3)):
 @settings(max_examples=50, derandomize=True, deadline=None)
 @given(g=export_graphs())
 def test_batched_writers_equal_whole_text_exports(g):
-    assert written(write_graph_json, g) == render_json(graph_to_json(g), compact=True)
+    assert written(write_graph_json, g) == compact_json(graph_to_json(g))
     assert written(write_graph, g, "graphml") == to_graphml(g)
     assert written(write_graph, g, "dot", "g") == to_dot(g, "g")
 
@@ -525,9 +515,9 @@ def _reciprocity_or_none(g):
         return None
 
 
-def _assortativity_or_none(g, mode):
+def _assortativity_or_none(g):
     try:
-        return degree_assortativity(g, mode)
+        return degree_assortativity(g)
     except UndefinedOnDegenerateError:
         return None
 
@@ -545,21 +535,19 @@ def test_slice_metrics_equal_scans_bit_for_bit():
         if not events:
             continue
         interval = rng.choice([1, 3, 7])
-        for mode in ("out_in", "total_total"):
-            series = metric_series(iter_slices(store, kind, interval_days=interval), mode)
-            for i, cutoff in enumerate(series.cutoffs):
-                g = _build_graph([e for e in events if e.timestamp <= cutoff], store, default)
-                assert series.reciprocity[i] == scan_reciprocity(g)
-                assert series.assortativity[i] == scan_assortativity(g, mode)
-                checked += series.assortativity[i] is not None
+        series = metric_series(iter_slices(store, kind, interval_days=interval))
+        for i, cutoff in enumerate(series.cutoffs):
+            g = _build_graph([e for e in events if e.timestamp <= cutoff], store, default)
+            assert series.reciprocity[i] == scan_reciprocity(g)
+            assert series.assortativity[i] == scan_assortativity(g)
+            checked += series.assortativity[i] is not None
         g = _build_graph(events, store, default)
         nodes = sorted(g.nodes)
         cut = rng.randint(0, len(nodes))
         for h in (g.copy(), graph_from_json(graph_to_json(g)),
                   *g.subgraphs([nodes[:cut], nodes[cut:]])):
             assert _reciprocity_or_none(h) == scan_reciprocity(h)
-            for mode in ("out_in", "total_total"):
-                assert _assortativity_or_none(h, mode) == scan_assortativity(h, mode)
+            assert _assortativity_or_none(h) == scan_assortativity(h)
     assert checked > 100
 
 

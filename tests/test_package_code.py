@@ -32,13 +32,18 @@ def _names(node) -> Counter:
     return found
 
 
-def test_every_top_level_name_in_src_has_a_caller_outside_tests():
-    """Every function, class and method (dunders aside) that src/ defines
-    is named in src/ or perfbench/ outside its own body."""
-    trees = {
+def _trees() -> dict:
+    """The parsed modules of src/ and perfbench/, by path."""
+    return {
         path: ast.parse(path.read_text(), str(path))
         for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
     }
+
+
+def test_every_top_level_name_in_src_has_a_caller_outside_tests():
+    """Every function, class and method (dunders aside) that src/ defines
+    is named in src/ or perfbench/ outside its own body."""
+    trees = _trees()
     mentioned = sum((_names(tree) for tree in trees.values()), Counter())
     unused = [
         f"{path.stem}.{node.name}"
@@ -59,6 +64,75 @@ def test_every_top_level_name_in_src_has_a_caller_outside_tests():
         "defined in src/ but used nowhere in src/ or perfbench/: "
         f"{sorted(set(unused) - set(ALLOWED))}; allowed but now used: "
         f"{sorted(set(ALLOWED) - set(unused))}"
+    )
+
+
+def _callee(call: ast.Call) -> str | None:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _defaulted_parameters(tree, module: str):
+    """(qualified name, name it is called by, parameter, position, def node)
+    of every defaulted parameter of a function or method. The position
+    counts the call's positional arguments (None: keyword-only). A method
+    is called by its name and an `__init__` by its class's name, in both
+    cases without `self` (or `cls`)."""
+    defs = [(f"{module}.{node.name}", node.name, node, 0) for node in tree.body
+            if isinstance(node, ast.FunctionDef)]
+    defs += [
+        (f"{module}.{cls.name}.{node.name}", cls.name if node.name == "__init__" else node.name,
+         node, 1)
+        for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for node in cls.body if isinstance(node, ast.FunctionDef)
+    ]
+    for qualified, name, node, bound in defs:
+        args = node.args
+        positional = (args.posonlyargs + args.args)[bound:]
+        for position in range(len(positional) - len(args.defaults), len(positional)):
+            yield qualified, name, positional[position].arg, position, node
+        for param, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield qualified, name, param.arg, None, node
+
+
+# Defaulted parameters that no call in src/ or perfbench/ passes, each for
+# a reason outside those directories.
+UNPASSED = {
+    "synth.generate(validate)": "criterion 6 scores unvalidated draws",
+    "synth._Builder.claim(tier)":
+        "tests/scenarios.py builders pass it, and BUILDER_DIGESTS pins their draws",
+    **{f"graphs.weekly_slices({param})": "tests and the tracer use it until ROADMAP item 1"
+       for param in ("kind", "start", "end", "interval_days")},
+}
+
+
+def test_every_defaulted_parameter_is_passed_outside_tests():
+    """A defaulted parameter that no caller in src/ or perfbench/ passes,
+    by keyword or at its position, is a knob only tests turn: its default
+    is the behaviour, and the other branches belong in tests/."""
+    trees = _trees()
+    calls = [node for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+    unpassed = []
+    for path, tree in trees.items():
+        if path.parent != PACKAGE:
+            continue
+        for qualified, name, param, position, node in _defaulted_parameters(tree, path.stem):
+            own = {id(sub) for sub in ast.walk(node)}
+            if not any(
+                id(call) not in own and _callee(call) == name and (
+                    any(kw.arg in (param, None) for kw in call.keywords)
+                    or position is not None and (
+                        len(call.args) > position
+                        or any(isinstance(arg, ast.Starred) for arg in call.args)))
+                for call in calls
+            ):
+                unpassed.append(f"{qualified}({param})")
+    assert sorted(unpassed) == sorted(UNPASSED), (
+        "defaulted in src/ but passed by no call in src/ or perfbench/: "
+        f"{sorted(set(unpassed) - set(UNPASSED))}; allowed but now passed: "
+        f"{sorted(set(UNPASSED) - set(unpassed))}"
     )
 
 

@@ -129,7 +129,7 @@ class TestTopContracts:
     def test_synth_counts_exact(self):
         scenario = generate(ScenarioSpec(seed=25, population=population_from_shares(200)))
         store, _ = flows_for(scenario)
-        rows = top_contracts(store, k=10)
+        rows = top_contracts(store)
         by_name = {r.name: r.interactions for r in rows}
         assert by_name["airdrop distributor"] == len(store.claims)
         planted = scenario.truth.planted_stats["signature_counts"]
@@ -201,7 +201,7 @@ class TestKde:
             want = kernel_sum_density(est.grid[idx], samples, est.bandwidth)
             assert abs(est.density[idx] - want) <= 1e-9
 
-    @pytest.mark.parametrize("grid_size", [37, 512])
+    @pytest.mark.parametrize("grid_size", [512])  # the one grid kde uses
     @pytest.mark.parametrize("shape", ["spread", "ties", "all_equal"])
     def test_blocked_grid_matches_one_matrix_bit_for_bit(self, grid_size, shape):
         rng = random.Random(89)
@@ -210,7 +210,7 @@ class TestKde:
             "ties": [float(rng.randrange(9)) for _ in range(700)],
             "all_equal": [7.25] * 700,
         }[shape]
-        est = kde(samples, grid_size=grid_size)
+        est = kde(samples)
         x, h = np.asarray(samples), est.bandwidth
         grid = np.linspace(x.min() - 3 * h, x.max() + 3 * h, grid_size)
         z = (grid[:, None] - x[None, :]) / h
