@@ -5,7 +5,13 @@ the graph files, which are large and machine-read only, are compact
 (graphs.write_graph_json).
 JSONL files hold one sorted-key object per line. CSV files start with a
 header row and end every line with "\\n". Text is UTF-8 whatever the
-locale. The readers invert the writers.
+locale.
+
+The contract between stages is declared once, in SHAPES: for each
+artifact a later stage reads, what its readers index. The one reader,
+`read`, inverts the writers and checks that shape, so a stage indexes
+what it reads without guards of its own. Ingest's three CSVs are the
+exception: `ingest.read_store` checks their exact headers and rows.
 
 Every artifact is written by one rule, `open_for_write`: the writer makes
 the file's directories and rewrites the file in place, opened without
@@ -18,13 +24,14 @@ Every artifact is opened through `open_for_write` or `open_for_read`, so
 a file error is a `UserError` (exit 1) raised where the file is opened:
 UnusableOutputError for a path that cannot be written, MissingArtifactError
 naming the stage that writes it (the artifact's directory) for an input
-that is missing, not a file, or does not decode or parse.
+that is missing, not a file, or does not decode, parse or have its
+declared shape.
 """
 
 import csv
 import json
 import os
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -113,28 +120,88 @@ def write_csv(header: list, rows: Iterable, path) -> None:
         w.writerows(rows)
 
 
-def read_json(path):
+# What later stages read of each stage artifact, keyed "<stage>/<file>".
+# For a CSV: the columns its readers index, each with the type its cells
+# must parse as (they are returned as text). For JSON, and for each line
+# of JSONL: a type, or an object of the keys its readers index with their
+# shapes, where the key `str` stands for every key. `float` admits any
+# number; `int` and `float` admit no bool.
+_DENSITIES = {str: {"bandwidth": float, "integral": float, "grid": list}}
+SHAPES = {
+    "ingest/report.json": {"stored": int, "n_claims": int, "n_contracts": int,
+                           "internal_events": int, "malformed": list},
+    "graph/token_graph.json": {"nodes": list, "edges": list},
+    "graph/external_graph.json": {"nodes": list, "edges": list},
+    "graph/summary.json": {"token_graph": {"nodes": int, "edges": int}},
+    "graph/metric_series.json": list,
+    "cluster/assignment.csv": {"address": str, "cluster": int, "role": str},
+    "cluster/silhouette.json": {"chosen_k": int},
+    "detect/findings.jsonl": {"pattern": str},
+    "detect/voting_power.json": list,
+    "eligibility/summary.json": dict,
+    "stats/attrition.json": {"left_pct": float},
+    "stats/behavior_table.json": dict,
+    "stats/top_contracts.csv": {"name": str, "category": str, "address": str, "interactions": int},
+    "stats/kde_periods.json": _DENSITIES,
+    "stats/kde_quantities.json": _DENSITIES,
+    "stats/tier_composition.csv": {"cluster": int},
+}
+
+
+def read(path):
+    """The artifact at `path`, parsed by its suffix: the rows of a CSV as
+    dicts of text, the values of a JSONL file's lines, or a JSON value. One
+    that SHAPES names must have the shape declared there; one that does
+    not, or that does not parse, raises `unreadable(path, ...)`. An
+    artifact SHAPES does not name is parsed unchecked."""
+    path = Path(path)
+    shape = SHAPES.get(f"{path.parent.name}/{path.name}")
+    if path.suffix == ".csv":
+        with open_for_read(path, newline="") as fh:
+            return _csv_rows(csv.DictReader(fh), shape or {})
     with open_for_read(path) as fh:
-        return json.load(fh)
+        if path.suffix == ".jsonl":
+            payload = [json.loads(line) for line in fh if line.strip()]
+            for n, value in enumerate(payload, 1):
+                _check(value, shape, f"row {n}")
+        else:
+            payload = json.load(fh)
+            _check(payload, shape, "")
+    return payload
 
 
-def read_jsonl(path) -> Iterator:
-    with open_for_read(path) as fh:
-        for line in fh:
-            if line.strip():
-                yield json.loads(line)
+def _csv_rows(reader: csv.DictReader, columns: dict) -> list[dict[str, str]]:
+    """The rows of `reader`. A header that lacks one of `columns`, a row
+    whose cells do not match the header, or a cell that does not parse as
+    its column's type is a parse error."""
+    missing = [c for c in columns if c not in (reader.fieldnames or ())]
+    if missing:
+        raise csv.Error(f"the header lacks the columns {missing}")
+    rows = []
+    for row in reader:
+        if None in row or None in row.values():
+            raise csv.Error(f"line {reader.line_num}: cells do not match the header")
+        for column, kind in columns.items():
+            try:
+                kind(row[column])
+            except ValueError:
+                raise csv.Error(f"line {reader.line_num}: {column} {row[column]!r} "
+                                f"is not {kind.__name__}") from None
+        rows.append(row)
+    return rows
 
 
-def read_csv(path, columns: Iterable[str] = ()) -> Iterator[dict[str, str]]:
-    """The rows of a CSV with a header, one dict at a time. A header that
-    lacks one of `columns` (those the caller indexes), or a row whose cells
-    do not match the header, is a parse error."""
-    with open_for_read(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in columns if c not in (reader.fieldnames or ())]
-        if missing:
-            raise csv.Error(f"the header lacks the columns {missing}")
-        for row in reader:
-            if None in row or None in row.values():
-                raise csv.Error(f"line {reader.line_num}: cells do not match the header")
-            yield row
+def _check(value, shape, where: str) -> None:
+    """Raise ValueError naming `where`, the keys that lead to `value`,
+    unless `value` has `shape` (see SHAPES); None is any shape."""
+    if shape is None:
+        return
+    kind = dict if isinstance(shape, dict) else shape
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise ValueError(f"wrong shape: {where or 'the value'} is {type(value).__name__}, "
+                         f"not {kind.__name__}")
+    if isinstance(shape, dict):
+        for key, inner in ((k, shape[str]) for k in value) if str in shape else shape.items():
+            if key not in value:
+                raise ValueError(f"wrong shape: {where or 'the value'} has no key {key!r}")
+            _check(value[key], inner, f"{where}[{key!r}]")

@@ -22,7 +22,6 @@ import os
 import re
 import sys
 from collections import Counter
-from contextlib import contextmanager
 from pathlib import Path
 
 from . import artifacts, clustering, eligibility, flows, forensics, graphs, ingest, stats, synth
@@ -258,6 +257,12 @@ def cmd_stats(config: Config, out: Path, args) -> None:
         raise MissingArtifactError("no events ingested and no study window; no period to describe")
     start_ts, end_ts = bounds or (store.events[0].timestamp, store.events[-1].timestamp)
     stage = out / "stats"
+    # Read before anything is written, so that a bad file leaves stats/ as it was.
+    assignment = out / "cluster" / "assignment.csv"
+    labels = None
+    if assignment.exists():
+        labels = {row["address"]: int(row["cluster"])
+                  for row in clustering.read_assignment(assignment, store.claims.keys())}
     member_flows = flows.build_flows(store, sorted(store.claims))
     ops = {a: flows.extract_features(f).op_set() for a, f in member_flows.items()}
     table = stats.behavior_table(ops, store.claims)
@@ -270,21 +275,17 @@ def cmd_stats(config: Config, out: Path, args) -> None:
     stats.write_top_contracts_csv(stats.top_contracts(store), stage / "top_contracts.csv")
 
     groups: dict[str, list[str]] = {"all": sorted(store.claims)}
-    assignment = out / "cluster" / "assignment.csv"
-    if assignment.exists():
-        with _shaped(assignment):
-            labels = {row["address"]: int(row["cluster"]) for row in
-                      artifacts.read_csv(assignment, ("address", "cluster"))}
-        if labels.keys() != store.claims.keys():
-            raise artifacts.unreadable(assignment, "its addresses are not the ingested claimants")
-        stats.write_tier_composition_csv(
-            stats.tier_composition(labels, store.claims), stage / "tier_composition.csv"
-        )
+    composition = stage / "tier_composition.csv"
+    if labels is not None:
+        stats.write_tier_composition_csv(stats.tier_composition(labels, store.claims), composition)
         buyers = {a for a, kinds in ops.items() if flows.OperationKind.BUY in kinds}
         groups = {
             "group1_airdrop_only": sorted(a for a in labels if a not in buyers),
             "group2_buyers": sorted(a for a in labels if a in buyers),
         }
+    elif composition.is_file():
+        # left by a run that had an assignment to compose
+        composition.unlink()
 
     period_estimates: dict[str, stats.DensityEstimate] = {}
     quantity_estimates: dict[str, stats.DensityEstimate] = {}
@@ -301,84 +302,53 @@ def cmd_stats(config: Config, out: Path, args) -> None:
              len(period_estimates) + len(quantity_estimates))
 
 
-# What JSON of the wrong shape raises where report indexes or formats it.
-_WRONG_SHAPE = (AttributeError, KeyError, TypeError, ValueError)
-
-
-@contextmanager
-def _shaped(path):
-    """Index the JSON of the artifact at `path` inside; an error that JSON
-    of another shape raises there makes it an unreadable artifact, as in
-    graphs.load_graph_json."""
-    try:
-        yield
-    except _WRONG_SHAPE as exc:
-        raise artifacts.unreadable(path, f"wrong shape: {exc!r}") from exc
-
-
 def cmd_report(config: Config, out: Path, args) -> None:
     """Assemble stage artifacts into one report; formatting only, every
     number is traceable to an artifact file."""
-    findings = out / "detect" / "findings.jsonl"
-    with _shaped(findings):
-        pattern_counts = Counter(f["pattern"] for f in artifacts.read_jsonl(findings))
-    assignment = out / "cluster" / "assignment.csv"
-    rows = list(artifacts.read_csv(assignment, ("cluster", "role")))
+    ingested, _, claims = ingest.read_records(out / "ingest")
+    rows = clustering.read_assignment(out / "cluster" / "assignment.csv", claims.keys())
+    pattern_counts = Counter(f["pattern"] for f in artifacts.read(out / "detect" / "findings.jsonl"))
     role_counts = Counter(row["role"] for row in rows)
-
-    ingested = out / "ingest" / "report.json"
-    summary = out / "graph" / "summary.json"
-    silhouette = out / "cluster" / "silhouette.json"
-    attrition = out / "stats" / "attrition.json"
     report = {
-        "ingest": artifacts.read_json(ingested),
-        "graph": artifacts.read_json(summary),
-        "metric_series": artifacts.read_json(out / "graph" / "metric_series.json"),
+        "ingest": ingested.to_json(),
+        "graph": artifacts.read(out / "graph" / "summary.json"),
+        "metric_series": artifacts.read(out / "graph" / "metric_series.json"),
         "clustering": {
-            "silhouette": artifacts.read_json(silhouette),
+            "silhouette": artifacts.read(out / "cluster" / "silhouette.json"),
             "cluster_counts": Counter(row["cluster"] for row in rows),
             "role_counts": role_counts,
         },
-        "behavior_table": artifacts.read_json(out / "stats" / "behavior_table.json"),
-        "top_contracts": list(artifacts.read_csv(out / "stats" / "top_contracts.csv")),
-        "attrition": artifacts.read_json(attrition),
+        "behavior_table": artifacts.read(out / "stats" / "behavior_table.json"),
+        "top_contracts": artifacts.read(out / "stats" / "top_contracts.csv"),
+        "attrition": artifacts.read(out / "stats" / "attrition.json"),
         "findings_by_pattern": pattern_counts,
-        "voting_power": artifacts.read_json(out / "detect" / "voting_power.json"),
+        "voting_power": artifacts.read(out / "detect" / "voting_power.json"),
     }
     composition_csv = out / "stats" / "tier_composition.csv"
     if composition_csv.exists():
-        report["tier_composition"] = list(artifacts.read_csv(composition_csv))
-    densities = {}
-    for name in ("kde_periods", "kde_quantities"):
-        path = out / "stats" / f"{name}.json"
-        payload = artifacts.read_json(path)
-        with _shaped(path):
-            densities[name] = {
-                key: {"bandwidth": est["bandwidth"], "integral": est["integral"],
-                      "points": len(est["grid"])}
-                for key, est in payload.items()
-            }
-    report["density_estimates"] = densities
+        report["tier_composition"] = artifacts.read(composition_csv)
+    report["density_estimates"] = {
+        name: {key: {"bandwidth": est["bandwidth"], "integral": est["integral"],
+                     "points": len(est["grid"])}
+               for key, est in artifacts.read(out / "stats" / f"{name}.json").items()}
+        for name in ("kde_periods", "kde_quantities")
+    }
     eligibility_summary = out / "eligibility" / "summary.json"
     if eligibility_summary.exists():
-        report["eligibility"] = artifacts.read_json(eligibility_summary)
+        report["eligibility"] = artifacts.read(eligibility_summary)
 
-    lines = ["# Community report", ""]
-    with _shaped(ingested):
-        lines.append(f"- events stored: {report['ingest']['stored']}")
-        lines.append(f"- initial members: {report['ingest']['n_claims']}")
-        if len(rows) != report["ingest"]["n_claims"]:
-            raise artifacts.unreadable(assignment, f"{len(rows)} rows for "
-                                       f"{report['ingest']['n_claims']} ingested claims")
-    with _shaped(summary):
-        token_graph = report["graph"]["token_graph"]
-        lines.append(f"- token graph: {token_graph['nodes']} nodes / {token_graph['edges']} edges")
-    with _shaped(silhouette):
-        lines.append(f"- chosen K: {report['clustering']['silhouette']['chosen_k']}")
-    with _shaped(attrition):
-        lines.append(f"- attrition: {report['attrition']['left_pct']:.2%}")
-    lines.append("")
-    lines.append("## Findings")
+    token_graph = report["graph"]["token_graph"]
+    lines = [
+        "# Community report",
+        "",
+        f"- events stored: {ingested.stored}",
+        f"- initial members: {ingested.n_claims}",
+        f"- token graph: {token_graph['nodes']} nodes / {token_graph['edges']} edges",
+        f"- chosen K: {report['clustering']['silhouette']['chosen_k']}",
+        f"- attrition: {report['attrition']['left_pct']:.2%}",
+        "",
+        "## Findings",
+    ]
     for pattern, count in sorted(pattern_counts.items()):
         lines.append(f"- {pattern}: {count}")
     if not pattern_counts:

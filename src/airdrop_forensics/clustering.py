@@ -366,6 +366,18 @@ def write_assignment_csv(assignment: ClusterAssignment, mapping: RoleMapping, pa
     )
 
 
+def read_assignment(path, claimants) -> list[dict[str, str]]:
+    """The rows of an assignment.csv that holds one row for each address of
+    `claimants`, the ingested claimants, and no other row; any other file
+    is unreadable."""
+    rows = artifacts.read(path)
+    addresses = {row["address"] for row in rows}
+    if len(addresses) != len(rows) or addresses != claimants:
+        raise artifacts.unreadable(path, f"{len(rows)} rows for {len(addresses)} addresses, "
+                                   f"not one for each of {len(claimants)} ingested claimants")
+    return rows
+
+
 def write_silhouette_json(assignment: ClusterAssignment, path) -> None:
     artifacts.write_json({
         "chosen_k": assignment.k,

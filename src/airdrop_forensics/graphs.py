@@ -701,7 +701,7 @@ def graph_from_json(payload: dict) -> CommunityGraph:
 def load_graph_json(path) -> CommunityGraph:
     """The graph a graph JSON file holds; JSON of another shape is an
     unreadable artifact, like one that does not parse."""
-    payload = artifacts.read_json(path)
+    payload = artifacts.read(path)
     try:
         return graph_from_json(payload)
     except (KeyError, TypeError, ValueError) as exc:

@@ -736,7 +736,7 @@ def read_records(stage_dir) -> tuple[IngestReport, dict[Address, ContractInfo],
     stage_dir = Path(stage_dir)
     report_path = stage_dir / "report.json"
     try:
-        report = IngestReport.from_json(artifacts.read_json(report_path))
+        report = IngestReport.from_json(artifacts.read(report_path))
     except (ValueError, TypeError, KeyError) as exc:
         raise CorruptStoreError(f"{report_path}: not an ingest report ({exc})") from exc
     path = stage_dir / "contracts.csv"

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -544,6 +545,56 @@ def test_ingest_removes_a_column_cache_left_by_an_earlier_version(ingested, tmp_
     assert run("ingest", write_config(tmp_path)) == 0
     assert not stale.exists()
     assert tree_digest(out) == tree_digest(ingested / "out")
+
+
+def run_on_edited_exports(ingested, tmp_path, name: str, edit) -> dict:
+    """tree_digest of the seven stages after synth, run on copies of
+    `ingested`'s synth exports whose rows are `edit(export, rows)`."""
+    inputs = {}
+    for export in cli.RAW_INPUTS:
+        source = ingested / "out" / "synth" / f"{export}.csv"
+        header, *rows = source.read_text().splitlines(keepends=True)
+        path = tmp_path / name / source.name
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(header + "".join(edit(export, rows)))
+        inputs[export] = str(path)
+    config = write_config(tmp_path, f"{name}_out", inputs=inputs)
+    for command in PIPELINE[1:]:
+        assert run(command, config) == 0, command
+    return tree_digest(tmp_path / f"{name}_out")
+
+
+def test_row_order_and_repeated_rows_of_the_exports_change_no_result(ingested, tmp_path):
+    """Shuffled raw-export rows leave every artifact of the seven stages
+    byte-identical. Repeated event rows change only ingest's counts of rows
+    read and deduplicated, and the report that embeds them. (A claim or
+    contract row repeated is an input error or a malformed row.)"""
+    base = run_on_edited_exports(ingested, tmp_path, "base", lambda export, rows: rows)
+    for seed in range(3):
+        rng = random.Random(seed)
+        assert run_on_edited_exports(ingested, tmp_path, f"shuffled_{seed}",
+                                     lambda export, rows: rng.sample(rows, len(rows))) == base
+
+    repeats = []
+
+    def repeat(export, rows):
+        if export in ("token_transfers", "external_txs"):
+            repeats.extend(rows[::7])
+            return rows + rows[::7]
+        return rows
+
+    repeated = run_on_edited_exports(ingested, tmp_path, "repeated", repeat)
+    assert repeats and repeated.keys() == base.keys()
+    assert {name for name in base if repeated[name] != base[name]} == {
+        "ingest/report.json", "report/report.json"}
+    want, got = ({stage: json.loads((tmp_path / tree / stage / "report.json").read_text())
+                  for stage in ("ingest", "report")} for tree in ("base_out", "repeated_out"))
+    assert got["ingest"]["input_rows"] == want["ingest"]["input_rows"] + len(repeats)
+    assert got["ingest"]["deduplicated"] == want["ingest"]["deduplicated"] + len(repeats)
+    counts = {key: want["ingest"][key] for key in ("input_rows", "deduplicated")}
+    assert {**got["ingest"], **counts} == want["ingest"]
+    assert got["report"]["ingest"] == got["ingest"]
+    assert {**got["report"], "ingest": want["ingest"]} == want["report"]
 
 
 @pytest.mark.parametrize("narrowed_at", ["ingest", "graph"])

@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from airdrop_forensics import artifacts
 from airdrop_forensics.cli import main
 from airdrop_forensics.clustering import Linkage
 from airdrop_forensics.config import Preset
@@ -256,6 +257,13 @@ READERS = {
 OPTIONAL = {"cluster/assignment.csv", "eligibility/summary.json", "stats/tier_composition.csv"}
 
 
+def test_readers_are_the_shape_table_and_the_event_store():
+    """Every artifact a later stage reads has a declared shape, except
+    ingest's three CSVs, whose readers check their exact headers."""
+    store = {f"ingest/{name}.csv" for name in ("events", "contracts", "claims")}
+    assert set(READERS) == set(artifacts.SHAPES) | store
+
+
 def damage(path: Path, how: str) -> None:
     data = path.read_bytes()
     path.unlink()
@@ -328,28 +336,36 @@ def test_detect_without_an_ingest_record_exits_1(pipeline, tmp_path, artifact):
 
 @pytest.mark.parametrize("stage, how", [
     ("stats", "cut"), ("stats", "duplicated"), ("report", "cut"), ("stats", "non_integer"),
+    ("stats", "repeated"),
 ])
 def test_assignment_of_other_claimants_exits_1(pipeline, tmp_path, stage, how):
     """An assignment.csv cut at a row boundary parses, but holds fewer rows
     than there are claimants; one with a row in place of the next holds as
     many, but not every claimant; one with a cluster cell that is not an
-    integer holds no cluster for that claimant."""
+    integer holds no cluster for that claimant; one with a row added that
+    repeats a claimant in another cluster holds every claimant, one twice.
+    The stage writes no file."""
     out = tmp_path / "out"
-    shutil.copytree(pipeline / "out", out)
+    shutil.copytree(pipeline / "out", out, ignore=shutil.ignore_patterns(stage))
     path = out / "cluster" / "assignment.csv"
     lines = path.read_text().splitlines(keepends=True)
+    column = lines[0].split(",").index("cluster")
+    cells = lines[1].split(",")
     if how == "cut":
         lines = lines[:len(lines) // 2]
     elif how == "duplicated":
         lines[2] = lines[1]
+    elif how == "repeated":
+        cells[column] = str(int(cells[column]) + 1)
+        lines.append(",".join(cells))
     else:
-        cells = lines[1].split(",")
-        cells[lines[0].split(",").index("cluster")] = "x"
+        cells[column] = "x"
         lines[1] = ",".join(cells)
     path.write_text("".join(lines))
     code, error = assert_exit_0_or_1(stage, BASE, out)
     assert code == 1 and error["code"] == "missing_artifact"
     assert "assignment.csv" in error["error"] and "cluster stage" in error["error"]
+    assert not (out / stage).exists()
 
 
 def rename_column(path: Path, old: str, new: str) -> None:
@@ -423,6 +439,35 @@ def test_wrong_shaped_report_input_exits_1(pipeline, tmp_path, artifact, text):
     assert code == 1 and error["code"] == "missing_artifact"
     assert Path(artifact).name in error["error"]
     assert f"{Path(artifact).parent.name} stage" in error["error"]
+
+
+@pytest.mark.parametrize("artifact", sorted(a for a in artifacts.SHAPES if not a.endswith(".csv")))
+def test_json_artifact_of_another_type_exits_1(pipeline, tmp_path, artifact):
+    """A JSON artifact, or a JSONL artifact's line, that holds an object
+    where its declared shape is a list, or a list where it is an object,
+    is unreadable for the stage that reads it, naming the stage that
+    writes it."""
+    shape = artifacts.SHAPES[artifact]
+    out = tmp_path / "out"
+    shutil.copytree(pipeline / "out", out)
+    (out / artifact).write_text("{}\n" if shape is list else "[]\n")
+    code, error = assert_exit_0_or_1(READERS[artifact], BASE, out)
+    assert code == 1 and error["code"] == "missing_artifact"
+    assert Path(artifact).name in error["error"]
+    assert f"{Path(artifact).parent.name} stage" in error["error"]
+
+
+def test_stats_rerun_without_an_assignment_leaves_what_a_fresh_tree_holds(pipeline, tmp_path):
+    """stats removes the tier_composition.csv of an earlier run that had a
+    cluster/assignment.csv, so its files are a fresh tree's."""
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    shutil.copytree(pipeline / "out", out)
+    (out / "cluster" / "assignment.csv").unlink()
+    shutil.copytree(pipeline / "out", fresh, ignore=shutil.ignore_patterns("cluster", "stats"))
+    for tree in (out, fresh):
+        assert assert_exit_0_or_1("stats", BASE, tree) == (0, None)
+    assert "stats/tier_composition.csv" in _files(pipeline / "out")
+    assert _files(out / "stats") == _files(fresh / "stats")
 
 
 @pytest.mark.parametrize("artifact", ["stats/kde_periods.json", "stats/kde_quantities.json"])
