@@ -403,7 +403,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # A stage leaves a fixed amount of cyclic garbage whatever the corpus
     # size (tests/test_cli.py checks that), while each full collection
-    # re-walks the whole event store: TransferEvent is a NamedTuple, and
+    # re-walks the whole event store: StoredEvent is a NamedTuple, and
     # the collector untracks only exact tuples. So the command runs with
     # the collector off, and the caller's setting comes back afterwards.
     collector_was_on = gc.isenabled()

@@ -26,7 +26,7 @@ class EligibilityHistory:
     """External transactions plus supplied balances; balances arrive as
     input because multi-chain reconstruction is out of scope."""
 
-    events: list  # TransferEvent, kind external
+    events: list  # StoredEvent, kind external
     balances: dict[Address, dict[str, float]]
     protocol_addresses: frozenset[Address]
     coverage_start: int

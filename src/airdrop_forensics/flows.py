@@ -14,6 +14,7 @@ from enum import Enum
 from functools import reduce
 from math import sqrt
 from operator import add, mul
+from typing import NamedTuple
 
 from . import artifacts
 from .ingest import Address, ContractCategory, ContractInfo, EventKind, EventStore
@@ -92,8 +93,7 @@ def classify_event(
     return pay if outgoing else paid
 
 
-@dataclass(frozen=True, slots=True)
-class FlowEvent:
+class FlowEvent(NamedTuple):
     """One applied event, with the member's three positions after it."""
 
     op: OperationKind

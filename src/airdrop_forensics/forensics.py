@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from . import artifacts
 from .config import DetectorConfig, PatternKind
 from .graphs import CommunityGraph, NodeClass, reciprocity
-from .ingest import Address, ClaimRecord, ContractInfo, TransferEvent, format_token_amount
+from .ingest import Address, ClaimRecord, ContractInfo, StoredEvent, format_token_amount
 
 log = logging.getLogger(__name__)
 
@@ -487,7 +487,7 @@ def run_detectors(
     claims: dict[Address, ClaimRecord],
     contracts: dict[Address, ContractInfo],
     cfg: DetectorConfig | None = None,
-    internal_events: Iterable[TransferEvent] = (),
+    internal_events: Iterable[StoredEvent] = (),
 ) -> DetectionResult:
     """End-to-end detection pass over all p2p components plus the
     cross-graph clique detectors. `internal_events` are the store's

@@ -7,12 +7,15 @@ immutable-by-convention record that all downstream stages consume. The
 ingest stage writes it out once in canonical form; read_store loads that
 form back without repeating the raw-input validation.
 
-Each event is a TransferEvent, an immutable named tuple, so it costs one
-tuple to build and EVENT_ORDER sorts by position in C. A raw export
-already in the store's form is split by read_store's loader with no
-per-row Python code; any other is read positionally, one pass per file,
-and every address text is normalized once. Either way, events that name
-the same address share one string. Each raw file is sorted once, the
+Ingest's own events are TransferEvents, immutable named tuples, so each
+costs one tuple to build and EVENT_ORDER sorts by position in C. Their
+tx hash, block and log index order and deduplicate the store, and no
+later stage reads them: read_store checks those cells but keeps only a
+StoredEvent of the five fields the stages read. A raw export already in
+the store's form is split by read_store's loader with no per-row Python
+code; any other is read positionally, one pass per file, and every
+address text is normalized once. Either way, events that name the same
+address share one string. Each raw file is sorted once, the
 merge of the two is sorted once more (two sorted runs, so linear), and
 write_transfers_csv trusts its input to be in that order.
 
@@ -130,6 +133,16 @@ class TransferEvent(NamedTuple):
     block: int
     kind: EventKind
     log_index: int = 0
+
+
+class StoredEvent(NamedTuple):
+    """An event as read_store loads it: the fields the later stages read."""
+
+    sender: Address
+    receiver: Address
+    value: int
+    timestamp: int
+    kind: EventKind
 
 
 # The store's event order: (timestamp, block, tx_hash, log_index).
@@ -417,15 +430,16 @@ class IngestReport:
 
 @dataclass
 class EventStore:
-    """Canonical, time-ordered event record. Treat as read-only once built."""
+    """Canonical, time-ordered event record. Treat as read-only once built.
+    build_event_store's events are TransferEvents, read_store's StoredEvents."""
 
-    events: list[TransferEvent]
+    events: list[TransferEvent] | list[StoredEvent]
     contracts: dict[Address, ContractInfo]
     claims: dict[Address, ClaimRecord]
     config: IngestConfig
     report: IngestReport
 
-    def events_of_kind(self, kind: EventKind) -> list[TransferEvent]:
+    def events_of_kind(self, kind: EventKind) -> list[TransferEvent] | list[StoredEvent]:
         return [e for e in self.events if e.kind == kind]
 
     def participants(self) -> set[Address]:
@@ -607,30 +621,34 @@ def _read_canonical(path: Path, columns: list[str], build) -> list:
 _CHUNK = 1 << 16
 # A row's last cell with the "\n" that ends it, as _split_events cuts it.
 _LINE_KINDS = {f"{k.value}\n": k for k in EventKind}
-_new_event = partial(tuple.__new__, TransferEvent)  # a TransferEvent from a tuple of its fields
+# An event from a tuple of its fields.
+_new_event = partial(tuple.__new__, TransferEvent)
+_new_stored = partial(tuple.__new__, StoredEvent)
 
 
-def _split_events(path: Path, raw: bool = False,
-                  allow_self_transfers: bool = True) -> list[TransferEvent] | None:
-    """The events of events.csv, split at commas and newlines a chunk of
-    whole lines at a time with no per-row Python code. A list it returns is
-    the one _events builds from the same file.
+def _split_events(path: Path, raw: bool = False, allow_self_transfers: bool = True
+                  ) -> list[StoredEvent] | list[TransferEvent] | None:
+    """The StoredEvents of events.csv, split at commas and newlines a chunk
+    of whole lines at a time with no per-row Python code. A list it returns
+    is the one _events builds from the same file.
 
     None, and read_store reads the file with csv, when csv would read some
     text its own way (a quote, "\\r", NUL, or a cell over its field size
     limit), the header is not STORE_COLUMNS, a row has not 8 cells, a cell
-    does not parse, or the file does not end in "\\n". Each "\\n" stays at
-    the end of the kind cell it closes, so a kind parses only as the last
-    cell of its line and no row can borrow cells from another.
+    does not parse, a block or log index is not ASCII digits alone (int()
+    would take more, so csv decides those), or the file does not end in
+    "\\n". Each "\\n" stays at the end of the kind cell it closes, so a kind
+    parses only as the last cell of its line and no row can borrow cells
+    from another.
 
-    With `raw`, for parse_transfers, also None unless every row is in the
-    form that parse_transfers' row loop keeps unchanged (_canonical_rows),
-    and every address is "0x" and 40 lowercase hex digits, checked once,
-    with the chunk that names it first.
+    With `raw`, for parse_transfers, TransferEvents, and also None unless
+    every row is in the form that parse_transfers' row loop keeps unchanged
+    (_canonical_rows), and every address is "0x" and 40 lowercase hex
+    digits, checked once, with the chunk that names it first.
     """
     addresses: dict[str, str] = {}
     share = addresses.setdefault  # one string per address, shared by its events
-    events: list[TransferEvent] = []
+    events: list = []
     with artifacts.open_for_read(path, newline="") as fh:
         if fh.readline() != ",".join(STORE_COLUMNS) + "\n":
             return None
@@ -649,14 +667,18 @@ def _split_events(path: Path, raw: bool = False,
                 if len(cells) != 8 * text.count("\n") + 1:
                     return None
                 columns = [cells[i:-1:8] for i in range(8)]
-                if raw and not _canonical_rows(columns, allow_self_transfers):
-                    return None
                 tx_hash, sender, receiver, value, timestamp, block, log_index, kind = columns
+                if not (_canonical_rows(columns, allow_self_transfers) if raw
+                        else _digit_cells(block, log_index)):
+                    return None
                 known = len(addresses)
-                events += map(_new_event, zip(
-                    tx_hash, map(share, sender, sender), map(share, receiver, receiver),
-                    map(int, value), map(int, timestamp), map(int, block),
-                    map(_LINE_KINDS.__getitem__, kind), map(int, log_index)))
+                sender, receiver = map(share, sender, sender), map(share, receiver, receiver)
+                value, timestamp = map(int, value), map(int, timestamp)
+                kind = map(_LINE_KINDS.__getitem__, kind)
+                events += (map(_new_event, zip(tx_hash, sender, receiver, value, timestamp,
+                                               map(int, block), kind, map(int, log_index)))
+                           if raw else map(_new_stored, zip(sender, receiver, value, timestamp,
+                                                            kind)))
                 # the addresses this chunk named first, the newest keys
                 if raw and not _hex_cells(
                         list(islice(reversed(addresses), len(addresses) - known)), 40):
@@ -686,6 +708,14 @@ def _hex_cells(cells: list[str], digits: int) -> bool:
                      and text.translate(_HEX_DIGITS) == "x" * n)
 
 
+def _digit_cells(*columns: list[str]) -> bool:
+    """Whether every cell of `columns`, none of which holds a ",", is one
+    or more ASCII digits. An empty cell leaves nothing for translate to
+    show, so it is looked for on its own."""
+    cells = [*chain(*columns)]
+    return all(cells) and not ",".join(cells).translate(_DIGITS)
+
+
 def _canonical_rows(columns: list[list[str]], allow_self_transfers: bool) -> bool:
     """Whether the rows whose STORE_COLUMNS cells are `columns` are as
     write_transfers_csv writes them, so that parse_transfers' row loop
@@ -693,18 +723,22 @@ def _canonical_rows(columns: list[list[str]], allow_self_transfers: bool) -> boo
     digits; value, timestamp, block and log index in ASCII digits alone (so
     none is negative); and no self-transfer unless they are allowed.
     Addresses are checked once each, by _split_events; a kind is checked
-    as it parses, and an empty number fails to parse."""
+    as it parses."""
     tx_hash, sender, receiver, *numbers, _ = columns
-    return (_hex_cells(tx_hash, 64)
-            and not ",".join(chain(*numbers)).translate(_DIGITS)
+    return (_hex_cells(tx_hash, 64) and _digit_cells(*numbers)
             and (allow_self_transfers or not any(map(eq, sender, receiver))))
 
 
-def _events(reader) -> list[TransferEvent]:
+def _events(reader) -> list[StoredEvent]:
+    """The StoredEvents of events.csv's rows. A block and a log index are
+    parsed, so that a cell int() refuses fails its row, and not kept."""
     share = {}.setdefault  # one string per address, shared by its events
-    return [TransferEvent(tx_hash, share(sender, sender), share(receiver, receiver), int(value),
-                          int(timestamp), int(block), _KINDS[kind], int(log_index))
-            for tx_hash, sender, receiver, value, timestamp, block, log_index, kind in reader]
+    events = []
+    for _, sender, receiver, value, timestamp, block, log_index, kind in reader:
+        int(block), int(log_index)
+        events.append(StoredEvent(share(sender, sender), share(receiver, receiver), int(value),
+                                  int(timestamp), _KINDS[kind]))
+    return events
 
 
 def _contracts(reader) -> list[ContractInfo]:
@@ -753,12 +787,17 @@ def read_store(stage_dir, config: IngestConfig | None = None) -> EventStore:
 
     The report, contracts and claims are read_records'. Ingest left
     events.csv normalized, sorted and deduplicated, so rows become records
-    without re-validation. events.csv is split at commas and newlines, and
-    read with csv when it holds a text that csv reads its own way or a row
-    that fails, so a bad row is named by its line. What is checked of it is
-    what a damaged file or a later config can break: its exact header, a
-    row count equal to report.json's, cells that parse, non-decreasing
-    timestamps, and no self-transfer unless the config allows them. The
+    without re-validation. Each row becomes a StoredEvent of the five
+    fields the later stages read: sender, receiver, value, timestamp and
+    kind. Its tx hash, block and log index are not kept; parse_transfers
+    of events.csv gives the full TransferEvents. events.csv is split at
+    commas and newlines, and read with csv when it holds a text that csv
+    reads its own way or a row that fails, so a bad row is named by its
+    line. What is checked of it is what a damaged file or a later config
+    can break: its exact header, a row count equal to report.json's, cells
+    that parse (a block and a log index too, though neither is kept),
+    non-decreasing timestamps, and no self-transfer unless the config
+    allows them. The
     config's study window is applied again, so a window narrowed after
     ingest drops the events outside it. Any failed check raises
     CorruptStoreError, and a file that cannot be opened or decoded

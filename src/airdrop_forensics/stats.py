@@ -247,13 +247,17 @@ def kde(samples) -> DensityEstimate:
     x = np.asarray(samples, dtype=float)
     h = silverman_bandwidth(x)
     grid = np.linspace(x.min() - 3 * h, x.max() + 3 * h, KDE_GRID_SIZE)
-    # 16 grid rows at a time, so no temporary exceeds 16 x n floats. Each
-    # row is still summed on its own over all samples in order, so every
-    # bit matches the one-matrix form; blocking the samples would not.
+    # One kernel per distinct sample, gathered back into sample order, 16
+    # grid rows at a time, so no temporary exceeds 16 x n floats. Each row
+    # is still summed on its own over all samples in order, in a C-ordered
+    # block as the one-matrix form sums it, so every bit matches; blocking
+    # the samples would not, nor would a [:, inv] gather, whose layout
+    # changes numpy's summation.
+    u, inv = np.unique(x, return_inverse=True)
     sums = np.empty(KDE_GRID_SIZE)
     for i in range(0, KDE_GRID_SIZE, 16):
-        z = (grid[i:i + 16, None] - x[None, :]) / h
-        sums[i:i + 16] = np.exp(-0.5 * z * z).sum(axis=1)
+        z = (grid[i:i + 16, None] - u[None, :]) / h
+        sums[i:i + 16] = np.exp(-0.5 * z * z).take(inv, axis=1).sum(axis=1)
     dens = sums / (len(x) * h * np.sqrt(2 * np.pi))
     return DensityEstimate(grid.tolist(), dens.tolist(), float(h))
 

@@ -11,6 +11,7 @@ from airdrop_forensics.ingest import (
     ContractInfo,
     EventKind,
     IngestConfig,
+    StoredEvent,
     Tier,
     TransferEvent,
     build_event_store,
@@ -97,6 +98,12 @@ def from_ops(ops) -> FeatureVector:
     """The feature vector with the bit of each operation in `ops` set."""
     kinds = {OperationKind(op) for op in ops}
     return FeatureVector(tuple(int(op in kinds) for op in OPERATION_ORDER))
+
+
+def stored(events) -> list[StoredEvent]:
+    """The events as read_store loads them: (sender, receiver, value,
+    timestamp, kind) of each."""
+    return [StoredEvent(e.sender, e.receiver, e.value, e.timestamp, e.kind) for e in events]
 
 
 def dedup_key(event: TransferEvent) -> tuple:

@@ -18,7 +18,7 @@ from airdrop_forensics.cli import load_config, main, ConfigInvalidError
 from airdrop_forensics.config import EligibilityRules, Preset, to_json
 from airdrop_forensics.eligibility import EligibilityHistory, run_campaign
 
-from conftest import WINDOW_START, addr, assert_addresses_shared, claim, contract, ev
+from conftest import WINDOW_START, addr, assert_addresses_shared, claim, contract, ev, stored
 
 PIPELINE = ["synth", "ingest", "graph", "cluster", "detect", "eligibility", "stats", "report"]
 
@@ -786,7 +786,8 @@ def _validated_load(stage: Path, config: ingest.IngestConfig) -> ingest.EventSto
 
 
 def _assert_same_store(got: ingest.EventStore, want: ingest.EventStore) -> None:
-    assert got.events == want.events
+    """`got`, read_store's, holds the events of `want` as read_store keeps them."""
+    assert got.events == stored(want.events)
     assert got.contracts == want.contracts
     assert got.claims == want.claims
     assert got.config == want.config
@@ -866,7 +867,8 @@ def _replace_cell(lines: list[str], column: int, value: str, line: int = 2) -> l
 
 
 # Corruptions deep in events.csv, and the line the error must name.
-BAD_ROW_LINE = {"nine_cells": 800, "bad_cell_deep": 1500}
+BAD_ROW_LINE = {"nine_cells": 800, "bad_cell_deep": 1500, "bad_log_index_deep": 1500,
+                "empty_block_deep": 1500}
 
 
 CORRUPTIONS = {
@@ -881,6 +883,9 @@ CORRUPTIONS = {
     "rows_swapped": ("events.csv", _swap_first_unequal_timestamps),
     "nine_cells": ("events.csv", lambda lines: _replace_cell(lines, 7, "token_transfer,0", 800)),
     "bad_cell_deep": ("events.csv", lambda lines: _replace_cell(lines, 5, "13x", 1500)),
+    # read_store keeps neither cell, but still checks that each parses
+    "bad_log_index_deep": ("events.csv", lambda lines: _replace_cell(lines, 6, "7x", 1500)),
+    "empty_block_deep": ("events.csv", lambda lines: _replace_cell(lines, 5, "", 1500)),
     "report_not_json": ("report.json", lambda lines: ["{"]),
     "report_missing": ("report.json", None),
 }
@@ -906,6 +911,23 @@ def test_corrupt_ingest_artifact_exits_1(ingested, tmp_path, capsys, case):
     if case in BAD_ROW_LINE:  # the loader stops at the first bad row and names its line
         assert f"{name} line {BAD_ROW_LINE[case]}: bad row" in err["error"]
     assert not (out / "cluster").exists()
+
+
+@pytest.mark.parametrize("column,text", [(5, "+13"), (5, "1_3"), (6, "+0")],
+                         ids=["block_signed", "block_underscored", "log_index_signed"])
+def test_number_cell_int_reads_loads_through_csv(ingested, tmp_path, column, text):
+    """A block or log index cell that int() reads but that is not ASCII
+    digits alone sends events.csv to the csv row loop, which loads it as
+    the same events as the unedited store."""
+    stage = tmp_path / "ingest"
+    shutil.copytree(ingested / "out" / "ingest", stage)
+    path = stage / "events.csv"
+    lines = _replace_cell(path.read_text().splitlines(), column, text, 1500)
+    path.write_text("\n".join(lines) + "\n")
+    assert ingest._split_events(path) is None
+    edited = ingest.read_store(stage)
+    assert edited.events == ingest.read_store(ingested / "out" / "ingest").events
+    assert_addresses_shared(edited.events)
 
 
 @pytest.mark.parametrize("content,needle", [

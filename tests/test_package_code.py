@@ -153,3 +153,21 @@ def test_every_module_level_import_is_read():
             if (alias.asname or alias.name.split(".")[0]) not in read
         ]
     assert unused == []
+
+
+# The fields of an ingest.TransferEvent that read_store does not keep.
+DROPPED_FIELDS = {"tx_hash", "block", "log_index"}
+
+
+def test_only_ingest_reads_the_fields_read_store_drops():
+    """read_store's StoredEvents have no tx hash, block or log index, so
+    outside ingest.py, which orders, deduplicates and writes the store by
+    them, no module of src/ or perfbench/ reads one."""
+    readers = [
+        f"{path.relative_to(ROOT)}:{node.lineno}: .{node.attr}"
+        for path, tree in _trees().items() if path != PACKAGE / "ingest.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and node.attr in DROPPED_FIELDS
+    ]
+    assert readers == []

@@ -202,14 +202,26 @@ class TestKde:
             assert abs(est.density[idx] - want) <= 1e-9
 
     @pytest.mark.parametrize("grid_size", [512])  # the one grid kde uses
-    @pytest.mark.parametrize("shape", ["spread", "ties", "all_equal"])
+    @pytest.mark.parametrize("shape", ["spread", "ties", "all_equal", "few_distinct_shuffled",
+                                       "signed_zeros", "integer_days"])
     def test_blocked_grid_matches_one_matrix_bit_for_bit(self, grid_size, shape):
+        """kde evaluates one kernel per distinct sample; gathered back,
+        every sum is the one-matrix form's to the bit."""
         rng = random.Random(89)
         samples = {
             "spread": [rng.lognormvariate(3, 1.5) for _ in range(700)],
             "ties": [float(rng.randrange(9)) for _ in range(700)],
             "all_equal": [7.25] * 700,
+            "few_distinct_shuffled":
+                rng.sample([rng.lognormvariate(2, 1) for _ in range(37)] * 19, 701),
+            "signed_zeros": rng.sample([0.0, -0.0] * 150 + [rng.random() for _ in range(400)],
+                                       700),
+            # a balance period: whole days, most of them in a few weeks
+            "integer_days": [float(min(1 + int(rng.expovariate(1 / 20)), 149))
+                             for _ in range(3815)],
         }[shape]
+        if shape == "few_distinct_shuffled":
+            assert len(samples) == 701 and len(set(samples)) == 37
         est = kde(samples)
         x, h = np.asarray(samples), est.bandwidth
         grid = np.linspace(x.min() - 3 * h, x.max() + 3 * h, grid_size)
