@@ -97,7 +97,8 @@ def cmd_graph(config: Config, out: Path, args) -> None:
     fmt = args.format or "graphml"
     if fmt not in ("graphml", "dot"):
         raise ConfigInvalidError(f"--format must be graphml or dot, got {fmt!r}")
-    store = ingest.read_store(out / "ingest", config.ingest_config())
+    store = ingest.read_store(out / "ingest", config.ingest_config(),
+                              (ingest.EventKind.TOKEN_TRANSFER, ingest.EventKind.EXTERNAL_TX))
     stage = out / "graph"
     # The last slice holds every token event of the store (read_store
     # applied the window, and iter_slices' default bounds cover the rest),
@@ -137,7 +138,8 @@ def _write_graph_files(graph: graphs.CommunityGraph, stage: Path, name: str, fmt
 
 
 def cmd_cluster(config: Config, out: Path, args) -> None:
-    store = ingest.read_store(out / "ingest", config.ingest_config())
+    store = ingest.read_store(out / "ingest", config.ingest_config(),
+                              (ingest.EventKind.TOKEN_TRANSFER,))
     stage = out / "cluster"
     member_flows = flows.build_flows(store, sorted(store.claims))
     features = {a: flows.extract_features(f) for a, f in member_flows.items()}
@@ -160,8 +162,9 @@ def cmd_detect(config: Config, out: Path, args) -> None:
     report, contracts, claims = ingest.read_records(out / "ingest")
     internal = []
     if report.internal_events:
-        internal = ingest.read_store(out / "ingest", config.ingest_config()).events_of_kind(
-            ingest.EventKind.INTERNAL_TX)
+        kind = ingest.EventKind.INTERNAL_TX
+        internal = ingest.read_store(out / "ingest", config.ingest_config(),
+                                     (kind,)).events_of_kind(kind)
     token_graph = graphs.load_graph_json(out / "graph" / "token_graph.json")
     external_graph = graphs.load_graph_json(out / "graph" / "external_graph.json")
     stage = out / "detect"
@@ -187,7 +190,8 @@ def cmd_detect(config: Config, out: Path, args) -> None:
 
 
 def cmd_eligibility(config: Config, out: Path, args) -> None:
-    store = ingest.read_store(out / "ingest", config.ingest_config())
+    store = ingest.read_store(out / "ingest", config.ingest_config(),
+                              (ingest.EventKind.EXTERNAL_TX,))
     stage = out / "eligibility"
     balances_path = config.inputs.balances
     balances = _read_balances(balances_path) if balances_path else {}
@@ -251,6 +255,7 @@ def _read_balances(path: str) -> dict[str, dict[str, float]]:
 
 
 def cmd_stats(config: Config, out: Path, args) -> None:
+    # every kind: top_contracts scans all the store's events
     store = ingest.read_store(out / "ingest", config.ingest_config())
     bounds = store.config.window_bounds()
     if not (bounds or store.events):

@@ -32,7 +32,8 @@ import json
 import logging
 import re
 from bisect import bisect_left, bisect_right
-from collections import Counter, deque
+from collections import deque
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
 from datetime import date, datetime, timezone
 from enum import Enum
@@ -162,8 +163,7 @@ class ContractInfo:
     category: ContractCategory
 
 
-@dataclass(frozen=True, slots=True)
-class ClaimRecord:
+class ClaimRecord(NamedTuple):
     address: Address
     tier: Tier
     amount: int
@@ -431,16 +431,25 @@ class IngestReport:
 @dataclass
 class EventStore:
     """Canonical, time-ordered event record. Treat as read-only once built.
-    build_event_store's events are TransferEvents, read_store's StoredEvents."""
+    build_event_store's events are TransferEvents of every kind, read_store's
+    StoredEvents of the kinds it was asked to load. by_kind holds each
+    loaded kind's events, in store order, even when there are none."""
 
     events: list[TransferEvent] | list[StoredEvent]
     contracts: dict[Address, ContractInfo]
     claims: dict[Address, ClaimRecord]
     config: IngestConfig
     report: IngestReport
+    by_kind: dict[EventKind, list[TransferEvent] | list[StoredEvent]]
 
     def events_of_kind(self, kind: EventKind) -> list[TransferEvent] | list[StoredEvent]:
-        return [e for e in self.events if e.kind == kind]
+        """The store's events of `kind`, in store order: the group itself,
+        not a copy. ValueError if the store did not load that kind, so a
+        stage never takes an unloaded kind for one with no events."""
+        group = self.by_kind.get(kind)
+        if group is None:
+            raise ValueError(f"the store did not load {EventKind(kind).value} events")
+        return group
 
     def participants(self) -> set[Address]:
         return set(map(attrgetter("sender"), self.events)).union(
@@ -490,14 +499,14 @@ def build_event_store(
         claim_map[rec.address] = rec
     contract_map = {c.address: c for c in contracts}
 
-    store = EventStore(kept, contract_map, claim_map, config, report)
+    by_kind = _group_by_kind(kept, EventKind)
+    store = EventStore(kept, contract_map, claim_map, config, report, by_kind)
     participants = store.participants()
     report.claims_without_events = sorted(a for a in claim_map if a not in participants)
     report.stored = len(kept)
-    kinds = Counter(map(attrgetter("kind"), kept))
-    report.token_events = kinds[EventKind.TOKEN_TRANSFER]
-    report.external_events = kinds[EventKind.EXTERNAL_TX]
-    report.internal_events = kinds[EventKind.INTERNAL_TX]
+    report.token_events = len(by_kind[EventKind.TOKEN_TRANSFER])
+    report.external_events = len(by_kind[EventKind.EXTERNAL_TX])
+    report.internal_events = len(by_kind[EventKind.INTERNAL_TX])
     report.n_contracts = len(contract_map)
     report.n_claims = len(claim_map)
     if report.claims_without_events:
@@ -506,6 +515,18 @@ def build_event_store(
             len(report.claims_without_events),
         )
     return store
+
+
+def _group_by_kind(events: list, kinds) -> dict[EventKind, list]:
+    """Each of `kinds`' events, in the order of `events`, which hold no
+    other kind. One kind's group is `events` itself."""
+    kinds = [k for k in EventKind if k in kinds]  # a fixed key order
+    if len(kinds) == 1:
+        return {kinds[0]: events}
+    groups: dict[EventKind, list] = {k: [] for k in kinds}
+    for event in events:
+        groups[event.kind].append(event)
+    return groups
 
 
 def load_event_store(
@@ -624,13 +645,17 @@ _LINE_KINDS = {f"{k.value}\n": k for k in EventKind}
 # An event from a tuple of its fields.
 _new_event = partial(tuple.__new__, TransferEvent)
 _new_stored = partial(tuple.__new__, StoredEvent)
+_STORED_TIMESTAMP = attrgetter("timestamp")
 
 
-def _split_events(path: Path, raw: bool = False, allow_self_transfers: bool = True
-                  ) -> list[StoredEvent] | list[TransferEvent] | None:
-    """The StoredEvents of events.csv, split at commas and newlines a chunk
-    of whole lines at a time with no per-row Python code. A list it returns
-    is the one _events builds from the same file.
+def _split_events(path: Path, raw: bool = False, allow_self_transfers: bool = True,
+                  kinds: frozenset[EventKind] = frozenset(EventKind)
+                  ) -> tuple[list[StoredEvent], list[int], int | None] | list[TransferEvent] | None:
+    """events.csv split at commas and newlines a chunk of whole lines at a
+    time with no per-row Python code: what _events gives of the same file
+    and `kinds`. That is the StoredEvents of the rows of `kinds`, the
+    timestamp of every row, and the index of the first row that is a
+    self-transfer, or None.
 
     None, and read_store reads the file with csv, when csv would read some
     text its own way (a quote, "\\r", NUL, or a cell over its field size
@@ -639,16 +664,22 @@ def _split_events(path: Path, raw: bool = False, allow_self_transfers: bool = Tr
     would take more, so csv decides those), or the file does not end in
     "\\n". Each "\\n" stays at the end of the kind cell it closes, so a kind
     parses only as the last cell of its line and no row can borrow cells
-    from another.
+    from another. A chunk that holds a row of another kind builds only the
+    rows of `kinds`, and the value cells of all its rows must be ASCII
+    digits alone, so that no row's value is left unchecked.
 
-    With `raw`, for parse_transfers, TransferEvents, and also None unless
-    every row is in the form that parse_transfers' row loop keeps unchanged
-    (_canonical_rows), and every address is "0x" and 40 lowercase hex
-    digits, checked once, with the chunk that names it first.
+    With `raw`, for parse_transfers, the TransferEvents of every row, and
+    None also unless every row is in the form that parse_transfers' row
+    loop keeps unchanged (_canonical_rows), and every address is "0x" and
+    40 lowercase hex digits, checked once, with the chunk that names it
+    first.
     """
+    wanted = {text for text, k in _LINE_KINDS.items() if k in kinds}
     addresses: dict[str, str] = {}
     share = addresses.setdefault  # one string per address, shared by its events
     events: list = []
+    timestamps: list[int] = []
+    self_transfer = None
     with artifacts.open_for_read(path, newline="") as fh:
         if fh.readline() != ",".join(STORE_COLUMNS) + "\n":
             return None
@@ -668,24 +699,41 @@ def _split_events(path: Path, raw: bool = False, allow_self_transfers: bool = Tr
                     return None
                 columns = [cells[i:-1:8] for i in range(8)]
                 tx_hash, sender, receiver, value, timestamp, block, log_index, kind = columns
-                if not (_canonical_rows(columns, allow_self_transfers) if raw
-                        else _digit_cells(block, log_index)):
+                if raw:
+                    if not _canonical_rows(columns, allow_self_transfers):
+                        return None
+                    known = len(addresses)
+                    events += map(_new_event, zip(
+                        tx_hash, map(share, sender, sender), map(share, receiver, receiver),
+                        map(int, value), map(int, timestamp), map(int, block),
+                        map(_LINE_KINDS.__getitem__, kind), map(int, log_index)))
+                    # the addresses this chunk named first, the newest keys
+                    if not _hex_cells(list(islice(reversed(addresses), len(addresses) - known)),
+                                      40):
+                        return None
+                    continue
+                if not _digit_cells(block, log_index):
                     return None
-                known = len(addresses)
-                sender, receiver = map(share, sender, sender), map(share, receiver, receiver)
-                value, timestamp = map(int, value), map(int, timestamp)
-                kind = map(_LINE_KINDS.__getitem__, kind)
-                events += (map(_new_event, zip(tx_hash, sender, receiver, value, timestamp,
-                                               map(int, block), kind, map(int, log_index)))
-                           if raw else map(_new_stored, zip(sender, receiver, value, timestamp,
-                                                            kind)))
-                # the addresses this chunk named first, the newest keys
-                if raw and not _hex_cells(
-                        list(islice(reversed(addresses), len(addresses) - known)), 40):
-                    return None
+                timestamp = list(map(int, timestamp))
+                if self_transfer is None:
+                    self_transfer = next(compress(count(len(timestamps)),
+                                                  map(eq, sender, receiver)), None)
+                timestamps += timestamp
+                if not wanted.issuperset(kind):  # a row of a kind not loaded, or of none
+                    if not (_LINE_KINDS.keys() >= set(kind) and _digit_cells(value)):
+                        return None
+                    keep = list(map(wanted.__contains__, kind))
+                    sender, receiver, value, timestamp, kind = (
+                        list(compress(column, keep))
+                        for column in (sender, receiver, value, timestamp, kind))
+                events += map(_new_stored, zip(
+                    map(share, sender, sender), map(share, receiver, receiver), map(int, value),
+                    timestamp, map(_LINE_KINDS.__getitem__, kind)))
         except (ValueError, KeyError):  # UnicodeDecodeError is a ValueError
             return None
-    return None if tail else events
+    if tail:
+        return None
+    return events if raw else (events, timestamps, self_transfer)
 
 
 # str.translate tables that delete the characters of canonical cells and
@@ -729,16 +777,26 @@ def _canonical_rows(columns: list[list[str]], allow_self_transfers: bool) -> boo
             and (allow_self_transfers or not any(map(eq, sender, receiver))))
 
 
-def _events(reader) -> list[StoredEvent]:
-    """The StoredEvents of events.csv's rows. A block and a log index are
-    parsed, so that a cell int() refuses fails its row, and not kept."""
+def _events(reader, kinds: frozenset[EventKind]
+            ) -> tuple[list[StoredEvent], list[int], int | None]:
+    """The StoredEvents of events.csv's rows of `kinds`, every row's
+    timestamp, and the index of the first row that is a self-transfer, or
+    None. Every row's cells are parsed, so that a cell int() refuses fails
+    its row, though a block and a log index are never kept."""
     share = {}.setdefault  # one string per address, shared by its events
     events = []
+    timestamps = []
+    self_transfer = None
     for _, sender, receiver, value, timestamp, block, log_index, kind in reader:
         int(block), int(log_index)
-        events.append(StoredEvent(share(sender, sender), share(receiver, receiver), int(value),
-                                  int(timestamp), _KINDS[kind]))
-    return events
+        value, timestamp, kind = int(value), int(timestamp), _KINDS[kind]
+        if sender == receiver and self_transfer is None:
+            self_transfer = len(timestamps)
+        timestamps.append(timestamp)
+        if kind in kinds:
+            events.append(StoredEvent(share(sender, sender), share(receiver, receiver), value,
+                                      timestamp, kind))
+    return events, timestamps, self_transfer
 
 
 def _contracts(reader) -> list[ContractInfo]:
@@ -746,8 +804,19 @@ def _contracts(reader) -> list[ContractInfo]:
             for address, name, category in reader]
 
 
+class _TierByValue(dict):
+    """The Tier of each value; one no tier has raises Tier(value)'s ValueError."""
+
+    def __missing__(self, value: int) -> Tier:
+        return Tier(value)
+
+
+_TIERS = _TierByValue((t.value, t) for t in Tier)
+_new_claim = partial(tuple.__new__, ClaimRecord)
+
+
 def _claims(reader) -> list[ClaimRecord]:
-    return [ClaimRecord(address, Tier(int(tier)), int(amount), int(timestamp))
+    return [_new_claim((address, _TIERS[int(tier)], int(amount), int(timestamp)))
             for address, tier, amount, timestamp in reader]
 
 
@@ -782,51 +851,59 @@ def read_records(stage_dir) -> tuple[IngestReport, dict[Address, ContractInfo],
     return report, contracts, claims
 
 
-def read_store(stage_dir, config: IngestConfig | None = None) -> EventStore:
+def read_store(stage_dir, config: IngestConfig | None = None,
+               kinds: Iterable[EventKind] = tuple(EventKind)) -> EventStore:
     """Load the store that ingest wrote to `stage_dir`, trusting its files.
 
     The report, contracts and claims are read_records'. Ingest left
     events.csv normalized, sorted and deduplicated, so rows become records
-    without re-validation. Each row becomes a StoredEvent of the five
-    fields the later stages read: sender, receiver, value, timestamp and
-    kind. Its tx hash, block and log index are not kept; parse_transfers
-    of events.csv gives the full TransferEvents. events.csv is split at
-    commas and newlines, and read with csv when it holds a text that csv
-    reads its own way or a row that fails, so a bad row is named by its
-    line. What is checked of it is what a damaged file or a later config
-    can break: its exact header, a row count equal to report.json's, cells
-    that parse (a block and a log index too, though neither is kept),
-    non-decreasing timestamps, and no self-transfer unless the config
-    allows them. The
-    config's study window is applied again, so a window narrowed after
-    ingest drops the events outside it. Any failed check raises
-    CorruptStoreError, and a file that cannot be opened or decoded
-    MissingArtifactError. The store's report is ingest's own, read from
-    report.json.
+    without re-validation. Each row of one of `kinds` becomes a StoredEvent
+    of the five fields the later stages read: sender, receiver, value,
+    timestamp and kind; the store's events and by_kind hold those alone,
+    and events_of_kind refuses any other kind. A row's tx hash, block and
+    log index are not kept; parse_transfers of events.csv gives the full
+    TransferEvents. events.csv is split at commas and newlines, and read
+    with csv when it holds a text that csv reads its own way or a row that
+    fails, so a bad row is named by its line. What is checked of it is
+    what a damaged file or a later config can break, on every row whatever
+    its kind: its exact header, a row count equal to report.json's, cells
+    that parse (a block and a log index too, though neither is kept), a
+    known kind, non-decreasing timestamps, and no self-transfer unless the
+    config allows them. The config's study window is applied again, so a
+    window narrowed after ingest drops the events outside it. Any failed
+    check raises CorruptStoreError, and a file that cannot be opened or
+    decoded MissingArtifactError. The store's report is ingest's own, read
+    from report.json.
     """
     config = config or IngestConfig()
+    kinds = frozenset(map(EventKind, kinds))
     stage_dir = Path(stage_dir)
     report, contracts, claims = read_records(stage_dir)
+    events = _checked_events(stage_dir / "events.csv", kinds, report.stored,
+                             config.allow_self_transfers)
+    bounds = config.window_bounds()
+    if bounds:
+        events = events[bisect_left(events, bounds[0], key=_STORED_TIMESTAMP):
+                        bisect_right(events, bounds[1], key=_STORED_TIMESTAMP)]
+    return EventStore(events, contracts, claims, config, report, _group_by_kind(events, kinds))
 
-    path = stage_dir / "events.csv"
-    events = _split_events(path)
-    if events is None:
-        events = _read_canonical(path, STORE_COLUMNS, _events)
-    if len(events) != report.stored:
-        raise CorruptStoreError(
-            f"{path}: {len(events)} rows, report.json says {report.stored} stored"
-        )
-    # Event i is on line i + 2. Both scans run in C and stop at the first hit.
-    timestamps = list(map(attrgetter("timestamp"), events))
+
+def _checked_events(path: Path, kinds: frozenset[EventKind], stored: int,
+                    allow_self_transfers: bool) -> list[StoredEvent]:
+    """The StoredEvents of events.csv's rows of `kinds`, once every row has
+    passed read_store's checks. The timestamps of all rows, which the
+    checks read, are freed on return."""
+    rows = _split_events(path, kinds=kinds)
+    if rows is None:
+        rows = _read_canonical(path, STORE_COLUMNS, partial(_events, kinds=kinds))
+    events, timestamps, self_transfer = rows
+    if len(timestamps) != stored:
+        raise CorruptStoreError(f"{path}: {len(timestamps)} rows, report.json says {stored} stored")
+    # Row i is on line i + 2. The scan runs in C and stops at the first hit.
     unsorted = next(compress(count(3), map(gt, timestamps, islice(timestamps, 1, None))), None)
     if unsorted is not None:
         raise CorruptStoreError(f"{path} line {unsorted}: timestamp out of order")
-    if not config.allow_self_transfers:
-        selfish = next(compress(count(2), map(eq, map(attrgetter("sender"), events),
-                                              map(attrgetter("receiver"), events))), None)
-        if selfish is not None:
-            raise CorruptStoreError(f"{path} line {selfish}: self-transfer not allowed by config")
-    bounds = config.window_bounds()
-    if bounds:
-        events = events[bisect_left(timestamps, bounds[0]):bisect_right(timestamps, bounds[1])]
-    return EventStore(events, contracts, claims, config, report)
+    if self_transfer is not None and not allow_self_transfers:
+        raise CorruptStoreError(
+            f"{path} line {self_transfer + 2}: self-transfer not allowed by config")
+    return events

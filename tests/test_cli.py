@@ -448,7 +448,7 @@ def test_every_stage_on_an_empty_store_exits_0_or_1(tmp_path, capsys, window):
     config = write_config(tmp_path, inputs=inputs, window=window)
     assert run("ingest", config) == 0
     stage = tmp_path / "out" / "ingest"
-    assert ingest._split_events(stage / "events.csv") == []
+    assert ingest._split_events(stage / "events.csv") == ([], [], None)  # no events, no rows
     codes = {}
     for command in PIPELINE[2:]:
         capsys.readouterr()
@@ -866,9 +866,31 @@ def _replace_cell(lines: list[str], column: int, value: str, line: int = 2) -> l
     return lines
 
 
-# Corruptions deep in events.csv, and the line the error must name.
+def _first_row_of(lines: list[str], kind: str) -> int:
+    """The line of the first `kind` row of events.csv from line 1000 on,
+    where the fixture's chunks hold external rows, token rows or both."""
+    return next(n for n in range(1000, len(lines) + 1) if lines[n - 1].endswith("," + kind))
+
+
+def _damage_row_of(kind: str, damage):
+    """A corruption that applies `damage(lines, line)` to _first_row_of `kind`."""
+    return lambda lines: damage(lines, _first_row_of(lines, kind))
+
+
+def _late_timestamp(lines: list[str], line: int) -> list[str]:
+    """Line `line`'s timestamp moved past the last row's, out of order."""
+    return _replace_cell(lines, 4, str(int(lines[-1].split(",")[4]) + 1), line)
+
+
+def _self_transfer(lines: list[str], line: int) -> list[str]:
+    return _replace_cell(lines, 2, lines[line - 1].split(",")[1], line)
+
+
+# Corruptions deep in events.csv, and the line the error must name: a
+# number, or the kind whose _first_row_of is damaged.
 BAD_ROW_LINE = {"nine_cells": 800, "bad_cell_deep": 1500, "bad_log_index_deep": 1500,
-                "empty_block_deep": 1500}
+                "empty_block_deep": 1500, "external_row_value": "external_tx",
+                "token_row_value": "token_transfer"}
 
 
 CORRUPTIONS = {
@@ -889,28 +911,59 @@ CORRUPTIONS = {
     "report_not_json": ("report.json", lambda lines: ["{"]),
     "report_missing": ("report.json", None),
 }
+# Damage to rows of a kind that the stage does not build, which it still checks.
+UNBUILT_KIND_CORRUPTIONS = {
+    "cluster": {
+        "external_row_value": ("events.csv", _damage_row_of(
+            "external_tx", lambda lines, line: _replace_cell(lines, 3, "12x", line))),
+        "external_row_out_of_order": ("events.csv", _damage_row_of("external_tx", _late_timestamp)),
+        "external_row_self_transfer": ("events.csv", _damage_row_of("external_tx", _self_transfer)),
+    },
+    "eligibility": {
+        "token_row_value": ("events.csv", _damage_row_of(
+            "token_transfer", lambda lines, line: _replace_cell(lines, 3, "12x", line))),
+        "token_row_out_of_order": ("events.csv", _damage_row_of("token_transfer", _late_timestamp)),
+        "token_row_self_transfer": ("events.csv", _damage_row_of("token_transfer", _self_transfer)),
+    },
+}
+# The check that each of those damages fails, by the end of its case name
+# (a bad value names its line, as BAD_ROW_LINE says).
+UNBUILT_KIND_REASON = {"_row_out_of_order": "timestamp out of order",
+                       "_row_self_transfer": "self-transfer not allowed by config"}
 
 
-@pytest.mark.parametrize("case", sorted(CORRUPTIONS))
-def test_corrupt_ingest_artifact_exits_1(ingested, tmp_path, capsys, case):
-    name, corrupt = CORRUPTIONS[case]
+# Every stage that loads the store, with cluster's cases under their bare names.
+@pytest.mark.parametrize("stage,case", [
+    pytest.param(stage, case, id=case if stage == "cluster" else f"{stage}-{case}")
+    for stage in ("graph", "cluster", "eligibility", "stats")
+    for case in sorted(CORRUPTIONS) + sorted(UNBUILT_KIND_CORRUPTIONS.get(stage, ()))
+])
+def test_corrupt_ingest_artifact_exits_1(ingested, tmp_path, capsys, stage, case):
+    name, corrupt = {**CORRUPTIONS, **UNBUILT_KIND_CORRUPTIONS.get(stage, {})}[case]
     out = tmp_path / "out"
-    stage = out / "ingest"
-    stage.mkdir(parents=True)
+    ingest_dir = out / "ingest"
+    ingest_dir.mkdir(parents=True)
     for path in (ingested / "out" / "ingest").iterdir():
-        (stage / path.name).write_bytes(path.read_bytes())
-    target = stage / name
+        (ingest_dir / path.name).write_bytes(path.read_bytes())
+    target = ingest_dir / name
+    lines = target.read_text().splitlines() if target.exists() else []
     if corrupt is None:
         target.unlink()
     else:
-        target.write_text("\n".join(corrupt(target.read_text().splitlines())) + "\n")
-    assert run("cluster", write_config(tmp_path)) == 1
+        target.write_text("\n".join(corrupt(list(lines))) + "\n")
+    assert run(stage, write_config(tmp_path)) == 1
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["code"] == "missing_artifact"
     assert "ingest stage" in err["error"]
     if case in BAD_ROW_LINE:  # the loader stops at the first bad row and names its line
-        assert f"{name} line {BAD_ROW_LINE[case]}: bad row" in err["error"]
-    assert not (out / "cluster").exists()
+        line = BAD_ROW_LINE[case]
+        if isinstance(line, str):
+            line = _first_row_of(lines, line)
+        assert f"{name} line {line}: bad row" in err["error"]
+    for ending, reason in UNBUILT_KIND_REASON.items():
+        if case.endswith(ending):
+            assert reason in err["error"]
+    assert not (out / stage).exists()
 
 
 @pytest.mark.parametrize("column,text", [(5, "+13"), (5, "1_3"), (6, "+0")],

@@ -488,18 +488,38 @@ def _assert_loaded(loaded, store) -> None:
     assert loaded.report == store.report
 
 
-def _load(stage: Path, config: IngestConfig):
-    """read_store's store, or the message of its CorruptStoreError."""
+def _load(stage: Path, config: IngestConfig, kinds=tuple(EventKind)):
+    """read_store's store of `kinds`, or the message of its CorruptStoreError."""
     try:
-        return read_store(stage, config)
+        return read_store(stage, config, kinds)
     except CorruptStoreError as exc:
         return str(exc)
 
 
-def _load_with_csv(stage: Path, config: IngestConfig):
+def _load_with_csv(stage: Path, config: IngestConfig, kinds=tuple(EventKind)):
     """_load with events.csv read by csv alone."""
     with mock.patch("airdrop_forensics.ingest._split_events", return_value=None):
-        return _load(stage, config)
+        return _load(stage, config, kinds)
+
+
+def _assert_kinds_of(part, whole, kinds) -> None:
+    """`part`, a load of `kinds`, is the load `whole` of every kind
+    filtered to `kinds`, or fails as it fails."""
+    if isinstance(whole, str):
+        assert part == whole
+        return
+    events = [e for e in whole.events if e.kind in kinds]
+    assert part.events == events
+    assert part.by_kind == {k: [e for e in events if e.kind == k] for k in kinds}
+    assert_addresses_shared(part.events)
+    for kind in EventKind:
+        if kind in kinds:
+            assert part.events_of_kind(kind) is part.by_kind[kind]
+        else:
+            with pytest.raises(ValueError, match=f"did not load {kind.value} events"):
+                part.events_of_kind(kind)
+    assert (part.contracts, part.claims, part.config, part.report) == (
+        whole.contracts, whole.claims, whole.config, whole.report)
 
 
 # Every kind, values of 2**64 and more, log indexes above 0 and a self-transfer.
@@ -507,6 +527,14 @@ _EDGES = build_event_store(
     [ev(addr(1), addr(2), 2**64 + i, kind=kind, log_index=i + 1)
      for i, kind in enumerate(EventKind)] + [ev(addr(3), addr(3), 10**30, log_index=7)],
     [], [], [claim(addr(2))], IngestConfig(allow_self_transfers=True))
+
+
+def _kinds_in_turn():
+    """A store of 1,300 events whose kinds take turns, over several chunks."""
+    kinds = list(EventKind)
+    return build_event_store(
+        [ev(addr(1 + i % 3), addr(4 + i % 5), i, ts=WINDOW_START + i, kind=kinds[i % 7 % 3])
+         for i in range(1300)], [], [], [], IngestConfig(None, None))
 
 
 @st.composite
@@ -519,22 +547,30 @@ def damage(draw):
             draw(st.text(alphabet=',\n\r"x5\0', max_size=3)))
 
 
+_ALL = frozenset(EventKind)
+_TOKEN = frozenset({EventKind.TOKEN_TRANSFER})
+
+
 @_PROPERTY
-@example(store=build_event_store([], [], [], [], IngestConfig()), edit=None)
-@example(store=_EDGES, edit=None)
-@example(store=_one_odd_text("0x" + "ab" * 32), edit=None)  # rows straddle chunk boundaries
-@example(store=_one_odd_text("0x" + "ab" * 70000), edit=None)  # a cell over csv's size limit
-@example(store=_one_odd_text("0x,1"), edit=None)
-@example(store=_one_odd_text('0x"1'), edit=None)
-@example(store=_one_odd_text("0x\n1"), edit=None)
-@example(store=_one_odd_text("0x\r1"), edit=None)
-@example(store=_one_odd_text("0x\x001"), edit=None)
-@example(store=_one_odd_text("0x" + "ab" * 32), edit=(1.0, 1, ""))  # no "\n" at the end
-@given(store=built_stores(), edit=damage())
-def test_split_events_reads_as_csv_reader(store, edit):
+@example(store=build_event_store([], [], [], [], IngestConfig()), edit=None, kinds=_ALL)
+@example(store=_EDGES, edit=None, kinds=_TOKEN)
+@example(store=_one_odd_text("0x" + "ab" * 32), edit=None, kinds=_ALL)  # rows straddle chunks
+@example(store=_one_odd_text("0x" + "ab" * 70000), edit=None, kinds=_ALL)  # over csv's size limit
+@example(store=_one_odd_text("0x,1"), edit=None, kinds=_ALL)
+@example(store=_one_odd_text('0x"1'), edit=None, kinds=_ALL)
+@example(store=_one_odd_text("0x\n1"), edit=None, kinds=_ALL)
+@example(store=_one_odd_text("0x\r1"), edit=None, kinds=_ALL)
+@example(store=_one_odd_text("0x\x001"), edit=None, kinds=_ALL)
+@example(store=_one_odd_text("0x" + "ab" * 32), edit=(1.0, 1, ""), kinds=_ALL)  # no final "\n"
+@example(store=_kinds_in_turn(), edit=None, kinds=_TOKEN)
+@example(store=_kinds_in_turn(), edit=(0.5, 0, "x"), kinds=_TOKEN)
+@given(store=built_stores(), edit=damage(), kinds=st.frozensets(st.sampled_from(list(EventKind))))
+def test_split_events_reads_as_csv_reader(store, edit, kinds):
     """read_store gives the store, or the CorruptStoreError, that it gives
     with events.csv read by csv, whole or damaged; and it splits every
-    stored events.csv of hex texts without csv."""
+    stored events.csv of hex texts without csv. A load of `kinds` alone,
+    split or read by csv, is the load of every kind filtered to `kinds`,
+    or fails with the same message."""
     with tempfile.TemporaryDirectory() as tmp:
         try:
             stage = _write_stage(Path(tmp), store)
@@ -554,9 +590,13 @@ def test_split_events_reads_as_csv_reader(store, edit):
             path.write_text(text[:at] + put + text[at + cut:], newline="")
         got = _load(stage, store.config)
         want = _load_with_csv(stage, store.config)
+        part = _load(stage, store.config, kinds)
+        part_with_csv = _load_with_csv(stage, store.config, kinds)
     assert got == want
     if not isinstance(got, str):
         assert_addresses_shared(got.events)
+    _assert_kinds_of(part, got, kinds)
+    _assert_kinds_of(part_with_csv, got, kinds)
 
 
 def test_no_row_takes_cells_of_another(tmp_path):
@@ -590,6 +630,41 @@ def test_read_store_of_a_text_holding_a_newline_is_the_store(tmp_path, field):
     event = ev(addr(1), addr(2), 5)._replace(**{field: "0x\n" + "ab" * 20})
     store = build_event_store([event], [], [], [], IngestConfig())
     _assert_loaded(read_store(_write_stage(tmp_path, store), store.config), store)
+
+
+def test_a_kind_the_store_did_not_load_is_refused(tmp_path):
+    """A load of token transfers alone holds none, and refuses the kinds
+    it did not load rather than give an empty list for them."""
+    store = build_event_store([ev(addr(1), addr(2), 5, kind=EventKind.EXTERNAL_TX)], [], [], [],
+                              IngestConfig(None, None))
+    loaded = read_store(_write_stage(tmp_path, store), store.config, [EventKind.TOKEN_TRANSFER])
+    assert loaded.events == loaded.events_of_kind(EventKind.TOKEN_TRANSFER) == []
+    for kind in (EventKind.EXTERNAL_TX, EventKind.INTERNAL_TX):
+        with pytest.raises(ValueError, match=f"the store did not load {kind.value} events"):
+            loaded.events_of_kind(kind)
+
+
+@pytest.mark.parametrize("tier,reason", [("4000", "4000 is not a valid Tier"),
+                                         ("52x", "invalid literal for int() with base 10: '52x'")])
+def test_a_bad_tier_fails_its_line(tmp_path, tier, reason):
+    store = build_event_store([], [], [], [claim(addr(1)), claim(addr(2), Tier.T7800)],
+                              IngestConfig())
+    stage = _write_stage(tmp_path, store)
+    path = stage / "claims.csv"
+    path.write_text(path.read_text().replace(",7800,", f",{tier},"))
+    with pytest.raises(CorruptStoreError) as raised:
+        ingest.read_records(stage)
+    assert f"{path} line 3: bad row ({reason})" in str(raised.value)
+
+
+def test_claim_record_is_an_immutable_set_member():
+    record = claim(addr(1), Tier.T7800)
+    with pytest.raises(AttributeError):
+        record.tier = Tier.T5200
+    twin = ingest._claims([[record.address, "7800", str(record.amount),
+                            str(record.claim_timestamp)]])[0]
+    assert twin == record and twin is not record and twin.tier is Tier.T7800
+    assert len({record, twin}) == 1 and twin in {record}
 
 
 def test_transfer_event_is_an_immutable_set_member():
