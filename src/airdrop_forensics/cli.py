@@ -213,9 +213,7 @@ def cmd_eligibility(config: Config, out: Path, args) -> None:
     snapshot = min((c.claim_timestamp for c in store.claims.values()), default=None)
     if snapshot is None:
         snapshot = max(e.timestamp for e in external)
-    population = sorted(
-        {e.sender for e in external if e.sender not in store.contracts}
-    )
+    population = [a for a in history.index.senders if a not in store.contracts]
     result = eligibility.run_campaign(population, history, config.eligibility, snapshot)
     if "recency_window_clipped_to" in result.summary:
         log.warning("eligibility: the %d-day recency window reaches back before the history; "
@@ -269,7 +267,7 @@ def cmd_stats(config: Config, out: Path, args) -> None:
         labels = {row["address"]: int(row["cluster"])
                   for row in clustering.read_assignment(assignment, store.claims.keys())}
     member_flows = flows.build_flows(store, sorted(store.claims))
-    ops = {a: flows.extract_features(f).op_set() for a, f in member_flows.items()}
+    ops = {a: flows.op_set(f) for a, f in member_flows.items()}
     table = stats.behavior_table(ops, store.claims)
     stats.write_behavior_table_csv(table, stage / "behavior_table.csv")
     artifacts.write_json({str(t.value): table[t] for t in ingest.Tier},

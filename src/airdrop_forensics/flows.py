@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import reduce
+from functools import cache, reduce
 from math import sqrt
 from operator import add, mul
 from typing import NamedTuple
@@ -45,7 +45,6 @@ OPERATION_ORDER: tuple[OperationKind, ...] = (
     OperationKind.RECEIVE,
 )
 N_FEATURES = len(OPERATION_ORDER)
-_SLOT = {op: i for i, op in enumerate(OPERATION_ORDER)}
 
 # The one accounting rule: how each operation moves a member's tokens, as
 # (source, destination) positions. None is outside the member's books.
@@ -186,19 +185,27 @@ class FeatureVector:
         return {OPERATION_ORDER[i] for i, b in enumerate(self.bits) if b}
 
 
-def extract_features(flow: TransactionFlow) -> FeatureVector:
-    """Bit j set iff the flow contains operation j at least once.
+def op_set(flow: TransactionFlow) -> frozenset[OperationKind]:
+    """The operations a flow contains at least once.
 
-    The claim receipt itself does not set the receive bit -- every initial
+    The claim receipt itself does not count as a receive -- every initial
     member has it, so it would carry no information; only post-claim
     receives count.
     """
-    bits = [0] * N_FEATURES
-    for ev in flow.events:
-        if ev.op == OperationKind.RECEIVE and ev.is_claim:
-            continue
-        bits[_SLOT[ev.op]] = 1
-    return FeatureVector(tuple(bits))
+    receive = OperationKind.RECEIVE
+    return frozenset({ev.op for ev in flow.events if not (ev.is_claim and ev.op == receive)})
+
+
+@cache
+def _vector(ops: frozenset[OperationKind]) -> FeatureVector:
+    return FeatureVector(tuple(int(op in ops) for op in OPERATION_ORDER))
+
+
+def extract_features(flow: TransactionFlow) -> FeatureVector:
+    """Bit j set iff operation j is in the flow's `op_set`. There are at
+    most 2**N_FEATURES op sets, so members with the same one share a
+    single vector, built and validated once per process."""
+    return _vector(op_set(flow))
 
 
 def weighted_cosine_distance(

@@ -555,6 +555,11 @@ def attracting_counts(
             or (e > graph.n_edges).any():
         raise ValueError("prefixes must not shrink and must lie within the graph")
     src, dst = np.array(graph._src, dtype=np.int64), np.array(graph._dst, dtype=np.int64)
+    # the highest node that the first i + 1 edges name, read at each prefix's last edge
+    named = np.maximum.accumulate(np.maximum(src, dst))
+    held = e > 0
+    if (named[e[held] - 1] >= n[held]).any():
+        raise ValueError("every edge of a prefix must join nodes of that prefix")
     moves = np.flatnonzero(src != dst)
     _, first = np.unique(src[moves], return_index=True)
     leaves_at = np.sort(moves[first])  # each node's first non-loop out-edge

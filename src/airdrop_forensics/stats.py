@@ -40,8 +40,8 @@ def behavior_table(
     ops: dict[Address, set[OperationKind]], claims: dict[Address, ClaimRecord]
 ) -> dict[Tier, dict[str, float]]:
     """Per tier, the fraction of claimants performing each action at least
-    once, read from each member's feature-vector op set (`op_set()` of
-    `flows.extract_features`), so receiving ignores the claim payout itself."""
+    once, read from each member's `flows.op_set`, so receiving ignores the
+    claim payout itself."""
     performed: dict[Tier, Counter] = {t: Counter() for t in Tier}
     claimed: Counter = Counter()
     for addr, rec in claims.items():
@@ -222,13 +222,37 @@ class DensityEstimate:
         }
 
 
+def quartiles(samples) -> tuple[float, float]:
+    """The 75th and 25th percentiles by numpy's default `linear` rule, with
+    the bits of `np.percentile(samples, [75, 25])` for finite samples.
+
+    The virtual index is (n - 1) * q; between its neighbours a and b at
+    fraction g the quartile is a + (b - a) * g, or b - (b - a) * (1 - g)
+    when g >= 0.5, as numpy's `_lerp` rounds; an index at or past n - 1
+    reads the last value. numpy's own quantile code imports numpy.ma on
+    first use, which costs more than every KDE of a stats run.
+    """
+    x = np.sort(np.asarray(samples, dtype=float))
+    last = len(x) - 1
+    out = []
+    for q in (0.75, 0.25):
+        index = last * q
+        if index >= last:
+            out.append(float(x[last]))
+            continue
+        lo = int(index)
+        a, b, g = float(x[lo]), float(x[lo + 1]), index - lo
+        out.append(b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g)
+    return out[0], out[1]
+
+
 def silverman_bandwidth(samples) -> float:
     """0.9 * min(std, IQR/1.34) * n^(-1/5), with a unit fallback when the
     sample is degenerate (all identical)."""
     x = np.asarray(samples, dtype=float)
     n = len(x)
     std = float(np.std(x))
-    q75, q25 = np.percentile(x, [75, 25])
+    q75, q25 = quartiles(x)
     spread = min(std, (q75 - q25) / 1.34)
     if spread <= 0:
         spread = std if std > 0 else 1.0

@@ -240,6 +240,29 @@ def test_synth_eligibility_scenario_expectations():
         assert failed == ["clique_exclusion"]
 
 
+class CountedWalks(list):
+    """A list that counts the times it is iterated."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("preset", list(Preset))
+def test_campaign_walks_the_history_once(preset):
+    """The population, every rule and the clique sizes come from one pass
+    over the events, under every preset."""
+    h, population, meta = eligibility_scenario(seed=5)
+    h.events = CountedWalks(h.events)
+    senders = set(h.index.senders)
+    assert set(population) <= senders
+    result = run_campaign(population, h, EligibilityRules(preset), meta["snapshot"])
+    assert h.events.walks == 1
+    assert len(result.verdicts) == len(set(population))
+
+
 def test_tier_quota_counts_reproduced():
     h, population, meta = tier_quota_history(seed=9, quotas=(6189, 9986, 3824))
     result = run_campaign(population, h, EligibilityRules(), meta["snapshot"])

@@ -9,12 +9,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from airdrop_forensics.flows import (
+    OPERATION_ORDER,
     FeatureVector,
+    FlowEvent,
     OperationKind,
+    TransactionFlow,
     UNIFORM_WEIGHTS,
+    _vector,
     build_flows,
     classify_event,
     extract_features,
+    op_set,
     weighted_cosine_distance,
     write_feature_matrix,
 )
@@ -282,6 +287,47 @@ class TestFeatures:
                            claims=[claim(m, ts=T) for m in members])
         flows = build_flows(store, members)
         assert sorted(flows) == sorted(members)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(st.sampled_from(OPERATION_ORDER), st.booleans()), max_size=12))
+    def test_bits_are_the_op_set_without_the_claim_receipt(self, steps):
+        flow = TransactionFlow(addr(1), [FlowEvent(op, 1, 0, 0, 0, T, claim)
+                                         for op, claim in steps])
+        counted = {op for op, claim in steps if not (claim and op == OperationKind.RECEIVE)}
+        assert op_set(flow) == counted
+        features = extract_features(flow)
+        assert features.bits == tuple(int(op in counted) for op in OPERATION_ORDER)
+        assert features.op_set() == counted
+
+    def test_members_with_one_op_set_share_one_checked_vector(self, monkeypatch):
+        """Many flows over a few patterns build and check one vector per
+        pattern, not one per member."""
+        built = []
+        check = FeatureVector.__post_init__
+
+        def counted_check(vector):
+            built.append(vector.bits)
+            check(vector)
+
+        monkeypatch.setattr(FeatureVector, "__post_init__", counted_check)
+        _vector.cache_clear()
+        patterns = [(), (OperationKind.BUY,), (OperationKind.STAKE, OperationKind.SELL),
+                    (OperationKind.RECEIVE, OperationKind.SEND)]
+        rng = random.Random(7)
+        claim_receipt = FlowEvent(OperationKind.RECEIVE, 1, 1, 0, 0, T, True)
+        members = []
+        for i in range(600):
+            pattern = patterns[i % len(patterns)]
+            ops = list(pattern) + rng.choices(pattern, k=rng.randint(0, 5) if pattern else 0)
+            rng.shuffle(ops)
+            events = [FlowEvent(op, 1, 0, 0, 0, T + k) for k, op in enumerate(ops)]
+            members.append((pattern, TransactionFlow(addr(i), [claim_receipt] + events)))
+        vectors = [(pattern, extract_features(flow)) for pattern, flow in members]
+        assert len(built) == len(patterns)
+        shared = {}
+        for pattern, vector in vectors:
+            assert vector.op_set() == set(pattern)
+            assert shared.setdefault(pattern, vector) is vector
 
 
 class TestWeightedCosine:

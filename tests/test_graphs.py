@@ -235,6 +235,15 @@ def test_attracting_counts_need_growing_prefixes():
         metric_series(slices[::-1])
 
 
+@pytest.mark.parametrize("nodes", [0, 1])
+def test_attracting_counts_refuse_an_edge_outside_its_prefix(nodes):
+    # the edge a -> b names node 1 (b), outside a prefix of fewer than 2 nodes
+    g = digraph([("a", "b")])
+    with pytest.raises(ValueError, match="every edge of a prefix"):
+        attracting_counts(g, [nodes], [1])
+    assert attracting_counts(g, [nodes, 2], [0, 1]) == [nodes, 1]
+
+
 def test_metric_series_single_mutual_pair(airdrop_contract):
     e1 = ev(addr(1), addr(2), 5, ts=WINDOW_START + 3600)
     e2 = ev(addr(2), addr(1), 5, ts=WINDOW_START + 7200)

@@ -1,11 +1,16 @@
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from airdrop_forensics.flows import build_flows, extract_features
+from airdrop_forensics.flows import build_flows, op_set
 from airdrop_forensics.ingest import Tier
 from airdrop_forensics.stats import (
     EmptySampleError,
@@ -16,6 +21,7 @@ from airdrop_forensics.stats import (
     claimed_total_for_counts,
     kde,
     period_quantity_samples,
+    quartiles,
     silverman_bandwidth,
     tier_composition,
     top_contracts,
@@ -35,7 +41,7 @@ def flows_for(scenario):
 
 
 def op_sets(flows):
-    return {a: extract_features(f).op_set() for a, f in flows.items()}
+    return {a: op_set(f) for a, f in flows.items()}
 
 
 class TestBehaviorTable:
@@ -254,6 +260,47 @@ class TestKde:
         x = np.asarray(samples)
         q75, q25 = np.percentile(x, [75, 25])
         assert h == pytest.approx(0.9 * ((q75 - q25) / 1.34) * len(samples) ** -0.2)
+
+
+# Periods are whole days and quantities display units, so samples are
+# whole numbers or magnitudes from 1e-6 to 1e6, of either sign.
+_SAMPLE_VALUES = st.one_of(
+    st.integers(-10**6, 10**6).map(float),
+    st.floats(1e-6, 1e6),
+    st.floats(-1e6, -1e-6),
+)
+_SAMPLES = st.one_of(
+    st.lists(_SAMPLE_VALUES, min_size=1, max_size=300),
+    # ties: draws from a handful of values
+    st.lists(_SAMPLE_VALUES, min_size=1, max_size=6).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=300)),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_SAMPLES)
+def test_quartiles_have_the_bits_of_np_percentile(samples):
+    want = [float(q).hex() for q in np.percentile(np.asarray(samples), [75, 25])]
+    assert [q.hex() for q in quartiles(samples)] == want
+
+
+def test_kde_does_not_load_numpy_ma():
+    """numpy's quantile code imports numpy.ma, which costs a stats run more
+    than its KDEs; kde's quartiles take none of it."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+
+    def loads_ma(code):
+        return subprocess.run(
+            [sys.executable, "-c", f"import sys; {code}; print('numpy.ma' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout.strip() == "True"
+
+    if loads_ma("import numpy"):
+        pytest.skip("importing numpy alone loads numpy.ma here")
+    assert not loads_ma("from airdrop_forensics.stats import kde; "
+                        "kde([3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0]).to_json()")
 
 
 def test_timeline_periods_and_quantities(airdrop_contract, router_contract):
