@@ -10,8 +10,9 @@ locale.
 The contract between stages is declared once, in SHAPES: for each
 artifact a later stage reads, what its readers index. The one reader,
 `read`, inverts the writers and checks that shape, so a stage indexes
-what it reads without guards of its own. Ingest's three CSVs are the
-exception: `ingest.read_store` checks their exact headers and rows.
+what it reads without guards of its own. The files ingest writes are the
+exception: `ingest.read_records` and `ingest.read_store` parse each one
+unchecked once its bytes match the sha256 recorded in ingest's run.json.
 
 Every artifact is written by one rule, `open_for_write`: the writer makes
 the file's directories and rewrites the file in place, opened without
@@ -128,8 +129,8 @@ def write_csv(header: list, rows: Iterable, path) -> None:
 # number; `int` and `float` admit no bool.
 _DENSITIES = {str: {"bandwidth": float, "integral": float, "grid": list}}
 SHAPES = {
-    "ingest/report.json": {"stored": int, "n_claims": int, "n_contracts": int,
-                           "internal_events": int, "malformed": list},
+    "ingest/run.json": {"outputs": {name: {"sha256": str} for name in (
+        "claims.csv", "contracts.csv", "events.csv", "report.json")}},
     "graph/token_graph.json": {"nodes": list, "edges": list},
     "graph/external_graph.json": {"nodes": list, "edges": list},
     "graph/summary.json": {"token_graph": {"nodes": int, "edges": int}},

@@ -26,18 +26,16 @@ from pathlib import Path
 
 from . import artifacts, clustering, eligibility, flows, forensics, graphs, ingest, stats, synth
 from .artifacts import MissingArtifactError
-from .config import Config, ConfigInvalidError, from_json, load_config, to_json
+from .config import RAW_INPUTS, Config, ConfigInvalidError, from_json, load_config, to_json
 
 log = logging.getLogger("airdrop_forensics.cli")
 
 
-RAW_INPUTS = ("token_transfers", "external_txs", "contracts", "claims")
-
-
 def _input_paths(config: Config, out: Path) -> list[Path]:
-    """The raw exports in RAW_INPUTS order: as configured, else synth's."""
+    """The raw exports in RAW_INPUTS order: as configured (the config sets
+    all four or none), else synth's."""
     configured = [getattr(config.inputs, key) for key in RAW_INPUTS]
-    if all(configured):
+    if None not in configured:
         return [Path(path) for path in configured]
     if (out / "synth" / "token_transfers.csv").exists():
         return [out / "synth" / f"{key}.csv" for key in RAW_INPUTS]
@@ -81,10 +79,7 @@ def cmd_ingest(config: Config, out: Path, args) -> None:
     stale_cache = stage / "events.cols"
     if stale_cache.is_file():
         stale_cache.unlink()
-    ingest.write_transfers_csv(store.events, stage / "events.csv")
-    ingest.write_contracts_csv(list(store.contracts.values()), stage / "contracts.csv")
-    ingest.write_claims_csv(list(store.claims.values()), stage / "claims.csv")
-    artifacts.write_json(store.report.to_json(), stage / "report.json")
+    ingest.write_store(store, stage)
     log.info("ingest: %d events stored, %d claims, %d contracts",
              store.report.stored, store.report.n_claims, store.report.n_contracts)
 
@@ -130,10 +125,15 @@ def cmd_graph(config: Config, out: Path, args) -> None:
 
 
 def _write_graph_files(graph: graphs.CommunityGraph, stage: Path, name: str, fmt: str) -> dict:
-    """Write `graph` as `name`.json and `name`.`fmt`; its node and edge counts."""
+    """Write `graph` as `name`.json and `name`.`fmt`, and delete its export
+    in the other format; its node and edge counts."""
     order = graphs.sorted_order(graph)
     graphs.write_graph_json(graph, stage / f"{name}.json", order)
     graphs.write_graph(graph, stage / f"{name}.{fmt}", fmt, name, order)
+    # left by a run in the other format
+    other = stage / f"{name}.{'dot' if fmt == 'graphml' else 'graphml'}"
+    if other.is_file():
+        other.unlink()
     return {"nodes": graph.n_nodes, "edges": graph.n_edges}
 
 

@@ -30,6 +30,10 @@ def _ensure(ok: bool, where: str, what: str, value) -> None:
         raise ConfigInvalidError(f"{where} must be {what}, got {value!r}")
 
 
+# The raw exports ingest reads: the config sets all of them or none.
+RAW_INPUTS = ("token_transfers", "external_txs", "contracts", "claims")
+
+
 @dataclass(frozen=True)
 class Inputs:
     token_transfers: str | None = None
@@ -37,6 +41,11 @@ class Inputs:
     contracts: str | None = None
     claims: str | None = None
     balances: str | None = None
+
+    def __post_init__(self):
+        unset = [key for key in RAW_INPUTS if getattr(self, key) is None]
+        if 0 < len(unset) < len(RAW_INPUTS):
+            raise ValueError(f"set all of {list(RAW_INPUTS)} or none; {unset} unset")
 
 
 @dataclass(frozen=True)

@@ -4,18 +4,19 @@ Four inputs feed the pipeline: token transfer rows, external transaction
 rows, a contract dictionary (address -> name/category), and the airdrop
 claim list. Everything lands in an EventStore: a sorted, deduplicated,
 immutable-by-convention record that all downstream stages consume. The
-ingest stage writes it out once in canonical form; read_store loads that
-form back without repeating the raw-input validation.
+ingest stage writes it out once in canonical form, with the sha256 of
+each file it writes; read_store loads that form back, trusting each file
+whose bytes match its digest, without repeating the raw-input validation.
 
 Ingest's own events are TransferEvents, immutable named tuples, so each
 costs one tuple to build and EVENT_ORDER sorts by position in C. Their
 tx hash, block and log index order and deduplicate the store, and no
-later stage reads them: read_store checks those cells but keeps only a
-StoredEvent of the five fields the stages read. A raw export already in
-the store's form is split by read_store's loader with no per-row Python
-code; any other is read positionally, one pass per file, and every
-address text is normalized once. Either way, events that name the same
-address share one string. Each raw file is sorted once, the
+later stage reads them: read_store keeps only a StoredEvent of the five
+fields the stages read. A raw export already in the store's form is
+split by read_store's splitter with no per-row Python code; any other is
+read positionally, one pass per file, and every address text is
+normalized once. Either way, events that name the same address share
+one string. Each raw file is sorted once, the
 merge of the two is sorted once more (two sorted runs, so linear), and
 write_transfers_csv trusts its input to be in that order.
 
@@ -25,6 +26,7 @@ scaling happens only at report boundaries, never inside computations.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import hashlib
 import io
@@ -39,7 +41,7 @@ from datetime import date, datetime, timezone
 from enum import Enum
 from functools import partial
 from itertools import chain, compress, count, islice
-from operator import attrgetter, eq, gt, itemgetter
+from operator import attrgetter, eq, itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -553,35 +555,31 @@ def load_event_store(
 
 
 # Canonical writers: sorted rows and a fixed column order in the artifacts
-# module's CSV format. parse(write(parse(x))) round-trips exactly, and
-# read_store reads the three files back without re-validating them.
+# module's CSV format. parse(write(parse(x))) round-trips exactly.
+# write_store writes the ingest stage's files and records their digests,
+# and read_store reads them back by those digests, without re-validation.
 
-# An event's cells in STORE_COLUMNS order. csv and str.join write the
-# str-valued EventKind as its value, since both take any str as its text.
-_STORE_ROW = itemgetter(0, 1, 2, 3, 4, 5, 7, 6)
 # Rows per write: about 100 KB of text, under glibc's mmap threshold (see
 # _CHUNK).
 _ROWS = 1 << 9
+_HEADER = ",".join(STORE_COLUMNS) + "\n"
 
 
 def _store_rows(events: list[TransferEvent]) -> str:
     """The CSV lines of `events`, a non-empty batch, as csv.writer writes
-    them in the artifacts module's format.
-
-    A stored event's cells are hex, decimal integers and EventKind values,
-    which csv.writer never quotes, so each line is its cells joined by ",".
-    A batch where some text holds a character csv.writer quotes, or that
-    an interpreter's csv handles its own way, goes through csv.writer."""
+    them in the artifacts module's format: each line is its cells joined by
+    ",", as no cell holds a character csv.writer quotes. ValueError if one
+    does: a '"', ",", "\\r", "\\n" or NUL, which parse_transfers never
+    leaves in an event. So events.csv always splits at its commas and
+    newlines."""
     tx_hash, sender, receiver, value, timestamp, block, kind, log_index = zip(*events)
     text = "\n".join(map(",".join, zip(
         tx_hash, sender, receiver, map(str, value), map(str, timestamp), map(str, block),
         map(str, log_index), kind))) + "\n"
-    if (text.count(",") == 7 * len(events) and text.count("\n") == len(events)
+    if not (text.count(",") == 7 * len(events) and text.count("\n") == len(events)
             and '"' not in text and "\r" not in text and "\0" not in text):
-        return text
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerows(map(_STORE_ROW, events))
-    return buffer.getvalue()
+        raise ValueError("a stored event holds a '\"', ',', '\\r', '\\n' or NUL in a cell")
+    return text
 
 
 def write_transfers_csv(events: list[TransferEvent], path) -> str:
@@ -591,7 +589,7 @@ def write_transfers_csv(events: list[TransferEvent], path) -> str:
     digest = hashlib.sha256()
     batches = (events[i:i + _ROWS] for i in range(0, len(events), _ROWS))
     with artifacts.open_for_write(path, "wb") as fh:
-        for text in chain([",".join(STORE_COLUMNS) + "\n"], map(_store_rows, batches)):
+        for text in chain([_HEADER], map(_store_rows, batches)):
             data = text.encode()
             digest.update(data)
             fh.write(data)
@@ -616,27 +614,51 @@ def write_claims_csv(claims: list[ClaimRecord], path) -> None:
     )
 
 
+def write_store(store: EventStore, stage_dir) -> None:
+    """Write `store` to `stage_dir` as the ingest stage leaves it:
+    events.csv, contracts.csv, claims.csv and report.json, then run.json,
+    which records the sha256 of each. read_records and read_store trust a
+    file whose bytes match its digest. run.json is written last, so a write
+    cut short leaves files that the record of an earlier run does not
+    match."""
+    stage_dir = Path(stage_dir)
+    digests = {"events.csv": write_transfers_csv(store.events, stage_dir / "events.csv")}
+    write_contracts_csv(list(store.contracts.values()), stage_dir / "contracts.csv")
+    write_claims_csv(list(store.claims.values()), stage_dir / "claims.csv")
+    artifacts.write_json(store.report.to_json(), stage_dir / "report.json")
+    for name in ("contracts.csv", "claims.csv", "report.json"):
+        digests[name] = hashlib.sha256((stage_dir / name).read_bytes()).hexdigest()
+    artifacts.write_json({"outputs": {name: {"sha256": digest} for name, digest in digests.items()}},
+                         stage_dir / "run.json")
+
+
 class CorruptStoreError(artifacts.MissingArtifactError):
-    """An ingest artifact fails one of read_store's integrity checks."""
+    """An ingest artifact that read_store or read_records cannot trust."""
 
     def __init__(self, detail: str):
         super().__init__(f"ingest artifacts are corrupt ({detail}); re-run the ingest stage")
 
 
-def _read_canonical(path: Path, columns: list[str], build) -> list:
-    """The records `build(reader)` makes of a canonical CSV's rows. A bad
-    row stops `build` while the reader is on its line, so the error names it."""
-    with artifacts.open_for_read(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            if next(reader, None) != columns:
-                raise CorruptStoreError(f"{path}: header is not {','.join(columns)}")
-            return build(reader)
-        except (ValueError, KeyError, csv.Error) as exc:
-            raise CorruptStoreError(f"{path} line {reader.line_num}: bad row ({exc})") from exc
+def _mismatch(path: Path, recorded: dict[str, str]) -> CorruptStoreError:
+    return CorruptStoreError(
+        f"{path} does not match the sha256 {recorded[path.name]} that ingest recorded in run.json")
 
 
-# Characters per read of events.csv. Every buffer stays under glibc's 128 KiB
+def _verified(path: Path, recorded: dict[str, str]) -> bytes:
+    """The bytes of `path`, which must match their sha256 in `recorded`."""
+    with artifacts.open_for_read(path, mode="rb") as fh:
+        data = fh.read()
+    if hashlib.sha256(data).hexdigest() != recorded[path.name]:
+        raise _mismatch(path, recorded)
+    return data
+
+
+def _csv_rows(data: bytes):
+    """The rows after the header of a CSV file's bytes."""
+    return islice(csv.reader(io.StringIO(data.decode(), newline="")), 1, None)
+
+
+# Bytes per read of events.csv. Every buffer stays under glibc's 128 KiB
 # mmap threshold: freeing a larger one raises that threshold, and the heap of
 # every later stage in the process then grows by more than the load's own work.
 _CHUNK = 1 << 16
@@ -650,57 +672,58 @@ _STORED_TIMESTAMP = attrgetter("timestamp")
 
 def _split_events(path: Path, raw: bool = False, allow_self_transfers: bool = True,
                   kinds: frozenset[EventKind] = frozenset(EventKind)
-                  ) -> tuple[list[StoredEvent], list[int], int | None] | list[TransferEvent] | None:
-    """events.csv split at commas and newlines a chunk of whole lines at a
-    time with no per-row Python code: what _events gives of the same file
-    and `kinds`. That is the StoredEvents of the rows of `kinds`, the
-    timestamp of every row, and the index of the first row that is a
-    self-transfer, or None.
+                  ) -> tuple[list[StoredEvent], int | None, str] | list[TransferEvent] | None:
+    """events.csv split at commas and newlines, a chunk of whole lines at a
+    time, with no per-row Python code. Each "\\n" stays at the end of the
+    kind cell it closes, so a kind parses only as the last cell of its line.
 
-    None, and read_store reads the file with csv, when csv would read some
-    text its own way (a quote, "\\r", NUL, or a cell over its field size
-    limit), the header is not STORE_COLUMNS, a row has not 8 cells, a cell
-    does not parse, a block or log index is not ASCII digits alone (int()
-    would take more, so csv decides those), or the file does not end in
-    "\\n". Each "\\n" stays at the end of the kind cell it closes, so a kind
-    parses only as the last cell of its line and no row can borrow cells
-    from another. A chunk that holds a row of another kind builds only the
-    rows of `kinds`, and the value cells of all its rows must be ASCII
-    digits alone, so that no row's value is left unchecked.
+    For read_store: the StoredEvents of the rows of `kinds`, the index of
+    the first row that is a self-transfer or None, and the sha256 of the
+    file's bytes, hashed as they are read. Nothing else of the file is
+    checked, as read_store trusts its rows once that digest matches
+    ingest's record; a file that does not split, and so cannot match it,
+    gives None.
 
-    With `raw`, for parse_transfers, the TransferEvents of every row, and
-    None also unless every row is in the form that parse_transfers' row
-    loop keeps unchanged (_canonical_rows), and every address is "0x" and
-    40 lowercase hex digits, checked once, with the chunk that names it
-    first.
+    With `raw`, for parse_transfers: the TransferEvents of every row, or
+    None unless csv would read the file the same way and every row is in
+    the form that parse_transfers' row loop keeps unchanged. That is: no
+    quote, "\\r", NUL or cell over csv's field size limit; the header
+    STORE_COLUMNS; 8 cells a row, so that no row can borrow cells from
+    another; cells that parse (_canonical_rows); every address "0x" and 40
+    lowercase hex digits, checked once, with the chunk that names it
+    first; and a final "\\n".
     """
     wanted = {text for text, k in _LINE_KINDS.items() if k in kinds}
     addresses: dict[str, str] = {}
     share = addresses.setdefault  # one string per address, shared by its events
     events: list = []
-    timestamps: list[int] = []
+    rows = 0
     self_transfer = None
-    with artifacts.open_for_read(path, newline="") as fh:
-        if fh.readline() != ",".join(STORE_COLUMNS) + "\n":
+    digest = hashlib.sha256()
+    decode = codecs.getincrementaldecoder("utf-8")().decode
+    with artifacts.open_for_read(path, mode="rb") as fh:
+        header = fh.readline()
+        if raw and header != _HEADER.encode():
             return None
+        digest.update(header)
         tail = ""
         try:
             while chunk := fh.read(_CHUNK):
-                text = tail + chunk
+                if not raw:
+                    digest.update(chunk)
+                text = tail + decode(chunk)
                 cut = text.rfind("\n") + 1
                 text, tail = text[:cut], text[cut:]
-                # Only the first line, carried over, can be longer than a
-                # chunk; csv's field size limit is 2 * _CHUNK by default.
-                if ('"' in text or "\r" in text or "\0" in text
-                        or text.find("\n") > csv.field_size_limit()):
-                    return None
                 cells = text.replace("\n", "\n,").split(",")
-                if len(cells) != 8 * text.count("\n") + 1:
-                    return None
                 columns = [cells[i:-1:8] for i in range(8)]
                 tx_hash, sender, receiver, value, timestamp, block, log_index, kind = columns
                 if raw:
-                    if not _canonical_rows(columns, allow_self_transfers):
+                    # Only the first line, carried over, can be longer than a
+                    # chunk; csv's field size limit is 2 * _CHUNK by default.
+                    if ('"' in text or "\r" in text or "\0" in text
+                            or text.find("\n") > csv.field_size_limit()
+                            or len(cells) != 8 * text.count("\n") + 1
+                            or not _canonical_rows(columns, allow_self_transfers)):
                         return None
                     known = len(addresses)
                     events += map(_new_event, zip(
@@ -712,28 +735,23 @@ def _split_events(path: Path, raw: bool = False, allow_self_transfers: bool = Tr
                                       40):
                         return None
                     continue
-                if not _digit_cells(block, log_index):
-                    return None
-                timestamp = list(map(int, timestamp))
                 if self_transfer is None:
-                    self_transfer = next(compress(count(len(timestamps)),
-                                                  map(eq, sender, receiver)), None)
-                timestamps += timestamp
-                if not wanted.issuperset(kind):  # a row of a kind not loaded, or of none
-                    if not (_LINE_KINDS.keys() >= set(kind) and _digit_cells(value)):
-                        return None
+                    self_transfer = next(compress(count(rows), map(eq, sender, receiver)), None)
+                rows += len(kind)
+                if not wanted.issuperset(kind):  # a row of a kind not loaded
                     keep = list(map(wanted.__contains__, kind))
                     sender, receiver, value, timestamp, kind = (
                         list(compress(column, keep))
                         for column in (sender, receiver, value, timestamp, kind))
                 events += map(_new_stored, zip(
                     map(share, sender, sender), map(share, receiver, receiver), map(int, value),
-                    timestamp, map(_LINE_KINDS.__getitem__, kind)))
+                    map(int, timestamp), map(_LINE_KINDS.__getitem__, kind)))
+            decode(b"", True)
         except (ValueError, KeyError):  # UnicodeDecodeError is a ValueError
             return None
     if tail:
         return None
-    return events if raw else (events, timestamps, self_transfer)
+    return events if raw else (events, self_transfer, digest.hexdigest())
 
 
 # str.translate tables that delete the characters of canonical cells and
@@ -777,133 +795,73 @@ def _canonical_rows(columns: list[list[str]], allow_self_transfers: bool) -> boo
             and (allow_self_transfers or not any(map(eq, sender, receiver))))
 
 
-def _events(reader, kinds: frozenset[EventKind]
-            ) -> tuple[list[StoredEvent], list[int], int | None]:
-    """The StoredEvents of events.csv's rows of `kinds`, every row's
-    timestamp, and the index of the first row that is a self-transfer, or
-    None. Every row's cells are parsed, so that a cell int() refuses fails
-    its row, though a block and a log index are never kept."""
-    share = {}.setdefault  # one string per address, shared by its events
-    events = []
-    timestamps = []
-    self_transfer = None
-    for _, sender, receiver, value, timestamp, block, log_index, kind in reader:
-        int(block), int(log_index)
-        value, timestamp, kind = int(value), int(timestamp), _KINDS[kind]
-        if sender == receiver and self_transfer is None:
-            self_transfer = len(timestamps)
-        timestamps.append(timestamp)
-        if kind in kinds:
-            events.append(StoredEvent(share(sender, sender), share(receiver, receiver), value,
-                                      timestamp, kind))
-    return events, timestamps, self_transfer
-
-
-def _contracts(reader) -> list[ContractInfo]:
-    return [ContractInfo(address, name, ContractCategory(category))
-            for address, name, category in reader]
-
-
-class _TierByValue(dict):
-    """The Tier of each value; one no tier has raises Tier(value)'s ValueError."""
-
-    def __missing__(self, value: int) -> Tier:
-        return Tier(value)
-
-
-_TIERS = _TierByValue((t.value, t) for t in Tier)
+_TIERS = {t.value: t for t in Tier}
 _new_claim = partial(tuple.__new__, ClaimRecord)
 
 
-def _claims(reader) -> list[ClaimRecord]:
+def _claims(rows) -> list[ClaimRecord]:
     return [_new_claim((address, _TIERS[int(tier)], int(amount), int(timestamp)))
-            for address, tier, amount, timestamp in reader]
+            for address, tier, amount, timestamp in rows]
 
 
-def _by_address(records: list, expected: int, path: Path) -> dict:
-    out = {r.address: r for r in records}
-    if not len(records) == len(out) == expected:
-        raise CorruptStoreError(
-            f"{path}: {len(records)} rows and {len(out)} addresses, report.json says {expected}"
-        )
-    return out
+def _records(stage_dir: Path) -> tuple[dict[str, str], IngestReport,
+                                       dict[Address, ContractInfo], dict[Address, ClaimRecord]]:
+    """The sha256 of each file that run.json records, by file name, and
+    read_records' report, contracts and claims."""
+    recorded = {name: output["sha256"]
+                for name, output in artifacts.read(stage_dir / "run.json")["outputs"].items()}
+    report = IngestReport.from_json(json.loads(_verified(stage_dir / "report.json", recorded)))
+    contracts = {address: ContractInfo(address, name, ContractCategory(category))
+                 for address, name, category
+                 in _csv_rows(_verified(stage_dir / "contracts.csv", recorded))}
+    claims = {c.address: c
+              for c in _claims(_csv_rows(_verified(stage_dir / "claims.csv", recorded)))}
+    return recorded, report, contracts, claims
 
 
 def read_records(stage_dir) -> tuple[IngestReport, dict[Address, ContractInfo],
                                      dict[Address, ClaimRecord]]:
-    """Ingest's report, contracts and claims, read from `stage_dir` and
-    trusted as read_store trusts them: exact headers, cells that parse, no
-    address twice, and row counts equal to report.json's. A failed check
-    raises CorruptStoreError, and a file that cannot be opened or decoded
-    MissingArtifactError. events.csv is not opened."""
-    stage_dir = Path(stage_dir)
-    report_path = stage_dir / "report.json"
-    try:
-        report = IngestReport.from_json(artifacts.read(report_path))
-    except (ValueError, TypeError, KeyError) as exc:
-        raise CorruptStoreError(f"{report_path}: not an ingest report ({exc})") from exc
-    path = stage_dir / "contracts.csv"
-    contracts = _by_address(_read_canonical(path, CONTRACT_COLUMNS, _contracts),
-                            report.n_contracts, path)
-    path = stage_dir / "claims.csv"
-    claims = _by_address(_read_canonical(path, CLAIM_COLUMNS, _claims),
-                         report.n_claims, path)
-    return report, contracts, claims
+    """Ingest's report, contracts and claims, read from `stage_dir`. Each
+    file is parsed without re-validation once its bytes match the sha256
+    that ingest recorded for it in run.json; one that does not raises
+    CorruptStoreError. A run.json or a file that is missing, or cannot be
+    read, raises MissingArtifactError. events.csv is not opened."""
+    return _records(Path(stage_dir))[1:]
 
 
 def read_store(stage_dir, config: IngestConfig | None = None,
                kinds: Iterable[EventKind] = tuple(EventKind)) -> EventStore:
-    """Load the store that ingest wrote to `stage_dir`, trusting its files.
+    """Load the store that ingest wrote to `stage_dir`, trusting its files
+    by their digests.
 
-    The report, contracts and claims are read_records'. Ingest left
-    events.csv normalized, sorted and deduplicated, so rows become records
-    without re-validation. Each row of one of `kinds` becomes a StoredEvent
-    of the five fields the later stages read: sender, receiver, value,
-    timestamp and kind; the store's events and by_kind hold those alone,
-    and events_of_kind refuses any other kind. A row's tx hash, block and
-    log index are not kept; parse_transfers of events.csv gives the full
-    TransferEvents. events.csv is split at commas and newlines, and read
-    with csv when it holds a text that csv reads its own way or a row that
-    fails, so a bad row is named by its line. What is checked of it is
-    what a damaged file or a later config can break, on every row whatever
-    its kind: its exact header, a row count equal to report.json's, cells
-    that parse (a block and a log index too, though neither is kept), a
-    known kind, non-decreasing timestamps, and no self-transfer unless the
-    config allows them. The config's study window is applied again, so a
-    window narrowed after ingest drops the events outside it. Any failed
-    check raises CorruptStoreError, and a file that cannot be opened or
-    decoded MissingArtifactError. The store's report is ingest's own, read
-    from report.json.
+    The report, contracts and claims are read_records'. events.csv is
+    hashed as it is split at commas and newlines, and it must match the
+    sha256 that ingest recorded in run.json, or read_store raises
+    CorruptStoreError. Once it does, its rows are ingest's own: normalized,
+    sorted and deduplicated. Each row of one of `kinds` becomes a
+    StoredEvent of the five fields the later stages read: sender,
+    receiver, value, timestamp and kind; the store's events and by_kind
+    hold those alone, and events_of_kind refuses any other kind. A row's tx
+    hash, block and log index are not kept; parse_transfers of events.csv
+    gives the full TransferEvents. The config may have changed since
+    ingest, so its rules are applied again: any self-transfer fails unless
+    the config allows them, and the study window drops the events outside
+    it. The store's report is ingest's own, read from report.json.
     """
     config = config or IngestConfig()
     kinds = frozenset(map(EventKind, kinds))
     stage_dir = Path(stage_dir)
-    report, contracts, claims = read_records(stage_dir)
-    events = _checked_events(stage_dir / "events.csv", kinds, report.stored,
-                             config.allow_self_transfers)
+    recorded, report, contracts, claims = _records(stage_dir)
+    path = stage_dir / "events.csv"
+    split = _split_events(path, kinds=kinds)
+    if split is None or split[2] != recorded[path.name]:
+        raise _mismatch(path, recorded)
+    events, self_transfer, _ = split
+    if self_transfer is not None and not config.allow_self_transfers:
+        raise CorruptStoreError(
+            f"{path} line {self_transfer + 2}: self-transfer not allowed by config")
     bounds = config.window_bounds()
     if bounds:
         events = events[bisect_left(events, bounds[0], key=_STORED_TIMESTAMP):
                         bisect_right(events, bounds[1], key=_STORED_TIMESTAMP)]
     return EventStore(events, contracts, claims, config, report, _group_by_kind(events, kinds))
-
-
-def _checked_events(path: Path, kinds: frozenset[EventKind], stored: int,
-                    allow_self_transfers: bool) -> list[StoredEvent]:
-    """The StoredEvents of events.csv's rows of `kinds`, once every row has
-    passed read_store's checks. The timestamps of all rows, which the
-    checks read, are freed on return."""
-    rows = _split_events(path, kinds=kinds)
-    if rows is None:
-        rows = _read_canonical(path, STORE_COLUMNS, partial(_events, kinds=kinds))
-    events, timestamps, self_transfer = rows
-    if len(timestamps) != stored:
-        raise CorruptStoreError(f"{path}: {len(timestamps)} rows, report.json says {stored} stored")
-    # Row i is on line i + 2. The scan runs in C and stops at the first hit.
-    unsorted = next(compress(count(3), map(gt, timestamps, islice(timestamps, 1, None))), None)
-    if unsorted is not None:
-        raise CorruptStoreError(f"{path} line {unsorted}: timestamp out of order")
-    if self_transfer is not None and not allow_self_transfers:
-        raise CorruptStoreError(
-            f"{path} line {self_transfer + 2}: self-transfer not allowed by config")
-    return events

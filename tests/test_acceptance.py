@@ -332,6 +332,7 @@ GOLDEN_ARTIFACTS = {
     "ingest/contracts.csv": "744b1a46b035e21447f7d45838944c412a0dad36ad656849596aaa2e39402c5a",
     "ingest/events.csv": "cb9b926e47dff7706cf527b1d2fc90291941bf6b0edf52681692601fdef5f455",
     "ingest/report.json": "d77a500993bb6dbb53d946dfb867be08130a62ac24ebc1b9a322d2f38f3662fe",
+    "ingest/run.json": "e4faaa13e8f11b7a39db8c77c5635cbd182a3f9ef9d075994f72d1098a660d16",
     "report/report.json": "19135f93f0dd0848f3875181ad3acb23b33d53a57ff372510c7b052c37191663",
     "report/report.md": "98c43dd16c3972607c8a444a108facb9f39481806b3ca31c1bd008a3a609bcf8",
     "stats/attrition.json": "939501819d3971f95f6c136616180eb40ea8663dca446fba9d892e9239f2ded4",

@@ -142,6 +142,19 @@ def test_missing_inputs_without_synth(tmp_path, capsys):
     assert err["code"] == "missing_artifact"
 
 
+def test_partly_configured_inputs_exit_1(ingested, tmp_path, capsys):
+    """One raw export configured, with synth's exports present, is a config
+    error naming the three left unset, not a run on synth's exports."""
+    token = ingested / "out" / "synth" / "token_transfers.csv"
+    config = write_config(tmp_path, inputs={"token_transfers": str(token)})
+    shutil.copytree(ingested / "out" / "synth", tmp_path / "out" / "synth")
+    assert run("ingest", config) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["code"] == "config_invalid"
+    assert "['external_txs', 'contracts', 'claims'] unset" in err["error"]
+    assert not (tmp_path / "out" / "ingest").exists()
+
+
 def test_invalid_config_rejected(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"nonsense": True}))
@@ -448,7 +461,7 @@ def test_every_stage_on_an_empty_store_exits_0_or_1(tmp_path, capsys, window):
     config = write_config(tmp_path, inputs=inputs, window=window)
     assert run("ingest", config) == 0
     stage = tmp_path / "out" / "ingest"
-    assert ingest._split_events(stage / "events.csv") == ([], [], None)  # no events, no rows
+    assert ingest._split_events(stage / "events.csv")[:2] == ([], None)  # no events, no rows
     codes = {}
     for command in PIPELINE[2:]:
         capsys.readouterr()
@@ -586,7 +599,7 @@ def test_row_order_and_repeated_rows_of_the_exports_change_no_result(ingested, t
     repeated = run_on_edited_exports(ingested, tmp_path, "repeated", repeat)
     assert repeats and repeated.keys() == base.keys()
     assert {name for name in base if repeated[name] != base[name]} == {
-        "ingest/report.json", "report/report.json"}
+        "ingest/report.json", "ingest/run.json", "report/report.json"}
     want, got = ({stage: json.loads((tmp_path / tree / stage / "report.json").read_text())
                   for stage in ("ingest", "report")} for tree in ("base_out", "repeated_out"))
     assert got["ingest"]["input_rows"] == want["ingest"]["input_rows"] + len(repeats)
@@ -737,6 +750,22 @@ def test_unsupported_graph_format_rejected(ingested, capsys, fmt):
     assert not (ingested / "out" / "graph").exists()
 
 
+@pytest.mark.parametrize("first,second", [("graphml", "dot"), ("dot", "graphml")])
+def test_graph_rerun_in_another_format_leaves_what_a_fresh_run_writes(ingested, tmp_path,
+                                                                      first, second):
+    """A graph run in one format over a tree graphed in the other leaves
+    the files and bytes of a fresh run: the other format's exports go."""
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    shutil.copytree(ingested / "out", reused)
+    shutil.copytree(ingested / "out", fresh)
+    config = write_config(tmp_path)
+    assert run("graph", config, "--out", str(reused), "--format", first) == 0
+    assert run("graph", config, "--out", str(reused), "--format", second) == 0
+    assert run("graph", config, "--out", str(fresh), "--format", second) == 0
+    assert files_of(reused) == files_of(fresh)
+    assert {p.suffix for p in (reused / "graph").iterdir()} == {".json", f".{second}"}
+
+
 def test_preset_fields_left_unset_take_the_preset_values(ingested, tmp_path):
     out = ingested / "out"
     config = write_config(tmp_path, output_dir=str(out),
@@ -793,15 +822,6 @@ def _assert_same_store(got: ingest.EventStore, want: ingest.EventStore) -> None:
     assert got.config == want.config
 
 
-def _split_and_csv_loads(stage: Path, config: ingest.IngestConfig):
-    """read_store of `stage`, whose events.csv must split without csv, and
-    read_store of it with events.csv read by csv."""
-    assert ingest._split_events(stage / "events.csv")
-    split = ingest.read_store(stage, config)
-    with mock.patch.object(ingest, "_split_events", return_value=None):
-        return split, ingest.read_store(stage, config)
-
-
 @pytest.mark.parametrize("window", [
     (ingest.DEFAULT_WINDOW_START, ingest.DEFAULT_WINDOW_END),
     ("2021-12-01", "2022-03-01"),
@@ -809,13 +829,9 @@ def _split_and_csv_loads(stage: Path, config: ingest.IngestConfig):
 def test_read_store_equals_validated_load(ingested, window):
     stage = ingested / "out" / "ingest"
     config = ingest.IngestConfig(*window)
-    store, from_csv = _split_and_csv_loads(stage, config)
-    oracle = _validated_load(stage, config)
-    _assert_same_store(store, oracle)
-    _assert_same_store(from_csv, oracle)
-    assert store.report == from_csv.report
+    store = ingest.read_store(stage, config)
+    _assert_same_store(store, _validated_load(stage, config))
     assert_addresses_shared(store.events)
-    assert_addresses_shared(from_csv.events)
     report = json.loads((stage / "report.json").read_text())
     assert store.report.to_json() == report
     if window[0] != ingest.DEFAULT_WINDOW_START:
@@ -835,12 +851,10 @@ def test_self_transfers_ingested_then_disallowed_fail(ingested, tmp_path, capsys
     assert run("ingest", allowed) == 0
     stage = tmp_path / "selfish" / "ingest"
     config = ingest.IngestConfig(allow_self_transfers=True)
-    store, from_csv = _split_and_csv_loads(stage, config)
+    store = ingest.read_store(stage, config)
     _assert_same_store(store, _validated_load(stage, config))
-    _assert_same_store(from_csv, _validated_load(stage, config))
     assert any(e.sender == e.receiver for e in store.events)
     assert_addresses_shared(store.events)
-    assert_addresses_shared(from_csv.events)
 
     with pytest.raises(ingest.CorruptStoreError, match="self-transfer"):
         ingest.read_store(stage, ingest.IngestConfig())
@@ -849,6 +863,7 @@ def test_self_transfers_ingested_then_disallowed_fail(ingested, tmp_path, capsys
     assert run("cluster", disallowed) == 1
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["code"] == "missing_artifact"
+    assert "self-transfer not allowed by config" in err["error"]
     assert "re-run the ingest stage" in err["error"]
 
 
@@ -886,13 +901,12 @@ def _self_transfer(lines: list[str], line: int) -> list[str]:
     return _replace_cell(lines, 2, lines[line - 1].split(",")[1], line)
 
 
-# Corruptions deep in events.csv, and the line the error must name: a
-# number, or the kind whose _first_row_of is damaged.
-BAD_ROW_LINE = {"nine_cells": 800, "bad_cell_deep": 1500, "bad_log_index_deep": 1500,
-                "empty_block_deep": 1500, "external_row_value": "external_tx",
-                "token_row_value": "token_transfer"}
+def _scale_value(lines: list[str], line: int) -> list[str]:
+    """Line `line`'s value times 7: a row that still parses."""
+    return _replace_cell(lines, 3, str(int(lines[line - 1].split(",")[3]) * 7), line)
 
 
+# Edits of ingest's files: (file, edit of its lines, or None to delete it).
 CORRUPTIONS = {
     "wrong_header": ("events.csv", lambda lines: [lines[0].replace("value", "amount")] + lines[1:]),
     "row_deleted": ("events.csv", lambda lines: lines[:5] + lines[6:]),
@@ -905,13 +919,28 @@ CORRUPTIONS = {
     "rows_swapped": ("events.csv", _swap_first_unequal_timestamps),
     "nine_cells": ("events.csv", lambda lines: _replace_cell(lines, 7, "token_transfer,0", 800)),
     "bad_cell_deep": ("events.csv", lambda lines: _replace_cell(lines, 5, "13x", 1500)),
-    # read_store keeps neither cell, but still checks that each parses
     "bad_log_index_deep": ("events.csv", lambda lines: _replace_cell(lines, 6, "7x", 1500)),
     "empty_block_deep": ("events.csv", lambda lines: _replace_cell(lines, 5, "", 1500)),
     "report_not_json": ("report.json", lambda lines: ["{"]),
     "report_missing": ("report.json", None),
+    # Edits that leave every file well-formed: numbers int() reads, a
+    # value scaled, rows cut at a row boundary, and changed names, tiers,
+    # timestamps and counts.
+    "block_signed": ("events.csv", lambda lines: _replace_cell(lines, 5, "+13", 1500)),
+    "block_underscored": ("events.csv", lambda lines: _replace_cell(lines, 5, "1_3", 1500)),
+    "log_index_signed": ("events.csv", lambda lines: _replace_cell(lines, 6, "+0", 1500)),
+    "token_value_times_7": ("events.csv", _damage_row_of("token_transfer", _scale_value)),
+    "truncated_at_row_boundary": ("events.csv", lambda lines: lines[:len(lines) // 2]),
+    "contract_renamed": ("contracts.csv", lambda lines: _replace_cell(lines, 1, "renamed")),
+    "non_int_tier": ("claims.csv", lambda lines: _replace_cell(lines, 1, "52x")),
+    "claim_timestamp_edited": ("claims.csv", lambda lines: _replace_cell(
+        lines, 3, str(int(lines[1].split(",")[3]) + 1))),
+    "report_count_edited": ("report.json", lambda lines: [
+        line.replace('"n_claims": ', '"n_claims": 1') for line in lines]),
+    "run_record_missing": ("run.json", None),
+    "run_record_not_json": ("run.json", lambda lines: ["{"]),
 }
-# Damage to rows of a kind that the stage does not build, which it still checks.
+# Damage to rows of a kind that the stage does not build.
 UNBUILT_KIND_CORRUPTIONS = {
     "cluster": {
         "external_row_value": ("events.csv", _damage_row_of(
@@ -926,10 +955,6 @@ UNBUILT_KIND_CORRUPTIONS = {
         "token_row_self_transfer": ("events.csv", _damage_row_of("token_transfer", _self_transfer)),
     },
 }
-# The check that each of those damages fails, by the end of its case name
-# (a bad value names its line, as BAD_ROW_LINE says).
-UNBUILT_KIND_REASON = {"_row_out_of_order": "timestamp out of order",
-                       "_row_self_transfer": "self-transfer not allowed by config"}
 
 
 # Every stage that loads the store, with cluster's cases under their bare names.
@@ -939,14 +964,19 @@ UNBUILT_KIND_REASON = {"_row_out_of_order": "timestamp out of order",
     for case in sorted(CORRUPTIONS) + sorted(UNBUILT_KIND_CORRUPTIONS.get(stage, ()))
 ])
 def test_corrupt_ingest_artifact_exits_1(ingested, tmp_path, capsys, stage, case):
+    """Any edit of a file ingest wrote, whatever its kind of row, fails the
+    sha256 that ingest recorded in run.json, and the error names the file
+    and that digest (a self-transfer in an edited row too). A missing file
+    or run.json is unreadable."""
     name, corrupt = {**CORRUPTIONS, **UNBUILT_KIND_CORRUPTIONS.get(stage, {})}[case]
     out = tmp_path / "out"
     ingest_dir = out / "ingest"
     ingest_dir.mkdir(parents=True)
     for path in (ingested / "out" / "ingest").iterdir():
         (ingest_dir / path.name).write_bytes(path.read_bytes())
+    recorded = json.loads((ingest_dir / "run.json").read_text())["outputs"]
     target = ingest_dir / name
-    lines = target.read_text().splitlines() if target.exists() else []
+    lines = target.read_text().splitlines()
     if corrupt is None:
         target.unlink()
     else:
@@ -954,33 +984,11 @@ def test_corrupt_ingest_artifact_exits_1(ingested, tmp_path, capsys, stage, case
     assert run(stage, write_config(tmp_path)) == 1
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["code"] == "missing_artifact"
-    assert "ingest stage" in err["error"]
-    if case in BAD_ROW_LINE:  # the loader stops at the first bad row and names its line
-        line = BAD_ROW_LINE[case]
-        if isinstance(line, str):
-            line = _first_row_of(lines, line)
-        assert f"{name} line {line}: bad row" in err["error"]
-    for ending, reason in UNBUILT_KIND_REASON.items():
-        if case.endswith(ending):
-            assert reason in err["error"]
+    assert "ingest stage" in err["error"] and name in err["error"]
+    if corrupt is not None and name in recorded:
+        digest = recorded[name]["sha256"]
+        assert f"{name} does not match the sha256 {digest} that ingest recorded" in err["error"]
     assert not (out / stage).exists()
-
-
-@pytest.mark.parametrize("column,text", [(5, "+13"), (5, "1_3"), (6, "+0")],
-                         ids=["block_signed", "block_underscored", "log_index_signed"])
-def test_number_cell_int_reads_loads_through_csv(ingested, tmp_path, column, text):
-    """A block or log index cell that int() reads but that is not ASCII
-    digits alone sends events.csv to the csv row loop, which loads it as
-    the same events as the unedited store."""
-    stage = tmp_path / "ingest"
-    shutil.copytree(ingested / "out" / "ingest", stage)
-    path = stage / "events.csv"
-    lines = _replace_cell(path.read_text().splitlines(), column, text, 1500)
-    path.write_text("\n".join(lines) + "\n")
-    assert ingest._split_events(path) is None
-    edited = ingest.read_store(stage)
-    assert edited.events == ingest.read_store(ingested / "out" / "ingest").events
-    assert_addresses_shared(edited.events)
 
 
 @pytest.mark.parametrize("content,needle", [

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from airdrop_forensics.cli import load_config, main
-from airdrop_forensics.config import Config, ConfigInvalidError, Preset, from_json, to_json
+from airdrop_forensics.config import (
+    RAW_INPUTS, Config, ConfigInvalidError, Preset, from_json, to_json,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -154,3 +156,18 @@ def test_loading_a_config_loads_no_stage_module():
     stages = {"numpy", *(f"airdrop_forensics.{name}" for name in (
         "graphs", "forensics", "synth", "stats", "clustering", "eligibility"))}
     assert not stages & set(loaded)
+
+
+@pytest.mark.parametrize("keys", [
+    ("token_transfers",), ("claims",), ("token_transfers", "external_txs"),
+    ("external_txs", "contracts", "claims"),
+], ids=["token_only", "claims_only", "transfers_only", "all_but_token"])
+def test_raw_inputs_are_set_all_or_none(keys):
+    """The four raw exports are configured together or not at all; the
+    keys left unset are named. balances is set on its own."""
+    unset = [key for key in RAW_INPUTS if key not in keys]
+    with pytest.raises(ConfigInvalidError, match=re.escape(f"{unset} unset")):
+        from_json(Config, {"inputs": {key: f"{key}.csv" for key in keys}}, "config")
+    every = from_json(Config, {"inputs": {key: f"{key}.csv" for key in RAW_INPUTS}}, "config")
+    assert every.inputs.claims == "claims.csv"
+    assert from_json(Config, {"inputs": {"balances": "b.csv"}}, "config").inputs.claims is None

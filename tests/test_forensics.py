@@ -244,6 +244,43 @@ class TestSponsorship:
         profile, ext = sponsorship_setup(n_sponsors=1)
         assert detect_sponsorship(profile, ext, T0 + 10**6, CFG) is None
 
+    @staticmethod
+    def link(ext, sink, sponsor="p00"):
+        """`ext` with an edge from `sink` to `sponsor`."""
+        ext.add_node(sink, NodeClass.LATER_MEMBER)
+        ext.add_edge_event(sink, sponsor, 1, T0)
+        return ext
+
+    def test_rewards_aggregating_to_a_sponsor_linked_sink(self):
+        profile, ext = sponsorship_setup(return_flow=False)
+        finding = detect_sponsorship(profile, self.link(ext, "hold"), T0 + 10**6, CFG)
+        assert finding is not None and finding.pattern == PatternKind.SPONSORSHIP_CLIQUE
+        assert finding.members["hold"] == "sink"
+        assert finding.aggregate_value == 6 * 650 * TOKEN
+        assert finding.evidence[-1] == "rewards aggregate to sponsor-linked sink hold (3900)"
+
+    def test_a_linked_sink_with_one_feeder_is_no_sink(self):
+        """One beneficiary feeds the linked sink; the other five feed an
+        address that no sponsor is linked to."""
+        benes = [f"b{i:02d}" for i in range(6)]
+        profile = profile_of(
+            [("b00", "hold", 650 * TOKEN), ("hold", "pool", TOKEN)]
+            + [(b, "pool", 650 * TOKEN) for b in benes[1:]],
+            {b: NodeClass.INITIAL_MEMBER for b in benes})
+        _, ext = sponsorship_setup()
+        assert detect_sponsorship(profile, self.link(ext, "hold"), T0 + 10**6, CFG) is None
+
+    def test_a_sponsor_is_no_sink(self):
+        """Every beneficiary sends p00, a sponsor linked to the other one,
+        a transfer of no value: no reward returns to it, and as a sponsor
+        it is not taken for the shared sink. (A transfer of value would be
+        a direct return.)"""
+        benes = [f"b{i:02d}" for i in range(6)]
+        profile = profile_of([(b, "p00", 0) for b in benes],
+                             {b: NodeClass.INITIAL_MEMBER for b in benes})
+        _, ext = sponsorship_setup()
+        assert detect_sponsorship(profile, self.link(ext, "p00", "p01"), T0 + 10**6, CFG) is None
+
 
 class TestCautious:
     def make(self, n=19, external_pairs=6):

@@ -4,7 +4,6 @@ import io
 import json
 import math
 import random
-import re
 import tempfile
 from functools import partial
 from pathlib import Path
@@ -28,7 +27,6 @@ from airdrop_forensics.ingest import (
     IngestError,
     Tier,
     TransferEvent,
-    _CHUNK,
     _split_events,
     build_event_store,
     format_token_amount,
@@ -424,11 +422,8 @@ def built_stores(draw):
 
 
 def _write_stage(stage: Path, store) -> Path:
-    """The four files ingest writes for `store`."""
-    write_transfers_csv(store.events, stage / "events.csv")
-    write_contracts_csv(list(store.contracts.values()), stage / "contracts.csv")
-    write_claims_csv(list(store.claims.values()), stage / "claims.csv")
-    artifacts.write_json(store.report.to_json(), stage / "report.json")
+    """The files ingest writes for `store`."""
+    ingest.write_store(store, stage)
     return stage
 
 
@@ -447,19 +442,22 @@ def _one_odd_text(text: str):
 @example(store=_one_odd_text("0x\n1"))
 @example(store=_one_odd_text("0x\r1"))
 @example(store=_one_odd_text("0x\x001"))
+@example(store=build_event_store([ev("0x\n" + "ab" * 20, addr(2), 5)], [], [], [],
+                                 IngestConfig()))
 @given(store=built_stores())
 def test_events_csv_bytes_are_csv_writers(store):
     """write_transfers_csv writes what csv.writer writes for the stored
-    events, and returns the sha256 of it."""
+    events, and returns the sha256 of it. A text that csv.writer would
+    quote is a ValueError: events.csv holds none, so it always splits at
+    its commas and newlines."""
     with tempfile.TemporaryDirectory() as tmp:
         fast, reference = Path(tmp) / "fast.csv", Path(tmp) / "reference.csv"
-        rows = (e[:6] + (e.log_index, e.kind) for e in store.events)
-        try:
-            artifacts.write_csv(STORE_COLUMNS, rows, reference)
-        except csv.Error:  # csv before Python 3.11 refuses a NUL
-            with pytest.raises(csv.Error):
+        if any(c in text for e in store.events for text in e[:3] for c in ',"\r\n\0'):
+            with pytest.raises(ValueError, match="in a cell"):
                 write_transfers_csv(store.events, fast)
             return
+        rows = (e[:6] + (e.log_index, e.kind) for e in store.events)
+        artifacts.write_csv(STORE_COLUMNS, rows, reference)
         digest = write_transfers_csv(store.events, fast)
         written = fast.read_bytes()
         assert written == reference.read_bytes()
@@ -494,12 +492,6 @@ def _load(stage: Path, config: IngestConfig, kinds=tuple(EventKind)):
         return read_store(stage, config, kinds)
     except CorruptStoreError as exc:
         return str(exc)
-
-
-def _load_with_csv(stage: Path, config: IngestConfig, kinds=tuple(EventKind)):
-    """_load with events.csv read by csv alone."""
-    with mock.patch("airdrop_forensics.ingest._split_events", return_value=None):
-        return _load(stage, config, kinds)
 
 
 def _assert_kinds_of(part, whole, kinds) -> None:
@@ -555,80 +547,67 @@ _TOKEN = frozenset({EventKind.TOKEN_TRANSFER})
 @example(store=build_event_store([], [], [], [], IngestConfig()), edit=None, kinds=_ALL)
 @example(store=_EDGES, edit=None, kinds=_TOKEN)
 @example(store=_one_odd_text("0x" + "ab" * 32), edit=None, kinds=_ALL)  # rows straddle chunks
-@example(store=_one_odd_text("0x" + "ab" * 70000), edit=None, kinds=_ALL)  # over csv's size limit
-@example(store=_one_odd_text("0x,1"), edit=None, kinds=_ALL)
-@example(store=_one_odd_text('0x"1'), edit=None, kinds=_ALL)
-@example(store=_one_odd_text("0x\n1"), edit=None, kinds=_ALL)
-@example(store=_one_odd_text("0x\r1"), edit=None, kinds=_ALL)
-@example(store=_one_odd_text("0x\x001"), edit=None, kinds=_ALL)
+@example(store=_one_odd_text("0x" + "ab" * 70000), edit=None, kinds=_ALL)  # a row over 2 chunks
 @example(store=_one_odd_text("0x" + "ab" * 32), edit=(1.0, 1, ""), kinds=_ALL)  # no final "\n"
 @example(store=_kinds_in_turn(), edit=None, kinds=_TOKEN)
 @example(store=_kinds_in_turn(), edit=(0.5, 0, "x"), kinds=_TOKEN)
+@example(store=_kinds_in_turn(), edit=(0.5, 1, "5"), kinds=_TOKEN)
 @given(store=built_stores(), edit=damage(), kinds=st.frozensets(st.sampled_from(list(EventKind))))
-def test_split_events_reads_as_csv_reader(store, edit, kinds):
-    """read_store gives the store, or the CorruptStoreError, that it gives
-    with events.csv read by csv, whole or damaged; and it splits every
-    stored events.csv of hex texts without csv. A load of `kinds` alone,
-    split or read by csv, is the load of every kind filtered to `kinds`,
-    or fails with the same message."""
+def test_read_store_trusts_events_csv_by_its_digest(store, edit, kinds):
+    """read_store loads the store from an events.csv whose bytes match the
+    sha256 ingest recorded, and fails on one that any edit has changed,
+    naming the file and that digest. A load of `kinds` alone is the load
+    of every kind filtered to `kinds`, or fails with the same message."""
     with tempfile.TemporaryDirectory() as tmp:
-        try:
-            stage = _write_stage(Path(tmp), store)
-        except csv.Error:  # csv before Python 3.11 refuses a NUL
-            return
+        stage = _write_stage(Path(tmp), store)
         path = stage / "events.csv"
-        with open(path, newline="") as fh:
-            text = fh.read()
-        if edit is None:
-            hex_texts = all(re.fullmatch("0x[0-9a-f]{64}", e.tx_hash) for e in store.events)
-            assert (_split_events(path) is not None) == hex_texts
-            if len(text) > 2 * _CHUNK:  # the first chunk ends mid-row
-                assert text[len(",".join(STORE_COLUMNS)) + _CHUNK] != "\n"
-        else:
+        text = path.read_bytes().decode()
+        recorded = json.loads((stage / "run.json").read_text())["outputs"]["events.csv"]["sha256"]
+        if edit is not None:
             where, cut, put = edit
             at = int(where * (len(text) - 1))
-            path.write_text(text[:at] + put + text[at + cut:], newline="")
-        got = _load(stage, store.config)
-        want = _load_with_csv(stage, store.config)
+            path.write_bytes((text[:at] + put + text[at + cut:]).encode())
+        edited = path.read_bytes() != text.encode()
+        whole = _load(stage, store.config)
         part = _load(stage, store.config, kinds)
-        part_with_csv = _load_with_csv(stage, store.config, kinds)
-    assert got == want
-    if not isinstance(got, str):
-        assert_addresses_shared(got.events)
-    _assert_kinds_of(part, got, kinds)
-    _assert_kinds_of(part_with_csv, got, kinds)
+    if edited:
+        assert f"{path} does not match the sha256 {recorded} that ingest recorded" in whole
+    elif isinstance(whole, str):
+        assert "self-transfer not allowed by config" in whole
+    else:
+        _assert_loaded(whole, store)
+        assert_addresses_shared(whole.events)
+    _assert_kinds_of(part, whole, kinds)
 
 
 def test_no_row_takes_cells_of_another(tmp_path):
     """Two damages that leave events.csv 8 cells a row on average with every
     cell in order: the "\\n" ending line 2 moved past the next tx hash (9
-    cells, then 7), and line 2 cut in two after its value (4 and 4). The
-    load fails on line 2, as with csv."""
-    store = build_event_store([ev(addr(1), addr(2), 5, tx_hash="1"),
-                               ev(addr(1), addr(2), 6, tx_hash="2")], [], [], [], IngestConfig())
+    cells, then 7), and line 2 cut in two after its value (4 and 4). Read
+    as a raw export, the file is not split, and the row loop reports
+    malformed rows; as the store, it no longer matches its digest."""
+    hashes = [f"0x{i:064x}" for i in (1, 2)]
+    store = build_event_store([ev(addr(1), addr(2), 5, tx_hash=hashes[0]),
+                               ev(addr(1), addr(2), 6, tx_hash=hashes[1])],
+                              [], [], [], IngestConfig())
     stage = _write_stage(tmp_path, store)
     path = stage / "events.csv"
     whole = path.read_text()
     line = whole.splitlines()[1]
     cells = line.split(",")
     cut = ",".join(cells[:4]) + "\n" + ",".join(cells[4:])
-    for damaged in (whole.replace("\n2,", ",2\n"), whole.replace(line, cut)):
+    moved = whole.replace(f"\n{hashes[1]},", f",{hashes[1]}\n")
+    for damaged in (moved, whole.replace(line, cut)):
         path.write_text(damaged)
-        assert _load(stage, store.config) == _load_with_csv(stage, store.config)
-        assert "events.csv line 2: bad row" in _load(stage, store.config)
+        assert _split_events(path, raw=True) is None
+        assert parse_transfers(path)[1]  # malformed rows
+        assert "does not match the sha256" in _load(stage, store.config)
 
 
 @pytest.mark.parametrize("field", ["timestamp", "block", "log_index"])
 def test_read_store_round_trips_an_int_beyond_int64(tmp_path, field):
     event = ev(addr(1), addr(2), 5)._replace(**{field: 2**63})
     store = build_event_store([event], [], [], [], IngestConfig(None, None))
-    _assert_loaded(read_store(_write_stage(tmp_path, store), store.config), store)
-
-
-@pytest.mark.parametrize("field", ["tx_hash", "sender"])
-def test_read_store_of_a_text_holding_a_newline_is_the_store(tmp_path, field):
-    event = ev(addr(1), addr(2), 5)._replace(**{field: "0x\n" + "ab" * 20})
-    store = build_event_store([event], [], [], [], IngestConfig())
     _assert_loaded(read_store(_write_stage(tmp_path, store), store.config), store)
 
 
@@ -642,19 +621,6 @@ def test_a_kind_the_store_did_not_load_is_refused(tmp_path):
     for kind in (EventKind.EXTERNAL_TX, EventKind.INTERNAL_TX):
         with pytest.raises(ValueError, match=f"the store did not load {kind.value} events"):
             loaded.events_of_kind(kind)
-
-
-@pytest.mark.parametrize("tier,reason", [("4000", "4000 is not a valid Tier"),
-                                         ("52x", "invalid literal for int() with base 10: '52x'")])
-def test_a_bad_tier_fails_its_line(tmp_path, tier, reason):
-    store = build_event_store([], [], [], [claim(addr(1)), claim(addr(2), Tier.T7800)],
-                              IngestConfig())
-    stage = _write_stage(tmp_path, store)
-    path = stage / "claims.csv"
-    path.write_text(path.read_text().replace(",7800,", f",{tier},"))
-    with pytest.raises(CorruptStoreError) as raised:
-        ingest.read_records(stage)
-    assert f"{path} line 3: bad row ({reason})" in str(raised.value)
 
 
 def test_claim_record_is_an_immutable_set_member():

@@ -136,6 +136,55 @@ def test_every_defaulted_parameter_is_passed_outside_tests():
     )
 
 
+def _returns_value(node) -> bool:
+    """Whether a function's own body, nested functions and classes aside,
+    returns a value other than None."""
+    stack = list(node.body)
+    while stack:
+        sub = stack.pop()
+        if isinstance(sub, ast.Return) and sub.value is not None and not (
+                isinstance(sub.value, ast.Constant) and sub.value.value is None):
+            return True
+        if not isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(sub))
+    return False
+
+
+def test_every_returned_value_is_read():
+    """A function or method (dunders aside) of src/ that returns a value,
+    and that src/ or perfbench/ call, has a call there (outside its own
+    body) that reads the result, or is passed somewhere as a value: a
+    result that every caller drops is work no one needs. A string is no
+    use, so the tracer's wrapping a name by its string reads nothing."""
+    trees = _trees()
+
+    def mentions(node) -> Counter:
+        found = Counter()
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                found[sub.id] += 1
+            elif isinstance(sub, ast.Attribute):
+                found[sub.attr] += 1
+        return found
+
+    mentioned = sum(map(mentions, trees.values()), Counter())
+    dropped = Counter(_callee(sub.value) for tree in trees.values() for sub in ast.walk(tree)
+                      if isinstance(sub, ast.Expr) and isinstance(sub.value, ast.Call))
+    defs = [(f"{path.stem}.{node.name}", node) for path, tree in trees.items()
+            if path.parent == PACKAGE for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    defs += [(f"{name}.{node.name}", node) for name, cls in defs if isinstance(cls, ast.ClassDef)
+             for node in cls.body
+             if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")]
+    unread = [
+        qualified for qualified, node in defs
+        if isinstance(node, ast.FunctionDef) and _returns_value(node)
+        and dropped[node.name]
+        and mentioned[node.name] - dropped[node.name] - mentions(node)[node.name] <= 0
+    ]
+    assert unread == [], unread
+
+
 def test_every_module_level_import_is_read():
     """A module-level import whose name the module never reads is dead
     code; `from __future__` imports are directives, not names."""
