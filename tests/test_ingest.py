@@ -4,6 +4,7 @@ import io
 import json
 import math
 import random
+import re
 import tempfile
 from functools import partial
 from pathlib import Path
@@ -611,6 +612,20 @@ def test_read_store_round_trips_an_int_beyond_int64(tmp_path, field):
     _assert_loaded(read_store(_write_stage(tmp_path, store), store.config), store)
 
 
+@pytest.mark.parametrize("field", ["tx_hash", "sender"])
+def test_read_store_of_a_text_holding_a_newline_is_the_store(tmp_path, field):
+    """A store holding a text with a newline is never read back as another
+    store: ingest refuses to write it, and records no run.json, so
+    read_store has nothing it trusts to load."""
+    event = ev(addr(1), addr(2), 5)._replace(**{field: "0x\n" + "ab" * 20})
+    store = build_event_store([event], [], [], [], IngestConfig())
+    with pytest.raises(ValueError, match="in a cell"):
+        _write_stage(tmp_path, store)
+    assert not (tmp_path / "run.json").exists()
+    with pytest.raises(artifacts.MissingArtifactError, match="run.json"):
+        read_store(tmp_path, store.config)
+
+
 def test_a_kind_the_store_did_not_load_is_refused(tmp_path):
     """A load of token transfers alone holds none, and refuses the kinds
     it did not load rather than give an empty list for them."""
@@ -621,6 +636,24 @@ def test_a_kind_the_store_did_not_load_is_refused(tmp_path):
     for kind in (EventKind.EXTERNAL_TX, EventKind.INTERNAL_TX):
         with pytest.raises(ValueError, match=f"the store did not load {kind.value} events"):
             loaded.events_of_kind(kind)
+
+
+@pytest.mark.parametrize("tier,reason", [("4000", "4000 is not a valid Tier"),
+                                         ("52x", "invalid literal for int() with base 10: '52x'")])
+def test_a_bad_tier_fails_its_line(tmp_path, tier, reason):
+    """A tier edited in claims.csv to one that is not a Tier fails the
+    sha256 ingest recorded for the file, before any line is parsed."""
+    store = build_event_store([], [], [], [claim(addr(1)), claim(addr(2), Tier.T7800)],
+                              IngestConfig())
+    stage = _write_stage(tmp_path, store)
+    path = stage / "claims.csv"
+    path.write_text(path.read_text().replace(",7800,", f",{tier},"))
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        Tier(int(tier))
+    recorded = json.loads((stage / "run.json").read_text())["outputs"]["claims.csv"]["sha256"]
+    with pytest.raises(CorruptStoreError) as raised:
+        ingest.read_records(stage)
+    assert f"{path} does not match the sha256 {recorded} that ingest recorded" in str(raised.value)
 
 
 def test_claim_record_is_an_immutable_set_member():
