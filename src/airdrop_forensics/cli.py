@@ -159,12 +159,13 @@ def cmd_cluster(config: Config, out: Path, args) -> None:
 def cmd_detect(config: Config, out: Path, args) -> None:
     # The graphs hold every token and external event, so events.csv is read
     # only when ingest stored internal events, which no graph holds.
-    report, contracts, claims = ingest.read_records(out / "ingest")
+    records = ingest.read_records(out / "ingest")
+    report, contracts, claims, _ = records
     internal = []
     if report.internal_events:
         kind = ingest.EventKind.INTERNAL_TX
-        internal = ingest.read_store(out / "ingest", config.ingest_config(),
-                                     (kind,)).events_of_kind(kind)
+        internal = ingest.read_store(out / "ingest", config.ingest_config(), (kind,),
+                                     records).events_of_kind(kind)
     token_graph = graphs.load_graph_json(out / "graph" / "token_graph.json")
     external_graph = graphs.load_graph_json(out / "graph" / "external_graph.json")
     stage = out / "detect"
@@ -308,7 +309,7 @@ def cmd_stats(config: Config, out: Path, args) -> None:
 def cmd_report(config: Config, out: Path, args) -> None:
     """Assemble stage artifacts into one report; formatting only, every
     number is traceable to an artifact file."""
-    ingested, _, claims = ingest.read_records(out / "ingest")
+    ingested, _, claims, _ = ingest.read_records(out / "ingest")
     rows = clustering.read_assignment(out / "cluster" / "assignment.csv", claims.keys())
     pattern_counts = Counter(f["pattern"] for f in artifacts.read(out / "detect" / "findings.jsonl"))
     role_counts = Counter(row["role"] for row in rows)

@@ -26,12 +26,13 @@ import json
 import logging
 import re
 from array import array
-from bisect import bisect_right
-from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass, field, replace
+from bisect import bisect_left, bisect_right
+from collections.abc import Container, Hashable, Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
 from math import sqrt
+from operator import attrgetter
 
 import numpy as np
 
@@ -107,23 +108,6 @@ class CommunityGraph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def add_node(self, addr: Address, node_class: NodeClass) -> None:
-        if addr not in self.nodes:
-            self._id[addr] = len(self.nodes)
-            self.nodes[addr] = node_class
-            self._out[addr] = set()
-            self._in[addr] = set()
-
-    def add_edge_event(self, sender: Address, receiver: Address, value: int, ts: int) -> None:
-        stats = self.edges.get((sender, receiver))
-        if stats is None:
-            self._put_edge(sender, receiver, EdgeStats(value, 1, ts, ts))
-        else:
-            stats.total_value += value
-            stats.tx_count += 1
-            stats.first_ts = min(stats.first_ts, ts)
-            stats.last_ts = max(stats.last_ts, ts)
-
     def out_neighbors(self, addr: Address) -> set[Address]:
         return self._out.get(addr, set())
 
@@ -136,28 +120,11 @@ class CommunityGraph:
     def in_degree(self, addr: Address) -> int:
         return len(self._in.get(addr, ()))
 
-    def _put_edge(self, u: Address, v: Address, stats: EdgeStats) -> None:
-        """Insert the edge (u, v), which must not be present yet. Every
-        edge insertion goes through here, so the counters and the endpoint
-        columns stay exact."""
-        if u == v:
-            self._loops += 1
-        elif (v, u) in self.edges:
-            self._mutual += 2  # (u, v) and its reverse both become mutual
-        self.edges[(u, v)] = stats
-        self._out[u].add(v)
-        self._in[v].add(u)
-        self._src.append(self._id[u])
-        self._dst.append(self._id[v])
-
     def copy(self) -> "CommunityGraph":
         """Independent copy keeping node and edge insertion order."""
-        dup = CommunityGraph()
-        for addr, node_class in self.nodes.items():
-            dup.add_node(addr, node_class)
-        for (u, v), stats in self.edges.items():
-            dup._put_edge(u, v, replace(stats))
-        return dup
+        return _from_rows(dict(self.nodes), [
+            (u, v, s.total_value, s.tx_count, s.first_ts, s.last_ts)
+            for (u, v), s in self.edges.items()])
 
     def subgraphs(self, parts: list[list[Address]]) -> list["CommunityGraph"]:
         """Induced subgraphs on disjoint node lists, in one pass over edges.
@@ -165,42 +132,113 @@ class CommunityGraph:
         Each subgraph inserts its nodes in the order given and its edges in
         this graph's edge order.
         """
-        subs = [CommunityGraph() for _ in parts]
-        part_of: dict[Address, int] = {}
-        for i, (sub, part) in enumerate(zip(subs, parts)):
-            for addr in part:
-                sub.add_node(addr, self.nodes[addr])
-                part_of[addr] = i
-        for (u, v), stats in self.edges.items():
+        part_of = {addr: i for i, part in enumerate(parts) for addr in part}
+        rows: list[list] = [[] for _ in parts]
+        for (u, v), s in self.edges.items():
             i = part_of.get(u)
             if i is not None and part_of.get(v) == i:
-                subs[i]._put_edge(u, v, replace(stats))
-        return subs
+                rows[i].append((u, v, s.total_value, s.tx_count, s.first_ts, s.last_ts))
+        classes = self.nodes
+        return [_from_rows({addr: classes[addr] for addr in part}, part_rows)
+                for part, part_rows in zip(parts, rows)]
 
 
-def _node_class_for(addr: Address, store: EventStore, default: NodeClass) -> NodeClass:
-    if addr in store.claims:
-        return NodeClass.INITIAL_MEMBER
-    if addr in store.contracts:
-        return NodeClass.CONTRACT
-    return default
+# The two insertion loops. Every graph is built by one of them, inline,
+# with no graph method called per node or edge, and each keeps the
+# counters, the adjacency sets, the node ids and the endpoint columns
+# exact: a new edge (u, v) adds one to `_loops` when u == v, and two to
+# `_mutual` when its reverse is already present.
+
+def _from_rows(nodes: dict[Address, NodeClass], rows: list[Sequence]) -> CommunityGraph:
+    """The graph of `nodes`, in their order, and of the edge `rows`, each
+    (u, v, total_value, tx_count, first_ts, last_ts) in insertion order.
+    Each endpoint becomes the node's own key string. Takes `nodes` over.
+    KeyError if an edge names a node not in `nodes`, ValueError if a row
+    is not six cells or an edge comes twice."""
+    g = CommunityGraph()
+    g.nodes = nodes
+    edges, ids, out, inn = g.edges, g._id, g._out, g._in
+    key: dict[Address, Address] = {}
+    # a loop, not a dict per field: most graphs built here are components
+    # of a few nodes, where building a zip per dict costs more
+    for i, addr in enumerate(nodes):
+        ids[addr] = i
+        out[addr] = set()
+        inn[addr] = set()
+        key[addr] = addr
+    src, dst = g._src.append, g._dst.append
+    loops = mutual = 0
+    for u, v, total, tx_count, first_ts, last_ts in rows:
+        u, v = key[u], key[v]
+        if u == v:
+            loops += 1
+        elif (v, u) in edges:
+            mutual += 2
+        edges[u, v] = EdgeStats(total, tx_count, first_ts, last_ts)
+        out[u].add(v)
+        inn[v].add(u)
+        src(ids[u])
+        dst(ids[v])
+    if len(edges) != len(rows):
+        raise ValueError("an edge comes twice")
+    g._loops, g._mutual = loops, mutual
+    return g
 
 
-def _add_events(g: CommunityGraph, events, store: EventStore, default_class: NodeClass) -> None:
-    nodes = g.nodes
-    for ev in events:
-        sender, receiver = ev.sender, ev.receiver
-        # add_node keeps a node's first class, so only a new address is classed
-        if sender not in nodes:
-            g.add_node(sender, _node_class_for(sender, store, default_class))
-        if receiver not in nodes:
-            g.add_node(receiver, _node_class_for(receiver, store, default_class))
-        g.add_edge_event(sender, receiver, ev.value, ev.timestamp)
+_EVENT_FIELDS = attrgetter("sender", "receiver", "value", "timestamp")
+_TIMESTAMP = attrgetter("timestamp")
+
+
+def _add_events(g: CommunityGraph, events: Iterable, claims: Container[Address],
+                contracts: Container[Address], default: NodeClass) -> None:
+    """Fold `events`, in order, into `g`. Each reads as its sender,
+    receiver, value and timestamp attributes, so TransferEvents and
+    StoredEvents both do. A new address is a node of the class of its
+    first event: an initial member if it is in `claims`, else a contract
+    if it is in `contracts`, else `default`. An event adds its value and
+    one transaction to the edge (sender, receiver), and widens the edge's
+    first and last timestamps to its own, whatever the order of events."""
+    nodes, edges, ids, out, inn = g.nodes, g.edges, g._id, g._out, g._in
+    src, dst = g._src.append, g._dst.append
+    stats_of = edges.get
+    initial, contract = NodeClass.INITIAL_MEMBER, NodeClass.CONTRACT
+    loops = mutual = 0
+    for u, v, value, ts in map(_EVENT_FIELDS, events):
+        if u not in nodes:
+            ids[u] = len(nodes)
+            nodes[u] = initial if u in claims else contract if u in contracts else default
+            out[u] = set()
+            inn[u] = set()
+        if v not in nodes:
+            ids[v] = len(nodes)
+            nodes[v] = initial if v in claims else contract if v in contracts else default
+            out[v] = set()
+            inn[v] = set()
+        stats = stats_of((u, v))
+        if stats is None:
+            if u == v:
+                loops += 1
+            elif (v, u) in edges:
+                mutual += 2
+            edges[u, v] = EdgeStats(value, 1, ts, ts)
+            out[u].add(v)
+            inn[v].add(u)
+            src(ids[u])
+            dst(ids[v])
+        else:
+            stats.total_value += value
+            stats.tx_count += 1
+            if ts < stats.first_ts:
+                stats.first_ts = ts
+            elif ts > stats.last_ts:
+                stats.last_ts = ts
+    g._loops += loops
+    g._mutual += mutual
 
 
 def _build_graph(events, store: EventStore, default_class: NodeClass) -> CommunityGraph:
     g = CommunityGraph()
-    _add_events(g, events, store, default_class)
+    _add_events(g, events, store.claims, store.contracts, default_class)
     return g
 
 
@@ -252,7 +290,9 @@ def iter_slices(
         end = bounds[1] if bounds else (events[-1].timestamp if events else 0)
     if start > end:
         raise ValueError("window start must not follow end")
-    in_window = [e for e in events if start <= e.timestamp <= end]
+    # the store is time-ordered, so the window is one run of it
+    in_window = events[bisect_left(events, start, key=_TIMESTAMP):
+                       bisect_right(events, end, key=_TIMESTAMP)]
     if not in_window:
         raise WindowEmptyError(f"no {kind.value} events in [{start}, {end}]")
 
@@ -265,9 +305,9 @@ def iter_slices(
     graph = CommunityGraph()
     done = 0
     for cutoff in cutoffs:
-        # the store is time-ordered, so the slice's events are a prefix
-        upto = bisect_right(in_window, cutoff, lo=done, key=lambda e: e.timestamp)
-        _add_events(graph, in_window[done:upto], store, default)
+        # the slice's events are a prefix of the window's
+        upto = bisect_right(in_window, cutoff, lo=done, key=_TIMESTAMP)
+        _add_events(graph, in_window[done:upto], store.claims, store.contracts, default)
         done = upto
         yield GraphSlice(cutoff, graph)
 
@@ -795,16 +835,20 @@ def write_graph_json(graph: CommunityGraph, path, order: GraphOrder | None = Non
         fh.write("]}\n")
 
 
+_NODE_CLASSES = {c.value: c for c in NodeClass}
+
+
 def graph_from_json(payload: dict) -> CommunityGraph:
     """The graph of a graph JSON payload. Each edge endpoint is the node's
-    own key string, not the equal copy json made for every occurrence."""
-    g = CommunityGraph()
-    for addr, cls in payload["nodes"]:
-        g.add_node(addr, NodeClass(cls))
-    key = {addr: addr for addr in g.nodes}
-    for u, v, total, count, first_ts, last_ts in payload["edges"]:
-        g._put_edge(key[u], key[v], EdgeStats(total, count, first_ts, last_ts))
-    return g
+    own key string, not the equal copy json made for every occurrence. A
+    payload that repeats a node or an edge, names an unknown class or
+    endpoint, or holds a row of another shape raises KeyError, TypeError or
+    ValueError."""
+    classes = dict(payload["nodes"])
+    if len(classes) != len(payload["nodes"]):
+        raise ValueError("a node comes twice")
+    nodes = dict(zip(classes, map(_NODE_CLASSES.__getitem__, classes.values())))
+    return _from_rows(nodes, payload["edges"])
 
 
 def load_graph_json(path) -> CommunityGraph:

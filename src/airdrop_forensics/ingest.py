@@ -12,11 +12,12 @@ Ingest's own events are TransferEvents, immutable named tuples, so each
 costs one tuple to build and EVENT_ORDER sorts by position in C. Their
 tx hash, block and log index order and deduplicate the store, and no
 later stage reads them: read_store keeps only a StoredEvent of the five
-fields the stages read. A raw export already in the store's form is
-split by read_store's splitter with no per-row Python code; any other is
-read positionally, one pass per file, and every address text is
-normalized once. Either way, events that name the same address share
-one string. Each raw file is sorted once, the
+fields the stages read, splitting each chunk of events.csv once. A raw
+export already in the store's form is split, with every check the row
+loop would make, by a splitter of its own with no per-row Python code;
+any other is read positionally, one pass per file, and every address
+text is normalized once. Either way, events that name the same address
+share one string. Each raw file is sorted once, the
 merge of the two is sorted once more (two sorted runs, so linear), and
 write_transfers_csv trusts its input to be in that order.
 
@@ -35,7 +36,7 @@ import logging
 import re
 from bisect import bisect_left, bisect_right
 from collections import deque
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, field
 from datetime import date, datetime, timezone
 from enum import Enum
@@ -316,7 +317,7 @@ def parse_transfers(
     path = Path(path)
     if path.suffix != ".jsonl":
         try:
-            events = _split_events(path, raw=True, allow_self_transfers=allow_self_transfers)
+            events = _split_events(path, allow_self_transfers)
         except artifacts.MissingArtifactError:  # the row loop names what is wrong
             events = None
         if events is not None:
@@ -367,6 +368,8 @@ def parse_contracts(path) -> tuple[list[ContractInfo], list[MalformedRow]]:
         try:
             address = normalize_address(_cell(address, "address"))
             name = _cell(name, "name").strip()
+            if "\r" in name:  # see write_contracts_csv
+                raise ValueError(f"contract name {name!r} holds a carriage return")
             category_text = _cell(category, "category")
             category = _CATEGORY_LOOKUP.get(category_text.strip().lower())
             if category is None:
@@ -597,6 +600,12 @@ def write_transfers_csv(events: list[TransferEvent], path) -> str:
 
 
 def write_contracts_csv(contracts: list[ContractInfo], path) -> None:
+    """Write `contracts` sorted by address. A name that holds a carriage
+    return, which parse_contracts never returns, is a ValueError: with
+    lines ended by "\\n", csv.writer may leave a "\\r" unquoted, and
+    csv.reader would end the row there."""
+    if any("\r" in c.name for c in contracts):
+        raise ValueError("a contract name holds a carriage return")
     artifacts.write_csv(
         CONTRACT_COLUMNS,
         ([c.address, c.name, c.category.value]
@@ -664,27 +673,84 @@ def _csv_rows(data: bytes):
 _CHUNK = 1 << 16
 # A row's last cell with the "\n" that ends it, as _split_events cuts it.
 _LINE_KINDS = {f"{k.value}\n": k for k in EventKind}
+# Each kind by the first character of its text, which no two kinds share.
+_KIND_INITIALS = {k.value[0]: k for k in EventKind}
 # An event from a tuple of its fields.
 _new_event = partial(tuple.__new__, TransferEvent)
 _new_stored = partial(tuple.__new__, StoredEvent)
 _STORED_TIMESTAMP = attrgetter("timestamp")
+_INITIAL = itemgetter(0)
 
 
-def _split_events(path: Path, raw: bool = False, allow_self_transfers: bool = True,
-                  kinds: frozenset[EventKind] = frozenset(EventKind)
-                  ) -> tuple[list[StoredEvent], int | None, str] | list[TransferEvent] | None:
-    """events.csv split at commas and newlines, a chunk of whole lines at a
-    time, with no per-row Python code. Each "\\n" stays at the end of the
-    kind cell it closes, so a kind parses only as the last cell of its line.
+def _line_chunks(fh) -> Iterator[tuple[bytes, str]]:
+    """Each chunk that binary file `fh` reads from its position on, with
+    the text of the whole lines it ends: what the last chunk left after its
+    last "\\n", and this chunk's text up to and with its own last "\\n".
+    ValueError if the bytes are not UTF-8 or do not end in "\\n"."""
+    decode = codecs.getincrementaldecoder("utf-8")().decode
+    tail = ""
+    while chunk := fh.read(_CHUNK):
+        text = tail + decode(chunk)
+        cut = text.rfind("\n") + 1
+        text, tail = text[:cut], text[cut:]
+        yield chunk, text
+    decode(b"", True)
+    if tail:
+        raise ValueError("no final newline")
 
-    For read_store: the StoredEvents of the rows of `kinds`, the index of
-    the first row that is a self-transfer or None, and the sha256 of the
-    file's bytes, hashed as they are read. Nothing else of the file is
+
+def _split_store(path: Path, kinds: frozenset[EventKind]
+                 ) -> tuple[list[StoredEvent], int | None, str] | None:
+    """For read_store: the StoredEvents of the rows of events.csv whose kind
+    is one of `kinds`, the index of the first row that is a self-transfer or
+    None, and the sha256 of the file's bytes, hashed as they are read.
+
+    Each chunk of whole lines is split once, at its commas, with no per-row
+    Python code. A row's 8 cells then take 7 places: its kind cell holds
+    the kind, the "\\n" that ends the row and the next row's tx hash, and
+    the kind is read from its first character. Nothing else of the file is
     checked, as read_store trusts its rows once that digest matches
     ingest's record; a file that does not split, and so cannot match it,
     gives None.
+    """
+    wanted = {k.value[0] for k in kinds}
+    addresses: dict[str, str] = {}
+    share = addresses.setdefault  # one string per address, shared by its events
+    events: list[StoredEvent] = []
+    rows = 0
+    self_transfer = None
+    digest = hashlib.sha256()
+    with artifacts.open_for_read(path, mode="rb") as fh:
+        digest.update(fh.readline())  # the header
+        try:
+            for chunk, text in _line_chunks(fh):
+                digest.update(chunk)
+                cells = text.split(",")
+                sender, receiver, value, timestamp = (cells[i::7] for i in range(1, 5))
+                initials = list(map(_INITIAL, cells[7::7]))
+                if self_transfer is None:
+                    self_transfer = next(compress(count(rows), map(eq, sender, receiver)), None)
+                rows += len(initials)
+                if not wanted.issuperset(initials):  # a row of a kind not loaded
+                    keep = list(map(wanted.__contains__, initials))
+                    sender, receiver, value, timestamp, initials = (
+                        list(compress(column, keep))
+                        for column in (sender, receiver, value, timestamp, initials))
+                events += map(_new_stored, zip(
+                    map(share, sender, sender), map(share, receiver, receiver), map(int, value),
+                    map(int, timestamp), map(_KIND_INITIALS.__getitem__, initials)))
+        except (ValueError, KeyError, IndexError):  # UnicodeDecodeError is a ValueError
+            return None
+    return events, self_transfer, digest.hexdigest()
 
-    With `raw`, for parse_transfers: the TransferEvents of every row, or
+
+def _split_events(path: Path, allow_self_transfers: bool) -> list[TransferEvent] | None:
+    """A raw export in the form write_transfers_csv writes, split at commas
+    and newlines, a chunk of whole lines at a time, with no per-row Python
+    code, for parse_transfers: the TransferEvents of every row. Each "\\n"
+    stays at the end of the kind cell it closes, so a kind parses only as
+    the last cell of its line.
+
     None unless csv would read the file the same way and every row is in
     the form that parse_transfers' row loop keeps unchanged. That is: no
     quote, "\\r", NUL or cell over csv's field size limit; the header
@@ -693,65 +759,35 @@ def _split_events(path: Path, raw: bool = False, allow_self_transfers: bool = Tr
     lowercase hex digits, checked once, with the chunk that names it
     first; and a final "\\n".
     """
-    wanted = {text for text, k in _LINE_KINDS.items() if k in kinds}
     addresses: dict[str, str] = {}
     share = addresses.setdefault  # one string per address, shared by its events
-    events: list = []
-    rows = 0
-    self_transfer = None
-    digest = hashlib.sha256()
-    decode = codecs.getincrementaldecoder("utf-8")().decode
+    events: list[TransferEvent] = []
     with artifacts.open_for_read(path, mode="rb") as fh:
-        header = fh.readline()
-        if raw and header != _HEADER.encode():
+        if fh.readline() != _HEADER.encode():
             return None
-        digest.update(header)
-        tail = ""
         try:
-            while chunk := fh.read(_CHUNK):
-                if not raw:
-                    digest.update(chunk)
-                text = tail + decode(chunk)
-                cut = text.rfind("\n") + 1
-                text, tail = text[:cut], text[cut:]
+            for _, text in _line_chunks(fh):
                 cells = text.replace("\n", "\n,").split(",")
                 columns = [cells[i:-1:8] for i in range(8)]
                 tx_hash, sender, receiver, value, timestamp, block, log_index, kind = columns
-                if raw:
-                    # Only the first line, carried over, can be longer than a
-                    # chunk; csv's field size limit is 2 * _CHUNK by default.
-                    if ('"' in text or "\r" in text or "\0" in text
-                            or text.find("\n") > csv.field_size_limit()
-                            or len(cells) != 8 * text.count("\n") + 1
-                            or not _canonical_rows(columns, allow_self_transfers)):
-                        return None
-                    known = len(addresses)
-                    events += map(_new_event, zip(
-                        tx_hash, map(share, sender, sender), map(share, receiver, receiver),
-                        map(int, value), map(int, timestamp), map(int, block),
-                        map(_LINE_KINDS.__getitem__, kind), map(int, log_index)))
-                    # the addresses this chunk named first, the newest keys
-                    if not _hex_cells(list(islice(reversed(addresses), len(addresses) - known)),
-                                      40):
-                        return None
-                    continue
-                if self_transfer is None:
-                    self_transfer = next(compress(count(rows), map(eq, sender, receiver)), None)
-                rows += len(kind)
-                if not wanted.issuperset(kind):  # a row of a kind not loaded
-                    keep = list(map(wanted.__contains__, kind))
-                    sender, receiver, value, timestamp, kind = (
-                        list(compress(column, keep))
-                        for column in (sender, receiver, value, timestamp, kind))
-                events += map(_new_stored, zip(
-                    map(share, sender, sender), map(share, receiver, receiver), map(int, value),
-                    map(int, timestamp), map(_LINE_KINDS.__getitem__, kind)))
-            decode(b"", True)
+                # Only the first line, carried over, can be longer than a
+                # chunk; csv's field size limit is 2 * _CHUNK by default.
+                if ('"' in text or "\r" in text or "\0" in text
+                        or text.find("\n") > csv.field_size_limit()
+                        or len(cells) != 8 * text.count("\n") + 1
+                        or not _canonical_rows(columns, allow_self_transfers)):
+                    return None
+                known = len(addresses)
+                events += map(_new_event, zip(
+                    tx_hash, map(share, sender, sender), map(share, receiver, receiver),
+                    map(int, value), map(int, timestamp), map(int, block),
+                    map(_LINE_KINDS.__getitem__, kind), map(int, log_index)))
+                # the addresses this chunk named first, the newest keys
+                if not _hex_cells(list(islice(reversed(addresses), len(addresses) - known)), 40):
+                    return None
         except (ValueError, KeyError):  # UnicodeDecodeError is a ValueError
             return None
-    if tail:
-        return None
-    return events if raw else (events, self_transfer, digest.hexdigest())
+    return events
 
 
 # str.translate tables that delete the characters of canonical cells and
@@ -804,10 +840,24 @@ def _claims(rows) -> list[ClaimRecord]:
             for address, tier, amount, timestamp in rows]
 
 
-def _records(stage_dir: Path) -> tuple[dict[str, str], IngestReport,
-                                       dict[Address, ContractInfo], dict[Address, ClaimRecord]]:
-    """The sha256 of each file that run.json records, by file name, and
-    read_records' report, contracts and claims."""
+class IngestRecords(NamedTuple):
+    """Ingest's report, contracts and claims, and the sha256 that run.json
+    records for each file ingest wrote, by file name."""
+
+    report: IngestReport
+    contracts: dict[Address, ContractInfo]
+    claims: dict[Address, ClaimRecord]
+    digests: dict[str, str]
+
+
+def read_records(stage_dir) -> IngestRecords:
+    """Ingest's report, contracts and claims, read from `stage_dir`, and
+    the digests run.json records. Each file is parsed without re-validation
+    once its bytes match the sha256 that ingest recorded for it in
+    run.json; one that does not raises CorruptStoreError. A run.json or a
+    file that is missing, or cannot be read, raises MissingArtifactError.
+    events.csv is not opened."""
+    stage_dir = Path(stage_dir)
     recorded = {name: output["sha256"]
                 for name, output in artifacts.read(stage_dir / "run.json")["outputs"].items()}
     report = IngestReport.from_json(json.loads(_verified(stage_dir / "report.json", recorded)))
@@ -816,50 +866,50 @@ def _records(stage_dir: Path) -> tuple[dict[str, str], IngestReport,
                  in _csv_rows(_verified(stage_dir / "contracts.csv", recorded))}
     claims = {c.address: c
               for c in _claims(_csv_rows(_verified(stage_dir / "claims.csv", recorded)))}
-    return recorded, report, contracts, claims
+    return IngestRecords(report, contracts, claims, recorded)
 
 
-def read_records(stage_dir) -> tuple[IngestReport, dict[Address, ContractInfo],
-                                     dict[Address, ClaimRecord]]:
-    """Ingest's report, contracts and claims, read from `stage_dir`. Each
-    file is parsed without re-validation once its bytes match the sha256
-    that ingest recorded for it in run.json; one that does not raises
-    CorruptStoreError. A run.json or a file that is missing, or cannot be
-    read, raises MissingArtifactError. events.csv is not opened."""
-    return _records(Path(stage_dir))[1:]
+class SelfTransferDisallowedError(artifacts.UserError):
+    """An intact store holds a self-transfer that the config does not allow."""
+
+    code = artifacts.MissingArtifactError.code
 
 
 def read_store(stage_dir, config: IngestConfig | None = None,
-               kinds: Iterable[EventKind] = tuple(EventKind)) -> EventStore:
+               kinds: Iterable[EventKind] = tuple(EventKind),
+               records: IngestRecords | None = None) -> EventStore:
     """Load the store that ingest wrote to `stage_dir`, trusting its files
     by their digests.
 
-    The report, contracts and claims are read_records'. events.csv is
-    hashed as it is split at commas and newlines, and it must match the
-    sha256 that ingest recorded in run.json, or read_store raises
-    CorruptStoreError. Once it does, its rows are ingest's own: normalized,
-    sorted and deduplicated. Each row of one of `kinds` becomes a
-    StoredEvent of the five fields the later stages read: sender,
-    receiver, value, timestamp and kind; the store's events and by_kind
-    hold those alone, and events_of_kind refuses any other kind. A row's tx
-    hash, block and log index are not kept; parse_transfers of events.csv
-    gives the full TransferEvents. The config may have changed since
-    ingest, so its rules are applied again: any self-transfer fails unless
-    the config allows them, and the study window drops the events outside
-    it. The store's report is ingest's own, read from report.json.
+    The report, contracts and claims are `records`, which must be
+    read_records' of `stage_dir`, or are read by it. events.csv is hashed
+    as it is split, and it must match the sha256 that ingest recorded in
+    run.json, or read_store raises CorruptStoreError. Once it does, its
+    rows are ingest's own: normalized, sorted and deduplicated. Each row of
+    one of `kinds` becomes a StoredEvent of the five fields the later
+    stages read: sender, receiver, value, timestamp and kind; the store's
+    events and by_kind hold those alone, and events_of_kind refuses any
+    other kind. A row's tx hash, block and log index are not kept;
+    parse_transfers of events.csv gives the full TransferEvents. The
+    config may have changed since ingest, so its rules are applied again:
+    any self-transfer raises SelfTransferDisallowedError unless the config
+    allows them, and the study window drops the events outside it. The
+    store's report is ingest's own, read from report.json.
     """
     config = config or IngestConfig()
     kinds = frozenset(map(EventKind, kinds))
     stage_dir = Path(stage_dir)
-    recorded, report, contracts, claims = _records(stage_dir)
+    report, contracts, claims, recorded = records or read_records(stage_dir)
     path = stage_dir / "events.csv"
-    split = _split_events(path, kinds=kinds)
+    split = _split_store(path, kinds)
     if split is None or split[2] != recorded[path.name]:
         raise _mismatch(path, recorded)
     events, self_transfer, _ = split
     if self_transfer is not None and not config.allow_self_transfers:
-        raise CorruptStoreError(
-            f"{path} line {self_transfer + 2}: self-transfer not allowed by config")
+        raise SelfTransferDisallowedError(
+            f"{path} line {self_transfer + 2}: self-transfer not allowed by config "
+            "(allow_self_transfers is false); the store is intact, every file matching its "
+            "digest: allow self-transfers, or re-run the ingest stage under this config")
     bounds = config.window_bounds()
     if bounds:
         events = events[bisect_left(events, bounds[0], key=_STORED_TIMESTAMP):

@@ -4,7 +4,9 @@ import itertools
 import pytest
 
 from airdrop_forensics.flows import OPERATION_ORDER, FeatureVector, OperationKind
-from airdrop_forensics.graphs import CommunityGraph, NodeClass, attracting_counts
+from airdrop_forensics.graphs import (
+    CommunityGraph, NodeClass, _add_events, _from_rows, attracting_counts,
+)
 from airdrop_forensics.ingest import (
     ClaimRecord,
     ContractCategory,
@@ -71,16 +73,13 @@ def contract(address: str, name: str, category: ContractCategory) -> ContractInf
 
 
 def digraph(edges, nodes=(), node_class=NodeClass.LATER_MEMBER) -> CommunityGraph:
-    """Build a CommunityGraph straight from (u, v[, weight]) tuples."""
-    g = CommunityGraph()
-    for n in nodes:
-        g.add_node(n, node_class)
-    for edge in edges:
-        u, v = edge[0], edge[1]
-        w = edge[2] if len(edge) > 2 else 1
-        g.add_node(u, node_class)
-        g.add_node(v, node_class)
-        g.add_edge_event(u, v, w, WINDOW_START + 86400)
+    """Build a CommunityGraph from (u, v[, weight]) tuples through the
+    graph's own insertion loops: `nodes` first, in order, then one event
+    per tuple, every node of `node_class`."""
+    g = _from_rows(dict.fromkeys(nodes, node_class), [])
+    events = [StoredEvent(edge[0], edge[1], edge[2] if len(edge) > 2 else 1,
+                          WINDOW_START + 86400, EventKind.TOKEN_TRANSFER) for edge in edges]
+    _add_events(g, events, (), (), node_class)
     return g
 
 

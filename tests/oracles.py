@@ -12,7 +12,7 @@ from types import SimpleNamespace
 from xml.sax.saxutils import escape
 
 from airdrop_forensics.flows import UNIFORM_WEIGHTS, OperationKind, weighted_cosine_distance
-from airdrop_forensics.graphs import _tarjan
+from airdrop_forensics.graphs import CommunityGraph, EdgeStats, NodeClass, _tarjan
 from airdrop_forensics.ingest import (
     TRANSFER_COLUMNS,
     ClaimRecord,
@@ -136,6 +136,48 @@ def oracle_attracting(nodes, edges) -> int:
         if not leaving:
             count += 1
     return count
+
+
+def event_by_event_graph(events, claims, contracts, default) -> CommunityGraph:
+    """The graph of `events` built one event at a time, a node and an edge
+    by the rules graphs' insertion loop keeps inline: a new address gets the
+    next id and the class of the first event naming it (claimant, then
+    contract, then `default`); a new edge appends its endpoints' ids and
+    bumps `_loops` or, when its reverse is present, `_mutual` by 2; a
+    repeated one adds value and count and takes the min and max
+    timestamps."""
+    g = CommunityGraph()
+
+    def add_node(addr):
+        if addr in g.nodes:
+            return
+        g._id[addr] = len(g.nodes)
+        g.nodes[addr] = (NodeClass.INITIAL_MEMBER if addr in claims
+                         else NodeClass.CONTRACT if addr in contracts else default)
+        g._out[addr] = set()
+        g._in[addr] = set()
+
+    for e in events:
+        u, v = e.sender, e.receiver
+        add_node(u)
+        add_node(v)
+        stats = g.edges.get((u, v))
+        if stats is not None:
+            stats.total_value += e.value
+            stats.tx_count += 1
+            stats.first_ts = min(stats.first_ts, e.timestamp)
+            stats.last_ts = max(stats.last_ts, e.timestamp)
+            continue
+        if u == v:
+            g._loops += 1
+        elif (v, u) in g.edges:
+            g._mutual += 2
+        g.edges[(u, v)] = EdgeStats(e.value, 1, e.timestamp, e.timestamp)
+        g._out[u].add(v)
+        g._in[v].add(u)
+        g._src.append(g._id[u])
+        g._dst.append(g._id[v])
+    return g
 
 
 def strongly_connected_components(graph):
@@ -507,6 +549,8 @@ def dictreader_parse_contracts(path):
         try:
             address = _address(row["address"])
             name = row["name"].strip()
+            if "\r" in name:
+                raise ValueError(f"contract name {name!r} holds a carriage return")
             category = categories.get(row["category"].strip().lower())
             if category is None:
                 raise ValueError(f"unknown category {row['category']!r}")

@@ -8,6 +8,7 @@ import random
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -461,7 +462,8 @@ def test_every_stage_on_an_empty_store_exits_0_or_1(tmp_path, capsys, window):
     config = write_config(tmp_path, inputs=inputs, window=window)
     assert run("ingest", config) == 0
     stage = tmp_path / "out" / "ingest"
-    assert ingest._split_events(stage / "events.csv")[:2] == ([], None)  # no events, no rows
+    # no events, no rows
+    assert ingest._split_store(stage / "events.csv", frozenset(ingest.EventKind))[:2] == ([], None)
     codes = {}
     for command in PIPELINE[2:]:
         capsys.readouterr()
@@ -513,7 +515,9 @@ def test_dot_export_format(tmp_path):
 def test_internal_event_makes_a_sunflower_center_a_contract_user(tmp_path, internal):
     """A later member that five claimants' tokens converge on is a staging
     area unless it touched a contract; an internal_tx row of a raw export
-    with a kind column is such a touch, though no graph holds it."""
+    with a kind column is such a touch, though no graph holds it. detect
+    opens each of ingest's records once, whether or not it reads
+    events.csv for the internal events."""
     center, swap = addr(50), addr(100)
     spokes = [addr(i) for i in range(1, 6)]
     events = [ev(s, center, 10**21, ts=WINDOW_START + 86400 * (2 + i))
@@ -528,8 +532,14 @@ def test_internal_event_makes_a_sunflower_center_a_contract_user(tmp_path, inter
                                raw / "contracts.csv")
     ingest.write_claims_csv([claim(s) for s in spokes], raw / "claims.csv")
     config = write_config(tmp_path, inputs={key: str(raw / f"{key}.csv") for key in cli.RAW_INPUTS})
-    for command in ("ingest", "graph", "detect"):
+    for command in ("ingest", "graph"):
         assert run(command, config) == 0, command
+    with mock.patch.object(artifacts, "open_for_read", wraps=artifacts.open_for_read) as opened:
+        assert run("detect", config) == 0
+    opens = Counter(Path(call.args[0]).name for call in opened.call_args_list)
+    assert [opens[name] for name in ("run.json", "report.json", "contracts.csv", "claims.csv")] \
+        == [1, 1, 1, 1]
+    assert opens["events.csv"] == (1 if internal else 0)
     out = tmp_path / "out"
     report = json.loads((out / "ingest" / "report.json").read_text())
     assert report["internal_events"] == (1 if internal else 0)
@@ -538,6 +548,24 @@ def test_internal_event_makes_a_sunflower_center_a_contract_user(tmp_path, inter
              if f["pattern"] in ("sunflower", "staging_aggregation")]
     assert [f["pattern"] for f in stars] == ["sunflower" if internal else "staging_aggregation"]
     assert center in stars[0]["members"]
+
+
+def test_a_contract_name_holding_a_carriage_return_leaves_a_readable_store(tmp_path):
+    """A contract row whose name holds a "\\r" is a malformed row, so
+    ingest writes a contracts.csv that the later stages read."""
+    raw = tmp_path / "raw"
+    ingest.write_transfers_csv([ev(addr(1), addr(2), 5)], raw / "token_transfers.csv")
+    ingest.write_transfers_csv([], raw / "external_txs.csv")
+    (raw / "contracts.csv").write_text(
+        f'address,name,category\n{addr(9)},"dex\rrouter",TradingSwap\n', newline="")
+    ingest.write_claims_csv([claim(addr(1))], raw / "claims.csv")
+    config = write_config(tmp_path, inputs={key: str(raw / f"{key}.csv") for key in cli.RAW_INPUTS})
+    for command in ("ingest", "graph"):
+        assert run(command, config) == 0, command
+    report = json.loads((tmp_path / "out" / "ingest" / "report.json").read_text())
+    assert report["n_contracts"] == 0
+    assert [m["reason"] for m in report["malformed"]] == [
+        "contract name 'dex\\rrouter' holds a carriage return"]
 
 
 @pytest.fixture(scope="module")
@@ -856,15 +884,19 @@ def test_self_transfers_ingested_then_disallowed_fail(ingested, tmp_path, capsys
     assert any(e.sender == e.receiver for e in store.events)
     assert_addresses_shared(store.events)
 
-    with pytest.raises(ingest.CorruptStoreError, match="self-transfer"):
+    with pytest.raises(ingest.SelfTransferDisallowedError, match="self-transfer") as raised:
         ingest.read_store(stage, ingest.IngestConfig())
+    assert not isinstance(raised.value, ingest.CorruptStoreError)
     disallowed = write_config(tmp_path, out_name="selfish", inputs=inputs)
     capsys.readouterr()
     assert run("cluster", disallowed) == 1
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["code"] == "missing_artifact"
-    assert "self-transfer not allowed by config" in err["error"]
-    assert "re-run the ingest stage" in err["error"]
+    line = (stage / "events.csv").read_text().splitlines().index(self_row) + 1
+    assert f"events.csv line {line}: self-transfer not allowed by config" in err["error"]
+    assert "allow_self_transfers" in err["error"] and "the store is intact" in err["error"]
+    assert "re-run the ingest stage under this config" in err["error"]
+    assert "corrupt" not in err["error"]
 
 
 def _swap_first_unequal_timestamps(lines: list[str]) -> list[str]:

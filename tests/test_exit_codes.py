@@ -383,6 +383,9 @@ GRAPH_SHAPES = {
     "node_class": {"nodes": [["0x1", "hunter"]], "edges": []},
     "edge_arity": {"nodes": [["0x1", "plain"]], "edges": [["0x1", "0x1", 1]]},
     "unknown_endpoint": {"nodes": [["0x1", "plain"]], "edges": [["0x1", "0x2", 1, 1, 0, 0]]},
+    "repeated_node": {"nodes": [["0x1", "plain"], ["0x1", "contract"]], "edges": []},
+    "repeated_edge": {"nodes": [["0x1", "plain"]],
+                      "edges": [["0x1", "0x1", 1, 1, 0, 0], ["0x1", "0x1", 2, 1, 0, 0]]},
 }
 
 

@@ -29,13 +29,14 @@ from airdrop_forensics.graphs import (
     CommunityGraph,
     NodeClass,
     WindowEmptyError,
+    _add_events,
     build_external_graph,
     build_token_graph,
     iter_slices,
     load_graph_json,
     write_graph_json,
 )
-from airdrop_forensics.ingest import ContractCategory, EventKind, IngestConfig, Tier
+from airdrop_forensics.ingest import ContractCategory, EventKind, IngestConfig, StoredEvent, Tier
 
 from conftest import WINDOW_START, addr, claim, contract, digraph, ev, make_store
 from oracles import contract_user_set, oracle_external_density
@@ -247,8 +248,8 @@ class TestSponsorship:
     @staticmethod
     def link(ext, sink, sponsor="p00"):
         """`ext` with an edge from `sink` to `sponsor`."""
-        ext.add_node(sink, NodeClass.LATER_MEMBER)
-        ext.add_edge_event(sink, sponsor, 1, T0)
+        _add_events(ext, [StoredEvent(sink, sponsor, 1, T0, EventKind.EXTERNAL_TX)], (), (),
+                    NodeClass.LATER_MEMBER)
         return ext
 
     def test_rewards_aggregating_to_a_sponsor_linked_sink(self):

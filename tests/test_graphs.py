@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 from xml.sax.saxutils import escape
 
@@ -19,7 +20,6 @@ from airdrop_forensics.forensics import p2p_components
 from airdrop_forensics.graphs import (
     _BATCH,
     CommunityGraph,
-    EdgeStats,
     NodeClass,
     UndefinedOnDegenerateError,
     UndefinedOnEmptyError,
@@ -28,7 +28,9 @@ from airdrop_forensics.graphs import (
     build_external_graph,
     build_token_graph,
     degree_assortativity,
+    _add_events,
     _build_graph,
+    _from_rows,
     graph_from_json,
     iter_slices,
     load_graph_json,
@@ -38,13 +40,14 @@ from airdrop_forensics.graphs import (
     write_graph,
     write_graph_json,
 )
-from airdrop_forensics.ingest import ContractCategory, EventKind, format_token_amount
+from airdrop_forensics.ingest import ContractCategory, EventKind, StoredEvent, format_token_amount
 
 from conftest import (
     WINDOW_START, addr, attracting_components, claim, contract, digraph, ev, make_store,
 )
 from oracles import (
     compact_json,
+    event_by_event_graph,
     graph_to_json,
     oracle_assortativity,
     oracle_attracting,
@@ -153,9 +156,7 @@ def test_reciprocity_trivials():
 
 
 def test_reciprocity_excludes_self_loops():
-    g = digraph([("a", "b"), ("b", "a")])
-    g.add_edge_event("a", "a", 1, WINDOW_START)
-    assert reciprocity(g) == 1.0
+    assert reciprocity(digraph([("a", "b"), ("b", "a"), ("a", "a")])) == 1.0
 
 
 def test_reciprocity_random_matches_oracle_exactly():
@@ -364,16 +365,14 @@ def export_graphs(draw, stems=st.text(max_size=3)):
     m = min(draw(st.sampled_from(SIZES)), n * n)
     stem = draw(stems)
     rng = draw(st.randoms(use_true_random=False))
-    g = CommunityGraph()
     nodes = [f"{stem}{i}" for i in range(n)]
-    for addr in nodes:
-        g.add_node(addr, rng.choice(list(NodeClass)))
+    classes = {addr: rng.choice(list(NodeClass)) for addr in nodes}
+    rows = []
     for k in rng.sample(range(n * n), m):
         first = rng.randrange(2**31)
-        stats = EdgeStats(rng.randrange(10**30), rng.randint(1, 10**4), first,
-                          first + rng.randrange(10**6))
-        g._put_edge(nodes[k // n], nodes[k % n], stats)
-    return g
+        rows.append((nodes[k // n], nodes[k % n], rng.randrange(10**30), rng.randint(1, 10**4),
+                     first, first + rng.randrange(10**6)))
+    return _from_rows(classes, rows)
 
 
 @settings(max_examples=50, derandomize=True, deadline=None)
@@ -400,13 +399,9 @@ def test_written_graphml_reads_back_in_networkx(g):
 def _wide_graph(n_nodes=2_000, n_edges=20_000):
     rng = random.Random(41)
     nodes = [f"0x{rng.getrandbits(160):040x}" for _ in range(n_nodes)]
-    g = CommunityGraph()
-    for addr in nodes:
-        g.add_node(addr, NodeClass.LATER_MEMBER)
-    for k in rng.sample(range(n_nodes * n_nodes), n_edges):
-        g._put_edge(nodes[k // n_nodes], nodes[k % n_nodes],
-                    EdgeStats(rng.randrange(10**24), 1, WINDOW_START, WINDOW_START))
-    return g
+    rows = [(nodes[k // n_nodes], nodes[k % n_nodes], rng.randrange(10**24), 1, WINDOW_START,
+             WINDOW_START) for k in rng.sample(range(n_nodes * n_nodes), n_edges)]
+    return _from_rows(dict.fromkeys(nodes, NodeClass.LATER_MEMBER), rows)
 
 
 @pytest.mark.parametrize("write, args", [
@@ -453,6 +448,119 @@ def test_graph_json_round_trip():
     clone = graph_from_json(graph_to_json(g))
     assert graph_to_json(clone) == graph_to_json(g)
     assert clone.out_neighbors("a" * 40) == {"b" * 40}
+
+
+# The insertion loops against the one-event-at-a-time reference, networkx
+# and each other.
+
+_ENDPOINTS = [addr(i) for i in range(1, 7)]
+
+
+@st.composite
+def event_lists(draw):
+    """Events among six addresses, so that edges repeat, loop and come in
+    reverse pairs, at timestamps in no order; each a StoredEvent or a
+    TransferEvent, whose fields lie in another order. Also the claimants
+    and the contracts (a claimant in both is a claimant), and where the
+    events are cut into the batches the graph takes them in."""
+    events = []
+    for u, v in draw(st.lists(st.tuples(st.sampled_from(_ENDPOINTS),
+                                        st.sampled_from(_ENDPOINTS)), max_size=40)):
+        value = draw(st.integers(0, 10**20))
+        ts = WINDOW_START + draw(st.integers(0, 4)) * 86400 + draw(st.sampled_from([0, 1]))
+        if draw(st.booleans()):
+            events.append(StoredEvent(u, v, value, ts, EventKind.TOKEN_TRANSFER))
+        else:
+            events.append(ev(u, v, value, ts=ts))
+    claims = draw(st.frozensets(st.sampled_from(_ENDPOINTS)))
+    contracts = draw(st.frozensets(st.sampled_from(_ENDPOINTS)))
+    cuts = sorted(draw(st.lists(st.integers(0, len(events)), max_size=3)))
+    return events, claims, contracts, cuts
+
+
+def _fields(g):
+    """Every field of `g`, orders included."""
+    return (list(g.nodes.items()), list(g.edges.items()), list(g._id.items()), g._out, g._in,
+            g._src, g._dst, g._loops, g._mutual)
+
+
+def _consistent(g):
+    """Whether the ids, the adjacency, the endpoint columns and the
+    counters of `g` are those its nodes and edges, in their order, give."""
+    names = list(g.nodes)
+    mutual = sum(u != v and (v, u) in g.edges for u, v in g.edges)
+    return (g._id == {a: i for i, a in enumerate(names)}
+            and [(names[i], names[j]) for i, j in zip(g._src, g._dst)] == list(g.edges)
+            and g._out == {a: {v for u, v in g.edges if u == a} for a in names}
+            and g._in == {a: {u for u, v in g.edges if v == a} for a in names}
+            and (g._loops, g._mutual) == (sum(u == v for u, v in g.edges), mutual))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(case=event_lists(), default=st.sampled_from([NodeClass.LATER_MEMBER, NodeClass.PLAIN]),
+       cut=st.floats(0, 1))
+def test_insertion_loop_equals_the_event_by_event_build(case, default, cut):
+    events, claims, contracts, cuts = case
+    g = CommunityGraph()
+    for lo, hi in zip([0, *cuts], [*cuts, len(events)]):
+        _add_events(g, events[lo:hi], claims, contracts, default)
+    assert _fields(g) == _fields(event_by_event_graph(events, claims, contracts, default))
+    assert _consistent(g)
+
+    G = nx.DiGraph((e.sender, e.receiver) for e in events)
+    assert set(g.nodes) == set(G.nodes) and set(g.edges) == set(G.edges)
+    G.remove_edges_from(list(nx.selfloop_edges(G)))
+    if G.number_of_edges():
+        assert reciprocity(g) == nx.reciprocity(G)
+
+    copy = g.copy()
+    assert _fields(copy) == _fields(g)
+    assert not any(copy.edges[k] is s for k, s in g.edges.items())
+    loaded = graph_from_json(graph_to_json(g))
+    assert (loaded.nodes, loaded.edges) == (g.nodes, g.edges) and _consistent(loaded)
+    nodes = sorted(g.nodes)
+    parts = [nodes[:int(cut * len(nodes))], nodes[int(cut * len(nodes)):]]
+    for part, sub in zip(parts, g.subgraphs(parts)):
+        assert list(sub.nodes.items()) == [(a, g.nodes[a]) for a in part]
+        assert list(sub.edges.items()) == [(k, s) for k, s in g.edges.items() if set(k) <= set(part)]
+        assert _consistent(sub)
+
+
+def _graphs_calls(build) -> Counter:
+    """The calls of functions that graphs.py defines while `build` runs, by name."""
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == graphs.__file__:
+            calls[frame.f_code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        build()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_building_calls_no_graph_function_per_event_or_edge():
+    """The insertion loops run inline: building a graph from 10 events or
+    from 2,000, or copying, loading or splitting it, calls the same graph
+    functions the same number of times."""
+    def calls(n):
+        events = [StoredEvent(addr(i % 37), addr(i % 41 + 1), i, WINDOW_START + i % 5,
+                              EventKind.TOKEN_TRANSFER) for i in range(n)]
+        g = CommunityGraph()
+        made = [_graphs_calls(lambda: _add_events(g, events, {addr(3)}, {addr(4)},
+                                                  NodeClass.PLAIN))]
+        payload, nodes = graph_to_json(g), sorted(g.nodes)
+        made += [_graphs_calls(g.copy), _graphs_calls(lambda: graph_from_json(payload)),
+                 _graphs_calls(lambda: g.subgraphs([nodes[::2], nodes[1::2]]))]
+        return g.n_edges, made
+
+    (small, few), (large, many) = calls(10), calls(2_000)
+    assert small < 20 < 1_000 < large
+    assert few == many
+    assert few[0] == {"_add_events": 1}
 
 
 # Differential tests: the incremental slicer against from-scratch builds,

@@ -7,6 +7,7 @@ import random
 import re
 import tempfile
 from functools import partial
+from itertools import combinations
 from pathlib import Path
 from unittest import mock
 
@@ -26,6 +27,7 @@ from airdrop_forensics.ingest import (
     EventKind,
     IngestConfig,
     IngestError,
+    SelfTransferDisallowedError,
     Tier,
     TransferEvent,
     _split_events,
@@ -377,6 +379,22 @@ def test_line_separator_characters_are_data(tmp_path):
     assert parse_contracts(tmp_path / "canonical.csv") == (contracts, [])
 
 
+def test_a_contract_name_holding_a_carriage_return_is_malformed(tmp_path):
+    """Under lines ended by "\\n", csv.writer may leave a "\\r" in a cell
+    unquoted, and csv.reader reads it as the end of the row. So
+    parse_contracts refuses such a name as a malformed row, and
+    write_contracts_csv refuses to write one."""
+    raw = _write_raw(tmp_path / "raw.csv", CONTRACT_COLUMNS,
+                     [[addr(1), "dex\rrouter", "TradingSwap"], [addr(2), "pool", "Staking"]])
+    contracts, errors = parse_contracts(raw)
+    assert [c.name for c in contracts] == ["pool"]
+    assert [(e.line, e.reason) for e in errors] == [
+        (2, "contract name 'dex\\rrouter' holds a carriage return")]
+    with pytest.raises(ValueError, match="carriage return"):
+        write_contracts_csv([contract(addr(1), "dex\rrouter", ContractCategory.TRADING_SWAP)],
+                            tmp_path / "canonical.csv")
+
+
 def test_undecodable_input_is_an_ingest_error(tmp_path):
     path = tmp_path / "claims.csv"
     path.write_bytes(b"address,tier,amount,timestamp\n\xff\n")
@@ -472,7 +490,7 @@ def test_read_store_of_written_store_is_the_store(store):
         stage = _write_stage(Path(tmp), store)
         if not store.config.allow_self_transfers and any(
                 e.sender == e.receiver for e in store.events):
-            with pytest.raises(CorruptStoreError, match="self-transfer"):
+            with pytest.raises(SelfTransferDisallowedError, match="self-transfer"):
                 read_store(stage, store.config)
             return
         _assert_loaded(read_store(stage, store.config), store)
@@ -488,10 +506,11 @@ def _assert_loaded(loaded, store) -> None:
 
 
 def _load(stage: Path, config: IngestConfig, kinds=tuple(EventKind)):
-    """read_store's store of `kinds`, or the message of its CorruptStoreError."""
+    """read_store's store of `kinds`, or the message of its CorruptStoreError
+    or SelfTransferDisallowedError."""
     try:
         return read_store(stage, config, kinds)
-    except CorruptStoreError as exc:
+    except (CorruptStoreError, SelfTransferDisallowedError) as exc:
         return str(exc)
 
 
@@ -581,6 +600,54 @@ def test_read_store_trusts_events_csv_by_its_digest(store, edit, kinds):
     _assert_kinds_of(part, whole, kinds)
 
 
+# Every set of kinds read_store may be asked for.
+_KIND_SETS = [frozenset(kinds) for n in range(1, len(EventKind) + 1)
+              for kinds in combinations(EventKind, n)]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@example(store=_EDGES)
+@example(store=_kinds_in_turn())
+@example(store=build_event_store(  # a self-transfer on line 3, which the config refuses
+    [ev(addr(1), addr(2), 5), ev(addr(3), addr(3), 6, ts=WINDOW_START + 2 * 86400)], [], [],
+    [], IngestConfig()))
+@given(store=built_stores())
+def test_store_split_loads_what_the_row_loop_reads(store):
+    """read_store, which splits each chunk of events.csv once, loads for
+    every non-empty set of kinds the StoredEvents of what parse_transfers'
+    row loop reads from the same file, of those kinds and in the window;
+    a self-transfer the config refuses fails at the first line the row
+    loop refuses."""
+    with tempfile.TemporaryDirectory() as tmp:
+        if any("\r" in c.name for c in store.contracts.values()):
+            with pytest.raises(ValueError, match="carriage return"):
+                _write_stage(Path(tmp), store)
+            return
+        stage = _write_stage(Path(tmp), store)
+        path = stage / "events.csv"
+        with mock.patch.object(ingest, "_split_events", return_value=None):
+            rows, errors = parse_transfers(path, allow_self_transfers=True)
+            refused = parse_transfers(path)[1]
+        assert errors == [] and all("self-transfer" in m.reason for m in refused)
+        bounds = store.config.window_bounds()
+        for kinds in _KIND_SETS:
+            if refused and not store.config.allow_self_transfers:
+                with pytest.raises(SelfTransferDisallowedError,
+                                   match=re.escape(f"{path} line {refused[0].line}: ")):
+                    read_store(stage, store.config, kinds)
+                continue
+            want = [e for e in stored(rows) if e.kind in kinds
+                    and (not bounds or bounds[0] <= e.timestamp <= bounds[1])]
+            assert read_store(stage, store.config, kinds).events == want
+
+
+def test_each_kind_has_its_own_first_character():
+    """read_store reads a row's kind from the first character of its kind
+    cell, so no two kinds may share one."""
+    assert len({kind.value[0] for kind in EventKind}) == len(EventKind)
+    assert all(ingest._KIND_INITIALS[kind.value[0]] is kind for kind in EventKind)
+
+
 def test_no_row_takes_cells_of_another(tmp_path):
     """Two damages that leave events.csv 8 cells a row on average with every
     cell in order: the "\\n" ending line 2 moved past the next tx hash (9
@@ -600,7 +667,7 @@ def test_no_row_takes_cells_of_another(tmp_path):
     moved = whole.replace(f"\n{hashes[1]},", f",{hashes[1]}\n")
     for damaged in (moved, whole.replace(line, cut)):
         path.write_text(damaged)
-        assert _split_events(path, raw=True) is None
+        assert _split_events(path, allow_self_transfers=True) is None
         assert parse_transfers(path)[1]  # malformed rows
         assert "does not match the sha256" in _load(stage, store.config)
 
@@ -875,7 +942,7 @@ def test_splitter_parses_raw_exports_as_the_row_loop(export, kind, allow_self):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "raw.csv"
         path.write_bytes(text.encode())
-        split = _split_events(path, raw=True, allow_self_transfers=allow_self)
+        split = _split_events(path, allow_self)
         got = _outcome(parse, path)
         with mock.patch.object(ingest, "_split_events", return_value=None):
             want = _outcome(parse, path)
@@ -898,7 +965,7 @@ def test_every_address_is_checked_in_its_first_chunk(tmp_path, at):
     path.write_text(text)
     assert len(text) > 2 * ingest._CHUNK
     with mock.patch.object(ingest, "_hex_cells", wraps=ingest._hex_cells) as checks:
-        assert (_split_events(path, raw=True) is None) == (at is not None)
+        assert (_split_events(path, allow_self_transfers=True) is None) == (at is not None)
     if at is None:  # the last chunk's new addresses
         assert checks.call_args_list[-1].args == ([], 40)
     if at == 0:  # one chunk's tx hashes and addresses
