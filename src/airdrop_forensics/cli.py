@@ -161,11 +161,11 @@ def cmd_detect(config: Config, out: Path, args) -> None:
     # only when ingest stored internal events, which no graph holds.
     records = ingest.read_records(out / "ingest")
     report, contracts, claims, _ = records
-    internal = []
+    internal = None
     if report.internal_events:
         kind = ingest.EventKind.INTERNAL_TX
         internal = ingest.read_store(out / "ingest", config.ingest_config(), (kind,),
-                                     records).events_of_kind(kind)
+                                     records).columns_of(kind)
     token_graph = graphs.load_graph_json(out / "graph" / "token_graph.json")
     external_graph = graphs.load_graph_json(out / "graph" / "external_graph.json")
     stage = out / "detect"
@@ -201,19 +201,19 @@ def cmd_eligibility(config: Config, out: Path, args) -> None:
         a for a, c in store.contracts.items()
         if c.category in (ingest.ContractCategory.TRADING_SWAP, ingest.ContractCategory.TRADING_OR_LP)
     )
-    external = store.events_of_kind(ingest.EventKind.EXTERNAL_TX)
-    if not external:
+    external = store.columns_of(ingest.EventKind.EXTERNAL_TX)
+    if not external.timestamps:
         raise MissingArtifactError("no external transactions ingested; nothing to screen")
     bounds = store.config.window_bounds()
     history = eligibility.EligibilityHistory(
         events=external,
         balances=balances,
         protocol_addresses=protocol,
-        coverage_start=bounds[0] if bounds else external[0].timestamp,
+        coverage_start=bounds[0] if bounds else external.timestamps[0],
     )
     snapshot = min((c.claim_timestamp for c in store.claims.values()), default=None)
     if snapshot is None:
-        snapshot = max(e.timestamp for e in external)
+        snapshot = external.timestamps[-1]
     population = [a for a in history.index.senders if a not in store.contracts]
     result = eligibility.run_campaign(population, history, config.eligibility, snapshot)
     if "recency_window_clipped_to" in result.summary:
@@ -257,9 +257,10 @@ def cmd_stats(config: Config, out: Path, args) -> None:
     # every kind: top_contracts scans all the store's events
     store = ingest.read_store(out / "ingest", config.ingest_config())
     bounds = store.config.window_bounds()
-    if not (bounds or store.events):
+    loaded = [c.timestamps for c in store.columns.values() if c.timestamps]
+    if not (bounds or loaded):
         raise MissingArtifactError("no events ingested and no study window; no period to describe")
-    start_ts, end_ts = bounds or (store.events[0].timestamp, store.events[-1].timestamp)
+    start_ts, end_ts = bounds or (min(t[0] for t in loaded), max(t[-1] for t in loaded))
     stage = out / "stats"
     # Read before anything is written, so that a bad file leaves stats/ as it was.
     assignment = out / "cluster" / "assignment.csv"
@@ -407,9 +408,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # A stage leaves a fixed amount of cyclic garbage whatever the corpus
     # size (tests/test_cli.py checks that), while each full collection
-    # re-walks the whole event store: StoredEvent is a NamedTuple, and
-    # the collector untracks only exact tuples. So the command runs with
-    # the collector off, and the caller's setting comes back afterwards.
+    # re-walks every container object a stage holds, and those grow with
+    # the corpus: the graphs' dicts and sets, each edge's EdgeStats and each
+    # FlowEvent, a NamedTuple the collector keeps tracking as it untracks
+    # only exact tuples. So the command runs with the collector off, and
+    # the caller's setting comes back afterwards.
     collector_was_on = gc.isenabled()
     gc.disable()
     try:

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from . import artifacts
 from .config import EligibilityRules
-from .ingest import Address, Tier
+from .ingest import Address, EventColumns, Tier
 
 log = logging.getLogger(__name__)
 
@@ -28,7 +28,7 @@ class EligibilityHistory:
     """External transactions plus supplied balances; balances arrive as
     input because multi-chain reconstruction is out of scope."""
 
-    events: list  # StoredEvent, kind external
+    events: EventColumns  # the external transactions
     balances: dict[Address, dict[str, float]]
     protocol_addresses: frozenset[Address]
     coverage_start: int
@@ -58,8 +58,8 @@ class _HistoryIndex:
         self.interaction_ts: dict[Address, list[int]] = defaultdict(list)
         adjacency: dict[Address, set[Address]] = defaultdict(set)
         protocol = history.protocol_addresses
-        for e in history.events:
-            sender, receiver, ts = e.sender, e.receiver, e.timestamp
+        events = history.events
+        for sender, receiver, ts in zip(events.senders, events.receivers, events.timestamps):
             self.sent_ts[sender].append(ts)
             if receiver in protocol:
                 self.interaction_ts[sender].append(ts)

@@ -78,16 +78,17 @@ _TRANSFER_OPS = (OperationKind.SEND, OperationKind.RECEIVE)
 
 
 def classify_event(
-    event, subject: Address, contracts: dict[Address, ContractInfo]
+    sender: Address, receiver: Address, subject: Address, contracts: dict[Address, ContractInfo]
 ) -> OperationKind:
-    """Map one token event of `subject` to an operation kind.
+    """Map one token event of `subject`, from `sender` to `receiver`, to an
+    operation kind.
 
     A counterparty missing from the dictionary, an airdrop contract (its
     payout is flagged as the claim by build_flows) or an Other-category
     contract is a plain transfer by direction.
     """
-    outgoing = event.sender == subject
-    info = contracts.get(event.receiver if outgoing else event.sender)
+    outgoing = sender == subject
+    info = contracts.get(receiver if outgoing else sender)
     pay, paid = _CATEGORY_OPS.get(info.category, _TRANSFER_OPS) if info else _TRANSFER_OPS
     return pay if outgoing else paid
 
@@ -140,22 +141,23 @@ def build_flows(store: EventStore, addresses) -> dict[Address, TransactionFlow]:
     Receives from airdrop-category contracts are flagged as claim receipts.
     """
     by_addr: dict[Address, list] = {address: [] for address in addresses}
-    for ev in store.events_of_kind(EventKind.TOKEN_TRANSFER):
-        if ev.sender in by_addr:
-            by_addr[ev.sender].append(ev)
-        if ev.receiver != ev.sender and ev.receiver in by_addr:
-            by_addr[ev.receiver].append(ev)
+    for event in zip(*store.columns_of(EventKind.TOKEN_TRANSFER)):
+        sender, receiver, _, _ = event
+        if sender in by_addr:
+            by_addr[sender].append(event)
+        if receiver != sender and receiver in by_addr:
+            by_addr[receiver].append(event)
+    contracts = store.contracts
     flows: dict[Address, TransactionFlow] = {}
     for address, events in by_addr.items():
         flow = flows[address] = TransactionFlow(address)
-        for ev in events:
-            op = classify_event(ev, address, store.contracts)
-            if not _apply(flow, op, ev.value, ev.timestamp):
+        for sender, receiver, value, ts in events:
+            op = classify_event(sender, receiver, address, contracts)
+            if not _apply(flow, op, value, ts):
                 continue
-            incoming = ev.receiver == address
-            info = store.contracts.get(ev.sender) if incoming else None
+            info = contracts.get(sender) if receiver == address else None
             flow.events.append(FlowEvent(
-                op, ev.value, flow.balance, flow.staked, flow.lp, ev.timestamp,
+                op, value, flow.balance, flow.staked, flow.lp, ts,
                 bool(info and info.category == ContractCategory.AIRDROP),
             ))
     if excluded := [(address, why) for address, flow in flows.items() for _, why in flow.excluded]:

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import logging
 from collections import defaultdict
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from . import artifacts
 from .config import DetectorConfig, PatternKind
 from .graphs import CommunityGraph, NodeClass, reciprocity
-from .ingest import Address, ClaimRecord, ContractInfo, StoredEvent, format_token_amount
+from .ingest import Address, ClaimRecord, ContractInfo, EventColumns, format_token_amount
 
 log = logging.getLogger(__name__)
 
@@ -465,19 +464,21 @@ class DetectionResult:
     findings: list[PatternFinding] = field(default_factory=list)
 
 
-def contract_users(graphs, contracts, events=()) -> frozenset[Address]:
+def contract_users(graphs, contracts, events: EventColumns | None) -> frozenset[Address]:
     """Addresses that share an edge in any of `graphs`, or an event of
-    `events`, with an address in `contracts`; a contract with a self-loop
-    is one. Given the token and the external graph, which hold every event
-    of those two kinds, and the internal events, which no graph holds,
-    these are the addresses with an interaction with a contract on record."""
+    `events` if given, with an address in `contracts`; a contract with a
+    self-loop is one. Given the token and the external graph, which hold
+    every event of those two kinds, and the internal events, which no graph
+    holds, these are the addresses with an interaction with a contract on
+    record."""
     users = set().union(*(g.out_neighbors(c) | g.in_neighbors(c)
                           for g in graphs for c in contracts))
-    for ev in events:
-        if ev.sender in contracts:
-            users.add(ev.receiver)
-        if ev.receiver in contracts:
-            users.add(ev.sender)
+    if events is not None:
+        for sender, receiver in zip(events.senders, events.receivers):
+            if sender in contracts:
+                users.add(receiver)
+            if receiver in contracts:
+                users.add(sender)
     return frozenset(users)
 
 
@@ -487,12 +488,12 @@ def run_detectors(
     claims: dict[Address, ClaimRecord],
     contracts: dict[Address, ContractInfo],
     cfg: DetectorConfig | None = None,
-    internal_events: Iterable[StoredEvent] = (),
+    internal_events: EventColumns | None = None,
 ) -> DetectionResult:
     """End-to-end detection pass over all p2p components plus the
     cross-graph clique detectors. `internal_events` are the store's
-    internal_tx events: no graph holds them, but an address they join to a
-    contract is a contract user."""
+    internal_tx events, if it holds any: no graph holds them, but an
+    address they join to a contract is a contract user."""
     cfg = cfg or DetectorConfig()
     profiles = p2p_components(token_graph)
     users = contract_users((token_graph, external_graph), contracts, internal_events)

@@ -31,8 +31,8 @@ from collections.abc import Container, Hashable, Iterable, Iterator, Mapping, Se
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
+from itertools import islice
 from math import sqrt
-from operator import attrgetter
 
 import numpy as np
 
@@ -185,25 +185,22 @@ def _from_rows(nodes: dict[Address, NodeClass], rows: list[Sequence]) -> Communi
     return g
 
 
-_EVENT_FIELDS = attrgetter("sender", "receiver", "value", "timestamp")
-_TIMESTAMP = attrgetter("timestamp")
-
-
-def _add_events(g: CommunityGraph, events: Iterable, claims: Container[Address],
-                contracts: Container[Address], default: NodeClass) -> None:
-    """Fold `events`, in order, into `g`. Each reads as its sender,
-    receiver, value and timestamp attributes, so TransferEvents and
-    StoredEvents both do. A new address is a node of the class of its
-    first event: an initial member if it is in `claims`, else a contract
-    if it is in `contracts`, else `default`. An event adds its value and
-    one transaction to the edge (sender, receiver), and widens the edge's
-    first and last timestamps to its own, whatever the order of events."""
+def _add_events(g: CommunityGraph, events: Iterable[tuple[Address, Address, int, int]],
+                claims: Container[Address], contracts: Container[Address],
+                default: NodeClass) -> None:
+    """Fold `events`, in order, into `g`. Each is a (sender, receiver,
+    value, timestamp) tuple, as zip(*columns) gives an EventColumns' rows.
+    A new address is a node of the class of its first event: an initial
+    member if it is in `claims`, else a contract if it is in `contracts`,
+    else `default`. An event adds its value and one transaction to the
+    edge (sender, receiver), and widens the edge's first and last
+    timestamps to its own, whatever the order of events."""
     nodes, edges, ids, out, inn = g.nodes, g.edges, g._id, g._out, g._in
     src, dst = g._src.append, g._dst.append
     stats_of = edges.get
     initial, contract = NodeClass.INITIAL_MEMBER, NodeClass.CONTRACT
     loops = mutual = 0
-    for u, v, value, ts in map(_EVENT_FIELDS, events):
+    for u, v, value, ts in events:
         if u not in nodes:
             ids[u] = len(nodes)
             nodes[u] = initial if u in claims else contract if u in contracts else default
@@ -246,7 +243,7 @@ def build_token_graph(store: EventStore) -> CommunityGraph:
     """Token transfer graph: claimants are initial members, dictionary
     addresses are contracts, everyone else holds the token later."""
     return _build_graph(
-        store.events_of_kind(EventKind.TOKEN_TRANSFER), store, NodeClass.LATER_MEMBER
+        zip(*store.columns_of(EventKind.TOKEN_TRANSFER)), store, NodeClass.LATER_MEMBER
     )
 
 
@@ -254,7 +251,7 @@ def build_external_graph(store: EventStore) -> CommunityGraph:
     """External transaction graph; non-claimant, non-contract nodes are
     plain addresses (they hold no token position by construction)."""
     return _build_graph(
-        store.events_of_kind(EventKind.EXTERNAL_TX), store, NodeClass.PLAIN
+        zip(*store.columns_of(EventKind.EXTERNAL_TX)), store, NodeClass.PLAIN
     )
 
 
@@ -282,18 +279,19 @@ def iter_slices(
     it in place, so `copy()` it to keep it. Raises WindowEmptyError, when
     iteration starts, if no event falls in [start, end].
     """
-    events = store.events_of_kind(kind)
+    columns = store.columns_of(kind)
+    timestamps = columns.timestamps
     bounds = store.config.window_bounds()
     if start is None:
-        start = bounds[0] if bounds else (events[0].timestamp if events else 0)
+        start = bounds[0] if bounds else (timestamps[0] if timestamps else 0)
     if end is None:
-        end = bounds[1] if bounds else (events[-1].timestamp if events else 0)
+        end = bounds[1] if bounds else (timestamps[-1] if timestamps else 0)
     if start > end:
         raise ValueError("window start must not follow end")
     # the store is time-ordered, so the window is one run of it
-    in_window = events[bisect_left(events, start, key=_TIMESTAMP):
-                       bisect_right(events, end, key=_TIMESTAMP)]
-    if not in_window:
+    lo = bisect_left(timestamps, start)
+    hi = bisect_right(timestamps, end, lo)
+    if lo == hi:
         raise WindowEmptyError(f"no {kind.value} events in [{start}, {end}]")
 
     interval = interval_days * 86400
@@ -303,11 +301,12 @@ def iter_slices(
 
     default = NodeClass.LATER_MEMBER if kind == EventKind.TOKEN_TRANSFER else NodeClass.PLAIN
     graph = CommunityGraph()
-    done = 0
+    events = islice(zip(*columns), lo, hi)
+    done = lo
     for cutoff in cutoffs:
         # the slice's events are a prefix of the window's
-        upto = bisect_right(in_window, cutoff, lo=done, key=_TIMESTAMP)
-        _add_events(graph, in_window[done:upto], store.claims, store.contracts, default)
+        upto = bisect_right(timestamps, cutoff, done, hi)
+        _add_events(graph, islice(events, upto - done), store.claims, store.contracts, default)
         done = upto
         yield GraphSlice(cutoff, graph)
 

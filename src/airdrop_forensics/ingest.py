@@ -11,15 +11,24 @@ whose bytes match its digest, without repeating the raw-input validation.
 Ingest's own events are TransferEvents, immutable named tuples, so each
 costs one tuple to build and EVENT_ORDER sorts by position in C. Their
 tx hash, block and log index order and deduplicate the store, and no
-later stage reads them: read_store keeps only a StoredEvent of the five
-fields the stages read, splitting each chunk of events.csv once. A raw
-export already in the store's form is split, with every check the row
-loop would make, by a splitter of its own with no per-row Python code;
-any other is read positionally, one pass per file, and every address
-text is normalized once. Either way, events that name the same address
-share one string. Each raw file is sorted once, the
-merge of the two is sorted once more (two sorted runs, so linear), and
-write_transfers_csv trusts its input to be in that order.
+later stage reads them. The stages read each kind's events as one
+EventColumns record: four parallel lists of the senders, receivers,
+values and timestamps, in store order. read_store fills those columns
+straight from the cells of each chunk of events.csv, which it splits
+once, and builds no per-event object. A raw export already in the
+store's form is split, with every check the row loop would make, by a
+splitter of its own with no per-row Python code; any other is read
+positionally, one pass per file, and every address text is normalized
+once. Either way, events that name the same address share one string.
+Each raw file is sorted once, the merge of the two is sorted once more
+(two sorted runs, so linear), and write_transfers_csv trusts its input
+to be in that order.
+
+An exact repeat of a raw row is dropped and counted as deduplicated,
+in all four exports: an event by its tx hash, log index and kind, a
+contract or a claim by all of its fields. Another contract row for a
+listed address is malformed, and another claim raises
+DuplicateClaimError.
 
 Token amounts are integers in the smallest unit (18 decimals); display
 scaling happens only at report boundaries, never inside computations.
@@ -41,8 +50,8 @@ from dataclasses import asdict, dataclass, field
 from datetime import date, datetime, timezone
 from enum import Enum
 from functools import partial
-from itertools import chain, compress, count, islice
-from operator import attrgetter, eq, itemgetter
+from itertools import chain, compress, count, islice, repeat
+from operator import eq, itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -139,14 +148,15 @@ class TransferEvent(NamedTuple):
     log_index: int = 0
 
 
-class StoredEvent(NamedTuple):
-    """An event as read_store loads it: the fields the later stages read."""
+class EventColumns(NamedTuple):
+    """The events of one kind, in store order, as four parallel lists:
+    the fields the later stages read. zip(*columns) gives each event's
+    (sender, receiver, value, timestamp)."""
 
-    sender: Address
-    receiver: Address
-    value: int
-    timestamp: int
-    kind: EventKind
+    senders: list[Address]
+    receivers: list[Address]
+    values: list[int]
+    timestamps: list[int]
 
 
 # The store's event order: (timestamp, block, tx_hash, log_index).
@@ -155,7 +165,9 @@ EVENT_ORDER = itemgetter(4, 5, 0, 7)
 # token transfer is never collapsed with the external transaction that
 # carried it.
 _DEDUP_KEY = itemgetter(0, 7, 6)
-_TIMESTAMP = itemgetter(4)
+_SENDER, _RECEIVER, _TIMESTAMP, _KIND = map(itemgetter, (1, 2, 4, 6))
+# The fields of a TransferEvent that make its EventColumns.
+_COLUMN_FIELDS = (_SENDER, _RECEIVER, itemgetter(3), _TIMESTAMP)
 _KINDS = {k.value: k for k in EventKind}
 
 
@@ -360,10 +372,12 @@ def parse_transfers(
 
 
 def parse_contracts(path) -> tuple[list[ContractInfo], list[MalformedRow]]:
-    """Parse the contract dictionary CSV (address,name,category)."""
+    """Parse the contract dictionary CSV (address,name,category). An exact
+    repeat of a row is kept, for build_event_store to drop and count;
+    another row for a listed address is malformed."""
     errors: list[MalformedRow] = []
     contracts: list[ContractInfo] = []
-    seen: set[Address] = set()
+    seen: dict[Address, ContractInfo] = {}
     for line_no, (address, name, category) in _iter_rows(path, CONTRACT_COLUMNS, errors):
         try:
             address = normalize_address(_cell(address, "address"))
@@ -374,10 +388,10 @@ def parse_contracts(path) -> tuple[list[ContractInfo], list[MalformedRow]]:
             category = _CATEGORY_LOOKUP.get(category_text.strip().lower())
             if category is None:
                 raise ValueError(f"unknown category {category_text!r}")
-            if address in seen:
+            info = ContractInfo(address, name, category)
+            if seen.setdefault(address, info) != info:
                 raise ValueError(f"duplicate contract entry for {address}")
-            seen.add(address)
-            contracts.append(ContractInfo(address, name, category))
+            contracts.append(info)
         except (ValueError, KeyError) as exc:
             errors.append(MalformedRow(line_no, str(exc)))
     contracts.sort(key=lambda c: c.address)
@@ -388,7 +402,7 @@ def parse_claims(path) -> tuple[list[ClaimRecord], list[MalformedRow]]:
     """Parse the claim list CSV (address,tier,amount,timestamp).
 
     The amount must equal the tier face value in smallest units; mismatches
-    are malformed rows. Duplicate addresses surface later, when
+    are malformed rows. Repeated addresses surface later, when
     build_event_store assembles the claim map.
     """
     errors: list[MalformedRow] = []
@@ -436,29 +450,37 @@ class IngestReport:
 @dataclass
 class EventStore:
     """Canonical, time-ordered event record. Treat as read-only once built.
-    build_event_store's events are TransferEvents of every kind, read_store's
-    StoredEvents of the kinds it was asked to load. by_kind holds each
-    loaded kind's events, in store order, even when there are none."""
+    `columns` holds each loaded kind's events, in store order, even when
+    there are none: every kind for build_event_store, the kinds it was
+    asked to load for read_store. `events` holds build_event_store's
+    TransferEvents of every kind, for write_store, and its columns are
+    built from them on first use: the ingest stage writes the events and
+    reads no column. read_store builds no per-event object and leaves
+    `events` None."""
 
-    events: list[TransferEvent] | list[StoredEvent]
+    events: list[TransferEvent] | None
     contracts: dict[Address, ContractInfo]
     claims: dict[Address, ClaimRecord]
     config: IngestConfig
     report: IngestReport
-    by_kind: dict[EventKind, list[TransferEvent] | list[StoredEvent]]
+    # read_store's columns, or None until `columns` builds them from `events`
+    _columns: dict[EventKind, EventColumns] | None = field(default=None, repr=False)
 
-    def events_of_kind(self, kind: EventKind) -> list[TransferEvent] | list[StoredEvent]:
-        """The store's events of `kind`, in store order: the group itself,
+    @property
+    def columns(self) -> dict[EventKind, EventColumns]:
+        """Each loaded kind's EventColumns, by kind."""
+        if self._columns is None:
+            self._columns = _columns_by_kind(self.events)
+        return self._columns
+
+    def columns_of(self, kind: EventKind) -> EventColumns:
+        """The store's events of `kind`, in store order: the record itself,
         not a copy. ValueError if the store did not load that kind, so a
         stage never takes an unloaded kind for one with no events."""
-        group = self.by_kind.get(kind)
-        if group is None:
+        columns = self.columns.get(kind)
+        if columns is None:
             raise ValueError(f"the store did not load {EventKind(kind).value} events")
-        return group
-
-    def participants(self) -> set[Address]:
-        return set(map(attrgetter("sender"), self.events)).union(
-            map(attrgetter("receiver"), self.events))
+        return columns
 
 
 def build_event_store(
@@ -473,8 +495,11 @@ def build_event_store(
 
     Window violations are reported and excluded, duplicates (same tx hash,
     log index, and kind) collapse to the first occurrence, and claim
-    addresses that never appear in any event are reported but kept. Raises
-    DuplicateClaimError if an address claims twice.
+    addresses that never appear in any event are reported but kept. An
+    exact repeat of a contract or a claim is dropped and counted with the
+    duplicate events. Raises DuplicateClaimError if an address claims
+    twice with other fields, and IngestError if a contract is listed
+    twice with other fields.
     """
     config = config or IngestConfig()
     report = IngestReport(malformed=list(parse_errors or []))
@@ -499,19 +524,23 @@ def build_event_store(
 
     claim_map: dict[Address, ClaimRecord] = {}
     for rec in claims:
-        if rec.address in claim_map:
+        if claim_map.setdefault(rec.address, rec) != rec:
             raise DuplicateClaimError(rec.address)
-        claim_map[rec.address] = rec
-    contract_map = {c.address: c for c in contracts}
+    contract_map: dict[Address, ContractInfo] = {}
+    for info in contracts:
+        if contract_map.setdefault(info.address, info) != info:
+            raise IngestError(f"contract {info.address} is listed twice with other fields")
+    repeats = len(claims) - len(claim_map) + len(contracts) - len(contract_map)
+    report.input_rows += repeats
+    report.deduplicated += repeats
 
-    by_kind = _group_by_kind(kept, EventKind)
-    store = EventStore(kept, contract_map, claim_map, config, report, by_kind)
-    participants = store.participants()
-    report.claims_without_events = sorted(a for a in claim_map if a not in participants)
+    report.claims_without_events = sorted(set(claim_map).difference(
+        map(_SENDER, kept), map(_RECEIVER, kept)))
+    kinds = list(map(_KIND, kept))
     report.stored = len(kept)
-    report.token_events = len(by_kind[EventKind.TOKEN_TRANSFER])
-    report.external_events = len(by_kind[EventKind.EXTERNAL_TX])
-    report.internal_events = len(by_kind[EventKind.INTERNAL_TX])
+    report.token_events = kinds.count(EventKind.TOKEN_TRANSFER)
+    report.external_events = kinds.count(EventKind.EXTERNAL_TX)
+    report.internal_events = kinds.count(EventKind.INTERNAL_TX)
     report.n_contracts = len(contract_map)
     report.n_claims = len(claim_map)
     if report.claims_without_events:
@@ -519,19 +548,20 @@ def build_event_store(
             "%d claim addresses never appear in any event",
             len(report.claims_without_events),
         )
-    return store
+    return EventStore(kept, contract_map, claim_map, config, report)
 
 
-def _group_by_kind(events: list, kinds) -> dict[EventKind, list]:
-    """Each of `kinds`' events, in the order of `events`, which hold no
-    other kind. One kind's group is `events` itself."""
-    kinds = [k for k in EventKind if k in kinds]  # a fixed key order
-    if len(kinds) == 1:
-        return {kinds[0]: events}
-    groups: dict[EventKind, list] = {k: [] for k in kinds}
-    for event in events:
-        groups[event.kind].append(event)
-    return groups
+def _columns_by_kind(events: list[TransferEvent]) -> dict[EventKind, EventColumns]:
+    """The EventColumns of each kind's `events`, in their order: each
+    kind's events picked by one compress, then read field by field."""
+    kinds = list(map(_KIND, events))
+    columns = {}
+    for kind in EventKind:
+        n = kinds.count(kind)
+        of_kind = (events if n == len(kinds)
+                   else list(compress(events, map(eq, kinds, repeat(kind)))) if n else [])
+        columns[kind] = EventColumns(*(list(map(field, of_kind)) for field in _COLUMN_FIELDS))
+    return columns
 
 
 def load_event_store(
@@ -677,8 +707,6 @@ _LINE_KINDS = {f"{k.value}\n": k for k in EventKind}
 _KIND_INITIALS = {k.value[0]: k for k in EventKind}
 # An event from a tuple of its fields.
 _new_event = partial(tuple.__new__, TransferEvent)
-_new_stored = partial(tuple.__new__, StoredEvent)
-_STORED_TIMESTAMP = attrgetter("timestamp")
 _INITIAL = itemgetter(0)
 
 
@@ -700,23 +728,24 @@ def _line_chunks(fh) -> Iterator[tuple[bytes, str]]:
 
 
 def _split_store(path: Path, kinds: frozenset[EventKind]
-                 ) -> tuple[list[StoredEvent], int | None, str] | None:
-    """For read_store: the StoredEvents of the rows of events.csv whose kind
-    is one of `kinds`, the index of the first row that is a self-transfer or
-    None, and the sha256 of the file's bytes, hashed as they are read.
+                 ) -> tuple[dict[EventKind, EventColumns], int | None, str] | None:
+    """For read_store: the EventColumns of each of `kinds`, filled from the
+    rows of events.csv of that kind; the index of the first row that is a
+    self-transfer, or None; and the sha256 of the file's bytes, hashed as
+    they are read.
 
     Each chunk of whole lines is split once, at its commas, with no per-row
     Python code. A row's 8 cells then take 7 places: its kind cell holds
     the kind, the "\\n" that ends the row and the next row's tx hash, and
-    the kind is read from its first character. Nothing else of the file is
-    checked, as read_store trusts its rows once that digest matches
-    ingest's record; a file that does not split, and so cannot match it,
-    gives None.
+    the kind is read from its first character. A chunk of one kind is
+    appended to that kind's columns whole, a mixed one by one compress per
+    kind. Nothing else of the file is checked, as read_store trusts its
+    rows once that digest matches ingest's record; a file that does not
+    split, and so cannot match it, gives None.
     """
-    wanted = {k.value[0] for k in kinds}
+    columns = {k.value[0]: EventColumns([], [], [], []) for k in EventKind if k in kinds}
     addresses: dict[str, str] = {}
     share = addresses.setdefault  # one string per address, shared by its events
-    events: list[StoredEvent] = []
     rows = 0
     self_transfer = None
     digest = hashlib.sha256()
@@ -731,17 +760,26 @@ def _split_store(path: Path, kinds: frozenset[EventKind]
                 if self_transfer is None:
                     self_transfer = next(compress(count(rows), map(eq, sender, receiver)), None)
                 rows += len(initials)
-                if not wanted.issuperset(initials):  # a row of a kind not loaded
-                    keep = list(map(wanted.__contains__, initials))
-                    sender, receiver, value, timestamp, initials = (
-                        list(compress(column, keep))
-                        for column in (sender, receiver, value, timestamp, initials))
-                events += map(_new_stored, zip(
-                    map(share, sender, sender), map(share, receiver, receiver), map(int, value),
-                    map(int, timestamp), map(_KIND_INITIALS.__getitem__, initials)))
-        except (ValueError, KeyError, IndexError):  # UnicodeDecodeError is a ValueError
+                present = set(initials)
+                if not present <= _KIND_INITIALS.keys():
+                    return None
+                for initial, (senders, receivers, values, timestamps) in columns.items():
+                    if initial not in present:
+                        continue
+                    if len(present) == 1:
+                        s, r, v, t = sender, receiver, value, timestamp
+                    else:
+                        keep = list(map(initial.__eq__, initials))
+                        s, r, v, t = (list(compress(column, keep))
+                                      for column in (sender, receiver, value, timestamp))
+                    senders += map(share, s, s)
+                    receivers += map(share, r, r)
+                    values += map(int, v)
+                    timestamps += map(int, t)
+        except (ValueError, IndexError):  # UnicodeDecodeError is a ValueError
             return None
-    return events, self_transfer, digest.hexdigest()
+    return ({_KIND_INITIALS[initial]: kind_columns for initial, kind_columns in columns.items()},
+            self_transfer, digest.hexdigest())
 
 
 def _split_events(path: Path, allow_self_transfers: bool) -> list[TransferEvent] | None:
@@ -835,9 +873,15 @@ _TIERS = {t.value: t for t in Tier}
 _new_claim = partial(tuple.__new__, ClaimRecord)
 
 
-def _claims(rows) -> list[ClaimRecord]:
-    return [_new_claim((address, _TIERS[int(tier)], int(amount), int(timestamp)))
-            for address, tier, amount, timestamp in rows]
+def _claims(data: bytes) -> dict[Address, ClaimRecord]:
+    """The claims of claims.csv's bytes, by address. A file that matches
+    ingest's digest holds hex and digits alone, so it splits exactly at
+    its commas and newlines."""
+    cells = data.decode().split("\n", 1)[1].replace("\n", ",").split(",")
+    addresses, tiers, amounts, timestamps = (cells[i:-1:4] for i in range(4))
+    return dict(zip(addresses, map(_new_claim, zip(
+        addresses, map(_TIERS.__getitem__, map(int, tiers)), map(int, amounts),
+        map(int, timestamps)))))
 
 
 class IngestRecords(NamedTuple):
@@ -864,8 +908,7 @@ def read_records(stage_dir) -> IngestRecords:
     contracts = {address: ContractInfo(address, name, ContractCategory(category))
                  for address, name, category
                  in _csv_rows(_verified(stage_dir / "contracts.csv", recorded))}
-    claims = {c.address: c
-              for c in _claims(_csv_rows(_verified(stage_dir / "claims.csv", recorded)))}
+    claims = _claims(_verified(stage_dir / "claims.csv", recorded))
     return IngestRecords(report, contracts, claims, recorded)
 
 
@@ -885,16 +928,17 @@ def read_store(stage_dir, config: IngestConfig | None = None,
     read_records' of `stage_dir`, or are read by it. events.csv is hashed
     as it is split, and it must match the sha256 that ingest recorded in
     run.json, or read_store raises CorruptStoreError. Once it does, its
-    rows are ingest's own: normalized, sorted and deduplicated. Each row of
-    one of `kinds` becomes a StoredEvent of the five fields the later
-    stages read: sender, receiver, value, timestamp and kind; the store's
-    events and by_kind hold those alone, and events_of_kind refuses any
-    other kind. A row's tx hash, block and log index are not kept;
-    parse_transfers of events.csv gives the full TransferEvents. The
-    config may have changed since ingest, so its rules are applied again:
-    any self-transfer raises SelfTransferDisallowedError unless the config
-    allows them, and the study window drops the events outside it. The
-    store's report is ingest's own, read from report.json.
+    rows are ingest's own: normalized, sorted and deduplicated. The rows of
+    each of `kinds` fill that kind's EventColumns with the four fields the
+    later stages read: sender, receiver, value and timestamp. The store's
+    columns hold those kinds alone, columns_of refuses any other, and its
+    events are None: no per-event object is built. A row's tx hash, block
+    and log index are not kept; parse_transfers of events.csv gives the
+    full TransferEvents. The config may have changed since ingest, so its
+    rules are applied again: any self-transfer raises
+    SelfTransferDisallowedError unless the config allows them, and the
+    study window drops the events outside it. The store's report is
+    ingest's own, read from report.json.
     """
     config = config or IngestConfig()
     kinds = frozenset(map(EventKind, kinds))
@@ -904,7 +948,7 @@ def read_store(stage_dir, config: IngestConfig | None = None,
     split = _split_store(path, kinds)
     if split is None or split[2] != recorded[path.name]:
         raise _mismatch(path, recorded)
-    events, self_transfer, _ = split
+    columns, self_transfer, _ = split
     if self_transfer is not None and not config.allow_self_transfers:
         raise SelfTransferDisallowedError(
             f"{path} line {self_transfer + 2}: self-transfer not allowed by config "
@@ -912,6 +956,10 @@ def read_store(stage_dir, config: IngestConfig | None = None,
             "digest: allow self-transfers, or re-run the ingest stage under this config")
     bounds = config.window_bounds()
     if bounds:
-        events = events[bisect_left(events, bounds[0], key=_STORED_TIMESTAMP):
-                        bisect_right(events, bounds[1], key=_STORED_TIMESTAMP)]
-    return EventStore(events, contracts, claims, config, report, _group_by_kind(events, kinds))
+        for kind, (senders, receivers, values, timestamps) in columns.items():
+            lo = bisect_left(timestamps, bounds[0])
+            hi = bisect_right(timestamps, bounds[1], lo)
+            if hi - lo < len(timestamps):
+                columns[kind] = EventColumns(
+                    senders[lo:hi], receivers[lo:hi], values[lo:hi], timestamps[lo:hi])
+    return EventStore(None, contracts, claims, config, report, columns)

@@ -161,11 +161,13 @@ def top_contracts(store: EventStore) -> list[ContractUsage]:
     """The ten contracts that the most distinct initial members interacted
     with, over the full event history."""
     users: dict[Address, set[Address]] = defaultdict(set)
-    for ev in store.events:
-        if ev.sender in store.contracts and ev.receiver in store.claims:
-            users[ev.sender].add(ev.receiver)
-        if ev.receiver in store.contracts and ev.sender in store.claims:
-            users[ev.receiver].add(ev.sender)
+    contracts, claims = store.contracts, store.claims
+    for columns in store.columns.values():
+        for sender, receiver in zip(columns.senders, columns.receivers):
+            if sender in contracts and receiver in claims:
+                users[sender].add(receiver)
+            if receiver in contracts and sender in claims:
+                users[receiver].add(sender)
     rows = [
         ContractUsage(
             store.contracts[addr].name,

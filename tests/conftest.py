@@ -11,9 +11,9 @@ from airdrop_forensics.ingest import (
     ClaimRecord,
     ContractCategory,
     ContractInfo,
+    EventColumns,
     EventKind,
     IngestConfig,
-    StoredEvent,
     Tier,
     TransferEvent,
     build_event_store,
@@ -58,9 +58,10 @@ def make_store(token_events=(), external_events=(), contracts=(), claims=(), con
     )
 
 
-def assert_addresses_shared(events) -> None:
-    """Events that name one address hold one string for it."""
-    names = [a for e in events for a in (e.sender, e.receiver)]
+def assert_addresses_shared(*records: EventColumns) -> None:
+    """The EventColumns `records` hold one string for each address they
+    name, across every sender and receiver column."""
+    names = [a for c in records for a in (*c.senders, *c.receivers)]
     assert len({id(a) for a in names}) == len(set(names))
 
 
@@ -77,8 +78,8 @@ def digraph(edges, nodes=(), node_class=NodeClass.LATER_MEMBER) -> CommunityGrap
     graph's own insertion loops: `nodes` first, in order, then one event
     per tuple, every node of `node_class`."""
     g = _from_rows(dict.fromkeys(nodes, node_class), [])
-    events = [StoredEvent(edge[0], edge[1], edge[2] if len(edge) > 2 else 1,
-                          WINDOW_START + 86400, EventKind.TOKEN_TRANSFER) for edge in edges]
+    events = [(edge[0], edge[1], edge[2] if len(edge) > 2 else 1, WINDOW_START + 86400)
+              for edge in edges]
     _add_events(g, events, (), (), node_class)
     return g
 
@@ -99,10 +100,17 @@ def from_ops(ops) -> FeatureVector:
     return FeatureVector(tuple(int(op in kinds) for op in OPERATION_ORDER))
 
 
-def stored(events) -> list[StoredEvent]:
-    """The events as read_store loads them: (sender, receiver, value,
-    timestamp, kind) of each."""
-    return [StoredEvent(e.sender, e.receiver, e.value, e.timestamp, e.kind) for e in events]
+def columns(events) -> EventColumns:
+    """The EventColumns of `events`, in their order."""
+    return EventColumns([e.sender for e in events], [e.receiver for e in events],
+                        [e.value for e in events], [e.timestamp for e in events])
+
+
+def stored(events, kinds=tuple(EventKind)) -> dict[EventKind, EventColumns]:
+    """The columns read_store loads for `kinds` from a store of `events`:
+    each kind's events, in their order, projected to the four fields."""
+    return {kind: columns([e for e in events if e.kind == kind])
+            for kind in EventKind if kind in kinds}
 
 
 def dedup_key(event: TransferEvent) -> tuple:

@@ -139,7 +139,8 @@ def oracle_attracting(nodes, edges) -> int:
 
 
 def event_by_event_graph(events, claims, contracts, default) -> CommunityGraph:
-    """The graph of `events` built one event at a time, a node and an edge
+    """The graph of `events`, (sender, receiver, value, timestamp) tuples
+    as zip(*columns) gives them, built one event at a time, a node and an edge
     by the rules graphs' insertion loop keeps inline: a new address gets the
     next id and the class of the first event naming it (claimant, then
     contract, then `default`); a new edge appends its endpoints' ids and
@@ -157,22 +158,21 @@ def event_by_event_graph(events, claims, contracts, default) -> CommunityGraph:
         g._out[addr] = set()
         g._in[addr] = set()
 
-    for e in events:
-        u, v = e.sender, e.receiver
+    for u, v, value, ts in events:
         add_node(u)
         add_node(v)
         stats = g.edges.get((u, v))
         if stats is not None:
-            stats.total_value += e.value
+            stats.total_value += value
             stats.tx_count += 1
-            stats.first_ts = min(stats.first_ts, e.timestamp)
-            stats.last_ts = max(stats.last_ts, e.timestamp)
+            stats.first_ts = min(stats.first_ts, ts)
+            stats.last_ts = max(stats.last_ts, ts)
             continue
         if u == v:
             g._loops += 1
         elif (v, u) in g.edges:
             g._mutual += 2
-        g.edges[(u, v)] = EdgeStats(e.value, 1, e.timestamp, e.timestamp)
+        g.edges[(u, v)] = EdgeStats(value, 1, ts, ts)
         g._out[u].add(v)
         g._in[v].add(u)
         g._src.append(g._id[u])
@@ -543,7 +543,7 @@ def dictreader_parse_transfers(path, kind=EventKind.TOKEN_TRANSFER, allow_self_t
 
 
 def dictreader_parse_contracts(path):
-    contracts, errors, seen = [], [], set()
+    contracts, errors, seen = [], [], {}
     categories = {c.value.lower(): c for c in ContractCategory}
     for line_no, row in _dict_rows(path):
         try:
@@ -554,10 +554,11 @@ def dictreader_parse_contracts(path):
             category = categories.get(row["category"].strip().lower())
             if category is None:
                 raise ValueError(f"unknown category {row['category']!r}")
-            if address in seen:
+            info = ContractInfo(address, name, category)
+            if address in seen and seen[address] != info:  # an exact repeat is kept
                 raise ValueError(f"duplicate contract entry for {address}")
-            seen.add(address)
-            contracts.append(ContractInfo(address, name, category))
+            seen.setdefault(address, info)
+            contracts.append(info)
         except (ValueError, KeyError) as exc:
             errors.append(MalformedRow(line_no, str(exc)))
     contracts.sort(key=lambda c: c.address)

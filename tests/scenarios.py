@@ -11,7 +11,7 @@ from airdrop_forensics.config import PatternSpec
 from airdrop_forensics.eligibility import EligibilityHistory
 from airdrop_forensics.forensics import PatternKind
 from airdrop_forensics.flows import OperationKind
-from airdrop_forensics.ingest import EVENT_ORDER, Address, Tier
+from airdrop_forensics.ingest import EVENT_ORDER, Address, Tier, TransferEvent
 from airdrop_forensics.synth import (
     DAY,
     GroundTruth,
@@ -21,6 +21,8 @@ from airdrop_forensics.synth import (
     _Builder,
     population_from_shares,
 )
+
+from conftest import columns
 
 
 def pattern_membership(truth: GroundTruth) -> dict[Address, list[tuple[str, int, str]]]:
@@ -101,9 +103,29 @@ def attrition_scenario(
                     b.claims, b.truth, b.airdrop_ts)
 
 
+def _history(events: list[TransferEvent], balances: dict, coverage_start: int,
+             population: list[Address], meta: dict
+             ) -> tuple[EligibilityHistory, list[Address], dict]:
+    """The history of a draw, its external events as columns, with the
+    population and meta the draw gives."""
+    history = EligibilityHistory(
+        events=columns(events),
+        balances=balances,
+        protocol_addresses=frozenset({meta["protocol"]}),
+        coverage_start=coverage_start,
+    )
+    return history, population, meta
+
+
 def eligibility_scenario(seed: int) -> tuple[EligibilityHistory, list[Address], dict]:
     """A screening population with planted cliques either side of the size
     bound, plus under-qualified controls."""
+    return _history(*eligibility_draw(seed))
+
+
+def eligibility_draw(seed: int) -> tuple[list[TransferEvent], dict, int, list[Address], dict]:
+    """eligibility_scenario's draw: the external events, the balances, the
+    start of the covered history, the population and the meta."""
     rng = random.Random(seed)
     spec = ScenarioSpec(seed=seed)
     b = _Builder(spec)
@@ -154,15 +176,9 @@ def eligibility_scenario(seed: int) -> tuple[EligibilityHistory, list[Address], 
             expectations[label].append(wallets[i])
 
     b.external_events.sort(key=EVENT_ORDER)
-    history = EligibilityHistory(
-        events=b.external_events,
-        balances=balances,
-        protocol_addresses=frozenset({protocol}),
-        coverage_start=coverage_start,
-    )
     meta = {"snapshot": snapshot, "expectations": expectations,
             "protocol": protocol}
-    return history, sorted(population), meta
+    return b.external_events, balances, coverage_start, sorted(population), meta
 
 
 def tier_quota_history(
@@ -170,6 +186,13 @@ def tier_quota_history(
 ) -> tuple[EligibilityHistory, list[Address], dict]:
     """A population whose interaction scores land exactly `quotas`
     addresses in each reward tier under the default table."""
+    return _history(*tier_quota_draw(seed, quotas))
+
+
+def tier_quota_draw(
+    seed: int, quotas: tuple[int, int, int]
+) -> tuple[list[TransferEvent], dict, int, list[Address], dict]:
+    """tier_quota_history's draw, in eligibility_draw's form."""
     rng = random.Random(seed)
     spec = ScenarioSpec(seed=seed)
     b = _Builder(spec)
@@ -191,10 +214,5 @@ def tier_quota_history(
                 b.external(addr, protocol, min(base + k * 900, snapshot - 60))
             population.append(addr)
     b.external_events.sort(key=EVENT_ORDER)
-    history = EligibilityHistory(
-        events=b.external_events,
-        balances=balances,
-        protocol_addresses=frozenset({protocol}),
-        coverage_start=coverage_start,
-    )
-    return history, sorted(population), {"snapshot": snapshot, "protocol": protocol}
+    return (b.external_events, balances, coverage_start, sorted(population),
+            {"snapshot": snapshot, "protocol": protocol})

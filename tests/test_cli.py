@@ -446,6 +446,22 @@ def test_graph_on_a_one_instant_history(ingested, tmp_path):
     assert len(series) == 1 and series[0]["cutoff_ts"] == 1637000000
 
 
+def test_stats_without_a_window_spans_the_events_of_every_kind(ingested, tmp_path):
+    """With no study window, stats describes the period from the store's
+    first event to its last, of whatever kind: synth's external history
+    starts before its first token transfer."""
+    out = tmp_path / "out"
+    shutil.copytree(ingested / "out" / "synth", out / "synth")
+    config = write_config(tmp_path, window={"start": None, "end": None})
+    assert run("ingest", config) == 0
+    events, _ = ingest.parse_transfers(out / "ingest" / "events.csv")
+    token = [e.timestamp for e in events if e.kind == ingest.EventKind.TOKEN_TRANSFER]
+    assert events[0].timestamp < token[0]
+    with mock.patch.object(cli.stats, "build_timelines", wraps=cli.stats.build_timelines) as built:
+        assert run("stats", config) == 0
+    assert built.call_args.args[1:] == (events[0].timestamp, events[-1].timestamp)
+
+
 @pytest.mark.parametrize("window", [{"start": None, "end": None}, {}], ids=["no_window", "window"])
 def test_every_stage_on_an_empty_store_exits_0_or_1(tmp_path, capsys, window):
     """Raw exports with headers only give an empty store, which every stage
@@ -463,7 +479,9 @@ def test_every_stage_on_an_empty_store_exits_0_or_1(tmp_path, capsys, window):
     assert run("ingest", config) == 0
     stage = tmp_path / "out" / "ingest"
     # no events, no rows
-    assert ingest._split_store(stage / "events.csv", frozenset(ingest.EventKind))[:2] == ([], None)
+    empty = ingest.EventColumns([], [], [], [])
+    assert ingest._split_store(stage / "events.csv", frozenset(ingest.EventKind))[:2] == (
+        dict.fromkeys(ingest.EventKind, empty), None)
     codes = {}
     for command in PIPELINE[2:]:
         capsys.readouterr()
@@ -607,9 +625,9 @@ def run_on_edited_exports(ingested, tmp_path, name: str, edit) -> dict:
 
 def test_row_order_and_repeated_rows_of_the_exports_change_no_result(ingested, tmp_path):
     """Shuffled raw-export rows leave every artifact of the seven stages
-    byte-identical. Repeated event rows change only ingest's counts of rows
-    read and deduplicated, and the report that embeds them. (A claim or
-    contract row repeated is an input error or a malformed row.)"""
+    byte-identical. Rows repeated exactly, in any of the four exports,
+    change only ingest's counts of rows read and deduplicated, and the
+    report that embeds them."""
     base = run_on_edited_exports(ingested, tmp_path, "base", lambda export, rows: rows)
     for seed in range(3):
         rng = random.Random(seed)
@@ -619,19 +637,19 @@ def test_row_order_and_repeated_rows_of_the_exports_change_no_result(ingested, t
     repeats = []
 
     def repeat(export, rows):
-        if export in ("token_transfers", "external_txs"):
-            repeats.extend(rows[::7])
-            return rows + rows[::7]
-        return rows
+        repeats.append((export, len(rows[::7])))
+        return rows + rows[::7]
 
     repeated = run_on_edited_exports(ingested, tmp_path, "repeated", repeat)
-    assert repeats and repeated.keys() == base.keys()
+    assert [export for export, _ in repeats] == list(cli.RAW_INPUTS)
+    assert all(n for _, n in repeats) and repeated.keys() == base.keys()
+    repeats = sum(n for _, n in repeats)
     assert {name for name in base if repeated[name] != base[name]} == {
         "ingest/report.json", "ingest/run.json", "report/report.json"}
     want, got = ({stage: json.loads((tmp_path / tree / stage / "report.json").read_text())
                   for stage in ("ingest", "report")} for tree in ("base_out", "repeated_out"))
-    assert got["ingest"]["input_rows"] == want["ingest"]["input_rows"] + len(repeats)
-    assert got["ingest"]["deduplicated"] == want["ingest"]["deduplicated"] + len(repeats)
+    assert got["ingest"]["input_rows"] == want["ingest"]["input_rows"] + repeats
+    assert got["ingest"]["deduplicated"] == want["ingest"]["deduplicated"] + repeats
     counts = {key: want["ingest"][key] for key in ("input_rows", "deduplicated")}
     assert {**got["ingest"], **counts} == want["ingest"]
     assert got["report"]["ingest"] == got["ingest"]
@@ -807,12 +825,12 @@ def test_preset_fields_left_unset_take_the_preset_values(ingested, tmp_path):
     contracts, _ = ingest.parse_contracts(out / "ingest" / "contracts.csv")
     claims, _ = ingest.parse_claims(out / "ingest" / "claims.csv")
     store = ingest.build_event_store(events, [], contracts, claims)
-    external = store.events_of_kind(ingest.EventKind.EXTERNAL_TX)
+    external = store.columns_of(ingest.EventKind.EXTERNAL_TX)
     protocol = frozenset(a for a, c in store.contracts.items() if c.category in (
         ingest.ContractCategory.TRADING_SWAP, ingest.ContractCategory.TRADING_OR_LP))
     history = EligibilityHistory(external, {}, protocol, store.config.window_bounds()[0])
     expected = run_campaign(
-        sorted({e.sender for e in external if e.sender not in store.contracts}), history,
+        sorted({a for a in external.senders if a not in store.contracts}), history,
         dataclasses.replace(EligibilityRules(Preset.FAIR), interaction_window_days=2),
         min(c.claim_timestamp for c in store.claims.values()),
     )
@@ -844,7 +862,7 @@ def _validated_load(stage: Path, config: ingest.IngestConfig) -> ingest.EventSto
 
 def _assert_same_store(got: ingest.EventStore, want: ingest.EventStore) -> None:
     """`got`, read_store's, holds the events of `want` as read_store keeps them."""
-    assert got.events == stored(want.events)
+    assert got.events is None and got.columns == stored(want.events)
     assert got.contracts == want.contracts
     assert got.claims == want.claims
     assert got.config == want.config
@@ -859,11 +877,11 @@ def test_read_store_equals_validated_load(ingested, window):
     config = ingest.IngestConfig(*window)
     store = ingest.read_store(stage, config)
     _assert_same_store(store, _validated_load(stage, config))
-    assert_addresses_shared(store.events)
+    assert_addresses_shared(*store.columns.values())
     report = json.loads((stage / "report.json").read_text())
     assert store.report.to_json() == report
     if window[0] != ingest.DEFAULT_WINDOW_START:
-        assert 0 < len(store.events) < report["stored"]
+        assert 0 < sum(len(c.timestamps) for c in store.columns.values()) < report["stored"]
 
 
 def test_self_transfers_ingested_then_disallowed_fail(ingested, tmp_path, capsys):
@@ -881,8 +899,8 @@ def test_self_transfers_ingested_then_disallowed_fail(ingested, tmp_path, capsys
     config = ingest.IngestConfig(allow_self_transfers=True)
     store = ingest.read_store(stage, config)
     _assert_same_store(store, _validated_load(stage, config))
-    assert any(e.sender == e.receiver for e in store.events)
-    assert_addresses_shared(store.events)
+    assert any(u == v for c in store.columns.values() for u, v in zip(c.senders, c.receivers))
+    assert_addresses_shared(*store.columns.values())
 
     with pytest.raises(ingest.SelfTransferDisallowedError, match="self-transfer") as raised:
         ingest.read_store(stage, ingest.IngestConfig())
@@ -1052,8 +1070,8 @@ def test_balances_header_after_byte_order_mark_is_read(ingested, tmp_path):
 
 def test_balances_file_is_read(ingested, tmp_path):
     store = ingest.read_store(ingested / "out" / "ingest")
-    member = min(e.sender for e in store.events_of_kind(ingest.EventKind.EXTERNAL_TX)
-                 if e.sender not in store.contracts)
+    member = min(a for a in store.columns_of(ingest.EventKind.EXTERNAL_TX).senders
+                 if a not in store.contracts)
     balances = tmp_path / "balances.csv"
     balances.write_text(f"address,chain,balance\n{member.upper()},ethereum,2.5\n")
     config = write_config(tmp_path, output_dir=str(ingested / "out"), inputs={

@@ -9,9 +9,9 @@ from airdrop_forensics.eligibility import (
     clique_sizes,
     run_campaign,
 )
-from airdrop_forensics.ingest import EventKind, Tier
+from airdrop_forensics.ingest import EventColumns, EventKind, Tier
 
-from conftest import WINDOW_START, addr, ev
+from conftest import WINDOW_START, addr, columns, ev
 from scenarios import eligibility_scenario, tier_quota_history
 
 DAY = 86400
@@ -21,7 +21,8 @@ PROTOCOL = addr(900)
 
 def history(events, balances=None, coverage_start=WINDOW_START):
     return EligibilityHistory(
-        events=sorted(events, key=lambda e: (e.timestamp, e.block, e.tx_hash, e.log_index)),
+        events=columns(sorted(events, key=lambda e: (e.timestamp, e.block, e.tx_hash,
+                                                      e.log_index))),
         balances=balances or {},
         protocol_addresses=frozenset({PROTOCOL}),
         coverage_start=coverage_start,
@@ -60,7 +61,7 @@ def test_history_index_counts_match_linear_scan():
                ts=rng.choice(instants), kind=EventKind.EXTERNAL_TX)
             for _ in range(rng.randint(0, 30))
         ]
-        h = EligibilityHistory(events, {}, frozenset({PROTOCOL}), WINDOW_START)
+        h = EligibilityHistory(columns(events), {}, frozenset({PROTOCOL}), WINDOW_START)
         index = _HistoryIndex(h)
         for wallet in wallets + [PROTOCOL]:
             start, until = rng.choice(instants), rng.choice(instants)
@@ -255,11 +256,11 @@ def test_campaign_walks_the_history_once(preset):
     """The population, every rule and the clique sizes come from one pass
     over the events, under every preset."""
     h, population, meta = eligibility_scenario(seed=5)
-    h.events = CountedWalks(h.events)
+    h.events = EventColumns(*map(CountedWalks, h.events))
     senders = set(h.index.senders)
     assert set(population) <= senders
     result = run_campaign(population, h, EligibilityRules(preset), meta["snapshot"])
-    assert h.events.walks == 1
+    assert [column.walks for column in h.events] == [1, 1, 0, 1]  # no value is read
     assert len(result.verdicts) == len(set(population))
 
 

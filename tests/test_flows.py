@@ -23,7 +23,7 @@ from airdrop_forensics.flows import (
     weighted_cosine_distance,
     write_feature_matrix,
 )
-from airdrop_forensics.ingest import ContractCategory, EventKind, IngestConfig, Tier
+from airdrop_forensics.ingest import ContractCategory, IngestConfig, Tier
 from airdrop_forensics.stats import attrition, build_timeline, period_quantity_samples
 
 from conftest import WINDOW_START, addr, claim, contract, ev, from_ops, make_store
@@ -40,38 +40,33 @@ class TestClassify:
     def test_staking_pool_transfer_is_stake(self, staking_contract):
         subject = addr(1)
         op = classify_event(
-            ev(subject, staking_contract.address, 10),
-            subject,
+            subject, staking_contract.address, subject,
             {staking_contract.address: staking_contract},
         )
         assert op == OperationKind.STAKE
 
     def test_plain_counterparty_is_send(self):
         subject = addr(1)
-        op = classify_event(ev(subject, addr(2), 10), subject, {})
+        op = classify_event(subject, addr(2), subject, {})
         assert op == OperationKind.SEND
-        op = classify_event(ev(addr(2), subject, 10), subject, {})
+        op = classify_event(addr(2), subject, subject, {})
         assert op == OperationKind.RECEIVE
 
     def test_trading_or_lp_outgoing_counts_as_sell(self):
         pool = contract(addr(9), "amm pool v3", ContractCategory.TRADING_OR_LP)
         subject = addr(1)
-        op = classify_event(
-            ev(subject, pool.address, 10), subject, {pool.address: pool}
-        )
+        op = classify_event(subject, pool.address, subject, {pool.address: pool})
         assert op == OperationKind.SELL
 
     def test_unknown_contract_falls_back_to_transfer(self):
         subject = addr(1)
-        op = classify_event(
-            ev(addr(7), subject, 10, kind=EventKind.INTERNAL_TX), subject, {}
-        )
+        op = classify_event(addr(7), subject, subject, {})
         assert op == OperationKind.RECEIVE
 
     def test_cex_counts_as_trading(self):
         cex = contract(addr(8), "cex hot wallet", ContractCategory.CEX)
         subject = addr(1)
-        op = classify_event(ev(subject, cex.address, 10), subject, {cex.address: cex})
+        op = classify_event(subject, cex.address, subject, {cex.address: cex})
         assert op == OperationKind.SELL
 
 

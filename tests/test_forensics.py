@@ -36,9 +36,9 @@ from airdrop_forensics.graphs import (
     load_graph_json,
     write_graph_json,
 )
-from airdrop_forensics.ingest import ContractCategory, EventKind, IngestConfig, StoredEvent, Tier
+from airdrop_forensics.ingest import ContractCategory, EventKind, IngestConfig, Tier
 
-from conftest import WINDOW_START, addr, claim, contract, digraph, ev, make_store
+from conftest import WINDOW_START, addr, claim, columns, contract, digraph, ev, make_store
 from oracles import contract_user_set, oracle_external_density
 
 CFG = DetectorConfig()
@@ -248,8 +248,7 @@ class TestSponsorship:
     @staticmethod
     def link(ext, sink, sponsor="p00"):
         """`ext` with an edge from `sink` to `sponsor`."""
-        _add_events(ext, [StoredEvent(sink, sponsor, 1, T0, EventKind.EXTERNAL_TX)], (), (),
-                    NodeClass.LATER_MEMBER)
+        _add_events(ext, [(sink, sponsor, 1, T0)], (), (), NodeClass.LATER_MEMBER)
         return ext
 
     def test_rewards_aggregating_to_a_sponsor_linked_sink(self):
@@ -505,7 +504,7 @@ def test_contract_users_of_the_graphs_are_the_event_scans(store):
     """The contract users read off the graphs detect loads, plus the
     internal events, which no graph holds, are the ones a scan of the
     store's events finds."""
-    internal = store.events_of_kind(EventKind.INTERNAL_TX)
+    internal = store.columns_of(EventKind.INTERNAL_TX)
     assert contract_users(_detect_graphs(store), store.contracts, internal) == (
         contract_user_set(store))
 
@@ -554,7 +553,7 @@ def test_clique_sizes_match_networkx(graph, data):
     spokes = data.draw(st.lists(st.sampled_from(nodes), max_size=6))
     transfers = edges + [(n, PROTOCOL) for n in spokes] + [(nodes[0], nodes[0])]
     history = EligibilityHistory(
-        events=[ev(u, v, 1, kind=EventKind.EXTERNAL_TX, ts=T0) for u, v in transfers],
+        events=columns([ev(u, v, 1, kind=EventKind.EXTERNAL_TX, ts=T0) for u, v in transfers]),
         balances={},
         protocol_addresses=frozenset({PROTOCOL}),
         coverage_start=T0,

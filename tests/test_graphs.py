@@ -7,6 +7,7 @@ import sys
 import tempfile
 import tracemalloc
 from collections import Counter
+from itertools import islice
 from pathlib import Path
 from xml.sax.saxutils import escape
 
@@ -40,7 +41,7 @@ from airdrop_forensics.graphs import (
     write_graph,
     write_graph_json,
 )
-from airdrop_forensics.ingest import ContractCategory, EventKind, StoredEvent, format_token_amount
+from airdrop_forensics.ingest import ContractCategory, EventColumns, EventKind, format_token_amount
 
 from conftest import (
     WINDOW_START, addr, attracting_components, claim, contract, digraph, ev, make_store,
@@ -458,24 +459,20 @@ _ENDPOINTS = [addr(i) for i in range(1, 7)]
 
 @st.composite
 def event_lists(draw):
-    """Events among six addresses, so that edges repeat, loop and come in
-    reverse pairs, at timestamps in no order; each a StoredEvent or a
-    TransferEvent, whose fields lie in another order. Also the claimants
-    and the contracts (a claimant in both is a claimant), and where the
-    events are cut into the batches the graph takes them in."""
-    events = []
+    """The EventColumns of events among six addresses, so that edges
+    repeat, loop and come in reverse pairs, at timestamps in no order. Also
+    the claimants and the contracts (a claimant in both is a claimant), and
+    where the events are cut into the batches the graph takes them in."""
+    rows = []
     for u, v in draw(st.lists(st.tuples(st.sampled_from(_ENDPOINTS),
                                         st.sampled_from(_ENDPOINTS)), max_size=40)):
         value = draw(st.integers(0, 10**20))
         ts = WINDOW_START + draw(st.integers(0, 4)) * 86400 + draw(st.sampled_from([0, 1]))
-        if draw(st.booleans()):
-            events.append(StoredEvent(u, v, value, ts, EventKind.TOKEN_TRANSFER))
-        else:
-            events.append(ev(u, v, value, ts=ts))
+        rows.append((u, v, value, ts))
     claims = draw(st.frozensets(st.sampled_from(_ENDPOINTS)))
     contracts = draw(st.frozensets(st.sampled_from(_ENDPOINTS)))
-    cuts = sorted(draw(st.lists(st.integers(0, len(events)), max_size=3)))
-    return events, claims, contracts, cuts
+    cuts = sorted(draw(st.lists(st.integers(0, len(rows)), max_size=3)))
+    return EventColumns(*([row[i] for row in rows] for i in range(4))), claims, contracts, cuts
 
 
 def _fields(g):
@@ -502,12 +499,13 @@ def _consistent(g):
 def test_insertion_loop_equals_the_event_by_event_build(case, default, cut):
     events, claims, contracts, cuts = case
     g = CommunityGraph()
-    for lo, hi in zip([0, *cuts], [*cuts, len(events)]):
-        _add_events(g, events[lo:hi], claims, contracts, default)
-    assert _fields(g) == _fields(event_by_event_graph(events, claims, contracts, default))
+    rows = zip(*events)
+    for lo, hi in zip([0, *cuts], [*cuts, len(events.senders)]):
+        _add_events(g, islice(rows, hi - lo), claims, contracts, default)
+    assert _fields(g) == _fields(event_by_event_graph(zip(*events), claims, contracts, default))
     assert _consistent(g)
 
-    G = nx.DiGraph((e.sender, e.receiver) for e in events)
+    G = nx.DiGraph(zip(events.senders, events.receivers))
     assert set(g.nodes) == set(G.nodes) and set(g.edges) == set(G.edges)
     G.remove_edges_from(list(nx.selfloop_edges(G)))
     if G.number_of_edges():
@@ -547,8 +545,7 @@ def test_building_calls_no_graph_function_per_event_or_edge():
     from 2,000, or copying, loading or splitting it, calls the same graph
     functions the same number of times."""
     def calls(n):
-        events = [StoredEvent(addr(i % 37), addr(i % 41 + 1), i, WINDOW_START + i % 5,
-                              EventKind.TOKEN_TRANSFER) for i in range(n)]
+        events = [(addr(i % 37), addr(i % 41 + 1), i, WINDOW_START + i % 5) for i in range(n)]
         g = CommunityGraph()
         made = [_graphs_calls(lambda: _add_events(g, events, {addr(3)}, {addr(4)},
                                                   NodeClass.PLAIN))]
@@ -607,14 +604,14 @@ def test_slices_equal_from_scratch_builds():
         start = WINDOW_START + rng.randint(0, 5) * day
         end = start + rng.randint(1, 45) * day - rng.choice([0, 1])
         interval = rng.choice([1, 3, 7, 60])
-        events = store.events_of_kind(kind)
-        if not any(start <= e.timestamp <= end for e in events):
+        events = list(zip(*store.columns_of(kind)))
+        if not any(start <= ts <= end for *_, ts in events):
             with pytest.raises(WindowEmptyError):
                 weekly_slices(store, kind, start, end, interval)
             continue
 
         def scratch(cutoff):
-            chunk = [e for e in events if start <= e.timestamp <= cutoff]
+            chunk = [e for e in events if start <= e[3] <= cutoff]
             return _build_graph(chunk, store, default)
 
         live = []
@@ -651,13 +648,13 @@ def test_slice_metrics_equal_scans_bit_for_bit():
         store = _random_store(rng, self_transfers=True)
         kind = rng.choice([EventKind.TOKEN_TRANSFER, EventKind.EXTERNAL_TX])
         default = NodeClass.LATER_MEMBER if kind == EventKind.TOKEN_TRANSFER else NodeClass.PLAIN
-        events = store.events_of_kind(kind)
+        events = list(zip(*store.columns_of(kind)))
         if not events:
             continue
         interval = rng.choice([1, 3, 7])
         series = metric_series(iter_slices(store, kind, interval_days=interval))
         for i, cutoff in enumerate(series.cutoffs):
-            g = _build_graph([e for e in events if e.timestamp <= cutoff], store, default)
+            g = _build_graph([e for e in events if e[3] <= cutoff], store, default)
             assert series.reciprocity[i] == scan_reciprocity(g)
             assert series.assortativity[i] == scan_assortativity(g)
             checked += series.assortativity[i] is not None

@@ -24,6 +24,7 @@ from airdrop_forensics.ingest import (
     ContractCategory,
     CorruptStoreError,
     DuplicateClaimError,
+    EventColumns,
     EventKind,
     IngestConfig,
     IngestError,
@@ -44,8 +45,8 @@ from airdrop_forensics.ingest import (
 )
 
 from conftest import (
-    WINDOW_END, WINDOW_START, addr, assert_addresses_shared, claim, contract, dedup_key, ev,
-    stored,
+    WINDOW_END, WINDOW_START, addr, assert_addresses_shared, claim, columns, contract, dedup_key,
+    ev, stored,
 )
 from oracles import dictreader_parse_claims, dictreader_parse_contracts, dictreader_parse_transfers
 
@@ -186,6 +187,30 @@ def test_token_and_carrier_tx_share_hash_without_collapsing():
     carrier = ev(addr(1), addr(2), 5, tx_hash=HASH, kind=EventKind.EXTERNAL_TX)
     store = build_event_store([token], [carrier], [], [])
     assert store.report.stored == 2
+
+
+def test_an_exact_repeat_of_a_contract_or_claim_is_dropped_and_counted(tmp_path):
+    """A contract or claim row repeated exactly is dropped and counted as
+    deduplicated, as a repeated event is; another row for a listed
+    contract is malformed, and a contract listed twice with other fields
+    is refused by build_event_store."""
+    router = contract(A1, "dex router", ContractCategory.TRADING_SWAP)
+    path = tmp_path / "contracts.csv"
+    path.write_text("address,name,category\n" + f"{A1},dex router,TradingSwap\n" * 2
+                    + f"{A1},dex router v2,TradingSwap\n")
+    contracts, malformed = parse_contracts(path)
+    assert contracts == [router, router]
+    assert [(m.line, m.reason) for m in malformed] == [(4, f"duplicate contract entry for {A1}")]
+    member = claim(B2)
+    store = build_event_store([ev(A1, B2, 5)], [], contracts, [member, member], IngestConfig(),
+                              malformed)
+    assert (store.contracts, store.claims) == ({A1: router}, {B2: member})
+    report = store.report
+    assert (report.stored, report.deduplicated, report.n_contracts, report.n_claims) == (1, 2, 1, 1)
+    assert report.input_rows == report.stored + len(report.malformed) + report.deduplicated == 4
+    renamed = contract(A1, "dex router v2", ContractCategory.TRADING_SWAP)
+    with pytest.raises(IngestError, match=f"contract {A1} is listed twice with other fields"):
+        build_event_store([], [], [router, renamed], [], IngestConfig())
 
 
 def test_duplicate_claim_raises():
@@ -395,6 +420,24 @@ def test_a_contract_name_holding_a_carriage_return_is_malformed(tmp_path):
                             tmp_path / "canonical.csv")
 
 
+@settings(max_examples=100, derandomize=True, deadline=None)
+@example(claims=[])
+@given(claims=st.lists(st.builds(
+    claim, st.integers(0, 2**160 - 1).map(addr), st.sampled_from(list(Tier)),
+    st.integers(-2**70, 2**70)), unique_by=lambda c: c.address, max_size=30))
+def test_read_records_splits_the_claims_parse_claims_reads(claims):
+    """read_records splits claims.csv once at its commas: for a file that
+    matches ingest's digest, that gives the claims parse_claims reads from
+    it, in the same order."""
+    with tempfile.TemporaryDirectory() as tmp:
+        stage = _write_stage(Path(tmp), build_event_store([], [], [], claims, IngestConfig()))
+        got = ingest.read_records(stage).claims
+        want, errors = parse_claims(stage / "claims.csv")
+    assert errors == []
+    assert list(got.items()) == [(c.address, c) for c in want]
+    assert all(type(c) is ingest.ClaimRecord and type(c.tier) is Tier for c in got.values())
+
+
 def test_undecodable_input_is_an_ingest_error(tmp_path):
     path = tmp_path / "claims.csv"
     path.write_bytes(b"address,tier,amount,timestamp\n\xff\n")
@@ -497,8 +540,10 @@ def test_read_store_of_written_store_is_the_store(store):
 
 
 def _assert_loaded(loaded, store) -> None:
-    """`loaded` is read_store's load of `store` as ingest wrote it."""
-    assert loaded.events == stored(store.events)
+    """`loaded` is read_store's load of `store` as ingest wrote it: the
+    columns build_event_store built, and no per-event record."""
+    assert loaded.events is None
+    assert loaded.columns == store.columns == stored(store.events)
     assert loaded.contracts == store.contracts
     assert loaded.claims == store.claims
     assert loaded.config == store.config
@@ -520,16 +565,15 @@ def _assert_kinds_of(part, whole, kinds) -> None:
     if isinstance(whole, str):
         assert part == whole
         return
-    events = [e for e in whole.events if e.kind in kinds]
-    assert part.events == events
-    assert part.by_kind == {k: [e for e in events if e.kind == k] for k in kinds}
-    assert_addresses_shared(part.events)
+    assert part.events is None
+    assert part.columns == {k: c for k, c in whole.columns.items() if k in kinds}
+    assert_addresses_shared(*part.columns.values())
     for kind in EventKind:
         if kind in kinds:
-            assert part.events_of_kind(kind) is part.by_kind[kind]
+            assert part.columns_of(kind) is part.columns[kind]
         else:
             with pytest.raises(ValueError, match=f"did not load {kind.value} events"):
-                part.events_of_kind(kind)
+                part.columns_of(kind)
     assert (part.contracts, part.claims, part.config, part.report) == (
         whole.contracts, whole.claims, whole.config, whole.report)
 
@@ -596,7 +640,7 @@ def test_read_store_trusts_events_csv_by_its_digest(store, edit, kinds):
         assert "self-transfer not allowed by config" in whole
     else:
         _assert_loaded(whole, store)
-        assert_addresses_shared(whole.events)
+        assert_addresses_shared(*whole.columns.values())
     _assert_kinds_of(part, whole, kinds)
 
 
@@ -608,16 +652,20 @@ _KIND_SETS = [frozenset(kinds) for n in range(1, len(EventKind) + 1)
 @settings(max_examples=100, derandomize=True, deadline=None)
 @example(store=_EDGES)
 @example(store=_kinds_in_turn())
+@example(store=build_event_store(  # events at the window's first and last seconds
+    [ev(addr(1), addr(2), 5, ts=WINDOW_START), ev(addr(2), addr(3), 6, ts=WINDOW_END),
+     ev(addr(3), addr(1), 7, ts=WINDOW_END, kind=EventKind.EXTERNAL_TX)], [], [], [],
+    IngestConfig()))
 @example(store=build_event_store(  # a self-transfer on line 3, which the config refuses
     [ev(addr(1), addr(2), 5), ev(addr(3), addr(3), 6, ts=WINDOW_START + 2 * 86400)], [], [],
     [], IngestConfig()))
 @given(store=built_stores())
 def test_store_split_loads_what_the_row_loop_reads(store):
     """read_store, which splits each chunk of events.csv once, loads for
-    every non-empty set of kinds the StoredEvents of what parse_transfers'
-    row loop reads from the same file, of those kinds and in the window;
-    a self-transfer the config refuses fails at the first line the row
-    loop refuses."""
+    every non-empty set of kinds the columns of what parse_transfers' row
+    loop reads from the same file, of those kinds and in the window, with
+    one string for each address across all of them; a self-transfer the
+    config refuses fails at the first line the row loop refuses."""
     with tempfile.TemporaryDirectory() as tmp:
         if any("\r" in c.name for c in store.contracts.values()):
             with pytest.raises(ValueError, match="carriage return"):
@@ -636,9 +684,11 @@ def test_store_split_loads_what_the_row_loop_reads(store):
                                    match=re.escape(f"{path} line {refused[0].line}: ")):
                     read_store(stage, store.config, kinds)
                 continue
-            want = [e for e in stored(rows) if e.kind in kinds
-                    and (not bounds or bounds[0] <= e.timestamp <= bounds[1])]
-            assert read_store(stage, store.config, kinds).events == want
+            want = stored([e for e in rows if not bounds or bounds[0] <= e.timestamp <= bounds[1]],
+                          kinds)
+            loaded = read_store(stage, store.config, kinds)
+            assert loaded.events is None and loaded.columns == want
+            assert_addresses_shared(*loaded.columns.values())
 
 
 def test_each_kind_has_its_own_first_character():
@@ -699,10 +749,11 @@ def test_a_kind_the_store_did_not_load_is_refused(tmp_path):
     store = build_event_store([ev(addr(1), addr(2), 5, kind=EventKind.EXTERNAL_TX)], [], [], [],
                               IngestConfig(None, None))
     loaded = read_store(_write_stage(tmp_path, store), store.config, [EventKind.TOKEN_TRANSFER])
-    assert loaded.events == loaded.events_of_kind(EventKind.TOKEN_TRANSFER) == []
+    assert loaded.columns == {EventKind.TOKEN_TRANSFER: EventColumns([], [], [], [])}
+    assert loaded.columns_of(EventKind.TOKEN_TRANSFER) is loaded.columns[EventKind.TOKEN_TRANSFER]
     for kind in (EventKind.EXTERNAL_TX, EventKind.INTERNAL_TX):
         with pytest.raises(ValueError, match=f"the store did not load {kind.value} events"):
-            loaded.events_of_kind(kind)
+            loaded.columns_of(kind)
 
 
 @pytest.mark.parametrize("tier,reason", [("4000", "4000 is not a valid Tier"),
@@ -727,8 +778,9 @@ def test_claim_record_is_an_immutable_set_member():
     record = claim(addr(1), Tier.T7800)
     with pytest.raises(AttributeError):
         record.tier = Tier.T5200
-    twin = ingest._claims([[record.address, "7800", str(record.amount),
-                            str(record.claim_timestamp)]])[0]
+    twin = ingest._claims(
+        f"address,tier,amount,timestamp\n{record.address},7800,{record.amount},"
+        f"{record.claim_timestamp}\n".encode())[record.address]
     assert twin == record and twin is not record and twin.tier is Tier.T7800
     assert len({record, twin}) == 1 and twin in {record}
 
@@ -948,7 +1000,7 @@ def test_splitter_parses_raw_exports_as_the_row_loop(export, kind, allow_self):
             want = _outcome(parse, path)
     assert got == want
     assert (split is not None) == (defect is None or defect == "self_transfer" and allow_self)
-    assert_addresses_shared(got[0])
+    assert_addresses_shared(columns(got[0]))
 
 
 @pytest.mark.parametrize("at", [None, 0, 500, 999])
@@ -1027,6 +1079,7 @@ def test_build_event_store_keeps_the_first_of_each_key_in_the_window(inputs):
             seen.add((e.tx_hash, e.log_index, e.kind))
             kept.append(e)
     assert store.events == kept
+    assert store.columns == stored(kept)
     assert store.report.window_excluded == len(excluded)
     assert [m.reason for m in store.report.malformed] == [
         f"timestamp {e.timestamp} outside study window ({e.tx_hash})" for e in excluded]

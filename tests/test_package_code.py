@@ -209,7 +209,8 @@ DROPPED_FIELDS = {"tx_hash", "block", "log_index"}
 
 
 def test_only_ingest_reads_the_fields_read_store_drops():
-    """read_store's StoredEvents have no tx hash, block or log index, so
+    """read_store fills each kind's EventColumns with senders, receivers,
+    values and timestamps alone: no tx hash, block or log index. So
     outside ingest.py, which orders, deduplicates and writes the store by
     them, no module of src/ or perfbench/ reads one."""
     readers = [

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from airdrop_forensics.flows import build_flows, op_set
-from airdrop_forensics.ingest import Tier
+from airdrop_forensics.ingest import EventKind, Tier
 from airdrop_forensics.stats import (
     EmptySampleError,
     aggregate_shares,
@@ -131,6 +131,16 @@ class TestAttrition:
 class TestTopContracts:
     def test_empty_store(self):
         assert top_contracts(make_store()) == []
+
+    def test_interactions_of_every_kind_count(self, router_contract, staking_contract):
+        members = [addr(1), addr(2), addr(3)]
+        events = [ev(members[0], router_contract.address, 5),
+                  ev(members[1], router_contract.address, 5, kind=EventKind.EXTERNAL_TX),
+                  ev(staking_contract.address, members[2], 5, kind=EventKind.INTERNAL_TX)]
+        store = make_store(events, contracts=[router_contract, staking_contract],
+                           claims=[claim(m) for m in members])
+        assert [(r.address, r.interactions) for r in top_contracts(store)] == [
+            (router_contract.address, 2), (staking_contract.address, 1)]
 
     def test_synth_counts_exact(self):
         scenario = generate(ScenarioSpec(seed=25, population=population_from_shares(200)))

@@ -32,9 +32,9 @@ from scenarios import (
     airdrop_star_churn,
     attrition_scenario,
     detector_benchmark_spec,
-    eligibility_scenario,
+    eligibility_draw,
     pattern_membership,
-    tier_quota_history,
+    tier_quota_draw,
 )
 
 
@@ -211,8 +211,8 @@ def _scenario_digest(scenario) -> str:
 
 
 def _history_digest(drawn) -> str:
-    history, population, meta = drawn
-    return _digest(history.events, history.balances, population, meta)
+    events, balances, _, population, meta = drawn
+    return _digest(events, balances, population, meta)
 
 
 def _benchmark_draw():
@@ -244,11 +244,11 @@ BUILDER_DIGESTS = {
         "697af5df71d9f5a9958215f3f418341529ac33429e69313e0ffe311e8c256ef9",
     ),
     "eligibility_scenario": (
-        lambda: _history_digest(eligibility_scenario(seed=5)),
+        lambda: _history_digest(eligibility_draw(seed=5)),
         "e7e61d40784e0f514d9a77385954ff05454f7e281a071e024eb8d5eafaa3ace9",
     ),
     "tier_quota_history": (
-        lambda: _history_digest(tier_quota_history(seed=9, quotas=(30, 20, 10))),
+        lambda: _history_digest(tier_quota_draw(seed=9, quotas=(30, 20, 10))),
         "e2d49e2c6ec36bbe3c753853c7dc8c04d33a269178cf95e8570a3d5bec3a016f",
     ),
 }
