@@ -1,8 +1,14 @@
 import gc
 import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import airdrop_forensics
 from airdrop_forensics.flows import OPERATION_ORDER, FeatureVector, OperationKind
 from airdrop_forensics.graphs import (
     CommunityGraph, NodeClass, _add_events, _from_rows, attracting_counts,
@@ -116,6 +122,39 @@ def stored(events, kinds=tuple(EventKind)) -> dict[EventKind, EventColumns]:
 def dedup_key(event: TransferEvent) -> tuple:
     """The key build_event_store deduplicates events by (ingest._DEDUP_KEY)."""
     return (event.tx_hash, event.log_index, event.kind)
+
+
+def run_stage(stage: str, config: Path, out: Path, *extra: str) -> None:
+    """Run `stage` over the tree `out` as a process, `python -m
+    airdrop_forensics.cli`, in a fresh interpreter that imports the
+    package these tests import; it must exit 0."""
+    src = str(Path(airdrop_forensics.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "airdrop_forensics.cli", stage, "--config", str(config),
+         "--out", str(out), *extra],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True)
+    assert proc.returncode == 0, (stage, proc.stderr)
+
+
+# The config of process_tree: seed 7, 120 claimants, and the eligibility
+# overrides that perfbench's configs and CI's console-script run use.
+PROCESS_CONFIG = {"synth": {"seed": 7, "population_total": 120},
+                  "eligibility": {"interaction_window_days": 2, "min_tx_count": 5}}
+
+
+@pytest.fixture(scope="session")
+def process_tree(tmp_path_factory) -> Path:
+    """A root holding config.json, PROCESS_CONFIG, and out/, the tree that
+    synth, ingest, graph with daily slices and eligibility write for it,
+    each stage run as a process. Tests that edit the tree copy it first."""
+    root = tmp_path_factory.mktemp("process_tree")
+    config = root / "config.json"
+    config.write_text(json.dumps(PROCESS_CONFIG))
+    for stage, *extra in (["synth"], ["ingest"], ["graph", "--slice-interval", "1"],
+                          ["eligibility"]):
+        run_stage(stage, config, root / "out", *extra)
+    return root
 
 
 @pytest.fixture(autouse=True)

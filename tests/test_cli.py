@@ -12,6 +12,7 @@ from collections import Counter
 from pathlib import Path
 from unittest import mock
 
+import networkx as nx
 import pytest
 
 from airdrop_forensics import artifacts, cli, graphs, ingest
@@ -800,7 +801,10 @@ def test_unsupported_graph_format_rejected(ingested, capsys, fmt):
 def test_graph_rerun_in_another_format_leaves_what_a_fresh_run_writes(ingested, tmp_path,
                                                                       first, second):
     """A graph run in one format over a tree graphed in the other leaves
-    the files and bytes of a fresh run: the other format's exports go."""
+    the files and bytes of a fresh run: the other format's exports go.
+    Every graph file, written a batch of rows at a time, reads back whole:
+    networkx finds in each graphml file the counts that summary.json
+    gives, and each graph JSON holds its edges and nodes."""
     reused, fresh = tmp_path / "reused", tmp_path / "fresh"
     shutil.copytree(ingested / "out", reused)
     shutil.copytree(ingested / "out", fresh)
@@ -809,7 +813,14 @@ def test_graph_rerun_in_another_format_leaves_what_a_fresh_run_writes(ingested, 
     assert run("graph", config, "--out", str(reused), "--format", second) == 0
     assert run("graph", config, "--out", str(fresh), "--format", second) == 0
     assert files_of(reused) == files_of(fresh)
-    assert {p.suffix for p in (reused / "graph").iterdir()} == {".json", f".{second}"}
+    stage = reused / "graph"
+    assert {p.suffix for p in stage.iterdir()} == {".json", f".{second}"}
+    summary = json.loads((stage / "summary.json").read_text())
+    for name in ("token_graph", "external_graph"):
+        assert sorted(json.loads((stage / f"{name}.json").read_text())) == ["edges", "nodes"]
+        if second == "graphml":
+            G = nx.read_graphml(stage / f"{name}.graphml")
+            assert {"nodes": G.number_of_nodes(), "edges": G.number_of_edges()} == summary[name]
 
 
 def test_preset_fields_left_unset_take_the_preset_values(ingested, tmp_path):

@@ -337,15 +337,15 @@ def test_detect_without_an_ingest_record_exits_1(pipeline, tmp_path, artifact):
 
 @pytest.mark.parametrize("stage, how", [
     ("stats", "cut"), ("stats", "duplicated"), ("report", "cut"), ("stats", "non_integer"),
-    ("stats", "repeated"),
+    ("stats", "repeated"), ("stats", "appended"),
 ])
 def test_assignment_of_other_claimants_exits_1(pipeline, tmp_path, stage, how):
     """An assignment.csv cut at a row boundary parses, but holds fewer rows
     than there are claimants; one with a row in place of the next holds as
     many, but not every claimant; one with a cluster cell that is not an
     integer holds no cluster for that claimant; one with a row added that
-    repeats a claimant in another cluster holds every claimant, one twice.
-    The stage writes no file."""
+    repeats a claimant, in another cluster or as an exact copy of its row,
+    holds every claimant, one twice. The stage writes no file."""
     out = tmp_path / "out"
     shutil.copytree(pipeline / "out", out, ignore=shutil.ignore_patterns(stage))
     path = out / "cluster" / "assignment.csv"
@@ -359,6 +359,8 @@ def test_assignment_of_other_claimants_exits_1(pipeline, tmp_path, stage, how):
     elif how == "repeated":
         cells[column] = str(int(cells[column]) + 1)
         lines.append(",".join(cells))
+    elif how == "appended":
+        lines.append(lines[1])
     else:
         cells[column] = "x"
         lines[1] = ",".join(cells)

@@ -10,7 +10,7 @@ PACKAGE = ROOT / "src" / "airdrop_forensics"
 
 # Each of these computes a published identity that tests/ asserts as an
 # acceptance criterion; moved into tests/, the criterion would check test
-# code. They stay until the report states those identities (ROADMAP item 4).
+# code. They stay until the report states those identities (ROADMAP item 8).
 ALLOWED = {
     "clustering.role_shares": "criterion 3: role percentages as sums of cluster shares",
     "stats.aggregate_shares": "the published group sums of the role-share table",
