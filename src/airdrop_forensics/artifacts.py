@@ -4,8 +4,10 @@ JSON files hold keys in sorted order, indented by 2, and end in a newline;
 the graph files, which are large and machine-read only, are compact
 (graphs.write_graph_json).
 JSONL files hold one sorted-key object per line. CSV files start with a
-header row and end every line with "\\n". Text is UTF-8 whatever the
-locale.
+header row, quote cells as csv.writer does, end every line with "\\n" and
+hold no "\\r", which csv.writer leaves unquoted. `write_csv`, the one CSV
+writer, and `write_json` return the sha256 of what they wrote, which
+ingest records. Text is UTF-8 whatever the locale.
 
 The contract between stages is declared once, in SHAPES: for each
 artifact a later stage reads, what its readers index. The one reader,
@@ -30,10 +32,13 @@ declared shape.
 """
 
 import csv
+import hashlib
+import io
 import json
 import os
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
+from itertools import chain, islice
 from pathlib import Path
 
 
@@ -103,9 +108,12 @@ def render_json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def write_json(payload, path) -> None:
-    with open_for_write(path) as fh:
-        fh.write(render_json(payload))
+def write_json(payload, path) -> str:
+    """Write `payload` as `render_json` renders it; the sha256 of the bytes."""
+    data = render_json(payload).encode()
+    with open_for_write(path, "wb") as fh:
+        fh.write(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def write_jsonl(rows: Iterable, path) -> None:
@@ -114,11 +122,42 @@ def write_jsonl(rows: Iterable, path) -> None:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def write_csv(header: list, rows: Iterable, path) -> None:
-    with open_for_write(path, newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
+# Rows per batch of write_csv: about 100 KB of events.csv's text, under
+# glibc's mmap threshold (see ingest._CHUNK).
+_ROWS = 1 << 9
+
+
+def write_csv(header: Sequence[str], rows: Iterable[Sequence[str]], path, *,
+              quote: bool = True) -> str:
+    """Write `header` and `rows`, rows of text with a cell per column, with
+    the bytes of csv.writer(fh, lineterminator="\\n"); the sha256 of those
+    bytes, hashed as written. Each batch of rows is joined by "," and
+    "\\n", unless its text shows a cell that csv.writer quotes (more commas
+    or newlines than its rows' own, a '"', or a NUL, which some
+    interpreters' csv refuses) or its rows have one cell: then csv.writer
+    renders it, or, if not `quote`, that is a ValueError, so the file
+    splits at its commas. So is a "\\r" in a cell, or a row of another width.
+    """
+    width, rows, digest = len(header), iter(rows), hashlib.sha256()
+    with open_for_write(path, "wb") as fh:
+        for batch in chain([[header]], iter(lambda: list(islice(rows, _ROWS)), [])):
+            text = "\n".join(map(",".join, batch)) + "\n"
+            if "\r" in text:
+                raise ValueError("a carriage return in a cell, where csv.reader would end the row")
+            if {*map(len, batch)} != {width}:
+                raise ValueError(f"a row whose cells are not the header's {width}")
+            if (width < 2 or text.count(",") != (width - 1) * len(batch)
+                    or text.count("\n") != len(batch) or '"' in text or "\0" in text):
+                if not quote:
+                    raise ValueError("a '\"', ',', '\\n' or NUL in a cell of a file that "
+                                     "splits at its commas")
+                buffer = io.StringIO()
+                csv.writer(buffer, lineterminator="\n").writerows(batch)
+                text = buffer.getvalue()
+            data = text.encode()
+            digest.update(data)
+            fh.write(data)
+    return digest.hexdigest()
 
 
 # What later stages read of each stage artifact, keyed "<stage>/<file>".

@@ -359,11 +359,9 @@ def role_shares(assignment: ClusterAssignment, mapping: RoleMapping) -> dict[Rol
 
 def write_assignment_csv(assignment: ClusterAssignment, mapping: RoleMapping, path) -> None:
     roles = {c: r.value for c, r in mapping.cluster_roles.items()}
-    artifacts.write_csv(
-        ["address", "cluster", "role"],
-        ([addr, c, roles.get(c, "unmapped")] for addr, c in sorted(assignment.labels.items())),
-        path,
-    )
+    artifacts.write_csv(["address", "cluster", "role"], (
+        [addr, str(c), roles.get(c, "unmapped")] for addr, c in sorted(assignment.labels.items())
+    ), path)
 
 
 def read_assignment(path, claimants) -> list[dict[str, str]]:

@@ -208,9 +208,6 @@ def run_campaign(
 
 
 def write_verdicts_csv(result: CampaignResult, path) -> None:
-    artifacts.write_csv(
-        ["address", "eligible", "tier", "rule_trace"],
-        ([v.address, int(v.eligible), v.tier.value if v.tier else "", v.rule_trace]
-         for v in result.verdicts),
-        path,
-    )
+    artifacts.write_csv(["address", "eligible", "tier", "rule_trace"], (
+        [v.address, str(int(v.eligible)), str(v.tier.value) if v.tier else "", v.rule_trace]
+        for v in result.verdicts), path)

@@ -239,8 +239,5 @@ def weighted_cosine_distance(
 def write_feature_matrix(entries, path) -> None:
     """CSV export (address + one column per operation slot) for external
     embedding or plotting."""
-    artifacts.write_csv(
-        ["address"] + [op.value for op in OPERATION_ORDER],
-        ([addr, *vec.bits] for addr, vec in sorted(entries)),
-        path,
-    )
+    artifacts.write_csv(["address"] + [op.value for op in OPERATION_ORDER], (
+        [addr, *map(str, vec.bits)] for addr, vec in sorted(entries)), path)

@@ -563,10 +563,8 @@ def voting_power_report(findings: list[PatternFinding], claims: dict) -> list[Vo
 def write_components_csv(profiles: list[ComponentProfile], path) -> None:
     artifacts.write_csv(
         ["id", "nodes", "edges", "n_initial", "n_later", "reciprocity", "total_value"],
-        ([p.id, p.size, p.graph.n_edges, p.n_initial, p.n_later, repr(p.reciprocity),
-          p.total_value] for p in profiles),
-        path,
-    )
+        ([str(p.id), str(p.size), str(p.graph.n_edges), str(p.n_initial), str(p.n_later),
+          repr(p.reciprocity), str(p.total_value)] for p in profiles), path)
 
 
 def write_voting_power_json(rows: list[VotingPowerRow], path) -> None:

@@ -4,9 +4,10 @@ Four inputs feed the pipeline: token transfer rows, external transaction
 rows, a contract dictionary (address -> name/category), and the airdrop
 claim list. Everything lands in an EventStore: a sorted, deduplicated,
 immutable-by-convention record that all downstream stages consume. The
-ingest stage writes it out once in canonical form, with the sha256 of
-each file it writes; read_store loads that form back, trusting each file
-whose bytes match its digest, without repeating the raw-input validation.
+ingest stage writes it out once in canonical form through the artifacts
+module's writers, and records the sha256 each returns; read_store loads
+that form back, trusting each file whose bytes match its digest, without
+repeating the raw-input validation.
 
 Ingest's own events are TransferEvents, immutable named tuples, so each
 costs one tuple to build and EVENT_ORDER sorts by position in C. Their
@@ -382,7 +383,7 @@ def parse_contracts(path) -> tuple[list[ContractInfo], list[MalformedRow]]:
         try:
             address = normalize_address(_cell(address, "address"))
             name = _cell(name, "name").strip()
-            if "\r" in name:  # see write_contracts_csv
+            if "\r" in name:  # see artifacts.write_csv
                 raise ValueError(f"contract name {name!r} holds a carriage return")
             category_text = _cell(category, "category")
             category = _CATEGORY_LOOKUP.get(category_text.strip().lower())
@@ -587,86 +588,52 @@ def load_event_store(
     )
 
 
-# Canonical writers: sorted rows and a fixed column order in the artifacts
-# module's CSV format. parse(write(parse(x))) round-trips exactly.
-# write_store writes the ingest stage's files and records their digests,
-# and read_store reads them back by those digests, without re-validation.
-
-# Rows per write: about 100 KB of text, under glibc's mmap threshold (see
-# _CHUNK).
-_ROWS = 1 << 9
-_HEADER = ",".join(STORE_COLUMNS) + "\n"
-
-
-def _store_rows(events: list[TransferEvent]) -> str:
-    """The CSV lines of `events`, a non-empty batch, as csv.writer writes
-    them in the artifacts module's format: each line is its cells joined by
-    ",", as no cell holds a character csv.writer quotes. ValueError if one
-    does: a '"', ",", "\\r", "\\n" or NUL, which parse_transfers never
-    leaves in an event. So events.csv always splits at its commas and
-    newlines."""
-    tx_hash, sender, receiver, value, timestamp, block, kind, log_index = zip(*events)
-    text = "\n".join(map(",".join, zip(
-        tx_hash, sender, receiver, map(str, value), map(str, timestamp), map(str, block),
-        map(str, log_index), kind))) + "\n"
-    if not (text.count(",") == 7 * len(events) and text.count("\n") == len(events)
-            and '"' not in text and "\r" not in text and "\0" not in text):
-        raise ValueError("a stored event holds a '\"', ',', '\\r', '\\n' or NUL in a cell")
-    return text
-
-
+# Canonical writers: sorted rows in a fixed column order, written by
+# artifacts.write_csv; parse(write(parse(x))) round-trips exactly. read_store
+# reads back what write_store writes, by its digests, without re-validation.
 def write_transfers_csv(events: list[TransferEvent], path) -> str:
     """Write `events`, which must already be in EVENT_ORDER, as parse_transfers
-    and build_event_store return them, with the bytes artifacts.write_csv
-    writes, and return the sha256 of those bytes."""
-    digest = hashlib.sha256()
-    batches = (events[i:i + _ROWS] for i in range(0, len(events), _ROWS))
-    with artifacts.open_for_write(path, "wb") as fh:
-        for text in chain([_HEADER], map(_store_rows, batches)):
-            data = text.encode()
-            digest.update(data)
-            fh.write(data)
-    return digest.hexdigest()
+    and build_event_store return them; the sha256 of the bytes. A text that
+    csv.writer would quote, which parse_transfers never leaves in an event,
+    is a ValueError: events.csv always splits at its commas and newlines."""
+    tx_hash, sender, receiver, value, timestamp, block, kind, log_index = (
+        map(itemgetter(i), events) for i in range(8))
+    return artifacts.write_csv(STORE_COLUMNS, zip(
+        tx_hash, sender, receiver, map(str, value), map(str, timestamp), map(str, block),
+        map(str, log_index), kind), path, quote=False)
 
 
-def write_contracts_csv(contracts: list[ContractInfo], path) -> None:
-    """Write `contracts` sorted by address. A name that holds a carriage
-    return, which parse_contracts never returns, is a ValueError: with
-    lines ended by "\\n", csv.writer may leave a "\\r" unquoted, and
-    csv.reader would end the row there."""
-    if any("\r" in c.name for c in contracts):
-        raise ValueError("a contract name holds a carriage return")
-    artifacts.write_csv(
-        CONTRACT_COLUMNS,
-        ([c.address, c.name, c.category.value]
-         for c in sorted(contracts, key=lambda c: c.address)),
-        path,
-    )
+def write_contracts_csv(contracts: list[ContractInfo], path) -> str:
+    """Write `contracts` sorted by address; the sha256 of the bytes."""
+    return artifacts.write_csv(CONTRACT_COLUMNS, (
+        [c.address, c.name, c.category.value] for c in sorted(contracts, key=lambda c: c.address)
+    ), path)
 
 
-def write_claims_csv(claims: list[ClaimRecord], path) -> None:
-    artifacts.write_csv(
-        CLAIM_COLUMNS,
-        ([c.address, c.tier.value, c.amount, c.claim_timestamp]
-         for c in sorted(claims, key=lambda c: c.address)),
-        path,
-    )
+def write_claims_csv(claims: list[ClaimRecord], path) -> str:
+    """Write `claims` sorted by address; the sha256 of the bytes. Like
+    events.csv, claims.csv always splits at its commas and newlines."""
+    return artifacts.write_csv(CLAIM_COLUMNS, (
+        [c.address, str(c.tier.value), str(c.amount), str(c.claim_timestamp)]
+        for c in sorted(claims, key=lambda c: c.address)
+    ), path, quote=False)
 
 
 def write_store(store: EventStore, stage_dir) -> None:
     """Write `store` to `stage_dir` as the ingest stage leaves it:
     events.csv, contracts.csv, claims.csv and report.json, then run.json,
-    which records the sha256 of each. read_records and read_store trust a
-    file whose bytes match its digest. run.json is written last, so a write
-    cut short leaves files that the record of an earlier run does not
-    match."""
+    which records the sha256 that each writer returned. read_records and
+    read_store trust a file whose bytes match its digest. run.json is
+    written last, so a write cut short leaves files that the record of an
+    earlier run does not match."""
     stage_dir = Path(stage_dir)
-    digests = {"events.csv": write_transfers_csv(store.events, stage_dir / "events.csv")}
-    write_contracts_csv(list(store.contracts.values()), stage_dir / "contracts.csv")
-    write_claims_csv(list(store.claims.values()), stage_dir / "claims.csv")
-    artifacts.write_json(store.report.to_json(), stage_dir / "report.json")
-    for name in ("contracts.csv", "claims.csv", "report.json"):
-        digests[name] = hashlib.sha256((stage_dir / name).read_bytes()).hexdigest()
+    digests = {
+        "events.csv": write_transfers_csv(store.events, stage_dir / "events.csv"),
+        "contracts.csv": write_contracts_csv(list(store.contracts.values()),
+                                             stage_dir / "contracts.csv"),
+        "claims.csv": write_claims_csv(list(store.claims.values()), stage_dir / "claims.csv"),
+        "report.json": artifacts.write_json(store.report.to_json(), stage_dir / "report.json"),
+    }
     artifacts.write_json({"outputs": {name: {"sha256": digest} for name, digest in digests.items()}},
                          stage_dir / "run.json")
 
@@ -801,7 +768,7 @@ def _split_events(path: Path, allow_self_transfers: bool) -> list[TransferEvent]
     share = addresses.setdefault  # one string per address, shared by its events
     events: list[TransferEvent] = []
     with artifacts.open_for_read(path, mode="rb") as fh:
-        if fh.readline() != _HEADER.encode():
+        if fh.readline() != f"{','.join(STORE_COLUMNS)}\n".encode():
             return None
         try:
             for _, text in _line_chunks(fh):

@@ -311,27 +311,18 @@ def period_quantity_samples(
 
 
 def write_behavior_table_csv(table: dict[Tier, dict[str, float]], path) -> None:
-    artifacts.write_csv(
-        ["tier", *ACTION_OPS],
-        ([t.value] + [repr(table[t][a]) for a in ACTION_OPS] for t in Tier),
-        path,
-    )
+    artifacts.write_csv(["tier", *ACTION_OPS], (
+        [str(t.value)] + [repr(table[t][a]) for a in ACTION_OPS] for t in Tier), path)
 
 
 def write_top_contracts_csv(rows: list[ContractUsage], path) -> None:
-    artifacts.write_csv(
-        ["name", "category", "address", "interactions"],
-        ([r.name, r.category, r.address, r.interactions] for r in rows),
-        path,
-    )
+    artifacts.write_csv(["name", "category", "address", "interactions"], (
+        [r.name, r.category, r.address, str(r.interactions)] for r in rows), path)
 
 
 def write_tier_composition_csv(comp: dict[int, dict[Tier, float]], path) -> None:
-    artifacts.write_csv(
-        ["cluster"] + [str(t.value) for t in Tier],
-        ([c] + [repr(comp[c][t]) for t in Tier] for c in sorted(comp)),
-        path,
-    )
+    artifacts.write_csv(["cluster"] + [str(t.value) for t in Tier], (
+        [str(c)] + [repr(comp[c][t]) for t in Tier] for c in sorted(comp)), path)
 
 
 def write_kde_json(estimates: dict[str, DensityEstimate], path) -> None:

@@ -45,6 +45,9 @@ _EXIT = "tests/test_exit_codes.py::"
 _CLI = "tests/test_cli.py::"
 _PROC = "tests/test_processes.py::"
 _CORRUPT = _CLI + "test_corrupt_ingest_artifact_exits_1"
+_ART = "tests/test_artifacts.py::"
+_INGEST = "tests/test_ingest.py::"
+_GRAPHS = "tests/test_graphs.py::"
 
 MUTANTS = [
     Mutant("config-imports-numpy", "config.py",
@@ -121,7 +124,7 @@ MUTANTS = [
     Mutant("text-artifacts-in-locale-encoding", "artifacts.py",
            '    path = Path(path)\n    if "b" not in mode:\n        kw.setdefault("encoding", "utf-8")',
            '    path = Path(path)\n    if "b" not in mode:\n        pass',
-           (_CLI + "test_artifacts_are_utf8_whatever_the_locale",)),
+           (_ART + "test_text_mode_writes_utf8_whatever_the_locale",)),
     Mutant("store-digest-unchecked", "ingest.py",
            "    if split is None or split[2] != recorded[path.name]:",
            "    if split is None:",
@@ -137,6 +140,109 @@ MUTANTS = [
            '        "population": len(verdicts),',
            '        "population": sum(1 for v in verdicts if v.reasons[1].passed),',
            (_PROC + "test_one_history_rescreened_under_every_preset",)),
+    # The one CSV writer.
+    Mutant("csv-quoting-check-removed", "artifacts.py",
+           '            if (width < 2 or text.count(",") != (width - 1) * len(batch)\n'
+           '                    or text.count("\\n") != len(batch) or \'"\' in text or "\\0" in text):',
+           "            if width < 2:",
+           (_ART + "test_write_csv_writes_csv_writers_bytes",
+            _ART + "test_write_csv_without_quoting_refuses_a_cell_to_quote[,]",
+            _INGEST + "test_events_csv_bytes_are_csv_writers",
+            _INGEST + "test_read_store_of_a_text_holding_a_newline_is_the_store[tx_hash]")),
+    Mutant("csv-carriage-return-written", "artifacts.py",
+           '            if "\\r" in text:\n                raise ValueError(',
+           '            if False:\n                raise ValueError(',
+           (_ART + "test_write_csv_writes_csv_writers_bytes",
+            _INGEST + "test_a_contract_name_holding_a_carriage_return_is_malformed")),
+    Mutant("csv-digest-of-other-bytes", "artifacts.py",
+           "            digest.update(data)\n",
+           "            digest.update(data[1:])\n",
+           (_ART + "test_write_csv_writes_csv_writers_bytes",
+            _INGEST + "test_events_csv_bytes_are_csv_writers",
+            _INGEST + "test_read_store_of_written_store_is_the_store")),
+    # Events as columns (597be9d); its mixed-chunk mask is a row above.
+    Mutant("split-one-kind-shortcut-always", "ingest.py",
+           "                    if len(present) == 1:",
+           "                    if len(present) >= 1:",
+           (_PROC + "test_read_store_columns_for_every_kind_set_are_the_row_loops",
+            _INGEST + "test_store_split_loads_what_the_row_loop_reads")),
+    Mutant("store-window-drops-its-last-second", "ingest.py",
+           "            hi = bisect_right(timestamps, bounds[1], lo)\n            if hi - lo",
+           "            hi = bisect_left(timestamps, bounds[1], lo)\n            if hi - lo",
+           (_INGEST + "test_store_split_loads_what_the_row_loop_reads",)),
+    Mutant("claims-fields-swapped", "ingest.py",
+           "    addresses, tiers, amounts, timestamps = (cells[i:-1:4] for i in range(4))",
+           "    addresses, tiers, timestamps, amounts = (cells[i:-1:4] for i in range(4))",
+           (_INGEST + "test_read_records_splits_the_claims_parse_claims_reads",)),
+    Mutant("record-repeats-uncounted", "ingest.py",
+           "    report.deduplicated += repeats",
+           "    report.deduplicated += 0",
+           (_INGEST + "test_an_exact_repeat_of_a_contract_or_claim_is_dropped_and_counted",
+            _CLI + "test_row_order_and_repeated_rows_of_the_exports_change_no_result")),
+    Mutant("columns-grouped-by-the-wrong-kind", "ingest.py",
+           "else list(compress(events, map(eq, kinds, repeat(kind)))) if n else [])",
+           "else list(compress(events, map(eq, kinds, repeat(kinds[0])))) if n else [])",
+           (_INGEST + "test_read_store_of_written_store_is_the_store",
+            _INGEST + "test_build_event_store_keeps_the_first_of_each_key_in_the_window")),
+    Mutant("slice-islice-short-by-one", "graphs.py",
+           "_add_events(graph, islice(events, upto - done), store.claims",
+           "_add_events(graph, islice(events, max(upto - done - 1, 0)), store.claims",
+           (_GRAPHS + "test_slices_equal_from_scratch_builds",)),
+    Mutant("top-contracts-on-one-kind", "stats.py",
+           "    for columns in store.columns.values():\n        for sender, receiver in",
+           "    for columns in list(store.columns.values())[:1]:\n        for sender, receiver in",
+           ("tests/test_stats.py::TestTopContracts::test_interactions_of_every_kind_count",)),
+    Mutant("stats-period-on-one-kind", "cli.py",
+           "    loaded = [c.timestamps for c in store.columns.values() if c.timestamps]",
+           "    loaded = [c.timestamps for c in store.columns.values() if c.timestamps][:1]",
+           (_CLI + "test_stats_without_a_window_spans_the_events_of_every_kind",)),
+    # One insertion loop per source and one split per chunk (70ab719).
+    Mutant("edge-first-timestamp-not-widened", "graphs.py",
+           "            if ts < stats.first_ts:\n                stats.first_ts = ts",
+           "            if False:\n                stats.first_ts = ts",
+           (_GRAPHS + "test_insertion_loop_equals_the_event_by_event_build",)),
+    Mutant("node-contract-before-claimant", "graphs.py",
+           "            nodes[u] = initial if u in claims else contract if u in contracts else default",
+           "            nodes[u] = contract if u in contracts else initial if u in claims else default",
+           (_GRAPHS + "test_insertion_loop_equals_the_event_by_event_build",)),
+    Mutant("added-mutual-pair-uncounted", "graphs.py",
+           "                mutual += 2\n            edges[u, v] = EdgeStats(value, 1, ts, ts)",
+           "                mutual += 0\n            edges[u, v] = EdgeStats(value, 1, ts, ts)",
+           (_GRAPHS + "test_insertion_loop_equals_the_event_by_event_build",)),
+    Mutant("stored-mutual-pair-uncounted", "graphs.py",
+           "            mutual += 2\n        edges[u, v] = EdgeStats(total, tx_count, first_ts, last_ts)",
+           "            mutual += 0\n        edges[u, v] = EdgeStats(total, tx_count, first_ts, last_ts)",
+           (_GRAPHS + "test_insertion_loop_equals_the_event_by_event_build",)),
+    Mutant("stored-edge-twice-accepted", "graphs.py",
+           "    if len(edges) != len(rows):\n        raise ValueError",
+           "    if False:\n        raise ValueError",
+           (_EXIT + "test_wrong_shaped_graph_json_exits_1[repeated_edge-token_graph]",
+            _EXIT + "test_wrong_shaped_graph_json_exits_1[repeated_edge-external_graph]")),
+    Mutant("split-self-transfer-line-off-by-one", "ingest.py",
+           "next(compress(count(rows), map(eq, sender, receiver)), None)",
+           "next(compress(count(rows + 1), map(eq, sender, receiver)), None)",
+           (_INGEST + "test_store_split_loads_what_the_row_loop_reads",
+            _CLI + "test_self_transfers_ingested_then_disallowed_fail")),
+    Mutant("split-index-error-escapes", "ingest.py",
+           "        except (ValueError, IndexError):  # UnicodeDecodeError is a ValueError\n"
+           "            return None\n    return ({",
+           "        except ValueError:  # UnicodeDecodeError is a ValueError\n"
+           "            return None\n    return ({",
+           (_CORRUPT + "[empty_kind_cell]", _CORRUPT + "[stats-empty_kind_cell]")),
+    Mutant("detect-reads-the-records-twice", "cli.py",
+           "(kind,),\n                                     records)",
+           "(kind,))",
+           (_CLI + "test_internal_event_makes_a_sunflower_center_a_contract_user[internal_contact]",)),
+    # One pass per re-screened member (2265d4c).
+    Mutant("feature-vector-cache-bypassed", "flows.py",
+           "    return _vector(op_set(flow))",
+           "    return _vector.__wrapped__(op_set(flow))",
+           ("tests/test_flows.py::TestFeatures::test_members_with_one_op_set_share_one_checked_vector",)),
+    Mutant("clique-sizes-walk-the-events-again", "eligibility.py",
+           "    for clique in _maximal_cliques(history.index.adjacency):",
+           "    list(zip(*history.events))\n    for clique in _maximal_cliques(history.index.adjacency):",
+           ("tests/test_eligibility.py::test_campaign_walks_the_history_once"
+            "[threshold_differential]",)),
 ]
 
 
@@ -160,7 +266,11 @@ def _failed(tree: Path, tests: list[str]) -> dict[str, bool]:
         return {}
     ran = {}
     for case in ET.parse(report).iter("testcase"):
-        node = case.get("classname").replace(".", "/") + ".py::" + case.get("name")
+        # the classname is the module's dotted path, then any test class
+        parts = case.get("classname").split(".")
+        cut = next(i for i in range(len(parts), 0, -1)
+                   if (tree / Path(*parts[:i])).with_suffix(".py").is_file())
+        node = "::".join(["/".join(parts[:cut]) + ".py", *parts[cut:], case.get("name")])
         ran[node] = any(child.tag in ("failure", "error") for child in case)
     report.unlink()
     return ran

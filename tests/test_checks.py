@@ -65,5 +65,7 @@ def test_every_mutant_names_one_fragment_and_existing_tests():
         assert mutant.replacement != mutant.fragment and mutant.tests, mutant.name
         for test in mutant.tests:
             path, _, name = test.partition("::")
-            function = name.split("[")[0]
-            assert f"\ndef {function}(" in (ROOT / path).read_text(encoding="utf-8"), test
+            *classes, function = name.split("[")[0].split("::")
+            text = (ROOT / path).read_text(encoding="utf-8")
+            assert all(f"\nclass {c}" in text for c in classes), test
+            assert f"\n{'    ' * len(classes)}def {function}(" in text, test

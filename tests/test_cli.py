@@ -979,6 +979,8 @@ CORRUPTIONS = {
     "duplicate_claim": ("claims.csv", lambda lines: lines[:2] + lines[1:]),
     "rows_swapped": ("events.csv", _swap_first_unequal_timestamps),
     "nine_cells": ("events.csv", lambda lines: _replace_cell(lines, 7, "token_transfer,0", 800)),
+    # a row whose kind lands on an empty cell, which has no first character
+    "empty_kind_cell": ("events.csv", lambda lines: _replace_cell(lines, 7, ",token_transfer", 800)),
     "bad_cell_deep": ("events.csv", lambda lines: _replace_cell(lines, 5, "13x", 1500)),
     "bad_log_index_deep": ("events.csv", lambda lines: _replace_cell(lines, 6, "7x", 1500)),
     "empty_block_deep": ("events.csv", lambda lines: _replace_cell(lines, 5, "", 1500)),

@@ -518,8 +518,9 @@ def test_events_csv_bytes_are_csv_writers(store):
             with pytest.raises(ValueError, match="in a cell"):
                 write_transfers_csv(store.events, fast)
             return
-        rows = (e[:6] + (e.log_index, e.kind) for e in store.events)
-        artifacts.write_csv(STORE_COLUMNS, rows, reference)
+        with open(reference, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(
+                [STORE_COLUMNS, *(e[:6] + (e.log_index, e.kind) for e in store.events)])
         digest = write_transfers_csv(store.events, fast)
         written = fast.read_bytes()
         assert written == reference.read_bytes()

@@ -221,3 +221,41 @@ def test_only_ingest_reads_the_fields_read_store_drops():
         and node.attr in DROPPED_FIELDS
     ]
     assert readers == []
+
+
+def _opens_csv_for_writing(function) -> bool:
+    """Whether `function` opens a file for writing (a call of
+    `open_for_write`, or of `open` with a mode that writes) that is a
+    CSV: a ".csv" is named in the call, or the function is named for CSV."""
+    for call in ast.walk(function):
+        if not isinstance(call, ast.Call) or _callee(call) not in ("open", "open_for_write"):
+            continue
+        modes = [arg.value for arg in [*call.args[1:2], *(kw.value for kw in call.keywords
+                                                          if kw.arg == "mode")]
+                 if isinstance(arg, ast.Constant)]
+        if _callee(call) == "open" and not any(set(mode) & set("wax+") for mode in modes):
+            continue
+        names = {sub.value for sub in ast.walk(call)
+                 if isinstance(sub, ast.Constant) and isinstance(sub.value, str)}
+        if "csv" in function.name.lower() or any(name.endswith(".csv") for name in names):
+            return True
+    return False
+
+
+def test_only_artifacts_writes_csv():
+    """artifacts.write_csv is the one CSV writer: no other module of src/
+    names csv.writer, or opens a CSV file for writing."""
+    writers = []
+    for path, tree in _trees().items():
+        if path.parent != PACKAGE or path.name == "artifacts.py":
+            continue
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "writer"
+                    and isinstance(node.value, ast.Name) and node.value.id == "csv"
+                    or isinstance(node, ast.ImportFrom) and node.module == "csv"
+                    and any(alias.name == "writer" for alias in node.names)):
+                writers.append(f"{path.name}:{node.lineno}: csv.writer")
+            elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and _opens_csv_for_writing(node)):
+                writers.append(f"{path.name}:{node.lineno}: {node.name} opens a CSV to write")
+    assert writers == []
