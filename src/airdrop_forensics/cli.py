@@ -3,7 +3,10 @@
 Every command reads the artifacts of its upstream stages from the output
 directory and writes its own; nothing is held in memory between commands,
 so each intermediate is reproducible and diffable. Outputs are
-byte-deterministic for a fixed config and seed.
+byte-deterministic for a fixed config and seed. Each command writes under
+its own directory, out/<command>, and once it succeeds records there, in
+run.json, the sha256 of every file it wrote; a later command reads an
+artifact only if its bytes match that record (see artifacts).
 
 Exit codes: 0 success, 1 user error (an `artifacts.UserError`, printed as
 one JSON line on stderr), 2 internal error.
@@ -160,7 +163,7 @@ def cmd_detect(config: Config, out: Path, args) -> None:
     # The graphs hold every token and external event, so events.csv is read
     # only when ingest stored internal events, which no graph holds.
     records = ingest.read_records(out / "ingest")
-    report, contracts, claims, _ = records
+    report, contracts, claims = records
     internal = None
     if report.internal_events:
         kind = ingest.EventKind.INTERNAL_TX
@@ -310,7 +313,7 @@ def cmd_stats(config: Config, out: Path, args) -> None:
 def cmd_report(config: Config, out: Path, args) -> None:
     """Assemble stage artifacts into one report; formatting only, every
     number is traceable to an artifact file."""
-    ingested, _, claims, _ = ingest.read_records(out / "ingest")
+    ingested, _, claims = ingest.read_records(out / "ingest")
     rows = clustering.read_assignment(out / "cluster" / "assignment.csv", claims.keys())
     pattern_counts = Counter(f["pattern"] for f in artifacts.read(out / "detect" / "findings.jsonl"))
     role_counts = Counter(row["role"] for row in rows)
@@ -365,8 +368,7 @@ def cmd_report(config: Config, out: Path, args) -> None:
 
     stage = out / "report"
     artifacts.write_json(report, stage / "report.json")
-    with artifacts.open_for_write(stage / "report.md") as fh:
-        fh.write("\n".join(lines) + "\n")
+    artifacts.write(stage / "report.md", ["\n".join(lines) + "\n"])
     log.info("report: assembled into %s", stage)
 
 
@@ -419,7 +421,8 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         out = Path(args.out or config.output_dir)
         artifacts.write_json(to_json(config), out / "config.resolved.json")
-        COMMANDS[args.command](config, out, args)
+        with artifacts.recording(out / args.command):
+            COMMANDS[args.command](config, out, args)
         return 0
     except artifacts.UserError as exc:
         print(json.dumps({"code": exc.code, "error": str(exc)}), file=sys.stderr)

@@ -756,17 +756,18 @@ _GRAPHML_HEAD = """\
 
 
 def _graphml_chunks(graph: CommunityGraph, nodes: list, edges: list) -> Iterator[str]:
+    ids = dict(zip(nodes, map(_xml_escape, nodes)))
     yield _GRAPHML_HEAD
     for batch in _batches(nodes):
         yield "".join(
-            f'    <node id="{_xml_escape(addr)}">\n'
+            f'    <node id="{ids[addr]}">\n'
             f'      <data key="d0">{graph.nodes[addr].value}</data>\n'
             "    </node>\n"
             for addr in batch
         )
     for batch in _batches(edges):
         yield "".join(
-            f'    <edge source="{_xml_escape(u)}" target="{_xml_escape(v)}">\n'
+            f'    <edge source="{ids[u]}" target="{ids[v]}">\n'
             f'      <data key="d1">{format_token_amount(stats.total_value)}</data>\n'
             f'      <data key="d2">{stats.tx_count}</data>\n'
             "    </edge>\n"
@@ -776,21 +777,39 @@ def _graphml_chunks(graph: CommunityGraph, nodes: list, edges: list) -> Iterator
 
 
 def _dot_chunks(graph: CommunityGraph, name: str, nodes: list, edges: list) -> Iterator[str]:
+    ids = dict(zip(nodes, map(_dot_escape, nodes)))
     yield f"digraph {name} {{\n  node [style=filled];\n"
     for batch in _batches(nodes):
         yield "".join(
-            f'  "{_dot_escape(addr)}" [node_class="{cls.value}", '
-            f'fillcolor="{_DOT_COLORS[cls]}"];\n'
+            f'  "{ids[addr]}" [node_class="{cls.value}", fillcolor="{_DOT_COLORS[cls]}"];\n'
             for addr, cls in zip(batch, map(graph.nodes.__getitem__, batch))
         )
     for batch in _batches(edges):
         yield "".join(
-            f'  "{_dot_escape(u)}" -> "{_dot_escape(v)}" '
-            f'[weight="{format_token_amount(stats.total_value)}", '
+            f'  "{ids[u]}" -> "{ids[v]}" [weight="{format_token_amount(stats.total_value)}", '
             f'tx_count="{stats.tx_count}"];\n'
             for (u, v), stats in zip(batch, map(graph.edges.__getitem__, batch))
         )
     yield "}\n"
+
+
+# Canonical JSON round-trip used for stage artifacts between CLI commands:
+# {"edges": [[u, v, total_value, tx_count, first_ts, last_ts], ...],
+#  "nodes": [[address, node_class], ...]}, each list in sorted order, with
+# no whitespace, as json.dumps(separators=(",", ":")) renders it.
+
+def _json_chunks(graph: CommunityGraph, nodes: list, edges: list) -> Iterator[str]:
+    ids = dict(zip(nodes, map(json.dumps, nodes)))
+    yield '{"edges":['
+    for i, batch in enumerate(_batches(edges)):
+        yield ("," if i else "") + ",".join(
+            f"[{ids[u]},{ids[v]},{s.total_value},{s.tx_count},{s.first_ts},{s.last_ts}]"
+            for (u, v), s in zip(batch, map(graph.edges.__getitem__, batch)))
+    yield '],"nodes":['
+    for i, batch in enumerate(_batches(nodes)):
+        yield ("," if i else "") + ",".join(
+            f'[{ids[addr]},"{graph.nodes[addr].value}"]' for addr in batch)
+    yield "]}\n"
 
 
 def write_graph(graph: CommunityGraph, path, fmt: str = "graphml", name: str = "community",
@@ -799,39 +818,14 @@ def write_graph(graph: CommunityGraph, path, fmt: str = "graphml", name: str = "
     if fmt not in ("graphml", "dot"):
         raise ValueError(f"unsupported graph format {fmt!r}")
     nodes, edges = order or sorted_order(graph)
-    chunks = (_graphml_chunks(graph, nodes, edges) if fmt == "graphml"
-              else _dot_chunks(graph, name, nodes, edges))
-    with artifacts.open_for_write(path) as fh:
-        fh.writelines(chunks)
-
-
-# Canonical JSON round-trip used for stage artifacts between CLI commands:
-# {"edges": [[u, v, total_value, tx_count, first_ts, last_ts], ...],
-#  "nodes": [[address, node_class], ...]}, each list in sorted order.
-
-def _json_rows(batches: Iterator[list]) -> Iterator[str]:
-    """The JSON text of the rows of `batches`, comma-separated, without the
-    list's brackets."""
-    for i, batch in enumerate(batches):
-        yield ("," if i else "") + json.dumps(batch, separators=(",", ":"))[1:-1]
+    artifacts.write(path, _graphml_chunks(graph, nodes, edges) if fmt == "graphml"
+                    else _dot_chunks(graph, name, nodes, edges))
 
 
 def write_graph_json(graph: CommunityGraph, path, order: GraphOrder | None = None) -> None:
     """Write the graph JSON of `graph` a batch of rows at a time: sorted
     keys, no whitespace, and a final newline."""
-    nodes, edges = order or sorted_order(graph)
-    edge_rows = (
-        [[u, v, s.total_value, s.tx_count, s.first_ts, s.last_ts]
-         for (u, v), s in zip(batch, map(graph.edges.__getitem__, batch))]
-        for batch in _batches(edges)
-    )
-    node_rows = ([[a, graph.nodes[a].value] for a in batch] for batch in _batches(nodes))
-    with artifacts.open_for_write(path) as fh:
-        fh.write('{"edges":[')
-        fh.writelines(_json_rows(edge_rows))
-        fh.write('],"nodes":[')
-        fh.writelines(_json_rows(node_rows))
-        fh.write("]}\n")
+    artifacts.write(path, _json_chunks(graph, *(order or sorted_order(graph))))
 
 
 _NODE_CLASSES = {c.value: c for c in NodeClass}
@@ -851,10 +845,5 @@ def graph_from_json(payload: dict) -> CommunityGraph:
 
 
 def load_graph_json(path) -> CommunityGraph:
-    """The graph a graph JSON file holds; JSON of another shape is an
-    unreadable artifact, like one that does not parse."""
-    payload = artifacts.read(path)
-    try:
-        return graph_from_json(payload)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise artifacts.unreadable(path, f"not a graph: {exc!r}") from exc
+    """The graph of the graph JSON file `path`, read by artifacts.read."""
+    return graph_from_json(artifacts.read(path))

@@ -5,9 +5,10 @@ rows, a contract dictionary (address -> name/category), and the airdrop
 claim list. Everything lands in an EventStore: a sorted, deduplicated,
 immutable-by-convention record that all downstream stages consume. The
 ingest stage writes it out once in canonical form through the artifacts
-module's writers, and records the sha256 each returns; read_store loads
-that form back, trusting each file whose bytes match its digest, without
-repeating the raw-input validation.
+module's writers, which record the sha256 of each file in ingest/run.json;
+read_records and read_store load that form back through artifacts, which
+accepts a file only when its bytes match that digest, without repeating
+the raw-input validation.
 
 Ingest's own events are TransferEvents, immutable named tuples, so each
 costs one tuple to build and EVENT_ORDER sorts by position in C. Their
@@ -39,8 +40,6 @@ from __future__ import annotations
 
 import codecs
 import csv
-import hashlib
-import io
 import json
 import logging
 import re
@@ -591,29 +590,29 @@ def load_event_store(
 # Canonical writers: sorted rows in a fixed column order, written by
 # artifacts.write_csv; parse(write(parse(x))) round-trips exactly. read_store
 # reads back what write_store writes, by its digests, without re-validation.
-def write_transfers_csv(events: list[TransferEvent], path) -> str:
+def write_transfers_csv(events: list[TransferEvent], path) -> None:
     """Write `events`, which must already be in EVENT_ORDER, as parse_transfers
-    and build_event_store return them; the sha256 of the bytes. A text that
-    csv.writer would quote, which parse_transfers never leaves in an event,
-    is a ValueError: events.csv always splits at its commas and newlines."""
+    and build_event_store return them. A text that csv.writer would quote,
+    which parse_transfers never leaves in an event, is a ValueError:
+    events.csv always splits at its commas and newlines."""
     tx_hash, sender, receiver, value, timestamp, block, kind, log_index = (
         map(itemgetter(i), events) for i in range(8))
-    return artifacts.write_csv(STORE_COLUMNS, zip(
+    artifacts.write_csv(STORE_COLUMNS, zip(
         tx_hash, sender, receiver, map(str, value), map(str, timestamp), map(str, block),
         map(str, log_index), kind), path, quote=False)
 
 
-def write_contracts_csv(contracts: list[ContractInfo], path) -> str:
-    """Write `contracts` sorted by address; the sha256 of the bytes."""
-    return artifacts.write_csv(CONTRACT_COLUMNS, (
+def write_contracts_csv(contracts: list[ContractInfo], path) -> None:
+    """Write `contracts` sorted by address."""
+    artifacts.write_csv(CONTRACT_COLUMNS, (
         [c.address, c.name, c.category.value] for c in sorted(contracts, key=lambda c: c.address)
     ), path)
 
 
-def write_claims_csv(claims: list[ClaimRecord], path) -> str:
-    """Write `claims` sorted by address; the sha256 of the bytes. Like
-    events.csv, claims.csv always splits at its commas and newlines."""
-    return artifacts.write_csv(CLAIM_COLUMNS, (
+def write_claims_csv(claims: list[ClaimRecord], path) -> None:
+    """Write `claims` sorted by address. Like events.csv, claims.csv always
+    splits at its commas and newlines."""
+    artifacts.write_csv(CLAIM_COLUMNS, (
         [c.address, str(c.tier.value), str(c.amount), str(c.claim_timestamp)]
         for c in sorted(claims, key=lambda c: c.address)
     ), path, quote=False)
@@ -621,47 +620,13 @@ def write_claims_csv(claims: list[ClaimRecord], path) -> str:
 
 def write_store(store: EventStore, stage_dir) -> None:
     """Write `store` to `stage_dir` as the ingest stage leaves it:
-    events.csv, contracts.csv, claims.csv and report.json, then run.json,
-    which records the sha256 that each writer returned. read_records and
-    read_store trust a file whose bytes match its digest. run.json is
-    written last, so a write cut short leaves files that the record of an
-    earlier run does not match."""
+    events.csv, contracts.csv, claims.csv and report.json, each trusted by
+    the sha256 that the stage records as it writes it (see artifacts)."""
     stage_dir = Path(stage_dir)
-    digests = {
-        "events.csv": write_transfers_csv(store.events, stage_dir / "events.csv"),
-        "contracts.csv": write_contracts_csv(list(store.contracts.values()),
-                                             stage_dir / "contracts.csv"),
-        "claims.csv": write_claims_csv(list(store.claims.values()), stage_dir / "claims.csv"),
-        "report.json": artifacts.write_json(store.report.to_json(), stage_dir / "report.json"),
-    }
-    artifacts.write_json({"outputs": {name: {"sha256": digest} for name, digest in digests.items()}},
-                         stage_dir / "run.json")
-
-
-class CorruptStoreError(artifacts.MissingArtifactError):
-    """An ingest artifact that read_store or read_records cannot trust."""
-
-    def __init__(self, detail: str):
-        super().__init__(f"ingest artifacts are corrupt ({detail}); re-run the ingest stage")
-
-
-def _mismatch(path: Path, recorded: dict[str, str]) -> CorruptStoreError:
-    return CorruptStoreError(
-        f"{path} does not match the sha256 {recorded[path.name]} that ingest recorded in run.json")
-
-
-def _verified(path: Path, recorded: dict[str, str]) -> bytes:
-    """The bytes of `path`, which must match their sha256 in `recorded`."""
-    with artifacts.open_for_read(path, mode="rb") as fh:
-        data = fh.read()
-    if hashlib.sha256(data).hexdigest() != recorded[path.name]:
-        raise _mismatch(path, recorded)
-    return data
-
-
-def _csv_rows(data: bytes):
-    """The rows after the header of a CSV file's bytes."""
-    return islice(csv.reader(io.StringIO(data.decode(), newline="")), 1, None)
+    write_transfers_csv(store.events, stage_dir / "events.csv")
+    write_contracts_csv(list(store.contracts.values()), stage_dir / "contracts.csv")
+    write_claims_csv(list(store.claims.values()), stage_dir / "claims.csv")
+    artifacts.write_json(store.report.to_json(), stage_dir / "report.json")
 
 
 # Bytes per read of events.csv. Every buffer stays under glibc's 128 KiB
@@ -677,76 +642,75 @@ _new_event = partial(tuple.__new__, TransferEvent)
 _INITIAL = itemgetter(0)
 
 
-def _line_chunks(fh) -> Iterator[tuple[bytes, str]]:
-    """Each chunk that binary file `fh` reads from its position on, with
-    the text of the whole lines it ends: what the last chunk left after its
-    last "\\n", and this chunk's text up to and with its own last "\\n".
-    ValueError if the bytes are not UTF-8 or do not end in "\\n"."""
+def _line_chunks(chunks: Iterable[bytes]) -> Iterator[str]:
+    """For each of `chunks`, the text of the whole lines it ends: what the
+    last chunk left after its last "\\n", and this chunk's text up to and
+    with its own last "\\n". ValueError if the bytes are not UTF-8 or do
+    not end in "\\n"."""
     decode = codecs.getincrementaldecoder("utf-8")().decode
     tail = ""
-    while chunk := fh.read(_CHUNK):
+    for chunk in chunks:
         text = tail + decode(chunk)
         cut = text.rfind("\n") + 1
         text, tail = text[:cut], text[cut:]
-        yield chunk, text
+        yield text
     decode(b"", True)
     if tail:
         raise ValueError("no final newline")
 
 
 def _split_store(path: Path, kinds: frozenset[EventKind]
-                 ) -> tuple[dict[EventKind, EventColumns], int | None, str] | None:
+                 ) -> tuple[dict[EventKind, EventColumns], int | None]:
     """For read_store: the EventColumns of each of `kinds`, filled from the
-    rows of events.csv of that kind; the index of the first row that is a
-    self-transfer, or None; and the sha256 of the file's bytes, hashed as
-    they are read.
+    rows of events.csv of that kind, and the index of the first row that
+    is a self-transfer, or None. The file is read by artifacts.read_chunks,
+    so it is trusted only once its digest matches ingest's record.
 
     Each chunk of whole lines is split once, at its commas, with no per-row
     Python code. A row's 8 cells then take 7 places: its kind cell holds
     the kind, the "\\n" that ends the row and the next row's tx hash, and
     the kind is read from its first character. A chunk of one kind is
     appended to that kind's columns whole, a mixed one by one compress per
-    kind. Nothing else of the file is checked, as read_store trusts its
-    rows once that digest matches ingest's record; a file that does not
-    split, and so cannot match it, gives None.
+    kind. Nothing else of the file is checked: a file that does not split
+    is not the one ingest wrote, so the rest of it is read for its digest
+    to fail the record.
     """
     columns = {k.value[0]: EventColumns([], [], [], []) for k in EventKind if k in kinds}
     addresses: dict[str, str] = {}
     share = addresses.setdefault  # one string per address, shared by its events
     rows = 0
     self_transfer = None
-    digest = hashlib.sha256()
-    with artifacts.open_for_read(path, mode="rb") as fh:
-        digest.update(fh.readline())  # the header
-        try:
-            for chunk, text in _line_chunks(fh):
-                digest.update(chunk)
-                cells = text.split(",")
-                sender, receiver, value, timestamp = (cells[i::7] for i in range(1, 5))
-                initials = list(map(_INITIAL, cells[7::7]))
-                if self_transfer is None:
-                    self_transfer = next(compress(count(rows), map(eq, sender, receiver)), None)
-                rows += len(initials)
-                present = set(initials)
-                if not present <= _KIND_INITIALS.keys():
-                    return None
-                for initial, (senders, receivers, values, timestamps) in columns.items():
-                    if initial not in present:
-                        continue
-                    if len(present) == 1:
-                        s, r, v, t = sender, receiver, value, timestamp
-                    else:
-                        keep = list(map(initial.__eq__, initials))
-                        s, r, v, t = (list(compress(column, keep))
-                                      for column in (sender, receiver, value, timestamp))
-                    senders += map(share, s, s)
-                    receivers += map(share, r, r)
-                    values += map(int, v)
-                    timestamps += map(int, t)
-        except (ValueError, IndexError):  # UnicodeDecodeError is a ValueError
-            return None
+    chunks = artifacts.read_chunks(path, _CHUNK)
+    try:
+        for n, text in enumerate(_line_chunks(chunks)):
+            cells = (text if n else text.partition("\n")[2]).split(",")  # past the header
+            sender, receiver, value, timestamp = (cells[i::7] for i in range(1, 5))
+            initials = list(map(_INITIAL, cells[7::7]))
+            if self_transfer is None:
+                self_transfer = next(compress(count(rows), map(eq, sender, receiver)), None)
+            rows += len(initials)
+            present = set(initials)
+            if not present <= _KIND_INITIALS.keys():
+                raise ValueError("an unknown kind")
+            for initial, (senders, receivers, values, timestamps) in columns.items():
+                if initial not in present:
+                    continue
+                if len(present) == 1:
+                    s, r, v, t = sender, receiver, value, timestamp
+                else:
+                    keep = list(map(initial.__eq__, initials))
+                    s, r, v, t = (list(compress(column, keep))
+                                  for column in (sender, receiver, value, timestamp))
+                senders += map(share, s, s)
+                receivers += map(share, r, r)
+                values += map(int, v)
+                timestamps += map(int, t)
+    except (ValueError, IndexError):  # UnicodeDecodeError is a ValueError
+        for _ in chunks:
+            pass
+        raise
     return ({_KIND_INITIALS[initial]: kind_columns for initial, kind_columns in columns.items()},
-            self_transfer, digest.hexdigest())
+            self_transfer)
 
 
 def _split_events(path: Path, allow_self_transfers: bool) -> list[TransferEvent] | None:
@@ -771,7 +735,7 @@ def _split_events(path: Path, allow_self_transfers: bool) -> list[TransferEvent]
         if fh.readline() != f"{','.join(STORE_COLUMNS)}\n".encode():
             return None
         try:
-            for _, text in _line_chunks(fh):
+            for text in _line_chunks(iter(partial(fh.read, _CHUNK), b"")):
                 cells = text.replace("\n", "\n,").split(",")
                 columns = [cells[i:-1:8] for i in range(8)]
                 tx_hash, sender, receiver, value, timestamp, block, log_index, kind = columns
@@ -852,31 +816,24 @@ def _claims(data: bytes) -> dict[Address, ClaimRecord]:
 
 
 class IngestRecords(NamedTuple):
-    """Ingest's report, contracts and claims, and the sha256 that run.json
-    records for each file ingest wrote, by file name."""
+    """Ingest's report, contracts and claims."""
 
     report: IngestReport
     contracts: dict[Address, ContractInfo]
     claims: dict[Address, ClaimRecord]
-    digests: dict[str, str]
 
 
 def read_records(stage_dir) -> IngestRecords:
-    """Ingest's report, contracts and claims, read from `stage_dir`, and
-    the digests run.json records. Each file is parsed without re-validation
-    once its bytes match the sha256 that ingest recorded for it in
-    run.json; one that does not raises CorruptStoreError. A run.json or a
-    file that is missing, or cannot be read, raises MissingArtifactError.
-    events.csv is not opened."""
+    """Ingest's report, contracts and claims, read from `stage_dir` by
+    artifacts.read, and so parsed without re-validation once their bytes
+    match ingest's record. events.csv is not opened."""
     stage_dir = Path(stage_dir)
-    recorded = {name: output["sha256"]
-                for name, output in artifacts.read(stage_dir / "run.json")["outputs"].items()}
-    report = IngestReport.from_json(json.loads(_verified(stage_dir / "report.json", recorded)))
-    contracts = {address: ContractInfo(address, name, ContractCategory(category))
-                 for address, name, category
-                 in _csv_rows(_verified(stage_dir / "contracts.csv", recorded))}
-    claims = _claims(_verified(stage_dir / "claims.csv", recorded))
-    return IngestRecords(report, contracts, claims, recorded)
+    report = IngestReport.from_json(artifacts.read(stage_dir / "report.json"))
+    contracts = {row["address"]: ContractInfo(row["address"], row["name"],
+                                              ContractCategory(row["category"]))
+                 for row in artifacts.read(stage_dir / "contracts.csv")}
+    claims = _claims(b"".join(artifacts.read_chunks(stage_dir / "claims.csv")))
+    return IngestRecords(report, contracts, claims)
 
 
 class SelfTransferDisallowedError(artifacts.UserError):
@@ -894,7 +851,7 @@ def read_store(stage_dir, config: IngestConfig | None = None,
     The report, contracts and claims are `records`, which must be
     read_records' of `stage_dir`, or are read by it. events.csv is hashed
     as it is split, and it must match the sha256 that ingest recorded in
-    run.json, or read_store raises CorruptStoreError. Once it does, its
+    run.json, or read_store raises MissingArtifactError. Once it does, its
     rows are ingest's own: normalized, sorted and deduplicated. The rows of
     each of `kinds` fill that kind's EventColumns with the four fields the
     later stages read: sender, receiver, value and timestamp. The store's
@@ -910,12 +867,9 @@ def read_store(stage_dir, config: IngestConfig | None = None,
     config = config or IngestConfig()
     kinds = frozenset(map(EventKind, kinds))
     stage_dir = Path(stage_dir)
-    report, contracts, claims, recorded = records or read_records(stage_dir)
+    report, contracts, claims = records or read_records(stage_dir)
     path = stage_dir / "events.csv"
-    split = _split_store(path, kinds)
-    if split is None or split[2] != recorded[path.name]:
-        raise _mismatch(path, recorded)
-    columns, self_transfer, _ = split
+    columns, self_transfer = _split_store(path, kinds)
     if self_transfer is not None and not config.allow_self_transfers:
         raise SelfTransferDisallowedError(
             f"{path} line {self_transfer + 2}: self-transfer not allowed by config "

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import json
 import os
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import airdrop_forensics
+from airdrop_forensics import artifacts
 from airdrop_forensics.flows import OPERATION_ORDER, FeatureVector, OperationKind
 from airdrop_forensics.graphs import (
     CommunityGraph, NodeClass, _add_events, _from_rows, attracting_counts,
@@ -135,6 +137,22 @@ def run_stage(stage: str, config: Path, out: Path, *extra: str) -> None:
          "--out", str(out), *extra],
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True)
     assert proc.returncode == 0, (stage, proc.stderr)
+
+
+def record(path: Path) -> None:
+    """Record the bytes now at the stage artifact `path` in its stage's
+    run.json, as the stage records each file it writes, the other entries
+    kept: a test that edits an artifact by hand does this to reach the
+    checks a reader makes behind the digest."""
+    run = path.parent / artifacts.RECORD
+    outputs = json.loads(run.read_text())["outputs"]
+    outputs[path.name] = {"sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+    artifacts.write_json({"outputs": outputs}, run)
+
+
+def recorded_sha256(path: Path) -> str:
+    """The sha256 that the stage of the artifact `path` recorded for it."""
+    return json.loads((path.parent / artifacts.RECORD).read_text())["outputs"][path.name]["sha256"]
 
 
 # The config of process_tree: seed 7, 120 claimants, and the eligibility

@@ -59,16 +59,17 @@ MUTANTS = [
            "    except (ValueError, csv.Error) as exc:",
            (_EXIT + "test_damaged_upstream_artifact_never_exits_2[graph/token_graph.json-deleted]",)),
     Mutant("graph-json-read-unchecked", "graphs.py",
-           "    payload = artifacts.read(path)\n    try:\n        return graph_from_json(payload)\n"
-           "    except (KeyError, TypeError, ValueError) as exc:",
-           "    with open(path) as fh:\n        payload = json.load(fh)\n    try:\n"
-           "        return graph_from_json(payload)\n    except (TypeError, ValueError) as exc:",
+           "    return graph_from_json(artifacts.read(path))",
+           "    with open(path) as fh:\n        return graph_from_json(json.load(fh))",
            (_EXIT + "test_damaged_upstream_artifact_never_exits_2[graph/token_graph.json-deleted]",
             _EXIT + "test_wrong_shaped_graph_json_exits_1[empty_object-token_graph]")),
-    Mutant("attrition-shape-unchecked", "artifacts.py",
-           '    "stats/attrition.json": {"left_pct": float},',
-           '    "stats/attrition.json": dict,',
-           (_EXIT + 'test_wrong_shaped_report_input_exits_1[stats/attrition.json-{"left_pct": "12%"}]',)),
+    Mutant("read-skips-the-digest", "artifacts.py",
+           '    text = b"".join(read_chunks(path)).decode()',
+           '    text = path.read_text(encoding="utf-8")',
+           (_EXIT + "test_a_well_formed_edit_of_an_artifact_exits_1[findings_cut]",
+            _EXIT + "test_a_well_formed_edit_of_an_artifact_exits_1[top_contracts_cut]",
+            _EXIT + "test_a_well_formed_edit_of_an_artifact_exits_1[attrition_number]",
+            _EXIT + 'test_wrong_shaped_report_input_exits_1[stats/attrition.json-{"left_pct": "12%"}]')),
     Mutant("assignment-repeat-uncounted", "clustering.py",
            "    if len(addresses) != len(rows) or addresses != claimants:",
            "    if addresses != claimants:",
@@ -126,8 +127,8 @@ MUTANTS = [
            '    path = Path(path)\n    if "b" not in mode:\n        pass',
            (_ART + "test_text_mode_writes_utf8_whatever_the_locale",)),
     Mutant("store-digest-unchecked", "ingest.py",
-           "    if split is None or split[2] != recorded[path.name]:",
-           "    if split is None:",
+           "    chunks = artifacts.read_chunks(path, _CHUNK)",
+           '    chunks = iter(partial(open(path, "rb").read, _CHUNK), b"")',
            (_CORRUPT + "[bad_cell_deep]", _CORRUPT + "[block_signed]",
             _CORRUPT + "[graph-token_value_times_7]", _CORRUPT + "[token_value_times_7]",
             _CORRUPT + "[stats-token_value_times_7]", _CORRUPT + "[external_row_value]",
@@ -142,28 +143,43 @@ MUTANTS = [
            (_PROC + "test_one_history_rescreened_under_every_preset",)),
     # The one CSV writer.
     Mutant("csv-quoting-check-removed", "artifacts.py",
-           '            if (width < 2 or text.count(",") != (width - 1) * len(batch)\n'
-           '                    or text.count("\\n") != len(batch) or \'"\' in text or "\\0" in text):',
-           "            if width < 2:",
+           '        if (width < 2 or text.count(",") != (width - 1) * len(batch)\n'
+           '                or text.count("\\n") != len(batch) or \'"\' in text or "\\0" in text):',
+           "        if width < 2:",
            (_ART + "test_write_csv_writes_csv_writers_bytes",
             _ART + "test_write_csv_without_quoting_refuses_a_cell_to_quote[,]",
             _INGEST + "test_events_csv_bytes_are_csv_writers",
             _INGEST + "test_read_store_of_a_text_holding_a_newline_is_the_store[tx_hash]")),
     Mutant("csv-carriage-return-written", "artifacts.py",
-           '            if "\\r" in text:\n                raise ValueError(',
-           '            if False:\n                raise ValueError(',
+           '        if "\\r" in text:\n            raise ValueError(',
+           '        if False:\n            raise ValueError(',
            (_ART + "test_write_csv_writes_csv_writers_bytes",
             _INGEST + "test_a_contract_name_holding_a_carriage_return_is_malformed")),
     Mutant("csv-digest-of-other-bytes", "artifacts.py",
            "            digest.update(data)\n",
            "            digest.update(data[1:])\n",
            (_ART + "test_write_csv_writes_csv_writers_bytes",
+            _ART + "test_every_writer_records_the_sha256_of_the_bytes_on_disk",
             _INGEST + "test_events_csv_bytes_are_csv_writers",
             _INGEST + "test_read_store_of_written_store_is_the_store")),
+    # One trust rule: each stage records what it wrote in its run.json.
+    Mutant("failed-stage-records", "artifacts.py",
+           "        _outputs.reset(token)\n    write_json(",
+           "        _outputs.reset(token)\n        write_json(",
+           (_ART + "test_a_recording_that_raises_writes_no_record",
+            _CLI + "test_a_stage_that_fails_records_nothing")),
+    Mutant("stale-entry-kept", "artifacts.py",
+           "    outputs: dict[Path, str] = {}",
+           "    record = stage_dir / RECORD\n"
+           "    outputs = {stage_dir / name: entry[\"sha256\"] for name, entry in (\n"
+           "        json.loads(record.read_text())[\"outputs\"].items() if record.is_file() else ())}",
+           (_CLI + "test_rerun_under_a_new_config_leaves_what_a_fresh_run_writes",
+            _CLI + "test_graph_rerun_in_another_format_leaves_what_a_fresh_run_writes[graphml-dot]",
+            _CLI + "test_graph_rerun_in_another_format_leaves_what_a_fresh_run_writes[dot-graphml]")),
     # Events as columns (597be9d); its mixed-chunk mask is a row above.
     Mutant("split-one-kind-shortcut-always", "ingest.py",
-           "                    if len(present) == 1:",
-           "                    if len(present) >= 1:",
+           "                if len(present) == 1:",
+           "                if len(present) >= 1:",
            (_PROC + "test_read_store_columns_for_every_kind_set_are_the_row_loops",
             _INGEST + "test_store_split_loads_what_the_row_loop_reads")),
     Mutant("store-window-drops-its-last-second", "ingest.py",
@@ -216,18 +232,17 @@ MUTANTS = [
     Mutant("stored-edge-twice-accepted", "graphs.py",
            "    if len(edges) != len(rows):\n        raise ValueError",
            "    if False:\n        raise ValueError",
-           (_EXIT + "test_wrong_shaped_graph_json_exits_1[repeated_edge-token_graph]",
-            _EXIT + "test_wrong_shaped_graph_json_exits_1[repeated_edge-external_graph]")),
+           (_GRAPHS + "test_graph_from_json_refuses_what_is_not_a_graph[repeated_edge]",)),
     Mutant("split-self-transfer-line-off-by-one", "ingest.py",
            "next(compress(count(rows), map(eq, sender, receiver)), None)",
            "next(compress(count(rows + 1), map(eq, sender, receiver)), None)",
            (_INGEST + "test_store_split_loads_what_the_row_loop_reads",
             _CLI + "test_self_transfers_ingested_then_disallowed_fail")),
     Mutant("split-index-error-escapes", "ingest.py",
-           "        except (ValueError, IndexError):  # UnicodeDecodeError is a ValueError\n"
-           "            return None\n    return ({",
-           "        except ValueError:  # UnicodeDecodeError is a ValueError\n"
-           "            return None\n    return ({",
+           "    except (ValueError, IndexError):  # UnicodeDecodeError is a ValueError\n"
+           "        for _ in chunks:",
+           "    except ValueError:  # UnicodeDecodeError is a ValueError\n"
+           "        for _ in chunks:",
            (_CORRUPT + "[empty_kind_cell]", _CORRUPT + "[stats-empty_kind_cell]")),
     Mutant("detect-reads-the-records-twice", "cli.py",
            "(kind,),\n                                     records)",

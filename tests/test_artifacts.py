@@ -1,10 +1,13 @@
 """The one write rule: `artifacts.open_for_write` makes the file's
 directories and rewrites the file in place, without O_TRUNC. The one CSV
-writer, `artifacts.write_csv`, writes csv.writer's bytes."""
+writer, `artifacts.write_csv`, writes csv.writer's bytes. Every writer
+records the sha256 of what it wrote for the stage being recorded."""
 
 import csv
 import hashlib
+import json
 import os
+import tempfile
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +16,9 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from airdrop_forensics import artifacts
+from airdrop_forensics import artifacts, graphs
+
+from conftest import addr, digraph, recorded_sha256
 
 OLD = b"0123456789\n" * 8
 NEW = {"shorter": b"short\n", "equal": OLD.upper().replace(b"\n", b";"), "longer": OLD * 3}
@@ -130,7 +135,7 @@ def _needs_quoting(batch) -> bool:
 def test_write_csv_writes_csv_writers_bytes(tmp_path_factory, table):
     """write_csv writes the bytes csv.writer(fh, lineterminator="\\n")
     writes (or raises what it raises), renders by csv.writer exactly the
-    batches that hold a cell it would quote, refuses a "\\r", and returns
+    batches that hold a cell it would quote, refuses a "\\r", and records
     the sha256 of the file."""
     header, rows, carriage = table
     tmp = tmp_path_factory.mktemp("csv")
@@ -146,12 +151,17 @@ def test_write_csv_writes_csv_writers_bytes(tmp_path_factory, table):
         with pytest.raises(csv.Error):
             artifacts.write_csv(header, rows, written)
         return
+    except UnicodeEncodeError:  # a lone surrogate, which UTF-8 cannot encode
+        with pytest.raises(UnicodeEncodeError):
+            artifacts.write_csv(header, rows, written)
+        return
     batches = [[header]] + [rows[i:i + artifacts._ROWS] for i in range(0, len(rows), artifacts._ROWS)]
     with mock.patch("csv.writer", wraps=csv.writer) as writer:
-        digest = artifacts.write_csv(header, rows, written)
+        with artifacts.recording(tmp):
+            artifacts.write_csv(header, rows, written)
     assert writer.call_count == sum(map(_needs_quoting, batches))
     assert written.read_bytes() == reference.read_bytes()
-    assert digest == hashlib.sha256(written.read_bytes()).hexdigest()
+    assert recorded_sha256(written) == hashlib.sha256(written.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("cell", [",", '"', "\n", "\0"])
@@ -167,8 +177,63 @@ def test_write_csv_refuses_a_row_of_another_width_than_the_header(tmp_path, row)
         artifacts.write_csv(["a", "b"], [["1", "2"], row], tmp_path / "t.csv")
 
 
-def test_write_json_returns_the_sha256_of_the_file(tmp_path):
+def test_write_json_records_the_sha256_of_the_file(tmp_path):
     path = tmp_path / "artifact.json"
-    digest = artifacts.write_json({"b": [1, 2.5], "a": "\u00e9"}, path)
-    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    with artifacts.recording(tmp_path):
+        artifacts.write_json({"b": [1, 2.5], "a": "\u00e9"}, path)
+    assert recorded_sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
     assert path.read_text(encoding="utf-8") == artifacts.render_json({"a": "\u00e9", "b": [1, 2.5]})
+
+
+# Text of the writers' cells and keys: any valid Unicode but "\r".
+_TEXT = st.text(st.characters(exclude_characters="\r", exclude_categories=["Cs"]), max_size=4)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | _TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=8)
+
+
+@st.composite
+def writes(draw):
+    """(writer, path relative to the stage, the call that writes what was
+    drawn to a path) for each writer of the artifacts and graphs modules."""
+    writer = draw(st.sampled_from(["write_json", "write_jsonl", "write_csv", "graphml", "dot",
+                                   "write_graph_json"]))
+    if writer == "write_json":
+        payload = draw(_JSON)
+        return writer, "a.json", lambda path: artifacts.write_json(payload, path)
+    if writer == "write_jsonl":
+        rows = draw(st.lists(st.dictionaries(_TEXT, _JSON, max_size=3), max_size=4))
+        return writer, "a.jsonl", lambda path: artifacts.write_jsonl(rows, path)
+    if writer == "write_csv":
+        row = st.lists(_TEXT, min_size=2, max_size=2)
+        header, rows = draw(row), draw(st.lists(row, max_size=5))
+        return writer, "a.csv", lambda path: artifacts.write_csv(header, rows, path)
+    g = digraph([(addr(u), addr(v), w) for u, v, w in draw(st.lists(st.tuples(
+        st.integers(1, 6), st.integers(1, 6), st.integers(1, 10**24)), max_size=8))])
+    if writer == "write_graph_json":
+        return writer, "graph/g.json", lambda path: graphs.write_graph_json(g, path)
+    return writer, f"graph/g.{writer}", lambda path: graphs.write_graph(g, path, writer, "g")
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(drawn=writes())
+def test_every_writer_records_the_sha256_of_the_bytes_on_disk(drawn):
+    """Inside `recording`, each writer's file is recorded in the stage's
+    run.json, by its name relative to the stage, with the sha256 of the
+    bytes on disk."""
+    writer, name, write = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        stage = Path(tmp) / "stage"
+        with artifacts.recording(stage):
+            write(stage / name)
+        digest = hashlib.sha256((stage / name).read_bytes()).hexdigest()
+        record = json.loads((stage / artifacts.RECORD).read_text())
+    assert record == {"outputs": {name: {"sha256": digest}}}, writer
+
+
+def test_a_recording_that_raises_writes_no_record(tmp_path):
+    with pytest.raises(RuntimeError), artifacts.recording(tmp_path):
+        artifacts.write_json({}, tmp_path / "a.json")
+        raise RuntimeError("the stage failed")
+    assert (tmp_path / "a.json").exists() and not (tmp_path / artifacts.RECORD).exists()

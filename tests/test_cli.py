@@ -308,6 +308,24 @@ def test_rerun_under_a_new_config_leaves_what_a_fresh_run_writes(tmp_path):
     assert files_of(reused) == files_of(fresh)
 
 
+def test_a_stage_that_fails_records_nothing(ingested, tmp_path):
+    """cluster, failing once it has rewritten features.csv, leaves its
+    run.json as its last successful run wrote it, so the stages after it
+    read the files that run recorded."""
+    out = tmp_path / "out"
+    shutil.copytree(ingested / "out", out)
+    config = write_config(tmp_path)
+    assert run("cluster", config) == 0
+    record = (out / "cluster" / "run.json").read_bytes()
+    features = out / "cluster" / "features.csv"
+    written = features.read_bytes()
+    features.write_bytes(b"stale\n")
+    assert run("cluster", write_config(tmp_path, clustering={"k_min": 0, "k_max": 1})) == 1
+    assert features.read_bytes() == written
+    assert (out / "cluster" / "run.json").read_bytes() == record
+    assert run("stats", config) == 0
+
+
 def test_no_stage_opens_a_file_to_write_but_in_place(tmp_path):
     """Every stage, writing a new tree and then rewriting it, opens each
     file it writes through artifacts.open_for_write, whose opener calls
@@ -556,8 +574,7 @@ def test_internal_event_makes_a_sunflower_center_a_contract_user(tmp_path, inter
     with mock.patch.object(artifacts, "open_for_read", wraps=artifacts.open_for_read) as opened:
         assert run("detect", config) == 0
     opens = Counter(Path(call.args[0]).name for call in opened.call_args_list)
-    assert [opens[name] for name in ("run.json", "report.json", "contracts.csv", "claims.csv")] \
-        == [1, 1, 1, 1]
+    assert [opens[name] for name in ("report.json", "contracts.csv", "claims.csv")] == [1, 1, 1]
     assert opens["events.csv"] == (1 if internal else 0)
     out = tmp_path / "out"
     report = json.loads((out / "ingest" / "report.json").read_text())
@@ -646,7 +663,7 @@ def test_row_order_and_repeated_rows_of_the_exports_change_no_result(ingested, t
     assert all(n for _, n in repeats) and repeated.keys() == base.keys()
     repeats = sum(n for _, n in repeats)
     assert {name for name in base if repeated[name] != base[name]} == {
-        "ingest/report.json", "ingest/run.json", "report/report.json"}
+        "ingest/report.json", "ingest/run.json", "report/report.json", "report/run.json"}
     want, got = ({stage: json.loads((tmp_path / tree / stage / "report.json").read_text())
                   for stage in ("ingest", "report")} for tree in ("base_out", "repeated_out"))
     assert got["ingest"]["input_rows"] == want["ingest"]["input_rows"] + repeats
@@ -915,7 +932,7 @@ def test_self_transfers_ingested_then_disallowed_fail(ingested, tmp_path, capsys
 
     with pytest.raises(ingest.SelfTransferDisallowedError, match="self-transfer") as raised:
         ingest.read_store(stage, ingest.IngestConfig())
-    assert not isinstance(raised.value, ingest.CorruptStoreError)
+    assert not isinstance(raised.value, artifacts.MissingArtifactError)
     disallowed = write_config(tmp_path, out_name="selfish", inputs=inputs)
     capsys.readouterr()
     assert run("cluster", disallowed) == 1

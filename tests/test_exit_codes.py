@@ -9,9 +9,11 @@ that size the synthetic corpus stay small, because a valid but huge one
 import contextlib
 import copy
 import csv
+import hashlib
 import io
 import json
 import math
+import re
 import shutil
 import tempfile
 from dataclasses import dataclass
@@ -26,6 +28,8 @@ from airdrop_forensics.cli import main
 from airdrop_forensics.clustering import Linkage
 from airdrop_forensics.config import Preset
 from airdrop_forensics.forensics import PatternKind
+
+from conftest import record
 
 STAGES = ["synth", "ingest", "graph", "cluster", "detect", "eligibility", "stats", "report"]
 BASE = {"synth": {"seed": 5, "population_total": 120},
@@ -231,7 +235,8 @@ def test_mutated_inputs_never_exit_2(pipeline, name, how, row, column):
                            {**BASE, "inputs": inputs}, out)
 
 
-# Each artifact a later stage reads, and the stage that reads it here.
+# Each artifact a later stage reads, and the stage that reads it here; a
+# stage's run.json is read with each of its artifacts.
 READERS = {
     "ingest/events.csv": "graph",
     "ingest/contracts.csv": "eligibility",
@@ -242,27 +247,37 @@ READERS = {
     "graph/external_graph.json": "detect",
     "graph/summary.json": "report",
     "graph/metric_series.json": "report",
+    "graph/run.json": "detect",
     "cluster/assignment.csv": "stats",
     "cluster/silhouette.json": "report",
+    "cluster/run.json": "report",
     "detect/findings.jsonl": "report",
     "detect/voting_power.json": "report",
+    "detect/run.json": "report",
     "eligibility/summary.json": "report",
+    "eligibility/run.json": "report",
     "stats/attrition.json": "report",
     "stats/behavior_table.json": "report",
     "stats/top_contracts.csv": "report",
     "stats/kde_periods.json": "report",
     "stats/kde_quantities.json": "report",
     "stats/tier_composition.csv": "report",
+    "stats/run.json": "report",
 }
 # Read only when present: without them the reader leaves a part out.
 OPTIONAL = {"cluster/assignment.csv", "eligibility/summary.json", "stats/tier_composition.csv"}
 
 
-def test_readers_are_the_shape_table_and_the_event_store():
-    """Every artifact a later stage reads has a declared shape, except
-    the files whose sha256 ingest records in run.json, which has one."""
-    store = {f"ingest/{name}" for name in artifacts.SHAPES["ingest/run.json"]["outputs"]}
-    assert set(READERS) == set(artifacts.SHAPES) | store
+def test_every_artifact_a_later_stage_reads_is_recorded_by_its_stage(pipeline):
+    """Each artifact of READERS but the records themselves has its sha256
+    in its stage's run.json, and every stage a later one reads records."""
+    for artifact in READERS:
+        path = pipeline / "out" / artifact
+        outputs = json.loads((path.parent / artifacts.RECORD).read_text())["outputs"]
+        if path.name != artifacts.RECORD:
+            assert outputs[path.name] == {"sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+    assert {Path(a).parent.name for a in READERS if Path(a).name == artifacts.RECORD} \
+        == {Path(a).parent.name for a in READERS}
 
 
 def damage(path: Path, how: str) -> None:
@@ -280,16 +295,16 @@ def damage(path: Path, how: str) -> None:
 @pytest.mark.parametrize("artifact", sorted(READERS))
 def test_damaged_upstream_artifact_never_exits_2(pipeline, tmp_path, artifact, how):
     """An upstream artifact deleted, replaced by a directory, cut to its
-    first half or given a leading byte that is not UTF-8. An unreadable one
-    exits 1 with `missing_artifact`, naming the stage that writes it; a
-    file cut in half may still parse."""
+    first half or given a leading byte that is not UTF-8 exits 1 with
+    `missing_artifact`, naming the stage that writes it; an optional
+    artifact may be deleted."""
     out = tmp_path / "out"
     shutil.copytree(pipeline / "out", out)
     damage(out / artifact, how)
     code, error = assert_exit_0_or_1(READERS[artifact], BASE, out)
     if how == "deleted" and artifact in OPTIONAL:
         assert code == 0
-    elif how != "half":
+    else:
         assert code == 1 and error["code"] == "missing_artifact"
         assert f"{Path(artifact).parent.name} stage" in error["error"]
 
@@ -340,12 +355,14 @@ def test_detect_without_an_ingest_record_exits_1(pipeline, tmp_path, artifact):
     ("stats", "repeated"), ("stats", "appended"),
 ])
 def test_assignment_of_other_claimants_exits_1(pipeline, tmp_path, stage, how):
-    """An assignment.csv cut at a row boundary parses, but holds fewer rows
-    than there are claimants; one with a row in place of the next holds as
-    many, but not every claimant; one with a cluster cell that is not an
-    integer holds no cluster for that claimant; one with a row added that
-    repeats a claimant, in another cluster or as an exact copy of its row,
-    holds every claimant, one twice. The stage writes no file."""
+    """An assignment.csv cut at a row boundary holds fewer rows than there
+    are claimants; one with a row in place of the next holds as many, but
+    not every claimant; one with a row added that repeats a claimant, in
+    another cluster or as an exact copy of its row, holds every claimant,
+    one twice. Each is recorded as if the cluster stage had written it, so
+    that the check against ingest's claimants refuses it. One with a cluster
+    cell that is not an integer, left unrecorded, fails its digest. The
+    stage writes no file."""
     out = tmp_path / "out"
     shutil.copytree(pipeline / "out", out, ignore=shutil.ignore_patterns(stage))
     path = out / "cluster" / "assignment.csv"
@@ -365,6 +382,8 @@ def test_assignment_of_other_claimants_exits_1(pipeline, tmp_path, stage, how):
         cells[column] = "x"
         lines[1] = ",".join(cells)
     path.write_text("".join(lines))
+    if how != "non_integer":
+        record(path)
     code, error = assert_exit_0_or_1(stage, BASE, out)
     assert code == 1 and error["code"] == "missing_artifact"
     assert "assignment.csv" in error["error"] and "cluster stage" in error["error"]
@@ -411,14 +430,15 @@ def test_wrong_shaped_graph_json_exits_1(pipeline, tmp_path, graph, shape):
 ])
 def test_csv_header_without_a_read_column_exits_1(pipeline, tmp_path, artifact, column, stage):
     """A stage artifact whose header misnames a column its reader indexes
-    (`klass` for `cluster`, say) is unreadable, not an internal error."""
+    (`klass` for `cluster`, say) fails its digest: it is unreadable, not an
+    internal error."""
     out = tmp_path / "out"
     shutil.copytree(pipeline / "out", out)
     rename_column(out / artifact, column, "klass")
     code, error = assert_exit_0_or_1(stage, BASE, out)
     assert code == 1 and error["code"] == "missing_artifact"
     assert Path(artifact).name in error["error"] and "cluster stage" in error["error"]
-    assert repr([column]) in error["error"]
+    assert "does not match the sha256" in error["error"]
 
 
 @pytest.mark.parametrize("artifact, text", [
@@ -447,16 +467,48 @@ def test_wrong_shaped_report_input_exits_1(pipeline, tmp_path, artifact, text):
     assert f"{Path(artifact).parent.name} stage" in error["error"]
 
 
+def _cut_at_a_row_boundary(path: Path) -> None:
+    lines = path.read_text().splitlines(keepends=True)
+    assert len(lines) > 2
+    path.write_text("".join(lines[:len(lines) // 2]))
+
+
+def _one_number_changed(path: Path) -> None:
+    text = path.read_text()
+    edited = re.sub(r"[1-9]", lambda m: str(int(m[0]) % 9 + 1), text, count=1)
+    assert edited != text and json.loads(edited).keys() == json.loads(text).keys()
+    path.write_text(edited)
+
+
+@pytest.mark.parametrize("artifact, edit", [
+    ("detect/findings.jsonl", _cut_at_a_row_boundary),
+    ("stats/top_contracts.csv", _cut_at_a_row_boundary),
+    ("stats/attrition.json", _one_number_changed),
+], ids=["findings_cut", "top_contracts_cut", "attrition_number"])
+def test_a_well_formed_edit_of_an_artifact_exits_1(pipeline, tmp_path, artifact, edit):
+    """A file cut at a row boundary, or with one number changed, still
+    parses as a file of its kind, but it is not what its stage wrote: the
+    report exits 1, naming that stage, and writes nothing."""
+    out = tmp_path / "out"
+    shutil.copytree(pipeline / "out", out, ignore=shutil.ignore_patterns("report"))
+    edit(out / artifact)
+    code, error = assert_exit_0_or_1("report", BASE, out)
+    assert code == 1 and error["code"] == "missing_artifact"
+    assert Path(artifact).name in error["error"]
+    assert f"{Path(artifact).parent.name} stage" in error["error"]
+    assert not (out / "report").exists()
+
+
 @pytest.mark.parametrize("artifact", sorted(a for a in READERS if not a.endswith(".csv")))
 def test_json_artifact_of_another_type_exits_1(pipeline, tmp_path, artifact):
     """A JSON artifact, or a JSONL artifact's line, that holds an object
-    where its declared shape is a list, or a list where it is an object,
-    is unreadable for the stage that reads it, naming the stage that
-    writes it. ingest/report.json, an object, is checked by its digest."""
-    shape = artifacts.SHAPES.get(artifact, dict)
+    where its writer wrote a list, or a list where it wrote an object, is
+    unreadable for the stage that reads it, naming the stage that writes
+    it."""
     out = tmp_path / "out"
     shutil.copytree(pipeline / "out", out)
-    (out / artifact).write_text("{}\n" if shape is list else "[]\n")
+    path = out / artifact
+    path.write_text("{}\n" if path.read_text().startswith("[") else "[]\n")
     code, error = assert_exit_0_or_1(READERS[artifact], BASE, out)
     assert code == 1 and error["code"] == "missing_artifact"
     assert Path(artifact).name in error["error"]
@@ -483,6 +535,7 @@ def test_report_reads_an_empty_density_file(pipeline, tmp_path, artifact):
     out = tmp_path / "out"
     shutil.copytree(pipeline / "out", out)
     (out / artifact).write_text("{}\n")
+    record(out / artifact)
     assert assert_exit_0_or_1("report", BASE, out) == (0, None)
     report = json.loads((out / "report" / "report.json").read_text())
     assert report["density_estimates"][Path(artifact).stem] == {}

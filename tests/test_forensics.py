@@ -8,6 +8,7 @@ import networkx as nx
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from airdrop_forensics import artifacts
 from airdrop_forensics.eligibility import EligibilityHistory, clique_sizes
 from airdrop_forensics.forensics import (
     DetectorConfig,
@@ -482,11 +483,11 @@ def _detect_graphs(store):
     except WindowEmptyError:
         pass
     with tempfile.TemporaryDirectory() as tmp:
-        loaded = []
-        for name, graph in (("token", token_graph), ("external", build_external_graph(store))):
-            path = Path(tmp) / f"{name}.json"
-            write_graph_json(graph, path)
-            loaded.append(load_graph_json(path))
+        written = {"token": token_graph, "external": build_external_graph(store)}
+        with artifacts.recording(tmp):
+            for name, graph in written.items():
+                write_graph_json(graph, Path(tmp) / f"{name}.json")
+        loaded = [load_graph_json(Path(tmp) / f"{name}.json") for name in written]
     return tuple(loaded)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from airdrop_forensics import graphs
+from airdrop_forensics import artifacts, graphs
 from airdrop_forensics.forensics import p2p_components
 from airdrop_forensics.graphs import (
     _BATCH,
@@ -424,8 +424,9 @@ def test_writers_hold_a_batch_not_the_file(tmp_path, write, args):
 def test_loaded_edge_endpoints_are_the_node_keys(tmp_path):
     """json makes a new string for every occurrence of an address; the
     loader keeps one per node."""
-    path = tmp_path / "graph.json"
-    write_graph_json(_wide_graph(n_nodes=300, n_edges=3_000), path)
+    path = tmp_path / "graph" / "graph.json"
+    with artifacts.recording(path.parent):
+        write_graph_json(_wide_graph(n_nodes=300, n_edges=3_000), path)
     g = load_graph_json(path)
     key = {a: a for a in g.nodes}
     assert g.n_edges == 3_000
@@ -449,6 +450,26 @@ def test_graph_json_round_trip():
     clone = graph_from_json(graph_to_json(g))
     assert graph_to_json(clone) == graph_to_json(g)
     assert clone.out_neighbors("a" * 40) == {"b" * 40}
+
+
+# Payloads that are not a graph: an artifact whose bytes match its record
+# is never one, but graph_from_json refuses them from any other caller.
+NOT_GRAPHS = {
+    "edge_key": {"nodes": [], "edge": []},
+    "list": [],
+    "node_class": {"nodes": [["0x1", "hunter"]], "edges": []},
+    "edge_arity": {"nodes": [["0x1", "plain"]], "edges": [["0x1", "0x1", 1]]},
+    "unknown_endpoint": {"nodes": [["0x1", "plain"]], "edges": [["0x1", "0x2", 1, 1, 0, 0]]},
+    "repeated_node": {"nodes": [["0x1", "plain"], ["0x1", "contract"]], "edges": []},
+    "repeated_edge": {"nodes": [["0x1", "plain"]],
+                      "edges": [["0x1", "0x1", 1, 1, 0, 0], ["0x1", "0x1", 2, 1, 0, 0]]},
+}
+
+
+@pytest.mark.parametrize("payload", sorted(NOT_GRAPHS))
+def test_graph_from_json_refuses_what_is_not_a_graph(payload):
+    with pytest.raises((KeyError, TypeError, ValueError)):
+        graph_from_json(NOT_GRAPHS[payload])
 
 
 # The insertion loops against the one-event-at-a-time reference, networkx

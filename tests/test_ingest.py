@@ -22,7 +22,6 @@ from airdrop_forensics.ingest import (
     STORE_COLUMNS,
     TRANSFER_COLUMNS,
     ContractCategory,
-    CorruptStoreError,
     DuplicateClaimError,
     EventColumns,
     EventKind,
@@ -46,7 +45,7 @@ from airdrop_forensics.ingest import (
 
 from conftest import (
     WINDOW_END, WINDOW_START, addr, assert_addresses_shared, claim, columns, contract, dedup_key,
-    ev, stored,
+    ev, recorded_sha256, stored,
 )
 from oracles import dictreader_parse_claims, dictreader_parse_contracts, dictreader_parse_transfers
 
@@ -483,9 +482,12 @@ def built_stores(draw):
     return build_event_store(events, [], contracts, claims, config)
 
 
-def _write_stage(stage: Path, store) -> Path:
-    """The files ingest writes for `store`."""
-    ingest.write_store(store, stage)
+def _write_stage(root: Path, store) -> Path:
+    """root/ingest, holding the files the ingest stage writes for `store`
+    and its record of them."""
+    stage = root / "ingest"
+    with artifacts.recording(stage):
+        ingest.write_store(store, stage)
     return stage
 
 
@@ -509,7 +511,7 @@ def _one_odd_text(text: str):
 @given(store=built_stores())
 def test_events_csv_bytes_are_csv_writers(store):
     """write_transfers_csv writes what csv.writer writes for the stored
-    events, and returns the sha256 of it. A text that csv.writer would
+    events, and records the sha256 of it. A text that csv.writer would
     quote is a ValueError: events.csv holds none, so it always splits at
     its commas and newlines."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -521,10 +523,11 @@ def test_events_csv_bytes_are_csv_writers(store):
         with open(reference, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh, lineterminator="\n").writerows(
                 [STORE_COLUMNS, *(e[:6] + (e.log_index, e.kind) for e in store.events)])
-        digest = write_transfers_csv(store.events, fast)
+        with artifacts.recording(fast.parent):
+            write_transfers_csv(store.events, fast)
         written = fast.read_bytes()
         assert written == reference.read_bytes()
-    assert digest == hashlib.sha256(written).hexdigest()
+        assert recorded_sha256(fast) == hashlib.sha256(written).hexdigest()
 
 
 @_PROPERTY
@@ -552,11 +555,11 @@ def _assert_loaded(loaded, store) -> None:
 
 
 def _load(stage: Path, config: IngestConfig, kinds=tuple(EventKind)):
-    """read_store's store of `kinds`, or the message of its CorruptStoreError
-    or SelfTransferDisallowedError."""
+    """read_store's store of `kinds`, or the message of its
+    MissingArtifactError or SelfTransferDisallowedError."""
     try:
         return read_store(stage, config, kinds)
-    except (CorruptStoreError, SelfTransferDisallowedError) as exc:
+    except (artifacts.MissingArtifactError, SelfTransferDisallowedError) as exc:
         return str(exc)
 
 
@@ -739,9 +742,9 @@ def test_read_store_of_a_text_holding_a_newline_is_the_store(tmp_path, field):
     store = build_event_store([event], [], [], [], IngestConfig())
     with pytest.raises(ValueError, match="in a cell"):
         _write_stage(tmp_path, store)
-    assert not (tmp_path / "run.json").exists()
+    assert not (tmp_path / "ingest" / "run.json").exists()
     with pytest.raises(artifacts.MissingArtifactError, match="run.json"):
-        read_store(tmp_path, store.config)
+        read_store(tmp_path / "ingest", store.config)
 
 
 def test_a_kind_the_store_did_not_load_is_refused(tmp_path):
@@ -770,7 +773,7 @@ def test_a_bad_tier_fails_its_line(tmp_path, tier, reason):
     with pytest.raises(ValueError, match=re.escape(reason)):
         Tier(int(tier))
     recorded = json.loads((stage / "run.json").read_text())["outputs"]["claims.csv"]["sha256"]
-    with pytest.raises(CorruptStoreError) as raised:
+    with pytest.raises(artifacts.MissingArtifactError) as raised:
         ingest.read_records(stage)
     assert f"{path} does not match the sha256 {recorded} that ingest recorded" in str(raised.value)
 

@@ -223,28 +223,30 @@ def test_only_ingest_reads_the_fields_read_store_drops():
     assert readers == []
 
 
-def _opens_csv_for_writing(function) -> bool:
-    """Whether `function` opens a file for writing (a call of
-    `open_for_write`, or of `open` with a mode that writes) that is a
-    CSV: a ".csv" is named in the call, or the function is named for CSV."""
-    for call in ast.walk(function):
-        if not isinstance(call, ast.Call) or _callee(call) not in ("open", "open_for_write"):
-            continue
-        modes = [arg.value for arg in [*call.args[1:2], *(kw.value for kw in call.keywords
-                                                          if kw.arg == "mode")]
-                 if isinstance(arg, ast.Constant)]
-        if _callee(call) == "open" and not any(set(mode) & set("wax+") for mode in modes):
-            continue
-        names = {sub.value for sub in ast.walk(call)
-                 if isinstance(sub, ast.Constant) and isinstance(sub.value, str)}
-        if "csv" in function.name.lower() or any(name.endswith(".csv") for name in names):
-            return True
-    return False
+# os.open flags that open a file for writing.
+_WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_CREAT", "O_APPEND", "O_TRUNC"}
 
 
-def test_only_artifacts_writes_csv():
-    """artifacts.write_csv is the one CSV writer: no other module of src/
-    names csv.writer, or opens a CSV file for writing."""
+def _opens_for_writing(call: ast.Call) -> bool:
+    """Whether `call` opens a file for writing: `open_for_write`, a Path's
+    `write_text` or `write_bytes`, `open` with a mode that writes, or
+    `os.open` with a flag that does."""
+    callee = _callee(call)
+    if callee in ("open_for_write", "write_text", "write_bytes"):
+        return True
+    if callee != "open":
+        return False
+    modes = [arg.value for arg in [*call.args[1:2], *(kw.value for kw in call.keywords
+                                                      if kw.arg == "mode")]
+             if isinstance(arg, ast.Constant) and isinstance(arg.value, str)]
+    flags = {sub.attr for sub in ast.walk(call) if isinstance(sub, ast.Attribute)}
+    return any(set(mode) & set("wax+") for mode in modes) or bool(flags & _WRITE_FLAGS)
+
+
+def test_only_artifacts_opens_a_file_for_writing():
+    """artifacts.write is the one write path, so every file a stage writes
+    is recorded in its run.json: no other module of src/ names csv.writer
+    or opens a file for writing."""
     writers = []
     for path, tree in _trees().items():
         if path.parent != PACKAGE or path.name == "artifacts.py":
@@ -255,7 +257,6 @@ def test_only_artifacts_writes_csv():
                     or isinstance(node, ast.ImportFrom) and node.module == "csv"
                     and any(alias.name == "writer" for alias in node.names)):
                 writers.append(f"{path.name}:{node.lineno}: csv.writer")
-            elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                  and _opens_csv_for_writing(node)):
-                writers.append(f"{path.name}:{node.lineno}: {node.name} opens a CSV to write")
+            elif isinstance(node, ast.Call) and _opens_for_writing(node):
+                writers.append(f"{path.name}:{node.lineno}: {_callee(node)}")
     assert writers == []

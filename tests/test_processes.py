@@ -3,9 +3,10 @@ the CLI writes when each stage runs as a process, `python -m
 airdrop_forensics.cli`: the daily metric series against networkx, the
 external graph against events.csv, raw exports read through the row loop,
 the store's columns for every set of kinds, and one history re-screened
-under every eligibility preset."""
+under every eligibility preset, and each stage's run.json."""
 
 import csv
+import hashlib
 import json
 import math
 import shutil
@@ -151,3 +152,18 @@ def test_one_history_rescreened_under_every_preset(process_tree, tmp_path):
     assert populations[0] > 0 and len(set(populations)) == 1, populations
     for name in ("verdicts.csv", "summary.json"):
         assert (out / "eligibility" / name).read_bytes() == (first / name).read_bytes(), name
+
+
+def test_each_stage_records_the_sha256_of_every_file_it_wrote(process_tree):
+    """Each stage directory holds a run.json whose entries are exactly the
+    directory's other files, by their names relative to it, each with the
+    sha256 of its bytes."""
+    stages = sorted(path for path in (process_tree / "out").iterdir() if path.is_dir())
+    assert [stage.name for stage in stages] == ["eligibility", "graph", "ingest", "synth"]
+    for stage in stages:
+        files = sorted(path for path in stage.rglob("*")
+                       if path.is_file() and path != stage / "run.json")
+        digests = {path.relative_to(stage).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in files}
+        assert json.loads((stage / "run.json").read_text()) == {"outputs": {
+            name: {"sha256": digest} for name, digest in digests.items()}}, stage.name

@@ -27,11 +27,11 @@ ADDRESS = re.compile(r"0x[0-9a-f]{40}(?![0-9a-f])")
 STAGES = ("ingest", "graph", "cluster", "detect", "eligibility", "stats")
 RAW = ("token_transfers.csv", "external_txs.csv", "contracts.csv", "claims.csv")
 # Artifacts compared apart, below, and those left out: the renderings of
-# graphs whose JSON is compared (graphml and dot files), ingest's record of
-# the digests of the files compared here, and the resolved config.
+# graphs whose JSON is compared (graphml and dot files), each stage's record
+# of the digests of its files (run.json), and the resolved config.
 APART = {"cluster/dendrogram.json", "cluster/assignment.csv", "stats/tier_composition.csv",
          "detect/components.csv", "detect/findings.jsonl", "detect/voting_power.json",
-         "ingest/run.json", "config.resolved.json"}
+         "config.resolved.json", *(f"{stage}/run.json" for stage in STAGES)}
 
 
 def _run(config: Path, out: Path) -> None:
